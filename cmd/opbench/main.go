@@ -11,7 +11,7 @@
 //	opbench table2          # single-symbol patterns at p=24 / p=7
 //	opbench table3          # multi-symbol patterns, Wal-Mart, ψ=35%
 //	opbench kernels         # per-kernel convolution breakdown (complex vs
-//	                        # real vs four-step, tuned vs pinned crossovers)
+//	                        # real vs auto dispatch)
 //	opbench dist            # sharded-coordinator scaling vs the local mine
 //	opbench -query 'conf >= 0.5 and period in 2..64' query
 //	                        # time one pattern query end to end (compile,
@@ -23,11 +23,9 @@
 // (hours). -workers caps the cores the batched detection engine may use
 // (default: all). -benchjson writes the fig5 timing points (or, for the
 // kernels experiment, the per-kernel breakdown) to a file as JSON, for
-// machine comparison and CI artifacts. -tune loads a saved fft.TunedProfile
-// before benchmarking; -autotune runs a fresh calibration sweep of the given
-// duration instead. Every report opens with a provenance header (engine,
-// GOMAXPROCS, tuned-profile source) so bench_results_*.txt files are
-// comparable across hosts.
+// machine comparison and CI artifacts. Every report opens with a provenance
+// header (engine, GOMAXPROCS, FFT dispatch constants) so bench_results_*.txt
+// files are comparable across hosts.
 package main
 
 import (
@@ -75,8 +73,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "base random seed")
 	workers := flag.Int("workers", 0, "cap worker goroutines for the detection engine (0 = all cores)")
 	benchJSON := flag.String("benchjson", "", "also write the fig5 timing points (or kernels breakdown) to this file as JSON")
-	tune := flag.String("tune", "", "load an fft tuned-profile JSON before benchmarking (default $PERIODICA_TUNE_FILE)")
-	autotune := flag.Duration("autotune", 0, "run a calibration sweep of this duration and apply (and, with -tune, save) the profile")
 	querySrc := flag.String("query", "", "pattern query for the query experiment (default $PERIODICA_QUERY)")
 	flag.Parse()
 
@@ -84,10 +80,6 @@ func main() {
 		// The batched engine sizes its pools from GOMAXPROCS, so capping it
 		// here bounds both the per-pair fan-out and the parallel butterflies.
 		runtime.GOMAXPROCS(*workers)
-	}
-	if err := applyTuning(*tune, *autotune); err != nil {
-		fmt.Fprintln(os.Stderr, "opbench:", err)
-		os.Exit(1)
 	}
 	sc := quickScale
 	scaleName := "quick"
@@ -364,38 +356,10 @@ func quality(sc scale, seed int64) error {
 	return nil
 }
 
-// applyTuning installs the fft tuned profile the flags ask for. -autotune
-// runs a fresh calibration sweep and applies it (and, when -tune also names a
-// path, persists the profile there for later runs); -tune alone loads a saved
-// profile. With neither flag, a profile named by PERIODICA_TUNE_FILE is
-// honored when present, so opbench sees exactly what a deployed miner sees.
-func applyTuning(tunePath string, budget time.Duration) error {
-	if budget > 0 {
-		prof := fft.Autotune(budget)
-		fft.ApplyTuned(prof)
-		if tunePath != "" {
-			if err := prof.Save(tunePath); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if tunePath != "" {
-		prof, err := fft.LoadTuned(tunePath)
-		if err != nil {
-			return err
-		}
-		fft.ApplyTuned(prof)
-		return nil
-	}
-	_, _, err := fft.LoadTunedFromEnv()
-	return err
-}
-
 // printProvenance opens every report with the facts needed to compare two
 // bench_results files: scale, engine selection, parallelism, toolchain, and
-// where the fft tuning came from. Numbers without this header are not
-// comparable across hosts.
+// the FFT dispatch constants. Numbers without this header are not comparable
+// across hosts.
 func printProvenance(scaleName string) {
 	engine := os.Getenv("PERIODICA_ENGINE")
 	if engine == "" {
@@ -403,13 +367,7 @@ func printProvenance(scaleName string) {
 	}
 	fmt.Printf("opbench: scale=%s engine=%s GOMAXPROCS=%d go=%s\n",
 		scaleName, engine, runtime.GOMAXPROCS(0), runtime.Version())
-	if p := fft.Tuned(); p != nil {
-		fmt.Printf("opbench: tuned profile %s (host=%s engineCrossover=%d parallelThreshold=%d fourStepMin=%d calibration=%.3fs)\n",
-			p.Source, p.Host, p.EngineCrossover, p.ParallelThreshold, p.FourStepMin, p.CalibrationSecs)
-	} else {
-		fmt.Printf("opbench: tuned profile none (pinned defaults: engineCrossover=4096 parallelThreshold=%d fourStepMin=%d)\n",
-			fft.DefaultParallelThreshold, fft.DefaultFourStepMin)
-	}
+	fmt.Printf("opbench: fft dispatch engineCrossover=4096 parallelThreshold=%d\n", fft.ParallelThreshold)
 	fmt.Println()
 }
 
@@ -437,11 +395,9 @@ func bestOf(reps int, f func()) float64 {
 
 // kernels benchmarks the convolution hot path — one symbol's circular
 // autocorrelation counts — under each FFT kernel at the scale's timing sizes:
-// the complex radix-2 path (the only kernel before the real/four-step split),
-// the real-input half-size kernel, the real kernel over the four-step
-// cache-blocked transform, and the auto dispatch under both the active tuned
-// profile and the pinned defaults. The speedup column is new-vs-old: pinned
-// auto dispatch against the complex kernel.
+// the complex radix-2 path, the real-input half-size kernel, and the auto
+// dispatch the miner uses. The speedup column is auto dispatch against the
+// complex kernel.
 func kernels(sc scale, seed int64, jsonPath string) error {
 	workers := runtime.GOMAXPROCS(0)
 	reps := 3
@@ -449,21 +405,8 @@ func kernels(sc scale, seed int64, jsonPath string) error {
 		reps = 5
 	}
 
-	// Restore whatever tuning state the flags installed once we are done
-	// flipping kernels on and off for the per-cell measurements.
-	prof := fft.Tuned()
-	savedMin := fft.FourStepMin()
-	defer func() {
-		if prof != nil {
-			fft.ApplyTuned(prof)
-		} else {
-			fft.ResetTuned()
-		}
-	}()
-
 	fmt.Println("Per-kernel breakdown — per-symbol autocorrelation counts (best of", reps, "runs, ms)")
-	fmt.Printf("%10s %12s %12s %12s %12s %12s %9s\n",
-		"n", "complex", "real", "real+4step", "auto/tuned", "auto/pinned", "speedup")
+	fmt.Printf("%10s %12s %12s %12s %9s\n", "n", "complex", "real", "auto", "speedup")
 
 	var points []kernelPoint
 	for _, n := range sc.timingSizes {
@@ -481,23 +424,12 @@ func kernels(sc scale, seed int64, jsonPath string) error {
 			return bestOf(reps, f)
 		}
 
-		fft.SetFourStepMin(fft.FourStepDisabled)
 		complexSec := measure(func() { plan.AutocorrelateCountsKernelInto(x, out, workers, fft.KernelComplex) })
 		realSec := measure(func() { plan.AutocorrelateCountsKernelInto(x, out, workers, fft.KernelReal) })
-		fft.SetFourStepMin(1) // clamps to the four-step floor: forced on
-		fourSec := measure(func() { plan.AutocorrelateCountsKernelInto(x, out, workers, fft.KernelReal) })
+		autoSec := measure(func() { plan.AutocorrelateCountsInto(x, out, workers) })
 
-		fft.SetFourStepMin(savedMin)
-		tunedSec := measure(func() { plan.AutocorrelateCountsInto(x, out, workers) })
-		fft.ResetTuned()
-		pinnedSec := measure(func() { plan.AutocorrelateCountsInto(x, out, workers) })
-		if prof != nil {
-			fft.ApplyTuned(prof)
-		}
-
-		speedup := complexSec / pinnedSec
-		fmt.Printf("%10d %12.3f %12.3f %12.3f %12.3f %12.3f %8.2fx\n",
-			n, complexSec*1e3, realSec*1e3, fourSec*1e3, tunedSec*1e3, pinnedSec*1e3, speedup)
+		fmt.Printf("%10d %12.3f %12.3f %12.3f %8.2fx\n",
+			n, complexSec*1e3, realSec*1e3, autoSec*1e3, complexSec/autoSec)
 
 		for _, cell := range []struct {
 			kernel string
@@ -505,9 +437,7 @@ func kernels(sc scale, seed int64, jsonPath string) error {
 		}{
 			{"complex", complexSec},
 			{"real", realSec},
-			{"real+fourstep", fourSec},
-			{"auto-tuned", tunedSec},
-			{"auto-pinned", pinnedSec},
+			{"auto", autoSec},
 		} {
 			points = append(points, kernelPoint{
 				N: n, Kernel: cell.kernel, Seconds: cell.sec,
@@ -515,13 +445,6 @@ func kernels(sc scale, seed int64, jsonPath string) error {
 			})
 		}
 	}
-
-	fourMin := "disabled"
-	if savedMin < fft.FourStepDisabled {
-		fourMin = fmt.Sprint(savedMin)
-	}
-	fmt.Printf("active crossovers: fourStepMin=%s parallelThreshold=%d engineCrossover=%d (0 = pinned 4096)\n",
-		fourMin, fft.ParallelThreshold(), fft.TunedEngineCrossover())
 
 	if jsonPath != "" {
 		data, err := json.MarshalIndent(points, "", "  ")

@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"periodica"
-	"periodica/internal/cli"
 	"periodica/internal/query"
 	"periodica/internal/series"
 )
@@ -67,8 +66,6 @@ func main() {
 		jsonOut    = flag.Bool("json", false, "emit the result as JSON")
 		top        = flag.Int("top", 25, "rows printed per section (0 = all)")
 		candidates = flag.Bool("candidates-only", false, "run only the O(σ n log n) detection phase and list candidate periods")
-		tuneFile   = flag.String("tune", "", "load a convolution tuned-profile JSON (default $PERIODICA_TUNE_FILE)")
-		autotune   = flag.Duration("autotune", 0, "calibrate the convolution crossovers for this host before mining (sweep duration; with -tune, saves the profile there)")
 		querySrc   = flag.String("query", "", "pattern query, e.g. 'conf >= 0.8 and period in 2..64' (default $PERIODICA_QUERY); replaces the mining option flags")
 	)
 	flag.Parse()
@@ -93,17 +90,6 @@ func main() {
 		if q, err = periodica.CompileQuery(src); err != nil {
 			fatal(err)
 		}
-	}
-
-	// Tuning only moves work between byte-identical kernels, so it can never
-	// change what gets mined — apply it before anything touches the engine.
-	// Explicit -tune/-autotune failures are fatal; a broken environment
-	// profile only warns and mines on the pinned defaults.
-	err := cli.BootstrapTuning(*autotune, *tuneFile, func(msg string) {
-		fmt.Fprintln(os.Stderr, "opminer: warning:", msg)
-	})
-	if err != nil {
-		fatal(err)
 	}
 
 	s, err := readSeries(*in, *format, prepConfig{

@@ -32,9 +32,7 @@ import (
 	"time"
 
 	"periodica"
-	"periodica/internal/cli"
 	"periodica/internal/dist"
-	"periodica/internal/fft"
 	"periodica/internal/httpapi"
 )
 
@@ -61,8 +59,6 @@ func run() int {
 	requestTimeout := flag.Duration("request-timeout", httpapi.DefaultRequestTimeout, "per-request mining deadline (0 = default, negative = no deadline)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long to wait for in-flight requests on shutdown")
 	pprof := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
-	tuneFile := flag.String("tune", "", "load a convolution tuned-profile JSON (default $PERIODICA_TUNE_FILE)")
-	autotune := flag.Duration("autotune", 0, "calibrate the convolution crossovers at startup (sweep duration; with -tune, saves the profile there)")
 	workers := flag.String("workers", "", "comma-separated worker base URLs; when set, /v1/mine is sharded across them (this process coordinates)")
 	shardsPerWorker := flag.Int("shards-per-worker", 0, "distributed: target shards per worker (0 = default 2)")
 	shardAttempts := flag.Int("shard-attempts", 0, "distributed: dispatch attempts per shard before local fallback (0 = default 3)")
@@ -94,28 +90,6 @@ func run() int {
 		}
 		querySrc = q.String()
 		logger.Info("default pattern query set", "query", querySrc)
-	}
-
-	// Tuning moves work between byte-identical kernels, so it changes serving
-	// latency but never a response body. Calibrate/load before accepting
-	// traffic and log the provenance so deployments can tell tuned replicas
-	// from pinned ones. The explicit flags are hard requirements; an
-	// environment profile is advisory and falls back to pinned defaults.
-	err := cli.BootstrapTuning(*autotune, *tuneFile, func(msg string) {
-		logger.Warn("tuning profile skipped", "reason", msg)
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "opserve: %v\n", err)
-		return 1
-	}
-	if p := fft.Tuned(); p != nil {
-		logger.Info("fft tuned profile applied",
-			"source", p.Source, "host", p.Host,
-			"engineCrossover", p.EngineCrossover,
-			"parallelThreshold", p.ParallelThreshold,
-			"fourStepMin", p.FourStepMin)
-	} else {
-		logger.Info("fft tuning: pinned defaults (no profile)")
 	}
 
 	var distributor httpapi.Distributor

@@ -5,7 +5,7 @@
 // paper's one-pass guarantee rests on the convolution counts being
 // *exact*, and the invariants that keep them exact — tolerance
 // comparisons instead of float ==, balanced sync.Pool Get/Put pairs,
-// no unsynchronized reads of tuning globals from goroutines, and the
+// no unsynchronized reads of mutable globals from goroutines, and the
 // zero-alloc contract on the FFT hot path — are invisible to go vet.
 //
 // A Rule inspects a fully type-checked Module (every package of the
@@ -102,7 +102,6 @@ type Rule interface {
 // Rules returns the default registry, sorted by name.
 func Rules() []Rule {
 	return []Rule{
-		AtomicGuard{},
 		CommitPath{},
 		CtxPoll{},
 		ErrcheckLite{},

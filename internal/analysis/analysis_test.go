@@ -45,8 +45,6 @@ var goldenCases = []struct {
 	{"ctxpoll", "ctxpoll_clean", "", true, false},
 	{"ctxpoll", "execpoll", "fixture/execpoll/internal/exec", false, false},
 	{"ctxpoll", "execpoll_clean", "fixture/execpoll_clean/internal/exec", true, false},
-	{"atomicguard", "atomicguard", "", false, false},
-	{"atomicguard", "atomicguard_clean", "", true, false},
 	{"commitpath", "commitpath", "fixture/commitpath/internal/store", false, false},
 	{"commitpath", "commitpath_clean", "fixture/commitpath_clean/internal/store", true, false},
 	{"goroleak", "goroleak", "", false, false},
@@ -145,8 +143,8 @@ func TestSuppressionSyntax(t *testing.T) {
 // every rule documents itself.
 func TestRegistry(t *testing.T) {
 	rules := analysis.Rules()
-	if len(rules) != 12 {
-		t.Fatalf("expected 12 rules, got %d", len(rules))
+	if len(rules) != 11 {
+		t.Fatalf("expected 11 rules, got %d", len(rules))
 	}
 	for i, r := range rules {
 		if r.Name() == "" || r.Doc() == "" {

@@ -301,7 +301,7 @@ func (p *ReachingDefs) AnyDef(v *types.Var, pred func(DefSite) bool) bool {
 // eachDef reports the local-variable definitions a statement performs.
 // Package-level variables are excluded: reaching definitions is a
 // per-function analysis, and the rules treat globals through their own
-// lenses (mutglobal, atomicguard).
+// lens (mutglobal).
 func eachDef(n ast.Node, info *types.Info, f func(v *types.Var, node ast.Node, rhs ast.Expr)) {
 	local := func(id *ast.Ident) *types.Var {
 		var obj types.Object
@@ -380,9 +380,8 @@ func eachDef(n ast.Node, info *types.Info, f func(v *types.Var, node ast.Node, r
 // a channel, assigned through a pointer/field/index/global, captured by
 // a nested function literal, or having its address taken in a non-call
 // position. It is an over-approximation by a plain AST walk — precise
-// enough for "does this goroutine handle reach the caller" and "does
-// this pointer to a tuning global flow out", the two questions the
-// rules ask.
+// enough for "does this goroutine handle reach the caller", the
+// question goroleak asks.
 func EscapeLite(body *ast.BlockStmt, info *types.Info) map[*types.Var]bool {
 	return escapeWalk(body, info, nil)
 }

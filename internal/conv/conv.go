@@ -244,8 +244,7 @@ func LagMatchCountsParallel(s *series.Series, workers int) [][]int64 {
 // GOMAXPROCS) that share one cached fft.Plan. The indicators are real, so
 // each pair runs through the plan's half-size real-input kernel with the two
 // buffers interleaved stage by stage (one walk of the swap and twiddle
-// tables per pair); above the four-step threshold the transforms switch to
-// the cache-blocked kernel. Each worker reuses a pair of indicator buffers,
+// tables per pair). Each worker reuses a pair of indicator buffers,
 // and any workers left over after the pairs are assigned go to parallel
 // butterflies inside the transforms, so both wide-alphabet and long-series
 // workloads keep every core busy. The counts are exact integers and

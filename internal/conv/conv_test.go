@@ -405,46 +405,36 @@ func FuzzLagMatchCountsBatched(f *testing.F) {
 	})
 }
 
-// TestLagMatchCountsTunedKernelsBitIdentical sweeps the batched driver
-// across tuning extremes — four-step forced on at its floor, everything
-// forced off — and every worker count, requiring counts bit-identical to the
-// untuned serial run (and exactly equal to the quadratic reference). This is
-// the conv-level guarantee that a tuned profile can never change mining
-// results.
-func TestLagMatchCountsTunedKernelsBitIdentical(t *testing.T) {
-	defer fft.ResetTuned()
+// TestLagMatchCountsInnerParallelBitIdentical gives the batched driver more
+// workers than symbol pairs, so the leftover workers split each transform's
+// butterflies across goroutines, and requires counts bit-identical to the
+// serial run and exactly equal to the quadratic reference.
+func TestLagMatchCountsInnerParallelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	idx := make([]uint16, 3000)
+	// Two symbols make one pair; n = 8200 gives a half-size plan of 2^14,
+	// large enough that up to four workers take the parallel butterfly path.
+	idx := make([]uint16, 8200)
 	for i := range idx {
-		idx[i] = uint16(rng.Intn(5))
+		idx[i] = uint16(rng.Intn(2))
 	}
-	s := series.FromIndices(alphabet.Letters(5), idx)
-	fft.ResetTuned()
+	s := series.FromIndices(alphabet.Letters(2), idx)
 	want := LagMatchCounts(s)
 	naive := LagMatchCountsNaive(s)
 	for k := range want {
 		for p := range want[k] {
 			if want[k][p] != naive[k][p] {
-				t.Fatalf("untuned r_%d(%d) = %d, naive %d", k, p, want[k][p], naive[k][p])
+				t.Fatalf("serial r_%d(%d) = %d, naive %d", k, p, want[k][p], naive[k][p])
 			}
 		}
 	}
-	for _, prof := range []*fft.TunedProfile{
-		{ParallelThreshold: 1 << 10, FourStepMin: 1}, // everything on, as early as possible
-		{ParallelThreshold: 1 << 30, FourStepMin: fft.FourStepDisabled}, // everything off
-	} {
-		fft.ApplyTuned(prof)
-		for _, workers := range []int{1, 2, 3, 8} {
-			got := LagMatchCountsParallel(s, workers)
-			for k := range want {
-				for p := range want[k] {
-					if got[k][p] != want[k][p] {
-						t.Fatalf("profile %+v workers=%d: r_%d(%d) = %d, want %d",
-							prof, workers, k, p, got[k][p], want[k][p])
-					}
+	for _, workers := range []int{2, 3, 4} {
+		got := LagMatchCountsParallel(s, workers)
+		for k := range want {
+			for p := range want[k] {
+				if got[k][p] != want[k][p] {
+					t.Fatalf("workers=%d: r_%d(%d) = %d, want %d", workers, k, p, got[k][p], want[k][p])
 				}
 			}
 		}
-		fft.ResetTuned()
 	}
 }

@@ -136,7 +136,10 @@ func (d *detector) survivors(p int, psi float64, dst []int32) []int32 {
 			d.match = d.ind.MatchSet(k, p, d.match)
 			r = int64(d.match.Count())
 		}
-		if float64(r) >= psi*float64(minPairs) {
+		// Divide as emitIf does: f2 ≤ r and pairs ≥ minPairs, and IEEE
+		// division rounds monotonically, so every pair emitIf accepts
+		// survives. The product psi·minPairs can round above r and drop one.
+		if float64(r)/float64(minPairs) >= psi {
 			dst = append(dst, int32(k))
 		}
 	}

@@ -44,38 +44,6 @@ func TestResolveEngineCrossover(t *testing.T) {
 	}
 }
 
-// TestResolveEngineTunedCrossover: an applied tuned profile replaces the
-// pinned 4096 with the host's measured crossover; explicit engine requests
-// and a cleared profile are unaffected.
-func TestResolveEngineTunedCrossover(t *testing.T) {
-	defer fft.ResetTuned()
-	fft.ApplyTuned(&fft.TunedProfile{EngineCrossover: 1000})
-	cases := []struct {
-		name     string
-		in       Engine
-		n        int
-		parallel bool
-		want     Engine
-	}{
-		{"tuned below", EngineAuto, 999, false, EngineNaive},
-		{"tuned at crossover", EngineAuto, 1000, false, EngineFFT},
-		{"tuned between old and new", EngineAuto, 4095, false, EngineFFT},
-		{"tuned parallel below", EngineAuto, 999, true, EngineBitset},
-		{"explicit naive unaffected", EngineNaive, 10_000, false, EngineNaive},
-		{"explicit fft unaffected", EngineFFT, 100, false, EngineFFT},
-	}
-	for _, tc := range cases {
-		if got := resolveEngine(tc.in, tc.n, tc.parallel); got != tc.want {
-			t.Errorf("%s: resolveEngine(%v, %d, %v) = %v, want %v",
-				tc.name, tc.in, tc.n, tc.parallel, got, tc.want)
-		}
-	}
-	fft.ResetTuned()
-	if got := resolveEngine(EngineAuto, 1000, false); got != EngineNaive {
-		t.Errorf("after ResetTuned: resolveEngine(auto, 1000) = %v, want the pinned default (naive)", got)
-	}
-}
-
 // TestSessionScopedPlanCache mines through a session holding its own FFT-plan
 // cache and checks the result is identical to the process-shared default: the
 // cache is a pure performance artifact, never a semantic one.

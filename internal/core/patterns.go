@@ -249,7 +249,9 @@ func (e *enumerator) walk(l int, cur *bitvec.Vector) {
 			return
 		}
 	}
-	if cur != nil && float64(cur.Count()) < e.psi*float64(e.total) {
+	// Divide as the support test below does, so the prune never drops a
+	// pattern whose support equals ψ.
+	if cur != nil && float64(cur.Count())/float64(e.total) < e.psi {
 		return
 	}
 	if l == e.period {

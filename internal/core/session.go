@@ -19,18 +19,11 @@ const autoEngineThreshold = 4096
 // resolveEngine is the single place an engine request becomes a concrete
 // engine. parallel marks runs whose per-period work is sharded over multiple
 // workers; there the naive engine (whose semantics the bitset engine shares
-// exactly) is substituted by the bitset engine, which shards cleanly. An
-// applied tuned profile (fft.Autotune / PERIODICA_TUNE_FILE) replaces the
-// pinned crossover with the host's measured one; since every engine computes
-// identical results, tuning moves only the cost, never the output.
+// exactly) is substituted by the bitset engine, which shards cleanly.
 func resolveEngine(e Engine, n int, parallel bool) Engine {
 	switch e {
 	case EngineAuto:
-		threshold := autoEngineThreshold
-		if t := fft.TunedEngineCrossover(); t > 0 {
-			threshold = t
-		}
-		if n >= threshold {
+		if n >= autoEngineThreshold {
 			return EngineFFT
 		}
 		if parallel {
@@ -114,24 +107,23 @@ func newSession(s *series.Series, opt Options, cfg sessionConfig) (*session, err
 }
 
 // newCandidateSession assembles a session for the detection-only path over
-// an in-memory series, validating the arguments the way the detection entry
-// points always have.
+// an in-memory series. The threshold and period bound resolve against n
+// through the same Spec as a full mine; detection additionally needs every
+// lag strictly inside the series.
 func newCandidateSession(s *series.Series, psi float64, maxPeriod int, cfg sessionConfig) (*session, error) {
 	n := s.Len()
-	if psi <= 0 || psi > 1 {
-		return nil, invalidf("core: threshold ψ=%v outside (0,1]", psi)
+	opt, err := Options{Threshold: psi, MaxPeriod: maxPeriod}.withDefaults(n)
+	if err != nil {
+		return nil, err
 	}
-	if maxPeriod == 0 {
-		maxPeriod = n / 2
-	}
-	if maxPeriod < 1 || maxPeriod >= n {
-		return nil, invalidf("core: maxPeriod %d outside [1,%d)", maxPeriod, n)
+	if opt.MaxPeriod >= n {
+		return nil, invalidf("core: maxPeriod %d outside [1,%d)", opt.MaxPeriod, n)
 	}
 	ses := &session{
 		s:          s,
 		n:          n,
 		sigma:      s.Alphabet().Size(),
-		opt:        Options{Threshold: psi, MinPeriod: 1, MaxPeriod: maxPeriod},
+		opt:        opt,
 		eng:        EngineFFT,
 		plans:      cfg.plans,
 		met:        obs.Exec(),
@@ -406,7 +398,8 @@ func (sweepCandidates) run(ses *session) error {
 			best, bestCount := -1, int64(0)
 			for k := range ses.lag {
 				r := ses.lag[k][p]
-				if float64(r) >= psi*float64(minPairs) && r > bestCount {
+				// The same division the full mine's survivors prune uses.
+				if float64(r)/float64(minPairs) >= psi && r > bestCount {
 					best, bestCount = k, r
 				}
 			}

@@ -189,6 +189,9 @@ func (c *Coordinator) Mine(ctx context.Context, s *periodica.Series, opt periodi
 	if err != nil {
 		return nil, err
 	}
+	if norm.MinPeriod > norm.MaxPeriod {
+		return &periodica.Result{}, nil // no candidate periods (n = 1): nothing to shard
+	}
 	target := c.cfg.ShardsPerWorker * len(c.cfg.Workers)
 	plan := exec.PlanShards(alpha.Size(), norm.MinPeriod, norm.MaxPeriod, target)
 	if len(plan) == 0 {

@@ -34,7 +34,6 @@ func (p *Plan) TransformBatch(xs [][]complex128, inverse bool, workers int) {
 	if inverse {
 		tw = p.twi
 	}
-	fourStep := p.useFourStep()
 	if workers > 1 {
 		// Split the worker budget: buffers across groups, then leftover
 		// parallelism inside each buffer's transform.
@@ -44,21 +43,14 @@ func (p *Plan) TransformBatch(xs [][]complex128, inverse bool, workers int) {
 			lo := len(xs) * g / groups
 			hi := len(xs) * (g + 1) / groups
 			for _, x := range xs[lo:hi] {
-				switch {
-				case fourStep:
-					p.transformFourStep(x, inverse, inner)
-				case inner > 1 && n/inner >= minParallelChunk:
+				if inner > 1 && n/inner >= minParallelChunk {
 					p.transformParallel(x, tw, inner)
-				default:
+				} else {
 					applySwaps(x, p.swaps)
 					runStages(x, tw, 0, n, n)
 				}
 			}
 		})
-	} else if fourStep {
-		for _, x := range xs {
-			p.transformFourStep(x, inverse, 1)
-		}
 	} else {
 		p.transformBatchSerial(xs, tw)
 	}
@@ -94,12 +86,12 @@ func (p *Plan) transformBatchSerial(xs [][]complex128, tw []complex128) {
 // transformPair transforms two buffers with a shared setup. The serial path
 // goes through the stage-interleaved batch kernel with a stack-allocated
 // two-element batch — no per-call heap traffic, which keeps the pair
-// autocorrelation hot loop allocation-free; the parallel and four-step paths
-// delegate to the per-buffer kernels.
+// autocorrelation hot loop allocation-free; the parallel path delegates to
+// the per-buffer kernel.
 //
 //opvet:noalloc
 func (p *Plan) transformPair(z1, z2 []complex128, inverse bool, workers int) {
-	if p.useFourStep() || (workers > 1 && p.n/workers >= minParallelChunk) {
+	if workers > 1 && p.n/workers >= minParallelChunk {
 		p.Transform(z1, inverse, workers)
 		p.Transform(z2, inverse, workers)
 		return

@@ -6,18 +6,6 @@ import (
 	"testing"
 )
 
-// forceFourStep lowers the four-step threshold to its floor for the duration
-// of a test, restoring the previous value afterwards. Tests in this package
-// run sequentially, so flipping the process-wide knob cannot race another
-// test — and the knob only moves a crossover between kernels proven
-// bit-identical on counts, so even a leak could not change results.
-func forceFourStep(t *testing.T) {
-	t.Helper()
-	old := FourStepMin()
-	SetFourStepMin(fourStepFloor)
-	t.Cleanup(func() { fourStepMin.Store(int64(old)) })
-}
-
 func randIndicator(rng *rand.Rand, n int) []float64 {
 	x := make([]float64, n)
 	for i := range x {
@@ -67,9 +55,9 @@ func TestRealSpectrumMatchesComplex(t *testing.T) {
 
 // TestKernelCountsBitIdentical is the exhaustive cross-kernel equality sweep
 // the dispatch relies on: for plan sizes 2^4..2^21, autocorrelation counts
-// through the complex kernel, the real-input kernel, and both again with the
-// four-step transform forced on must agree bit for bit (and, where the
-// quadratic reference is affordable, exactly with ground truth). Counts are
+// through the complex kernel and the real-input kernel must agree bit for bit
+// (and, where the quadratic reference is affordable, exactly with ground
+// truth). Counts are
 // the mining-visible output, and they are integers: the kernels' raw spectra
 // differ only far below the 0.5 rounding margin.
 func TestKernelCountsBitIdentical(t *testing.T) {
@@ -104,24 +92,6 @@ func TestKernelCountsBitIdentical(t *testing.T) {
 				}
 			}
 		}
-
-		if m >= fourStepFloor {
-			forced := make([]int64, n)
-			func() {
-				old := FourStepMin()
-				SetFourStepMin(fourStepFloor)
-				defer fourStepMin.Store(int64(old))
-				for _, kernel := range []Kernel{KernelComplex, KernelReal} {
-					p.AutocorrelateCountsKernelInto(x, forced, 1, kernel)
-					for i := range forced {
-						if forced[i] != complexCounts[i] {
-							t.Fatalf("m=2^%d lag %d kernel=%d: four-step %d vs radix-2 %d",
-								lg, i, kernel, forced[i], complexCounts[i])
-						}
-					}
-				}
-			}()
-		}
 	}
 }
 
@@ -154,49 +124,9 @@ func TestPairKernelCountsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFourStepTransformMatchesRadix2 pins the four-step transform itself (not
-// just the rounded counts) to the radix-2 kernel within round-off, and
-// requires bit-identical output across worker counts — the partitioning is by
-// matrix row, so parallelism must not change a single bit.
-func TestFourStepTransformMatchesRadix2(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	for _, n := range []int{fourStepFloor, 1 << 14, 1 << 16} {
-		p := NewPlan(n)
-		x := randComplex(rng, n)
-		for _, inverse := range []bool{false, true} {
-			ref := append([]complex128(nil), x...)
-			p.Transform(ref, inverse, 1) // threshold at default: radix-2
-
-			serial := append([]complex128(nil), x...)
-			func() {
-				old := FourStepMin()
-				SetFourStepMin(fourStepFloor)
-				defer fourStepMin.Store(int64(old))
-				p.Transform(serial, inverse, 1)
-				var scale float64
-				for _, v := range x {
-					scale += cmplx.Abs(v)
-				}
-				if d := maxDiff(serial, ref); d > 1e-9*scale {
-					t.Fatalf("n=%d inverse=%v: four-step diverges from radix-2 by %g", n, inverse, d)
-				}
-				for _, workers := range []int{2, 3, 8} {
-					par := append([]complex128(nil), x...)
-					p.Transform(par, inverse, workers)
-					for i := range par {
-						if par[i] != serial[i] {
-							t.Fatalf("n=%d inverse=%v workers=%d: element %d differs", n, inverse, workers, i)
-						}
-					}
-				}
-			}()
-		}
-	}
-}
-
 // TestTransformBatchBitIdentical checks the batched entry point against
 // per-buffer Transform calls — bit-for-bit, at every worker count, forward
-// and inverse, with and without the four-step kernel.
+// and inverse.
 func TestTransformBatchBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for _, n := range []int{2, 64, 1 << 10, 1 << 12} {
@@ -206,10 +136,6 @@ func TestTransformBatchBitIdentical(t *testing.T) {
 			for b := range xs {
 				xs[b] = randComplex(rng, n)
 			}
-			// The reference is per-buffer Transform under the SAME kernel
-			// regime — batching must not change a bit, but the radix-2 and
-			// four-step kernels legitimately differ in round-off on raw
-			// transforms (only rounded counts are cross-kernel identical).
 			check := func(workers int) {
 				want := make([][]complex128, count)
 				got := make([][]complex128, count)
@@ -231,21 +157,13 @@ func TestTransformBatchBitIdentical(t *testing.T) {
 			check(1)
 			check(3)
 			check(8)
-			if n >= fourStepFloor {
-				old := FourStepMin()
-				SetFourStepMin(fourStepFloor)
-				check(1)
-				check(4)
-				fourStepMin.Store(int64(old))
-			}
 		}
 	}
 }
 
 // TestRealKernelZeroAllocAfterWarmup extends the zero-alloc guarantee to the
-// new kernels: the real-input single and pair count paths and the four-step
-// transform allocate nothing once the half-size scratch pool and sub-plans
-// are warm.
+// real-input kernel: its single and pair count paths allocate nothing once
+// the half-size scratch pool and half plan are warm.
 func TestRealKernelZeroAllocAfterWarmup(t *testing.T) {
 	n := 1 << 10
 	x1 := make([]float64, n)
@@ -267,24 +185,6 @@ func TestRealKernelZeroAllocAfterWarmup(t *testing.T) {
 	// tolerate a stray refill rather than flake.
 	if allocs > 1 {
 		t.Fatalf("real kernel count paths allocate %.1f times per run after warm-up", allocs)
-	}
-}
-
-func TestFourStepZeroAllocAfterWarmup(t *testing.T) {
-	forceFourStep(t)
-	n := fourStepFloor
-	p := NewPlan(n)
-	buf := make([]complex128, n)
-	rng := rand.New(rand.NewSource(26))
-	for i := range buf {
-		buf[i] = complex(rng.Float64(), rng.Float64())
-	}
-	p.Transform(buf, false, 1) // warm scratch + sub-plans
-	allocs := testing.AllocsPerRun(20, func() {
-		p.Transform(buf, false, 1)
-	})
-	if allocs > 1 {
-		t.Fatalf("four-step transform allocates %.1f times per run after warm-up", allocs)
 	}
 }
 

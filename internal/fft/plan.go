@@ -14,33 +14,14 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"periodica/internal/obs"
 )
 
-// DefaultParallelThreshold is the initial parallelism threshold: the
-// transform length at or above which Forward and Inverse may split butterfly
-// stages across GOMAXPROCS goroutines.
-const DefaultParallelThreshold = 1 << 16
-
-// parallelThreshold holds the current threshold. Transforms read it on every
-// call, possibly from many goroutines at once (the batched autocorrelation
-// workers), so it is atomic rather than a plain package variable.
-var parallelThreshold atomic.Int64
-
-func init() { parallelThreshold.Store(DefaultParallelThreshold) }
-
-// ParallelThreshold returns the transform length at or above which Forward
-// and Inverse may split butterfly stages across GOMAXPROCS goroutines.
-// Lengths below it always run serially.
-func ParallelThreshold() int { return int(parallelThreshold.Load()) }
-
-// SetParallelThreshold changes the parallelism threshold. Tune it together
-// with GOMAXPROCS; raising it (or setting GOMAXPROCS=1) forces serial
-// transforms. Safe to call concurrently with running transforms: each
-// transform reads the threshold once, atomically, when it starts.
-func SetParallelThreshold(n int) { parallelThreshold.Store(int64(n)) }
+// ParallelThreshold is the transform length at or above which Forward and
+// Inverse split butterfly stages across GOMAXPROCS goroutines. Lengths below
+// it run serially; set GOMAXPROCS=1 to force serial transforms everywhere.
+const ParallelThreshold = 1 << 16
 
 // minParallelChunk bounds the per-worker chunk of the contiguous early
 // stages; smaller chunks spend more time at barriers than in butterflies.
@@ -49,9 +30,8 @@ const minParallelChunk = 1 << 12
 // Plan holds the precomputed tables for transforms of one fixed power-of-two
 // size. A plan's tables are immutable after construction and the plan is safe
 // for concurrent use: the transform methods touch only the caller's slice and
-// pooled scratch, and the lazily built sub-plans (the half-size plan behind
-// the real-input kernel, the row/column plans behind the four-step
-// decomposition) are created once under subMu and immutable afterwards.
+// pooled scratch, and the half-size plan behind the real-input kernel is
+// built once, on first use, and immutable afterwards.
 type Plan struct {
 	n     int
 	swaps []int32      // flattened (i, j) pairs of the bit-reversal permutation, i < j
@@ -59,30 +39,16 @@ type Plan struct {
 	twi   []complex128 // conjugate table for inverse transforms
 	pool  sync.Pool    // scratch []complex128 of length n
 
-	subMu sync.Mutex
-	subs  map[int]*Plan // lazily built sub-plans, keyed by size
+	halfOnce sync.Once
+	half     *Plan // plan for the half-size transforms of the real-input kernel
 }
 
-// subPlan returns (building on first use) the plan for sub-transforms of
-// length n. The real-input kernel uses the half-size plan; the four-step
-// decomposition uses the row and column plans.
-func (p *Plan) subPlan(n int) *Plan {
-	p.subMu.Lock()
-	defer p.subMu.Unlock()
-	if p.subs == nil {
-		p.subs = map[int]*Plan{}
-	}
-	sp := p.subs[n]
-	if sp == nil {
-		sp = NewPlan(n)
-		p.subs[n] = sp
-	}
-	return sp
+// halfPlan returns (building on first use) the plan for the half-size complex
+// transforms behind the real-input kernel.
+func (p *Plan) halfPlan() *Plan {
+	p.halfOnce.Do(func() { p.half = NewPlan(p.n / 2) })
+	return p.half
 }
-
-// halfPlan returns the plan for the half-size complex transforms behind the
-// real-input kernel.
-func (p *Plan) halfPlan() *Plan { return p.subPlan(p.n / 2) }
 
 // NewPlan builds a plan for transforms of length n (a power of two).
 // Most callers should use PlanFor, which caches plans by size.
@@ -192,14 +158,14 @@ func (p *Plan) release(buf *[]complex128) { p.pool.Put(buf) }
 // autoWorkers picks the worker count for one transform: GOMAXPROCS for
 // lengths at or above the parallel threshold, 1 below it.
 func (p *Plan) autoWorkers() int {
-	if p.n >= ParallelThreshold() {
+	if p.n >= ParallelThreshold {
 		return runtime.GOMAXPROCS(0)
 	}
 	return 1
 }
 
 // Forward computes the in-place forward DFT of x. len(x) must equal Size.
-// Transforms of length ≥ ParallelThreshold() use GOMAXPROCS workers; use
+// Transforms of length ≥ ParallelThreshold use GOMAXPROCS workers; use
 // ForwardWorkers for explicit control.
 func (p *Plan) Forward(x []complex128) { p.Transform(x, false, p.autoWorkers()) }
 
@@ -229,17 +195,12 @@ func (p *Plan) Transform(x []complex128, inverse bool, workers int) {
 	if inverse {
 		tw = p.twi
 	}
-	if p.useFourStep() {
-		obs.FFT().KernelFourStep.Inc()
-		p.transformFourStep(x, inverse, workers)
+	obs.FFT().KernelRadix2.Inc()
+	if workers > 1 && n/workers >= minParallelChunk {
+		p.transformParallel(x, tw, workers)
 	} else {
-		obs.FFT().KernelRadix2.Inc()
-		if workers > 1 && n/workers >= minParallelChunk {
-			p.transformParallel(x, tw, workers)
-		} else {
-			applySwaps(x, p.swaps)
-			runStages(x, tw, 0, n, n)
-		}
+		applySwaps(x, p.swaps)
+		runStages(x, tw, 0, n, n)
 	}
 	if inverse {
 		inv := 1 / float64(n)

@@ -361,15 +361,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		`periodica_stage_duration_seconds_count{stage="resolve"}`,
 		`periodica_stage_duration_seconds_count{stage="enumerate"}`,
 		// The FFT kernel counters render with their full label set (zero or
-		// not), plus the autotune calibration metrics — a stable schema
-		// whether or not this process has run an FFT or a calibration sweep.
+		// not) — a stable schema whether or not this process has run an FFT.
 		`# TYPE periodica_fft_kernel_total counter`,
 		`periodica_fft_kernel_total{kernel="radix2"}`,
-		`periodica_fft_kernel_total{kernel="fourstep"}`,
 		`periodica_fft_kernel_total{kernel="real"}`,
 		`periodica_fft_kernel_total{kernel="batch"}`,
-		`# TYPE periodica_fft_autotune_runs_total counter`,
-		`# TYPE periodica_fft_autotune_duration_seconds gauge`,
 	} {
 		if !strings.Contains(text, line) {
 			t.Errorf("metrics missing %q:\n%s", line, text)

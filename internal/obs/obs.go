@@ -242,36 +242,23 @@ func (m *ExecMetrics) renderExec(b *strings.Builder) {
 }
 
 // FFTMetrics counts kernel executions on the convolution hot path — radix-2/4
-// transforms, four-step transforms, real-input kernel entries, batched
-// (shared-setup) passes — and records autotune calibration runs and the
-// duration of the most recent one. The counters are process-wide (the FFT
-// layer sits far below any registry) and are rendered by every Registry, so
-// the /metrics schema is stable whether or not a kernel has run.
+// transforms, real-input kernel entries, batched (shared-setup) passes. The
+// counters are process-wide (the FFT layer sits far below any registry) and
+// are rendered by every Registry, so the /metrics schema is stable whether or
+// not a kernel has run.
 type FFTMetrics struct {
-	KernelRadix2   Counter
+	KernelRadix2 Counter
+	// KernelFourStep is never incremented; it stays because the serving
+	// benchmark's kernel-call sum still reads it.
 	KernelFourStep Counter
 	KernelReal     Counter
 	KernelBatch    Counter
-	AutotuneRuns   Counter
-	autotuneNanos  atomic.Int64 // duration of the most recent calibration
 }
 
 var fftMetrics FFTMetrics
 
 // FFT returns the process-wide FFT kernel metrics.
 func FFT() *FFTMetrics { return &fftMetrics }
-
-// ObserveAutotune records one completed calibration sweep.
-func (m *FFTMetrics) ObserveAutotune(d time.Duration) {
-	m.AutotuneRuns.Inc()
-	m.autotuneNanos.Store(int64(d))
-}
-
-// AutotuneDuration returns the duration of the most recent calibration sweep
-// (zero if none has run).
-func (m *FFTMetrics) AutotuneDuration() time.Duration {
-	return time.Duration(m.autotuneNanos.Load())
-}
 
 // renderFFT writes the FFT kernel metrics in exposition format. Every label
 // renders even at zero so scrapes always see the full kernel set.
@@ -282,18 +269,12 @@ func (m *FFTMetrics) renderFFT(b *strings.Builder) {
 		c     *Counter
 	}{
 		{"radix2", &m.KernelRadix2},
-		{"fourstep", &m.KernelFourStep},
 		{"real", &m.KernelReal},
 		{"batch", &m.KernelBatch},
 	} {
 		b.WriteString(fmt.Sprintf("periodica_fft_kernel_total{kernel=%q} %d\n",
 			k.label, k.c.Value()))
 	}
-	b.WriteString("# TYPE periodica_fft_autotune_runs_total counter\n")
-	b.WriteString(fmt.Sprintf("periodica_fft_autotune_runs_total %d\n", m.AutotuneRuns.Value()))
-	b.WriteString("# TYPE periodica_fft_autotune_duration_seconds gauge\n")
-	b.WriteString(fmt.Sprintf("periodica_fft_autotune_duration_seconds %s\n",
-		formatSeconds(m.AutotuneDuration())))
 }
 
 // DistMetrics instruments the distributed sharded mining tier: how many

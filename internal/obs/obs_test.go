@@ -118,19 +118,16 @@ func TestRegistryRenderText(t *testing.T) {
 	}
 }
 
-// TestRenderFFTKernelMetrics: the FFT kernel counters and the autotune
-// calibration gauge render from every registry with the full label set even
-// at zero, so scrape schemas never depend on which kernels have run.
+// TestRenderFFTKernelMetrics: the FFT kernel counters render from every
+// registry with the full label set even at zero, so scrape schemas never
+// depend on which kernels have run.
 func TestRenderFFTKernelMetrics(t *testing.T) {
 	text := NewRegistry().RenderText()
 	for _, line := range []string{
 		"# TYPE periodica_fft_kernel_total counter",
 		`periodica_fft_kernel_total{kernel="radix2"}`,
-		`periodica_fft_kernel_total{kernel="fourstep"}`,
 		`periodica_fft_kernel_total{kernel="real"}`,
 		`periodica_fft_kernel_total{kernel="batch"}`,
-		"# TYPE periodica_fft_autotune_runs_total counter",
-		"# TYPE periodica_fft_autotune_duration_seconds gauge",
 	} {
 		if !strings.Contains(text, line) {
 			t.Errorf("render missing %q:\n%s", line, text)
@@ -143,13 +140,8 @@ func TestRenderFFTKernelMetrics(t *testing.T) {
 	if text := NewRegistry().RenderText(); !strings.Contains(text, want) {
 		t.Errorf("render missing %q after increment", want)
 	}
-
-	FFT().ObserveAutotune(250 * time.Millisecond)
-	if FFT().AutotuneDuration() != 250*time.Millisecond {
-		t.Errorf("AutotuneDuration = %v, want 250ms", FFT().AutotuneDuration())
-	}
-	if text := NewRegistry().RenderText(); !strings.Contains(text, "periodica_fft_autotune_duration_seconds 0.25") {
-		t.Errorf("render missing autotune duration:\n%s", text)
+	if strings.Contains(text, "fourstep") || strings.Contains(text, "autotune") {
+		t.Errorf("render still carries deleted kernel or autotune metrics:\n%s", text)
 	}
 }
 

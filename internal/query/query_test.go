@@ -156,6 +156,22 @@ func TestNormalizeRejectsRangeBeyondSeries(t *testing.T) {
 	}
 }
 
+// TestNormalizeEmptyDefaultRange: with n = 1 the defaulted range 1..n/2 is
+// empty and normalizes to [1,0] without error; a range that would be
+// inverted, not just empty, is still rejected.
+func TestNormalizeEmptyDefaultRange(t *testing.T) {
+	norm, err := mustCompile(t, "conf >= 0.6").Normalize(1)
+	if err != nil {
+		t.Fatalf("defaulted range for n=1: %v", err)
+	}
+	if norm.MinPeriod != 1 || norm.MaxPeriod != 0 {
+		t.Fatalf("defaulted range for n=1 = [%d,%d], want [1,0]", norm.MinPeriod, norm.MaxPeriod)
+	}
+	if _, err := mustCompile(t, "conf >= 0.6 and period >= 2").Normalize(1); err == nil {
+		t.Fatal("period >= 2 for n=1: want a period-range error")
+	}
+}
+
 func TestValidateRejects(t *testing.T) {
 	cases := []Spec{
 		{},

@@ -182,10 +182,15 @@ func (sp Spec) Normalize(n int) (Spec, error) {
 	if sp.MinPeriod == 0 {
 		sp.MinPeriod = 1
 	}
+	// The range may be empty (MaxPeriod = MinPeriod−1) only when MaxPeriod
+	// was defaulted: the paper's loop over p = 1..n/2 has no iterations when
+	// n = 1, and that mine finds nothing. An explicit range may not be empty.
+	floor := sp.MinPeriod
 	if sp.MaxPeriod == 0 {
 		sp.MaxPeriod = n / 2
+		floor = sp.MinPeriod - 1
 	}
-	if sp.MinPeriod < 1 || sp.MaxPeriod > n || sp.MinPeriod > sp.MaxPeriod {
+	if sp.MinPeriod < 1 || sp.MaxPeriod > n || sp.MaxPeriod < floor {
 		return sp, fmt.Errorf("invalid period range [%d,%d] for n=%d", sp.MinPeriod, sp.MaxPeriod, n)
 	}
 	if sp.MaxPatternPeriod == 0 {

@@ -10,7 +10,6 @@ package periodica_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math/rand"
 	"os"
 	"reflect"
@@ -73,7 +72,7 @@ func mineAllPaths(t *testing.T, symbols []string, opt periodica.Options) map[str
 		t.Fatalf("MineContext: %v", err)
 	}
 
-	alpha := []string{"a", "b", "c"}
+	alpha := s.Alphabet()
 	st, err := periodica.NewStream(alpha...)
 	if err != nil {
 		t.Fatal(err)
@@ -108,19 +107,61 @@ func mineAllPaths(t *testing.T, symbols []string, opt periodica.Options) map[str
 	return out
 }
 
+// boundarySymbols is a 202-symbol bcde cycle with a at positions 1, 3, …, 15:
+// at period 2, a holds at position 1 for exactly 7 of 100 pairs, so ψ = 0.07
+// lands exactly on an observed confidence.
+func boundarySymbols() []string {
+	out := make([]string, 202)
+	for i := range out {
+		out[i] = string("bcde"[i%4])
+		if i%2 == 1 && i <= 15 {
+			out[i] = "a"
+		}
+	}
+	return out
+}
+
 func TestParityAcrossPaths(t *testing.T) {
-	for _, n := range []int{605, 5000} { // below and above the auto FFT crossover
+	cases := []struct {
+		name    string
+		symbols []string
+		opt     periodica.Options
+	}{
+		// Below and above the auto FFT crossover.
+		{"n=605", paritySymbols(605), periodica.Options{Threshold: 0.6, MinPairs: 3, MaxPatternPeriod: 21}},
+		{"n=5000", paritySymbols(5000), periodica.Options{Threshold: 0.6, MinPairs: 3, MaxPatternPeriod: 21}},
+		// The pruned engines must keep a pair whose confidence equals ψ.
+		{"threshold-boundary", boundarySymbols(), periodica.Options{Threshold: 0.07, MinPeriod: 2, MaxPeriod: 2}},
+	}
+	for _, tc := range cases {
 		for name, eng := range parityEngines(t) {
-			if eng == periodica.EngineNaive && n > 1000 {
+			if eng == periodica.EngineNaive && len(tc.symbols) > 1000 {
 				// Keep the quadratic reference to the small input; the
 				// engines were already cross-checked against it there.
 				continue
 			}
-			t.Run(fmt.Sprintf("n=%d/%s", n, name), func(t *testing.T) {
-				symbols := paritySymbols(n)
-				opt := periodica.Options{Threshold: 0.6, Engine: eng, MinPairs: 3, MaxPatternPeriod: 21}
-				results := mineAllPaths(t, symbols, opt)
+			t.Run(tc.name+"/"+name, func(t *testing.T) {
+				opt := tc.opt
+				opt.Engine = eng
+				results := mineAllPaths(t, tc.symbols, opt)
 				base := results["Mine"]
+				if len(tc.symbols) <= 1000 {
+					// Small inputs also pin every engine to the naive
+					// reference, which applies no prune.
+					s, err := periodica.NewSeries(tc.symbols)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref := opt
+					ref.Engine = periodica.EngineNaive
+					want, err := periodica.Mine(s, ref)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(want, base) {
+						t.Errorf("%s engine differs from the naive reference", name)
+					}
+				}
 				if len(base.Periodicities) == 0 {
 					t.Fatal("parity fixture detected nothing; the test is vacuous")
 				}
@@ -157,62 +198,6 @@ func TestParityAutoEngine(t *testing.T) {
 	}
 	if !reflect.DeepEqual(base, par) {
 		t.Error("MineParallel result differs from Mine")
-	}
-}
-
-// TestParityTunedProfile: a tuned profile (fft crossovers measured by
-// Autotune, or loaded via PERIODICA_TUNE_FILE) may move work between
-// kernels and engines but must never change a byte of the mining result —
-// across every entry point, every engine, and any worker count.
-func TestParityTunedProfile(t *testing.T) {
-	defer periodica.ResetTuning()
-	symbols := paritySymbols(5000)
-	opt := periodica.Options{Threshold: 0.6, MinPairs: 3, MaxPatternPeriod: 21}
-
-	periodica.ResetTuning()
-	baseline := mineAllPaths(t, symbols, opt)
-	base := baseline["Mine"]
-	if len(base.Periodicities) == 0 {
-		t.Fatal("tuned-parity fixture detected nothing; the test is vacuous")
-	}
-
-	// A real calibration sweep, persisted and reloaded through the same
-	// file/env path deployments use.
-	tuneFile := t.TempDir() + "/tune.json"
-	if err := periodica.AutotuneToFile(50_000_000 /* 50ms */, tuneFile); err != nil {
-		t.Fatal(err)
-	}
-	tunedResults := mineAllPaths(t, symbols, opt)
-	for path, res := range tunedResults {
-		if !reflect.DeepEqual(base, res) {
-			t.Errorf("%s result differs under the autotuned profile", path)
-		}
-	}
-
-	periodica.ResetTuning()
-	t.Setenv(periodica.TuneFileEnv, tuneFile)
-	if ok, err := periodica.LoadTuneFromEnv(); err != nil || !ok {
-		t.Fatalf("LoadTuneFromEnv: (%v, %v)", ok, err)
-	}
-	s, err := periodica.NewSeries(symbols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromFile, err := periodica.Mine(s, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(base, fromFile) {
-		t.Error("result differs under the profile loaded from PERIODICA_TUNE_FILE")
-	}
-	for _, workers := range []int{2, 8} {
-		par, err := periodica.MineParallel(s, opt, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(base, par) {
-			t.Errorf("MineParallel(workers=%d) differs under the tuned profile", workers)
-		}
 	}
 }
 

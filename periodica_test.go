@@ -1,10 +1,17 @@
 package periodica_test
 
 import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"periodica"
+	"periodica/internal/dist"
+	"periodica/internal/httpapi"
 )
 
 func TestMineRunningExample(t *testing.T) {
@@ -65,6 +72,76 @@ func TestNewSeriesEmpty(t *testing.T) {
 	}
 	if _, err := periodica.NewSeriesFromString(""); err == nil {
 		t.Fatal("empty string: want error")
+	}
+}
+
+// TestSingleSymbolSeriesMinesNothing: with n = 1 the defaulted period range
+// 1..n/2 is empty, so every entry point answers "no periodicities" — an
+// empty, non-nil result — instead of a period-range error.
+func TestSingleSymbolSeriesMinesNothing(t *testing.T) {
+	s, err := periodica.NewSeriesFromString("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := periodica.Options{Threshold: 0.5}
+	coord := distCoordinator(t, dist.Config{Workers: startWorkers(t, 2)})
+	srv := httptest.NewServer(httpapi.New(httpapi.Config{Logger: quietLogger()}))
+	defer srv.Close()
+	empty := func(res *periodica.Result) bool {
+		return res != nil && len(res.Periods)+len(res.Periodicities)+len(res.SingleSymbolPatterns)+len(res.Patterns) == 0
+	}
+	cases := []struct {
+		name string
+		run  func() (bool, error)
+	}{
+		{"Mine", func() (bool, error) {
+			res, err := periodica.Mine(s, opt)
+			return empty(res), err
+		}},
+		{"CandidatePeriods", func() (bool, error) {
+			periods, err := periodica.CandidatePeriods(s, opt.Threshold, 0)
+			return periods != nil && len(periods) == 0, err
+		}},
+		{"Stream.Finish", func() (bool, error) {
+			st, err := periodica.NewStream("a")
+			if err != nil {
+				return false, err
+			}
+			if err := st.Append("a"); err != nil {
+				return false, err
+			}
+			res, err := st.Finish(opt)
+			return empty(res), err
+		}},
+		{"dist.Mine", func() (bool, error) {
+			res, err := coord.Mine(context.Background(), s, opt)
+			return empty(res), err
+		}},
+		{"HTTP /v1/mine", func() (bool, error) {
+			resp, err := http.Post(srv.URL+"/v1/mine", "application/json",
+				strings.NewReader(`{"symbols":"a","threshold":0.5}`))
+			if err != nil {
+				return false, err
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				return false, fmt.Errorf("status %d, want 200", resp.StatusCode)
+			}
+			var res periodica.Result
+			err = json.NewDecoder(resp.Body).Decode(&res)
+			return empty(&res), err
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ok, err := tc.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				t.Error("want an empty, non-nil result")
+			}
+		})
 	}
 }
 
