@@ -5,6 +5,7 @@
 package periodica_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -87,7 +88,7 @@ func BenchmarkFig5Detection(b *testing.B) {
 		s := walmartSized(b, n)
 		b.Run(fmt.Sprintf("miner/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.DetectCandidates(s, 0.8, 0); err != nil {
+				if _, err := core.DetectCandidatesContext(context.Background(), s, 0.8, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -2,12 +2,10 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http/httptest"
-	"os"
 	"reflect"
 
 	"periodica"
@@ -16,26 +14,12 @@ import (
 	"periodica/internal/httpapi"
 )
 
-// distPoint is one measured cell of the distributed-scaling run: best-of
-// wall time for a full mine at a given worker count. Workers == 0 is the
-// single-process baseline — no coordinator, no HTTP. Candidates records
-// which detection path the cell used: "shipped" (the coordinator runs the
-// sweep once and ships each shard its survivor list) or "self-detect"
-// (every worker re-detects over the whole series).
-type distPoint struct {
-	N          int     `json:"n"`
-	Workers    int     `json:"workers"`
-	Seconds    float64 `json:"seconds"`
-	Speedup    float64 `json:"speedup"`
-	Candidates string  `json:"candidates,omitempty"`
-}
-
 // distBench measures the sharded coordinator against the single-process
 // mine on the same noisy periodic series. The workers are real httpapi
 // servers reached over loopback HTTP, so the numbers include the full
 // serialization + dispatch + merge cost; they share this process's cores,
 // which makes the table an overhead ceiling rather than a cluster speedup.
-func distBench(sc scale, seed int64, jsonPath string) error {
+func distBench(sc scale, seed int64) error {
 	reps := 3
 	if sc.length >= fullScale.length {
 		reps = 5
@@ -71,13 +55,13 @@ func distBench(sc scale, seed int64, jsonPath string) error {
 		urls[i] = srv.URL
 	}
 
-	want, err := periodica.Mine(s, opt)
+	want, err := periodica.MineQueryContext(context.Background(), s, q)
 	if err != nil {
 		return err
 	}
 	var mineErr error
 	base := bestOf(reps, func() {
-		if _, err := periodica.Mine(s, opt); err != nil {
+		if _, err := periodica.MineQueryContext(context.Background(), s, q); err != nil {
 			mineErr = err
 		}
 	})
@@ -88,7 +72,6 @@ func distBench(sc scale, seed int64, jsonPath string) error {
 	fmt.Println("Distributed scaling — full mine via sharded coordinator, in-process HTTP workers (best of", reps, "runs)")
 	fmt.Printf("%10s %9s %12s %12s %9s\n", "n", "workers", "candidates", "ms", "vs local")
 	fmt.Printf("%10d %9s %12s %12.1f %9s\n", s.Len(), "local", "-", base*1e3, "1.00x")
-	points := []distPoint{{N: s.Len(), Workers: 0, Seconds: base, Speedup: 1}}
 
 	// Every worker count runs both candidate paths: "shipped" (the default —
 	// the coordinator sweeps once and ships survivors with each shard) and
@@ -130,22 +113,9 @@ func distBench(sc scale, seed int64, jsonPath string) error {
 				shippedAt[w] = secs
 				fmt.Printf("%10d %9d %12s %12.1f %8.2fx\n", s.Len(), w, cand.name, secs*1e3, base/secs)
 			}
-			points = append(points, distPoint{
-				N: s.Len(), Workers: w, Seconds: secs, Speedup: base / secs, Candidates: cand.name,
-			})
 		}
 	}
 
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(points, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", jsonPath)
-	}
 	fmt.Println()
 	return nil
 }

@@ -21,15 +21,13 @@
 // The default scale finishes in minutes; -quick names it explicitly (CI
 // uses it), and -full restores the paper's 1M-symbol, 100-run settings
 // (hours). -workers caps the cores the batched detection engine may use
-// (default: all). -benchjson writes the fig5 timing points (or, for the
-// kernels experiment, the per-kernel breakdown) to a file as JSON, for
-// machine comparison and CI artifacts. Every report opens with a provenance
+// (default: all). Every report opens with a provenance
 // header (engine, GOMAXPROCS, FFT dispatch constants) so bench_results_*.txt
 // files are comparable across hosts.
 package main
 
 import (
-	"encoding/json"
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -72,7 +70,6 @@ func main() {
 	quick := flag.Bool("quick", false, "CI-scale settings (the default; ignored when -full is set)")
 	seed := flag.Int64("seed", 1, "base random seed")
 	workers := flag.Int("workers", 0, "cap worker goroutines for the detection engine (0 = all cores)")
-	benchJSON := flag.String("benchjson", "", "also write the fig5 timing points (or kernels breakdown) to this file as JSON")
 	querySrc := flag.String("query", "", "pattern query for the query experiment (default $PERIODICA_QUERY)")
 	flag.Parse()
 
@@ -104,7 +101,7 @@ func main() {
 		case "fig4":
 			err = fig4(sc, *seed)
 		case "fig5":
-			err = fig5(sc, *seed, *benchJSON)
+			err = fig5(sc, *seed)
 		case "fig6":
 			err = fig6(sc, *seed)
 		case "table1":
@@ -114,9 +111,9 @@ func main() {
 		case "table3":
 			err = table3(sc, *seed)
 		case "kernels":
-			err = kernels(sc, *seed, *benchJSON)
+			err = kernels(sc, *seed)
 		case "dist":
-			err = distBench(sc, *seed, *benchJSON)
+			err = distBench(sc, *seed)
 		case "query":
 			err = queryBench(sc, *seed, *querySrc)
 		case "ablation":
@@ -124,8 +121,7 @@ func main() {
 		case "quality":
 			err = quality(sc, *seed)
 		case "all":
-			fig5All := func(sc scale, seed int64) error { return fig5(sc, seed, *benchJSON) }
-			for _, f := range []func(scale, int64) error{fig3, fig4, fig5All, fig6, table1, table2, table3, ablation, quality} {
+			for _, f := range []func(scale, int64) error{fig3, fig4, fig5, fig6, table1, table2, table3, ablation, quality} {
 				if err = f(sc, *seed); err != nil {
 					break
 				}
@@ -212,7 +208,7 @@ func fig4(sc scale, seed int64) error {
 	return nil
 }
 
-func fig5(sc scale, seed int64, jsonPath string) error {
+func fig5(sc scale, seed int64) error {
 	points, err := experiments.Timing(sc.timingSizes, func(n int) (*series.Series, error) {
 		months := n/(30*24) + 1
 		s := walmart.Series(walmart.Config{Months: months, Seed: seed, DST: true})
@@ -223,16 +219,6 @@ func fig5(sc scale, seed int64, jsonPath string) error {
 	}
 	if err := experiments.RenderTiming(os.Stdout, "Fig. 5 — detection-phase time vs series length (Wal-Mart-style data)", points); err != nil {
 		return err
-	}
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(points, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", jsonPath)
 	}
 	fmt.Println()
 	return nil
@@ -371,15 +357,6 @@ func printProvenance(scaleName string) {
 	fmt.Println()
 }
 
-// kernelPoint is one measured cell of the per-kernel breakdown: best-of wall
-// time for one per-symbol autocorrelation (lag counts) at series length n.
-type kernelPoint struct {
-	N                int     `json:"n"`
-	Kernel           string  `json:"kernel"`
-	Seconds          float64 `json:"seconds"`
-	SpeedupVsComplex float64 `json:"speedupVsComplex"`
-}
-
 // bestOf reports the fastest of reps runs of f, in seconds.
 func bestOf(reps int, f func()) float64 {
 	best := math.MaxFloat64
@@ -398,7 +375,7 @@ func bestOf(reps int, f func()) float64 {
 // the complex radix-2 path, the real-input half-size kernel, and the auto
 // dispatch the miner uses. The speedup column is auto dispatch against the
 // complex kernel.
-func kernels(sc scale, seed int64, jsonPath string) error {
+func kernels(sc scale, seed int64) error {
 	workers := runtime.GOMAXPROCS(0)
 	reps := 3
 	if sc.length >= fullScale.length {
@@ -408,7 +385,6 @@ func kernels(sc scale, seed int64, jsonPath string) error {
 	fmt.Println("Per-kernel breakdown — per-symbol autocorrelation counts (best of", reps, "runs, ms)")
 	fmt.Printf("%10s %12s %12s %12s %9s\n", "n", "complex", "real", "auto", "speedup")
 
-	var points []kernelPoint
 	for _, n := range sc.timingSizes {
 		plan := fft.PlanFor(fft.NextPow2(2 * n))
 		x := make([]float64, n)
@@ -430,31 +406,6 @@ func kernels(sc scale, seed int64, jsonPath string) error {
 
 		fmt.Printf("%10d %12.3f %12.3f %12.3f %8.2fx\n",
 			n, complexSec*1e3, realSec*1e3, autoSec*1e3, complexSec/autoSec)
-
-		for _, cell := range []struct {
-			kernel string
-			sec    float64
-		}{
-			{"complex", complexSec},
-			{"real", realSec},
-			{"auto", autoSec},
-		} {
-			points = append(points, kernelPoint{
-				N: n, Kernel: cell.kernel, Seconds: cell.sec,
-				SpeedupVsComplex: complexSec / cell.sec,
-			})
-		}
-	}
-
-	if jsonPath != "" {
-		data, err := json.MarshalIndent(points, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", jsonPath)
 	}
 	fmt.Println()
 	return nil
@@ -482,7 +433,7 @@ func queryBench(sc scale, seed int64, src string) error {
 		return err
 	}
 	mineStart := time.Now()
-	res, err := periodica.MineQuery(s, q)
+	res, err := periodica.MineQueryContext(context.Background(), s, q)
 	if err != nil {
 		return err
 	}

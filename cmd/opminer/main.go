@@ -29,6 +29,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -138,8 +139,9 @@ func main() {
 		}
 	}
 
+	mq := periodica.QueryFromOptions(opt)
 	if *candidates {
-		periods, err := periodica.CandidatePeriods(s, opt.Threshold, opt.MaxPeriod)
+		periods, err := periodica.CandidatePeriodsQueryContext(context.Background(), s, mq)
 		if err != nil {
 			fatal(err)
 		}
@@ -152,7 +154,7 @@ func main() {
 		return
 	}
 
-	res, err := periodica.Mine(s, opt)
+	res, err := periodica.MineQueryContext(context.Background(), s, mq)
 	if err != nil {
 		fatal(err)
 	}

@@ -1,6 +1,7 @@
 package periodica_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -10,12 +11,13 @@ import (
 
 // The paper's running example: the miner discovers period 3 and the pattern
 // "ab*" without being told any period.
-func ExampleMine() {
+func ExampleMineQueryContext() {
 	s, err := periodica.NewSeriesFromString("abcabbabcb")
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := periodica.Mine(s, periodica.Options{Threshold: 2.0 / 3.0})
+	q := periodica.QueryFromOptions(periodica.Options{Threshold: 2.0 / 3.0})
+	res, err := periodica.MineQueryContext(context.Background(), s, q)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -34,7 +36,11 @@ func ExampleDiscretizeEqualWidth() {
 		log.Fatal(err)
 	}
 	fmt.Println(s)
-	res, err := periodica.Mine(s, periodica.Options{Threshold: 1})
+	q, err := periodica.CompileQuery("conf >= 1")
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := periodica.MineQueryContext(context.Background(), s, q)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,7 +66,11 @@ func ExampleStream() {
 			log.Fatal(err)
 		}
 	}
-	res, err := st.Finish(periodica.Options{Threshold: 1, MaxPeriod: 10})
+	q, err := periodica.CompileQuery("conf >= 1 and period <= 10")
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := st.FinishQueryContext(context.Background(), q)
 	if err != nil {
 		log.Fatal(err)
 	}

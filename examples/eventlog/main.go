@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -45,9 +46,9 @@ func main() {
 	}
 	fmt.Printf("ingested %d events in one pass\n\n", st.Len())
 
-	res, err := st.Finish(periodica.Options{
+	res, err := st.FinishQueryContext(context.Background(), periodica.QueryFromOptions(periodica.Options{
 		Threshold: 0.85, MaxPeriod: 200, MaxPatternPeriod: -1,
-	})
+	}))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -52,9 +53,9 @@ func main() {
 	if len(pats) > 0 {
 		fmt.Printf("\nstrongest shared pattern %q per customer:\n", pats[0].Text)
 		for i, s := range db {
-			res, err := periodica.Mine(s, periodica.Options{
+			res, err := periodica.MineQueryContext(context.Background(), s, periodica.QueryFromOptions(periodica.Options{
 				Threshold: 0.2, MinPeriod: 7, MaxPeriod: 7, MaxPatternPeriod: 7,
-			})
+			}))
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -53,7 +54,11 @@ func main() {
 	fmt.Println("  leading candidates:", show)
 
 	// Cross-check against the in-memory detection phase.
-	inMem, err := periodica.CandidatePeriods(pub, 0.9, 400)
+	q, err := periodica.CompileQuery("conf >= 0.9 and period <= 400")
+	if err != nil {
+		log.Fatal(err)
+	}
+	inMem, err := periodica.CandidatePeriodsQueryContext(context.Background(), pub, q)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,9 +73,9 @@ func main() {
 	fmt.Println("\n✓ on-disk detection matches the in-memory result period for period")
 
 	// Resolve the daily period in full (in memory, on the interesting range).
-	res, err := periodica.Mine(pub, periodica.Options{
+	res, err := periodica.MineQueryContext(context.Background(), pub, periodica.QueryFromOptions(periodica.Options{
 		Threshold: 0.9, MinPeriod: 24, MaxPeriod: 24, MaxPatternPeriod: -1,
-	})
+	}))
 	if err != nil {
 		log.Fatal(err)
 	}

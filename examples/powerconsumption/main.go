@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -36,9 +37,9 @@ func main() {
 	// Stage 2 — full mining of the weekly period. Daily noise keeps
 	// individual day-confidences near 50%, so patterns are mined at a
 	// moderate threshold, as the paper does for its real data (ψ = 35%).
-	res, err := periodica.Mine(s, periodica.Options{
+	res, err := periodica.MineQueryContext(context.Background(), s, periodica.QueryFromOptions(periodica.Options{
 		Threshold: 0.35, MinPeriod: 7, MaxPeriod: 7, MaxPatternPeriod: 7,
-	})
+	}))
 	if err != nil {
 		log.Fatal(err)
 	}

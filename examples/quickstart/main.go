@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -19,7 +20,8 @@ func main() {
 	}
 	fmt.Printf("series: %s (n=%d, alphabet %v)\n\n", s, s.Len(), s.Alphabet())
 
-	res, err := periodica.Mine(s, periodica.Options{Threshold: 2.0 / 3.0})
+	q := periodica.QueryFromOptions(periodica.Options{Threshold: 2.0 / 3.0})
+	res, err := periodica.MineQueryContext(context.Background(), s, q)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -44,9 +45,9 @@ func main() {
 	}
 
 	// Mine the daily period in full.
-	res, err := periodica.Mine(s, periodica.Options{
+	res, err := periodica.MineQueryContext(context.Background(), s, periodica.QueryFromOptions(periodica.Options{
 		Threshold: 0.8, MinPeriod: 24, MaxPeriod: 24, MaxPatternPeriod: 24,
-	})
+	}))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -237,7 +237,6 @@ type commitFlow struct {
 	files map[*types.Var]bool
 }
 
-func (p *commitFlow) Direction() Direction { return Forward }
 func (p *commitFlow) Boundary() commitFact {
 	return commitFact{states: map[*types.Var]fileState{}, boundary: true}
 }

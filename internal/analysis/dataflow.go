@@ -1,10 +1,9 @@
-// Generic dataflow over CFGs: a direction-agnostic worklist solver
-// parameterized on the fact lattice, plus the three canned analyses the
-// rules share — reaching definitions (which assignments of a local can
-// reach a use), escape-lite (which locals leak out of their function),
-// and post-dominance by a block set (does every path from here to the
-// exit pass through the set — the commitpath rule's core question,
-// answered as its contrapositive by blockReaches).
+// Generic dataflow over CFGs: a forward worklist solver parameterized on
+// the fact lattice, plus the two canned analyses the rules share —
+// escape-lite (which locals leak out of their function) and post-dominance
+// by a block set (does every path from here to the exit pass through the
+// set — the commitpath rule's core question, answered as its
+// contrapositive by blockReaches).
 package analysis
 
 import (
@@ -13,25 +12,12 @@ import (
 	"go/types"
 )
 
-// Direction selects how facts propagate through the graph.
-type Direction int
-
-const (
-	// Forward propagates entry→exit: a block's input is the merge of its
-	// predecessors' outputs.
-	Forward Direction = iota
-	// Backward propagates exit→entry: a block's input is the merge of
-	// its successors' outputs.
-	Backward
-)
-
-// Problem defines one dataflow analysis over fact type F. Merge must be
-// monotone and Transfer a monotone function of its input, or the solver
-// may not terminate.
+// Problem defines one forward dataflow analysis over fact type F: a
+// block's input is the merge of its predecessors' outputs. Merge must be
+// monotone and Transfer a monotone function of its input, or the solver may
+// not terminate.
 type Problem[F any] interface {
-	Direction() Direction
-	// Boundary is the fact entering the graph: at Entry for a forward
-	// problem, at Exit for a backward one.
+	// Boundary is the fact entering the graph at Entry.
 	Boundary() F
 	// Bottom is the initial fact of every other block, the identity of
 	// Merge.
@@ -42,8 +28,7 @@ type Problem[F any] interface {
 }
 
 // Facts holds the solver's fixed point: In is the fact at each block's
-// propagation entry (block start for forward problems, block end for
-// backward ones) and Out the fact after its transfer function.
+// start and Out the fact after its transfer function.
 type Facts[F any] struct {
 	In  map[*Block]F
 	Out map[*Block]F
@@ -55,20 +40,13 @@ func Solve[F any](g *CFG, p Problem[F]) Facts[F] {
 	if g == nil {
 		return f
 	}
-	boundary := g.Entry
-	next := func(b *Block) []*Block { return b.Succs }
-	prev := func(b *Block) []*Block { return b.Preds }
-	if p.Direction() == Backward {
-		boundary = g.Exit
-		next, prev = prev, next
-	}
 	for _, b := range g.Blocks {
 		f.In[b] = p.Bottom()
 		f.Out[b] = p.Transfer(b, f.In[b])
 	}
-	if boundary != nil {
-		f.In[boundary] = p.Boundary()
-		f.Out[boundary] = p.Transfer(boundary, f.In[boundary])
+	if g.Entry != nil {
+		f.In[g.Entry] = p.Boundary()
+		f.Out[g.Entry] = p.Transfer(g.Entry, f.In[g.Entry])
 	}
 	queue := append([]*Block(nil), g.Blocks...)
 	inQueue := map[*Block]bool{}
@@ -80,10 +58,10 @@ func Solve[F any](g *CFG, p Problem[F]) Facts[F] {
 		queue = queue[1:]
 		inQueue[b] = false
 		in := p.Bottom()
-		if b == boundary {
+		if b == g.Entry {
 			in = p.Boundary()
 		}
-		for _, q := range prev(b) {
+		for _, q := range b.Preds {
 			in = p.Merge(in, f.Out[q])
 		}
 		out := p.Transfer(b, in)
@@ -92,7 +70,7 @@ func Solve[F any](g *CFG, p Problem[F]) Facts[F] {
 			continue
 		}
 		f.Out[b] = out
-		for _, s := range next(b) {
+		for _, s := range b.Succs {
 			if !inQueue[s] {
 				inQueue[s] = true
 				queue = append(queue, s)
@@ -100,279 +78,6 @@ func Solve[F any](g *CFG, p Problem[F]) Facts[F] {
 		}
 	}
 	return f
-}
-
-// BitSet is a fixed-capacity bit vector, the fact representation of the
-// set-based analyses.
-type BitSet []uint64
-
-func NewBitSet(n int) BitSet { return make(BitSet, (n+63)/64) }
-
-func (s BitSet) Set(i int)      { s[i/64] |= 1 << (i % 64) }
-func (s BitSet) Clear(i int)    { s[i/64] &^= 1 << (i % 64) }
-func (s BitSet) Has(i int) bool { return s[i/64]&(1<<(i%64)) != 0 }
-
-func (s BitSet) Clone() BitSet {
-	out := make(BitSet, len(s))
-	copy(out, s)
-	return out
-}
-
-func (s BitSet) Union(t BitSet) BitSet {
-	out := s.Clone()
-	for i := range t {
-		out[i] |= t[i]
-	}
-	return out
-}
-
-func (s BitSet) Equal(t BitSet) bool {
-	if len(s) != len(t) {
-		return false
-	}
-	for i := range s {
-		if s[i] != t[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// DefSite is one definition of a function-local variable: an
-// assignment, a declaration with value, a range binding, or a
-// parameter (Node is then the *ast.Field).
-type DefSite struct {
-	Var *types.Var
-	// Node is the defining statement or field.
-	Node ast.Node
-	// Rhs is the assigned expression when the definition has a single
-	// resolvable source (x := e, x = e), nil otherwise.
-	Rhs ast.Expr
-}
-
-// ReachingDefs is the solved reaching-definitions problem of one
-// function: for every block, which definition sites may still be live
-// at its entry.
-type ReachingDefs struct {
-	Sites []DefSite
-	facts Facts[BitSet]
-	// sitesOf groups site indices by variable, for the kill sets and
-	// per-variable queries.
-	sitesOf map[*types.Var][]int
-	gen     map[*Block]BitSet
-	kill    map[*Block]BitSet
-}
-
-func (p *ReachingDefs) Direction() Direction { return Forward }
-func (p *ReachingDefs) Boundary() BitSet {
-	// Parameters and receivers are defined at entry.
-	b := NewBitSet(len(p.Sites))
-	for i, s := range p.Sites {
-		if _, ok := s.Node.(*ast.Field); ok {
-			b.Set(i)
-		}
-	}
-	return b
-}
-func (p *ReachingDefs) Bottom() BitSet          { return NewBitSet(len(p.Sites)) }
-func (p *ReachingDefs) Merge(a, b BitSet) BitSet { return a.Union(b) }
-func (p *ReachingDefs) Equal(a, b BitSet) bool   { return a.Equal(b) }
-func (p *ReachingDefs) Transfer(b *Block, in BitSet) BitSet {
-	out := in.Clone()
-	if k := p.kill[b]; k != nil {
-		for i := range out {
-			out[i] &^= k[i]
-		}
-	}
-	if g := p.gen[b]; g != nil {
-		for i := range out {
-			out[i] |= g[i]
-		}
-	}
-	return out
-}
-
-// SolveReachingDefs collects the definition sites of fn's locals and
-// solves the forward may-reach problem over g. decl supplies the
-// parameter fields (it may be a *ast.FuncDecl or *ast.FuncLit).
-func SolveReachingDefs(g *CFG, decl ast.Node, info *types.Info) *ReachingDefs {
-	p := &ReachingDefs{sitesOf: map[*types.Var][]int{}, gen: map[*Block]BitSet{}, kill: map[*Block]BitSet{}}
-	if g == nil {
-		return p
-	}
-	addSite := func(s DefSite) int {
-		idx := len(p.Sites)
-		p.Sites = append(p.Sites, s)
-		p.sitesOf[s.Var] = append(p.sitesOf[s.Var], idx)
-		return idx
-	}
-	// Parameter and receiver definitions.
-	var ftype *ast.FuncType
-	switch d := decl.(type) {
-	case *ast.FuncDecl:
-		ftype = d.Type
-		if d.Recv != nil {
-			for _, f := range d.Recv.List {
-				for _, name := range f.Names {
-					if v, ok := info.Defs[name].(*types.Var); ok {
-						addSite(DefSite{Var: v, Node: f})
-					}
-				}
-			}
-		}
-	case *ast.FuncLit:
-		ftype = d.Type
-	}
-	if ftype != nil && ftype.Params != nil {
-		for _, f := range ftype.Params.List {
-			for _, name := range f.Names {
-				if v, ok := info.Defs[name].(*types.Var); ok {
-					addSite(DefSite{Var: v, Node: f})
-				}
-			}
-		}
-	}
-	// Definition sites inside blocks, in order; the per-block last def
-	// of a variable is the gen, every other site of the variable the kill.
-	type blockDef struct {
-		b   *Block
-		idx int
-	}
-	var defs []blockDef
-	for _, b := range g.Blocks {
-		for _, n := range b.Nodes {
-			eachDef(n, info, func(v *types.Var, node ast.Node, rhs ast.Expr) {
-				defs = append(defs, blockDef{b, addSite(DefSite{Var: v, Node: node, Rhs: rhs})})
-			})
-		}
-	}
-	n := len(p.Sites)
-	for _, d := range defs {
-		if p.gen[d.b] == nil {
-			p.gen[d.b] = NewBitSet(n)
-			p.kill[d.b] = NewBitSet(n)
-		}
-	}
-	for _, d := range defs {
-		site := p.Sites[d.idx]
-		gen, kill := p.gen[d.b], p.kill[d.b]
-		// A later def in the same block kills the earlier one: clear all
-		// previously generated sites of this var before setting ours.
-		for _, other := range p.sitesOf[site.Var] {
-			if other != d.idx {
-				gen.Clear(other)
-				kill.Set(other)
-			}
-		}
-		gen.Set(d.idx)
-	}
-	p.facts = Solve[BitSet](g, p)
-	return p
-}
-
-// DefsOf returns the definition sites of v that may reach the entry of
-// block b.
-func (p *ReachingDefs) DefsOf(b *Block, v *types.Var) []DefSite {
-	in := p.facts.In[b]
-	if in == nil {
-		return nil
-	}
-	var out []DefSite
-	for _, idx := range p.sitesOf[v] {
-		if in.Has(idx) {
-			out = append(out, p.Sites[idx])
-		}
-	}
-	return out
-}
-
-// AnyDef reports whether any definition site of v anywhere in the
-// function satisfies pred — the flow-insensitive projection, for rules
-// that only need "was v ever bound to such a value".
-func (p *ReachingDefs) AnyDef(v *types.Var, pred func(DefSite) bool) bool {
-	for _, idx := range p.sitesOf[v] {
-		if pred(p.Sites[idx]) {
-			return true
-		}
-	}
-	return false
-}
-
-// eachDef reports the local-variable definitions a statement performs.
-// Package-level variables are excluded: reaching definitions is a
-// per-function analysis, and the rules treat globals through their own
-// lens (mutglobal).
-func eachDef(n ast.Node, info *types.Info, f func(v *types.Var, node ast.Node, rhs ast.Expr)) {
-	local := func(id *ast.Ident) *types.Var {
-		var obj types.Object
-		if d := info.Defs[id]; d != nil {
-			obj = d
-		} else if u := info.Uses[id]; u != nil {
-			obj = u
-		}
-		v, ok := obj.(*types.Var)
-		if !ok || v.Pkg() == nil || v.Parent() == v.Pkg().Scope() || v.IsField() {
-			return nil
-		}
-		return v
-	}
-	switch s := n.(type) {
-	case *ast.AssignStmt:
-		for i, lhs := range s.Lhs {
-			id, ok := ast.Unparen(lhs).(*ast.Ident)
-			if !ok {
-				continue
-			}
-			v := local(id)
-			if v == nil {
-				continue
-			}
-			var rhs ast.Expr
-			if len(s.Rhs) == len(s.Lhs) {
-				rhs = s.Rhs[i]
-			}
-			f(v, s, rhs)
-		}
-	case *ast.IncDecStmt:
-		if id, ok := ast.Unparen(s.X).(*ast.Ident); ok {
-			if v := local(id); v != nil {
-				f(v, s, nil)
-			}
-		}
-	case *ast.DeclStmt:
-		gd, ok := s.Decl.(*ast.GenDecl)
-		if !ok {
-			return
-		}
-		for _, spec := range gd.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok {
-				continue
-			}
-			for i, name := range vs.Names {
-				v := local(name)
-				if v == nil {
-					continue
-				}
-				var rhs ast.Expr
-				if len(vs.Values) == len(vs.Names) {
-					rhs = vs.Values[i]
-				}
-				f(v, s, rhs)
-			}
-		}
-	case *ast.RangeStmt:
-		for _, e := range []ast.Expr{s.Key, s.Value} {
-			if e == nil {
-				continue
-			}
-			if id, ok := ast.Unparen(e).(*ast.Ident); ok {
-				if v := local(id); v != nil {
-					f(v, s, nil)
-				}
-			}
-		}
-	}
 }
 
 // EscapeLite computes, per function-local variable, whether its value

@@ -36,106 +36,6 @@ func typeCheckFunc(t *testing.T, src, name string) (*ast.FuncDecl, *types.Info) 
 	return nil, nil
 }
 
-func TestReachingDefsBranches(t *testing.T) {
-	src := `package p
-func f(cond bool) int {
-	x := 1
-	if cond {
-		x = 2
-	}
-	return x
-}`
-	fd, info := typeCheckFunc(t, src, "f")
-	g := buildCFG(fd.Body)
-	rd := SolveReachingDefs(g, fd, info)
-
-	// Find x and the block holding the return.
-	var x *types.Var
-	for _, s := range rd.Sites {
-		if s.Var.Name() == "x" {
-			x = s.Var
-		}
-	}
-	if x == nil {
-		t.Fatal("no def site for x")
-	}
-	var retBlock *Block
-	for _, b := range g.Blocks {
-		for _, n := range b.Nodes {
-			if _, ok := n.(*ast.ReturnStmt); ok {
-				retBlock = b
-			}
-		}
-	}
-	if retBlock == nil {
-		t.Fatal("no return block")
-	}
-	// Both definitions of x (the := and the branch =) reach the return.
-	defs := rd.DefsOf(retBlock, x)
-	if len(defs) != 2 {
-		t.Fatalf("got %d defs of x at the return, want 2 (both branches)", len(defs))
-	}
-}
-
-func TestReachingDefsKill(t *testing.T) {
-	src := `package p
-func f() int {
-	x := 1
-	x = 2
-	return x
-}`
-	fd, info := typeCheckFunc(t, src, "f")
-	g := buildCFG(fd.Body)
-	rd := SolveReachingDefs(g, fd, info)
-	var x *types.Var
-	for _, s := range rd.Sites {
-		if s.Var.Name() == "x" {
-			x = s.Var
-		}
-	}
-	// Straight-line code: the whole body is one block, so at its ENTRY
-	// no definition reaches yet; the flow-insensitive projection must
-	// still see both sites.
-	count := 0
-	if rd.AnyDef(x, func(s DefSite) bool { count++; return false }); count != 2 {
-		t.Fatalf("AnyDef visited %d sites, want 2", count)
-	}
-	// At the exit block, only the killing definition (x = 2) flows out
-	// of the entry block.
-	out := 0
-	for _, s := range rd.DefsOf(g.Exit, x) {
-		out++
-		if lit, ok := s.Rhs.(*ast.BasicLit); !ok || lit.Value != "2" {
-			t.Errorf("surviving def is %v, want the x = 2 site", s.Rhs)
-		}
-	}
-	if out != 1 {
-		t.Fatalf("%d defs reach the exit, want 1 (x := 1 killed)", out)
-	}
-}
-
-func TestReachingDefsParamBoundary(t *testing.T) {
-	src := `package p
-func f(a int) int {
-	return a
-}`
-	fd, info := typeCheckFunc(t, src, "f")
-	g := buildCFG(fd.Body)
-	rd := SolveReachingDefs(g, fd, info)
-	var a *types.Var
-	for _, s := range rd.Sites {
-		if s.Var.Name() == "a" {
-			a = s.Var
-		}
-	}
-	if a == nil {
-		t.Fatal("parameter a has no def site")
-	}
-	if defs := rd.DefsOf(g.Entry, a); len(defs) != 1 {
-		t.Fatalf("parameter def does not reach entry: %d sites", len(defs))
-	}
-}
-
 func TestPostDominates(t *testing.T) {
 	src := `package p
 func f(cond bool) {
@@ -237,61 +137,3 @@ func g(int) {}`
 		t.Error("a var passed to a call outside the go statement escapes")
 	}
 }
-
-func TestSolveBackward(t *testing.T) {
-	// A tiny backward liveness-flavored problem over string facts:
-	// collect the names of blocks reachable toward the exit.
-	g := buildFromBodySrc(t, `
-if a > 0 {
-	b = 1
-} else {
-	b = 2
-}
-return b`)
-	p := &countingProblem{}
-	facts := Solve[int](g, p)
-	// Every block must have been given a fact.
-	if len(facts.In) != len(g.Blocks) {
-		t.Fatalf("facts for %d blocks, want %d", len(facts.In), len(g.Blocks))
-	}
-	// Forwardness check: the entry's In fact for a backward problem is
-	// the merge over its successors' outs, which is > 0 here.
-	if facts.In[g.Entry] == 0 {
-		t.Error("backward facts did not propagate to the entry")
-	}
-}
-
-func buildFromBodySrc(t *testing.T, body string) *CFG {
-	t.Helper()
-	g := parseAndBuild("func f(a, b int) int {\n" + body + "\n}")
-	if g == nil {
-		t.Fatal("body did not parse")
-	}
-	return g
-}
-
-// countingProblem is a backward problem whose fact is "distance-ish
-// weight from the exit": Boundary 1 at exit, Transfer adds 1, Merge
-// takes the max. Purely structural, just to exercise the backward
-// plumbing of Solve.
-type countingProblem struct{}
-
-func (countingProblem) Direction() Direction { return Backward }
-func (countingProblem) Boundary() int        { return 1 }
-func (countingProblem) Bottom() int          { return 0 }
-func (countingProblem) Transfer(b *Block, in int) int {
-	if in == 0 {
-		return 0
-	}
-	if in >= 1<<20 {
-		return in // clamp so irreducible graphs cannot diverge
-	}
-	return in + 1
-}
-func (countingProblem) Merge(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-func (countingProblem) Equal(a, b int) bool { return a == b }

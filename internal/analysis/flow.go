@@ -50,7 +50,7 @@ func (fi *FuncInfo) Body() *ast.BlockStmt {
 }
 
 // FuncNode returns the declaring node (*ast.FuncDecl or *ast.FuncLit),
-// the shape SolveReachingDefs takes for parameter discovery.
+// from which goroleak reads the parameter list.
 func (fi *FuncInfo) FuncNode() ast.Node {
 	if fi.Lit != nil {
 		return fi.Lit

@@ -124,9 +124,25 @@ func fuzzCheckCFG(t *testing.T, g *CFG) {
 		}
 	}
 	// The solver must terminate and cover every block on whatever graph
-	// the builder produced — run the cheapest real problem over it.
-	facts := Solve[BitSet](g, &ReachingDefs{})
+	// the builder produced, and its fixed point must agree with the
+	// reachability computed above.
+	facts := Solve[bool](g, reachProblem{})
 	if len(facts.In) != len(g.Blocks) {
 		t.Fatalf("solver produced %d facts for %d blocks", len(facts.In), len(g.Blocks))
 	}
+	for _, b := range g.Blocks {
+		if facts.Out[b] != reach[b] {
+			t.Fatalf("block %d: solved reachability %v, want %v", b.Index, facts.Out[b], reach[b])
+		}
+	}
 }
+
+// reachProblem is the smallest forward problem: a block's fact is whether
+// it is reachable from the entry.
+type reachProblem struct{}
+
+func (reachProblem) Boundary() bool                  { return true }
+func (reachProblem) Bottom() bool                    { return false }
+func (reachProblem) Transfer(_ *Block, in bool) bool { return in }
+func (reachProblem) Merge(a, b bool) bool            { return a || b }
+func (reachProblem) Equal(a, b bool) bool            { return a == b }

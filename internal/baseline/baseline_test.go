@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"testing"
 
 	"periodica/internal/alphabet"
@@ -37,7 +38,7 @@ func TestMaHellersteinMissesNonAdjacentPeriod(t *testing.T) {
 	}
 	// Meanwhile the convolution miner detects it: a matches at lag 5 from
 	// positions 0 and 5.
-	res, err := core.Mine(s, core.Options{Threshold: 0.9, MinPeriod: 5, MaxPeriod: 5})
+	res, err := core.MineContext(context.Background(), s, core.Options{Threshold: 0.9, MinPeriod: 5, MaxPeriod: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package cimeg
 
 import (
+	"context"
 	"testing"
 
 	"periodica/internal/core"
@@ -43,7 +44,7 @@ func TestAwayDayPatternAtModerateThreshold(t *testing.T) {
 	// Table 2's CIMEG row: (a,3) — very low consumption on the 4th day of
 	// the week — appears at threshold 50%.
 	s := Series(Config{Days: 365, Seed: 4})
-	res, err := core.Mine(s, core.Options{Threshold: 0.4, MinPeriod: 7, MaxPeriod: 7, MaxPatternPeriod: -1})
+	res, err := core.MineContext(context.Background(), s, core.Options{Threshold: 0.4, MinPeriod: 7, MaxPeriod: 7, MaxPatternPeriod: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func BenchmarkMineEngines(b *testing.B) {
 	for _, eng := range []Engine{EngineNaive, EngineBitset, EngineFFT} {
 		b.Run(eng.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := Mine(s, Options{Threshold: 0.7, Engine: eng, MaxPatternPeriod: 64}); err != nil {
+				if _, err := mine(s, Options{Threshold: 0.7, Engine: eng, MaxPatternPeriod: 64}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -34,21 +34,13 @@ func BenchmarkMineEngines(b *testing.B) {
 	}
 }
 
-// BenchmarkDetectCandidates measures the one-pass detection phase, serial
-// and parallel.
+// BenchmarkDetectCandidates measures the one-pass detection phase.
 func BenchmarkDetectCandidates(b *testing.B) {
 	for _, n := range []int{1 << 14, 1 << 17} {
 		s := benchPeriodic(b, n)
-		b.Run(fmt.Sprintf("serial/n=%d", n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := DetectCandidates(s, 0.8, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("parallel/n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := ParallelDetectCandidates(s, 0.8, 0, 0); err != nil {
+				if _, err := detectCandidates(s, 0.8, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -56,23 +48,14 @@ func BenchmarkDetectCandidates(b *testing.B) {
 	}
 }
 
-// BenchmarkBestConfidences measures the Table-1 sweep, serial and parallel.
+// BenchmarkBestConfidences measures the Table-1 sweep.
 func BenchmarkBestConfidences(b *testing.B) {
 	s := benchPeriodic(b, 8000)
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := BestConfidences(s, 1000); err != nil {
-				b.Fatal(err)
-			}
+	for i := 0; i < b.N; i++ {
+		if _, err := BestConfidences(s, 1000); err != nil {
+			b.Fatal(err)
 		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := ParallelBestConfidences(s, 1000, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkIncrementalAppend measures the per-symbol online update cost at
@@ -97,7 +80,7 @@ func BenchmarkIncrementalAppend(b *testing.B) {
 func BenchmarkPatternEnumeration(b *testing.B) {
 	s := benchPeriodic(b, 10000)
 	for i := 0; i < b.N; i++ {
-		if _, err := Mine(s, Options{Threshold: 0.35, MinPeriod: 25, MaxPeriod: 25, MaxPatternPeriod: 25}); err != nil {
+		if _, err := mine(s, Options{Threshold: 0.35, MinPeriod: 25, MaxPeriod: 25, MaxPatternPeriod: 25}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,16 +10,19 @@ import (
 
 func TestMineContextMatchesMine(t *testing.T) {
 	s := randomSeries(131, 900, 4)
-	want, err := Mine(s, Options{Threshold: 0.5})
+	want, err := mine(s, Options{Threshold: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := MineContext(context.Background(), s, Options{Threshold: 0.5})
+	// A live deadline polls throughout and must change nothing.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	got, err := MineContext(ctx, s, Options{Threshold: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("MineContext differs from Mine")
+		t.Fatal("MineContext under a live deadline differs from the uncancelled mine")
 	}
 }
 
@@ -94,16 +97,18 @@ func TestMineContextCancelMidPatterns(t *testing.T) {
 
 func TestDetectCandidatesContextMatches(t *testing.T) {
 	s := randomSeries(137, 3000, 5)
-	want, err := DetectCandidates(s, 0.4, 0)
+	want, err := detectCandidates(s, 0.4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DetectCandidatesContext(context.Background(), s, 0.4, 0)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	got, err := DetectCandidatesContext(ctx, s, 0.4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("DetectCandidatesContext differs from DetectCandidates")
+		t.Fatal("DetectCandidatesContext under a live deadline differs from the uncancelled detection")
 	}
 }
 
@@ -118,14 +123,14 @@ func TestDetectCandidatesContextCancelled(t *testing.T) {
 
 func TestValidationErrorsMatchErrInvalidInput(t *testing.T) {
 	s := randomSeries(139, 50, 3)
-	if _, err := Mine(s, Options{Threshold: 0}); !errors.Is(err, ErrInvalidInput) {
+	if _, err := mine(s, Options{Threshold: 0}); !errors.Is(err, ErrInvalidInput) {
 		t.Fatalf("Mine ψ=0: err = %v, want ErrInvalidInput", err)
 	}
-	if _, err := Mine(s, Options{Threshold: 0.5, MaxPeriod: 500}); !errors.Is(err, ErrInvalidInput) {
+	if _, err := mine(s, Options{Threshold: 0.5, MaxPeriod: 500}); !errors.Is(err, ErrInvalidInput) {
 		t.Fatalf("Mine bad range: err = %v, want ErrInvalidInput", err)
 	}
-	if _, err := DetectCandidates(s, 0.5, 500); !errors.Is(err, ErrInvalidInput) {
-		t.Fatalf("DetectCandidates bad maxPeriod: err = %v, want ErrInvalidInput", err)
+	if _, err := detectCandidates(s, 0.5, 500); !errors.Is(err, ErrInvalidInput) {
+		t.Fatalf("DetectCandidatesContext bad maxPeriod: err = %v, want ErrInvalidInput", err)
 	}
 	// Cancellation errors must NOT look like bad input.
 	ctx, cancel := context.WithCancel(context.Background())

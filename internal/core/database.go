@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -48,7 +49,7 @@ func MineDatabase(db []*series.Series, opt Options, minFraction float64) (*Datab
 	}
 	byKey := map[string]*agg{}
 	for _, s := range db {
-		res, err := Mine(s, opt)
+		res, err := MineContext(context.Background(), s, opt)
 		if err != nil {
 			return nil, err
 		}

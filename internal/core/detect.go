@@ -15,27 +15,25 @@ type CandidatePeriod struct {
 	MatchCount int64 // that symbol's lag-p match count
 }
 
-// DetectCandidates runs only the periodicity-detection phase of the
+// DetectCandidatesContext runs only the periodicity-detection phase of the
 // algorithm: one pass over the series builds the per-symbol indicators, one
 // FFT autocorrelation per symbol yields every lag's match counts, and each
 // period is kept iff some symbol passes the sound aggregate test
-// r_k(p) ≥ ψ·minPairs(p) (a necessary condition for Definition 1, since
+// r_k(p)/minPairs(p) ≥ ψ (a necessary condition for Definition 1, since
 // F2(s_k, π_{p,l}) ≤ r_k(p) for every position l). Total cost O(σ n log n) —
 // the phase the paper's Fig. 5 times against the periodic-trends baseline,
 // whose output is likewise a set of candidate periods. The FFT stage runs
-// through the batched planned engine on all cores; the counts (and hence the
-// candidates) are identical to the serial sweep. Exact positions and
-// confidences for a candidate are resolved on demand with Mine over a
-// restricted period range, or Confidencer.
-func DetectCandidates(s *series.Series, psi float64, maxPeriod int) ([]CandidatePeriod, error) {
-	return detectCandidates(context.Background(), s, psi, maxPeriod)
-}
-
-// detectCandidates is the shared implementation behind DetectCandidates and
-// DetectCandidatesContext: a session whose pipeline is just the detect stage
-// (lag counts only) and the candidate sweep, with the context polled by the
-// scheduler throughout.
-func detectCandidates(ctx context.Context, s *series.Series, psi float64, maxPeriod int) ([]CandidatePeriod, error) {
+// through the batched planned engine on all cores. Exact positions and
+// confidences for a candidate are resolved on demand with MineWorkers over
+// a restricted period range, or Confidencer.
+//
+// The scheduler polls ctx before the FFT pass, between its pair transforms,
+// and at every period of the aggregate sweep, so a cancelled or timed-out
+// detection returns promptly with the context's error.
+func DetectCandidatesContext(ctx context.Context, s *series.Series, psi float64, maxPeriod int) ([]CandidatePeriod, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	ses, err := newCandidateSession(s, psi, maxPeriod, sessionConfig{workers: 1, cancel: ctx.Err})
 	if err != nil {
 		return nil, err
@@ -45,7 +43,7 @@ func detectCandidates(ctx context.Context, s *series.Series, psi float64, maxPer
 
 // BestConfidences returns, for every period p in [1, maxPeriod], the maximum
 // Definition-1 confidence over all symbols and positions (index 0 unused;
-// maxPeriod 0 means n/2). Unlike Mine it materializes nothing per
+// maxPeriod 0 means n/2). Unlike MineWorkers it materializes nothing per
 // periodicity, so it is the right tool for threshold sweeps like the paper's
 // Table 1, where loose thresholds admit millions of individual
 // periodicities.

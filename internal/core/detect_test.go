@@ -22,7 +22,7 @@ func TestDetectCandidatesSoundPrune(t *testing.T) {
 		}
 		s := series.FromIndices(alphabet.Letters(4), idx)
 		for _, psi := range []float64{0.3, 0.7, 1} {
-			cands, err := DetectCandidates(s, psi, 0)
+			cands, err := detectCandidates(s, psi, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -30,7 +30,7 @@ func TestDetectCandidatesSoundPrune(t *testing.T) {
 			for _, c := range cands {
 				inCands[c.Period] = true
 			}
-			res, err := Mine(s, Options{Threshold: psi, Engine: EngineNaive, MaxPatternPeriod: -1})
+			res, err := mine(s, Options{Threshold: psi, Engine: EngineNaive, MaxPatternPeriod: -1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -45,7 +45,7 @@ func TestDetectCandidatesSoundPrune(t *testing.T) {
 
 func TestDetectCandidatesPerfectPeriodic(t *testing.T) {
 	s := series.FromString("abcdabcdabcdabcdabcdabcdabcdabcd")
-	cands, err := DetectCandidates(s, 1, 0)
+	cands, err := detectCandidates(s, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,20 +66,20 @@ func TestDetectCandidatesPerfectPeriodic(t *testing.T) {
 
 func TestDetectCandidatesValidates(t *testing.T) {
 	s := series.FromString("abcabc")
-	if _, err := DetectCandidates(s, 0, 0); err == nil {
+	if _, err := detectCandidates(s, 0, 0); err == nil {
 		t.Fatal("ψ=0: want error")
 	}
-	if _, err := DetectCandidates(s, 1.2, 0); err == nil {
+	if _, err := detectCandidates(s, 1.2, 0); err == nil {
 		t.Fatal("ψ>1: want error")
 	}
-	if _, err := DetectCandidates(s, 0.5, 10); err == nil {
+	if _, err := detectCandidates(s, 0.5, 10); err == nil {
 		t.Fatal("maxPeriod ≥ n: want error")
 	}
 }
 
 func TestDetectCandidatesBestSymbolCounts(t *testing.T) {
 	s := series.FromString("ababababab")
-	cands, err := DetectCandidates(s, 0.5, 0)
+	cands, err := detectCandidates(s, 0.5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestDetectCandidatesSupersetProperty(t *testing.T) {
 		}
 		s := series.FromIndices(alphabet.Letters(3), idx)
 		psi := float64(thr%99+1) / 100
-		cands, err := DetectCandidates(s, psi, 0)
+		cands, err := detectCandidates(s, psi, 0)
 		if err != nil {
 			return false
 		}
@@ -113,7 +113,7 @@ func TestDetectCandidatesSupersetProperty(t *testing.T) {
 		for _, c := range cands {
 			inCands[c.Period] = true
 		}
-		res, err := Mine(s, Options{Threshold: psi, Engine: EngineBitset, MaxPatternPeriod: -1})
+		res, err := mine(s, Options{Threshold: psi, Engine: EngineBitset, MaxPatternPeriod: -1})
 		if err != nil {
 			return false
 		}

@@ -59,7 +59,7 @@ func TestSessionScopedPlanCache(t *testing.T) {
 	s := series.FromIndices(alphabet.Letters(3), idx)
 	opt := Options{Threshold: 0.6, Engine: EngineFFT, MinPairs: 3, MaxPatternPeriod: 20}
 
-	want, err := Mine(s, opt)
+	want, err := mine(s, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

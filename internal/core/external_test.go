@@ -31,7 +31,7 @@ func TestDetectCandidatesFileMatchesInMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := DetectCandidates(s, 0.7, 0)
+	want, err := detectCandidates(s, 0.7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,11 +27,11 @@ func FuzzMine(f *testing.F) {
 		s := series.FromIndices(alphabet.Letters(sigma), idx)
 		psi := float64(thr%100+1) / 100
 
-		naive, err := Mine(s, Options{Threshold: psi, Engine: EngineNaive})
+		naive, err := mine(s, Options{Threshold: psi, Engine: EngineNaive})
 		if err != nil {
 			t.Fatalf("naive: %v", err)
 		}
-		bitset, err := Mine(s, Options{Threshold: psi, Engine: EngineBitset})
+		bitset, err := mine(s, Options{Threshold: psi, Engine: EngineBitset})
 		if err != nil {
 			t.Fatalf("bitset: %v", err)
 		}
@@ -95,7 +95,7 @@ func FuzzIncremental(f *testing.F) {
 		if mp >= s.Len() {
 			mp = s.Len() - 1
 		}
-		res, err := Mine(s, Options{Threshold: 0.5, MaxPeriod: mp, Engine: EngineNaive, MaxPatternPeriod: -1})
+		res, err := mine(s, Options{Threshold: 0.5, MaxPeriod: mp, Engine: EngineNaive, MaxPatternPeriod: -1})
 		if err != nil {
 			t.Fatal(err)
 		}

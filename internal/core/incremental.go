@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"periodica/internal/alphabet"
@@ -92,8 +91,8 @@ func (m *IncrementalMiner) F2(k, p, l int) int {
 }
 
 // Periodicities returns the symbol periodicities of the stream seen so far
-// at threshold psi, identical to what Mine would report for periods up to
-// MaxPeriod — but computed from the maintained counts in
+// at threshold psi, identical to what a full mine would report for periods
+// up to MaxPeriod — but computed from the maintained counts in
 // O(σ · maxPeriod²/2) with no pass over the data.
 func (m *IncrementalMiner) Periodicities(psi float64) ([]SymbolPeriodicity, error) {
 	if psi <= 0 || psi > 1 {
@@ -128,27 +127,10 @@ func (m *IncrementalMiner) Periodicities(psi float64) ([]SymbolPeriodicity, erro
 	return out, nil
 }
 
-// Mine runs the full algorithm (including pattern formation) on the stream
-// seen so far through the shared session pipeline; equivalent to Mine over
-// Series() with the miner's period bound.
-func (m *IncrementalMiner) Mine(opt Options) (*Result, error) {
-	if len(m.data) == 0 {
-		return nil, fmt.Errorf("core: empty stream")
-	}
-	return Mine(m.Series(), m.mineOptions(opt))
-}
-
-// MineContext is Mine with cooperative cancellation, with the same polling
-// points as MineContext over an in-memory series.
-func (m *IncrementalMiner) MineContext(ctx context.Context, opt Options) (*Result, error) {
-	if len(m.data) == 0 {
-		return nil, fmt.Errorf("core: empty stream")
-	}
-	return MineContext(ctx, m.Series(), m.mineOptions(opt))
-}
-
-// mineOptions clamps the requested period range to the tracked bound.
-func (m *IncrementalMiner) mineOptions(opt Options) Options {
+// MineOptions clamps a full mine's period range to the tracked bound, so
+// MineWorkers over Series() with the result mines exactly the periods the
+// miner maintains.
+func (m *IncrementalMiner) MineOptions(opt Options) Options {
 	if opt.MaxPeriod == 0 || opt.MaxPeriod > m.maxPeriod {
 		opt.MaxPeriod = min(m.maxPeriod, len(m.data)/2)
 	}

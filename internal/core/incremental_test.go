@@ -17,7 +17,7 @@ func batchPeriodicities(t *testing.T, s *series.Series, psi float64, maxPeriod i
 	if mp >= s.Len() {
 		mp = s.Len() - 1
 	}
-	res, err := Mine(s, Options{Threshold: psi, MaxPeriod: mp, Engine: EngineNaive, MaxPatternPeriod: -1})
+	res, err := mine(s, Options{Threshold: psi, MaxPeriod: mp, Engine: EngineNaive, MaxPatternPeriod: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +104,11 @@ func TestIncrementalMineEqualsBatchMine(t *testing.T) {
 		_ = m.Append(k)
 		idx = append(idx, uint16(k))
 	}
-	got, err := m.Mine(Options{Threshold: 0.5})
+	got, err := mine(m.Series(), m.MineOptions(Options{Threshold: 0.5}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Mine(series.FromIndices(alpha, idx), Options{Threshold: 0.5, MaxPeriod: 30})
+	want, err := mine(series.FromIndices(alpha, idx), Options{Threshold: 0.5, MaxPeriod: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,8 +186,8 @@ func TestIncrementalValidates(t *testing.T) {
 	if _, err := m.Periodicities(0); err == nil {
 		t.Fatal("ψ=0: want error")
 	}
-	if _, err := m.Mine(Options{Threshold: 0.5}); err == nil {
-		t.Fatal("empty stream Mine: want error")
+	if _, err := mine(m.Series(), m.MineOptions(Options{Threshold: 0.5})); err == nil {
+		t.Fatal("empty stream mine: want error")
 	}
 }
 

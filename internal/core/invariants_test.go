@@ -25,11 +25,11 @@ func TestThresholdNestingProperty(t *testing.T) {
 			idx[i] = uint16(rng.Intn(3))
 		}
 		s := series.FromIndices(alphabet.Letters(3), idx)
-		resHi, err := Mine(s, Options{Threshold: hi, MaxPatternPeriod: -1})
+		resHi, err := mine(s, Options{Threshold: hi, MaxPatternPeriod: -1})
 		if err != nil {
 			return false
 		}
-		resLo, err := Mine(s, Options{Threshold: lo, MaxPatternPeriod: -1})
+		resLo, err := mine(s, Options{Threshold: lo, MaxPatternPeriod: -1})
 		if err != nil {
 			return false
 		}
@@ -68,11 +68,11 @@ func TestPeriodRangeRestrictionProperty(t *testing.T) {
 		if lo > hi {
 			lo = hi
 		}
-		full, err := Mine(s, Options{Threshold: 0.4, MaxPatternPeriod: -1})
+		full, err := mine(s, Options{Threshold: 0.4, MaxPatternPeriod: -1})
 		if err != nil {
 			return false
 		}
-		restricted, err := Mine(s, Options{Threshold: 0.4, MinPeriod: lo, MaxPeriod: hi, MaxPatternPeriod: -1})
+		restricted, err := mine(s, Options{Threshold: 0.4, MinPeriod: lo, MaxPeriod: hi, MaxPatternPeriod: -1})
 		if err != nil {
 			return false
 		}
@@ -100,7 +100,7 @@ func TestConfidenceEqualsRatioProperty(t *testing.T) {
 			idx[i] = uint16(rng.Intn(4))
 		}
 		s := series.FromIndices(alphabet.Letters(4), idx)
-		res, err := Mine(s, Options{Threshold: 0.3, MaxPatternPeriod: -1})
+		res, err := mine(s, Options{Threshold: 0.3, MaxPatternPeriod: -1})
 		if err != nil {
 			return false
 		}
@@ -167,7 +167,7 @@ func TestMaximalFilterSoundProperty(t *testing.T) {
 			idx[i] = uint16(rng.Intn(2))
 		}
 		s := series.FromIndices(alphabet.Letters(2), idx)
-		res, err := Mine(s, Options{Threshold: 0.3})
+		res, err := mine(s, Options{Threshold: 0.3})
 		if err != nil {
 			return false
 		}

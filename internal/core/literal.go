@@ -17,9 +17,9 @@ import (
 // F2(s_k, π_{p,l}(T)), (c) apply the threshold, (d) form the single-symbol
 // patterns, and (e) form the candidate patterns and estimate their supports
 // from the same-occurrence tuples W′_p. It shares no evaluation shortcuts
-// with Mine — the component bit-vectors are materialized and decoded power
-// by power — so agreement between the two is a machine-checked reading of
-// the paper. Intended for verification; use Mine for real workloads.
+// with MineWorkers — the component bit-vectors are materialized and decoded
+// power by power — so agreement between the two is a machine-checked reading of
+// the paper. Intended for verification; use MineWorkers for real workloads.
 //
 // maxPatterns caps step (e)'s enumeration (0 = 10000): at loose thresholds
 // the paper's Cartesian product is exponential in the qualifying positions,

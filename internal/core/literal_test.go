@@ -29,7 +29,7 @@ func TestMineLiteralMatchesMine(t *testing.T) {
 			}
 			// Mine with the paper-equivalent settings: default period range,
 			// patterns for every period.
-			ref, err := Mine(s, Options{Threshold: psi, Engine: EngineNaive,
+			ref, err := mine(s, Options{Threshold: psi, Engine: EngineNaive,
 				MaxPatternPeriod: n, MaxPatterns: 1 << 20})
 			if err != nil {
 				t.Fatal(err)

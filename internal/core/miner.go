@@ -6,6 +6,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -45,7 +46,7 @@ func (e Engine) String() string {
 	return fmt.Sprintf("Engine(%d)", int(e))
 }
 
-// Options configure Mine.
+// Options configure MineWorkers.
 type Options struct {
 	// Threshold is the periodicity threshold ψ ∈ (0,1] of Definition 1.
 	Threshold float64
@@ -102,7 +103,7 @@ type SymbolPeriodicity struct {
 	Confidence float64
 }
 
-// Result is the output of Mine.
+// Result is the output of MineWorkers.
 type Result struct {
 	N             int
 	Sigma         int
@@ -127,16 +128,38 @@ func pairsAt(n, p, l int) int {
 	return (n-l+p-1)/p - 1
 }
 
-// Mine runs the full algorithm of Fig. 2 over s. It is a thin adapter: a
-// session over s drives the shared detect → sweep → resolve → enumerate
-// pipeline with a serial scheduler (the FFT precompute still batches across
-// all cores, exactly as before).
-func Mine(s *series.Series, opt Options) (*Result, error) {
-	ses, err := newSession(s, opt, sessionConfig{workers: 1})
+// MineWorkers runs the full algorithm of Fig. 2 over s: a session drives
+// the shared detect → sweep → resolve → enumerate pipeline. workers ≤ 1 runs
+// the serial scheduler (the FFT precompute still batches across all
+// cores); a larger count spreads the per-period stage work and the FFT
+// precompute over that many workers, capped at GOMAXPROCS, and substitutes
+// the bitset engine for the naive one, which shares its semantics and
+// shards cleanly. The result is identical at every worker count.
+//
+// The session's scheduler polls ctx between the FFT precompute's pair
+// transforms, at every candidate period of the sweep and resolve stages,
+// between occurrence-set builds, and every few thousand pattern-enumeration
+// steps, so a cancelled or timed-out mine returns promptly with the
+// context's error and no partial result. The one uninterruptible stretch is
+// a single in-flight pair FFT, O(n log n).
+func MineWorkers(ctx context.Context, s *series.Series, opt Options, workers int) (*Result, error) {
+	cfg := sessionConfig{workers: 1, cancel: ctx.Err}
+	if workers > 1 {
+		cfg.workers, cfg.fftWorkers, cfg.parallel = workers, workers, true
+	}
+	ses, err := newSession(s, opt, cfg)
 	if err != nil {
 		return nil, err
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	return ses.mine()
+}
+
+// MineContext is MineWorkers with the serial scheduler.
+func MineContext(ctx context.Context, s *series.Series, opt Options) (*Result, error) {
+	return MineWorkers(ctx, s, opt, 1)
 }
 
 // finishResult sorts the collected periodicities, derives the period list,

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -9,6 +11,16 @@ import (
 	"periodica/internal/alphabet"
 	"periodica/internal/series"
 )
+
+// mine and detectCandidates are the serial, uncancelled calls most tests
+// compare against.
+func mine(s *series.Series, opt Options) (*Result, error) {
+	return MineContext(context.Background(), s, opt)
+}
+
+func detectCandidates(s *series.Series, psi float64, maxPeriod int) ([]CandidatePeriod, error) {
+	return DetectCandidatesContext(context.Background(), s, psi, maxPeriod)
+}
 
 func find(res *Result, symbol, period, position int) (SymbolPeriodicity, bool) {
 	for _, sp := range res.Periodicities {
@@ -26,7 +38,7 @@ func TestMineRunningExample(t *testing.T) {
 	s := series.FromString("abcabbabcb")
 	a, _ := s.Alphabet().Index("a")
 	b, _ := s.Alphabet().Index("b")
-	res, err := Mine(s, Options{Threshold: 2.0 / 3.0, Engine: EngineNaive})
+	res, err := mine(s, Options{Threshold: 2.0 / 3.0, Engine: EngineNaive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +67,7 @@ func TestMinePatternsRunningExample(t *testing.T) {
 	// Paper §2.3 and §3.2: with S_{3,0}={a}, S_{3,1}={b}, the candidate
 	// pattern ab* has support |W′_3|/⌊10/3⌋ = 2/3.
 	s := series.FromString("abcabbabcb")
-	res, err := Mine(s, Options{Threshold: 2.0 / 3.0, Engine: EngineBitset})
+	res, err := mine(s, Options{Threshold: 2.0 / 3.0, Engine: EngineBitset})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +98,7 @@ func renderAll(pts []Pattern, s *series.Series) []string {
 
 func TestSingleSymbolPatterns(t *testing.T) {
 	s := series.FromString("abcabbabcb")
-	res, err := Mine(s, Options{Threshold: 2.0 / 3.0, Engine: EngineNaive})
+	res, err := mine(s, Options{Threshold: 2.0 / 3.0, Engine: EngineNaive})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +123,7 @@ func mineEq(t *testing.T, s *series.Series, psi float64) *Result {
 	t.Helper()
 	var results []*Result
 	for _, eng := range []Engine{EngineNaive, EngineBitset, EngineFFT} {
-		res, err := Mine(s, Options{Threshold: psi, Engine: eng})
+		res, err := mine(s, Options{Threshold: psi, Engine: eng})
 		if err != nil {
 			t.Fatalf("%v: %v", eng, err)
 		}
@@ -187,8 +199,8 @@ func TestMineValidatesOptions(t *testing.T) {
 		{Threshold: 0.5, MinPeriod: 3, MaxPeriod: 2},
 		{Threshold: 0.5, MaxPeriod: 100},
 	} {
-		if _, err := Mine(s, opt); err == nil {
-			t.Errorf("Mine(%+v): want error", opt)
+		if _, err := mine(s, opt); err == nil {
+			t.Errorf("mine(%+v): want error", opt)
 		}
 	}
 }
@@ -200,7 +212,7 @@ func TestMinPairsFiltersLowMassPeriodicities(t *testing.T) {
 		idx[i] = uint16(rng.Intn(3))
 	}
 	s := series.FromIndices(alphabet.Letters(3), idx)
-	base, err := Mine(s, Options{Threshold: 0.5, Engine: EngineNaive, MaxPatternPeriod: -1})
+	base, err := mine(s, Options{Threshold: 0.5, Engine: EngineNaive, MaxPatternPeriod: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +224,7 @@ func TestMinPairsFiltersLowMassPeriodicities(t *testing.T) {
 			}
 		}
 		for _, eng := range []Engine{EngineNaive, EngineBitset, EngineFFT} {
-			got, err := Mine(s, Options{Threshold: 0.5, Engine: eng, MinPairs: minPairs, MaxPatternPeriod: -1})
+			got, err := mine(s, Options{Threshold: 0.5, Engine: eng, MinPairs: minPairs, MaxPatternPeriod: -1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -226,14 +238,14 @@ func TestMinPairsFiltersLowMassPeriodicities(t *testing.T) {
 
 func TestMinPairsValidates(t *testing.T) {
 	s := series.FromString("abcabc")
-	if _, err := Mine(s, Options{Threshold: 0.5, MinPairs: -1}); err == nil {
+	if _, err := mine(s, Options{Threshold: 0.5, MinPairs: -1}); err == nil {
 		t.Fatal("negative MinPairs: want error")
 	}
 }
 
 func TestMaxPatternsTruncates(t *testing.T) {
 	s := series.FromString("abababababababababab")
-	res, err := Mine(s, Options{Threshold: 0.1, MaxPatterns: 1})
+	res, err := mine(s, Options{Threshold: 0.1, MaxPatterns: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +259,7 @@ func TestMaxPatternsTruncates(t *testing.T) {
 
 func TestDisableMultiSymbolMining(t *testing.T) {
 	s := series.FromString("abababababab")
-	res, err := Mine(s, Options{Threshold: 0.5, MaxPatternPeriod: -1})
+	res, err := mine(s, Options{Threshold: 0.5, MaxPatternPeriod: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +302,7 @@ func TestPatternSupportMatchesBruteForce(t *testing.T) {
 			idx[i] = uint16(rng.Intn(3))
 		}
 		s := series.FromIndices(alphabet.Letters(3), idx)
-		res, err := Mine(s, Options{Threshold: 0.3, Engine: EngineBitset})
+		res, err := mine(s, Options{Threshold: 0.3, Engine: EngineBitset})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,7 +323,7 @@ func TestPatternsMeetThresholdAndAreMultiSymbol(t *testing.T) {
 		idx[i] = uint16(rng.Intn(3))
 	}
 	s := series.FromIndices(alphabet.Letters(3), idx)
-	res, err := Mine(s, Options{Threshold: 0.25})
+	res, err := mine(s, Options{Threshold: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +350,7 @@ func TestApriorPatternSupportBoundedBySinglesProperty(t *testing.T) {
 			idx[i] = uint16(rng.Intn(3))
 		}
 		s := series.FromIndices(alphabet.Letters(3), idx)
-		res, err := Mine(s, Options{Threshold: 0.3})
+		res, err := mine(s, Options{Threshold: 0.3})
 		if err != nil {
 			return false
 		}
@@ -373,11 +385,11 @@ func TestStreamMinerMatchesBatch(t *testing.T) {
 	if m.Len() != len(text) {
 		t.Fatalf("Len = %d, want %d", m.Len(), len(text))
 	}
-	got, err := m.Finish(Options{Threshold: 0.5})
+	got, err := mine(m.Series(), Options{Threshold: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Mine(s, Options{Threshold: 0.5})
+	want, err := mine(s, Options{Threshold: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,8 +410,8 @@ func TestStreamMinerRejectsUnknownSymbol(t *testing.T) {
 
 func TestStreamMinerEmptyFinish(t *testing.T) {
 	m := NewStreamMiner(alphabet.Letters(2))
-	if _, err := m.Finish(Options{Threshold: 0.5}); err == nil {
-		t.Fatal("Finish on empty stream: want error")
+	if _, err := mine(m.Series(), Options{Threshold: 0.5}); !errors.Is(err, ErrInvalidInput) {
+		t.Fatalf("mining an empty stream: err = %v, want ErrInvalidInput", err)
 	}
 }
 
@@ -451,7 +463,7 @@ func TestEngineString(t *testing.T) {
 
 func TestPeriodsListsDistinctSorted(t *testing.T) {
 	s := series.FromString("abcabcabcabcabcabc")
-	res, err := Mine(s, Options{Threshold: 1})
+	res, err := mine(s, Options{Threshold: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -18,50 +19,10 @@ func randomSeries(seed int64, n, sigma int) *series.Series {
 	return series.FromIndices(alphabet.Letters(sigma), idx)
 }
 
-func TestParallelBestConfidencesMatchesSerial(t *testing.T) {
-	s := randomSeries(51, 800, 5)
-	want, err := BestConfidences(s, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 1, 3, 7} {
-		got, err := ParallelBestConfidences(s, 0, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: parallel sweep differs from serial", workers)
-		}
-	}
-}
-
-func TestParallelDetectCandidatesMatchesSerial(t *testing.T) {
-	s := randomSeries(52, 1500, 8)
-	for _, psi := range []float64{0.3, 0.8} {
-		want, err := DetectCandidates(s, psi, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ParallelDetectCandidates(s, psi, 0, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("ψ=%v: parallel candidates differ from serial", psi)
-		}
-	}
-}
-
 func TestParallelValidates(t *testing.T) {
 	s := randomSeries(53, 20, 3)
-	if _, err := ParallelBestConfidences(s, 100, 2); err == nil {
-		t.Fatal("maxPeriod ≥ n: want error")
-	}
-	if _, err := ParallelDetectCandidates(s, 0, 0, 2); err == nil {
-		t.Fatal("ψ=0: want error")
-	}
-	if _, err := ParallelDetectCandidates(s, 0.5, 100, 2); err == nil {
-		t.Fatal("maxPeriod ≥ n: want error")
+	if _, err := MineWorkers(context.Background(), s, Options{Threshold: 0.5, MaxPeriod: 100}, 2); err == nil {
+		t.Fatal("maxPeriod > n: want error")
 	}
 }
 
@@ -69,12 +30,12 @@ func TestMineParallelMatchesSerial(t *testing.T) {
 	for _, seed := range []int64{55, 56} {
 		s := randomSeries(seed, 1200, 5)
 		for _, psi := range []float64{0.3, 0.7} {
-			want, err := Mine(s, Options{Threshold: psi})
+			want, err := mine(s, Options{Threshold: psi})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{0, 1, 4} {
-				got, err := MineParallel(s, Options{Threshold: psi}, workers)
+				got, err := MineWorkers(context.Background(), s, Options{Threshold: psi}, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -97,18 +58,21 @@ func TestMineParallelMatchesSerial(t *testing.T) {
 
 func TestMineParallelValidates(t *testing.T) {
 	s := randomSeries(57, 50, 3)
-	if _, err := MineParallel(s, Options{Threshold: 0}, 2); err == nil {
+	if _, err := MineWorkers(context.Background(), s, Options{Threshold: 0}, 2); err == nil {
 		t.Fatal("ψ=0: want error")
 	}
 }
 
+// TestParallelMoreWorkersThanPeriods: a worker count far above both the
+// period count and GOMAXPROCS is capped and changes nothing.
 func TestParallelMoreWorkersThanPeriods(t *testing.T) {
 	s := randomSeries(54, 30, 3)
-	got, err := ParallelBestConfidences(s, 5, 64)
+	opt := Options{Threshold: 0.3, MaxPeriod: 5}
+	got, err := MineWorkers(context.Background(), s, opt, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := BestConfidences(s, 5)
+	want, err := mine(s, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func TestFilterMaximalOnMinedOutput(t *testing.T) {
 	s := series.FromString("abcabcabcabcabcabcabcabc")
 	// Definition 3's support tops out at (⌊n/p⌋−1)/⌊n/p⌋ = 7/8 on perfect
 	// data (the final occurrence has no successor to match), so mine at 0.8.
-	res, err := Mine(s, Options{Threshold: 0.8, MinPeriod: 3, MaxPeriod: 3})
+	res, err := mine(s, Options{Threshold: 0.8, MinPeriod: 3, MaxPeriod: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"time"
 
 	"periodica/internal/conv"
@@ -79,28 +80,31 @@ type session struct {
 // sessionConfig carries the per-entry-point knobs of a session.
 type sessionConfig struct {
 	workers    int  // stage shard width (1 = serial; ≤ 0 = all cores)
-	fftWorkers int  // cores for the FFT precompute (0 = all)
+	fftWorkers int  // cores for the FFT precompute (≤ 0 = all)
 	parallel   bool // resolve the engine for a sharded run
 	cancel     func() error
 	maxSteps   int64
 	plans      *fft.PlanCache // nil = the process-shared cache
 }
 
-// newSession validates opt against s and assembles the session.
+// newSession validates opt against s and assembles the session. An empty
+// series (a stream that never received a symbol) is rejected.
 func newSession(s *series.Series, opt Options, cfg sessionConfig) (*session, error) {
+	if s.Len() == 0 {
+		return nil, invalidf("core: empty series")
+	}
 	opt, err := opt.withDefaults(s.Len())
 	if err != nil {
 		return nil, err
 	}
 	ses := &session{
-		s:          s,
-		n:          s.Len(),
-		sigma:      s.Alphabet().Size(),
-		opt:        opt,
-		eng:        resolveEngine(opt.Engine, s.Len(), cfg.parallel),
-		plans:      cfg.plans,
-		met:        obs.Exec(),
-		fftWorkers: cfg.fftWorkers,
+		s:     s,
+		n:     s.Len(),
+		sigma: s.Alphabet().Size(),
+		opt:   opt,
+		eng:   resolveEngine(opt.Engine, s.Len(), cfg.parallel),
+		plans: cfg.plans,
+		met:   obs.Exec(),
 	}
 	ses.finishSession(cfg)
 	return ses, nil
@@ -120,14 +124,13 @@ func newCandidateSession(s *series.Series, psi float64, maxPeriod int, cfg sessi
 		return nil, invalidf("core: maxPeriod %d outside [1,%d)", opt.MaxPeriod, n)
 	}
 	ses := &session{
-		s:          s,
-		n:          n,
-		sigma:      s.Alphabet().Size(),
-		opt:        opt,
-		eng:        EngineFFT,
-		plans:      cfg.plans,
-		met:        obs.Exec(),
-		fftWorkers: cfg.fftWorkers,
+		s:     s,
+		n:     n,
+		sigma: s.Alphabet().Size(),
+		opt:   opt,
+		eng:   EngineFFT,
+		plans: cfg.plans,
+		met:   obs.Exec(),
 	}
 	ses.finishSession(cfg)
 	return ses, nil
@@ -148,12 +151,15 @@ func newFileSession(psi float64, maxPeriod int, cfg sessionConfig) *session {
 	return ses
 }
 
+// finishSession builds the session's scheduler. Worker counts are capped at
+// GOMAXPROCS: a request cannot ask for more goroutines than cores.
 func (ses *session) finishSession(cfg sessionConfig) {
 	if ses.plans == nil {
 		ses.plans = fft.SharedPlans()
 	}
+	ses.fftWorkers = min(cfg.fftWorkers, runtime.GOMAXPROCS(0))
 	ses.sched = exec.New(exec.Config{
-		Workers:  cfg.workers,
+		Workers:  min(cfg.workers, runtime.GOMAXPROCS(0)),
 		Cancel:   cfg.cancel,
 		MaxSteps: cfg.maxSteps,
 		Metrics:  ses.met,

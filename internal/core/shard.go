@@ -20,7 +20,7 @@ import (
 )
 
 // NormalizeOptions validates opt against a series of length n and fills in
-// the same defaults Mine applies (period bounds, pattern caps, MinPairs).
+// the same defaults MineWorkers applies (period bounds, pattern caps, MinPairs).
 // The distributed coordinator normalizes once, so every shard it cuts and
 // every worker it dispatches to sees identical explicit bounds.
 func NormalizeOptions(opt Options, n int) (Options, error) {
@@ -145,7 +145,7 @@ func (resolveSlots) run(ses *session) error {
 // F2/Pairs pair, applies the canonical result sort, and runs the
 // pattern-enumeration stage over the merged periodicities. opt is the
 // original full-range option set; with slots from a shard plan covering that
-// range, the Result is byte-identical to the single-process Mine.
+// range, the Result is byte-identical to the single-process MineWorkers.
 func AssembleFromSlots(ctx context.Context, s *series.Series, opt Options, slots []SymbolPeriodicity) (*Result, error) {
 	ses, err := newSession(s, opt, sessionConfig{parallel: true, cancel: ctx.Err})
 	if err != nil {

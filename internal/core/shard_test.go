@@ -69,7 +69,7 @@ func TestShardUnionMatchesMine(t *testing.T) {
 				continue // quadratic reference stays on the small input
 			}
 			opt := Options{Threshold: 0.6, Engine: eng, MinPairs: 3, MaxPatternPeriod: 21}
-			want, err := Mine(s, opt)
+			want, err := mine(s, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,7 +91,7 @@ func TestShardUnionMatchesMine(t *testing.T) {
 func TestShardSymbolSplit(t *testing.T) {
 	s := shardFixture(605)
 	opt := Options{Threshold: 0.6, MinPeriod: 6, MaxPeriod: 8, MinPairs: 3, MaxPatternPeriod: 21}
-	want, err := Mine(s, opt)
+	want, err := mine(s, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestAssembleConfidenceRederived(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Mine(s, opt)
+	want, err := mine(s, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,7 +73,7 @@ func TestSignificanceSeparatesStructureFromFlukes(t *testing.T) {
 		}
 	}
 	s := series.FromIndices(alphabet.Letters(4), idx)
-	res, err := Mine(s, Options{Threshold: 0.9, MaxPatternPeriod: -1})
+	res, err := mine(s, Options{Threshold: 0.9, MaxPatternPeriod: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"periodica/internal/alphabet"
@@ -11,8 +10,8 @@ import (
 // StreamMiner ingests a symbol stream one element at a time — the single pass
 // over the data the paper requires — and mines it once the stream ends. Each
 // arriving symbol is touched exactly once; memory is Θ(n) symbol indices plus
-// the Θ(σn)-bit mapped vector built at Finish, matching the paper's
-// convolution input.
+// the Θ(σn)-bit mapped vector a mine over Series builds, matching the
+// paper's convolution input.
 type StreamMiner struct {
 	alpha *alphabet.Alphabet
 	data  []uint16
@@ -48,23 +47,4 @@ func (m *StreamMiner) Len() int { return len(m.data) }
 // Series returns the ingested stream as a series.
 func (m *StreamMiner) Series() *series.Series {
 	return series.FromIndices(m.alpha, m.data)
-}
-
-// Finish mines the ingested stream through the shared session pipeline. The
-// miner can keep ingesting and Finish again later; results reflect the
-// stream seen so far.
-func (m *StreamMiner) Finish(opt Options) (*Result, error) {
-	if len(m.data) == 0 {
-		return nil, fmt.Errorf("core: empty stream")
-	}
-	return Mine(m.Series(), opt)
-}
-
-// FinishContext is Finish with cooperative cancellation, with the same
-// polling points as MineContext.
-func (m *StreamMiner) FinishContext(ctx context.Context, opt Options) (*Result, error) {
-	if len(m.data) == 0 {
-		return nil, fmt.Errorf("core: empty stream")
-	}
-	return MineContext(ctx, m.Series(), opt)
 }

@@ -46,6 +46,7 @@ import (
 	"periodica/internal/iofault"
 	"periodica/internal/obs"
 	"periodica/internal/query"
+	"periodica/internal/result"
 	"periodica/internal/series"
 	"periodica/internal/store"
 )
@@ -165,10 +166,10 @@ func New(cfg Config) (*Coordinator, error) {
 }
 
 // Mine shards the request across the worker set and reassembles the result.
-// It is byte-identical to periodica.MineContext on the same series and
-// options: the wire carries integer counts only, every engine computes
-// identical slot values, and the merge applies the same canonical sort and
-// pattern enumeration a single-process mine does.
+// It is byte-identical to periodica.MineQueryContext on the same series and
+// the query QueryFromOptions(opt): the wire carries integer counts only,
+// every engine computes identical slot values, and the merge applies the
+// same canonical sort and pattern enumeration a single-process mine does.
 func (c *Coordinator) Mine(ctx context.Context, s *periodica.Series, opt periodica.Options) (*periodica.Result, error) {
 	alpha, err := alphabet.New(s.Alphabet()...)
 	if err != nil {
@@ -288,10 +289,7 @@ func (c *Coordinator) Mine(ctx context.Context, s *periodica.Series, opt periodi
 			c.log.Warn("removing completed resume journal failed", "path", c.cfg.ResumeJournal, "err", err)
 		}
 	}
-	if opt.MaximalOnly {
-		res.Patterns = core.FilterMaximal(res.Patterns)
-	}
-	return convertResult(alpha, res), nil
+	return result.FromCore(alpha, res, opt.MaximalOnly), nil
 }
 
 // clipSurvivors slices the full-plan survivor set down to one shard's period
@@ -572,33 +570,6 @@ func coreOptions(o periodica.Options) (core.Options, error) {
 		return core.Options{}, fmt.Errorf("dist: %w", err)
 	}
 	return core.OptionsFromSpec(sp)
-}
-
-// convertResult mirrors the root package's core→public conversion, likewise
-// pinned by the distributed parity suite.
-func convertResult(alpha *alphabet.Alphabet, res *core.Result) *periodica.Result {
-	out := &periodica.Result{Periods: res.Periods, Truncated: res.PatternsTruncated}
-	for _, sp := range res.Periodicities {
-		out.Periodicities = append(out.Periodicities, periodica.Periodicity{
-			Symbol:     alpha.Symbol(sp.Symbol),
-			Period:     sp.Period,
-			Position:   sp.Position,
-			Matches:    sp.F2,
-			Pairs:      sp.Pairs,
-			Confidence: sp.Confidence,
-		})
-	}
-	for _, pt := range res.SingleSymbol {
-		out.SingleSymbolPatterns = append(out.SingleSymbolPatterns, periodica.Pattern{
-			Period: pt.Period, Text: pt.Render(alpha), Support: pt.Support,
-		})
-	}
-	for _, pt := range res.Patterns {
-		out.Patterns = append(out.Patterns, periodica.Pattern{
-			Period: pt.Period, Text: pt.Render(alpha), Support: pt.Support,
-		})
-	}
-	return out
 }
 
 // journalHeader is a resume journal's first record: it binds the checkpoint

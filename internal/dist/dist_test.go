@@ -41,7 +41,7 @@ var fixtureOpt = periodica.Options{Threshold: 0.6, MinPairs: 3, MaxPatternPeriod
 // mustMine is the single-process reference result.
 func mustMine(t *testing.T, s *periodica.Series, opt periodica.Options) *periodica.Result {
 	t.Helper()
-	want, err := periodica.Mine(s, opt)
+	want, err := periodica.MineQueryContext(context.Background(), s, periodica.QueryFromOptions(opt))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"time"
 
 	"periodica/internal/conv"
@@ -20,12 +22,12 @@ type EngineRow struct {
 	NaiveSecs    float64 // NaN when skipped (too large)
 	BitsetSecs   float64
 	FFTSecs      float64
-	ParallelSecs float64 // MineParallel with all CPUs
+	ParallelSecs float64 // core.MineWorkers at GOMAXPROCS workers
 }
 
-// EngineAblation times Mine under the naive, bitset and FFT engines and the
-// parallel miner, over the given sizes. The naive engine is skipped above
-// naiveLimit (0 = always run).
+// EngineAblation times core.MineContext under the naive, bitset and FFT
+// engines and the parallel miner, over the given sizes. The naive engine is
+// skipped above naiveLimit (0 = always run).
 func EngineAblation(sizes []int, psi float64, naiveLimit int, seed int64) ([]EngineRow, error) {
 	var out []EngineRow
 	for _, n := range sizes {
@@ -41,7 +43,7 @@ func EngineAblation(sizes []int, psi float64, naiveLimit int, seed int64) ([]Eng
 				return 0, err
 			}
 			start := time.Now()
-			_, err = core.Mine(s, opt)
+			_, err = core.MineContext(context.Background(), s, opt)
 			return time.Since(start).Seconds(), err
 		}
 		if naiveLimit == 0 || n <= naiveLimit {
@@ -60,7 +62,7 @@ func EngineAblation(sizes []int, psi float64, naiveLimit int, seed int64) ([]Eng
 			return nil, err
 		}
 		start := time.Now()
-		if _, err := core.MineParallel(s, popt, 0); err != nil {
+		if _, err := core.MineWorkers(context.Background(), s, popt, runtime.GOMAXPROCS(0)); err != nil {
 			return nil, err
 		}
 		row.ParallelSecs = time.Since(start).Seconds()

@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"time"
@@ -260,10 +261,10 @@ type TimingPoint struct {
 }
 
 // Timing measures the wall-clock time of the miner's period-detection phase
-// (DetectCandidates, the O(σ n log n) one-pass-plus-FFT stage, whose output —
-// a candidate period set — matches what the trends baseline produces) against
-// the trends baseline's O(n log² n) sketch, over the given input sizes.
-// source builds the series for a size.
+// (DetectCandidatesContext, the O(σ n log n) one-pass-plus-FFT stage, whose
+// output — a candidate period set — matches what the trends baseline
+// produces) against the trends baseline's O(n log² n) sketch, over the
+// given input sizes. source builds the series for a size.
 func Timing(sizes []int, source func(n int) (*series.Series, error)) ([]TimingPoint, error) {
 	var out []TimingPoint
 	for _, n := range sizes {
@@ -272,7 +273,7 @@ func Timing(sizes []int, source func(n int) (*series.Series, error)) ([]TimingPo
 			return nil, err
 		}
 		start := time.Now()
-		if _, err := core.DetectCandidates(s, 0.8, 0); err != nil {
+		if _, err := core.DetectCandidatesContext(context.Background(), s, 0.8, 0); err != nil {
 			return nil, err
 		}
 		minerSecs := time.Since(start).Seconds()
@@ -346,7 +347,7 @@ func SinglePatternTable(s *series.Series, period int, thresholdsPct []int) ([]Si
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.Mine(s, opt)
+	res, err := core.MineContext(context.Background(), s, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -382,7 +383,7 @@ func PatternTable(s *series.Series, period int, psi float64, maxPatterns int) ([
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.Mine(s, opt)
+	res, err := core.MineContext(context.Background(), s, opt)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"os"
 	"testing"
 
@@ -40,7 +41,7 @@ func TestPaperScaleSmoke(t *testing.T) {
 		t.Fatalf("50%% noise confidence %v, want ≈0.4 (paper's operating point)", conf)
 	}
 
-	if _, err := core.DetectCandidates(noisy, 0.8, 0); err != nil {
+	if _, err := core.DetectCandidatesContext(context.Background(), noisy, 0.8, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := trends.Sketched(noisy, 0, 0, 1); err != nil {

@@ -2,9 +2,12 @@ package httpapi
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"periodica"
 )
 
 // TestMineQueryRequest: a query-driven request must produce the exact bytes
@@ -21,6 +24,30 @@ func TestMineQueryRequest(t *testing.T) {
 	}
 	if legacy.Body.String() != query.Body.String() {
 		t.Errorf("query-driven body differs from legacy-field body:\n%s\nvs\n%s", query.Body, legacy.Body)
+	}
+}
+
+// TestMineQueryWorkersClause: "workers N" only widens the mine's scheduler
+// (capped at GOMAXPROCS), so a request asking for far more workers than
+// cores returns the exact bytes of the same query without the clause.
+func TestMineQueryWorkersClause(t *testing.T) {
+	h := quiet(Config{})
+	symbols := strings.Repeat("abcabbabcb", 100)
+	const q = "conf >= 0.6 and pairs >= 3 and pattern period <= 21"
+	serial := post(t, h, "/v1/mine", fmt.Sprintf(`{"symbols":%q,"query":%q}`, symbols, q))
+	wide := post(t, h, "/v1/mine", fmt.Sprintf(`{"symbols":%q,"query":%q}`, symbols, q+" and workers 64"))
+	if serial.Code != 200 || wide.Code != 200 {
+		t.Fatalf("status %d / %d: %s %s", serial.Code, wide.Code, serial.Body, wide.Body)
+	}
+	var res periodica.Result
+	if err := json.Unmarshal(serial.Body.Bytes(), &res); err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Periodicities) == 0 || len(res.Patterns) == 0 {
+		t.Fatal("fixture mined nothing; the comparison is vacuous")
+	}
+	if serial.Body.String() != wide.Body.String() {
+		t.Error("workers 64 changed the response bytes")
 	}
 }
 

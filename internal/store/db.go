@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"encoding/json"
 	"errors"
@@ -601,7 +602,7 @@ func (db *DB) Mine(fromSeg, toSeg int, opt core.Options) (*core.Result, error) {
 	if opt.MaxPeriod == 0 && db.opt.MaxPeriod < s.Len()/2 {
 		opt.MaxPeriod = db.opt.MaxPeriod
 	}
-	return core.Mine(s, opt)
+	return core.MineContext(context.Background(), s, opt)
 }
 
 // Periodicities answers over the whole history (sealed + active) at

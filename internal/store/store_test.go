@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -40,7 +41,7 @@ func referencePeriodicities(t *testing.T, stream []int, sigma, maxPeriod int, ps
 	if mp >= s.Len() {
 		mp = s.Len() - 1
 	}
-	res, err := core.Mine(s, core.Options{Threshold: psi, MaxPeriod: mp,
+	res, err := core.MineContext(context.Background(), s, core.Options{Threshold: psi, MaxPeriod: mp,
 		Engine: core.EngineNaive, MaxPatternPeriod: -1})
 	if err != nil {
 		t.Fatal(err)

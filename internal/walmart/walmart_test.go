@@ -1,6 +1,7 @@
 package walmart
 
 import (
+	"context"
 	"testing"
 
 	"periodica/internal/core"
@@ -78,7 +79,7 @@ func TestQuietMorningHourIsLow(t *testing.T) {
 	// The paper's Table 2 pattern (b,7): fewer than 200 transactions in the
 	// 7th hour for ~80% of days.
 	s := Series(Config{Months: 15, Seed: 6})
-	res, err := core.Mine(s, core.Options{Threshold: 0.5, MinPeriod: 24, MaxPeriod: 24, MaxPatternPeriod: -1})
+	res, err := core.MineContext(context.Background(), s, core.Options{Threshold: 0.5, MinPeriod: 24, MaxPeriod: 24, MaxPatternPeriod: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,7 +88,7 @@ func TestParityDistributed(t *testing.T) {
 					t.Fatal(err)
 				}
 				opt := periodica.Options{Threshold: 0.6, Engine: eng, MinPairs: 3, MaxPatternPeriod: 21}
-				want, err := periodica.Mine(s, opt)
+				want, err := mine(s, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -137,7 +137,7 @@ func TestParityDistributedRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := periodica.Options{Threshold: 0.6, MinPairs: 3, MaxPatternPeriod: 21}
-	want, err := periodica.Mine(s, opt)
+	want, err := mine(s, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestParityDistributedHedge(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := periodica.Options{Threshold: 0.6, MinPairs: 3, MaxPatternPeriod: 21}
-	want, err := periodica.Mine(s, opt)
+	want, err := mine(s, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestParityDistributedQueryDriven(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := periodica.Mine(s, opt)
+	want, err := mine(s, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

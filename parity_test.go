@@ -1,18 +1,20 @@
 package periodica_test
 
-// Cross-path parity: the batch, context, parallel, streaming, and
-// incremental entry points are all thin adapters over one session pipeline,
-// so the same symbol sequence must yield byte-identical Results through
-// every path, for every engine — and under cancellation every path must
-// return context.Canceled with no partial result. CI runs these under
+// Cross-path parity: every mining entry point — batch, streaming,
+// incremental, at any worker count — runs the same session pipeline, so the
+// same symbol sequence must yield byte-identical Results through every
+// path, for every engine — and under cancellation every path must return
+// context.Canceled with no partial result. CI runs these under
 // `go test -run Parity -race` across PERIODICA_ENGINE={naive,bitset,fft}.
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -55,25 +57,42 @@ func paritySymbols(n int) []string {
 	return out
 }
 
-// mineAllPaths runs the same symbols and options through every entry point
-// and returns the per-path results, keyed by path name.
-func mineAllPaths(t *testing.T, symbols []string, opt periodica.Options) map[string]*periodica.Result {
-	t.Helper()
-	out := map[string]*periodica.Result{}
+// mine is the serial, uncancelled batch mine of opt, the reference most
+// tests compare against.
+func mine(s *periodica.Series, opt periodica.Options) (*periodica.Result, error) {
+	return periodica.MineQueryContext(context.Background(), s, periodica.QueryFromOptions(opt))
+}
 
-	s, err := periodica.NewSeries(symbols)
+// candidatePeriods is the uncancelled candidate detection at threshold and
+// maxPeriod (0 = n/2).
+func candidatePeriods(s *periodica.Series, threshold float64, maxPeriod int) ([]int, error) {
+	q := periodica.QueryFromOptions(periodica.Options{Threshold: threshold, MaxPeriod: maxPeriod})
+	return periodica.CandidatePeriodsQueryContext(context.Background(), s, q)
+}
+
+// withWorkers returns q with its "workers" clause set to n.
+func withWorkers(t *testing.T, q *periodica.Query, n int) *periodica.Query {
+	t.Helper()
+	src := q.String() + fmt.Sprintf(" and workers %d", n)
+	if w := q.Workers(); w != 0 {
+		src = strings.Replace(q.String(), fmt.Sprintf("workers %d", w), fmt.Sprintf("workers %d", n), 1)
+	}
+	wq, err := periodica.CompileQuery(src)
+	if err != nil {
+		t.Fatalf("CompileQuery(%q): %v", src, err)
+	}
+	return wq
+}
+
+// filledSources returns a Stream and an Incremental that have ingested
+// symbols over alpha.
+func filledSources(t *testing.T, symbols, alpha []string) (*periodica.Stream, *periodica.Incremental) {
+	t.Helper()
+	st, err := periodica.NewStream(alpha...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out["Mine"], err = periodica.Mine(s, opt); err != nil {
-		t.Fatalf("Mine: %v", err)
-	}
-	if out["MineContext"], err = periodica.MineContext(context.Background(), s, opt); err != nil {
-		t.Fatalf("MineContext: %v", err)
-	}
-
-	alpha := s.Alphabet()
-	st, err := periodica.NewStream(alpha...)
+	inc, err := periodica.NewIncremental(len(symbols)/2, alpha...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,28 +100,36 @@ func mineAllPaths(t *testing.T, symbols []string, opt periodica.Options) map[str
 		if err := st.Append(sym); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if out["Stream.Finish"], err = st.Finish(opt); err != nil {
-		t.Fatalf("Stream.Finish: %v", err)
-	}
-	if out["Stream.FinishContext"], err = st.FinishContext(context.Background(), opt); err != nil {
-		t.Fatalf("Stream.FinishContext: %v", err)
-	}
-
-	inc, err := periodica.NewIncremental(len(symbols)/2, alpha...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sym := range symbols {
 		if err := inc.Append(sym); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if out["Incremental.Mine"], err = inc.Mine(opt); err != nil {
-		t.Fatalf("Incremental.Mine: %v", err)
+	return st, inc
+}
+
+// mineAllPaths runs the same symbols and query through every source —
+// batch at one and four workers as well as on the default scheduler,
+// stream, incremental — and returns the per-path results, keyed by path
+// name.
+func mineAllPaths(t *testing.T, symbols []string, q *periodica.Query) map[string]*periodica.Result {
+	t.Helper()
+	ctx := context.Background()
+	s, err := periodica.NewSeries(symbols)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if out["Incremental.MineContext"], err = inc.MineContext(context.Background(), opt); err != nil {
-		t.Fatalf("Incremental.MineContext: %v", err)
+	st, inc := filledSources(t, symbols, s.Alphabet())
+	out := map[string]*periodica.Result{}
+	for path, run := range map[string]func() (*periodica.Result, error){
+		"MineQueryContext":             func() (*periodica.Result, error) { return periodica.MineQueryContext(ctx, s, q) },
+		"workers 1":                    func() (*periodica.Result, error) { return periodica.MineQueryContext(ctx, s, withWorkers(t, q, 1)) },
+		"workers 4":                    func() (*periodica.Result, error) { return periodica.MineQueryContext(ctx, s, withWorkers(t, q, 4)) },
+		"Stream.FinishQueryContext":    func() (*periodica.Result, error) { return st.FinishQueryContext(ctx, q) },
+		"Incremental.MineQueryContext": func() (*periodica.Result, error) { return inc.MineQueryContext(ctx, q) },
+	} {
+		if out[path], err = run(); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
 	}
 	return out
 }
@@ -143,8 +170,8 @@ func TestParityAcrossPaths(t *testing.T) {
 			t.Run(tc.name+"/"+name, func(t *testing.T) {
 				opt := tc.opt
 				opt.Engine = eng
-				results := mineAllPaths(t, tc.symbols, opt)
-				base := results["Mine"]
+				results := mineAllPaths(t, tc.symbols, periodica.QueryFromOptions(opt))
+				base := results["MineQueryContext"]
 				if len(tc.symbols) <= 1000 {
 					// Small inputs also pin every engine to the naive
 					// reference, which applies no prune.
@@ -154,7 +181,7 @@ func TestParityAcrossPaths(t *testing.T) {
 					}
 					ref := opt
 					ref.Engine = periodica.EngineNaive
-					want, err := periodica.Mine(s, ref)
+					want, err := mine(s, ref)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -167,7 +194,7 @@ func TestParityAcrossPaths(t *testing.T) {
 				}
 				for path, res := range results {
 					if !reflect.DeepEqual(base, res) {
-						t.Errorf("%s result differs from Mine", path)
+						t.Errorf("%s result differs from MineQueryContext", path)
 					}
 				}
 			})
@@ -176,28 +203,15 @@ func TestParityAcrossPaths(t *testing.T) {
 }
 
 func TestParityAutoEngine(t *testing.T) {
-	// EngineAuto must resolve identically on every path (one resolver).
-	symbols := paritySymbols(5000)
-	opt := periodica.Options{Threshold: 0.6, MinPairs: 3, MaxPatternPeriod: 21}
-	results := mineAllPaths(t, symbols, opt)
-	base := results["Mine"]
+	// EngineAuto must resolve identically on every path (one resolver),
+	// including the worker-sharded ones.
+	q := periodica.QueryFromOptions(periodica.Options{Threshold: 0.6, MinPairs: 3, MaxPatternPeriod: 21})
+	results := mineAllPaths(t, paritySymbols(5000), q)
+	base := results["MineQueryContext"]
 	for path, res := range results {
 		if !reflect.DeepEqual(base, res) {
-			t.Errorf("%s result differs from Mine under EngineAuto", path)
+			t.Errorf("%s result differs from MineQueryContext under EngineAuto", path)
 		}
-	}
-	// MineParallel shares the pipeline with a wider scheduler; its result
-	// must match the serial mine exactly.
-	s, err := periodica.NewSeries(symbols)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := periodica.MineParallel(s, opt, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(base, par) {
-		t.Error("MineParallel result differs from Mine")
 	}
 }
 
@@ -224,7 +238,7 @@ func TestParityCancellation(t *testing.T) {
 	symbols := paritySymbols(5000)
 	for name, eng := range parityEngines(t) {
 		t.Run(name, func(t *testing.T) {
-			opt := periodica.Options{Threshold: 0.6, Engine: eng, MinPairs: 3, MaxPatternPeriod: 21}
+			q := periodica.QueryFromOptions(periodica.Options{Threshold: 0.6, Engine: eng, MinPairs: 3, MaxPatternPeriod: 21})
 
 			cancelled, cancel := context.WithCancel(context.Background())
 			cancel()
@@ -236,22 +250,7 @@ func TestParityCancellation(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				st, err := periodica.NewStream("a", "b", "c")
-				if err != nil {
-					t.Fatal(err)
-				}
-				inc, err := periodica.NewIncremental(len(symbols)/2, "a", "b", "c")
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, sym := range symbols {
-					if err := st.Append(sym); err != nil {
-						t.Fatal(err)
-					}
-					if err := inc.Append(sym); err != nil {
-						t.Fatal(err)
-					}
-				}
+				st, inc := filledSources(t, symbols, []string{"a", "b", "c"})
 				ctxFor := func() context.Context {
 					if polls == 0 {
 						return cancelled
@@ -264,12 +263,14 @@ func TestParityCancellation(t *testing.T) {
 					err  error
 				}
 				var attempts []attempt
-				res, err := periodica.MineContext(ctxFor(), s, opt)
-				attempts = append(attempts, attempt{"MineContext", res, err})
-				res, err = st.FinishContext(ctxFor(), opt)
-				attempts = append(attempts, attempt{"Stream.FinishContext", res, err})
-				res, err = inc.MineContext(ctxFor(), opt)
-				attempts = append(attempts, attempt{"Incremental.MineContext", res, err})
+				res, err := periodica.MineQueryContext(ctxFor(), s, q)
+				attempts = append(attempts, attempt{"MineQueryContext", res, err})
+				res, err = periodica.MineQueryContext(ctxFor(), s, withWorkers(t, q, 4))
+				attempts = append(attempts, attempt{"workers 4", res, err})
+				res, err = st.FinishQueryContext(ctxFor(), q)
+				attempts = append(attempts, attempt{"Stream.FinishQueryContext", res, err})
+				res, err = inc.MineQueryContext(ctxFor(), q)
+				attempts = append(attempts, attempt{"Incremental.MineQueryContext", res, err})
 				for _, a := range attempts {
 					if !errors.Is(a.err, context.Canceled) {
 						t.Errorf("polls=%d %s error = %v, want context.Canceled", polls, a.path, a.err)

@@ -9,25 +9,36 @@
 // for every candidate period, the periodic symbols, their positions, and
 // candidate multi-symbol patterns with estimated support.
 //
-// Typical use:
+// Every mine runs from a compiled Query, built from a query string or
+// lifted from Options with QueryFromOptions:
 //
 //	s, err := periodica.NewSeriesFromString("abcabbabcb")
-//	res, err := periodica.Mine(s, periodica.Options{Threshold: 0.6})
+//	q, err := periodica.CompileQuery("conf >= 0.6")
+//	res, err := periodica.MineQueryContext(ctx, s, q)
 //	for _, pt := range res.Patterns {
 //		fmt.Println(pt.Text, pt.Support)
 //	}
 //
-// Numeric series are discretized first (DiscretizeEqualWidth,
-// DiscretizeBreakpoints, DiscretizeSAX) and irregular timestamped events are
-// binned with GridEvents; streams are mined in one pass with Stream, online
-// with Incremental (which also merges adjacent segments), and over a sliding
-// window with Monitor. CandidatePeriods runs only the O(σ n log n) detection
-// phase — also available over on-disk series (CandidatePeriodsFile, via an
-// out-of-core FFT) and in parallel (CandidatePeriodsParallel, MineParallel).
-// Long-running mines accept a context for cancellation and deadlines
-// (MineContext, CandidatePeriodsContext). Significant separates genuine
-// structure from the confident-looking flukes the paper's Definition 1
-// admits at large periods.
+// There is one mining entry point per input source, and each takes a
+// context for cancellation and deadlines:
+//
+//   - MineQueryContext mines an in-memory Series;
+//   - Stream.FinishQueryContext mines a stream ingested in one pass;
+//   - Incremental.MineQueryContext mines an online miner, which also merges
+//     adjacent segments;
+//   - CandidatePeriodsQueryContext runs only the O(σ n log n) detection
+//     phase;
+//   - CandidatePeriodsFile runs detection over an on-disk series through an
+//     out-of-core FFT.
+//
+// A query's "workers N" clause spreads a mine over N cores; the result is
+// identical. Numeric series are discretized first (DiscretizeEqualWidth,
+// DiscretizeBreakpoints, DiscretizeSAX, Query.DiscretizeValues) and
+// irregular timestamped events are binned with GridEvents. Monitor and
+// Counter track periodicities over a sliding window and over an unbounded
+// stream. Significant separates genuine structure from the
+// confident-looking flukes the paper's Definition 1 admits at large
+// periods.
 package periodica
 
 import (
@@ -37,6 +48,7 @@ import (
 	"periodica/internal/core"
 	"periodica/internal/discretize"
 	"periodica/internal/query"
+	"periodica/internal/result"
 	"periodica/internal/series"
 )
 
@@ -165,19 +177,9 @@ func (e Engine) String() string {
 	return query.EngineAuto
 }
 
-func (e Engine) internal() core.Engine {
-	switch e {
-	case EngineNaive:
-		return core.EngineNaive
-	case EngineBitset:
-		return core.EngineBitset
-	case EngineFFT:
-		return core.EngineFFT
-	}
-	return core.EngineAuto
-}
-
-// Options configure Mine.
+// Options configure a mine. They are the struct spelling of a query's
+// mining clauses; QueryFromOptions lifts them to the Query every mining
+// entry point takes.
 type Options struct {
 	// Threshold is the periodicity threshold ψ ∈ (0,1]: the minimum
 	// confidence for a symbol periodicity and the minimum support for a
@@ -206,108 +208,23 @@ type Options struct {
 	MinPairs int
 }
 
-func (o Options) internal() core.Options {
-	return core.Options{
-		Threshold:        o.Threshold,
-		MinPeriod:        o.MinPeriod,
-		MaxPeriod:        o.MaxPeriod,
-		Engine:           o.Engine.internal(),
-		MaxPatternPeriod: o.MaxPatternPeriod,
-		MaxPatterns:      o.MaxPatterns,
-		MinPairs:         o.MinPairs,
-	}
-}
-
 // Periodicity states that Symbol recurs every Period positions at offset
 // Position, with the given confidence (the fraction of consecutive
-// projection slots at which it held; Definition 1 of the paper).
-type Periodicity struct {
-	Symbol   string
-	Period   int
-	Position int
-	// Matches is F2: the consecutive projection pairs at which the symbol
-	// held; Pairs is the number of such pair slots (the denominator).
-	Matches    int
-	Pairs      int
-	Confidence float64
-}
+// projection slots at which it held; Definition 1 of the paper). Matches is
+// F2, the consecutive projection pairs at which the symbol held; Pairs is
+// the number of such pair slots (the denominator).
+type Periodicity = result.Periodicity
 
 // Pattern is a periodic pattern of length Period. Text renders it with '*'
 // don't-cares (e.g. "ab*"); Support estimates the fraction of period
 // occurrences at which it held.
-type Pattern struct {
-	Period  int
-	Text    string
-	Support float64
-}
+type Pattern = result.Pattern
 
-// Result is the output of Mine.
-type Result struct {
-	// Periods lists the distinct detected period values, ascending.
-	Periods []int
-	// Periodicities lists every detected symbol periodicity.
-	Periodicities []Periodicity
-	// SingleSymbolPatterns are the Definition-2 patterns, one per
-	// periodicity.
-	SingleSymbolPatterns []Pattern
-	// Patterns are multi-symbol candidate patterns with support ≥ ψ.
-	Patterns []Pattern
-	// Truncated reports that MaxPatterns stopped pattern enumeration early.
-	Truncated bool
-}
-
-// Mine runs the obscure-periodic-pattern miner over s.
-func Mine(s *Series, opt Options) (*Result, error) {
-	res, err := core.Mine(s.inner, opt.internal())
-	if err != nil {
-		return nil, err
-	}
-	if opt.MaximalOnly {
-		res.Patterns = core.FilterMaximal(res.Patterns)
-	}
-	return convertResult(s, res), nil
-}
-
-func convertResult(s *Series, res *core.Result) *Result {
-	out := &Result{Periods: res.Periods, Truncated: res.PatternsTruncated}
-	alpha := s.inner.Alphabet()
-	for _, sp := range res.Periodicities {
-		out.Periodicities = append(out.Periodicities, Periodicity{
-			Symbol:     alpha.Symbol(sp.Symbol),
-			Period:     sp.Period,
-			Position:   sp.Position,
-			Matches:    sp.F2,
-			Pairs:      sp.Pairs,
-			Confidence: sp.Confidence,
-		})
-	}
-	for _, pt := range res.SingleSymbol {
-		out.SingleSymbolPatterns = append(out.SingleSymbolPatterns, Pattern{
-			Period: pt.Period, Text: pt.Render(alpha), Support: pt.Support,
-		})
-	}
-	for _, pt := range res.Patterns {
-		out.Patterns = append(out.Patterns, Pattern{
-			Period: pt.Period, Text: pt.Render(alpha), Support: pt.Support,
-		})
-	}
-	return out
-}
-
-// CandidatePeriods runs only the O(σ n log n) one-pass detection phase and
-// returns the period values at which some symbol could be periodic with
-// confidence ≥ threshold. maxPeriod 0 means n/2.
-func CandidatePeriods(s *Series, threshold float64, maxPeriod int) ([]int, error) {
-	cands, err := core.DetectCandidates(s.inner, threshold, maxPeriod)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int, len(cands))
-	for i, c := range cands {
-		out[i] = c.Period
-	}
-	return out, nil
-}
+// Result is the output of a mine: the distinct detected Periods
+// (ascending), every symbol Periodicity, the Definition-2
+// SingleSymbolPatterns (one per periodicity), the multi-symbol Patterns with
+// support ≥ ψ, and whether MaxPatterns Truncated pattern enumeration.
+type Result = result.Result
 
 // PeriodConfidence returns the minimum threshold at which period p would be
 // detected in s: the maximum confidence over all symbols and positions.
@@ -316,10 +233,9 @@ func PeriodConfidence(s *Series, p int) float64 {
 }
 
 // Stream ingests a symbol stream one element at a time — the single pass the
-// paper requires — and mines the stream seen so far on Finish.
+// paper requires — and mines the stream seen so far on FinishQueryContext.
 type Stream struct {
 	inner *core.StreamMiner
-	wrap  *Series
 }
 
 // NewStream returns a stream miner over the given alphabet (symbol order
@@ -337,12 +253,3 @@ func (st *Stream) Append(symbol string) error { return st.inner.Append(symbol) }
 
 // Len returns the number of symbols ingested.
 func (st *Stream) Len() int { return st.inner.Len() }
-
-// Finish mines the stream ingested so far.
-func (st *Stream) Finish(opt Options) (*Result, error) {
-	res, err := st.inner.Finish(opt.internal())
-	if err != nil {
-		return nil, err
-	}
-	return convertResult(&Series{inner: st.inner.Series()}, res), nil
-}

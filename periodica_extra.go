@@ -1,7 +1,6 @@
 package periodica
 
 import (
-	"context"
 	"fmt"
 	"os"
 	"time"
@@ -9,6 +8,7 @@ import (
 	"periodica/internal/alphabet"
 	"periodica/internal/core"
 	"periodica/internal/prep"
+	"periodica/internal/result"
 	"periodica/internal/series"
 	"periodica/internal/timegrid"
 )
@@ -50,28 +50,7 @@ func (inc *Incremental) Periodicities(threshold float64) ([]Periodicity, error) 
 	if err != nil {
 		return nil, err
 	}
-	var out []Periodicity
-	for _, sp := range pers {
-		out = append(out, Periodicity{
-			Symbol:     inc.alpha.Symbol(sp.Symbol),
-			Period:     sp.Period,
-			Position:   sp.Position,
-			Matches:    sp.F2,
-			Pairs:      sp.Pairs,
-			Confidence: sp.Confidence,
-		})
-	}
-	return out, nil
-}
-
-// Mine runs the full algorithm (including pattern formation) on the stream
-// seen so far.
-func (inc *Incremental) Mine(opt Options) (*Result, error) {
-	res, err := inc.inner.Mine(opt.internal())
-	if err != nil {
-		return nil, err
-	}
-	return convertResult(&Series{inner: inc.inner.Series()}, res), nil
+	return result.Periodicities(inc.alpha, pers), nil
 }
 
 // Merge appends the stream held by next to this miner, stitching the
@@ -117,11 +96,7 @@ func CandidatePeriodsFile(path string, threshold float64, maxPeriod int) ([]int,
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int, len(cands))
-	for i, c := range cands {
-		out[i] = c.Period
-	}
-	return out, nil
+	return candidatePeriods(cands), nil
 }
 
 // Event is one timestamped nominal observation of an irregular stream.
@@ -133,7 +108,7 @@ type Event struct {
 // GridEvents bins irregular timestamped events onto a regular symbol grid at
 // the given resolution: empty bins receive the idle symbol, and when several
 // events share a bin the earliest wins. The result spans the first to the
-// last event and is ready for Mine.
+// last event and is ready to mine.
 func GridEvents(events []Event, bin time.Duration, idle string) (*Series, error) {
 	converted := make([]timegrid.Event, len(events))
 	for i, e := range events {
@@ -217,71 +192,6 @@ func Significant(s *Series, res *Result, alpha float64, bonferroni bool) ([]Scor
 // it with errors.Is to map bad input to a 4xx rather than a 5xx.
 var ErrInvalidInput = core.ErrInvalidInput
 
-// MineContext is Mine with cooperative cancellation: the context is polled
-// at every candidate period, inside the per-symbol detection loop, and
-// throughout pattern enumeration, so a cancelled or timed-out context aborts
-// the mine promptly with the context's error.
-func MineContext(ctx context.Context, s *Series, opt Options) (*Result, error) {
-	res, err := core.MineContext(ctx, s.inner, opt.internal())
-	if err != nil {
-		return nil, err
-	}
-	if opt.MaximalOnly {
-		res.Patterns = core.FilterMaximal(res.Patterns)
-	}
-	return convertResult(s, res), nil
-}
-
-// FinishContext is Stream.Finish with cooperative cancellation, sharing
-// MineContext's polling points: a cancelled or timed-out context aborts the
-// mine promptly with the context's error and no partial result.
-func (st *Stream) FinishContext(ctx context.Context, opt Options) (*Result, error) {
-	res, err := st.inner.FinishContext(ctx, opt.internal())
-	if err != nil {
-		return nil, err
-	}
-	return convertResult(&Series{inner: st.inner.Series()}, res), nil
-}
-
-// MineContext is Incremental.Mine with cooperative cancellation, sharing
-// MineContext's polling points: a cancelled or timed-out context aborts the
-// mine promptly with the context's error and no partial result.
-func (inc *Incremental) MineContext(ctx context.Context, opt Options) (*Result, error) {
-	res, err := inc.inner.MineContext(ctx, opt.internal())
-	if err != nil {
-		return nil, err
-	}
-	return convertResult(&Series{inner: inc.inner.Series()}, res), nil
-}
-
-// CandidatePeriodsContext is CandidatePeriods with cooperative cancellation:
-// a cancelled or timed-out context aborts the detection sweep promptly with
-// the context's error.
-func CandidatePeriodsContext(ctx context.Context, s *Series, threshold float64, maxPeriod int) ([]int, error) {
-	cands, err := core.DetectCandidatesContext(ctx, s.inner, threshold, maxPeriod)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int, len(cands))
-	for i, c := range cands {
-		out[i] = c.Period
-	}
-	return out, nil
-}
-
-// MineParallel is Mine with the per-period work spread over the given
-// number of goroutines (0 = all CPUs); the result is identical.
-func MineParallel(s *Series, opt Options, workers int) (*Result, error) {
-	res, err := core.MineParallel(s.inner, opt.internal(), workers)
-	if err != nil {
-		return nil, err
-	}
-	if opt.MaximalOnly {
-		res.Patterns = core.FilterMaximal(res.Patterns)
-	}
-	return convertResult(s, res), nil
-}
-
 // Counter maintains the periodicities of an unbounded stream with memory
 // independent of the stream length: only the last maxPeriod symbols and the
 // per-(symbol, period, position) counts are retained, so it runs forever at
@@ -328,18 +238,7 @@ func (c *Counter) Periodicities(threshold float64) ([]Periodicity, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []Periodicity
-	for _, sp := range pers {
-		out = append(out, Periodicity{
-			Symbol:     c.alpha.Symbol(sp.Symbol),
-			Period:     sp.Period,
-			Position:   sp.Position,
-			Matches:    sp.F2,
-			Pairs:      sp.Pairs,
-			Confidence: sp.Confidence,
-		})
-	}
-	return out, nil
+	return result.Periodicities(c.alpha, pers), nil
 }
 
 // Describe renders a periodicity the way the paper narrates its Table 2,
@@ -402,18 +301,7 @@ func (m *Monitor) Periodicities(threshold float64) ([]Periodicity, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []Periodicity
-	for _, sp := range pers {
-		out = append(out, Periodicity{
-			Symbol:     m.alpha.Symbol(sp.Symbol),
-			Period:     sp.Period,
-			Position:   sp.Position,
-			Matches:    sp.F2,
-			Pairs:      sp.Pairs,
-			Confidence: sp.Confidence,
-		})
-	}
-	return out, nil
+	return result.Periodicities(m.alpha, pers), nil
 }
 
 // DatabasePattern is a periodic pattern aggregated over a database of
@@ -444,7 +332,7 @@ func MineDatabase(db []*Series, opt Options, minFraction float64) ([]DatabasePat
 		}
 		inner[i] = re
 	}
-	res, err := core.MineDatabase(inner, opt.internal(), minFraction)
+	res, err := core.MineDatabase(inner, coreOptions(opt.spec()), minFraction)
 	if err != nil {
 		return nil, err
 	}
@@ -475,18 +363,4 @@ func reencode(s *series.Series, alpha *alphabet.Alphabet) (*series.Series, error
 		idx[i] = k
 	}
 	return series.New(alpha, idx)
-}
-
-// CandidatePeriodsParallel is CandidatePeriods with the per-symbol FFTs run
-// concurrently on the given number of goroutines (0 = GOMAXPROCS).
-func CandidatePeriodsParallel(s *Series, threshold float64, maxPeriod, workers int) ([]int, error) {
-	cands, err := core.ParallelDetectCandidates(s.inner, threshold, maxPeriod, workers)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int, len(cands))
-	for i, c := range cands {
-		out[i] = c.Period
-	}
-	return out, nil
 }

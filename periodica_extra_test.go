@@ -38,7 +38,7 @@ func TestIncrementalPublicAPI(t *testing.T) {
 	if !found {
 		t.Fatalf("(a,3,0) missing: %+v", pers)
 	}
-	res, err := inc.Mine(periodica.Options{Threshold: 0.9})
+	res, err := inc.MineQueryContext(context.Background(), periodica.QueryFromOptions(periodica.Options{Threshold: 0.9}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,30 +114,12 @@ func TestSeriesFileRoundTripAndExternalDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inMem, err := periodica.CandidatePeriods(s, 1, 0)
+	inMem, err := candidatePeriods(s, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(onDisk, inMem) {
 		t.Fatalf("on-disk %v != in-memory %v", onDisk, inMem)
-	}
-}
-
-func TestCandidatePeriodsParallelMatchesSerial(t *testing.T) {
-	s, err := periodica.NewSeriesFromString(strings.Repeat("aabcbb", 300))
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := periodica.CandidatePeriods(s, 0.8, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := periodica.CandidatePeriodsParallel(s, 0.8, 0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatal("parallel candidates differ")
 	}
 }
 
@@ -209,11 +191,11 @@ func TestMinPairsPublicPassthrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loose, err := periodica.Mine(s, periodica.Options{Threshold: 0.9})
+	loose, err := mine(s, periodica.Options{Threshold: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	strict, err := periodica.Mine(s, periodica.Options{Threshold: 0.9, MinPairs: 10})
+	strict, err := mine(s, periodica.Options{Threshold: 0.9, MinPairs: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +223,7 @@ func TestMineContextPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := periodica.MineContext(context.Background(), s, periodica.Options{Threshold: 0.9})
+	res, err := periodica.MineQueryContext(context.Background(), s, periodica.QueryFromOptions(periodica.Options{Threshold: 0.9}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +232,7 @@ func TestMineContextPublic(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := periodica.MineContext(ctx, s, periodica.Options{Threshold: 0.9}); err == nil {
+	if _, err := periodica.MineQueryContext(ctx, s, periodica.QueryFromOptions(periodica.Options{Threshold: 0.9})); err == nil {
 		t.Fatal("cancelled context: want error")
 	}
 }
@@ -260,20 +242,25 @@ func TestCandidatePeriodsContextPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := periodica.CandidatePeriods(s, 1, 0)
+	path := filepath.Join(t.TempDir(), "abcd.ser")
+	if err := s.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	want, err := periodica.CandidatePeriodsFile(path, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := periodica.CandidatePeriodsContext(context.Background(), s, 1, 0)
+	q := mustCompile(t, "conf >= 1")
+	got, err := periodica.CandidatePeriodsQueryContext(context.Background(), s, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("CandidatePeriodsContext = %v, want %v", got, want)
+		t.Fatalf("CandidatePeriodsQueryContext = %v, want %v", got, want)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := periodica.CandidatePeriodsContext(ctx, s, 1, 0); !errors.Is(err, context.Canceled) {
+	if _, err := periodica.CandidatePeriodsQueryContext(ctx, s, q); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled context: err = %v, want context.Canceled", err)
 	}
 }
@@ -283,15 +270,15 @@ func TestErrInvalidInputPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := periodica.Mine(s, periodica.Options{Threshold: 0}); !errors.Is(err, periodica.ErrInvalidInput) {
+	if _, err := mine(s, periodica.Options{Threshold: 0}); !errors.Is(err, periodica.ErrInvalidInput) {
 		t.Fatalf("ψ=0: err = %v, want ErrInvalidInput", err)
 	}
-	if _, err := periodica.CandidatePeriods(s, 0.5, 1000); !errors.Is(err, periodica.ErrInvalidInput) {
+	if _, err := candidatePeriods(s, 0.5, 1000); !errors.Is(err, periodica.ErrInvalidInput) {
 		t.Fatalf("bad maxPeriod: err = %v, want ErrInvalidInput", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := periodica.MineContext(ctx, s, periodica.Options{Threshold: 0.5}); errors.Is(err, periodica.ErrInvalidInput) {
+	if _, err := periodica.MineQueryContext(ctx, s, periodica.QueryFromOptions(periodica.Options{Threshold: 0.5})); errors.Is(err, periodica.ErrInvalidInput) {
 		t.Fatal("cancellation must not classify as invalid input")
 	}
 }
@@ -348,7 +335,7 @@ func TestSignificantPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := periodica.Mine(s, periodica.Options{Threshold: 0.9, MaxPatternPeriod: -1})
+	res, err := mine(s, periodica.Options{Threshold: 0.9, MaxPatternPeriod: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,16 +425,16 @@ func TestMineParallelPublicMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := periodica.Mine(s, periodica.Options{Threshold: 0.8})
+	want, err := mine(s, periodica.Options{Threshold: 0.8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := periodica.MineParallel(s, periodica.Options{Threshold: 0.8}, 4)
+	got, err := periodica.MineQueryContext(context.Background(), s, mustCompile(t, "conf >= 0.8 and workers 4"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("parallel public Mine differs from serial")
+		t.Fatal("a mine at four workers differs from the serial mine")
 	}
 }
 
@@ -495,12 +482,12 @@ func TestFilterMaximalPublic(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := periodica.Options{Threshold: 0.8, MinPeriod: 3, MaxPeriod: 3}
-	full, err := periodica.Mine(s, opt)
+	full, err := mine(s, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.MaximalOnly = true
-	maximal, err := periodica.Mine(s, opt)
+	maximal, err := mine(s, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,5 +496,20 @@ func TestFilterMaximalPublic(t *testing.T) {
 	}
 	if len(full.Patterns) <= len(maximal.Patterns) {
 		t.Fatal("filter removed nothing")
+	}
+	// Every source applies the filter, not only the batch mine.
+	st, inc := filledSources(t, strings.Split(s.String(), ""), s.Alphabet())
+	q := periodica.QueryFromOptions(opt)
+	for path, run := range map[string]func() (*periodica.Result, error){
+		"Stream.FinishQueryContext":    func() (*periodica.Result, error) { return st.FinishQueryContext(context.Background(), q) },
+		"Incremental.MineQueryContext": func() (*periodica.Result, error) { return inc.MineQueryContext(context.Background(), q) },
+	} {
+		res, err := run()
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if !reflect.DeepEqual(res, maximal) {
+			t.Errorf("%s patterns = %+v, want the batch mine's %+v", path, res.Patterns, maximal.Patterns)
+		}
 	}
 }

@@ -19,7 +19,7 @@ func TestMineRunningExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := periodica.Mine(s, periodica.Options{Threshold: 0.6})
+	res, err := mine(s, periodica.Options{Threshold: 0.6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestNewSeries(t *testing.T) {
 	if len(alpha) != 2 || alpha[0] != "high" || alpha[1] != "low" {
 		t.Fatalf("Alphabet = %v", alpha)
 	}
-	res, err := periodica.Mine(s, periodica.Options{Threshold: 1})
+	res, err := mine(s, periodica.Options{Threshold: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,11 +95,11 @@ func TestSingleSymbolSeriesMinesNothing(t *testing.T) {
 		run  func() (bool, error)
 	}{
 		{"Mine", func() (bool, error) {
-			res, err := periodica.Mine(s, opt)
+			res, err := mine(s, opt)
 			return empty(res), err
 		}},
 		{"CandidatePeriods", func() (bool, error) {
-			periods, err := periodica.CandidatePeriods(s, opt.Threshold, 0)
+			periods, err := candidatePeriods(s, opt.Threshold, 0)
 			return periods != nil && len(periods) == 0, err
 		}},
 		{"Stream.Finish", func() (bool, error) {
@@ -110,7 +110,7 @@ func TestSingleSymbolSeriesMinesNothing(t *testing.T) {
 			if err := st.Append("a"); err != nil {
 				return false, err
 			}
-			res, err := st.Finish(opt)
+			res, err := st.FinishQueryContext(context.Background(), periodica.QueryFromOptions(opt))
 			return empty(res), err
 		}},
 		{"dist.Mine", func() (bool, error) {
@@ -153,7 +153,7 @@ func TestDiscretizeEqualWidth(t *testing.T) {
 	if s.String() != "abcabc" {
 		t.Fatalf("discretized = %q, want abcabc", s.String())
 	}
-	res, err := periodica.Mine(s, periodica.Options{Threshold: 1})
+	res, err := mine(s, periodica.Options{Threshold: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestCandidatePeriods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	periods, err := periodica.CandidatePeriods(s, 1, 0)
+	periods, err := candidatePeriods(s, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestCandidatePeriods(t *testing.T) {
 	if !has4 {
 		t.Fatalf("period 4 missing from candidates %v", periods)
 	}
-	if _, err := periodica.CandidatePeriods(s, 0, 0); err == nil {
+	if _, err := candidatePeriods(s, 0, 0); err == nil {
 		t.Fatal("threshold 0: want error")
 	}
 }
@@ -236,7 +236,7 @@ func TestStream(t *testing.T) {
 	if st.Len() != 30 {
 		t.Fatalf("Len = %d", st.Len())
 	}
-	res, err := st.Finish(periodica.Options{Threshold: 1})
+	res, err := st.FinishQueryContext(context.Background(), periodica.QueryFromOptions(periodica.Options{Threshold: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +261,7 @@ func TestEnginesExposedAgree(t *testing.T) {
 	}
 	var results []*periodica.Result
 	for _, eng := range []periodica.Engine{periodica.EngineAuto, periodica.EngineNaive, periodica.EngineBitset, periodica.EngineFFT} {
-		res, err := periodica.Mine(s, periodica.Options{Threshold: 0.8, Engine: eng})
+		res, err := mine(s, periodica.Options{Threshold: 0.8, Engine: eng})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,7 +279,7 @@ func TestSingleSymbolPatternsExposed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := periodica.Mine(s, periodica.Options{Threshold: 0.6})
+	res, err := mine(s, periodica.Options{Threshold: 0.6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestMineInvalidOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := periodica.Mine(s, periodica.Options{Threshold: 0}); err == nil {
+	if _, err := mine(s, periodica.Options{Threshold: 0}); err == nil {
 		t.Fatal("threshold 0: want error")
 	}
 }

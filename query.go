@@ -5,14 +5,15 @@ package periodica
 //
 //	conf >= 0.8 and period in 2..512 and symbol in {a, b} and maximal only
 //
-// into a canonical, validated spec, and every mining entry point of the
-// package is reachable from it — batch (MineQuery), context-bounded
-// (MineQueryContext), parallel (MineQueryParallel), streaming
-// (Stream.FinishQuery), online (Incremental.MineQuery), candidate detection
-// (CandidatePeriodsQuery), and, through httpapi and the distributed tier,
-// remote and sharded mines. The mining clauses become Options; the shaping
-// clauses (symbol constraints, limit) are applied to the Result by Shape;
-// the input clauses (levels, discretize) drive DiscretizeValues.
+// into a canonical, validated spec, and it is the one way to direct a mine:
+// every mining entry point takes one (MineQueryContext,
+// CandidatePeriodsQueryContext, Stream.FinishQueryContext,
+// Incremental.MineQueryContext), as do httpapi and the distributed tier.
+// Options is a builder for the mining clauses (QueryFromOptions). The
+// mining clauses configure the core session, "workers N" its scheduler
+// width; the shaping clauses (symbol constraints, limit) are applied to the
+// Result by Shape; the input clauses (levels, discretize) drive
+// DiscretizeValues.
 
 import (
 	"context"
@@ -20,7 +21,10 @@ import (
 	"fmt"
 	"sort"
 
+	"periodica/internal/core"
 	"periodica/internal/query"
+	"periodica/internal/result"
+	"periodica/internal/series"
 )
 
 // Query is a compiled pattern query: the typed, canonical form of a query
@@ -121,8 +125,8 @@ func (q *Query) Source() string { return q.source }
 func (q *Query) MarshalJSON() ([]byte, error) { return json.Marshal(q.spec) }
 
 // Options returns the mining options the query compiles to. Shaping and
-// input clauses (symbol constraints, limit, levels, discretize, workers) do
-// not appear here — they act outside the core mining call.
+// input clauses (symbol constraints, limit, levels, discretize) and the
+// worker count do not appear here: they act outside the mining options.
 func (q *Query) Options() Options {
 	eng, _ := ParseEngine(q.spec.Engine) // validated at compile time
 	return Options{
@@ -151,8 +155,8 @@ func (q *Query) Levels() int { return q.spec.Levels }
 // means the consumer's default (equal-width).
 func (q *Query) Discretization() string { return q.spec.Discretize }
 
-// Workers returns the query's parallelism hint; 0 means the runtime
-// decides.
+// Workers returns the query's worker count for a mine; 0 (no "workers"
+// clause) and 1 both mean the serial scheduler.
 func (q *Query) Workers() int { return q.spec.Workers }
 
 // DiscretizeValues symbolizes raw numeric values the way the query asks:
@@ -169,72 +173,69 @@ func (q *Query) DiscretizeValues(values []float64) (*Series, error) {
 	return DiscretizeEqualWidth(values, levels)
 }
 
-// MineQuery mines s as the query directs and shapes the result: the
-// equivalent of Mine(s, q.Options()) followed by q.Shape(s, ·).
-func MineQuery(s *Series, q *Query) (*Result, error) {
-	res, err := Mine(s, q.Options())
-	if err != nil {
-		return nil, err
-	}
-	return q.Shape(s, res)
-}
-
-// MineQueryContext is MineQuery with cooperative cancellation.
+// MineQueryContext mines s as the query directs and shapes the result.
+// The query's "workers N" clause spreads the per-period work and the FFT
+// precompute over N cores (capped at GOMAXPROCS); without it the mine runs
+// on the serial scheduler. The result is identical either way. The context
+// is polled at every candidate period, inside the per-symbol detection
+// loop, and throughout pattern enumeration, so a cancelled or timed-out
+// context aborts the mine promptly with the context's error and no partial
+// result.
 func MineQueryContext(ctx context.Context, s *Series, q *Query) (*Result, error) {
-	res, err := MineContext(ctx, s, q.Options())
-	if err != nil {
-		return nil, err
-	}
-	return q.Shape(s, res)
+	return q.mine(ctx, s.inner, coreOptions(q.spec))
 }
 
-// MineQueryParallel is MineQuery with the per-period work spread over the
-// query's "workers N" hint (0 = all CPUs); the result is identical.
-func MineQueryParallel(s *Series, q *Query) (*Result, error) {
-	res, err := MineParallel(s, q.Options(), q.spec.Workers)
-	if err != nil {
-		return nil, err
-	}
-	return q.Shape(s, res)
-}
-
-// CandidatePeriodsQuery runs the one-pass detection phase under the query's
-// threshold and period bounds.
-func CandidatePeriodsQuery(s *Series, q *Query) ([]int, error) {
-	return CandidatePeriods(s, q.spec.Threshold, q.spec.MaxPeriod)
-}
-
-// CandidatePeriodsQueryContext is CandidatePeriodsQuery with cooperative
-// cancellation.
+// CandidatePeriodsQueryContext runs only the O(σ n log n) one-pass
+// detection phase under the query's threshold and period bound, returning
+// the period values at which some symbol could be periodic with confidence
+// ≥ the threshold. A cancelled or timed-out context aborts the detection
+// sweep promptly with the context's error.
 func CandidatePeriodsQueryContext(ctx context.Context, s *Series, q *Query) ([]int, error) {
-	return CandidatePeriodsContext(ctx, s, q.spec.Threshold, q.spec.MaxPeriod)
-}
-
-// FinishQuery mines the stream ingested so far as the query directs.
-func (st *Stream) FinishQuery(q *Query) (*Result, error) {
-	res, err := st.Finish(q.Options())
+	cands, err := core.DetectCandidatesContext(ctx, s.inner, q.spec.Threshold, q.spec.MaxPeriod)
 	if err != nil {
 		return nil, err
 	}
-	return q.Shape(&Series{inner: st.inner.Series()}, res)
+	return candidatePeriods(cands), nil
 }
 
-// FinishQueryContext is FinishQuery with cooperative cancellation.
+// FinishQueryContext mines the stream ingested so far as the query directs,
+// exactly as MineQueryContext would mine the same symbols. The stream can
+// keep ingesting and be mined again later.
 func (st *Stream) FinishQueryContext(ctx context.Context, q *Query) (*Result, error) {
-	res, err := st.FinishContext(ctx, q.Options())
-	if err != nil {
-		return nil, err
-	}
-	return q.Shape(&Series{inner: st.inner.Series()}, res)
+	return q.mine(ctx, st.inner.Series(), coreOptions(q.spec))
 }
 
-// MineQuery mines the online stream seen so far as the query directs.
-func (inc *Incremental) MineQuery(q *Query) (*Result, error) {
-	res, err := inc.Mine(q.Options())
+// MineQueryContext mines the online stream seen so far as the query
+// directs, with the period range capped at the miner's tracked bound.
+func (inc *Incremental) MineQueryContext(ctx context.Context, q *Query) (*Result, error) {
+	return q.mine(ctx, inc.inner.Series(), inc.inner.MineOptions(coreOptions(q.spec)))
+}
+
+// mine is the one path behind every full-mine entry point: the core session
+// at the query's worker count, the conversion to the public Result (with
+// the maximal-only filter), then Shape.
+func (q *Query) mine(ctx context.Context, inner *series.Series, opt core.Options) (*Result, error) {
+	res, err := core.MineWorkers(ctx, inner, opt, q.spec.Workers)
 	if err != nil {
 		return nil, err
 	}
-	return q.Shape(&Series{inner: inc.inner.Series()}, res)
+	return q.Shape(&Series{inner: inner}, result.FromCore(inner.Alphabet(), res, q.spec.MaximalOnly))
+}
+
+// coreOptions lowers a spec's mining clauses to core options. Every spec
+// here comes from CompileQuery or Options, so its engine name is valid.
+func coreOptions(sp query.Spec) core.Options {
+	opt, _ := core.OptionsFromSpec(sp)
+	return opt
+}
+
+// candidatePeriods projects detected candidates onto their period values.
+func candidatePeriods(cands []core.CandidatePeriod) []int {
+	out := make([]int, len(cands))
+	for i, c := range cands {
+		out[i] = c.Period
+	}
+	return out
 }
 
 // Shape applies the query's output-shaping clauses to a mined result: the

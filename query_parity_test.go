@@ -2,14 +2,15 @@ package periodica_test
 
 // Query-language parity: a compiled query is just another spelling of an
 // Options struct, so every legacy field must map to a pinned query clause
-// (the golden table below) and a query-driven mine must be byte-identical
-// to the struct-driven mine through every entry point and engine. CI runs
+// (the golden table below) and a compiled query must mine byte-identically
+// to the lifted Options through every source and engine. CI runs
 // the parity matrix with a PERIODICA_QUERY-driven leg on top of these.
 
 import (
 	"context"
 	"errors"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -78,13 +79,17 @@ func queryFor(t *testing.T, opt periodica.Options) *periodica.Query {
 	return q
 }
 
-// TestParityQueryDriven: for every engine, the query-driven entry points
-// must produce byte-identical results to their struct-driven twins. The
-// query carries no shaping clauses, so Shape must be an exact identity —
-// any stray reordering or filtering in the query path shows up here.
+// TestParityQueryDriven: for every engine, a query compiled from the
+// canonical string of lifted Options must mine byte-identically to the
+// lifted Options themselves, through every source. The query carries no
+// shaping clauses, so Shape must be an exact identity — any stray
+// reordering or filtering in the query path shows up here. Candidate
+// detection is checked against the out-of-core detector over the same
+// series written to disk.
 func TestParityQueryDriven(t *testing.T) {
 	for name, eng := range parityEngines(t) {
 		t.Run(name, func(t *testing.T) {
+			ctx := context.Background()
 			symbols := paritySymbols(605)
 			opt := periodica.Options{Threshold: 0.6, Engine: eng, MinPairs: 3, MaxPatternPeriod: 21}
 			q := queryFor(t, opt)
@@ -93,7 +98,7 @@ func TestParityQueryDriven(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := periodica.Mine(s, opt)
+			want, err := mine(s, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,49 +112,36 @@ func TestParityQueryDriven(t *testing.T) {
 					t.Fatalf("%s: %v", path, err)
 				}
 				if !reflect.DeepEqual(want, res) {
-					t.Errorf("%s result differs from struct-driven Mine", path)
+					t.Errorf("%s result differs from the mine of the lifted Options", path)
 				}
 			}
-			res, err := periodica.MineQuery(s, q)
-			check("MineQuery", res, err)
-			res, err = periodica.MineQueryContext(context.Background(), s, q)
+			res, err := periodica.MineQueryContext(ctx, s, q)
 			check("MineQueryContext", res, err)
-			res, err = periodica.MineQueryParallel(s, q)
-			check("MineQueryParallel", res, err)
+			res, err = periodica.MineQueryContext(ctx, s, withWorkers(t, q, 1))
+			check("workers 1", res, err)
+			res, err = periodica.MineQueryContext(ctx, s, withWorkers(t, q, 4))
+			check("workers 4", res, err)
 
-			st, err := periodica.NewStream("a", "b", "c")
-			if err != nil {
-				t.Fatal(err)
-			}
-			inc, err := periodica.NewIncremental(len(symbols)/2, "a", "b", "c")
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, sym := range symbols {
-				if err := st.Append(sym); err != nil {
-					t.Fatal(err)
-				}
-				if err := inc.Append(sym); err != nil {
-					t.Fatal(err)
-				}
-			}
-			res, err = st.FinishQuery(q)
-			check("Stream.FinishQuery", res, err)
-			res, err = st.FinishQueryContext(context.Background(), q)
+			st, inc := filledSources(t, symbols, []string{"a", "b", "c"})
+			res, err = st.FinishQueryContext(ctx, q)
 			check("Stream.FinishQueryContext", res, err)
-			res, err = inc.MineQuery(q)
-			check("Incremental.MineQuery", res, err)
+			res, err = inc.MineQueryContext(ctx, q)
+			check("Incremental.MineQueryContext", res, err)
 
-			wantPeriods, err := periodica.CandidatePeriods(s, opt.Threshold, opt.MaxPeriod)
+			path := filepath.Join(t.TempDir(), "parity.ser")
+			if err := s.WriteFile(path); err != nil {
+				t.Fatal(err)
+			}
+			wantPeriods, err := periodica.CandidatePeriodsFile(path, opt.Threshold, opt.MaxPeriod)
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotPeriods, err := periodica.CandidatePeriodsQuery(s, q)
+			gotPeriods, err := periodica.CandidatePeriodsQueryContext(ctx, s, q)
 			if err != nil {
-				t.Fatalf("CandidatePeriodsQuery: %v", err)
+				t.Fatalf("CandidatePeriodsQueryContext: %v", err)
 			}
 			if !reflect.DeepEqual(wantPeriods, gotPeriods) {
-				t.Errorf("CandidatePeriodsQuery = %v, want %v", gotPeriods, wantPeriods)
+				t.Errorf("CandidatePeriodsQueryContext = %v, want %v", gotPeriods, wantPeriods)
 			}
 		})
 	}
@@ -163,7 +155,8 @@ func TestQueryShaping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := periodica.MineQuery(s, mustCompile(t, "conf >= 0.6 and pairs >= 3 and pattern period <= 21"))
+	ctx := context.Background()
+	base, err := periodica.MineQueryContext(ctx, s, mustCompile(t, "conf >= 0.6 and pairs >= 3 and pattern period <= 21"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +164,7 @@ func TestQueryShaping(t *testing.T) {
 		t.Fatal("shaping fixture detected nothing; the test is vacuous")
 	}
 
-	shaped, err := periodica.MineQuery(s, mustCompile(t, "conf >= 0.6 and pairs >= 3 and pattern period <= 21 and symbol in {a}"))
+	shaped, err := periodica.MineQueryContext(ctx, s, mustCompile(t, "conf >= 0.6 and pairs >= 3 and pattern period <= 21 and symbol in {a}"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +178,7 @@ func TestQueryShaping(t *testing.T) {
 		}
 	}
 
-	limited, err := periodica.MineQuery(s, mustCompile(t, "conf >= 0.6 and pairs >= 3 and pattern period <= 21 and limit 3 by conf"))
+	limited, err := periodica.MineQueryContext(ctx, s, mustCompile(t, "conf >= 0.6 and pairs >= 3 and pattern period <= 21 and limit 3 by conf"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,9 +204,9 @@ func TestQueryShaping(t *testing.T) {
 
 // TestParityEnvQuery is the PERIODICA_QUERY CI leg: the environment names
 // an arbitrary query (shaping clauses included), and the query-driven mine
-// of it must equal the struct-driven mine of its Options followed by an
-// explicit Shape — serial and parallel. Without the variable a
-// representative shaped query runs, so the test is never vacuous locally.
+// of it must equal the mine of its Options followed by an explicit Shape —
+// serial and at four workers. Without the variable a representative shaped
+// query runs, so the test is never vacuous locally.
 func TestParityEnvQuery(t *testing.T) {
 	src := os.Getenv("PERIODICA_QUERY")
 	if src == "" {
@@ -224,7 +217,7 @@ func TestParityEnvQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := periodica.Mine(s, q.Options())
+	base, err := mine(s, q.Options())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,19 +225,14 @@ func TestParityEnvQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := periodica.MineQuery(s, q)
-	if err != nil {
-		t.Fatalf("MineQuery(%q): %v", src, err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("MineQuery(%q) differs from struct-driven Mine + Shape", src)
-	}
-	gotPar, err := periodica.MineQueryParallel(s, q)
-	if err != nil {
-		t.Fatalf("MineQueryParallel(%q): %v", src, err)
-	}
-	if !reflect.DeepEqual(want, gotPar) {
-		t.Errorf("MineQueryParallel(%q) differs from struct-driven Mine + Shape", src)
+	for _, workers := range []int{1, 4} {
+		got, err := periodica.MineQueryContext(context.Background(), s, withWorkers(t, q, workers))
+		if err != nil {
+			t.Fatalf("MineQueryContext(%q) at %d workers: %v", src, workers, err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("MineQueryContext(%q) at %d workers differs from the mine of its Options + Shape", src, workers)
+		}
 	}
 }
 
