@@ -1,0 +1,172 @@
+package core
+
+import "fmt"
+
+// Counts is the count table every online answer rests on: Table[k][p][l] is
+// F2(s_k, π_{p,l}) over the Length symbols seen so far, for periods
+// 1..MaxPeriod, with phase l local to the start of the stretch. Phase rows
+// are allocated lazily per (k, p) on the first match. Head and Tail keep the
+// first and last min(MaxPeriod, Length) symbols — all that Append and Merge
+// need — so memory is O(σ·MaxPeriod² + MaxPeriod) whatever the stream
+// length: the data-stream setting the paper's introduction motivates. Each
+// appended symbol costs O(MaxPeriod); two tables over adjacent stretches
+// merge in O(σ·MaxPeriod²). The store persists one per segment as its
+// summary; IncrementalMiner and the public Counter maintain one online.
+type Counts struct {
+	Sigma     int
+	MaxPeriod int
+	Length    int
+	Head      []uint16
+	Tail      []uint16
+	Table     [][][]int32
+}
+
+// NewCounts returns an empty table for a σ-symbol stream tracking periods
+// 1..maxPeriod.
+func NewCounts(sigma, maxPeriod int) (*Counts, error) {
+	if sigma < 1 {
+		return nil, invalidf("core: sigma %d < 1", sigma)
+	}
+	if maxPeriod < 1 {
+		return nil, invalidf("core: maxPeriod %d < 1", maxPeriod)
+	}
+	c := &Counts{Sigma: sigma, MaxPeriod: maxPeriod, Table: make([][][]int32, sigma)}
+	for k := range c.Table {
+		c.Table[k] = make([][]int32, maxPeriod+1)
+	}
+	return c, nil
+}
+
+func (c *Counts) add(k, p, l int, delta int32) {
+	if c.Table[k][p] == nil {
+		c.Table[k][p] = make([]int32, p)
+	}
+	c.Table[k][p][l] += delta
+}
+
+// Append ingests the next symbol index; O(MaxPeriod).
+func (c *Counts) Append(k int) error {
+	if k < 0 || k >= c.Sigma {
+		return invalidf("core: symbol index %d out of range [0,%d)", k, c.Sigma)
+	}
+	// The new position i closes a lag-p match (i−p, i) whenever t_{i−p} = k;
+	// t_{i−p} is Tail[t−p] for every tracked p ≤ i.
+	i, t := c.Length, len(c.Tail)
+	for p := 1; p <= t; p++ {
+		if int(c.Tail[t-p]) == k {
+			c.add(k, p, (i-p)%p, 1)
+		}
+	}
+	if len(c.Head) < c.MaxPeriod {
+		c.Head = append(c.Head, uint16(k))
+	}
+	if t < c.MaxPeriod {
+		c.Tail = append(c.Tail, uint16(k))
+	} else {
+		copy(c.Tail, c.Tail[1:])
+		c.Tail[t-1] = uint16(k)
+	}
+	c.Length++
+	return nil
+}
+
+// Merge appends the stretch next covers to the one c covers, making c the
+// table of the concatenation: the counts add (next's phases shift by c.Length), the
+// matches spanning the boundary are stitched from c.Tail and next.Head, and
+// Head/Tail are recomputed. Both tables must share σ and MaxPeriod. next is
+// left untouched.
+func (c *Counts) Merge(next *Counts) error {
+	if c.Sigma != next.Sigma || c.MaxPeriod != next.MaxPeriod {
+		return fmt.Errorf("core: merging count tables of shape σ=%d maxPeriod=%d and σ=%d maxPeriod=%d",
+			c.Sigma, c.MaxPeriod, next.Sigma, next.MaxPeriod)
+	}
+	offset := c.Length
+	for k, rows := range next.Table {
+		for p, row := range rows {
+			for l, f := range row {
+				if f != 0 {
+					c.add(k, p, (l+offset)%p, f)
+				}
+			}
+		}
+	}
+	// Boundary matches: start i among c's last symbols (Tail covers
+	// positions tailStart..offset−1), partner i+p within next.Head.
+	tailStart := offset - len(c.Tail)
+	for p := 1; p <= c.MaxPeriod; p++ {
+		for i := max(tailStart, offset-p); i < offset; i++ {
+			j := i + p - offset
+			if j >= len(next.Head) {
+				break
+			}
+			if c.Tail[i-tailStart] == next.Head[j] {
+				c.add(int(next.Head[j]), p, i%p, 1)
+			}
+		}
+	}
+	c.Length += next.Length
+	c.Head = append(c.Head, next.Head[:min(len(next.Head), c.MaxPeriod-len(c.Head))]...)
+	c.Tail = append(c.Tail, next.Tail...)
+	if len(c.Tail) > c.MaxPeriod {
+		c.Tail = append([]uint16(nil), c.Tail[len(c.Tail)-c.MaxPeriod:]...)
+	}
+	return nil
+}
+
+// F2 returns the maintained count F2(s_k, π_{p,l}).
+func (c *Counts) F2(k, p, l int) int {
+	if p < 1 || p > c.MaxPeriod || l < 0 || l >= p {
+		panic(fmt.Sprintf("core: F2(%d,%d,%d) outside tracked range", k, p, l))
+	}
+	if c.Table[k][p] == nil {
+		return 0
+	}
+	return int(c.Table[k][p][l])
+}
+
+// MemoryBytes estimates the table's resident size, to document its
+// independence from the stream length.
+func (c *Counts) MemoryBytes() int {
+	total := 2 * (len(c.Head) + len(c.Tail))
+	for _, rows := range c.Table {
+		for _, row := range rows {
+			total += 4 * len(row)
+		}
+	}
+	return total
+}
+
+// Periodicities returns the symbol periodicities of the stretch at
+// threshold psi — what a full mine reports for periods up to MaxPeriod —
+// from the counts alone, in O(σ·MaxPeriod²) with no pass over the data.
+func (c *Counts) Periodicities(psi float64) ([]SymbolPeriodicity, error) {
+	if err := CheckThreshold(psi); err != nil {
+		return nil, err
+	}
+	n := c.Length
+	return scanTable(c.Table, c.MaxPeriod, n, func(p, l int) int { return pairsAt(n, p, l) }, psi), nil
+}
+
+// scanTable emits, in (period, position, symbol) order, every nonzero count
+// of table over a stretch of n symbols that qualifies at psi, with pairs
+// giving the Definition-1 denominator of each (period, position).
+func scanTable(table [][][]int32, maxPeriod, n int, pairs func(p, l int) int, psi float64) []SymbolPeriodicity {
+	var out []SymbolPeriodicity
+	for p := 1; p <= maxPeriod && p < n; p++ {
+		for l := 0; l < p; l++ {
+			np := pairs(p, l)
+			if np < 1 {
+				continue
+			}
+			for k, rows := range table {
+				if rows[p] == nil {
+					continue
+				}
+				if f2 := int(rows[p][l]); f2 != 0 && qualifies(f2, np, psi) {
+					out = append(out, periodicity(k, p, l, f2, np))
+				}
+			}
+		}
+	}
+	return out
+}

@@ -136,10 +136,7 @@ func (d *detector) survivors(p int, psi float64, dst []int32) []int32 {
 			d.match = d.ind.MatchSet(k, p, d.match)
 			r = int64(d.match.Count())
 		}
-		// Divide as emitIf does: f2 ≤ r and pairs ≥ minPairs, and IEEE
-		// division rounds monotonically, so every pair emitIf accepts
-		// survives. The product psi·minPairs can round above r and drop one.
-		if float64(r)/float64(minPairs) >= psi {
+		if Survives(r, minPairs, psi) {
 			dst = append(dst, int32(k))
 		}
 	}
@@ -175,9 +172,8 @@ func (d *detector) emitIf(k, p, l, f2 int, psi float64, emit func(SymbolPeriodic
 	if pairs < d.minPairs || f2 == 0 {
 		return
 	}
-	conf := float64(f2) / float64(pairs)
-	if conf >= psi {
-		emit(SymbolPeriodicity{Symbol: k, Period: p, Position: l, F2: f2, Pairs: pairs, Confidence: conf})
+	if qualifies(f2, pairs, psi) {
+		emit(periodicity(k, p, l, f2, pairs))
 	}
 }
 

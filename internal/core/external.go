@@ -29,8 +29,8 @@ type ExternalConfig struct {
 // the paper's §3.1 remark — "an external FFT algorithm can be used for large
 // sizes of databases mined while on disk" — realized end to end.
 func DetectCandidatesFile(path string, psi float64, maxPeriod int, cfg ExternalConfig) ([]CandidatePeriod, error) {
-	if psi <= 0 || psi > 1 {
-		return nil, fmt.Errorf("core: threshold ψ=%v outside (0,1]", psi)
+	if err := CheckThreshold(psi); err != nil {
+		return nil, err
 	}
 	ses := newFileSession(psi, maxPeriod, sessionConfig{workers: 1})
 	return ses.candidates(fileDetect{path: path, cfg: cfg})

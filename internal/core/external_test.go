@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -70,8 +71,8 @@ func TestDetectCandidatesFileValidates(t *testing.T) {
 	if err := WriteSeriesFile(ok, s); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DetectCandidatesFile(ok, 0, 0, ExternalConfig{}); err == nil {
-		t.Fatal("ψ=0: want error")
+	if _, err := DetectCandidatesFile(ok, 0, 0, ExternalConfig{}); !errors.Is(err, ErrInvalidInput) {
+		t.Fatalf("ψ=0: error %v does not match ErrInvalidInput", err)
 	}
 	if _, err := DetectCandidatesFile(ok, 0.5, 99, ExternalConfig{}); err == nil {
 		t.Fatal("maxPeriod ≥ n: want error")

@@ -102,5 +102,24 @@ func FuzzIncremental(f *testing.F) {
 		if !reflect.DeepEqual(sortPers(got), sortPers(res.Periodicities)) {
 			t.Fatal("incremental disagrees with batch")
 		}
+		// The same stream cut in two and merged must agree as well.
+		cut := int(data[0]) % len(idx)
+		head, _ := NewIncrementalMiner(alpha, 10)
+		tail, _ := NewIncrementalMiner(alpha, 10)
+		for i, k := range idx {
+			part := head
+			if i >= cut {
+				part = tail
+			}
+			if err := part.Append(int(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := head.Merge(tail); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(head.Counts, m.Counts) {
+			t.Fatalf("merge at %d disagrees with contiguous ingest", cut)
+		}
 	})
 }

@@ -25,8 +25,8 @@ import (
 // the paper's Cartesian product is exponential in the qualifying positions,
 // so an uncapped run can explode on degenerate inputs.
 func MineLiteral(s *series.Series, psi float64, maxPatterns int) (*Result, error) {
-	if psi <= 0 || psi > 1 {
-		return nil, fmt.Errorf("core: threshold ψ=%v outside (0,1]", psi)
+	if err := CheckThreshold(psi); err != nil {
+		return nil, err
 	}
 	if maxPatterns == 0 {
 		maxPatterns = 10000
@@ -73,12 +73,8 @@ func MineLiteral(s *series.Series, psi float64, maxPatterns int) (*Result, error
 			if pairs < 1 {
 				continue
 			}
-			conf := float64(c.f2) / float64(pairs)
-			if conf >= psi {
-				group = append(group, SymbolPeriodicity{
-					Symbol: k, Period: p, Position: l,
-					F2: c.f2, Pairs: pairs, Confidence: conf,
-				})
+			if qualifies(c.f2, pairs, psi) {
+				group = append(group, periodicity(k, p, l, c.f2, pairs))
 				slots[l] = append(slots[l], slot{symbol: k, occ: c.occ})
 			}
 		}

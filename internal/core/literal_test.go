@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -76,8 +77,8 @@ func TestMineLiteralRunningExample(t *testing.T) {
 
 func TestMineLiteralValidates(t *testing.T) {
 	s := series.FromString("abcabc")
-	if _, err := MineLiteral(s, 0, 0); err == nil {
-		t.Fatal("ψ=0: want error")
+	if _, err := MineLiteral(s, 0, 0); !errors.Is(err, ErrInvalidInput) {
+		t.Fatalf("ψ=0: error %v does not match ErrInvalidInput", err)
 	}
 	one := series.FromString("a")
 	if _, err := MineLiteral(one, 0.5, 0); err == nil {

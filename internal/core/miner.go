@@ -128,6 +128,28 @@ func pairsAt(n, p, l int) int {
 	return (n-l+p-1)/p - 1
 }
 
+// qualifies is the Definition-1 test F2/pairs ≥ ψ: every emitted symbol
+// periodicity, whatever the engine or source, is accepted here.
+func qualifies(f2, pairs int, psi float64) bool {
+	return float64(f2)/float64(pairs) >= psi
+}
+
+// Survives is the sound aggregate prune r/minPairs ≥ ψ: F2(s_k, π_{p,l}) ≤ r
+// for every phase l, and minPairs is at most every phase's denominator, so a
+// symbol with aggregate lag-p match count r that fails it has no periodicity
+// at p. It divides exactly as qualifies does, and IEEE division rounds
+// monotonically, so every pair qualifies accepts survives; the product form
+// r ≥ ψ·minPairs can round above r and drop one.
+func Survives(r int64, minPairs int, psi float64) bool {
+	return float64(r)/float64(minPairs) >= psi
+}
+
+// periodicity builds the record of a qualifying count.
+func periodicity(k, p, l, f2, pairs int) SymbolPeriodicity {
+	return SymbolPeriodicity{Symbol: k, Period: p, Position: l,
+		F2: f2, Pairs: pairs, Confidence: float64(f2) / float64(pairs)}
+}
+
 // MineWorkers runs the full algorithm of Fig. 2 over s: a session drives
 // the shared detect → sweep → resolve → enumerate pipeline. workers ≤ 1 runs
 // the serial scheduler (the FFT precompute still batches across all

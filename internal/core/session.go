@@ -378,8 +378,8 @@ func (enumeratePatterns) run(ses *session) error {
 }
 
 // sweepCandidates is the sweep stage of the detection-only path: each period
-// keeps its best symbol under the aggregate test r_k(p) ≥ ψ·minPairs(p),
-// written into per-period slots and compacted in period order.
+// keeps its best symbol under the aggregate prune Survives, written into
+// per-period slots and compacted in period order.
 type sweepCandidates struct{}
 
 func (sweepCandidates) name() string { return "sweep" }
@@ -401,15 +401,15 @@ func (sweepCandidates) run(ses *session) error {
 			if minPairs < 1 {
 				minPairs = 1
 			}
+			// Survives is monotone in r, so the period survives iff its
+			// first most-matched symbol does.
 			best, bestCount := -1, int64(0)
 			for k := range ses.lag {
-				r := ses.lag[k][p]
-				// The same division the full mine's survivors prune uses.
-				if float64(r)/float64(minPairs) >= psi && r > bestCount {
+				if r := ses.lag[k][p]; r > bestCount {
 					best, bestCount = k, r
 				}
 			}
-			if best >= 0 {
+			if best >= 0 && Survives(bestCount, minPairs, psi) {
 				slots[p] = CandidatePeriod{Period: p, BestSymbol: best, MatchCount: bestCount}
 			}
 			return nil

@@ -110,33 +110,8 @@ func (m *WindowMiner) windowPairs(p, l int) int {
 // Periodicities returns the symbol periodicities of the current window at
 // threshold psi. Position is the absolute stream phase.
 func (m *WindowMiner) Periodicities(psi float64) ([]SymbolPeriodicity, error) {
-	if psi <= 0 || psi > 1 {
-		return nil, fmt.Errorf("core: threshold ψ=%v outside (0,1]", psi)
+	if err := CheckThreshold(psi); err != nil {
+		return nil, err
 	}
-	var out []SymbolPeriodicity
-	for p := 1; p <= m.maxPeriod && p < m.count; p++ {
-		for l := 0; l < p; l++ {
-			pairs := m.windowPairs(p, l)
-			if pairs < 1 {
-				continue
-			}
-			for k := 0; k < m.sigma; k++ {
-				if m.f2[k][p] == nil {
-					continue
-				}
-				f2 := int(m.f2[k][p][l])
-				if f2 == 0 {
-					continue
-				}
-				conf := float64(f2) / float64(pairs)
-				if conf >= psi {
-					out = append(out, SymbolPeriodicity{
-						Symbol: k, Period: p, Position: l,
-						F2: f2, Pairs: pairs, Confidence: conf,
-					})
-				}
-			}
-		}
-	}
-	return out, nil
+	return scanTable(m.f2, m.maxPeriod, m.count, m.windowPairs, psi), nil
 }

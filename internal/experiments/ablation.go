@@ -12,6 +12,7 @@ import (
 	"periodica/internal/core"
 	"periodica/internal/gen"
 	"periodica/internal/query"
+	"periodica/internal/series"
 	"periodica/internal/trends"
 )
 
@@ -97,8 +98,7 @@ type SketchRow struct {
 // SketchAblation measures the sketched trends estimator against the exact
 // distances across repetition counts.
 func SketchAblation(length int, repetitions []int, seed int64) ([]SketchRow, error) {
-	s, _, err := gen.Generate(gen.Config{Length: length, Period: 25, Sigma: 10, Dist: gen.Uniform,
-		Noise: gen.Replacement, NoiseRatio: 0.2, Seed: seed})
+	s, err := noisySeries(length, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -158,8 +158,7 @@ type PruneRow struct {
 // projection reaches confidence 1); requiring statistical mass restores the
 // prune's bite.
 func PruneAblation(length int, thresholdsPct, minPairs []int, seed int64) ([]PruneRow, error) {
-	s, _, err := gen.Generate(gen.Config{Length: length, Period: 25, Sigma: 10, Dist: gen.Uniform,
-		Noise: gen.Replacement, NoiseRatio: 0.2, Seed: seed})
+	s, err := noisySeries(length, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -181,7 +180,7 @@ func PruneAblation(length int, thresholdsPct, minPairs []int, seed int64) ([]Pru
 					if maxPairs < mp {
 						continue // period skipped outright
 					}
-					if float64(lag[k][p]) >= psi*float64(floor) {
+					if core.Survives(lag[k][p], floor, psi) {
 						row.Survivors++
 					}
 				}
@@ -190,6 +189,14 @@ func PruneAblation(length int, thresholdsPct, minPairs []int, seed int64) ([]Pru
 		}
 	}
 	return out, nil
+}
+
+// noisySeries generates the series SketchAblation and PruneAblation measure:
+// σ=10, period 25, 20% replacement noise.
+func noisySeries(length int, seed int64) (*series.Series, error) {
+	s, _, err := gen.Generate(gen.Config{Length: length, Period: 25, Sigma: 10, Dist: gen.Uniform,
+		Noise: gen.Replacement, NoiseRatio: 0.2, Seed: seed})
+	return s, err
 }
 
 // RenderPruneAblation prints the prune effectiveness rows.

@@ -35,8 +35,13 @@ func BenchmarkRangeQueryVsRemine(b *testing.B) {
 	})
 	b.Run("remine-raw", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			s := buildSummary(data, 5, 64)
-			_ = s.periodicities(0.6)
+			s, err := summarize(data, 5, 64)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := s.Periodicities(0.6); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

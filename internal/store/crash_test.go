@@ -33,7 +33,7 @@ func crashStream(n int) []int {
 func sealedSymbols(db *DB) int {
 	total := 0
 	for _, s := range db.sealed {
-		total += s.length
+		total += s.Length
 	}
 	return total
 }

@@ -66,7 +66,7 @@ type DB struct {
 	dir    string
 	opt    Options
 	alpha  *alphabet.Alphabet
-	sealed []*summary // in segment order
+	sealed []*core.Counts // per-segment summaries, in segment order
 	active []uint16
 	closed bool
 }
@@ -280,7 +280,7 @@ func (db *DB) recoverAndLoad() error {
 // raw segment when the summary file is missing, torn, or corrupt. When
 // verifySeg is set (the tail segment), the segment frame is checksummed even
 // if the summary loads cleanly.
-func (db *DB) loadOrRebuildSummary(i int, verifySeg bool) (*summary, error) {
+func (db *DB) loadOrRebuildSummary(i int, verifySeg bool) (*core.Counts, error) {
 	sum, serr := db.loadSummary(i)
 	if serr == nil {
 		if verifySeg {
@@ -298,7 +298,10 @@ func (db *DB) loadOrRebuildSummary(i int, verifySeg bool) (*summary, error) {
 	if err != nil {
 		return nil, err
 	}
-	rebuilt := buildSummary(data, db.opt.Sigma, db.opt.MaxPeriod)
+	rebuilt, err := summarize(data, db.opt.Sigma, db.opt.MaxPeriod)
+	if err != nil {
+		return nil, err
+	}
 	if err := db.writeSummary(i, rebuilt); err != nil {
 		return nil, err
 	}
@@ -349,7 +352,7 @@ func (db *DB) segPath(i int) string { return filepath.Join(db.dir, segName(i)) }
 func (db *DB) sumPath(i int) string { return filepath.Join(db.dir, sumName(i)) }
 
 // summaryRecord is the on-disk form of a summary (the frame payload, gob
-// encoded).
+// encoded): a core.Counts field for field, with F2 holding Counts.Table.
 type summaryRecord struct {
 	Version   int
 	Sigma     int
@@ -414,9 +417,9 @@ func (rec *summaryRecord) validate() error {
 	return nil
 }
 
-func (db *DB) writeSummary(i int, s *summary) error {
-	rec := summaryRecord{Version: 1, Sigma: s.sigma, MaxPeriod: s.maxPeriod,
-		Length: s.length, Head: s.head, Tail: s.tail, F2: s.f2}
+func (db *DB) writeSummary(i int, c *core.Counts) error {
+	rec := summaryRecord{Version: 1, Sigma: c.Sigma, MaxPeriod: c.MaxPeriod,
+		Length: c.Length, Head: c.Head, Tail: c.Tail, F2: c.Table}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
 		return err
@@ -436,7 +439,7 @@ func decodeSummaryPayload(payload []byte) (*summaryRecord, error) {
 	return &rec, nil
 }
 
-func (db *DB) loadSummary(i int) (*summary, error) {
+func (db *DB) loadSummary(i int) (*core.Counts, error) {
 	raw, err := iofault.ReadFile(db.fs, db.sumPath(i))
 	if err != nil {
 		return nil, err
@@ -453,8 +456,8 @@ func (db *DB) loadSummary(i int) (*summary, error) {
 		return nil, corruptf("summary %d: shape mismatch (σ=%d maxPeriod=%d, store has σ=%d maxPeriod=%d)",
 			i, rec.Sigma, rec.MaxPeriod, db.opt.Sigma, db.opt.MaxPeriod)
 	}
-	return &summary{sigma: rec.Sigma, maxPeriod: rec.MaxPeriod, length: rec.Length,
-		head: rec.Head, tail: rec.Tail, f2: rec.F2}, nil
+	return &core.Counts{Sigma: rec.Sigma, MaxPeriod: rec.MaxPeriod, Length: rec.Length,
+		Head: rec.Head, Tail: rec.Tail, Table: rec.F2}, nil
 }
 
 // decodeSegmentPayload decodes one segment frame payload into its series.
@@ -522,7 +525,10 @@ func (db *DB) seal() error {
 	if err := db.writeFileAtomic(segName(idx), kindSegment, buf.Bytes()); err != nil {
 		return err
 	}
-	sum := buildSummary(db.active, db.opt.Sigma, db.opt.MaxPeriod)
+	sum, err := summarize(db.active, db.opt.Sigma, db.opt.MaxPeriod)
+	if err != nil {
+		return err
+	}
 	if err := db.writeSummary(idx, sum); err != nil {
 		return err
 	}
@@ -558,7 +564,7 @@ func (db *DB) Close() error {
 func (db *DB) Len() int {
 	total := len(db.active)
 	for _, s := range db.sealed {
-		total += s.length
+		total += s.Length
 	}
 	return total
 }
@@ -615,63 +621,27 @@ func (db *DB) Periodicities(psi float64) ([]core.SymbolPeriodicity, error) {
 // Segments() including the active segment — by merging the stored summaries
 // left to right. Positions are phases relative to the range start.
 func (db *DB) PeriodicitiesRange(fromSeg, toSeg int, psi float64) ([]core.SymbolPeriodicity, error) {
-	if psi <= 0 || psi > 1 {
-		return nil, fmt.Errorf("store: threshold ψ=%v outside (0,1]", psi)
+	if err := core.CheckThreshold(psi); err != nil {
+		return nil, err
 	}
 	if fromSeg < 0 || toSeg < fromSeg || toSeg > len(db.sealed) {
 		return nil, fmt.Errorf("store: segment range [%d,%d) outside [0,%d]", fromSeg, toSeg, len(db.sealed))
 	}
-	var acc *summary
+	acc, err := core.NewCounts(db.opt.Sigma, db.opt.MaxPeriod)
+	if err != nil {
+		return nil, err
+	}
 	for i := fromSeg; i < toSeg; i++ {
-		if acc == nil {
-			acc = db.sealed[i].clone()
-			continue
-		}
-		if err := acc.merge(db.sealed[i]); err != nil {
+		if err := acc.Merge(db.sealed[i]); err != nil {
 			return nil, err
 		}
 	}
-	if toSeg == len(db.sealed) && len(db.active) > 0 {
-		activeSum := buildSummary(db.active, db.opt.Sigma, db.opt.MaxPeriod)
-		if acc == nil {
-			acc = activeSum
-		} else if err := acc.merge(activeSum); err != nil {
-			return nil, err
-		}
-	}
-	if acc == nil {
-		return nil, nil
-	}
-	return acc.periodicities(psi), nil
-}
-
-// periodicities extracts the qualifying symbol periodicities of a summary.
-func (s *summary) periodicities(psi float64) []core.SymbolPeriodicity {
-	var out []core.SymbolPeriodicity
-	n := s.length
-	for p := 1; p <= s.maxPeriod && p < n; p++ {
-		for l := 0; l < p; l++ {
-			pairs := (n-l+p-1)/p - 1
-			if pairs < 1 {
-				continue
-			}
-			for k := 0; k < s.sigma; k++ {
-				if s.f2[k][p] == nil {
-					continue
-				}
-				f2 := int(s.f2[k][p][l])
-				if f2 == 0 {
-					continue
-				}
-				conf := float64(f2) / float64(pairs)
-				if conf >= psi {
-					out = append(out, core.SymbolPeriodicity{
-						Symbol: k, Period: p, Position: l,
-						F2: f2, Pairs: pairs, Confidence: conf,
-					})
-				}
+	if toSeg == len(db.sealed) {
+		for _, k := range db.active {
+			if err := acc.Append(int(k)); err != nil {
+				return nil, err
 			}
 		}
 	}
-	return out
+	return acc.Periodicities(psi)
 }

@@ -16,10 +16,10 @@ import (
 // seedCorpus returns well-formed frames of every kind plus near-miss
 // mutations so the fuzzer starts at the interesting boundaries.
 func seedCorpus() [][]byte {
-	sum := buildSummary([]uint16{0, 1, 2, 0, 1, 2, 0, 1}, 3, 4)
+	sum, _ := summarize([]uint16{0, 1, 2, 0, 1, 2, 0, 1}, 3, 4) // fixed valid shape
 	rec := summaryRecord{
 		Version: 1, Sigma: 3, MaxPeriod: 4, Length: 8,
-		Head: sum.head, Tail: sum.tail, F2: sum.f2,
+		Head: sum.Head, Tail: sum.Tail, F2: sum.Table,
 	}
 	var gobBuf bytes.Buffer
 	_ = gob.NewEncoder(&gobBuf).Encode(&rec) // seed only; errors just shrink the corpus

@@ -1,0 +1,147 @@
+package store
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"periodica/internal/alphabet"
+	"periodica/internal/core"
+	"periodica/internal/series"
+)
+
+// TestPeriodicityParityAtBoundaryThresholds sets ψ to every confidence the
+// batch mine observes — the thresholds where a periodicity sits exactly on
+// the Definition-1 boundary — and requires every source of periodicities to
+// give the same list: the batch engines, a bare count table, the incremental
+// miner whole and merged from random splits, a window wider than the stream,
+// and the store over several segment sizes.
+func TestPeriodicityParityAtBoundaryThresholds(t *testing.T) {
+	rng := rand.New(rand.NewSource(141))
+	for trial := 0; trial < 6; trial++ {
+		sigma := rng.Intn(3) + 2
+		maxP := rng.Intn(10) + 3
+		n := rng.Intn(80) + 2*maxP + 2
+		alpha := alphabet.Letters(sigma)
+		data := make([]uint16, n)
+		for i := range data {
+			data[i] = uint16(rng.Intn(sigma))
+			if i >= 4 && rng.Intn(3) > 0 {
+				data[i] = data[i-4] // a noisy period-4 cycle, so confidences vary
+			}
+		}
+		s := series.FromIndices(alpha, data)
+		mine := func(psi float64, eng core.Engine) []core.SymbolPeriodicity {
+			res, err := core.MineWorkers(context.Background(), s,
+				core.Options{Threshold: psi, MaxPeriod: maxP, Engine: eng, MaxPatternPeriod: -1}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Periodicities
+		}
+
+		counts, err := core.NewCounts(sigma, maxP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole, err := core.NewIncrementalMiner(alpha, maxP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		window, err := core.NewWindowMiner(sigma, maxP, n+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range data {
+			for _, src := range []interface{ Append(int) error }{counts, whole, window} {
+				if err := src.Append(int(k)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		merged := mergedFromSplits(t, rng, alpha, maxP, data)
+		var dbs []*DB
+		for _, seg := range []int{maxP, maxP + 3, 2*maxP + 1} {
+			db, err := Open(t.TempDir(), Options{Sigma: sigma, MaxPeriod: maxP, SegmentSize: seg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range data {
+				if err := db.Append(int(k)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dbs = append(dbs, db)
+		}
+
+		for _, psi := range observedConfidences(mine(1e-9, core.EngineNaive)) {
+			want := sortPers(mine(psi, core.EngineNaive))
+			sources := map[string]func() ([]core.SymbolPeriodicity, error){
+				"bitset":      func() ([]core.SymbolPeriodicity, error) { return mine(psi, core.EngineBitset), nil },
+				"fft":         func() ([]core.SymbolPeriodicity, error) { return mine(psi, core.EngineFFT), nil },
+				"counts":      func() ([]core.SymbolPeriodicity, error) { return counts.Periodicities(psi) },
+				"incremental": func() ([]core.SymbolPeriodicity, error) { return whole.Periodicities(psi) },
+				"merged":      func() ([]core.SymbolPeriodicity, error) { return merged.Periodicities(psi) },
+				"window":      func() ([]core.SymbolPeriodicity, error) { return window.Periodicities(psi) },
+			}
+			for _, db := range dbs {
+				sources[fmt.Sprintf("store (segment size %d)", db.opt.SegmentSize)] = func() ([]core.SymbolPeriodicity, error) {
+					return db.Periodicities(psi)
+				}
+			}
+			for name, src := range sources {
+				got, err := src()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(sortPers(got), want) {
+					t.Fatalf("trial %d (σ=%d maxP=%d n=%d) ψ=%v: %s gives %v, naive mine %v",
+						trial, sigma, maxP, n, psi, name, sortPers(got), want)
+				}
+			}
+		}
+	}
+}
+
+// observedConfidences returns the distinct confidences of pers, ascending.
+func observedConfidences(pers []core.SymbolPeriodicity) []float64 {
+	seen := map[float64]bool{}
+	var out []float64
+	for _, sp := range pers {
+		if !seen[sp.Confidence] {
+			seen[sp.Confidence] = true
+			out = append(out, sp.Confidence)
+		}
+	}
+	sort.Float64s(out)
+	return out
+}
+
+// mergedFromSplits cuts data at random points, ingests each piece into its
+// own miner and merges them left to right.
+func mergedFromSplits(t *testing.T, rng *rand.Rand, alpha *alphabet.Alphabet, maxP int, data []uint16) *core.IncrementalMiner {
+	t.Helper()
+	var acc *core.IncrementalMiner
+	for start := 0; start < len(data); {
+		end := min(len(data), start+1+rng.Intn(2*maxP))
+		part, err := core.NewIncrementalMiner(alpha, maxP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range data[start:end] {
+			if err := part.Append(int(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if acc == nil {
+			acc = part
+		} else if err := acc.Merge(part); err != nil {
+			t.Fatal(err)
+		}
+		start = end
+	}
+	return acc
+}

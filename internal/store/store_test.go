@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -49,6 +50,15 @@ func referencePeriodicities(t *testing.T, stream []int, sigma, maxPeriod int, ps
 	return res.Periodicities
 }
 
+func mustSummarize(t *testing.T, data []uint16, sigma, maxPeriod int) *core.Counts {
+	t.Helper()
+	c, err := summarize(data, sigma, maxPeriod)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestSummaryMergeMatchesDirectBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(111))
 	for trial := 0; trial < 15; trial++ {
@@ -64,28 +74,21 @@ func TestSummaryMergeMatchesDirectBuild(t *testing.T) {
 		for i := range b {
 			b[i] = uint16(rng.Intn(sigma))
 		}
-		merged := buildSummary(a, sigma, maxP)
-		if err := merged.merge(buildSummary(b, sigma, maxP)); err != nil {
+		merged := mustSummarize(t, a, sigma, maxP)
+		if err := merged.Merge(mustSummarize(t, b, sigma, maxP)); err != nil {
 			t.Fatal(err)
 		}
-		whole := buildSummary(append(append([]uint16(nil), a...), b...), sigma, maxP)
-		if merged.length != whole.length {
-			t.Fatalf("trial %d: length %d vs %d", trial, merged.length, whole.length)
+		whole := mustSummarize(t, append(append([]uint16(nil), a...), b...), sigma, maxP)
+		if merged.Length != whole.Length {
+			t.Fatalf("trial %d: length %d vs %d", trial, merged.Length, whole.Length)
 		}
-		if !reflect.DeepEqual(merged.head, whole.head) || !reflect.DeepEqual(merged.tail, whole.tail) {
+		if !reflect.DeepEqual(merged.Head, whole.Head) || !reflect.DeepEqual(merged.Tail, whole.Tail) {
 			t.Fatalf("trial %d (nA=%d nB=%d maxP=%d): head/tail mismatch", trial, nA, nB, maxP)
 		}
 		for k := 0; k < sigma; k++ {
 			for p := 1; p <= maxP; p++ {
 				for l := 0; l < p; l++ {
-					mv, wv := int32(0), int32(0)
-					if merged.f2[k][p] != nil {
-						mv = merged.f2[k][p][l]
-					}
-					if whole.f2[k][p] != nil {
-						wv = whole.f2[k][p][l]
-					}
-					if mv != wv {
+					if mv, wv := merged.F2(k, p, l), whole.F2(k, p, l); mv != wv {
 						t.Fatalf("trial %d: F2(%d,%d,%d) = %d, want %d", trial, k, p, l, mv, wv)
 					}
 				}
@@ -95,9 +98,9 @@ func TestSummaryMergeMatchesDirectBuild(t *testing.T) {
 }
 
 func TestSummaryMergeShapeMismatch(t *testing.T) {
-	a := buildSummary([]uint16{0, 1}, 2, 3)
-	b := buildSummary([]uint16{0, 1}, 2, 4)
-	if err := a.merge(b); err == nil {
+	a := mustSummarize(t, []uint16{0, 1}, 2, 3)
+	b := mustSummarize(t, []uint16{0, 1}, 2, 4)
+	if err := a.Merge(b); err == nil {
 		t.Fatal("maxPeriod mismatch: want error")
 	}
 }
@@ -262,8 +265,10 @@ func TestDBValidates(t *testing.T) {
 	if err := db.Append(9); err == nil {
 		t.Fatal("bad symbol: want error")
 	}
-	if _, err := db.Periodicities(0); err == nil {
-		t.Fatal("ψ=0: want error")
+	for _, psi := range []float64{0, 1.5} {
+		if _, err := db.Periodicities(psi); !errors.Is(err, core.ErrInvalidInput) {
+			t.Fatalf("ψ=%v: error %v does not match ErrInvalidInput", psi, err)
+		}
 	}
 	if _, err := db.PeriodicitiesRange(0, 5, 0.5); err == nil {
 		t.Fatal("range beyond segments: want error")

@@ -1,157 +1,27 @@
 // Package store is an embedded, disk-backed store for symbol time series:
 // an append-only log cut into segments, each persisted together with a
-// periodicity summary — the per-(symbol, period, position) consecutive-match
-// counts for all periods up to a bound. Queries over any contiguous segment
-// range answer from summaries alone, merged left to right with the
-// boundary-stitching of merge mining; the symbol data itself is only read
-// when a segment's summary is missing. This is the database shape the
-// paper's incremental/merge-mining follow-on work (its reference [4])
+// periodicity summary — the segment's core.Counts table: the
+// per-(symbol, period, position) consecutive-match counts for all periods up
+// to a bound, plus up to that bound of boundary symbols at each end. Queries
+// over any contiguous segment range answer from summaries alone, merged left
+// to right with Counts.Merge's boundary stitching; the symbol data itself is
+// only read when a segment's summary is missing. This is the database shape
+// the paper's incremental/merge-mining follow-on work (its reference [4])
 // points at.
 package store
 
-import (
-	"fmt"
-)
+import "periodica/internal/core"
 
-// summary is the data-light periodicity state of one stretch of the log:
-// its counts, plus just enough boundary symbols (up to maxPeriod at each
-// end) to stitch it to a neighbour.
-type summary struct {
-	maxPeriod int
-	sigma     int
-	length    int
-	head      []uint16 // first min(maxPeriod, length) symbols
-	tail      []uint16 // last min(maxPeriod, length) symbols
-	// f2[k][p][l] with l in coordinates local to the stretch's start.
-	f2 [][][]int32
-}
-
-func newSummary(sigma, maxPeriod int) *summary {
-	s := &summary{maxPeriod: maxPeriod, sigma: sigma, f2: make([][][]int32, sigma)}
-	for k := range s.f2 {
-		s.f2[k] = make([][]int32, maxPeriod+1)
+// summarize builds the summary of one symbol slice.
+func summarize(data []uint16, sigma, maxPeriod int) (*core.Counts, error) {
+	c, err := core.NewCounts(sigma, maxPeriod)
+	if err != nil {
+		return nil, err
 	}
-	return s
-}
-
-// buildSummary computes the summary of one symbol slice.
-func buildSummary(data []uint16, sigma, maxPeriod int) *summary {
-	s := newSummary(sigma, maxPeriod)
-	for i, k := range data {
-		for p := 1; p <= maxPeriod && p <= i; p++ {
-			if data[i-p] == k {
-				s.bump(int(k), p, (i-p)%p)
-			}
+	for _, k := range data {
+		if err := c.Append(int(k)); err != nil {
+			return nil, err
 		}
 	}
-	s.length = len(data)
-	b := maxPeriod
-	if b > len(data) {
-		b = len(data)
-	}
-	s.head = append([]uint16(nil), data[:b]...)
-	s.tail = append([]uint16(nil), data[len(data)-b:]...)
-	return s
-}
-
-func (s *summary) bump(k, p, l int) {
-	if s.f2[k][p] == nil {
-		s.f2[k][p] = make([]int32, p)
-	}
-	s.f2[k][p][l]++
-}
-
-// clone copies s deeply.
-func (s *summary) clone() *summary {
-	out := newSummary(s.sigma, s.maxPeriod)
-	out.length = s.length
-	out.head = append([]uint16(nil), s.head...)
-	out.tail = append([]uint16(nil), s.tail...)
-	for k := range s.f2 {
-		for p := range s.f2[k] {
-			if s.f2[k][p] != nil {
-				out.f2[k][p] = append([]int32(nil), s.f2[k][p]...)
-			}
-		}
-	}
-	return out
-}
-
-// merge appends next to s: counts add (next's phases shift by s.length),
-// boundary matches between s's tail and next's head are stitched in, and
-// head/tail are recomputed. Both summaries must agree on σ and maxPeriod.
-func (s *summary) merge(next *summary) error {
-	if s.sigma != next.sigma || s.maxPeriod != next.maxPeriod {
-		return fmt.Errorf("store: summary shape mismatch (σ %d/%d, maxPeriod %d/%d)",
-			s.sigma, next.sigma, s.maxPeriod, next.maxPeriod)
-	}
-	offset := s.length
-	for k := range next.f2 {
-		for p := 1; p <= next.maxPeriod; p++ {
-			counts := next.f2[k][p]
-			if counts == nil {
-				continue
-			}
-			for l, c := range counts {
-				if c != 0 {
-					s.addF2(k, p, (l+offset)%p, c)
-				}
-			}
-		}
-	}
-	// Boundary matches: start i in [offset−maxPeriod, offset), partner
-	// i+p in next's head. s.tail covers positions offset−len(tail)..offset−1.
-	tailStart := offset - len(s.tail)
-	for p := 1; p <= s.maxPeriod; p++ {
-		for i := offset - p; i < offset; i++ {
-			if i < tailStart || i < 0 {
-				continue
-			}
-			j := i + p - offset
-			if j >= len(next.head) {
-				continue
-			}
-			if s.tail[i-tailStart] == next.head[j] {
-				s.bump(int(next.head[j]), p, i%p)
-			}
-		}
-	}
-	s.length += next.length
-	s.head = firstN(s.maxPeriod, s.head, next.head, s.length-next.length, next.length)
-	s.tail = lastN(s.maxPeriod, s.tail, next.tail, next.length)
-	return nil
-}
-
-func (s *summary) addF2(k, p, l int, c int32) {
-	if s.f2[k][p] == nil {
-		s.f2[k][p] = make([]int32, p)
-	}
-	s.f2[k][p][l] += c
-}
-
-// firstN returns the first n symbols of the concatenation, given the prior
-// head (covering min(n, aLen) of a) and next's head.
-func firstN(n int, aHead, bHead []uint16, aLen, bLen int) []uint16 {
-	if aLen >= n {
-		return aHead
-	}
-	out := append([]uint16(nil), aHead...)
-	need := n - len(out)
-	if need > len(bHead) {
-		need = len(bHead)
-	}
-	return append(out, bHead[:need]...)
-}
-
-// lastN returns the last n symbols of the concatenation, given the prior
-// tail and next's tail (covering min(n, bLen) of b).
-func lastN(n int, aTail, bTail []uint16, bLen int) []uint16 {
-	if bLen >= n {
-		return bTail
-	}
-	combined := append(append([]uint16(nil), aTail...), bTail...)
-	if len(combined) > n {
-		combined = combined[len(combined)-n:]
-	}
-	return combined
+	return c, nil
 }

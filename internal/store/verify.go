@@ -181,7 +181,11 @@ func RepairFS(fsys iofault.FS, dir string) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := helper.writeSummary(i, buildSummary(data, m.Sigma, m.MaxPeriod)); err != nil {
+			sum, err := summarize(data, m.Sigma, m.MaxPeriod)
+			if err != nil {
+				return nil, err
+			}
+			if err := helper.writeSummary(i, sum); err != nil {
 				return nil, err
 			}
 			obs.Recovery().SummariesRebuilt.Inc()

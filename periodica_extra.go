@@ -193,13 +193,13 @@ func Significant(s *Series, res *Result, alpha float64, bonferroni bool) ([]Scor
 var ErrInvalidInput = core.ErrInvalidInput
 
 // Counter maintains the periodicities of an unbounded stream with memory
-// independent of the stream length: only the last maxPeriod symbols and the
-// per-(symbol, period, position) counts are retained, so it runs forever at
-// O(σ·maxPeriod²) bytes. Unlike Incremental it cannot mine patterns (that
-// needs the data) and unlike Monitor nothing ever ages out — counts cover
-// the whole stream.
+// independent of the stream length: only the first and last maxPeriod
+// symbols and the per-(symbol, period, position) counts are retained, so it
+// runs forever at O(σ·maxPeriod²) bytes. Unlike Incremental it cannot mine
+// patterns (that needs the data) and unlike Monitor nothing ever ages out —
+// counts cover the whole stream.
 type Counter struct {
-	inner *core.StreamCounter
+	inner *core.Counts
 	alpha *alphabet.Alphabet
 }
 
@@ -210,7 +210,7 @@ func NewCounter(maxPeriod int, symbols ...string) (*Counter, error) {
 	if err != nil {
 		return nil, err
 	}
-	inner, err := core.NewStreamCounter(alpha.Size(), maxPeriod)
+	inner, err := core.NewCounts(alpha.Size(), maxPeriod)
 	if err != nil {
 		return nil, err
 	}
@@ -227,7 +227,7 @@ func (c *Counter) Append(symbol string) error {
 }
 
 // Len returns the number of symbols seen.
-func (c *Counter) Len() int { return c.inner.Len() }
+func (c *Counter) Len() int { return c.inner.Length }
 
 // MemoryBytes estimates the counter's resident size, independent of Len.
 func (c *Counter) MemoryBytes() int { return c.inner.MemoryBytes() }

@@ -91,6 +91,11 @@ func TestIncrementalValidatesPublic(t *testing.T) {
 	if err := inc.Append("z"); err == nil {
 		t.Fatal("unknown symbol: want error")
 	}
+	for _, psi := range []float64{0, -0.5, 1.5} {
+		if _, err := inc.Periodicities(psi); !errors.Is(err, periodica.ErrInvalidInput) {
+			t.Fatalf("ψ=%v: error %v does not match ErrInvalidInput", psi, err)
+		}
+	}
 }
 
 func TestSeriesFileRoundTripAndExternalDetection(t *testing.T) {
@@ -120,6 +125,9 @@ func TestSeriesFileRoundTripAndExternalDetection(t *testing.T) {
 	}
 	if !reflect.DeepEqual(onDisk, inMem) {
 		t.Fatalf("on-disk %v != in-memory %v", onDisk, inMem)
+	}
+	if _, err := periodica.CandidatePeriodsFile(path, 0, 0); !errors.Is(err, periodica.ErrInvalidInput) {
+		t.Fatalf("ψ=0: error %v does not match ErrInvalidInput", err)
 	}
 }
 
@@ -165,6 +173,11 @@ func TestCounterPublic(t *testing.T) {
 	}
 	if _, err := periodica.NewCounter(0, "a"); err == nil {
 		t.Fatal("maxPeriod 0: want error")
+	}
+	for _, psi := range []float64{0, 1.5} {
+		if _, err := c.Periodicities(psi); !errors.Is(err, periodica.ErrInvalidInput) {
+			t.Fatalf("ψ=%v: error %v does not match ErrInvalidInput", psi, err)
+		}
 	}
 }
 
@@ -417,6 +430,11 @@ func TestMonitorValidates(t *testing.T) {
 	m, _ := periodica.NewMonitor(5, 20, "a")
 	if err := m.Append("z"); err == nil {
 		t.Fatal("unknown symbol: want error")
+	}
+	for _, psi := range []float64{0, 1.5} {
+		if _, err := m.Periodicities(psi); !errors.Is(err, periodica.ErrInvalidInput) {
+			t.Fatalf("ψ=%v: error %v does not match ErrInvalidInput", psi, err)
+		}
 	}
 }
 
