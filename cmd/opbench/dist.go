@@ -70,50 +70,33 @@ func distBench(sc scale, seed int64) error {
 	}
 
 	fmt.Println("Distributed scaling — full mine via sharded coordinator, in-process HTTP workers (best of", reps, "runs)")
-	fmt.Printf("%10s %9s %12s %12s %9s\n", "n", "workers", "candidates", "ms", "vs local")
-	fmt.Printf("%10d %9s %12s %12.1f %9s\n", s.Len(), "local", "-", base*1e3, "1.00x")
+	fmt.Printf("%10s %9s %12s %9s\n", "n", "workers", "ms", "vs local")
+	fmt.Printf("%10d %9s %12.1f %9s\n", s.Len(), "local", base*1e3, "1.00x")
 
-	// Every worker count runs both candidate paths: "shipped" (the default —
-	// the coordinator sweeps once and ships survivors with each shard) and
-	// "self-detect" (NoCandidatePrecompute: every worker re-runs detection
-	// over the whole series). Both are byte-identical to the local mine; the
-	// point of the comparison is how much redundant whole-series work the
-	// shipped path removes.
-	shippedAt := map[int]float64{}
-	for _, cand := range []struct {
-		name string
-		noPC bool
-	}{{"shipped", false}, {"self-detect", true}} {
-		for _, w := range []int{1, 2, 4} {
-			coord, err := dist.New(dist.Config{
-				Workers: urls[:w], NoCandidatePrecompute: cand.noPC, Logger: quiet,
-			})
-			if err != nil {
-				return err
-			}
-			got, err := coord.Mine(context.Background(), s, opt)
-			if err != nil {
-				return err
-			}
-			if !reflect.DeepEqual(got, want) {
-				return fmt.Errorf("dist: %d-worker %s result differs from the single-process mine", w, cand.name)
-			}
-			secs := bestOf(reps, func() {
-				if _, err := coord.Mine(context.Background(), s, opt); err != nil {
-					mineErr = err
-				}
-			})
-			if mineErr != nil {
-				return mineErr
-			}
-			if cand.noPC {
-				fmt.Printf("%10d %9d %12s %12.1f %8.2fx   (shipped wins %.2fx)\n",
-					s.Len(), w, cand.name, secs*1e3, base/secs, secs/shippedAt[w])
-			} else {
-				shippedAt[w] = secs
-				fmt.Printf("%10d %9d %12s %12.1f %8.2fx\n", s.Len(), w, cand.name, secs*1e3, base/secs)
-			}
+	// The coordinator sweeps once and ships each shard its survivors, so a
+	// worker only resolves its own cells; every run must be byte-identical
+	// to the local mine.
+	for _, w := range []int{1, 2, 4} {
+		coord, err := dist.New(dist.Config{Workers: urls[:w], Logger: quiet})
+		if err != nil {
+			return err
 		}
+		got, err := coord.Mine(context.Background(), s, opt)
+		if err != nil {
+			return err
+		}
+		if !reflect.DeepEqual(got, want) {
+			return fmt.Errorf("dist: %d-worker result differs from the single-process mine", w)
+		}
+		secs := bestOf(reps, func() {
+			if _, err := coord.Mine(context.Background(), s, opt); err != nil {
+				mineErr = err
+			}
+		})
+		if mineErr != nil {
+			return mineErr
+		}
+		fmt.Printf("%10d %9d %12.1f %8.2fx\n", s.Len(), w, secs*1e3, base/secs)
 	}
 
 	fmt.Println()

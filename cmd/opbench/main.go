@@ -10,9 +10,8 @@
 //	opbench table1          # period values, Wal-Mart & CIMEG substitutes
 //	opbench table2          # single-symbol patterns at p=24 / p=7
 //	opbench table3          # multi-symbol patterns, Wal-Mart, ψ=35%
-//	opbench kernels         # per-kernel convolution breakdown (complex vs
-//	                        # real vs auto dispatch)
 //	opbench dist            # sharded-coordinator scaling vs the local mine
+//	                        # (survivors shipped to in-process workers)
 //	opbench -query 'conf >= 0.5 and period in 2..64' query
 //	                        # time one pattern query end to end (compile,
 //	                        # mine, shape) over the Wal-Mart substitute
@@ -110,8 +109,6 @@ func main() {
 			err = table2(sc, *seed)
 		case "table3":
 			err = table3(sc, *seed)
-		case "kernels":
-			err = kernels(sc, *seed)
 		case "dist":
 			err = distBench(sc, *seed)
 		case "query":
@@ -368,47 +365,6 @@ func bestOf(reps int, f func()) float64 {
 		}
 	}
 	return best
-}
-
-// kernels benchmarks the convolution hot path — one symbol's circular
-// autocorrelation counts — under each FFT kernel at the scale's timing sizes:
-// the complex radix-2 path, the real-input half-size kernel, and the auto
-// dispatch the miner uses. The speedup column is auto dispatch against the
-// complex kernel.
-func kernels(sc scale, seed int64) error {
-	workers := runtime.GOMAXPROCS(0)
-	reps := 3
-	if sc.length >= fullScale.length {
-		reps = 5
-	}
-
-	fmt.Println("Per-kernel breakdown — per-symbol autocorrelation counts (best of", reps, "runs, ms)")
-	fmt.Printf("%10s %12s %12s %12s %9s\n", "n", "complex", "real", "auto", "speedup")
-
-	for _, n := range sc.timingSizes {
-		plan := fft.PlanFor(fft.NextPow2(2 * n))
-		x := make([]float64, n)
-		rng := uint64(seed)*0x9e3779b97f4a7c15 + 1
-		for i := range x {
-			rng = rng*6364136223846793005 + 1442695040888963407
-			x[i] = float64(rng >> 63)
-		}
-		out := make([]int64, n)
-
-		measure := func(f func()) float64 {
-			f() // warm the plan cache and scratch pools outside the timed reps
-			return bestOf(reps, f)
-		}
-
-		complexSec := measure(func() { plan.AutocorrelateCountsKernelInto(x, out, workers, fft.KernelComplex) })
-		realSec := measure(func() { plan.AutocorrelateCountsKernelInto(x, out, workers, fft.KernelReal) })
-		autoSec := measure(func() { plan.AutocorrelateCountsInto(x, out, workers) })
-
-		fmt.Printf("%10d %12.3f %12.3f %12.3f %8.2fx\n",
-			n, complexSec*1e3, realSec*1e3, autoSec*1e3, complexSec/autoSec)
-	}
-	fmt.Println()
-	return nil
 }
 
 // queryBench times one pattern query end to end — compile, mine, shape —

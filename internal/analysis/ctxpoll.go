@@ -34,8 +34,8 @@ import (
 // the real scheduler), a context.Context Err call, or a receive from a
 // context.Context Done channel. Polls count transitively: a call to a
 // function whose body (transitively) polls is itself a poll, so a loop
-// driving sched.Run or conv.LagMatchCountsBatchedCancel is metered even
-// though the literal Poll sits in the callee. The check is a dataflow
+// driving sched.Run or conv.LagMatchCountsExec is metered even though the
+// literal Poll sits in the callee. The check is a dataflow
 // question on the CFG: the loop fails when a cycle through its header
 // avoids every polling block.
 type CtxPoll struct{}

@@ -30,7 +30,7 @@ func BenchmarkLagMatchCounts(b *testing.B) {
 	})
 	b.Run("fft-parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			LagMatchCountsParallel(s, 0)
+			lagCountsExec(b, s, 0)
 		}
 	})
 	b.Run("naive", func(b *testing.B) {
@@ -48,12 +48,12 @@ func BenchmarkAutocorrelateBatched(b *testing.B) {
 		s := benchSeries(n, 10)
 		b.Run(fmt.Sprintf("batched-serial/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				LagMatchCountsBatched(s, 1)
+				LagMatchCounts(s)
 			}
 		})
 		b.Run(fmt.Sprintf("batched-parallel/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				LagMatchCountsBatched(s, 0)
+				lagCountsExec(b, s, 0)
 			}
 		})
 		b.Run(fmt.Sprintf("per-symbol/n=%d", n), func(b *testing.B) {

@@ -227,59 +227,28 @@ func (ind *Indicators) F2Counts(k, p int, scratch *bitvec.Vector) []int {
 // r[k][p] = |{i : t_i = t_{i+p} = s_k}| = Σ_l F2(s_k, π_{p,l}(T)), computed
 // in O(σ n log n) total with pair-packed FFTs: two symbols' indicators share
 // one forward and one inverse transform. It is the serial form of
-// LagMatchCountsBatched; the counts are identical at any worker count.
+// LagMatchCountsExec, for experiments and baselines; the counts are
+// identical at any worker count.
 func LagMatchCounts(s *series.Series) [][]int64 {
-	return LagMatchCountsBatched(s, 1)
-}
-
-// LagMatchCountsParallel is LagMatchCounts with the pair-packed FFTs spread
-// over the given number of goroutines (0 means GOMAXPROCS).
-func LagMatchCountsParallel(s *series.Series, workers int) [][]int64 {
-	return LagMatchCountsBatched(s, workers)
-}
-
-// LagMatchCountsBatched is the batched autocorrelation driver behind the
-// detection sweep: the σ indicator vectors are packed into ⌈σ/2⌉ pair
-// transforms, scheduled across a pool of `workers` goroutines (0 means
-// GOMAXPROCS) that share one cached fft.Plan. The indicators are real, so
-// each pair runs through the plan's half-size real-input kernel with the two
-// buffers interleaved stage by stage (one walk of the swap and twiddle
-// tables per pair). Each worker reuses a pair of indicator buffers,
-// and any workers left over after the pairs are assigned go to parallel
-// butterflies inside the transforms, so both wide-alphabet and long-series
-// workloads keep every core busy. The counts are exact integers and
-// bit-identical for every worker count and kernel choice.
-func LagMatchCountsBatched(s *series.Series, workers int) [][]int64 {
-	out, _ := lagMatchCountsBatched(s, workers, nil)
+	out, _ := LagMatchCountsExec(s, exec.New(exec.Config{Workers: 1}), 1, nil)
 	return out
 }
 
-// LagMatchCountsBatchedCancel is LagMatchCountsBatched with cooperative
-// cancellation: cancel (e.g. ctx.Err) is polled before each pair transform
-// is claimed, and a non-nil return aborts the batch with that error and nil
-// counts. A transform already in flight runs to completion, so the
-// cancellation latency is bounded by one pair FFT, not the whole batch —
-// the difference matters for wide alphabets.
-func LagMatchCountsBatchedCancel(s *series.Series, workers int, cancel func() error) ([][]int64, error) {
-	return lagMatchCountsBatched(s, workers, cancel)
-}
-
-func lagMatchCountsBatched(s *series.Series, workers int, cancel func() error) ([][]int64, error) {
-	sched := exec.New(exec.Config{Workers: workers, Cancel: cancel})
-	return LagMatchCountsExec(s, sched, workers, nil)
-}
-
-// LagMatchCountsExec is the scheduler-driven form of the batched
-// autocorrelation and the implementation behind every other LagMatchCounts
-// variant: the pair transforms are sharded over sched's worker pool, which
-// is also where cancellation is polled (before each pair is claimed, so the
-// cancellation latency is bounded by one in-flight pair FFT). workers caps
-// the total cores used (0 means all cores — the FFT precompute fans out
-// fully even when the surrounding stage pipeline is serial); workers left over
-// after the pairs are assigned go to parallel butterflies inside each
-// transform. plans supplies the FFT plan cache (nil means the process-shared
-// cache). The counts are exact integers and bit-identical for every worker
-// count.
+// LagMatchCountsExec is the batched autocorrelation driver behind the
+// detection sweep: the σ indicator vectors are packed into ⌈σ/2⌉ pair
+// transforms that share one cached fft.Plan, and each pair runs through the
+// plan's half-size real-input kernel with the two buffers interleaved stage
+// by stage (one walk of the swap and twiddle tables per pair). The pair
+// transforms are sharded over sched's worker pool, which is also where
+// cancellation is polled (before each pair is claimed, so the cancellation
+// latency is bounded by one in-flight pair FFT, not the whole batch — the
+// difference matters for wide alphabets). Each worker reuses a pair of
+// indicator buffers. workers caps the total cores used (0 means all cores —
+// the FFT precompute fans out fully even when the surrounding stage
+// pipeline is serial); workers left over after the pairs are assigned go to
+// parallel butterflies inside each transform. plans supplies the FFT plan
+// cache (nil means the process-shared cache). The counts are exact integers
+// and bit-identical for every worker count.
 func LagMatchCountsExec(s *series.Series, sched *exec.Scheduler, workers int, plans *fft.PlanCache) ([][]int64, error) {
 	n, sigma := s.Len(), s.Alphabet().Size()
 	out := make([][]int64, sigma)

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"periodica/internal/alphabet"
+	"periodica/internal/exec"
 	"periodica/internal/fft"
 	"periodica/internal/series"
 )
@@ -249,6 +250,17 @@ func TestLagMatchCountsMatchNaive(t *testing.T) {
 	}
 }
 
+// lagCountsExec runs LagMatchCountsExec on its own scheduler with the given
+// worker count (0 means GOMAXPROCS) and the shared plan cache.
+func lagCountsExec(t testing.TB, s *series.Series, workers int) [][]int64 {
+	t.Helper()
+	out, err := LagMatchCountsExec(s, exec.New(exec.Config{Workers: workers}), workers, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestLagMatchCountsParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	idx := make([]uint16, 700)
@@ -258,7 +270,7 @@ func TestLagMatchCountsParallelMatchesSerial(t *testing.T) {
 	s := series.FromIndices(alphabet.Letters(6), idx)
 	want := LagMatchCounts(s)
 	for _, workers := range []int{0, 1, 2, 16} {
-		got := LagMatchCountsParallel(s, workers)
+		got := lagCountsExec(t, s, workers)
 		for k := range want {
 			for p := range want[k] {
 				if got[k][p] != want[k][p] {
@@ -342,7 +354,7 @@ func TestLagMatchCountsBatchedMatchesPerSymbol(t *testing.T) {
 			perSymbol[k] = fft.AutocorrelateCounts(s.Indicator(k))
 		}
 		for _, workers := range []int{0, 1, 2, 3, 16} {
-			got := LagMatchCountsBatched(s, workers)
+			got := lagCountsExec(t, s, workers)
 			for k := 0; k < sigma; k++ {
 				for p := 0; p < n; p++ {
 					if got[k][p] != perSymbol[k][p] {
@@ -363,7 +375,7 @@ func TestLagMatchCountsBatchedMatchesPerSymbol(t *testing.T) {
 // the worker count.
 func TestLagMatchCountsBatchedDegenerate(t *testing.T) {
 	s := series.FromIndices(alphabet.Letters(3), nil)
-	out := LagMatchCountsBatched(s, 4)
+	out := lagCountsExec(t, s, 4)
 	if len(out) != 3 {
 		t.Fatalf("empty series: %d rows, want 3", len(out))
 	}
@@ -374,8 +386,8 @@ func TestLagMatchCountsBatchedDegenerate(t *testing.T) {
 	}
 }
 
-// FuzzLagMatchCountsBatched cross-checks batched counts against the naive
-// quadratic form on fuzz-generated series.
+// FuzzLagMatchCountsBatched cross-checks the batched driver's counts
+// against the naive quadratic form on fuzz-generated series.
 func FuzzLagMatchCountsBatched(f *testing.F) {
 	f.Add([]byte("abcabbabcb"), uint8(3))
 	f.Add([]byte{0, 1, 2, 3, 4, 0, 1, 2, 3, 4}, uint8(2))
@@ -393,7 +405,7 @@ func FuzzLagMatchCountsBatched(f *testing.F) {
 			}
 		}
 		s := series.FromIndices(alphabet.Letters(sigma), idx)
-		got := LagMatchCountsBatched(s, int(workers)%5)
+		got := lagCountsExec(t, s, int(workers)%5)
 		want := LagMatchCountsNaive(s)
 		for k := range want {
 			for p := range want[k] {
@@ -428,7 +440,7 @@ func TestLagMatchCountsInnerParallelBitIdentical(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{2, 3, 4} {
-		got := LagMatchCountsParallel(s, workers)
+		got := lagCountsExec(t, s, workers)
 		for k := range want {
 			for p := range want[k] {
 				if got[k][p] != want[k][p] {

@@ -35,7 +35,7 @@ func TestBatchedCountsConcurrentStress(t *testing.T) {
 	// hammers start.
 	wants := make([][][]int64, len(inputs))
 	for i, s := range inputs {
-		wants[i] = LagMatchCountsBatched(s, 1)
+		wants[i] = LagMatchCounts(s)
 	}
 
 	plans := fft.NewPlanCache()

@@ -55,7 +55,7 @@ func BestConfidences(s *series.Series, maxPeriod int) ([]float64, error) {
 	if maxPeriod < 1 || maxPeriod >= n {
 		return nil, invalidf("core: maxPeriod %d outside [1,%d)", maxPeriod, n)
 	}
-	det := newDetector(s, EngineBitset)
+	det := newDetector(s)
 	out := make([]float64, maxPeriod+1)
 	for p := 1; p <= maxPeriod; p++ {
 		best := 0.0

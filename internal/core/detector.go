@@ -29,28 +29,11 @@ type detector struct {
 	surv         []int32 // surviving-symbol scratch for the fused detect path
 }
 
-func newDetector(s *series.Series, eng Engine) *detector {
-	d := &detector{s: s, eng: eng, minPairs: 1}
-	switch eng {
-	case EngineBitset:
-		d.ind = conv.NewIndicators(s)
-	case EngineFFT:
-		d.ind = conv.NewIndicators(s)
-		// The batched planned engine returns the same exact counts as the
-		// serial sweep, so the detector's results are unchanged.
-		d.lag = conv.LagMatchCountsBatched(s, 0)
-	}
-	return d
-}
-
-// newDetectorFromIndicators builds a detector directly from streaming-built
-// indicators (no symbol-index copy of the series required).
-func newDetectorFromIndicators(ind *conv.Indicators, lag [][]int64) *detector {
-	eng := EngineBitset
-	if lag != nil {
-		eng = EngineFFT
-	}
-	return &detector{eng: eng, minPairs: 1, ind: ind, lag: lag}
+// newDetector builds a bitset detector over s for callers that query one
+// period at a time (Confidencer, BestConfidences, significance): its prune
+// popcounts the lag-p match sets, so it needs no FFT precompute.
+func newDetector(s *series.Series) *detector {
+	return &detector{s: s, eng: EngineBitset, minPairs: 1, ind: conv.NewIndicators(s)}
 }
 
 func (d *detector) n() int {

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"periodica/internal/alphabet"
+	"periodica/internal/conv"
+	"periodica/internal/exec"
 	"periodica/internal/fft"
 	"periodica/internal/series"
 )
@@ -44,8 +46,9 @@ func TestResolveEngineCrossover(t *testing.T) {
 	}
 }
 
-// TestSessionScopedPlanCache mines through a session holding its own FFT-plan
-// cache and checks the result is identical to the process-shared default: the
+// TestSessionScopedPlanCache: a session's detect stage takes its FFT plans
+// from the process-shared cache, and its lag counts — hence the mined
+// result — are identical to a detect over a fresh, isolated cache: the plan
 // cache is a pure performance artifact, never a semantic one.
 func TestSessionScopedPlanCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -59,23 +62,22 @@ func TestSessionScopedPlanCache(t *testing.T) {
 	s := series.FromIndices(alphabet.Letters(3), idx)
 	opt := Options{Threshold: 0.6, Engine: EngineFFT, MinPairs: 3, MaxPatternPeriod: 20}
 
-	want, err := mine(s, opt)
+	ses, err := newSession(s, opt, sessionConfig{workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(want.Periodicities) == 0 {
+	res, err := ses.mine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Periodicities) == 0 {
 		t.Fatal("fixture detected nothing; the test is vacuous")
 	}
-
-	ses, err := newSession(s, opt, sessionConfig{workers: 1, plans: fft.NewPlanCache()})
+	isolated, err := conv.LagMatchCountsExec(s, exec.New(exec.Config{Workers: 1}), 1, fft.NewPlanCache())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ses.mine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Error("session-scoped plan cache changed the mining result")
+	if !reflect.DeepEqual(ses.lag, isolated) {
+		t.Error("an isolated plan cache changed the detect stage's lag counts")
 	}
 }

@@ -129,7 +129,9 @@ func pairsAt(n, p, l int) int {
 }
 
 // qualifies is the Definition-1 test F2/pairs ≥ ψ: every emitted symbol
-// periodicity, whatever the engine or source, is accepted here.
+// periodicity, whatever the engine or source, is accepted here. The pattern
+// enumeration applies it to occurrence counts over ⌊n/p⌋, for both its
+// prune and its emit.
 func qualifies(f2, pairs int, psi float64) bool {
 	return float64(f2)/float64(pairs) >= psi
 }
@@ -221,7 +223,7 @@ type Confidencer struct {
 
 // NewConfidencer builds a Confidencer for s.
 func NewConfidencer(s *series.Series) *Confidencer {
-	return &Confidencer{det: newDetector(s, EngineBitset)}
+	return &Confidencer{det: newDetector(s)}
 }
 
 // At returns the maximum Definition-1 confidence at period p.

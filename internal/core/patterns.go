@@ -249,22 +249,23 @@ func (e *enumerator) walk(l int, cur *bitvec.Vector) {
 			return
 		}
 	}
-	// Divide as the support test below does, so the prune never drops a
-	// pattern whose support equals ψ.
-	if cur != nil && float64(cur.Count())/float64(e.total) < e.psi {
+	// The prune is the emit test below applied to the partial pattern's
+	// occurrences (support is anti-monotone), so it never drops a pattern
+	// whose support equals ψ.
+	if cur != nil && !qualifies(cur.Count(), e.total, e.psi) {
 		return
 	}
 	if l == e.period {
 		if len(e.chosen) >= 2 {
 			count := cur.Count()
-			support := float64(count) / float64(e.total)
-			if support >= e.psi {
+			if qualifies(count, e.total, e.psi) {
 				if len(e.found) >= e.max {
 					e.truncated = true
 					return
 				}
 				fixed := make([]FixedSymbol, len(e.chosen))
 				copy(fixed, e.chosen)
+				support := float64(count) / float64(e.total)
 				e.found = append(e.found, Pattern{Period: e.period, Fixed: fixed, Count: count, Support: support})
 			}
 		}

@@ -42,14 +42,14 @@ func resolveEngine(e Engine, n int, parallel bool) Engine {
 }
 
 // session owns the state of one mining run: the series and alphabet bounds,
-// the resolved engine and validated options, the FFT-plan cache, the
-// scheduler that shards stage work and polls cancellation, and the products
-// each stage hands to the next (indicators and lag counts from detect,
-// per-period survivor lists from sweep, the Result from resolve and
-// enumerate). Every public entry point — batch, context-aware, parallel,
-// streaming, incremental, out-of-core — builds a session and runs the same
-// pipeline, differing only in the source stage and the scheduler's
-// configuration.
+// the resolved engine and validated options, the scheduler that shards stage
+// work and polls cancellation, and the products each stage hands to the
+// next (indicators and lag counts from detect, per-period survivor lists
+// from sweep, the Result from resolve and enumerate). Every public entry
+// point — batch, context-aware, parallel, streaming, incremental,
+// out-of-core — builds a session and runs the same pipeline, differing only
+// in the source stage and the scheduler's configuration. FFT plans come
+// from the process-shared cache.
 type session struct {
 	s     *series.Series // nil for the out-of-core source stage
 	n     int
@@ -64,7 +64,6 @@ type session struct {
 	symLo, symHi int
 
 	sched      *exec.Scheduler
-	plans      *fft.PlanCache
 	met        *obs.ExecMetrics
 	fftWorkers int // cores for the batched FFT precompute (0 = all)
 
@@ -84,7 +83,6 @@ type sessionConfig struct {
 	parallel   bool // resolve the engine for a sharded run
 	cancel     func() error
 	maxSteps   int64
-	plans      *fft.PlanCache // nil = the process-shared cache
 }
 
 // newSession validates opt against s and assembles the session. An empty
@@ -103,7 +101,6 @@ func newSession(s *series.Series, opt Options, cfg sessionConfig) (*session, err
 		sigma: s.Alphabet().Size(),
 		opt:   opt,
 		eng:   resolveEngine(opt.Engine, s.Len(), cfg.parallel),
-		plans: cfg.plans,
 		met:   obs.Exec(),
 	}
 	ses.finishSession(cfg)
@@ -129,7 +126,6 @@ func newCandidateSession(s *series.Series, psi float64, maxPeriod int, cfg sessi
 		sigma: s.Alphabet().Size(),
 		opt:   opt,
 		eng:   EngineFFT,
-		plans: cfg.plans,
 		met:   obs.Exec(),
 	}
 	ses.finishSession(cfg)
@@ -142,10 +138,9 @@ func newCandidateSession(s *series.Series, psi float64, maxPeriod int, cfg sessi
 // resolved to n/2 once n is known).
 func newFileSession(psi float64, maxPeriod int, cfg sessionConfig) *session {
 	ses := &session{
-		opt:   Options{Threshold: psi, MinPeriod: 1, MaxPeriod: maxPeriod},
-		eng:   EngineFFT,
-		plans: cfg.plans,
-		met:   obs.Exec(),
+		opt: Options{Threshold: psi, MinPeriod: 1, MaxPeriod: maxPeriod},
+		eng: EngineFFT,
+		met: obs.Exec(),
 	}
 	ses.finishSession(cfg)
 	return ses
@@ -154,9 +149,6 @@ func newFileSession(psi float64, maxPeriod int, cfg sessionConfig) *session {
 // finishSession builds the session's scheduler. Worker counts are capped at
 // GOMAXPROCS: a request cannot ask for more goroutines than cores.
 func (ses *session) finishSession(cfg sessionConfig) {
-	if ses.plans == nil {
-		ses.plans = fft.SharedPlans()
-	}
 	ses.fftWorkers = min(cfg.fftWorkers, runtime.GOMAXPROCS(0))
 	ses.sched = exec.New(exec.Config{
 		Workers:  min(cfg.workers, runtime.GOMAXPROCS(0)),
@@ -245,7 +237,7 @@ func (st memoryDetect) run(ses *session) error {
 		ses.ind = conv.NewIndicators(ses.s)
 	}
 	if ses.eng == EngineFFT {
-		lag, err := conv.LagMatchCountsExec(ses.s, ses.sched, ses.fftWorkers, ses.plans)
+		lag, err := conv.LagMatchCountsExec(ses.s, ses.sched, ses.fftWorkers, fft.SharedPlans())
 		if err != nil {
 			return err
 		}

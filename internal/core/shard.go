@@ -1,16 +1,17 @@
 package core
 
-// The distributed shard seam. A mine's sweep and resolve stages partition
-// cleanly over (symbol × candidate-period) blocks: each block's per-period
-// slots are computed independently (MineShardSlots, run on worker nodes),
-// and the union of the blocks' slots is exactly the single-process resolve
-// output, so reassembly (AssembleFromSlots, run on the coordinator) is a
-// concatenation, the canonical result sort, and the pattern-enumeration
-// stage over the merged periodicities. Byte-identical by construction: every
-// slot value is an integer pair (F2, Pairs) computed from the same read-only
-// inputs a single-process mine uses, confidences are re-derived from those
-// integers by the same division, and the result sort has a total order —
-// merge order can never show through.
+// The distributed shard seam. A mine's resolve stage partitions cleanly over
+// (symbol × candidate-period) blocks: the coordinator runs detect and sweep
+// once (ShardSurvivors), each block's per-period slots are then resolved
+// independently from its slice of the survivors (MineShardSlotsFromSurvivors,
+// run on worker nodes), and the union of the blocks' slots is exactly the
+// single-process resolve output, so reassembly (AssembleFromSlots, run on the
+// coordinator) is a concatenation, the canonical result sort, and the
+// pattern-enumeration stage over the merged periodicities. Byte-identical by
+// construction: every slot value is an integer pair (F2, Pairs) computed from
+// the same read-only inputs a single-process mine uses, confidences are
+// re-derived from those integers by the same division, and the result sort
+// has a total order — merge order can never show through.
 
 import (
 	"context"
@@ -27,37 +28,13 @@ func NormalizeOptions(opt Options, n int) (Options, error) {
 	return opt.withDefaults(n)
 }
 
-// MineShardSlots computes one shard of a mine: the symbol periodicities of
-// symbols [symLo, symHi) over candidate periods [opt.MinPeriod,
-// opt.MaxPeriod], exactly as the resolve stage of a single-process mine
-// would emit them for those (symbol, period) cells. The slots are raw —
-// unsorted across periods, no derived patterns — because assembly is the
-// coordinator's job. Engine selection treats the run as parallel (the naive
-// engine is substituted by the bitset engine, which shards cleanly and
-// shares its semantics exactly), so any engine request yields identical
-// slot values.
-func MineShardSlots(ctx context.Context, s *series.Series, opt Options, symLo, symHi int) ([]SymbolPeriodicity, error) {
-	ses, err := newSession(s, opt, sessionConfig{parallel: true, cancel: ctx.Err})
-	if err != nil {
-		return nil, err
-	}
-	if symLo < 0 || symHi > ses.sigma || symLo >= symHi {
-		return nil, invalidf("core: shard symbol range [%d,%d) outside [0,%d)", symLo, symHi, ses.sigma)
-	}
-	ses.symLo, ses.symHi = symLo, symHi
-	if err := ses.runPipeline(memoryDetect{}, sweepPeriods{}, resolveSlots{}); err != nil {
-		return nil, err
-	}
-	return ses.slots, nil
-}
-
 // ShardSurvivors runs the detect and sweep stages once over the full series
 // and returns the per-period survivor lists: entry i holds, ascending, the
 // symbols that could still reach the threshold at period opt.MinPeriod+i.
-// A coordinator computes this once and ships each shard its slice, so the
-// workers skip the whole-series detection their bands would otherwise
-// recompute. The lists are exactly the sweep a worker would run itself —
-// same integers, same float comparison — so resolve output is unchanged.
+// A coordinator computes this once and ships each shard its slice, so no
+// worker repeats the whole-series detection. The lists are exactly the
+// sweep a single-process mine runs — same integers, same float comparison —
+// so resolve output is unchanged.
 func ShardSurvivors(ctx context.Context, s *series.Series, opt Options) ([][]int32, error) {
 	ses, err := newSession(s, opt, sessionConfig{parallel: true, cancel: ctx.Err})
 	if err != nil {
@@ -70,13 +47,20 @@ func ShardSurvivors(ctx context.Context, s *series.Series, opt Options) ([][]int
 }
 
 // MineShardSlotsFromSurvivors computes one shard of a mine from a
-// coordinator-shipped survivor set: identical output to MineShardSlots on
-// the same shard, but the detect stage builds only the indicator vectors —
-// the O(σ n log n) whole-series autocorrelation and the sweep are skipped
-// because the coordinator already ran them. surv must span the shard's
-// period band (entry i is period opt.MinPeriod+i) with each list strictly
-// ascending inside [symLo, symHi); a malformed set is an invalid-input
-// error, because a worker must never resolve cells outside its shard.
+// coordinator-shipped survivor set: the symbol periodicities of symbols
+// [symLo, symHi) over candidate periods [opt.MinPeriod, opt.MaxPeriod],
+// exactly as the resolve stage of a single-process mine would emit them for
+// those (symbol, period) cells. The detect stage builds only the indicator
+// vectors — the O(σ n log n) whole-series autocorrelation and the sweep are
+// skipped because the coordinator already ran them. The slots are raw —
+// unsorted across periods, no derived patterns — because assembly is the
+// coordinator's job. Engine selection treats the run as parallel (the naive
+// engine is substituted by the bitset engine, which shards cleanly and
+// shares its semantics exactly), so any engine request yields identical
+// slot values. surv must span the shard's period band (entry i is period
+// opt.MinPeriod+i) with each list strictly ascending inside [symLo, symHi);
+// a missing or malformed set is an invalid-input error, because a worker
+// must never resolve cells outside its shard.
 func MineShardSlotsFromSurvivors(ctx context.Context, s *series.Series, opt Options, symLo, symHi int, surv [][]int32) ([]SymbolPeriodicity, error) {
 	ses, err := newSession(s, opt, sessionConfig{parallel: true, cancel: ctx.Err})
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -29,9 +30,26 @@ func shardFixture(n int) *series.Series {
 	return series.FromString(b.String())
 }
 
-// mineViaShards cuts the normalized option range into a plan, computes every
-// shard's slots, and reassembles — the distributed pipeline without the
-// network.
+// shardBand slices the coordinator's survivor set to one shard's period band
+// and clips each list to its symbol range, exactly as the dist coordinator
+// ships it.
+func shardBand(surv [][]int32, sh exec.Shard, minPeriod int) [][]int32 {
+	band := make([][]int32, 0, sh.MaxPeriod-sh.MinPeriod+1)
+	for p := sh.MinPeriod; p <= sh.MaxPeriod; p++ {
+		var clipped []int32
+		for _, k := range surv[p-minPeriod] {
+			if int(k) >= sh.SymbolLo && int(k) < sh.SymbolHi {
+				clipped = append(clipped, k)
+			}
+		}
+		band = append(band, clipped)
+	}
+	return band
+}
+
+// mineViaShards cuts the normalized option range into a plan, sweeps once,
+// resolves every shard's slots from its shipped survivors, and reassembles —
+// the distributed pipeline without the network.
 func mineViaShards(t *testing.T, s *series.Series, opt Options, target int) *Result {
 	t.Helper()
 	norm, err := NormalizeOptions(opt, s.Len())
@@ -42,11 +60,16 @@ func mineViaShards(t *testing.T, s *series.Series, opt Options, target int) *Res
 	if len(plan) == 0 {
 		t.Fatal("empty shard plan")
 	}
+	surv, err := ShardSurvivors(context.Background(), s, norm)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var slots []SymbolPeriodicity
 	for _, sh := range plan {
 		shardOpt := norm
 		shardOpt.MinPeriod, shardOpt.MaxPeriod = sh.MinPeriod, sh.MaxPeriod
-		part, err := MineShardSlots(context.Background(), s, shardOpt, sh.SymbolLo, sh.SymbolHi)
+		part, err := MineShardSlotsFromSurvivors(context.Background(), s, shardOpt,
+			sh.SymbolLo, sh.SymbolHi, shardBand(surv, sh, norm.MinPeriod))
 		if err != nil {
 			t.Fatalf("shard %d: %v", sh.ID, err)
 		}
@@ -104,11 +127,22 @@ func TestShardSymbolSplit(t *testing.T) {
 	}
 }
 
+// emptyBand is a well-formed survivor set with no survivors, spanning opt's
+// normalized period band over s.
+func emptyBand(t *testing.T, s *series.Series, opt Options) (Options, [][]int32) {
+	t.Helper()
+	norm, err := NormalizeOptions(opt, s.Len())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return norm, make([][]int32, norm.MaxPeriod-norm.MinPeriod+1)
+}
+
 func TestMineShardSlotsValidates(t *testing.T) {
 	s := shardFixture(100)
-	opt := Options{Threshold: 0.6}
+	norm, band := emptyBand(t, s, Options{Threshold: 0.6})
 	for _, r := range [][2]int{{-1, 2}, {0, 4}, {2, 2}, {2, 1}} {
-		if _, err := MineShardSlots(context.Background(), s, opt, r[0], r[1]); !errors.Is(err, ErrInvalidInput) {
+		if _, err := MineShardSlotsFromSurvivors(context.Background(), s, norm, r[0], r[1], band); !errors.Is(err, ErrInvalidInput) {
 			t.Errorf("symbol range %v: err = %v, want ErrInvalidInput", r, err)
 		}
 	}
@@ -116,9 +150,10 @@ func TestMineShardSlotsValidates(t *testing.T) {
 
 func TestMineShardSlotsCancellation(t *testing.T) {
 	s := shardFixture(5000)
+	norm, band := emptyBand(t, s, Options{Threshold: 0.6})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := MineShardSlots(ctx, s, Options{Threshold: 0.6}, 0, 3); !errors.Is(err, context.Canceled) {
+	if _, err := MineShardSlotsFromSurvivors(ctx, s, norm, 0, 3, band); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }
@@ -143,13 +178,18 @@ func TestAssembleFromSlotsRejectsBadSlots(t *testing.T) {
 }
 
 // TestShardSurvivorsShippedPathMatches: for every shard of a plan, mining
-// from the coordinator's shipped survivor slice must produce the exact slots
-// the self-detecting path produces, so candidate shipping can never change a
+// from the coordinator's shipped survivor slice must produce exactly the
+// single-process mine's periodicities in that shard's cells, and the shards
+// together must cover all of them, so candidate shipping can never change a
 // mine's bytes.
 func TestShardSurvivorsShippedPathMatches(t *testing.T) {
 	s := shardFixture(605)
 	opt := Options{Threshold: 0.6, MinPairs: 3, MaxPatternPeriod: 21}
 	norm, err := NormalizeOptions(opt, s.Len())
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := mine(s, norm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,40 +200,47 @@ func TestShardSurvivorsShippedPathMatches(t *testing.T) {
 	if len(surv) != norm.MaxPeriod-norm.MinPeriod+1 {
 		t.Fatalf("survivor set spans %d periods, want %d", len(surv), norm.MaxPeriod-norm.MinPeriod+1)
 	}
-	nonEmpty := false
-	for _, list := range surv {
-		nonEmpty = nonEmpty || len(list) > 0
+	if len(single.Periodicities) == 0 {
+		t.Fatal("no periodicities anywhere; the test is vacuous")
 	}
-	if !nonEmpty {
-		t.Fatal("no survivors anywhere; the test is vacuous")
+	byCell := func(a []SymbolPeriodicity) {
+		sort.Slice(a, func(i, j int) bool {
+			x, y := a[i], a[j]
+			if x.Period != y.Period {
+				return x.Period < y.Period
+			}
+			if x.Symbol != y.Symbol {
+				return x.Symbol < y.Symbol
+			}
+			return x.Position < y.Position
+		})
 	}
+	covered := 0
 	plan := exec.PlanShards(s.Alphabet().Size(), norm.MinPeriod, norm.MaxPeriod, 9)
 	for _, sh := range plan {
 		shardOpt := norm
 		shardOpt.MinPeriod, shardOpt.MaxPeriod = sh.MinPeriod, sh.MaxPeriod
-		// Slice the coordinator's band and clip each list to the shard's
-		// symbol range, exactly as the dist coordinator ships it.
-		band := make([][]int32, 0, sh.MaxPeriod-sh.MinPeriod+1)
-		for p := sh.MinPeriod; p <= sh.MaxPeriod; p++ {
-			var clipped []int32
-			for _, k := range surv[p-norm.MinPeriod] {
-				if int(k) >= sh.SymbolLo && int(k) < sh.SymbolHi {
-					clipped = append(clipped, k)
-				}
+		var want []SymbolPeriodicity
+		for _, sp := range single.Periodicities {
+			if sp.Symbol >= sh.SymbolLo && sp.Symbol < sh.SymbolHi &&
+				sp.Period >= sh.MinPeriod && sp.Period <= sh.MaxPeriod {
+				want = append(want, sp)
 			}
-			band = append(band, clipped)
 		}
-		want, err := MineShardSlots(context.Background(), s, shardOpt, sh.SymbolLo, sh.SymbolHi)
-		if err != nil {
-			t.Fatalf("shard %d self-detect: %v", sh.ID, err)
-		}
-		got, err := MineShardSlotsFromSurvivors(context.Background(), s, shardOpt, sh.SymbolLo, sh.SymbolHi, band)
+		got, err := MineShardSlotsFromSurvivors(context.Background(), s, shardOpt,
+			sh.SymbolLo, sh.SymbolHi, shardBand(surv, sh, norm.MinPeriod))
 		if err != nil {
 			t.Fatalf("shard %d shipped: %v", sh.ID, err)
 		}
+		byCell(want)
+		byCell(got)
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("shard %d: shipped-survivor slots differ from self-detected slots", sh.ID)
+			t.Errorf("shard %d: shipped-survivor slots differ from the single-process periodicities", sh.ID)
 		}
+		covered += len(got)
+	}
+	if covered != len(single.Periodicities) {
+		t.Errorf("shards resolved %d periodicities, single-process mine has %d", covered, len(single.Periodicities))
 	}
 }
 
@@ -235,7 +282,11 @@ func TestAssembleConfidenceRederived(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slots, err := MineShardSlots(context.Background(), s, norm, 0, 3)
+	surv, err := ShardSurvivors(context.Background(), s, norm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots, err := MineShardSlotsFromSurvivors(context.Background(), s, norm, 0, 3, surv)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,7 +85,7 @@ func PeriodPValues(s *series.Series, maxPeriod int) ([]float64, error) {
 		return nil, fmt.Errorf("core: maxPeriod %d outside [1,%d)", maxPeriod, n)
 	}
 	sig := NewSignificance(s)
-	det := newDetector(s, EngineBitset)
+	det := newDetector(s)
 	out := make([]float64, maxPeriod+1)
 	for p := range out {
 		out[p] = 1

@@ -88,11 +88,6 @@ type Config struct {
 	// checkpointed: an interrupted Mine re-run with the same inputs skips
 	// the journaled shards. The journal is deleted when a mine completes.
 	ResumeJournal string
-	// NoCandidatePrecompute disables shipping the coordinator's sweep
-	// results with each shard; workers then re-detect over the whole series
-	// themselves. The shipped and self-detected paths produce identical
-	// slots — this knob exists for benchmarking the difference.
-	NoCandidatePrecompute bool
 	// Client issues the shard calls; nil means a zero httpapi.ShardClient.
 	Client *httpapi.ShardClient
 	// DisableLocalFallback turns exhausting a shard's attempt budget into a
@@ -200,14 +195,12 @@ func (c *Coordinator) Mine(ctx context.Context, s *periodica.Series, opt periodi
 	}
 
 	// Run the detect and sweep stages once here and ship each shard its
-	// survivor slice, so workers resolve directly instead of re-detecting
-	// over the whole series. Skipped shards' survivors cost nothing extra —
-	// the computation is shared across the plan.
-	var surv [][]int32
-	if !c.cfg.NoCandidatePrecompute {
-		if surv, err = core.ShardSurvivors(ctx, ser, norm); err != nil {
-			return nil, err
-		}
+	// survivor slice, so a worker only resolves its own cells. Skipped
+	// shards' survivors cost nothing extra — the computation is shared
+	// across the plan.
+	surv, err := core.ShardSurvivors(ctx, ser, norm)
+	if err != nil {
+		return nil, err
 	}
 
 	var jr *journalRun
@@ -240,9 +233,7 @@ func (c *Coordinator) Mine(ctx context.Context, s *periodica.Series, opt periodi
 			Threshold: norm.Threshold, MinPeriod: sh.MinPeriod, MaxPeriod: sh.MaxPeriod,
 			SymbolLo: sh.SymbolLo, SymbolHi: sh.SymbolHi,
 			MinPairs: norm.MinPairs, Engine: engine,
-		}
-		if surv != nil {
-			req.Survivors = clipSurvivors(surv, sh, norm.MinPeriod)
+			Survivors: clipSurvivors(surv, sh, norm.MinPeriod),
 		}
 		if jr != nil {
 			if wire, ok := jr.completed(sh.ID); ok {
@@ -454,7 +445,8 @@ func (c *Coordinator) crossVerify(ctx context.Context, req httpapi.ShardRequest,
 
 // localFallback computes the shard in-process after the attempt budget is
 // exhausted — degraded (the coordinator spends its own CPU) but correct,
-// since MineShardSlots is the exact computation a worker runs.
+// since resolving the request's own clipped survivors with
+// MineShardSlotsFromSurvivors is the exact computation a worker runs.
 func (c *Coordinator) localFallback(ctx context.Context, ser *series.Series, norm core.Options, req httpapi.ShardRequest, cause error) ([]httpapi.ShardSlot, error) {
 	if c.cfg.DisableLocalFallback {
 		return nil, fmt.Errorf("dist: shard %d failed remotely: %w", req.ShardID, cause)
@@ -463,7 +455,7 @@ func (c *Coordinator) localFallback(ctx context.Context, ser *series.Series, nor
 	obs.Dist().LocalFallbacks.Inc()
 	shardOpt := norm
 	shardOpt.MinPeriod, shardOpt.MaxPeriod = req.MinPeriod, req.MaxPeriod
-	slots, err := core.MineShardSlots(ctx, ser, shardOpt, req.SymbolLo, req.SymbolHi)
+	slots, err := core.MineShardSlotsFromSurvivors(ctx, ser, shardOpt, req.SymbolLo, req.SymbolHi, req.Survivors)
 	if err != nil {
 		return nil, err
 	}

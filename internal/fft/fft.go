@@ -2,9 +2,10 @@
 // correlation primitives the miner builds on. The transform is an iterative
 // in-place radix-2 decimation-in-time FFT over []complex128, executed through
 // cached per-size plans (see plan.go) that precompute twiddle tables and the
-// bit-reversal permutation; helpers cover linear convolution and
-// autocorrelation of real sequences, which is how the paper evaluates its
-// modified convolution in O(n log n).
+// bit-reversal permutation; helpers cover linear convolution and, through the
+// real-input kernel (see realfft.go), correlation and autocorrelation of real
+// sequences, which is how the paper evaluates its modified convolution in
+// O(n log n).
 package fft
 
 import (
@@ -123,30 +124,14 @@ func CrossCorrelate(a, b []float64) []float64 {
 // rounded to the nearest integer. It is intended for 0/1 indicator vectors,
 // where r[p] is the exact number of lag-p matches; rounding removes FFT
 // round-off (the error is far below 0.5 for any series that fits in memory,
-// and ValidateCountPrecision makes the bound checkable). It costs one forward
-// and one inverse transform.
+// and ValidateCountPrecision makes the bound checkable). It costs one
+// half-size forward and one half-size inverse transform through the
+// real-input kernel.
 func AutocorrelateCounts(x []float64) []int64 {
 	if len(x) == 0 {
 		return nil
 	}
 	return PlanFor(NextPow2(2 * len(x))).AutocorrelateCounts(x)
-}
-
-// AutocorrelateCountsPair computes the autocorrelation counts of two 0/1
-// indicator vectors of equal length with a single forward and a single
-// inverse transform: the inputs are packed as the real and imaginary parts
-// of one complex vector, the two spectra are separated by Hermitian
-// symmetry, and both (real) autocorrelations travel back through one inverse
-// transform packed the same way. Identical results to two AutocorrelateCounts
-// calls at half the transforms.
-func AutocorrelateCountsPair(x1, x2 []float64) ([]int64, []int64) {
-	if len(x1) != len(x2) {
-		panic(fmt.Sprintf("fft: pair length mismatch %d vs %d", len(x1), len(x2)))
-	}
-	if len(x1) == 0 {
-		return nil, nil
-	}
-	return PlanFor(NextPow2(2*len(x1))).AutocorrelateCountsPair(x1, x2)
 }
 
 // ValidateCountPrecision reports the worst absolute deviation from an integer
@@ -161,31 +146,5 @@ func ValidateCountPrecision(x []float64) float64 {
 			worst = d
 		}
 	}
-	return worst
-}
-
-// ValidateCountPrecisionPair is ValidateCountPrecision for the pair-packed
-// path: it reports the worst deviation from an integer across both raw
-// (pre-rounding) autocorrelations of the packed transform of x1 and x2.
-func ValidateCountPrecisionPair(x1, x2 []float64) float64 {
-	if len(x1) != len(x2) {
-		panic(fmt.Sprintf("fft: pair length mismatch %d vs %d", len(x1), len(x2)))
-	}
-	n := len(x1)
-	if n == 0 {
-		return 0
-	}
-	p := PlanFor(NextPow2(2 * n))
-	specp := p.pairSpectrum(x1, x2, p.autoWorkers())
-	spec := *specp
-	worst := 0.0
-	for i := 0; i < n; i++ {
-		for _, v := range [2]float64{real(spec[i]), imag(spec[i])} {
-			if d := math.Abs(v - math.Round(v)); d > worst {
-				worst = d
-			}
-		}
-	}
-	p.release(specp)
 	return worst
 }

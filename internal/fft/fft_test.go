@@ -248,7 +248,7 @@ func TestAutocorrelateCountsPairMatchesSingles(t *testing.T) {
 				x2[i] = 1
 			}
 		}
-		got1, got2 := AutocorrelateCountsPair(x1, x2)
+		got1, got2 := pairCounts(x1, x2, 0)
 		want1 := AutocorrelateCounts(x1)
 		want2 := AutocorrelateCounts(x2)
 		for p := 0; p < n; p++ {
@@ -260,10 +260,19 @@ func TestAutocorrelateCountsPairMatchesSingles(t *testing.T) {
 	}
 }
 
+// pairCounts runs the pair entry point on fresh output slices.
+func pairCounts(x1, x2 []float64, workers int) ([]int64, []int64) {
+	out1, out2 := make([]int64, len(x1)), make([]int64, len(x2))
+	PlanFor(NextPow2(2*len(x1))).AutocorrelateCountsPairInto(x1, x2, out1, out2, workers)
+	return out1, out2
+}
+
 func TestAutocorrelateCountsPairEmpty(t *testing.T) {
-	a, b := AutocorrelateCountsPair(nil, nil)
-	if a != nil || b != nil {
-		t.Fatal("empty pair: want nil results")
+	// An empty pair is a no-op on any plan, even one too small for input.
+	PlanFor(1).AutocorrelateCountsPairInto(nil, nil, nil, nil, 0)
+	a, b := pairCounts(nil, nil, 1)
+	if len(a) != 0 || len(b) != 0 {
+		t.Fatal("empty pair: want empty results")
 	}
 }
 
@@ -273,7 +282,8 @@ func TestAutocorrelateCountsPairLengthMismatchPanics(t *testing.T) {
 			t.Fatal("length mismatch: want panic")
 		}
 	}()
-	AutocorrelateCountsPair(make([]float64, 3), make([]float64, 4))
+	PlanFor(8).AutocorrelateCountsPairInto(make([]float64, 3), make([]float64, 4),
+		make([]int64, 3), make([]int64, 4), 1)
 }
 
 func TestValidateCountPrecision(t *testing.T) {

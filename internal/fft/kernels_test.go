@@ -1,6 +1,7 @@
 package fft
 
 import (
+	"math"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -16,19 +17,41 @@ func randIndicator(rng *rand.Rand, n int) []float64 {
 	return x
 }
 
-// TestRealSpectrumMatchesComplex checks ForwardReal against the full complex
-// transform, slot by slot including the packed DC/Nyquist pair, and the
-// InverseReal round trip back to the input.
+// complexCounts is the full-size complex autocorrelation the real-input
+// kernel replaces — zero-pad, forward, |X|², inverse, round — kept here as
+// an independent reference at sizes where the quadratic count is too slow.
+func complexCounts(p *Plan, x []float64) []int64 {
+	z := make([]complex128, p.Size())
+	loadPadded(z, x)
+	p.Transform(z, false, 1)
+	for i := range z {
+		re, im := real(z[i]), imag(z[i])
+		z[i] = complex(re*re+im*im, 0)
+	}
+	p.Transform(z, true, 1)
+	out := make([]int64, len(x))
+	for i := range out {
+		out[i] = int64(math.Round(real(z[i])))
+	}
+	return out
+}
+
+// TestRealSpectrumMatchesComplex checks the packed half spectrum against
+// the full complex transform, slot by slot including the packed DC/Nyquist
+// pair, and the inverse pre-pass round trip back to the input.
 func TestRealSpectrumMatchesComplex(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, m := range []int{4, 8, 16, 64, 512, 4096, 1 << 15} {
 		p := PlanFor(m)
+		q := p.halfPlan()
 		x := make([]float64, m)
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
 		spec := make([]complex128, m/2)
-		p.ForwardRealWorkers(x, spec, 1)
+		packReal(spec, x)
+		q.Transform(spec, false, 1)
+		forwardRealPost(spec, p.twf)
 
 		z := make([]complex128, m)
 		loadPadded(z, x)
@@ -44,7 +67,9 @@ func TestRealSpectrumMatchesComplex(t *testing.T) {
 		}
 
 		back := make([]float64, m)
-		p.InverseRealWorkers(spec, back, 1)
+		inverseRealPre(spec, p.twi)
+		q.Transform(spec, true, 1)
+		unpackReal(back, spec)
 		for i := range x {
 			if d := back[i] - x[i]; d > eps || d < -eps {
 				t.Fatalf("m=%d i=%d: real round trip off by %g", m, i, d)
@@ -53,13 +78,12 @@ func TestRealSpectrumMatchesComplex(t *testing.T) {
 	}
 }
 
-// TestKernelCountsBitIdentical is the exhaustive cross-kernel equality sweep
-// the dispatch relies on: for plan sizes 2^4..2^21, autocorrelation counts
-// through the complex kernel and the real-input kernel must agree bit for bit
-// (and, where the quadratic reference is affordable, exactly with ground
-// truth). Counts are
-// the mining-visible output, and they are integers: the kernels' raw spectra
-// differ only far below the 0.5 rounding margin.
+// TestKernelCountsBitIdentical sweeps plan sizes 2^4..2^21: autocorrelation
+// counts through the real-input kernel must agree bit for bit with the
+// full-size complex transform (and, where the quadratic reference is
+// affordable, exactly with ground truth). Counts are the mining-visible
+// output, and they are integers: the two raw spectra differ only far below
+// the 0.5 rounding margin.
 func TestKernelCountsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	maxLog := 21
@@ -69,26 +93,25 @@ func TestKernelCountsBitIdentical(t *testing.T) {
 	for lg := 4; lg <= maxLog; lg++ {
 		m := 1 << lg
 		// NewPlan, not PlanFor: the biggest tables (tens of MB) should be
-		// collectable when the size's subtest ends, not pinned in the shared
-		// cache for the rest of the package run.
+		// collectable when the size's iteration ends, not pinned in the
+		// shared cache for the rest of the package run.
 		p := NewPlan(m)
 		n := m / 2 // the longest input the plan admits
 		x := randIndicator(rng, n)
 
-		complexCounts := make([]int64, n)
-		realCounts := make([]int64, n)
-		p.AutocorrelateCountsKernelInto(x, complexCounts, 1, KernelComplex)
-		p.AutocorrelateCountsKernelInto(x, realCounts, 1, KernelReal)
-		for i := range complexCounts {
-			if complexCounts[i] != realCounts[i] {
-				t.Fatalf("m=2^%d lag %d: complex %d vs real %d", lg, i, complexCounts[i], realCounts[i])
+		got := make([]int64, n)
+		p.AutocorrelateCountsInto(x, got, 1)
+		want := complexCounts(p, x)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("m=2^%d lag %d: real kernel %d vs complex %d", lg, i, got[i], want[i])
 			}
 		}
 		if lg <= 12 {
 			exact := autocorrExactInt(x)
 			for i := range exact {
-				if complexCounts[i] != exact[i] {
-					t.Fatalf("m=2^%d lag %d: kernel count %d vs exact %d", lg, i, complexCounts[i], exact[i])
+				if got[i] != exact[i] {
+					t.Fatalf("m=2^%d lag %d: kernel count %d vs exact %d", lg, i, got[i], exact[i])
 				}
 			}
 		}
@@ -96,120 +119,124 @@ func TestKernelCountsBitIdentical(t *testing.T) {
 }
 
 // TestPairKernelCountsBitIdentical covers the pair path the detect stage
-// actually runs: real vs complex pair kernels, serial and parallel, all bit
-// identical.
+// runs, serial and parallel, against the complex reference per input.
 func TestPairKernelCountsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, n := range []int{5, 100, 1 << 10, 1 << 13} {
 		p := PlanFor(NextPow2(2 * n))
 		x1 := randIndicator(rng, n)
 		x2 := randIndicator(rng, n)
-		wantC1, wantC2 := make([]int64, n), make([]int64, n)
-		p.AutocorrelateCountsPairKernelInto(x1, x2, wantC1, wantC2, 1, KernelComplex)
+		want1, want2 := complexCounts(p, x1), complexCounts(p, x2)
 		got1, got2 := make([]int64, n), make([]int64, n)
 		for _, workers := range []int{1, 2, 4, 7} {
-			for _, kernel := range []Kernel{KernelAuto, KernelReal} {
-				if kernel == KernelReal && p.n < 4 {
-					continue
-				}
-				p.AutocorrelateCountsPairKernelInto(x1, x2, got1, got2, workers, kernel)
-				for i := 0; i < n; i++ {
-					if got1[i] != wantC1[i] || got2[i] != wantC2[i] {
-						t.Fatalf("n=%d workers=%d kernel=%d lag %d: (%d,%d) vs (%d,%d)",
-							n, workers, kernel, i, got1[i], got2[i], wantC1[i], wantC2[i])
-					}
+			p.AutocorrelateCountsPairInto(x1, x2, got1, got2, workers)
+			for i := 0; i < n; i++ {
+				if got1[i] != want1[i] || got2[i] != want2[i] {
+					t.Fatalf("n=%d workers=%d lag %d: (%d,%d) vs (%d,%d)",
+						n, workers, i, got1[i], got2[i], want1[i], want2[i])
 				}
 			}
 		}
 	}
 }
 
-// TestTransformBatchBitIdentical checks the batched entry point against
-// per-buffer Transform calls — bit-for-bit, at every worker count, forward
-// and inverse.
+// TestKernelCountsMatchDirectSmallN pins the smallest plans, including the
+// size-2 plan that has no packed layout: for every n in 1..64 (plans
+// 2..128), single and pair counts equal the direct O(n²) lag counts at one
+// and at four workers.
+func TestKernelCountsMatchDirectSmallN(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for n := 1; n <= 64; n++ {
+		p := PlanFor(NextPow2(2 * n))
+		x1 := randIndicator(rng, n)
+		x2 := randIndicator(rng, n)
+		x1[0] = 1 // n = 1 must see a non-zero count
+		want1, want2 := autocorrExactInt(x1), autocorrExactInt(x2)
+		for _, workers := range []int{1, 4} {
+			single := make([]int64, n)
+			p.AutocorrelateCountsInto(x1, single, workers)
+			got1, got2 := make([]int64, n), make([]int64, n)
+			p.AutocorrelateCountsPairInto(x1, x2, got1, got2, workers)
+			for i := 0; i < n; i++ {
+				if single[i] != want1[i] || got1[i] != want1[i] || got2[i] != want2[i] {
+					t.Fatalf("n=%d plan=%d workers=%d lag %d: single %d, pair (%d,%d), direct (%d,%d)",
+						n, p.Size(), workers, i, single[i], got1[i], got2[i], want1[i], want2[i])
+				}
+			}
+		}
+	}
+}
+
+// TestTransformBatchBitIdentical checks the stage-interleaved pair transform
+// against per-buffer Transform calls — bit-for-bit, at every worker count,
+// forward and inverse.
 func TestTransformBatchBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
-	for _, n := range []int{2, 64, 1 << 10, 1 << 12} {
+	for _, n := range []int{2, 4, 64, 1 << 10, 1 << 14} {
 		p := PlanFor(n)
-		for _, count := range []int{1, 2, 3, 5} {
-			xs := make([][]complex128, count)
-			for b := range xs {
-				xs[b] = randComplex(rng, n)
-			}
-			check := func(workers int) {
-				want := make([][]complex128, count)
-				got := make([][]complex128, count)
-				for b := range xs {
-					want[b] = append([]complex128(nil), xs[b]...)
-					p.Transform(want[b], true, 1)
-					got[b] = append([]complex128(nil), xs[b]...)
-				}
-				p.TransformBatch(got, true, workers)
-				for b := range got {
-					for i := range got[b] {
-						if got[b][i] != want[b][i] {
-							t.Fatalf("n=%d count=%d workers=%d buf %d elem %d differs",
-								n, count, workers, b, i)
-						}
+		for _, inverse := range []bool{false, true} {
+			for _, workers := range []int{1, 3, 8} {
+				a, b := randComplex(rng, n), randComplex(rng, n)
+				wantA := append([]complex128(nil), a...)
+				wantB := append([]complex128(nil), b...)
+				p.Transform(wantA, inverse, 1)
+				p.Transform(wantB, inverse, 1)
+				p.transformPair(a, b, inverse, workers)
+				for i := range a {
+					if a[i] != wantA[i] || b[i] != wantB[i] {
+						t.Fatalf("n=%d inverse=%v workers=%d elem %d differs", n, inverse, workers, i)
 					}
 				}
 			}
-			check(1)
-			check(3)
-			check(8)
 		}
 	}
 }
 
-// TestRealKernelZeroAllocAfterWarmup extends the zero-alloc guarantee to the
-// real-input kernel: its single and pair count paths allocate nothing once
-// the half-size scratch pool and half plan are warm.
+// TestRealKernelZeroAllocAfterWarmup extends the zero-alloc guarantee of the
+// count paths (TestPlanZeroAllocAfterWarmup) to the correlation path: both
+// its self and two-input forms allocate nothing once the half-size scratch
+// pool and half plan are warm.
 func TestRealKernelZeroAllocAfterWarmup(t *testing.T) {
 	n := 1 << 10
-	x1 := make([]float64, n)
-	x2 := make([]float64, n)
+	a := make([]float64, n)
+	b := make([]float64, n)
 	for i := 0; i < n; i += 3 {
-		x1[i] = 1
-		x2[(i+1)%n] = 1
+		a[i] = 1
+		b[(i+1)%n] = 1
 	}
 	p := PlanFor(NextPow2(2 * n))
-	out1 := make([]int64, n)
-	out2 := make([]int64, n)
-	p.AutocorrelateCountsKernelInto(x1, out1, 1, KernelReal) // warm pool + half plan
-	p.AutocorrelateCountsPairKernelInto(x1, x2, out1, out2, 1, KernelReal)
+	out := make([]float64, n)
+	p.crossCorrelateInto(a, b, out) // warm pool + half plan
 	allocs := testing.AllocsPerRun(20, func() {
-		p.AutocorrelateCountsKernelInto(x1, out1, 1, KernelReal)
-		p.AutocorrelateCountsPairKernelInto(x1, x2, out1, out2, 1, KernelReal)
+		p.crossCorrelateInto(a, a, out)
+		p.crossCorrelateInto(a, b, out)
 	})
 	// A concurrent GC sweep can occasionally empty the sync.Pool mid-run, so
 	// tolerate a stray refill rather than flake.
 	if allocs > 1 {
-		t.Fatalf("real kernel count paths allocate %.1f times per run after warm-up", allocs)
+		t.Fatalf("real kernel correlation path allocates %.1f times per run after warm-up", allocs)
 	}
 }
 
 func TestTransformBatchZeroAllocAfterWarmup(t *testing.T) {
 	n := 1 << 10
 	p := PlanFor(n)
-	xs := make([][]complex128, 4)
-	for b := range xs {
-		xs[b] = make([]complex128, n)
-		for i := range xs[b] {
-			xs[b][i] = complex(float64(b), float64(i&7))
-		}
+	a, b := make([]complex128, n), make([]complex128, n)
+	for i := range a {
+		a[i] = complex(1, float64(i&7))
+		b[i] = complex(2, float64(i&3))
 	}
-	p.TransformBatch(xs, false, 1)
 	allocs := testing.AllocsPerRun(20, func() {
-		p.TransformBatch(xs, false, 1)
-		p.TransformBatch(xs, true, 1)
+		p.transformPair(a, b, false, 1)
+		p.transformPair(a, b, true, 1)
 	})
 	if allocs > 0 {
-		t.Fatalf("serial TransformBatch allocates %.1f times per run", allocs)
+		t.Fatalf("serial transformPair allocates %.1f times per run", allocs)
 	}
 }
 
-// TestRealKernelRejectsBadShapes pins the panic contract of the real entry
-// points.
+// TestRealKernelRejectsBadShapes pins the panic contract of the real-kernel
+// entry points.
 func TestRealKernelRejectsBadShapes(t *testing.T) {
 	p := PlanFor(16)
 	mustPanic := func(name string, f func()) {
@@ -221,23 +248,28 @@ func TestRealKernelRejectsBadShapes(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("tiny plan", func() {
-		PlanFor(2).ForwardReal(make([]float64, 2), make([]complex128, 1))
+	mustPanic("autocorrelation input too long", func() {
+		p.AutocorrelateCountsInto(make([]float64, 9), make([]int64, 9), 1)
 	})
-	mustPanic("input too long", func() {
-		p.ForwardReal(make([]float64, 17), make([]complex128, 8))
+	mustPanic("pair input too long", func() {
+		p.AutocorrelateCountsPairInto(make([]float64, 9), make([]float64, 9),
+			make([]int64, 9), make([]int64, 9), 1)
 	})
-	mustPanic("wrong spectrum length", func() {
-		p.ForwardReal(make([]float64, 16), make([]complex128, 16))
+	mustPanic("pair length mismatch", func() {
+		p.AutocorrelateCountsPairInto(make([]float64, 4), make([]float64, 5),
+			make([]int64, 4), make([]int64, 5), 1)
 	})
-	mustPanic("batch length mismatch", func() {
-		p.TransformBatch([][]complex128{make([]complex128, 8)}, false, 1)
+	mustPanic("correlation inputs too long", func() {
+		p.CrossCorrelate(make([]float64, 9), make([]float64, 8))
+	})
+	mustPanic("tiny plan input too long", func() {
+		PlanFor(2).AutocorrelateCountsInto(make([]float64, 2), make([]int64, 2), 1)
 	})
 }
 
-// FuzzKernelCountsEquivalence fuzzes the cross-kernel equality: any 0/1
-// input must produce bit-identical counts through the complex kernel, the
-// real kernel, and the exact integer reference.
+// FuzzKernelCountsEquivalence fuzzes the kernel against ground truth: any
+// 0/1 input must produce exactly the direct lag counts through the single
+// and the pair entry points.
 func FuzzKernelCountsEquivalence(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 1})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1})
@@ -246,23 +278,23 @@ func FuzzKernelCountsEquivalence(f *testing.F) {
 		if len(data) == 0 || len(data) > 512 {
 			t.Skip()
 		}
-		x := make([]float64, len(data))
+		n := len(data)
+		x1 := make([]float64, n)
+		x2 := make([]float64, n)
 		for i, b := range data {
-			x[i] = float64(b & 1)
+			x1[i] = float64(b & 1)
+			x2[n-1-i] = float64(b >> 1 & 1)
 		}
-		p := PlanFor(NextPow2(2 * len(x)))
-		cc := make([]int64, len(x))
-		rc := make([]int64, len(x))
-		p.AutocorrelateCountsKernelInto(x, cc, 1, KernelComplex)
-		if p.Size() >= 4 {
-			p.AutocorrelateCountsKernelInto(x, rc, 1, KernelReal)
-		} else {
-			copy(rc, cc)
-		}
-		exact := autocorrExactInt(x)
-		for i := range exact {
-			if cc[i] != exact[i] || rc[i] != exact[i] {
-				t.Fatalf("lag %d: complex %d, real %d, exact %d", i, cc[i], rc[i], exact[i])
+		p := PlanFor(NextPow2(2 * n))
+		single := make([]int64, n)
+		p.AutocorrelateCountsInto(x1, single, 1)
+		got1, got2 := make([]int64, n), make([]int64, n)
+		p.AutocorrelateCountsPairInto(x1, x2, got1, got2, 1)
+		want1, want2 := autocorrExactInt(x1), autocorrExactInt(x2)
+		for i := range want1 {
+			if single[i] != want1[i] || got1[i] != want1[i] || got2[i] != want2[i] {
+				t.Fatalf("lag %d: single %d, pair (%d,%d), direct (%d,%d)",
+					i, single[i], got1[i], got2[i], want1[i], want2[i])
 			}
 		}
 	})

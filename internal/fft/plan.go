@@ -166,17 +166,11 @@ func (p *Plan) autoWorkers() int {
 
 // Forward computes the in-place forward DFT of x. len(x) must equal Size.
 // Transforms of length ≥ ParallelThreshold use GOMAXPROCS workers; use
-// ForwardWorkers for explicit control.
+// Transform for explicit control.
 func (p *Plan) Forward(x []complex128) { p.Transform(x, false, p.autoWorkers()) }
 
 // Inverse computes the in-place inverse DFT of x, including the 1/n scaling.
 func (p *Plan) Inverse(x []complex128) { p.Transform(x, true, p.autoWorkers()) }
-
-// ForwardWorkers is Forward with an explicit worker count (≤ 1 means serial).
-func (p *Plan) ForwardWorkers(x []complex128, workers int) { p.Transform(x, false, workers) }
-
-// InverseWorkers is Inverse with an explicit worker count (≤ 1 means serial).
-func (p *Plan) InverseWorkers(x []complex128, workers int) { p.Transform(x, true, workers) }
 
 // Transform runs the planned butterfly network over x, forward or inverse,
 // with the given worker count. The output is bit-identical for every worker
@@ -244,8 +238,8 @@ func runStages(x []complex128, tw []complex128, lo, hi, maxSize int) {
 // stageHead runs the first butterfly stages — the fused radix-4 pass when
 // maxSize ≥ 4 (its twiddles are ±1, ±i — no multiplications), or the single
 // no-twiddle size-2 stage when maxSize == 2. It reports whether later stages
-// remain (false exactly when maxSize == 2). Split from runStages so batched
-// transforms can interleave buffers at stage granularity.
+// remain (false exactly when maxSize == 2). Split from runStages so
+// transformPair can interleave two buffers at stage granularity.
 //
 //opvet:noalloc
 func stageHead(x []complex128, tw []complex128, lo, hi, maxSize int) bool {
@@ -415,214 +409,42 @@ func loadPadded(dst []complex128, src []float64) {
 	clear(dst[len(src):])
 }
 
-// CrossCorrelate returns r[p] = Σ_i a[i]·b[i+p] for p = 0..len(b)-1. The plan
-// size must be ≥ len(a)+len(b). When a and b alias the same slice it takes
-// the autocorrelation path, saving one forward transform.
-func (p *Plan) CrossCorrelate(a, b []float64) []float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	out := make([]float64, len(b))
-	p.crossCorrelateInto(a, b, out)
-	return out
-}
-
-func sameSlice(a, b []float64) bool {
-	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
-}
-
-// crossCorrelateInto writes the first len(out) correlation lags into out
-// using pooled scratch only.
+// transformPair transforms two buffers with a shared setup. The serial path
+// interleaves the buffers stage by stage, so each twiddle block is walked
+// once while its entries are hot; the parallel path splits each transform's
+// butterflies across the workers. Either way each buffer sees exactly the
+// operations of Transform, so the output is bit-identical to it.
 //
 //opvet:noalloc
-func (p *Plan) crossCorrelateInto(a, b []float64, out []float64) {
-	if len(a)+len(b) > p.n {
-		panic(fmt.Sprintf("fft: plan size %d too small for correlation of %d+%d", p.n, len(a), len(b)))
-	}
-	w := p.autoWorkers()
-	if p.useReal(KernelAuto) {
-		obs.FFT().KernelReal.Inc()
-		p.crossCorrelateReal(a, b, out, w)
+func (p *Plan) transformPair(z1, z2 []complex128, inverse bool, workers int) {
+	if workers > 1 && p.n/workers >= minParallelChunk {
+		p.Transform(z1, inverse, workers)
+		p.Transform(z2, inverse, workers)
 		return
 	}
-	fap := p.scratch()
-	fa := *fap
-	loadPadded(fa, a)
-	if sameSlice(a, b) {
-		// Self-correlation: one forward transform and |X|² in place.
-		p.Transform(fa, false, w)
-		for i := range fa {
-			re, im := real(fa[i]), imag(fa[i])
-			fa[i] = complex(re*re+im*im, 0)
+	obs.FFT().KernelBatch.Inc()
+	n := p.n
+	tw := p.twf
+	if inverse {
+		tw = p.twi
+	}
+	// Each buffer's swap pass runs right before its head stages, while the
+	// buffer is still in cache.
+	applySwaps(z1, p.swaps)
+	stageHead(z1, tw, 0, n, n)
+	applySwaps(z2, p.swaps)
+	stageHead(z2, tw, 0, n, n)
+	for size := 8; size <= n; size <<= 2 {
+		stageGroup(z1, tw, 0, n, n, size)
+		stageGroup(z2, tw, 0, n, n, size)
+	}
+	if inverse {
+		inv := 1 / float64(n)
+		for i := range z1 {
+			z1[i] = complex(real(z1[i])*inv, imag(z1[i])*inv)
 		}
-	} else {
-		fbp := p.scratch()
-		fb := *fbp
-		loadPadded(fb, b)
-		p.Transform(fa, false, w)
-		p.Transform(fb, false, w)
-		for i := range fa {
-			ar, ai := real(fa[i]), imag(fa[i])
-			fa[i] = complex(ar, -ai) * fb[i]
+		for i := range z2 {
+			z2[i] = complex(real(z2[i])*inv, imag(z2[i])*inv)
 		}
-		p.release(fbp)
 	}
-	p.Transform(fa, true, w)
-	for i := range out {
-		out[i] = real(fa[i])
-	}
-	p.release(fap)
-}
-
-// AutocorrelateCounts returns r[p] = Σ_i x[i]·x[i+p] rounded to integers,
-// costing one forward and one inverse transform (the seed path ran two
-// forwards on the identical input).
-func (p *Plan) AutocorrelateCounts(x []float64) []int64 {
-	if len(x) == 0 {
-		return nil
-	}
-	return p.AutocorrelateCountsInto(x, make([]int64, len(x)), 0)
-}
-
-// AutocorrelateCountsInto is AutocorrelateCounts writing into out (length
-// len(x)); allocation-free after the scratch pool is warm. workers ≤ 0
-// selects the automatic policy.
-//
-//opvet:noalloc
-func (p *Plan) AutocorrelateCountsInto(x []float64, out []int64, workers int) []int64 {
-	return p.AutocorrelateCountsKernelInto(x, out, workers, KernelAuto)
-}
-
-// AutocorrelateCountsKernelInto is AutocorrelateCountsInto with an explicit
-// kernel choice. The kernels produce byte-identical counts (the raw spectra
-// differ only far below the 0.5 rounding margin ValidateCountPrecision
-// checks); forcing one exists for benchmarks and equality tests.
-//
-//opvet:noalloc
-func (p *Plan) AutocorrelateCountsKernelInto(x []float64, out []int64, workers int, kernel Kernel) []int64 {
-	if 2*len(x) > p.n {
-		panic(fmt.Sprintf("fft: plan size %d too small for autocorrelation of %d", p.n, len(x)))
-	}
-	w := workers
-	if w <= 0 {
-		w = p.autoWorkers()
-	}
-	if p.useReal(kernel) {
-		obs.FFT().KernelReal.Inc()
-		p.autocorrRealInto(x, out, w)
-		return out[:len(x)]
-	}
-	fap := p.scratch()
-	fa := *fap
-	loadPadded(fa, x)
-	p.Transform(fa, false, w)
-	for i := range fa {
-		re, im := real(fa[i]), imag(fa[i])
-		fa[i] = complex(re*re+im*im, 0)
-	}
-	p.Transform(fa, true, w)
-	for i := range out[:len(x)] {
-		out[i] = int64(math.Round(real(fa[i])))
-	}
-	p.release(fap)
-	return out[:len(x)]
-}
-
-// AutocorrelateCountsPair computes the autocorrelation counts of two
-// equal-length real vectors with one forward and one inverse transform,
-// packing them as the real and imaginary parts of one complex vector.
-func (p *Plan) AutocorrelateCountsPair(x1, x2 []float64) ([]int64, []int64) {
-	if len(x1) != len(x2) {
-		panic(fmt.Sprintf("fft: pair length mismatch %d vs %d", len(x1), len(x2)))
-	}
-	if len(x1) == 0 {
-		return nil, nil
-	}
-	out1 := make([]int64, len(x1))
-	out2 := make([]int64, len(x2))
-	p.AutocorrelateCountsPairInto(x1, x2, out1, out2, 0)
-	return out1, out2
-}
-
-// AutocorrelateCountsPairInto is AutocorrelateCountsPair writing into the
-// caller's count slices (each of length len(x1)); allocation-free after the
-// scratch pool is warm. workers ≤ 0 selects the automatic policy.
-//
-//opvet:noalloc
-func (p *Plan) AutocorrelateCountsPairInto(x1, x2 []float64, out1, out2 []int64, workers int) {
-	p.AutocorrelateCountsPairKernelInto(x1, x2, out1, out2, workers, KernelAuto)
-}
-
-// AutocorrelateCountsPairKernelInto is AutocorrelateCountsPairInto with an
-// explicit kernel choice (see AutocorrelateCountsKernelInto).
-//
-//opvet:noalloc
-func (p *Plan) AutocorrelateCountsPairKernelInto(x1, x2 []float64, out1, out2 []int64, workers int, kernel Kernel) {
-	n := len(x1)
-	if len(x2) != n {
-		panic(fmt.Sprintf("fft: pair length mismatch %d vs %d", n, len(x2)))
-	}
-	if n == 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = p.autoWorkers()
-	}
-	if p.useReal(kernel) {
-		obs.FFT().KernelReal.Inc()
-		p.autocorrRealPairInto(x1, x2, out1, out2, workers)
-		return
-	}
-	specp := p.pairSpectrum(x1, x2, workers)
-	spec := *specp
-	for i := 0; i < n; i++ {
-		out1[i] = int64(math.Round(real(spec[i])))
-		out2[i] = int64(math.Round(imag(spec[i])))
-	}
-	p.release(specp)
-}
-
-// pairSpectrum runs the packed pair autocorrelation up to (but not
-// including) rounding: element i of the result holds the two raw lag-i
-// correlation values as (r1, r2). The returned buffer belongs to the plan's
-// pool; the caller must release it.
-//
-//opvet:acquire
-//opvet:noalloc
-func (p *Plan) pairSpectrum(x1, x2 []float64, workers int) *[]complex128 {
-	n := len(x1)
-	m := p.n
-	if 2*n > m {
-		panic(fmt.Sprintf("fft: plan size %d too small for pair autocorrelation of %d", m, n))
-	}
-	zp := p.scratch()
-	z := *zp
-	for i := 0; i < n; i++ {
-		z[i] = complex(x1[i], x2[i])
-	}
-	clear(z[n:])
-	p.Transform(z, false, workers)
-	// Z(k) = X1(k) + i·X2(k) for the real inputs x1, x2:
-	// X1(k) = (Z(k) + conj(Z(m−k)))/2, X2(k) = (Z(k) − conj(Z(m−k)))/(2i),
-	// and the packed spectrum of the pair of autocorrelations is
-	// S(k) = |X1(k)|² + i·|X2(k)|². X1(m−k) = conj(X1(k)) and
-	// X2(m−k) = conj(X2(k)) give S(m−k) = S(k), so the separation runs in
-	// place over (k, m−k) pairs — no second buffer, half the arithmetic.
-	for _, k := range [2]int{0, m / 2} {
-		zk := z[k]
-		re, im := real(zk), imag(zk)
-		z[k] = complex(re*re, im*im)
-	}
-	for k := 1; 2*k < m; k++ {
-		zk, zmk := z[k], z[m-k]
-		cr := complex(real(zmk), -imag(zmk))
-		a := (zk + cr) / 2
-		b := (zk - cr) / complex(0, 2)
-		p1 := real(a)*real(a) + imag(a)*imag(a)
-		p2 := real(b)*real(b) + imag(b)*imag(b)
-		s := complex(p1, p2)
-		z[k], z[m-k] = s, s
-	}
-	p.Transform(z, true, workers)
-	return zp
 }

@@ -319,33 +319,3 @@ func TestPlanZeroAllocAfterWarmup(t *testing.T) {
 		t.Fatalf("count paths allocate %.1f times per run after warm-up", allocs)
 	}
 }
-
-func TestValidateCountPrecisionPair(t *testing.T) {
-	rng := rand.New(rand.NewSource(20))
-	n := 1 << 14
-	x1 := make([]float64, n)
-	x2 := make([]float64, n)
-	for i := 0; i < n; i++ {
-		if rng.Intn(2) == 0 {
-			x1[i] = 1
-		}
-		if rng.Intn(3) == 0 {
-			x2[i] = 1
-		}
-	}
-	if worst := ValidateCountPrecisionPair(x1, x2); worst > 1e-3 {
-		t.Fatalf("pair-packed count error %g too close to 0.5 at n=%d", worst, n)
-	}
-	if got := ValidateCountPrecisionPair(nil, nil); got != 0 {
-		t.Fatalf("empty pair precision = %g, want 0", got)
-	}
-}
-
-func TestValidateCountPrecisionPairMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch: want panic")
-		}
-	}()
-	ValidateCountPrecisionPair(make([]float64, 2), make([]float64, 3))
-}

@@ -13,40 +13,9 @@ package fft
 import (
 	"fmt"
 	"math"
+
+	"periodica/internal/obs"
 )
-
-// Kernel selects the transform kernel behind the correlation and count entry
-// points. The kernels are interchangeable: counts are byte-identical because
-// the raw spectra agree far within the 0.5 rounding margin.
-type Kernel uint8
-
-const (
-	// KernelAuto picks the real-input kernel when the plan is large enough
-	// for the split post-pass to pay for itself, else the complex kernel.
-	KernelAuto Kernel = iota
-	// KernelComplex forces the full-size complex transform path.
-	KernelComplex
-	// KernelReal forces the half-size real-input kernel.
-	KernelReal
-)
-
-// realKernelMin is the plan size at or above which KernelAuto takes the
-// real-input path; below it the O(h) post-pass overhead rivals the transform.
-const realKernelMin = 32
-
-// useReal reports whether the kernel choice resolves to the real-input path
-// for this plan. The decision depends only on the plan size — never on the
-// worker count — so any worker count yields bit-identical results.
-func (p *Plan) useReal(k Kernel) bool {
-	switch k {
-	case KernelComplex:
-		return false
-	case KernelReal:
-		return p.n >= 4 // the packed layout needs h = n/2 ≥ 2
-	default:
-		return p.n >= realKernelMin
-	}
-}
 
 // packReal packs x into even/odd pairs, z[j] = (x[2j], x[2j+1]), zero-padding
 // the tail of z.
@@ -174,119 +143,54 @@ func autocorrSpectrumReal(z []complex128, tw []complex128) {
 	}
 }
 
-// ForwardReal computes the DFT of the real sequence x (len(x) ≤ Size,
-// zero-padded) and writes the packed half spectrum into spec, which must
-// have length Size/2: spec[k] = X(k) for 1 ≤ k < Size/2, and spec[0] packs
-// (X(0), X(Size/2)). X(Size−k) = conj(X(k)) supplies the upper half.
-func (p *Plan) ForwardReal(x []float64, spec []complex128) {
-	p.ForwardRealWorkers(x, spec, p.autoWorkers())
-}
-
-// ForwardRealWorkers is ForwardReal with an explicit worker count.
+// roundUnpacked writes the rounded real sequence out of the packed complex
+// vector: out[2j] = round(Re z[j]), out[2j+1] = round(Im z[j]).
 //
 //opvet:noalloc
-func (p *Plan) ForwardRealWorkers(x []float64, spec []complex128, workers int) {
-	p.checkReal(len(x), len(spec))
-	packReal(spec, x)
-	p.halfPlan().Transform(spec, false, workers)
-	forwardRealPost(spec, p.twf)
-}
-
-// InverseReal recovers the real sequence from a packed half spectrum (the
-// ForwardReal layout), writing the first len(x) ≤ Size samples into x. spec
-// is consumed: the transform runs in place through it as scratch.
-func (p *Plan) InverseReal(spec []complex128, x []float64) {
-	p.InverseRealWorkers(spec, x, p.autoWorkers())
-}
-
-// InverseRealWorkers is InverseReal with an explicit worker count.
-//
-//opvet:noalloc
-func (p *Plan) InverseRealWorkers(spec []complex128, x []float64, workers int) {
-	p.checkReal(len(x), len(spec))
-	inverseRealPre(spec, p.twi)
-	p.halfPlan().Transform(spec, true, workers)
-	unpackReal(x, spec)
-}
-
-// checkReal validates a real-kernel call: the plan must be large enough for
-// the packed layout (Size ≥ 4), the sequence must fit, and the spectrum
-// buffer must be exactly the packed half length.
-func (p *Plan) checkReal(nx, nspec int) int {
-	h := p.n / 2
-	if h < 2 {
-		panic(fmt.Sprintf("fft: plan size %d too small for the real-input kernel (need ≥ 4)", p.n))
-	}
-	if nx > p.n {
-		panic(fmt.Sprintf("fft: plan size %d, real input length %d", p.n, nx))
-	}
-	if nspec != h {
-		panic(fmt.Sprintf("fft: packed spectrum length %d, want %d", nspec, h))
-	}
-	return h
-}
-
-// autocorrRealInto computes rounded autocorrelation counts through the
-// real-input kernel: pack, half-size forward, fused spectral pass, half-size
-// inverse, round. Everything runs in one pooled half-size buffer.
-//
-//opvet:noalloc
-func (p *Plan) autocorrRealInto(x []float64, out []int64, workers int) {
-	q := p.halfPlan()
-	zp := q.scratch()
-	z := *zp
-	packReal(z, x)
-	q.Transform(z, false, workers)
-	autocorrSpectrumReal(z, p.twf)
-	q.Transform(z, true, workers)
-	n := len(x)
+func roundUnpacked(out []int64, z []complex128) {
+	n := len(out)
 	for j := 0; 2*j < n; j++ {
 		out[2*j] = int64(math.Round(real(z[j])))
 		if 2*j+1 < n {
 			out[2*j+1] = int64(math.Round(imag(z[j])))
 		}
 	}
-	q.release(zp)
 }
 
-// autocorrRealPairInto runs two same-length autocorrelations through the
-// real-input kernel, sharing the half plan's swap and twiddle passes: the
-// serial path interleaves the two buffers stage by stage (one table walk
-// while the entries are hot), the parallel path splits each transform's
-// butterflies across the workers. Either way each buffer sees exactly the
-// operations of the single-input path, so results are bit-identical.
-//
-//opvet:noalloc
-func (p *Plan) autocorrRealPairInto(x1, x2 []float64, out1, out2 []int64, workers int) {
-	q := p.halfPlan()
-	z1p, z2p := q.scratch(), q.scratch()
-	z1, z2 := *z1p, *z2p
-	packReal(z1, x1)
-	packReal(z2, x2)
-	q.transformPair(z1, z2, false, workers)
-	autocorrSpectrumReal(z1, p.twf)
-	autocorrSpectrumReal(z2, p.twf)
-	q.transformPair(z1, z2, true, workers)
-	n := len(x1)
-	for j := 0; 2*j < n; j++ {
-		out1[2*j] = int64(math.Round(real(z1[j])))
-		out2[2*j] = int64(math.Round(real(z2[j])))
-		if 2*j+1 < n {
-			out1[2*j+1] = int64(math.Round(imag(z1[j])))
-			out2[2*j+1] = int64(math.Round(imag(z2[j])))
-		}
+// CrossCorrelate returns r[p] = Σ_i a[i]·b[i+p] for p = 0..len(b)-1. The plan
+// size must be ≥ len(a)+len(b). When a and b alias the same slice it takes
+// the autocorrelation path, saving one forward transform.
+func (p *Plan) CrossCorrelate(a, b []float64) []float64 {
+	if len(a) == 0 || len(b) == 0 {
+		return nil
 	}
-	q.release(z1p)
-	q.release(z2p)
+	out := make([]float64, len(b))
+	p.crossCorrelateInto(a, b, out)
+	return out
 }
 
-// crossCorrelateReal is the real-input path of crossCorrelateInto: forward
-// both sequences through the packed half spectrum, multiply conj(A)·B
-// Hermitian-wise (slot 0 multiplies the packed DC and Nyquist terms
-// pointwise — both spectra are real there), and invert.
+func sameSlice(a, b []float64) bool {
+	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
+}
+
+// crossCorrelateInto writes the first len(out) correlation lags into out
+// using pooled scratch only: both sequences go forward through the packed
+// half spectrum, conj(A)·B is multiplied Hermitian-wise (slot 0 multiplies
+// the packed DC and Nyquist terms pointwise — both spectra are real there),
+// and the product is inverted. A plan of size 2 has no packed layout; it
+// only admits two length-1 inputs, whose one lag is their product.
 //
 //opvet:noalloc
-func (p *Plan) crossCorrelateReal(a, b []float64, out []float64, workers int) {
+func (p *Plan) crossCorrelateInto(a, b []float64, out []float64) {
+	if len(a)+len(b) > p.n {
+		panic(fmt.Sprintf("fft: plan size %d too small for correlation of %d+%d", p.n, len(a), len(b)))
+	}
+	if p.n < 4 {
+		out[0] = a[0] * b[0]
+		return
+	}
+	obs.FFT().KernelReal.Inc()
+	workers := p.autoWorkers()
 	q := p.halfPlan()
 	h := p.n / 2
 	zap := q.scratch()
@@ -315,4 +219,91 @@ func (p *Plan) crossCorrelateReal(a, b []float64, out []float64, workers int) {
 	}
 	unpackReal(out, za)
 	q.release(zap)
+}
+
+// AutocorrelateCounts returns r[p] = Σ_i x[i]·x[i+p] rounded to integers,
+// costing one half-size forward and one half-size inverse transform.
+func (p *Plan) AutocorrelateCounts(x []float64) []int64 {
+	if len(x) == 0 {
+		return nil
+	}
+	return p.AutocorrelateCountsInto(x, make([]int64, len(x)), 0)
+}
+
+// AutocorrelateCountsInto is AutocorrelateCounts writing into out (length
+// len(x)); allocation-free after the scratch pool is warm. workers ≤ 0
+// selects the automatic policy. The input is packed into one pooled
+// half-size buffer, transformed forward, squared and pre-passed by the fused
+// spectral pass, transformed back and rounded. A plan below size 4 has no
+// packed layout; it admits at most one sample, whose one lag is x[0]².
+//
+//opvet:noalloc
+func (p *Plan) AutocorrelateCountsInto(x []float64, out []int64, workers int) []int64 {
+	if 2*len(x) > p.n {
+		panic(fmt.Sprintf("fft: plan size %d too small for autocorrelation of %d", p.n, len(x)))
+	}
+	out = out[:len(x)]
+	if p.n < 4 {
+		if len(x) == 1 {
+			out[0] = int64(math.Round(x[0] * x[0]))
+		}
+		return out
+	}
+	if workers <= 0 {
+		workers = p.autoWorkers()
+	}
+	obs.FFT().KernelReal.Inc()
+	q := p.halfPlan()
+	zp := q.scratch()
+	z := *zp
+	packReal(z, x)
+	q.Transform(z, false, workers)
+	autocorrSpectrumReal(z, p.twf)
+	q.Transform(z, true, workers)
+	roundUnpacked(out, z)
+	q.release(zp)
+	return out
+}
+
+// AutocorrelateCountsPairInto computes the counts of two equal-length inputs
+// into out1 and out2 (each of length len(x1)), sharing the half plan's swap
+// and twiddle passes between them (see transformPair). Each buffer sees
+// exactly the operations of AutocorrelateCountsInto, so the counts are
+// bit-identical to two single calls. Allocation-free after the scratch pool
+// is warm; workers ≤ 0 selects the automatic policy.
+//
+//opvet:noalloc
+func (p *Plan) AutocorrelateCountsPairInto(x1, x2 []float64, out1, out2 []int64, workers int) {
+	n := len(x1)
+	if len(x2) != n {
+		panic(fmt.Sprintf("fft: pair length mismatch %d vs %d", n, len(x2)))
+	}
+	if n == 0 {
+		return
+	}
+	if 2*n > p.n {
+		panic(fmt.Sprintf("fft: plan size %d too small for pair autocorrelation of %d", p.n, n))
+	}
+	if p.n < 4 {
+		p.AutocorrelateCountsInto(x1, out1, workers)
+		p.AutocorrelateCountsInto(x2, out2, workers)
+		return
+	}
+	if workers <= 0 {
+		workers = p.autoWorkers()
+	}
+	obs.FFT().KernelReal.Inc()
+	q := p.halfPlan()
+	z1p, z2p := q.scratch(), q.scratch()
+	z1, z2 := *z1p, *z2p
+	packReal(z1, x1)
+	packReal(z2, x2)
+	q.transformPair(z1, z2, false, workers)
+	autocorrSpectrumReal(z1, p.twf)
+	autocorrSpectrumReal(z2, p.twf)
+	q.transformPair(z1, z2, true, workers)
+	roundUnpacked(out1[:n], z1)
+	roundUnpacked(out2[:n], z2)
+	q.release(z1p)
+	q.release(z2p)
 }

@@ -71,11 +71,12 @@ type ShardRequest struct {
 	// Engine is the evaluation strategy by name ("auto", "naive", "bitset",
 	// "fft"); empty means auto. Every engine yields identical slot values.
 	Engine string `json:"engine,omitempty"`
-	// Survivors, when present, are the coordinator's precomputed sweep
-	// results for this shard: entry i lists, strictly ascending, the symbols
-	// in [SymbolLo, SymbolHi) still viable at period MinPeriod+i. The worker
-	// then resolves those cells directly instead of re-running detection over
-	// the whole series. Omitted (nil) means the worker detects for itself.
+	// Survivors are the coordinator's precomputed sweep results for this
+	// shard: entry i lists, strictly ascending, the symbols in [SymbolLo,
+	// SymbolHi) still viable at period MinPeriod+i. The worker resolves
+	// exactly those cells and never re-runs detection over the whole series.
+	// They are required: a request whose list count differs from the band's
+	// period count, omitted lists included, is a 400.
 	Survivors [][]int32 `json:"survivors,omitempty"`
 }
 
@@ -229,12 +230,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 	start := time.Now()
-	var slots []core.SymbolPeriodicity
-	if req.Survivors != nil {
-		slots, err = core.MineShardSlotsFromSurvivors(ctx, ser, opt, req.SymbolLo, req.SymbolHi, req.Survivors)
-	} else {
-		slots, err = core.MineShardSlots(ctx, ser, opt, req.SymbolLo, req.SymbolHi)
-	}
+	slots, err := core.MineShardSlotsFromSurvivors(ctx, ser, opt, req.SymbolLo, req.SymbolHi, req.Survivors)
 	s.metrics.Endpoint("/v1/shard").ObserveMine(time.Since(start))
 	if err != nil {
 		s.writeMineError(w, r, err)

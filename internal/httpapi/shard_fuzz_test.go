@@ -17,7 +17,8 @@ import (
 	"testing"
 )
 
-// fuzzWorkerRequest is the fixed request both fuzzers answer for.
+// fuzzWorkerRequest is the fixed request both fuzzers answer for; each
+// fuzzer ships it with the survivors a coordinator would send (withSurvivors).
 var fuzzWorkerRequest = ShardRequest{
 	ShardID: 11, Alphabet: []string{"a", "b"}, Symbols: "abababababab",
 	Threshold: 0.5, MinPeriod: 1, MaxPeriod: 4, SymbolLo: 0, SymbolHi: 2,
@@ -36,7 +37,7 @@ func (c canned) RoundTrip(*http.Request) (*http.Response, error) {
 }
 
 func FuzzShardRequestDecode(f *testing.F) {
-	valid, err := json.Marshal(fuzzWorkerRequest)
+	valid, err := json.Marshal(withSurvivors(f, fuzzWorkerRequest))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -75,7 +76,8 @@ func FuzzShardSlotDecode(f *testing.F) {
 	worker := httptest.NewServer(quiet(Config{}))
 	defer worker.Close()
 	var c ShardClient
-	good, err := c.MineShard(context.Background(), worker.URL, &fuzzWorkerRequest)
+	req := withSurvivors(f, fuzzWorkerRequest)
+	good, err := c.MineShard(context.Background(), worker.URL, &req)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -93,7 +95,7 @@ func FuzzShardSlotDecode(f *testing.F) {
 	f.Add([]byte(``))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		c := ShardClient{HTTP: &http.Client{Transport: canned{body: body}}}
-		resp, err := c.MineShard(context.Background(), "http://worker", &fuzzWorkerRequest)
+		resp, err := c.MineShard(context.Background(), "http://worker", &req)
 		if err != nil {
 			return // rejected: the safe outcome for arbitrary bytes
 		}
@@ -101,7 +103,7 @@ func FuzzShardSlotDecode(f *testing.F) {
 		// no third outcome between "rejected" and "proven intact". (The CRC
 		// is not a MAC: it detects transit damage, not a byzantine worker,
 		// so in-block slot ranges are re-validated at assembly instead.)
-		if verr := VerifyShardResponse(&fuzzWorkerRequest, resp); verr != nil {
+		if verr := VerifyShardResponse(&req, resp); verr != nil {
 			t.Fatalf("MineShard accepted a response that fails verification: %v", verr)
 		}
 	})

@@ -26,18 +26,53 @@ func shardBody(t *testing.T, req ShardRequest) string {
 	return string(b)
 }
 
+// withSurvivors returns req carrying the survivor set a coordinator ships
+// with it: the sweep over the request's series and period band, clipped to
+// its symbol range.
+func withSurvivors(t testing.TB, req ShardRequest) ShardRequest {
+	t.Helper()
+	alpha, err := alphabet.New(req.Alphabet...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ser, err := series.FromAlphabetText(alpha, req.Symbols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt, err := shardOptions(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	surv, err := core.ShardSurvivors(context.Background(), ser, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, list := range surv {
+		var clipped []int32
+		for _, k := range list {
+			if int(k) >= req.SymbolLo && int(k) < req.SymbolHi {
+				clipped = append(clipped, k)
+			}
+		}
+		surv[i] = clipped
+	}
+	req.Survivors = surv
+	return req
+}
+
 // TestShardEndpoint: the endpoint must return exactly the slots
-// core.MineShardSlots computes — including under an alphabet with a symbol
-// the text never uses, which pins the explicit-alphabet wire decode.
+// core.MineShardSlotsFromSurvivors computes — including under an alphabet
+// with a symbol the text never uses, which pins the explicit-alphabet wire
+// decode.
 func TestShardEndpoint(t *testing.T) {
 	text := strings.Repeat("abcabbabcb", 10)
-	req := ShardRequest{
+	req := withSurvivors(t, ShardRequest{
 		ShardID:   42,
 		Alphabet:  []string{"a", "b", "c", "d"}, // d never occurs
 		Symbols:   text,
 		Threshold: 0.6, MinPeriod: 1, MaxPeriod: 20,
 		SymbolLo: 0, SymbolHi: 4,
-	}
+	})
 	rec := post(t, quiet(Config{}), "/v1/shard", shardBody(t, req))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
@@ -55,8 +90,8 @@ func TestShardEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.MineShardSlots(context.Background(), ser,
-		core.Options{Threshold: 0.6, MinPeriod: 1, MaxPeriod: 20}, 0, 4)
+	want, err := core.MineShardSlotsFromSurvivors(context.Background(), ser,
+		core.Options{Threshold: 0.6, MinPeriod: 1, MaxPeriod: 20}, 0, 4, req.Survivors)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,15 +107,18 @@ func TestShardEndpoint(t *testing.T) {
 		})
 	}
 	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("endpoint slots differ from MineShardSlots:\nwant %v\ngot  %v", want, got)
+		t.Fatalf("endpoint slots differ from MineShardSlotsFromSurvivors:\nwant %v\ngot  %v", want, got)
 	}
 }
 
 func TestShardBadRequests(t *testing.T) {
 	h := quiet(Config{})
-	base := ShardRequest{
+	base := withSurvivors(t, ShardRequest{
 		Alphabet: []string{"a", "b"}, Symbols: "abababab",
 		Threshold: 0.5, MinPeriod: 1, MaxPeriod: 4, SymbolLo: 0, SymbolHi: 2,
+	})
+	if rec := post(t, h, "/v1/shard", shardBody(t, base)); rec.Code != http.StatusOK {
+		t.Fatalf("base request: status %d, want 200: %s", rec.Code, rec.Body)
 	}
 	mutate := func(f func(*ShardRequest)) string {
 		req := base
@@ -98,6 +136,7 @@ func TestShardBadRequests(t *testing.T) {
 		"inverted symbol range": mutate(func(r *ShardRequest) { r.SymbolLo, r.SymbolHi = 2, 1 }),
 		"symbol range too wide": mutate(func(r *ShardRequest) { r.SymbolHi = 5 }),
 		"bad period band":       mutate(func(r *ShardRequest) { r.MinPeriod, r.MaxPeriod = 4, 100 }),
+		"missing survivors":     mutate(func(r *ShardRequest) { r.Survivors = nil }),
 		"unknown field":         `{"alphabet":["a","b"],"symbols":"abab","threshold":0.5,"bogus":1}`,
 		"invalid json":          `{`,
 	}
@@ -119,11 +158,11 @@ func TestShardClientRoundTrip(t *testing.T) {
 	worker := httptest.NewServer(quiet(Config{}))
 	defer worker.Close()
 	var c ShardClient
-	req := &ShardRequest{
+	req := withSurvivors(t, ShardRequest{
 		ShardID: 7, Alphabet: []string{"a", "b", "c"}, Symbols: strings.Repeat("abcabbabcb", 5),
 		Threshold: 0.6, MinPeriod: 1, MaxPeriod: 10, SymbolLo: 0, SymbolHi: 3,
-	}
-	resp, err := c.MineShard(context.Background(), worker.URL, req)
+	})
+	resp, err := c.MineShard(context.Background(), worker.URL, &req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,10 +178,11 @@ func TestShardClientStatusErrors(t *testing.T) {
 	worker := httptest.NewServer(s)
 	defer worker.Close()
 	var c ShardClient
-	good := &ShardRequest{
+	goodReq := withSurvivors(t, ShardRequest{
 		ShardID: 1, Alphabet: []string{"a", "b"}, Symbols: "abababab",
 		Threshold: 0.5, MinPeriod: 1, MaxPeriod: 4, SymbolLo: 0, SymbolHi: 2,
-	}
+	})
+	good := &goodReq
 
 	if !s.gate.TryAcquire() {
 		t.Fatal("fresh gate refused its first slot")
@@ -165,10 +205,10 @@ func TestShardClientStatusErrors(t *testing.T) {
 // TestShardResponseStampedAndVerifiable: the worker stamps its response with
 // the request echoes and a checksum the client's acceptance rule verifies.
 func TestShardResponseStampedAndVerifiable(t *testing.T) {
-	req := ShardRequest{
+	req := withSurvivors(t, ShardRequest{
 		ShardID: 9, Alphabet: []string{"a", "b", "c"}, Symbols: strings.Repeat("abcabbabcb", 5),
 		Threshold: 0.6, MinPeriod: 2, MaxPeriod: 8, SymbolLo: 1, SymbolHi: 3,
-	}
+	})
 	rec := post(t, quiet(Config{}), "/v1/shard", shardBody(t, req))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
@@ -191,10 +231,11 @@ func TestShardResponseStampedAndVerifiable(t *testing.T) {
 // TestShardClientRejectsCorruptResponses: every corruption of a valid 200
 // body must surface as ShardIntegrityError, never as a decoded response.
 func TestShardClientRejectsCorruptResponses(t *testing.T) {
-	req := &ShardRequest{
+	shipped := withSurvivors(t, ShardRequest{
 		ShardID: 3, Alphabet: []string{"a", "b"}, Symbols: strings.Repeat("abab", 10),
 		Threshold: 0.5, MinPeriod: 1, MaxPeriod: 6, SymbolLo: 0, SymbolHi: 2,
-	}
+	})
+	req := &shipped
 	worker := httptest.NewServer(quiet(Config{}))
 	defer worker.Close()
 	var c ShardClient
@@ -264,10 +305,11 @@ func TestShardClientParsesRetryAfter(t *testing.T) {
 		{"Wed, 21 Oct 2026 07:28:00 GMT", 0},
 		{"", 0},
 	}
-	req := &ShardRequest{
+	shipped := withSurvivors(t, ShardRequest{
 		ShardID: 1, Alphabet: []string{"a"}, Symbols: "aaaa",
 		Threshold: 0.5, MinPeriod: 1, MaxPeriod: 2, SymbolLo: 0, SymbolHi: 1,
-	}
+	})
+	req := &shipped
 	var c ShardClient
 	for _, tc := range cases {
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -288,40 +330,17 @@ func TestShardClientParsesRetryAfter(t *testing.T) {
 	}
 }
 
-// TestShardSurvivorsRequest: a shipped survivor set yields the same slots as
-// self-detection, and malformed sets are rejected as bad requests.
+// TestShardSurvivorsRequest: a shipped survivor set yields exactly the
+// single-process mine's periodicities in the shard's cells, and malformed
+// sets are rejected as bad requests.
 func TestShardSurvivorsRequest(t *testing.T) {
 	text := strings.Repeat("abcabbabcb", 10)
-	base := ShardRequest{
+	base := withSurvivors(t, ShardRequest{
 		ShardID: 5, Alphabet: []string{"a", "b", "c"}, Symbols: text,
 		Threshold: 0.6, MinPeriod: 2, MaxPeriod: 8, SymbolLo: 0, SymbolHi: 3,
-	}
+	})
 	h := quiet(Config{})
 	rec := post(t, h, "/v1/shard", shardBody(t, base))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("self-detect status %d: %s", rec.Code, rec.Body)
-	}
-	var want ShardResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &want); err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Slots) == 0 {
-		t.Fatal("fixture produced no slots; the test is vacuous")
-	}
-
-	alpha := alphabet.MustNew("a", "b", "c")
-	ser, err := series.FromAlphabetText(alpha, text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	surv, err := core.ShardSurvivors(context.Background(), ser,
-		core.Options{Threshold: 0.6, MinPeriod: 2, MaxPeriod: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shipped := base
-	shipped.Survivors = surv
-	rec = post(t, h, "/v1/shard", shardBody(t, shipped))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("shipped status %d: %s", rec.Code, rec.Body)
 	}
@@ -329,11 +348,34 @@ func TestShardSurvivorsRequest(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(want.Slots, got.Slots) {
-		t.Fatal("shipped-survivor slots differ from self-detected slots")
+
+	alpha := alphabet.MustNew("a", "b", "c")
+	ser, err := series.FromAlphabetText(alpha, text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := core.MineContext(context.Background(), ser,
+		core.Options{Threshold: 0.6, MinPeriod: 2, MaxPeriod: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(single.Periodicities) == 0 {
+		t.Fatal("fixture produced no periodicities; the test is vacuous")
+	}
+	want := map[ShardSlot]bool{}
+	for _, sp := range single.Periodicities {
+		want[ShardSlot{Symbol: sp.Symbol, Period: sp.Period, Position: sp.Position, F2: sp.F2, Pairs: sp.Pairs}] = true
+	}
+	gotSet := map[ShardSlot]bool{}
+	for _, sl := range got.Slots {
+		gotSet[sl] = true
+	}
+	if len(gotSet) != len(got.Slots) || !reflect.DeepEqual(want, gotSet) {
+		t.Fatalf("shipped-survivor slots differ from the single-process periodicities:\nwant %v\ngot  %v", want, got.Slots)
 	}
 
 	for name, surv := range map[string][][]int32{
+		"missing":         nil,
 		"wrong span":      {{0}},
 		"symbol past hi":  {{0, 7}, {}, {}, {}, {}, {}, {}},
 		"descending list": {{1, 0}, {}, {}, {}, {}, {}, {}},

@@ -242,7 +242,7 @@ func (m *ExecMetrics) renderExec(b *strings.Builder) {
 }
 
 // FFTMetrics counts kernel executions on the convolution hot path — radix-2/4
-// transforms, real-input kernel entries, batched (shared-setup) passes. The
+// transforms, real-input kernel entries, stage-interleaved pair passes. The
 // counters are process-wide (the FFT layer sits far below any registry) and
 // are rendered by every Registry, so the /metrics schema is stable whether or
 // not a kernel has run.

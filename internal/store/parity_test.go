@@ -18,9 +18,12 @@ import (
 // the Definition-1 boundary — and requires every source of periodicities to
 // give the same list: the batch engines, a bare count table, the incremental
 // miner whole and merged from random splits, a window wider than the stream,
-// and the store over several segment sizes.
+// and the store over several segment sizes. ψ is also set to every observed
+// multi-symbol pattern support, where the batch engines must additionally
+// agree on the patterns and keep the one sitting exactly on ψ.
 func TestPeriodicityParityAtBoundaryThresholds(t *testing.T) {
 	rng := rand.New(rand.NewSource(141))
+	boundaryPatterns := 0
 	for trial := 0; trial < 6; trial++ {
 		sigma := rng.Intn(3) + 2
 		maxP := rng.Intn(10) + 3
@@ -77,7 +80,33 @@ func TestPeriodicityParityAtBoundaryThresholds(t *testing.T) {
 			dbs = append(dbs, db)
 		}
 
-		for _, psi := range observedConfidences(mine(1e-9, core.EngineNaive)) {
+		patterns := func(psi float64, eng core.Engine) []core.Pattern {
+			res, err := core.MineWorkers(context.Background(), s,
+				core.Options{Threshold: psi, MaxPeriod: maxP, Engine: eng, MaxPatternPeriod: maxP}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Patterns
+		}
+		supports := observedSupports(patterns(0.5, core.EngineNaive))
+		for _, psi := range supports {
+			want := patterns(psi, core.EngineNaive)
+			onBoundary := false
+			for _, pat := range want {
+				onBoundary = onBoundary || pat.Support == psi
+			}
+			if !onBoundary {
+				t.Fatalf("trial %d ψ=%v: the naive mine lost the pattern whose support is ψ", trial, psi)
+			}
+			for _, eng := range []core.Engine{core.EngineBitset, core.EngineFFT} {
+				if got := patterns(psi, eng); !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d ψ=%v: %v patterns %v, naive %v", trial, psi, eng, got, want)
+				}
+			}
+		}
+		boundaryPatterns += len(supports)
+
+		for _, psi := range append(observedConfidences(mine(1e-9, core.EngineNaive)), supports...) {
 			want := sortPers(mine(psi, core.EngineNaive))
 			sources := map[string]func() ([]core.SymbolPeriodicity, error){
 				"bitset":      func() ([]core.SymbolPeriodicity, error) { return mine(psi, core.EngineBitset), nil },
@@ -104,6 +133,23 @@ func TestPeriodicityParityAtBoundaryThresholds(t *testing.T) {
 			}
 		}
 	}
+	if boundaryPatterns == 0 {
+		t.Fatal("no multi-symbol pattern support observed; the pattern boundary is untested")
+	}
+}
+
+// observedSupports returns the distinct supports of pats, ascending.
+func observedSupports(pats []core.Pattern) []float64 {
+	seen := map[float64]bool{}
+	var out []float64
+	for _, pat := range pats {
+		if !seen[pat.Support] {
+			seen[pat.Support] = true
+			out = append(out, pat.Support)
+		}
+	}
+	sort.Float64s(out)
+	return out
 }
 
 // observedConfidences returns the distinct confidences of pers, ascending.
