@@ -21,7 +21,7 @@
 // uses it), and -full restores the paper's 1M-symbol, 100-run settings
 // (hours). -workers caps the cores the batched detection engine may use
 // (default: all). Every report opens with a provenance
-// header (engine, GOMAXPROCS, FFT dispatch constants) so bench_results_*.txt
+// header (GOMAXPROCS, FFT dispatch constants) so bench_results_*.txt
 // files are comparable across hosts.
 package main
 
@@ -340,16 +340,11 @@ func quality(sc scale, seed int64) error {
 }
 
 // printProvenance opens every report with the facts needed to compare two
-// bench_results files: scale, engine selection, parallelism, toolchain, and
-// the FFT dispatch constants. Numbers without this header are not comparable
-// across hosts.
+// bench_results files: scale, parallelism, toolchain, and the FFT dispatch
+// constants. Numbers without this header are not comparable across hosts.
 func printProvenance(scaleName string) {
-	engine := os.Getenv("PERIODICA_ENGINE")
-	if engine == "" {
-		engine = "auto"
-	}
-	fmt.Printf("opbench: scale=%s engine=%s GOMAXPROCS=%d go=%s\n",
-		scaleName, engine, runtime.GOMAXPROCS(0), runtime.Version())
+	fmt.Printf("opbench: scale=%s GOMAXPROCS=%d go=%s\n",
+		scaleName, runtime.GOMAXPROCS(0), runtime.Version())
 	fmt.Printf("opbench: fft dispatch engineCrossover=4096 parallelThreshold=%d\n", fft.ParallelThreshold)
 	fmt.Println()
 }

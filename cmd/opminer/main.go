@@ -5,25 +5,28 @@
 //
 //	text    single-rune symbols, whitespace ignored (default)
 //	binary  the periodica binary series format (opgen/…)
-//	values  numeric values, one per line, discretized into -levels
-//	        equal-width levels
+//	values  numeric values, one per line, discretized as the query's
+//	        "levels" and "discretize" clauses direct (default 5
+//	        equal-width levels); -detrend and -paa tune the
+//	        "discretize sax" pipeline
+//	events  "RFC3339-timestamp symbol" lines, binned at -bin
 //
 // Output lists the detected period values, the symbol periodicities, and the
 // periodic patterns with their supports; -json emits the full result as
 // JSON.
 //
-// Mining parameters come either from the option flags or from one pattern
-// query (-query or $PERIODICA_QUERY) like "conf >= 0.8 and period in 2..64";
-// mixing -query with option flags is an error. "opminer query check <q>"
-// compiles a query and prints its canonical form, typed plan, and spec JSON
-// without mining.
+// The mining parameters are one pattern query: -query, else
+// $PERIODICA_QUERY, else "conf >= 0.8". "opminer query check <q>" compiles
+// a query and prints its canonical form, typed plan, and spec JSON without
+// mining.
 //
 // Usage:
 //
-//	opgen -kind walmart | opminer -threshold 0.5 -top 20
+//	opgen -kind walmart | opminer -query 'conf >= 0.5' -top 20
 //	opgen -kind walmart | opminer -query 'conf >= 0.5 and period in 2..64'
-//	opminer -in readings.txt -format values -levels 5 -threshold 0.6
-//	opminer -in series.txt -threshold 0.8 -maximal -json
+//	opminer -in readings.txt -format values -query 'conf >= 0.6 and levels 5'
+//	opminer -in readings.txt -format values -query 'conf >= 0.6 and discretize sax' -paa 4
+//	opminer -in series.txt -query 'conf >= 0.8 and maximal only' -json
 //	opminer query check 'conf >= 0.8 and symbol in {a, b} and limit 10 by conf'
 package main
 
@@ -52,50 +55,34 @@ func main() {
 	var (
 		in         = flag.String("in", "", "input file (default stdin)")
 		format     = flag.String("format", "text", "input format: text, binary, values, events")
-		levels     = flag.Int("levels", 5, "values format: number of levels")
-		sax        = flag.Bool("sax", false, "values format: SAX pipeline (z-score + Gaussian levels) instead of equal-width")
-		detrend    = flag.Int("detrend", 0, "values format with -sax: moving-average detrend window (0 = off)")
-		paa        = flag.Int("paa", 0, "values format with -sax: piecewise-aggregate frame (0 = off)")
+		detrend    = flag.Int("detrend", 0, "values format under 'discretize sax': moving-average detrend window (0 = off)")
+		paa        = flag.Int("paa", 0, "values format under 'discretize sax': piecewise-aggregate frame (0 = off)")
 		bin        = flag.Duration("bin", time.Minute, "events format: grid resolution")
 		idle       = flag.String("idle", "idle", "events format: symbol for empty bins")
-		threshold  = flag.Float64("threshold", 0.8, "periodicity threshold ψ in (0,1]")
-		minPeriod  = flag.Int("min-period", 0, "smallest candidate period (default 1)")
-		maxPeriod  = flag.Int("max-period", 0, "largest candidate period (default n/2)")
-		engine     = flag.String("engine", "", "engine: auto, naive, bitset, fft (default $PERIODICA_ENGINE or auto)")
-		maxPatP    = flag.Int("max-pattern-period", 128, "largest period mined for multi-symbol patterns (-1 disables)")
-		maximal    = flag.Bool("maximal", false, "report only maximal multi-symbol patterns")
 		jsonOut    = flag.Bool("json", false, "emit the result as JSON")
 		top        = flag.Int("top", 25, "rows printed per section (0 = all)")
 		candidates = flag.Bool("candidates-only", false, "run only the O(σ n log n) detection phase and list candidate periods")
-		querySrc   = flag.String("query", "", "pattern query, e.g. 'conf >= 0.8 and period in 2..64' (default $PERIODICA_QUERY); replaces the mining option flags")
+		querySrc   = flag.String("query", "", "pattern query, e.g. 'conf >= 0.8 and period in 2..64' (default $PERIODICA_QUERY, else '"+defaultQuery+"')")
 	)
 	flag.Parse()
 
-	// A query and the option flags are two spellings of the same parameters;
-	// accepting both would need a precedence rule nobody could remember, so
-	// mixing them is an error. $PERIODICA_QUERY is only a default: explicit
-	// option flags silently win over it, like any flag wins over its env
-	// default.
-	conflicting := miningFlagsSet()
-	if *querySrc != "" && len(conflicting) > 0 {
-		fatal(fmt.Errorf("-query conflicts with -%s; state those parameters as query clauses",
-			strings.Join(conflicting, ", -")))
-	}
 	src := *querySrc
-	if src == "" && len(conflicting) == 0 {
+	if src == "" {
 		src = os.Getenv("PERIODICA_QUERY")
 	}
-	var q *periodica.Query
-	if src != "" {
-		var err error
-		if q, err = periodica.CompileQuery(src); err != nil {
-			fatal(err)
-		}
+	if src == "" {
+		src = defaultQuery
+	}
+	q, err := periodica.CompileQuery(src)
+	if err != nil {
+		fatal(err)
+	}
+	if (*detrend != 0 || *paa != 0) && q.Discretization() != query.DiscretizeSAX {
+		fatal(fmt.Errorf("-detrend and -paa apply only under the query clause 'discretize sax'"))
 	}
 
 	s, err := readSeries(*in, *format, prepConfig{
-		levels: *levels, sax: *sax, detrend: *detrend, paa: *paa,
-		bin: *bin, idle: *idle, query: q,
+		detrend: *detrend, paa: *paa, bin: *bin, idle: *idle, query: q,
 	})
 	if err != nil {
 		fatal(err)
@@ -104,64 +91,24 @@ func main() {
 		fmt.Printf("series: n=%d symbols, alphabet %v\n", s.Len(), s.Alphabet())
 	}
 
-	// The flag path and the query path converge on one Options value; the
-	// engine default resolves like the CI parity matrix does — the explicit
-	// flag or clause, then PERIODICA_ENGINE, then auto — so the same
-	// invocation mines identically under any engine leg.
-	var opt periodica.Options
-	if q != nil {
-		opt = q.Options()
-	} else {
-		// The option flags are just another spelling of a query: lift them
-		// into a Spec, validate against the single validator, and compile the
-		// canonical render — so a flag invocation and its query spelling
-		// cannot diverge.
-		sp := query.Spec{
-			Threshold: *threshold, MinPeriod: *minPeriod, MaxPeriod: *maxPeriod,
-			Engine: strings.ToLower(*engine), MaxPatternPeriod: *maxPatP, MaximalOnly: *maximal,
-		}
-		if err := sp.Validate(); err != nil {
-			fatal(err)
-		}
-		fq, err := periodica.CompileQuery(sp.Render())
-		if err != nil {
-			fatal(err)
-		}
-		opt = fq.Options()
-	}
-	if opt.Engine == periodica.EngineAuto {
-		if name := os.Getenv("PERIODICA_ENGINE"); name != "" {
-			eng, err := periodica.ParseEngine(strings.ToLower(name))
-			if err != nil {
-				fatal(err)
-			}
-			opt.Engine = eng
-		}
-	}
-
-	mq := periodica.QueryFromOptions(opt)
+	threshold := q.Options().Threshold
 	if *candidates {
-		periods, err := periodica.CandidatePeriodsQueryContext(context.Background(), s, mq)
+		periods, err := periodica.CandidatePeriodsQueryContext(context.Background(), s, q)
 		if err != nil {
 			fatal(err)
 		}
 		if *jsonOut {
-			emitJSON(map[string]any{"threshold": opt.Threshold, "candidatePeriods": periods})
+			emitJSON(map[string]any{"threshold": threshold, "candidatePeriods": periods})
 			return
 		}
-		fmt.Printf("candidate periods (ψ=%.2f): %d\n", opt.Threshold, len(periods))
+		fmt.Printf("candidate periods (ψ=%.2f): %d\n", threshold, len(periods))
 		printPeriods(periods, *top)
 		return
 	}
 
-	res, err := periodica.MineQueryContext(context.Background(), s, mq)
+	res, err := periodica.MineQueryContext(context.Background(), s, q)
 	if err != nil {
 		fatal(err)
-	}
-	if q != nil {
-		if res, err = q.Shape(s, res); err != nil {
-			fatal(err)
-		}
 	}
 
 	if *jsonOut {
@@ -169,7 +116,7 @@ func main() {
 		return
 	}
 
-	fmt.Printf("\ndetected periods (ψ=%.2f): %d\n", opt.Threshold, len(res.Periods))
+	fmt.Printf("\ndetected periods (ψ=%.2f): %d\n", threshold, len(res.Periods))
 	printPeriods(res.Periods, *top)
 
 	fmt.Printf("\nsymbol periodicities: %d\n", len(res.Periodicities))
@@ -199,33 +146,16 @@ func main() {
 	}
 }
 
+// defaultQuery is the query mined when neither -query nor $PERIODICA_QUERY
+// states one.
+const defaultQuery = "conf >= 0.8"
+
 type prepConfig struct {
-	levels  int
-	sax     bool
-	detrend int
-	paa     int
+	detrend int // values format under "discretize sax"
+	paa     int // values format under "discretize sax"
 	bin     time.Duration
 	idle    string
-	query   *periodica.Query // when set, its levels/discretize clauses drive the values format
-}
-
-// miningFlagNames are the flags a pattern query replaces: everything that
-// states a mining parameter or a discretization choice.
-var miningFlagNames = map[string]bool{
-	"threshold": true, "min-period": true, "max-period": true, "engine": true,
-	"max-pattern-period": true, "maximal": true,
-	"levels": true, "sax": true, "detrend": true, "paa": true,
-}
-
-// miningFlagsSet lists the explicitly set flags that conflict with -query.
-func miningFlagsSet() []string {
-	var set []string
-	flag.Visit(func(f *flag.Flag) {
-		if miningFlagNames[f.Name] {
-			set = append(set, f.Name)
-		}
-	})
-	return set
+	query   *periodica.Query // its levels/discretize clauses drive the values format
 }
 
 // queryCommand implements "opminer query check <query>": compile the query
@@ -296,15 +226,12 @@ func readSeries(path, format string, cfg prepConfig) (*periodica.Series, error) 
 		if err != nil {
 			return nil, err
 		}
-		if cfg.query != nil {
-			return cfg.query.DiscretizeValues(values)
-		}
-		if cfg.sax {
+		if cfg.query.Discretization() == query.DiscretizeSAX {
 			return periodica.DiscretizeSAX(values, periodica.SAXOptions{
-				Levels: cfg.levels, Frame: cfg.paa, DetrendWindow: cfg.detrend,
+				Levels: cfg.query.Levels(), Frame: cfg.paa, DetrendWindow: cfg.detrend,
 			})
 		}
-		return periodica.DiscretizeEqualWidth(values, cfg.levels)
+		return cfg.query.DiscretizeValues(values)
 	case "events":
 		events, err := readEvents(r)
 		if err != nil {

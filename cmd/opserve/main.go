@@ -3,8 +3,8 @@
 //	opserve -addr :8723
 //
 //	curl -s localhost:8723/healthz
-//	curl -s localhost:8723/v1/mine -d '{"symbols":"abcabbabcb","threshold":0.66}'
-//	curl -s localhost:8723/v1/candidates -d '{"values":[1,5,9,1,5,9],"levels":3,"threshold":1}'
+//	curl -s localhost:8723/v1/mine -d '{"symbols":"abcabbabcb","query":"conf >= 0.66"}'
+//	curl -s localhost:8723/v1/candidates -d '{"values":[1,5,9,1,5,9],"query":"conf >= 1 and levels 3"}'
 //	curl -s localhost:8723/metrics
 //
 // The server shuts down gracefully on SIGINT/SIGTERM: /readyz starts
@@ -70,13 +70,13 @@ func run() int {
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "distributed: open-circuit cooldown before a half-open probe, doubled per failed probe (0 = default 1s)")
 	verifyShards := flag.Float64("verify-shards", 0, "distributed: fraction of shards (0..1) double-dispatched to a second worker and cross-checked; mismatches are recomputed locally")
 	shardJournal := flag.String("shard-journal", "", "distributed: checkpoint completed shards to this file so an interrupted mine resumes instead of restarting")
-	defaultQuery := flag.String("query", "", "default pattern query for requests that carry no mining parameters (default $PERIODICA_QUERY)")
+	defaultQuery := flag.String("query", "", "default pattern query for /v1/mine and /v1/candidates requests without a \"query\" field (default $PERIODICA_QUERY; without one, such requests are a 400)")
 	flag.Parse()
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 
 	// The default query is compiled once at startup — a typo fails the boot,
-	// not the first parameterless request — and the canonical form is what
+	// not the first request without a query — and the canonical form is what
 	// the handlers apply and the logs show.
 	querySrc := *defaultQuery
 	if querySrc == "" {

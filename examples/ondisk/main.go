@@ -42,7 +42,11 @@ func main() {
 	fmt.Printf("wrote %d hourly symbols (%d bytes) to %s\n", pub.Len(), info.Size(), path)
 
 	// Detect candidate periods straight from the file.
-	onDisk, err := periodica.CandidatePeriodsFile(path, 0.9, 400)
+	q, err := periodica.CompileQuery("conf >= 0.9 and period <= 400")
+	if err != nil {
+		log.Fatal(err)
+	}
+	onDisk, err := periodica.CandidatePeriodsFile(path, q)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,10 +58,6 @@ func main() {
 	fmt.Println("  leading candidates:", show)
 
 	// Cross-check against the in-memory detection phase.
-	q, err := periodica.CompileQuery("conf >= 0.9 and period <= 400")
-	if err != nil {
-		log.Fatal(err)
-	}
 	inMem, err := periodica.CandidatePeriodsQueryContext(context.Background(), pub, q)
 	if err != nil {
 		log.Fatal(err)

@@ -217,8 +217,6 @@ func (c *Coordinator) Mine(ctx context.Context, s *periodica.Series, opt periodi
 	// Every shard carries the mine's canonical query string: the worker
 	// compiles exactly what the coordinator normalized (modulo the per-shard
 	// period band), and the response's QueryCRC echo proves it answered it.
-	// The scalar fields ride along for pre-query workers.
-	engine := norm.Engine.String()
 	normSpec := core.SpecFromOptions(norm)
 	canonical := normSpec.Render()
 	results := make([][]core.SymbolPeriodicity, len(plan))
@@ -230,9 +228,8 @@ func (c *Coordinator) Mine(ctx context.Context, s *periodica.Series, opt periodi
 			Alphabet:  alpha.Symbols(),
 			Symbols:   text,
 			Query:     canonical,
-			Threshold: norm.Threshold, MinPeriod: sh.MinPeriod, MaxPeriod: sh.MaxPeriod,
+			MinPeriod: sh.MinPeriod, MaxPeriod: sh.MaxPeriod,
 			SymbolLo: sh.SymbolLo, SymbolHi: sh.SymbolHi,
-			MinPairs: norm.MinPairs, Engine: engine,
 			Survivors: clipSurvivors(surv, sh, norm.MinPeriod),
 		}
 		if jr != nil {

@@ -1,7 +1,7 @@
 // Package httpapi exposes the miner as a small JSON-over-HTTP service: a
 // time-series database component would deploy this next to its storage
 // layer. Stateless by design — every request carries its series (symbols or
-// raw numeric values) and its mining parameters.
+// raw numeric values) and its mining parameters as a pattern query.
 //
 // The serving path is built for production traffic: every mine is driven by
 // the request context plus a configurable deadline (a disconnected client
@@ -31,7 +31,6 @@ import (
 	"periodica"
 	"periodica/internal/exec"
 	"periodica/internal/obs"
-	"periodica/internal/query"
 )
 
 // MaxBodyBytes is the default request-body cap (64 MiB).
@@ -69,9 +68,9 @@ type Config struct {
 	// locally.
 	Distributor Distributor
 	// DefaultQuery, when set, is the pattern query applied to /v1/mine and
-	// /v1/candidates requests that carry no mining parameters of their own
-	// (no query string and no legacy option fields). opserve sets it from
-	// -query / PERIODICA_QUERY after compiling it at startup.
+	// /v1/candidates requests that carry no query of their own. Without it
+	// such requests are a 400. opserve sets it from -query /
+	// PERIODICA_QUERY after compiling it at startup.
 	DefaultQuery string
 }
 
@@ -147,66 +146,31 @@ func (s *Server) Metrics() *obs.Registry { return s.metrics }
 func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
 
 // MineRequest is the body of POST /v1/mine and POST /v1/candidates. Exactly
-// one of Symbols and Values must be set. The mining parameters come either
-// from Query — a pattern-query string like "conf >= 0.8 and period in
-// 2..64" — or from the legacy option fields; setting both is an error.
-// Internally the legacy fields are just a Spec builder: both forms funnel
-// through the one query validator, so defaults and error messages cannot
-// differ between them.
+// one of Symbols and Values must be set. Query states the mining
+// parameters, a pattern-query string like "conf >= 0.8 and period in
+// 2..64"; when it is empty the server's DefaultQuery applies.
 type MineRequest struct {
 	// Symbols is a string of single-rune symbols.
 	Symbols string `json:"symbols,omitempty"`
-	// Values are raw numeric readings, discretized into Levels equal-width
-	// levels (default 5; a query's "levels"/"discretize" clauses override).
+	// Values are raw numeric readings, discretized as the query's "levels"
+	// and "discretize" clauses direct (default 5 equal-width levels).
 	Values []float64 `json:"values,omitempty"`
-	Levels int       `json:"levels,omitempty"`
-
-	// Query is a pattern-query string; when set, every other mining
-	// parameter (threshold through minPairs, and levels) must be unset.
+	// Query is a pattern-query string.
 	Query string `json:"query,omitempty"`
-
-	Threshold        float64 `json:"threshold,omitempty"`
-	MinPeriod        int     `json:"minPeriod,omitempty"`
-	MaxPeriod        int     `json:"maxPeriod,omitempty"`
-	MaxPatternPeriod int     `json:"maxPatternPeriod,omitempty"`
-	MaximalOnly      bool    `json:"maximalOnly,omitempty"`
-	MinPairs         int     `json:"minPairs,omitempty"`
 }
 
-// hasLegacyOptions reports whether any legacy mining-parameter field is set.
-func (req *MineRequest) hasLegacyOptions() bool {
-	return req.Threshold != 0 || req.MinPeriod != 0 || req.MaxPeriod != 0 || //opvet:ignore floatcmp zero means unset
-		req.MaxPatternPeriod != 0 || req.MaximalOnly || req.MinPairs != 0 ||
-		req.Levels != 0
-}
-
-// resolveQuery compiles the request's effective query: the Query string
-// when present, the server's default query when the request carries no
-// parameters at all, or a Spec built from the legacy option fields. This is
-// the collapse point for what used to be two hand-rolled option paths —
-// every /v1/mine and /v1/candidates request now passes the single query
-// validator exactly once. On failure it has written the 400.
+// resolveQuery compiles the request's effective query: its Query string, or
+// the server's default query when the request carries none. On failure it
+// has written the 400.
 func (s *Server) resolveQuery(w http.ResponseWriter, req *MineRequest) (*periodica.Query, bool) {
 	src := req.Query
-	if src != "" && req.hasLegacyOptions() {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{
-			Error: "set either query or the option fields (threshold, minPeriod, …, levels), not both"})
-		return nil, false
-	}
-	if src == "" && !req.hasLegacyOptions() && s.cfg.DefaultQuery != "" {
+	if src == "" {
 		src = s.cfg.DefaultQuery
 	}
 	if src == "" {
-		spec := query.Spec{
-			Threshold: req.Threshold, MinPeriod: req.MinPeriod, MaxPeriod: req.MaxPeriod,
-			MaxPatternPeriod: req.MaxPatternPeriod, MaximalOnly: req.MaximalOnly,
-			MinPairs: req.MinPairs, Levels: req.Levels,
-		}
-		if err := spec.Validate(); err != nil {
-			writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("invalid options: %v", err)})
-			return nil, false
-		}
-		src = spec.Render()
+		writeJSON(w, http.StatusBadRequest, ErrorResponse{
+			Error: `query required: set "query", e.g. "conf >= 0.8" (this server has no default query)`})
+		return nil, false
 	}
 	q, err := periodica.CompileQuery(src)
 	if err != nil {
@@ -473,9 +437,8 @@ func (s *Server) decodeRequest(w http.ResponseWriter, r *http.Request) (MineRequ
 }
 
 // buildSeries constructs the input series: symbols verbatim, values through
-// the resolved query's discretization clauses (which subsume the legacy
-// levels field — resolveQuery folded it into the query). On failure it has
-// already written the error response.
+// the resolved query's discretization clauses. On failure it has already
+// written the error response.
 func (s *Server) buildSeries(w http.ResponseWriter, req *MineRequest, q *periodica.Query) (*periodica.Series, bool) {
 	var (
 		series *periodica.Series

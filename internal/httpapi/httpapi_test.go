@@ -43,7 +43,7 @@ func largeSeriesBody(n int) string {
 	for i := 0; i < n; i++ {
 		b.WriteByte(byte('a' + rng.Intn(8)))
 	}
-	return fmt.Sprintf(`{"symbols":%q,"threshold":0.05}`, b.String())
+	return fmt.Sprintf(`{"symbols":%q,"query":"conf >= 0.05"}`, b.String())
 }
 
 func TestHealthz(t *testing.T) {
@@ -62,7 +62,7 @@ func TestHealthz(t *testing.T) {
 }
 
 func TestMineSymbols(t *testing.T) {
-	rec := post(t, quiet(Config{}), "/v1/mine", `{"symbols":"abcabbabcb","threshold":0.66}`)
+	rec := post(t, quiet(Config{}), "/v1/mine", `{"symbols":"abcabbabcb","query":"conf >= 0.66"}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
@@ -83,7 +83,7 @@ func TestMineSymbols(t *testing.T) {
 
 func TestMineValues(t *testing.T) {
 	rec := post(t, quiet(Config{}), "/v1/mine",
-		`{"values":[1,5,9,1,5,9,1,5,9,1,5,9],"levels":3,"threshold":1}`)
+		`{"values":[1,5,9,1,5,9,1,5,9,1,5,9],"query":"conf >= 1 and levels 3"}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
@@ -98,7 +98,7 @@ func TestMineValues(t *testing.T) {
 
 func TestCandidates(t *testing.T) {
 	rec := post(t, quiet(Config{}), "/v1/candidates",
-		`{"symbols":"`+strings.Repeat("abcd", 50)+`","threshold":1}`)
+		`{"symbols":"`+strings.Repeat("abcd", 50)+`","query":"conf >= 1"}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
@@ -120,14 +120,15 @@ func TestCandidates(t *testing.T) {
 func TestBadRequests(t *testing.T) {
 	h := quiet(Config{})
 	cases := map[string]string{
-		"neither symbols nor values": `{"threshold":0.5}`,
-		"both symbols and values":    `{"symbols":"ab","values":[1],"threshold":0.5}`,
-		"bad threshold":              `{"symbols":"abab","threshold":0}`,
+		"neither symbols nor values": `{"query":"conf >= 0.5"}`,
+		"both symbols and values":    `{"symbols":"ab","values":[1],"query":"conf >= 0.5"}`,
+		"bad threshold":              `{"symbols":"abab","query":"conf >= 0"}`,
+		"legacy threshold field":     `{"symbols":"abab","threshold":0.5}`,
 		"invalid json":               `{`,
-		"unknown field":              `{"symbols":"abab","threshold":0.5,"bogus":1}`,
-		"constant values":            `{"values":[2,2,2,2],"threshold":0.5}`,
-		"negative levels":            `{"values":[1,2,3,4],"levels":-3,"threshold":0.5}`,
-		"explicit empty values":      `{"values":[],"threshold":0.5}`,
+		"unknown field":              `{"symbols":"abab","query":"conf >= 0.5","bogus":1}`,
+		"constant values":            `{"values":[2,2,2,2],"query":"conf >= 0.5"}`,
+		"negative levels":            `{"values":[1,2,3,4],"query":"conf >= 0.5 and levels -3"}`,
+		"explicit empty values":      `{"values":[],"query":"conf >= 0.5"}`,
 	}
 	for name, body := range cases {
 		rec := post(t, h, "/v1/mine", body)
@@ -143,11 +144,11 @@ func TestBadRequests(t *testing.T) {
 
 func TestValidationErrorMessages(t *testing.T) {
 	h := quiet(Config{})
-	rec := post(t, h, "/v1/mine", `{"values":[1,2,3,4],"levels":-3,"threshold":0.5}`)
-	if !strings.Contains(rec.Body.String(), "levels must be non-negative") {
-		t.Errorf("negative levels: unhelpful message %s", rec.Body)
+	rec := post(t, h, "/v1/mine", `{"values":[1,2,3,4],"query":"conf >= 0.5 and levels 1"}`)
+	if !strings.Contains(rec.Body.String(), "levels must be an integer in 2..26") {
+		t.Errorf("one level: unhelpful message %s", rec.Body)
 	}
-	rec = post(t, h, "/v1/mine", `{"values":[],"threshold":0.5}`)
+	rec = post(t, h, "/v1/mine", `{"values":[],"query":"conf >= 0.5"}`)
 	if !strings.Contains(rec.Body.String(), "values must not be empty") {
 		t.Errorf("empty values: unhelpful message %s", rec.Body)
 	}
@@ -185,7 +186,7 @@ func TestReadOnlyEndpointsRejectWrites(t *testing.T) {
 }
 
 func TestCandidatesBadMaxPeriod(t *testing.T) {
-	rec := post(t, quiet(Config{}), "/v1/candidates", `{"symbols":"abab","threshold":0.5,"maxPeriod":100}`)
+	rec := post(t, quiet(Config{}), "/v1/candidates", `{"symbols":"abab","query":"conf >= 0.5 and period <= 100"}`)
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", rec.Code)
 	}
@@ -193,7 +194,7 @@ func TestCandidatesBadMaxPeriod(t *testing.T) {
 
 func TestRequestEntityTooLarge(t *testing.T) {
 	s := quiet(Config{MaxBodyBytes: 64})
-	rec := post(t, s, "/v1/mine", `{"symbols":"`+strings.Repeat("ab", 200)+`","threshold":0.5}`)
+	rec := post(t, s, "/v1/mine", `{"symbols":"`+strings.Repeat("ab", 200)+`","query":"conf >= 0.5"}`)
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("status %d, want 413: %s", rec.Code, rec.Body)
 	}
@@ -207,7 +208,7 @@ func TestAdmissionControl(t *testing.T) {
 	if !s.gate.TryAcquire() { // occupy the only mining slot
 		t.Fatal("fresh gate refused its first slot")
 	}
-	rec := post(t, s, "/v1/mine", `{"symbols":"abcabbabcb","threshold":0.66}`)
+	rec := post(t, s, "/v1/mine", `{"symbols":"abcabbabcb","query":"conf >= 0.66"}`)
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429: %s", rec.Code, rec.Body)
 	}
@@ -215,7 +216,7 @@ func TestAdmissionControl(t *testing.T) {
 		t.Fatal("429 without Retry-After")
 	}
 	s.gate.Release() // free the slot; the same request must now succeed
-	rec = post(t, s, "/v1/mine", `{"symbols":"abcabbabcb","threshold":0.66}`)
+	rec = post(t, s, "/v1/mine", `{"symbols":"abcabbabcb","query":"conf >= 0.66"}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("after release: status %d: %s", rec.Code, rec.Body)
 	}
@@ -244,7 +245,7 @@ func TestClientCancel499(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	req := httptest.NewRequest(http.MethodPost, "/v1/mine",
-		strings.NewReader(`{"symbols":"abcabbabcb","threshold":0.66}`)).WithContext(ctx)
+		strings.NewReader(`{"symbols":"abcabbabcb","query":"conf >= 0.66"}`)).WithContext(ctx)
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
 	if rec.Code != StatusClientClosedRequest {
@@ -333,10 +334,10 @@ func TestReadyzFlipsDuringDrain(t *testing.T) {
 
 func TestMetricsEndpoint(t *testing.T) {
 	s := quiet(Config{})
-	if rec := post(t, s, "/v1/mine", `{"symbols":"abcabbabcb","threshold":0.66}`); rec.Code != 200 {
+	if rec := post(t, s, "/v1/mine", `{"symbols":"abcabbabcb","query":"conf >= 0.66"}`); rec.Code != 200 {
 		t.Fatalf("mine: %d", rec.Code)
 	}
-	if rec := post(t, s, "/v1/mine", `{"threshold":0.5}`); rec.Code != 400 {
+	if rec := post(t, s, "/v1/mine", `{"query":"conf >= 0.5"}`); rec.Code != 400 {
 		t.Fatalf("bad mine: %d", rec.Code)
 	}
 	rec := httptest.NewRecorder()
@@ -393,7 +394,7 @@ func TestAccessLogFields(t *testing.T) {
 	var buf strings.Builder
 	logger := slog.New(slog.NewTextHandler(&buf, nil))
 	s := New(Config{Logger: logger})
-	rec := post(t, s, "/v1/mine", `{"symbols":"abcabbabcb","threshold":0.66}`)
+	rec := post(t, s, "/v1/mine", `{"symbols":"abcabbabcb","query":"conf >= 0.66"}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d", rec.Code)
 	}

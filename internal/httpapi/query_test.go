@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
@@ -11,20 +12,38 @@ import (
 )
 
 // TestMineQueryRequest: a query-driven request must produce the exact bytes
-// of its legacy-field spelling — resolveQuery collapses both onto one Spec.
+// the library's MineQueryContext encodes for the same series and query.
 func TestMineQueryRequest(t *testing.T) {
-	h := quiet(Config{})
-	legacy := post(t, h, "/v1/mine", `{"symbols":"abcabbabcb","threshold":0.66}`)
-	if legacy.Code != 200 {
-		t.Fatalf("legacy status %d: %s", legacy.Code, legacy.Body)
+	rec := post(t, quiet(Config{}), "/v1/mine", `{"symbols":"abcabbabcb","query":"conf >= 0.66"}`)
+	if rec.Code != 200 {
+		t.Fatalf("query status %d: %s", rec.Code, rec.Body)
 	}
-	query := post(t, h, "/v1/mine", `{"symbols":"abcabbabcb","query":"conf >= 0.66"}`)
-	if query.Code != 200 {
-		t.Fatalf("query status %d: %s", query.Code, query.Body)
+	s, err := periodica.NewSeriesFromString("abcabbabcb")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if legacy.Body.String() != query.Body.String() {
-		t.Errorf("query-driven body differs from legacy-field body:\n%s\nvs\n%s", query.Body, legacy.Body)
+	if want := libraryBody(t, s, "conf >= 0.66"); rec.Body.String() != want {
+		t.Errorf("served body differs from the library mine:\n%s\nvs\n%s", rec.Body, want)
 	}
+}
+
+// libraryBody mines s under src in process and encodes the result as the
+// server's response writer does.
+func libraryBody(t *testing.T, s *periodica.Series, src string) string {
+	t.Helper()
+	q, err := periodica.CompileQuery(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := periodica.MineQueryContext(context.Background(), s, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	if err := json.NewEncoder(&b).Encode(res); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
 }
 
 // TestMineQueryWorkersClause: "workers N" only widens the mine's scheduler
@@ -51,29 +70,32 @@ func TestMineQueryWorkersClause(t *testing.T) {
 	}
 }
 
-// TestMineQueryLevels: the levels clause discretizes a values request just
-// like the legacy levels field.
+// TestMineQueryLevels: the levels clause discretizes a values request into
+// that many equal-width levels.
 func TestMineQueryLevels(t *testing.T) {
-	h := quiet(Config{})
-	legacy := post(t, h, "/v1/mine", `{"values":[1,5,9,1,5,9,1,5,9,1,5,9],"levels":3,"threshold":1}`)
-	query := post(t, h, "/v1/mine", `{"values":[1,5,9,1,5,9,1,5,9,1,5,9],"query":"conf >= 1 and levels 3"}`)
-	if legacy.Code != 200 || query.Code != 200 {
-		t.Fatalf("status %d / %d: %s %s", legacy.Code, query.Code, legacy.Body, query.Body)
+	values := []float64{1, 5, 9, 1, 5, 9, 1, 5, 9, 1, 5, 9}
+	rec := post(t, quiet(Config{}), "/v1/mine", `{"values":[1,5,9,1,5,9,1,5,9,1,5,9],"query":"conf >= 1 and levels 3"}`)
+	if rec.Code != 200 {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
-	if legacy.Body.String() != query.Body.String() {
-		t.Errorf("levels clause result differs from legacy levels field:\n%s\nvs\n%s", query.Body, legacy.Body)
+	s, err := periodica.DiscretizeEqualWidth(values, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := libraryBody(t, s, "conf >= 1"); rec.Body.String() != want {
+		t.Errorf("levels clause result differs from a 3-level equal-width mine:\n%s\nvs\n%s", rec.Body, want)
 	}
 }
 
-// TestMineQueryConflict: mixing the query string with legacy option fields
-// has no sane precedence rule, so it is a 400.
+// TestMineQueryConflict: a body that carries a query next to a removed
+// option field is a 400 naming the field, never a silent merge.
 func TestMineQueryConflict(t *testing.T) {
 	rec := post(t, quiet(Config{}), "/v1/mine",
 		`{"symbols":"abcabbabcb","query":"conf >= 0.66","threshold":0.5}`)
 	if rec.Code != 400 {
 		t.Fatalf("status %d, want 400: %s", rec.Code, rec.Body)
 	}
-	if !strings.Contains(rec.Body.String(), "not both") {
+	if !strings.Contains(rec.Body.String(), `unknown field \"threshold\"`) {
 		t.Errorf("conflict message unhelpful: %s", rec.Body)
 	}
 }
@@ -98,12 +120,11 @@ func TestMineBadQuery(t *testing.T) {
 	}
 }
 
-// TestDefaultQueryApplied: a request with no mining parameters inherits the
-// server's default query; any explicit parameter — query or legacy field —
-// overrides it entirely.
+// TestDefaultQueryApplied: a request without a query inherits the server's
+// default query; an explicit query overrides it entirely.
 func TestDefaultQueryApplied(t *testing.T) {
 	withDefault := quiet(Config{DefaultQuery: "conf >= 0.66"})
-	explicit := post(t, quiet(Config{}), "/v1/mine", `{"symbols":"abcabbabcb","threshold":0.66}`)
+	explicit := post(t, quiet(Config{}), "/v1/mine", `{"symbols":"abcabbabcb","query":"conf >= 0.66"}`)
 	bare := post(t, withDefault, "/v1/mine", `{"symbols":"abcabbabcb"}`)
 	if bare.Code != 200 {
 		t.Fatalf("bare request status %d: %s", bare.Code, bare.Body)
@@ -112,18 +133,17 @@ func TestDefaultQueryApplied(t *testing.T) {
 		t.Errorf("default query result differs from its explicit spelling:\n%s\nvs\n%s", bare.Body, explicit.Body)
 	}
 
-	// A legacy threshold must win over the default query, not merge with it.
-	strict := post(t, withDefault, "/v1/mine", `{"symbols":"abcabbabcb","threshold":1}`)
-	strictDirect := post(t, quiet(Config{}), "/v1/mine", `{"symbols":"abcabbabcb","threshold":1}`)
+	// An explicit query must win over the default query, not merge with it.
+	strict := post(t, withDefault, "/v1/mine", `{"symbols":"abcabbabcb","query":"conf >= 1"}`)
+	strictDirect := post(t, quiet(Config{}), "/v1/mine", `{"symbols":"abcabbabcb","query":"conf >= 1"}`)
 	if strict.Code != 200 || strict.Body.String() != strictDirect.Body.String() {
-		t.Errorf("legacy fields did not override the default query: %s", strict.Body)
+		t.Errorf("an explicit query did not override the default query: %s", strict.Body)
 	}
 
-	// Without a default, a parameterless request is still an error (the
-	// compiled query would be empty).
+	// Without a default, a request without a query is a 400 naming it.
 	none := post(t, quiet(Config{}), "/v1/mine", `{"symbols":"abcabbabcb"}`)
-	if none.Code != 400 {
-		t.Errorf("parameterless request without a default: status %d, want 400: %s", none.Code, none.Body)
+	if none.Code != 400 || !strings.Contains(none.Body.String(), "query required") {
+		t.Errorf("request without a query or a default: status %d, want 400 naming the query: %s", none.Code, none.Body)
 	}
 }
 
@@ -153,34 +173,37 @@ func TestCandidatesQueryRequest(t *testing.T) {
 	}
 }
 
-// TestResolveQueryGoldenLegacyFields pins the canonical query each legacy
-// MineRequest field lifts to — the wire-level counterpart of the public
-// Options golden table.
+// TestResolveQueryGoldenLegacyFields pins, for each option field the
+// request body no longer accepts, the query clause that replaces it: the
+// field alone is the decoder's unknown-field 400, and the clause resolves to
+// the given canonical query.
 func TestResolveQueryGoldenLegacyFields(t *testing.T) {
 	s := quiet(Config{})
 	cases := []struct {
-		name string
-		req  MineRequest
-		want string
+		name, field, query, want string
 	}{
-		{"threshold", MineRequest{Threshold: 0.8}, "conf >= 0.8"},
-		{"minPeriod", MineRequest{Threshold: 0.5, MinPeriod: 4}, "conf >= 0.5 and period >= 4"},
-		{"maxPeriod", MineRequest{Threshold: 0.5, MaxPeriod: 64}, "conf >= 0.5 and period <= 64"},
-		{"range", MineRequest{Threshold: 0.5, MinPeriod: 2, MaxPeriod: 512}, "conf >= 0.5 and period in 2..512"},
-		{"minPairs", MineRequest{Threshold: 0.5, MinPairs: 3}, "conf >= 0.5 and pairs >= 3"},
-		{"maximalOnly", MineRequest{Threshold: 0.5, MaximalOnly: true}, "conf >= 0.5 and maximal only"},
-		{"maxPatternPeriod", MineRequest{Threshold: 0.5, MaxPatternPeriod: 21}, "conf >= 0.5 and pattern period <= 21"},
-		{"levels", MineRequest{Threshold: 0.5, Levels: 3}, "conf >= 0.5 and levels 3"},
+		{"threshold", `"threshold":0.8`, "conf >= 0.8", "conf >= 0.8"},
+		{"minPeriod", `"minPeriod":4`, "conf >= 0.5 and period >= 4", "conf >= 0.5 and period >= 4"},
+		{"maxPeriod", `"maxPeriod":64`, "conf >= 0.5 and period <= 64", "conf >= 0.5 and period <= 64"},
+		{"range", `"minPeriod":2,"maxPeriod":512`, "period in 2..512 and conf >= 0.5", "conf >= 0.5 and period in 2..512"},
+		{"minPairs", `"minPairs":3`, "conf >= 0.5 and pairs >= 3", "conf >= 0.5 and pairs >= 3"},
+		{"maximalOnly", `"maximalOnly":true`, "maximal only and conf >= 0.5", "conf >= 0.5 and maximal only"},
+		{"maxPatternPeriod", `"maxPatternPeriod":21`, "conf >= 0.5 and pattern period <= 21", "conf >= 0.5 and pattern period <= 21"},
+		{"levels", `"levels":3`, "levels 3 and conf >= 0.5", "conf >= 0.5 and levels 3"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rec := httptest.NewRecorder()
-			q, ok := s.resolveQuery(rec, &tc.req)
+			rec := post(t, s, "/v1/mine", `{"symbols":"abcabbabcb",`+tc.field+`}`)
+			if rec.Code != 400 || !strings.Contains(rec.Body.String(), "unknown field") {
+				t.Errorf("body with %s: status %d, want the unknown-field 400: %s", tc.field, rec.Code, rec.Body)
+			}
+			rec = httptest.NewRecorder()
+			q, ok := s.resolveQuery(rec, &MineRequest{Query: tc.query})
 			if !ok {
 				t.Fatalf("resolveQuery failed: %s", rec.Body)
 			}
 			if got := q.String(); got != tc.want {
-				t.Errorf("legacy fields %+v lift to %q, want %q", tc.req, got, tc.want)
+				t.Errorf("%q resolves to %q, want %q", tc.query, got, tc.want)
 			}
 		})
 	}

@@ -50,16 +50,12 @@ type ShardRequest struct {
 	// symbol.
 	Symbols string `json:"symbols"`
 
-	// Query is the mine's compiled pattern query in canonical form
-	// (query.Spec.Render). When set it is the authoritative source of the
-	// mining parameters — the worker compiles it and overrides only the
-	// period band below — so every worker provably runs the same query the
-	// coordinator normalized once. The scalar fields remain for wire
-	// compatibility with pre-query coordinators and are ignored when Query
-	// is present (except the band and symbol range, which are per-shard).
-	Query string `json:"query,omitempty"`
+	// Query is the mine's pattern query in canonical form
+	// (query.Spec.Render), and it is required. The worker compiles it and
+	// overrides only the period band below, so every worker runs the query
+	// the coordinator normalized once.
+	Query string `json:"query"`
 
-	Threshold float64 `json:"threshold"`
 	// MinPeriod and MaxPeriod are the shard's candidate-period band,
 	// inclusive, already normalized by the coordinator.
 	MinPeriod int `json:"minPeriod"`
@@ -67,10 +63,6 @@ type ShardRequest struct {
 	// SymbolLo and SymbolHi restrict the sweep to symbols [lo, hi).
 	SymbolLo int `json:"symbolLo"`
 	SymbolHi int `json:"symbolHi"`
-	MinPairs int `json:"minPairs,omitempty"`
-	// Engine is the evaluation strategy by name ("auto", "naive", "bitset",
-	// "fft"); empty means auto. Every engine yields identical slot values.
-	Engine string `json:"engine,omitempty"`
 	// Survivors are the coordinator's precomputed sweep results for this
 	// shard: entry i lists, strictly ascending, the symbols in [SymbolLo,
 	// SymbolHi) still viable at period MinPeriod+i. The worker resolves
@@ -108,9 +100,9 @@ type ShardResponse struct {
 	// AlphaCRC is AlphabetCRC of the request's alphabet: a response computed
 	// against a different symbol numbering must never be merged.
 	AlphaCRC uint32 `json:"alphaCrc"`
-	// QueryCRC is QueryStringCRC of the request's Query (0 when the request
-	// carried none): a response mined under a different query must never be
-	// merged, even if its block coordinates line up.
+	// QueryCRC is QueryStringCRC of the request's Query: a response mined
+	// under a different query must never be merged, even if its block
+	// coordinates line up.
 	QueryCRC uint32 `json:"queryCrc,omitempty"`
 	// Checksum is ShardChecksum over every other field, computed by the
 	// worker and verified by the client. JSON is self-describing enough that
@@ -134,12 +126,8 @@ func AlphabetCRC(symbols []string) uint32 {
 
 var shardCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
-// QueryStringCRC hashes a canonical query string for the QueryCRC echo; the
-// empty string hashes to 0 so pre-query requests keep their old checksums.
+// QueryStringCRC hashes a canonical query string for the QueryCRC echo.
 func QueryStringCRC(query string) uint32 {
-	if query == "" {
-		return 0
-	}
 	return crc32.Checksum([]byte(query), shardCRCTable)
 }
 
@@ -168,21 +156,17 @@ func ShardChecksum(resp *ShardResponse) uint32 {
 	return crc32.Checksum(buf, shardCRCTable)
 }
 
-// shardOptions resolves a shard request to mining options through the query
-// layer: a request with a Query compiles it and overrides the per-shard
-// period band; a legacy request lifts its scalar fields into a Spec first.
-// Either way core.OptionsFromSpec is the one conversion point, so the shard
-// wire cannot drift from what the other layers accept.
+// shardOptions resolves a shard request to mining options: it compiles the
+// request's query and overrides the per-shard period band, so
+// core.OptionsFromSpec is the one conversion point and the shard wire
+// cannot drift from what the other layers accept.
 func shardOptions(req *ShardRequest) (core.Options, error) {
-	var sp query.Spec
-	if req.Query != "" {
-		compiled, err := query.Compile(req.Query)
-		if err != nil {
-			return core.Options{}, err
-		}
-		sp = compiled
-	} else {
-		sp = query.Spec{Threshold: req.Threshold, MinPairs: req.MinPairs, Engine: req.Engine}
+	if req.Query == "" {
+		return core.Options{}, errors.New("query required")
+	}
+	sp, err := query.Compile(req.Query)
+	if err != nil {
+		return core.Options{}, err
 	}
 	sp.MinPeriod, sp.MaxPeriod = req.MinPeriod, req.MaxPeriod
 	return core.OptionsFromSpec(sp)

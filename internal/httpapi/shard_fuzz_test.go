@@ -21,7 +21,7 @@ import (
 // fuzzer ships it with the survivors a coordinator would send (withSurvivors).
 var fuzzWorkerRequest = ShardRequest{
 	ShardID: 11, Alphabet: []string{"a", "b"}, Symbols: "abababababab",
-	Threshold: 0.5, MinPeriod: 1, MaxPeriod: 4, SymbolLo: 0, SymbolHi: 2,
+	Query: "conf >= 0.5", MinPeriod: 1, MaxPeriod: 4, SymbolLo: 0, SymbolHi: 2,
 }
 
 // canned returns the fuzzed bytes as a 200 response without a network hop.
@@ -43,8 +43,8 @@ func FuzzShardRequestDecode(f *testing.F) {
 	}
 	f.Add(valid)
 	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"shardId":1,"alphabet":["a"],"symbols":"aaaa","threshold":0.5,"survivors":[[0],[0]]}`))
-	f.Add([]byte(`{"alphabet":["a","b"],"symbols":"abab","threshold":0.5,"symbolHi":2,"survivors":[[1,0]]}`))
+	f.Add([]byte(`{"shardId":1,"alphabet":["a"],"symbols":"aaaa","query":"conf >= 0.5","survivors":[[0],[0]]}`))
+	f.Add([]byte(`{"alphabet":["a","b"],"symbols":"abab","query":"conf >= 0.5","symbolHi":2,"survivors":[[1,0]]}`))
 	f.Add(valid[:len(valid)/3])
 	f.Add([]byte(`[`))
 	h := quiet(Config{})

@@ -67,10 +67,10 @@ func withSurvivors(t testing.TB, req ShardRequest) ShardRequest {
 func TestShardEndpoint(t *testing.T) {
 	text := strings.Repeat("abcabbabcb", 10)
 	req := withSurvivors(t, ShardRequest{
-		ShardID:   42,
-		Alphabet:  []string{"a", "b", "c", "d"}, // d never occurs
-		Symbols:   text,
-		Threshold: 0.6, MinPeriod: 1, MaxPeriod: 20,
+		ShardID:  42,
+		Alphabet: []string{"a", "b", "c", "d"}, // d never occurs
+		Symbols:  text,
+		Query:    "conf >= 0.6", MinPeriod: 1, MaxPeriod: 20,
 		SymbolLo: 0, SymbolHi: 4,
 	})
 	rec := post(t, quiet(Config{}), "/v1/shard", shardBody(t, req))
@@ -115,7 +115,7 @@ func TestShardBadRequests(t *testing.T) {
 	h := quiet(Config{})
 	base := withSurvivors(t, ShardRequest{
 		Alphabet: []string{"a", "b"}, Symbols: "abababab",
-		Threshold: 0.5, MinPeriod: 1, MaxPeriod: 4, SymbolLo: 0, SymbolHi: 2,
+		Query: "conf >= 0.5", MinPeriod: 1, MaxPeriod: 4, SymbolLo: 0, SymbolHi: 2,
 	})
 	if rec := post(t, h, "/v1/shard", shardBody(t, base)); rec.Code != http.StatusOK {
 		t.Fatalf("base request: status %d, want 200: %s", rec.Code, rec.Body)
@@ -131,13 +131,14 @@ func TestShardBadRequests(t *testing.T) {
 		"duplicate alphabet":    mutate(func(r *ShardRequest) { r.Alphabet = []string{"a", "a"} }),
 		"rune not in alphabet":  mutate(func(r *ShardRequest) { r.Symbols = "abxab" }),
 		"empty symbols":         mutate(func(r *ShardRequest) { r.Symbols = "" }),
-		"unknown engine":        mutate(func(r *ShardRequest) { r.Engine = "quantum" }),
-		"bad threshold":         mutate(func(r *ShardRequest) { r.Threshold = 0 }),
+		"missing query":         mutate(func(r *ShardRequest) { r.Query = "" }),
+		"unknown engine":        mutate(func(r *ShardRequest) { r.Query = "conf >= 0.5 and engine quantum" }),
+		"bad threshold":         mutate(func(r *ShardRequest) { r.Query = "conf >= 0" }),
 		"inverted symbol range": mutate(func(r *ShardRequest) { r.SymbolLo, r.SymbolHi = 2, 1 }),
 		"symbol range too wide": mutate(func(r *ShardRequest) { r.SymbolHi = 5 }),
 		"bad period band":       mutate(func(r *ShardRequest) { r.MinPeriod, r.MaxPeriod = 4, 100 }),
 		"missing survivors":     mutate(func(r *ShardRequest) { r.Survivors = nil }),
-		"unknown field":         `{"alphabet":["a","b"],"symbols":"abab","threshold":0.5,"bogus":1}`,
+		"unknown field":         `{"alphabet":["a","b"],"symbols":"abab","query":"conf >= 0.5","bogus":1}`,
 		"invalid json":          `{`,
 	}
 	for name, body := range cases {
@@ -160,7 +161,7 @@ func TestShardClientRoundTrip(t *testing.T) {
 	var c ShardClient
 	req := withSurvivors(t, ShardRequest{
 		ShardID: 7, Alphabet: []string{"a", "b", "c"}, Symbols: strings.Repeat("abcabbabcb", 5),
-		Threshold: 0.6, MinPeriod: 1, MaxPeriod: 10, SymbolLo: 0, SymbolHi: 3,
+		Query: "conf >= 0.6", MinPeriod: 1, MaxPeriod: 10, SymbolLo: 0, SymbolHi: 3,
 	})
 	resp, err := c.MineShard(context.Background(), worker.URL, &req)
 	if err != nil {
@@ -180,7 +181,7 @@ func TestShardClientStatusErrors(t *testing.T) {
 	var c ShardClient
 	goodReq := withSurvivors(t, ShardRequest{
 		ShardID: 1, Alphabet: []string{"a", "b"}, Symbols: "abababab",
-		Threshold: 0.5, MinPeriod: 1, MaxPeriod: 4, SymbolLo: 0, SymbolHi: 2,
+		Query: "conf >= 0.5", MinPeriod: 1, MaxPeriod: 4, SymbolLo: 0, SymbolHi: 2,
 	})
 	good := &goodReq
 
@@ -195,7 +196,7 @@ func TestShardClientStatusErrors(t *testing.T) {
 	}
 
 	bad := *good
-	bad.Threshold = 0
+	bad.Query = "conf >= 0"
 	_, err = c.MineShard(context.Background(), worker.URL, &bad)
 	if !errors.As(err, &wse) || wse.Status != http.StatusBadRequest || wse.Retryable() {
 		t.Fatalf("rejected: err = %v, want non-retryable 400 WorkerStatusError", err)
@@ -207,7 +208,7 @@ func TestShardClientStatusErrors(t *testing.T) {
 func TestShardResponseStampedAndVerifiable(t *testing.T) {
 	req := withSurvivors(t, ShardRequest{
 		ShardID: 9, Alphabet: []string{"a", "b", "c"}, Symbols: strings.Repeat("abcabbabcb", 5),
-		Threshold: 0.6, MinPeriod: 2, MaxPeriod: 8, SymbolLo: 1, SymbolHi: 3,
+		Query: "conf >= 0.6", MinPeriod: 2, MaxPeriod: 8, SymbolLo: 1, SymbolHi: 3,
 	})
 	rec := post(t, quiet(Config{}), "/v1/shard", shardBody(t, req))
 	if rec.Code != http.StatusOK {
@@ -233,7 +234,7 @@ func TestShardResponseStampedAndVerifiable(t *testing.T) {
 func TestShardClientRejectsCorruptResponses(t *testing.T) {
 	shipped := withSurvivors(t, ShardRequest{
 		ShardID: 3, Alphabet: []string{"a", "b"}, Symbols: strings.Repeat("abab", 10),
-		Threshold: 0.5, MinPeriod: 1, MaxPeriod: 6, SymbolLo: 0, SymbolHi: 2,
+		Query: "conf >= 0.5", MinPeriod: 1, MaxPeriod: 6, SymbolLo: 0, SymbolHi: 2,
 	})
 	req := &shipped
 	worker := httptest.NewServer(quiet(Config{}))
@@ -307,7 +308,7 @@ func TestShardClientParsesRetryAfter(t *testing.T) {
 	}
 	shipped := withSurvivors(t, ShardRequest{
 		ShardID: 1, Alphabet: []string{"a"}, Symbols: "aaaa",
-		Threshold: 0.5, MinPeriod: 1, MaxPeriod: 2, SymbolLo: 0, SymbolHi: 1,
+		Query: "conf >= 0.5", MinPeriod: 1, MaxPeriod: 2, SymbolLo: 0, SymbolHi: 1,
 	})
 	req := &shipped
 	var c ShardClient
@@ -337,7 +338,7 @@ func TestShardSurvivorsRequest(t *testing.T) {
 	text := strings.Repeat("abcabbabcb", 10)
 	base := withSurvivors(t, ShardRequest{
 		ShardID: 5, Alphabet: []string{"a", "b", "c"}, Symbols: text,
-		Threshold: 0.6, MinPeriod: 2, MaxPeriod: 8, SymbolLo: 0, SymbolHi: 3,
+		Query: "conf >= 0.6", MinPeriod: 2, MaxPeriod: 8, SymbolLo: 0, SymbolHi: 3,
 	})
 	h := quiet(Config{})
 	rec := post(t, h, "/v1/shard", shardBody(t, base))
@@ -409,7 +410,7 @@ func TestRetryAfterComputed(t *testing.T) {
 		if !s.gate.TryAcquire() {
 			t.Fatal("fresh gate refused its first slot")
 		}
-		rec := post(t, s, "/v1/mine", `{"symbols":"abab","threshold":0.5}`)
+		rec := post(t, s, "/v1/mine", `{"symbols":"abab","query":"conf >= 0.5"}`)
 		s.gate.Release()
 		if rec.Code != http.StatusTooManyRequests {
 			t.Fatalf("%s: status %d, want 429", c.name, rec.Code)

@@ -5,6 +5,7 @@ package series
 
 import (
 	"fmt"
+	"strings"
 
 	"periodica/internal/alphabet"
 )
@@ -97,11 +98,17 @@ func (s *Series) Indices() []uint16 { return s.data }
 
 // String renders the series by concatenating its symbols.
 func (s *Series) String() string {
-	out := ""
+	syms := s.alpha.Symbols()
+	size := 0
 	for _, k := range s.data {
-		out += s.alpha.Symbol(int(k))
+		size += len(syms[k])
 	}
-	return out
+	var b strings.Builder
+	b.Grow(size)
+	for _, k := range s.data {
+		b.WriteString(syms[k])
+	}
+	return b.String()
 }
 
 // Slice returns the subseries [lo, hi) sharing the same alphabet.

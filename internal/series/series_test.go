@@ -172,6 +172,27 @@ func TestSlice(t *testing.T) {
 	}
 }
 
+func TestStringMultiRuneSingleAlloc(t *testing.T) {
+	alpha := alphabet.MustNew("lo", "mid", "hi", "ω")
+	rng := rand.New(rand.NewSource(7))
+	idx := make([]int, 4096)
+	want := ""
+	for i := range idx {
+		idx[i] = rng.Intn(alpha.Size())
+		want += alpha.Symbol(idx[i])
+	}
+	s, err := New(alpha, idx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.String(); got != want {
+		t.Fatalf("String differs from concatenation: got %d bytes, want %d", len(got), len(want))
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _ = s.String() }); allocs > 1 {
+		t.Errorf("String allocates %v times per call, want at most 1", allocs)
+	}
+}
+
 func TestProjectionInvalidPanics(t *testing.T) {
 	s := FromString("abc")
 	for _, c := range [][2]int{{0, 0}, {3, 3}, {2, -1}} {

@@ -47,7 +47,6 @@ import (
 	"periodica/internal/alphabet"
 	"periodica/internal/core"
 	"periodica/internal/discretize"
-	"periodica/internal/query"
 	"periodica/internal/result"
 	"periodica/internal/series"
 )
@@ -149,33 +148,21 @@ func (s *Series) Alphabet() []string { return s.inner.Alphabet().Symbols() }
 // String renders the series by concatenating its symbols.
 func (s *Series) String() string { return s.inner.String() }
 
-// Engine selects how the convolution components are evaluated.
-type Engine int
+// Engine selects how the convolution components are evaluated. Its String
+// method returns the name the query language's "engine" clause spells.
+type Engine = core.Engine
 
 const (
 	// EngineAuto picks FFT for long series and Naive for short ones.
-	EngineAuto Engine = iota
+	EngineAuto = core.EngineAuto
 	// EngineNaive rescans the series per candidate period (reference).
-	EngineNaive
+	EngineNaive = core.EngineNaive
 	// EngineBitset uses word-parallel AND/shift over the mapped vector.
-	EngineBitset
+	EngineBitset = core.EngineBitset
 	// EngineFFT is the paper's algorithm: per-symbol FFT autocorrelation
 	// plus on-demand phase resolution.
-	EngineFFT
+	EngineFFT = core.EngineFFT
 )
-
-// String returns the engine's name as the query language spells it.
-func (e Engine) String() string {
-	switch e {
-	case EngineNaive:
-		return query.EngineNaive
-	case EngineBitset:
-		return query.EngineBitset
-	case EngineFFT:
-		return query.EngineFFT
-	}
-	return query.EngineAuto
-}
 
 // Options configure a mine. They are the struct spelling of a query's
 // mining clauses; QueryFromOptions lifts them to the Query every mining

@@ -90,13 +90,11 @@ func ReadSeriesFile(path string) (*Series, error) {
 
 // CandidatePeriodsFile runs the one-pass detection phase over a series
 // stored on disk by WriteFile, using the external (out-of-core) FFT: neither
-// the series nor the transform working arrays are loaded into memory.
-func CandidatePeriodsFile(path string, threshold float64, maxPeriod int) ([]int, error) {
-	cands, err := core.DetectCandidatesFile(path, threshold, maxPeriod, core.ExternalConfig{})
-	if err != nil {
-		return nil, err
-	}
-	return candidatePeriods(cands), nil
+// the series nor the transform working arrays are loaded into memory. It
+// returns the periods CandidatePeriodsQueryContext would return for the
+// same series and query.
+func CandidatePeriodsFile(path string, q *Query) ([]int, error) {
+	return q.candidatePeriods(core.DetectCandidatesFile(path, q.spec.Threshold, q.spec.MaxPeriod, core.ExternalConfig{}))
 }
 
 // Event is one timestamped nominal observation of an irregular stream.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -115,7 +116,7 @@ func TestSeriesFileRoundTripAndExternalDetection(t *testing.T) {
 		t.Fatal("file round trip changed the series")
 	}
 
-	onDisk, err := periodica.CandidatePeriodsFile(path, 1, 0)
+	onDisk, err := periodica.CandidatePeriodsFile(path, mustCompile(t, "conf >= 1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestSeriesFileRoundTripAndExternalDetection(t *testing.T) {
 	if !reflect.DeepEqual(onDisk, inMem) {
 		t.Fatalf("on-disk %v != in-memory %v", onDisk, inMem)
 	}
-	if _, err := periodica.CandidatePeriodsFile(path, 0, 0); !errors.Is(err, periodica.ErrInvalidInput) {
+	if _, err := periodica.CandidatePeriodsFile(path, periodica.QueryFromOptions(periodica.Options{})); !errors.Is(err, periodica.ErrInvalidInput) {
 		t.Fatalf("ψ=0: error %v does not match ErrInvalidInput", err)
 	}
 }
@@ -251,30 +252,58 @@ func TestMineContextPublic(t *testing.T) {
 }
 
 func TestCandidatePeriodsContextPublic(t *testing.T) {
-	s, err := periodica.NewSeriesFromString(strings.Repeat("abcd", 50))
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		symbols, query string
+	}{
+		{strings.Repeat("abcd", 50), "conf >= 1"},
+		// The candidates honour the query's minimum period: a mine under the
+		// same query sweeps only 10..30, so no candidate may fall below it.
+		{strings.Repeat("abcabbabcb", 40), "conf >= 0.5 and period in 10..30"},
 	}
-	path := filepath.Join(t.TempDir(), "abcd.ser")
-	if err := s.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	want, err := periodica.CandidatePeriodsFile(path, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := mustCompile(t, "conf >= 1")
-	got, err := periodica.CandidatePeriodsQueryContext(context.Background(), s, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("CandidatePeriodsQueryContext = %v, want %v", got, want)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := periodica.CandidatePeriodsQueryContext(ctx, s, q); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled context: err = %v, want context.Canceled", err)
+	for _, tc := range cases {
+		s, err := periodica.NewSeriesFromString(tc.symbols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "series.ser")
+		if err := s.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		q := mustCompile(t, tc.query)
+		want, err := periodica.CandidatePeriodsFile(path, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := periodica.CandidatePeriodsQueryContext(context.Background(), s, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q: CandidatePeriodsQueryContext = %v, CandidatePeriodsFile = %v", tc.query, got, want)
+		}
+		opt := q.Options()
+		for _, p := range got {
+			if p < opt.MinPeriod || (opt.MaxPeriod > 0 && p > opt.MaxPeriod) {
+				t.Errorf("%q: candidate period %d outside the query's range", tc.query, p)
+			}
+		}
+		res, err := periodica.MineQueryContext(context.Background(), s, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Periods) == 0 {
+			t.Fatalf("%q: the mine found no periods", tc.query)
+		}
+		for _, p := range res.Periods {
+			if !slices.Contains(got, p) {
+				t.Errorf("%q: mined period %d is not a candidate %v", tc.query, p, got)
+			}
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := periodica.CandidatePeriodsQueryContext(ctx, s, q); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled context: err = %v, want context.Canceled", err)
+		}
 	}
 }
 

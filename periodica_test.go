@@ -119,7 +119,7 @@ func TestSingleSymbolSeriesMinesNothing(t *testing.T) {
 		}},
 		{"HTTP /v1/mine", func() (bool, error) {
 			resp, err := http.Post(srv.URL+"/v1/mine", "application/json",
-				strings.NewReader(`{"symbols":"a","threshold":0.5}`))
+				strings.NewReader(`{"symbols":"a","query":"conf >= 0.5"}`))
 			if err != nil {
 				return false, err
 			}

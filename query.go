@@ -70,47 +70,23 @@ func QueryFromOptions(opt Options) *Query {
 
 // spec lifts Options to the query Spec it abbreviates.
 func (o Options) spec() query.Spec {
-	return query.Spec{
+	sp := core.SpecFromOptions(core.Options{
 		Threshold:        o.Threshold,
 		MinPeriod:        o.MinPeriod,
 		MaxPeriod:        o.MaxPeriod,
-		Engine:           o.Engine.name(),
+		Engine:           o.Engine,
 		MaxPatternPeriod: o.MaxPatternPeriod,
 		MaxPatterns:      o.MaxPatterns,
-		MaximalOnly:      o.MaximalOnly,
 		MinPairs:         o.MinPairs,
-	}
-}
-
-// name maps a public Engine to its query spelling ("" = unset/auto).
-func (e Engine) name() string {
-	switch e {
-	case EngineNaive:
-		return query.EngineNaive
-	case EngineBitset:
-		return query.EngineBitset
-	case EngineFFT:
-		return query.EngineFFT
-	}
-	return ""
+	})
+	sp.MaximalOnly = o.MaximalOnly
+	return sp
 }
 
 // ParseEngine maps an engine name ("auto", "naive", "bitset", "fft") to its
 // Engine constant; the empty string means auto. The error matches
 // ErrInvalidInput.
-func ParseEngine(name string) (Engine, error) {
-	switch name {
-	case "", query.EngineAuto:
-		return EngineAuto, nil
-	case query.EngineNaive:
-		return EngineNaive, nil
-	case query.EngineBitset:
-		return EngineBitset, nil
-	case query.EngineFFT:
-		return EngineFFT, nil
-	}
-	return 0, &invalidQueryError{err: errQuery("unknown engine %q", name)}
-}
+func ParseEngine(name string) (Engine, error) { return core.ParseEngine(name) }
 
 // String returns the canonical form of the query: clauses in fixed order,
 // literals formatted minimally. Compiling the canonical form yields the
@@ -186,16 +162,12 @@ func MineQueryContext(ctx context.Context, s *Series, q *Query) (*Result, error)
 }
 
 // CandidatePeriodsQueryContext runs only the O(σ n log n) one-pass
-// detection phase under the query's threshold and period bound, returning
-// the period values at which some symbol could be periodic with confidence
-// ≥ the threshold. A cancelled or timed-out context aborts the detection
+// detection phase under the query's threshold, returning the period values
+// in the query's period range at which some symbol could be periodic with
+// confidence ≥ the threshold. A cancelled or timed-out context aborts the detection
 // sweep promptly with the context's error.
 func CandidatePeriodsQueryContext(ctx context.Context, s *Series, q *Query) ([]int, error) {
-	cands, err := core.DetectCandidatesContext(ctx, s.inner, q.spec.Threshold, q.spec.MaxPeriod)
-	if err != nil {
-		return nil, err
-	}
-	return candidatePeriods(cands), nil
+	return q.candidatePeriods(core.DetectCandidatesContext(ctx, s.inner, q.spec.Threshold, q.spec.MaxPeriod))
 }
 
 // FinishQueryContext mines the stream ingested so far as the query directs,
@@ -229,13 +201,21 @@ func coreOptions(sp query.Spec) core.Options {
 	return opt
 }
 
-// candidatePeriods projects detected candidates onto their period values.
-func candidatePeriods(cands []core.CandidatePeriod) []int {
-	out := make([]int, len(cands))
-	for i, c := range cands {
-		out[i] = c.Period
+// candidatePeriods projects the candidates a detection under the query's
+// threshold and maximum period returned onto their period values, dropping
+// those below the query's minimum period, so a candidate list never names a
+// period the same query's mine would not sweep.
+func (q *Query) candidatePeriods(cands []core.CandidatePeriod, err error) ([]int, error) {
+	if err != nil {
+		return nil, err
 	}
-	return out
+	out := make([]int, 0, len(cands))
+	for _, c := range cands {
+		if c.Period >= q.spec.MinPeriod {
+			out = append(out, c.Period)
+		}
+	}
+	return out, nil
 }
 
 // Shape applies the query's output-shaping clauses to a mined result: the

@@ -132,7 +132,7 @@ func TestParityQueryDriven(t *testing.T) {
 			if err := s.WriteFile(path); err != nil {
 				t.Fatal(err)
 			}
-			wantPeriods, err := periodica.CandidatePeriodsFile(path, opt.Threshold, opt.MaxPeriod)
+			wantPeriods, err := periodica.CandidatePeriodsFile(path, periodica.QueryFromOptions(opt))
 			if err != nil {
 				t.Fatal(err)
 			}
