@@ -3,6 +3,7 @@ package bitvec
 import (
 	"math/big"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -187,6 +188,19 @@ func TestCountModSumsToCount(t *testing.T) {
 		}
 		if sum != v.Count() {
 			t.Fatalf("p=%d: CountMod sums to %d, want %d", p, sum, v.Count())
+		}
+	}
+}
+
+func TestForEachPhaseMatchesMod(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	v := randomVector(rng, 500, 0.3)
+	for _, p := range []int{1, 2, 7, 63, 64, 65, 128, 499, 500, 600} {
+		var want, got []int
+		v.ForEach(func(i int) { want = append(want, i%p) })
+		v.ForEachPhase(p, func(l int) { got = append(got, l) })
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("p=%d: ForEachPhase phases %v, want %v", p, got, want)
 		}
 	}
 }

@@ -92,7 +92,7 @@ func MineDatabase(db []*series.Series, opt Options, minFraction float64) (*Datab
 		if a.Pattern.Period != b.Pattern.Period {
 			return a.Pattern.Period < b.Pattern.Period
 		}
-		return lessFixed(a.Pattern.Fixed, b.Pattern.Fixed)
+		return compareFixed(a.Pattern.Fixed, b.Pattern.Fixed) < 0
 	})
 	return out, nil
 }

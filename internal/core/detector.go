@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"math/bits"
 
 	"periodica/internal/bitvec"
 	"periodica/internal/conv"
@@ -24,9 +24,9 @@ type detector struct {
 	ind          *conv.Indicators
 	lag          [][]int64 // FFT lag-match counts, lag[k][p]
 	match        *bitvec.Vector
-	counts       []int   // phase-count scratch; only touched entries are non-zero
-	touched      []int   // phases with non-zero counts, for output-sensitive reset
-	surv         []int32 // surviving-symbol scratch for the fused detect path
+	counts       []int    // phase-count scratch; only marked entries are non-zero
+	mark         []uint64 // p-bit mark of the phases with non-zero counts
+	surv         []int32  // surviving-symbol scratch for the fused detect path
 }
 
 // newDetector builds a bitset detector over s for callers that query one
@@ -128,25 +128,33 @@ func (d *detector) survivors(p int, psi float64, dst []int32) []int32 {
 
 // resolveSymbol computes the exact per-phase counts F2(s_k, π_{p,l}) for one
 // surviving symbol and emits the qualifying periodicities in phase order.
+// The match bits are walked by period block, and the touched phases are read
+// back in order from a p-bit mark, so the cost is O(n/64 + n/p + matches)
+// with no division per match and no sort.
 func (d *detector) resolveSymbol(k, p int, psi float64, emit func(SymbolPeriodicity)) {
 	d.match = d.ind.MatchSet(k, p, d.match)
 	if cap(d.counts) < p {
 		d.counts = make([]int, p)
 	}
 	counts := d.counts[:p]
-	d.touched = d.touched[:0]
-	d.match.ForEach(func(i int) {
-		l := i % p
-		if counts[l] == 0 {
-			d.touched = append(d.touched, l)
-		}
+	words := (p + 63) / 64
+	if cap(d.mark) < words {
+		d.mark = make([]uint64, words)
+	}
+	mark := d.mark[:words]
+	d.match.ForEachPhase(p, func(l int) {
 		counts[l]++
+		mark[l>>6] |= 1 << uint(l&63)
 	})
-	// Only touched phases can qualify (F2 > 0); emit in phase order.
-	sort.Ints(d.touched)
-	for _, l := range d.touched {
-		d.emitIf(k, p, l, counts[l], psi, emit)
-		counts[l] = 0
+	// Only marked phases can qualify (F2 > 0).
+	for wi, w := range mark {
+		for w != 0 {
+			l := wi<<6 + bits.TrailingZeros64(w)
+			w &= w - 1
+			d.emitIf(k, p, l, counts[l], psi, emit)
+			counts[l] = 0
+		}
+		mark[wi] = 0
 	}
 }
 
@@ -162,18 +170,19 @@ func (d *detector) emitIf(k, p, l, f2 int, psi float64, emit func(SymbolPeriodic
 
 // occurrenceSet returns the bit set over occurrence indices m ∈ [0, ⌊n/p⌋)
 // with bit m set iff t_{mp+l} = t_{(m+1)p+l} = s_k, i.e. the occurrences at
-// which the single-symbol pattern (s_k at position l, period p) holds.
+// which the single-symbol pattern (s_k at position l, period p) holds. It
+// probes match bit m·p+l for each m, so it costs O(n/p) after the match set.
 func (d *detector) occurrenceSet(k, p, l int) *bitvec.Vector {
 	if d.ind == nil {
 		d.ind = conv.NewIndicators(d.s)
 	}
-	n := d.n()
-	occ := bitvec.New(n / p)
+	total := d.n() / p
+	occ := bitvec.New(total)
 	d.match = d.ind.MatchSet(k, p, d.match)
-	d.match.ForEach(func(i int) {
-		if i%p == l {
-			occ.Set(i / p)
+	for m, i := 0, l; m < total; m, i = m+1, i+p {
+		if d.match.Get(i) {
+			occ.Set(m)
 		}
-	})
+	}
 	return occ
 }

@@ -81,3 +81,60 @@ func TestSessionScopedPlanCache(t *testing.T) {
 		t.Error("an isolated plan cache changed the detect stage's lag counts")
 	}
 }
+
+// TestEnginesAgreeAtWordBoundaries: the bitset and FFT engines resolve
+// phases by walking 64-bit match words one period block at a time, so
+// periods on either side of a word boundary, and the extremes 1, n/2 and
+// n−1, must give the naive engine's periodicities and patterns exactly,
+// including at a threshold equal to an observed confidence.
+func TestEnginesAgreeAtWordBoundaries(t *testing.T) {
+	const n = 1000
+	for _, sigma := range []int{2, 7} {
+		rng := rand.New(rand.NewSource(int64(sigma)))
+		motif := make([]uint16, 65)
+		for i := range motif {
+			motif[i] = uint16(rng.Intn(sigma))
+		}
+		idx := make([]uint16, n)
+		for i := range idx {
+			idx[i] = motif[i%len(motif)]
+			if rng.Intn(3) == 0 {
+				idx[i] = uint16(rng.Intn(sigma))
+			}
+		}
+		idx[n-1] = idx[0] // period n−1 has one pair; make it match
+		s := series.FromIndices(alphabet.Letters(sigma), idx)
+		for _, p := range []int{1, 63, 64, 65, 127, 128, 129, n / 2, n - 1} {
+			opt := Options{MinPeriod: p, MaxPeriod: p, MaxPatternPeriod: n, MaxPatterns: 300, Engine: EngineNaive}
+			opt.Threshold = 0.01
+			all, err := mine(s, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(all.Periodicities) == 0 {
+				t.Fatalf("σ=%d p=%d: nothing detected; the case is vacuous", sigma, p)
+			}
+			observed := all.Periodicities[len(all.Periodicities)/2].Confidence
+			for _, psi := range []float64{0.01, observed} {
+				opt.Threshold, opt.Engine = psi, EngineNaive
+				want, err := mine(s, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, eng := range []Engine{EngineBitset, EngineFFT} {
+					opt.Engine = eng
+					got, err := mine(s, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got.Periodicities, want.Periodicities) {
+						t.Errorf("σ=%d p=%d ψ=%v: %v periodicities differ from naive", sigma, p, psi, eng)
+					}
+					if !reflect.DeepEqual(got.Patterns, want.Patterns) {
+						t.Errorf("σ=%d p=%d ψ=%v: %v patterns differ from naive", sigma, p, psi, eng)
+					}
+				}
+			}
+		}
+	}
+}

@@ -9,7 +9,8 @@ import (
 )
 
 // FuzzMine drives the miner with arbitrary symbol streams and thresholds,
-// checking the structural invariants and cross-engine agreement.
+// checking the structural invariants and that the bitset and FFT engines
+// agree with the naive one.
 func FuzzMine(f *testing.F) {
 	f.Add([]byte("abcabbabcb"), uint8(66))
 	f.Add([]byte("aaaaaaa"), uint8(100))
@@ -31,15 +32,17 @@ func FuzzMine(f *testing.F) {
 		if err != nil {
 			t.Fatalf("naive: %v", err)
 		}
-		bitset, err := mine(s, Options{Threshold: psi, Engine: EngineBitset})
-		if err != nil {
-			t.Fatalf("bitset: %v", err)
-		}
-		if !reflect.DeepEqual(naive.Periodicities, bitset.Periodicities) {
-			t.Fatal("engines disagree on periodicities")
-		}
-		if !reflect.DeepEqual(naive.Patterns, bitset.Patterns) {
-			t.Fatal("engines disagree on patterns")
+		for _, eng := range []Engine{EngineBitset, EngineFFT} {
+			got, err := mine(s, Options{Threshold: psi, Engine: eng})
+			if err != nil {
+				t.Fatalf("%v: %v", eng, err)
+			}
+			if !reflect.DeepEqual(naive.Periodicities, got.Periodicities) {
+				t.Fatalf("naive and %v disagree on periodicities", eng)
+			}
+			if !reflect.DeepEqual(naive.Patterns, got.Patterns) {
+				t.Fatalf("naive and %v disagree on patterns", eng)
+			}
 		}
 		for _, sp := range naive.Periodicities {
 			if sp.Confidence < psi || sp.Confidence > 1 {

@@ -92,7 +92,7 @@ func MineLiteral(s *series.Series, psi float64, maxPatterns int) (*Result, error
 		res.Periodicities = append(res.Periodicities, group...)
 		// (d): periodic single-symbol patterns.
 		for _, sp := range group {
-			res.SingleSymbol = append(res.SingleSymbol, singlePattern(sp))
+			res.SingleSymbol = append(res.SingleSymbol, singlePattern(sp, make([]FixedSymbol, 1)))
 		}
 		// (e): candidate patterns from the Cartesian product, with support
 		// counted over shared occurrence indices (the W′_p tuples).
@@ -126,7 +126,7 @@ func MineLiteral(s *series.Series, psi float64, maxPatterns int) (*Result, error
 		if res.Patterns[i].Support != res.Patterns[j].Support { //opvet:ignore floatcmp exact tie-break in sort comparator
 			return res.Patterns[i].Support > res.Patterns[j].Support
 		}
-		return lessFixed(res.Patterns[i].Fixed, res.Patterns[j].Fixed)
+		return compareFixed(res.Patterns[i].Fixed, res.Patterns[j].Fixed) < 0
 	})
 	return res, nil
 }

@@ -6,8 +6,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"periodica/internal/series"
@@ -187,24 +189,29 @@ func MineContext(ctx context.Context, s *series.Series, opt Options) (*Result, e
 }
 
 // finishResult sorts the collected periodicities, derives the period list,
-// and forms the Definition-2 single-symbol patterns.
+// and forms the Definition-2 single-symbol patterns, whose one-entry Fixed
+// slices share a single backing array.
 func finishResult(res *Result, periodSet map[int]bool) {
 	for p := range periodSet {
 		res.Periods = append(res.Periods, p)
 	}
 	sort.Ints(res.Periods)
-	sort.Slice(res.Periodicities, func(i, j int) bool {
-		a, b := res.Periodicities[i], res.Periodicities[j]
-		if a.Period != b.Period {
-			return a.Period < b.Period
+	slices.SortFunc(res.Periodicities, func(a, b SymbolPeriodicity) int {
+		if c := cmp.Compare(a.Period, b.Period); c != 0 {
+			return c
 		}
-		if a.Position != b.Position {
-			return a.Position < b.Position
+		if c := cmp.Compare(a.Position, b.Position); c != 0 {
+			return c
 		}
-		return a.Symbol < b.Symbol
+		return cmp.Compare(a.Symbol, b.Symbol)
 	})
-	for _, sp := range res.Periodicities {
-		res.SingleSymbol = append(res.SingleSymbol, singlePattern(sp))
+	if len(res.Periodicities) == 0 {
+		return
+	}
+	fixed := make([]FixedSymbol, len(res.Periodicities))
+	res.SingleSymbol = make([]Pattern, len(res.Periodicities))
+	for i, sp := range res.Periodicities {
+		res.SingleSymbol[i] = singlePattern(sp, fixed[i:i+1:i+1])
 	}
 }
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strings"
 
@@ -44,26 +46,51 @@ func (pt Pattern) SymbolAt(l int) int {
 	return DontCare
 }
 
-// Render writes the pattern with '*' for don't-care positions, e.g. "a*b".
+// Render returns the pattern with '*' for don't-care positions, e.g. "a*b".
 func (pt Pattern) Render(alpha *alphabet.Alphabet) string {
 	var b strings.Builder
-	next := 0
-	for l := 0; l < pt.Period; l++ {
-		if next < len(pt.Fixed) && pt.Fixed[next].Position == l {
-			b.WriteString(alpha.Symbol(pt.Fixed[next].Symbol))
-			next++
-		} else {
-			b.WriteByte('*')
-		}
-	}
+	b.Grow(pt.TextLen(alpha))
+	pt.AppendText(&b, alpha)
 	return b.String()
 }
 
-// singlePattern forms the Definition-2 pattern of a symbol periodicity.
-func singlePattern(sp SymbolPeriodicity) Pattern {
+// TextLen returns the byte length of the pattern's rendered text.
+func (pt Pattern) TextLen(alpha *alphabet.Alphabet) int {
+	n := pt.Period - len(pt.Fixed)
+	for _, f := range pt.Fixed {
+		n += len(alpha.Symbol(f.Symbol))
+	}
+	return n
+}
+
+// AppendText appends the pattern's text (see Render) to b, writing each run
+// of don't-cares with bulk writes rather than one byte at a time.
+func (pt Pattern) AppendText(b *strings.Builder, alpha *alphabet.Alphabet) {
+	l := 0
+	for _, f := range pt.Fixed {
+		writeDontCares(b, f.Position-l)
+		b.WriteString(alpha.Symbol(f.Symbol))
+		l = f.Position + 1
+	}
+	writeDontCares(b, pt.Period-l)
+}
+
+const dontCareRun = "****************************************************************"
+
+func writeDontCares(b *strings.Builder, k int) {
+	for ; k > len(dontCareRun); k -= len(dontCareRun) {
+		b.WriteString(dontCareRun)
+	}
+	b.WriteString(dontCareRun[:k])
+}
+
+// singlePattern forms the Definition-2 pattern of a symbol periodicity,
+// storing its one fixed symbol in fixed, a slice of length 1.
+func singlePattern(sp SymbolPeriodicity, fixed []FixedSymbol) Pattern {
+	fixed[0] = FixedSymbol{Position: sp.Position, Symbol: sp.Symbol}
 	return Pattern{
 		Period:  sp.Period,
-		Fixed:   []FixedSymbol{{Position: sp.Position, Symbol: sp.Symbol}},
+		Fixed:   fixed,
 		Count:   sp.F2,
 		Support: sp.Confidence,
 	}
@@ -138,32 +165,37 @@ func minePatterns(det *detector, pers []SymbolPeriodicity, opt Options, sched *e
 			break
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Period != out[j].Period {
-			return out[i].Period < out[j].Period
+	slices.SortFunc(out, func(a, b Pattern) int {
+		if a.Period != b.Period {
+			return cmp.Compare(a.Period, b.Period)
 		}
-		if out[i].Support != out[j].Support { //opvet:ignore floatcmp exact tie-break in sort comparator
-			return out[i].Support > out[j].Support
+		if a.Support != b.Support { //opvet:ignore floatcmp exact tie-break in sort comparator
+			if a.Support > b.Support {
+				return -1
+			}
+			return 1
 		}
-		return lessFixed(out[i].Fixed, out[j].Fixed)
+		return compareFixed(a.Fixed, b.Fixed)
 	})
 	return out, truncated, nil
 }
 
-// lessFixed orders sparse patterns by their dense rendering: position by
-// position, a pinned symbol at an earlier position sorts after don't-care
-// ('*' precedes letters in the dense comparison used before sparsification —
-// here we simply order by first differing pinned position, then symbol).
-func lessFixed(a, b []FixedSymbol) bool {
+// compareFixed orders two patterns of one period as if each were written out
+// position by position, with a don't-care before every symbol and symbols in
+// index order. At the first pin where they differ, a pin at a later
+// position means a don't-care where the other pattern is pinned, so that
+// pattern comes first; a pattern whose pins are a prefix of the other's
+// comes first for the same reason.
+func compareFixed(a, b []FixedSymbol) int {
 	for i := 0; i < len(a) && i < len(b); i++ {
 		if a[i].Position != b[i].Position {
-			return a[i].Position > b[i].Position // earlier pin = denser head = later
+			return cmp.Compare(b[i].Position, a[i].Position) // the later pin has a don't-care at the other's
 		}
 		if a[i].Symbol != b[i].Symbol {
-			return a[i].Symbol < b[i].Symbol
+			return cmp.Compare(a[i].Symbol, b[i].Symbol)
 		}
 	}
-	return len(a) < len(b)
+	return cmp.Compare(len(a), len(b))
 }
 
 // FilterMaximal keeps only the maximal patterns: a pattern is dropped when
@@ -221,6 +253,7 @@ type enumerator struct {
 	psi       float64
 	max       int
 	chosen    []FixedSymbol
+	scratch   []*bitvec.Vector // scratch[i] holds the AND of i+2 chosen occurrence sets
 	found     []Pattern
 	truncated bool
 	sched     *exec.Scheduler // optional cancellation/step accounting
@@ -249,34 +282,41 @@ func (e *enumerator) walk(l int, cur *bitvec.Vector) {
 			return
 		}
 	}
-	// The prune is the emit test below applied to the partial pattern's
+	// The prune is the emit test applied to the partial pattern's
 	// occurrences (support is anti-monotone), so it never drops a pattern
-	// whose support equals ψ.
-	if cur != nil && !qualifies(cur.Count(), e.total, e.psi) {
-		return
+	// whose support equals ψ; at a leaf it is the emit test itself.
+	count := 0
+	if cur != nil {
+		if count = cur.Count(); !qualifies(count, e.total, e.psi) {
+			return
+		}
 	}
 	if l == e.period {
 		if len(e.chosen) >= 2 {
-			count := cur.Count()
-			if qualifies(count, e.total, e.psi) {
-				if len(e.found) >= e.max {
-					e.truncated = true
-					return
-				}
-				fixed := make([]FixedSymbol, len(e.chosen))
-				copy(fixed, e.chosen)
-				support := float64(count) / float64(e.total)
-				e.found = append(e.found, Pattern{Period: e.period, Fixed: fixed, Count: count, Support: support})
+			if len(e.found) >= e.max {
+				e.truncated = true
+				return
 			}
+			fixed := make([]FixedSymbol, len(e.chosen))
+			copy(fixed, e.chosen)
+			support := float64(count) / float64(e.total)
+			e.found = append(e.found, Pattern{Period: e.period, Fixed: fixed, Count: count, Support: support})
 		}
 		return
 	}
 	// Don't-care at position l.
 	e.walk(l+1, cur)
+	// With cur non-nil, i ≥ 0 and cur is scratch[i-1] or an occurrence set;
+	// the subtree below writes only scratch[i+1:], so scratch[i] is free.
+	i := len(e.chosen) - 1
 	for _, sl := range e.slots[l] {
 		next := sl.occ
 		if cur != nil {
-			next = cur.And(sl.occ, nil)
+			if i == len(e.scratch) {
+				e.scratch = append(e.scratch, nil)
+			}
+			e.scratch[i] = cur.And(sl.occ, e.scratch[i])
+			next = e.scratch[i]
 		}
 		e.chosen = append(e.chosen, FixedSymbol{Position: l, Symbol: sl.symbol})
 		e.walk(l+1, next)

@@ -6,6 +6,8 @@
 package result
 
 import (
+	"strings"
+
 	"periodica/internal/alphabet"
 	"periodica/internal/core"
 )
@@ -56,11 +58,12 @@ func FromCore(alpha *alphabet.Alphabet, res *core.Result, maximalOnly bool) *Res
 	if maximalOnly {
 		multis = core.FilterMaximal(multis)
 	}
+	singles, pats := patterns(alpha, res.SingleSymbol, multis)
 	return &Result{
 		Periods:              res.Periods,
 		Periodicities:        Periodicities(alpha, res.Periodicities),
-		SingleSymbolPatterns: patterns(alpha, res.SingleSymbol),
-		Patterns:             patterns(alpha, multis),
+		SingleSymbolPatterns: singles,
+		Patterns:             pats,
 		Truncated:            res.PatternsTruncated,
 	}
 }
@@ -68,24 +71,55 @@ func FromCore(alpha *alphabet.Alphabet, res *core.Result, maximalOnly bool) *Res
 // Periodicities converts core periodicities over alpha to the public form;
 // an empty input converts to nil.
 func Periodicities(alpha *alphabet.Alphabet, pers []core.SymbolPeriodicity) []Periodicity {
-	var out []Periodicity
-	for _, sp := range pers {
-		out = append(out, Periodicity{
+	if len(pers) == 0 {
+		return nil
+	}
+	out := make([]Periodicity, len(pers))
+	for i, sp := range pers {
+		out[i] = Periodicity{
 			Symbol:     alpha.Symbol(sp.Symbol),
 			Period:     sp.Period,
 			Position:   sp.Position,
 			Matches:    sp.F2,
 			Pairs:      sp.Pairs,
 			Confidence: sp.Confidence,
-		})
+		}
 	}
 	return out
 }
 
-func patterns(alpha *alphabet.Alphabet, pats []core.Pattern) []Pattern {
-	var out []Pattern
-	for _, pt := range pats {
-		out = append(out, Pattern{Period: pt.Period, Text: pt.Render(alpha), Support: pt.Support})
+// patterns converts the single-symbol and the multi-symbol patterns to the
+// public form; an empty list converts to nil. Every text of both lists is
+// rendered into one pre-sized buffer and each Text is a slice of it, so the
+// conversion allocates a fixed number of times whatever the pattern count.
+func patterns(alpha *alphabet.Alphabet, singles, multis []core.Pattern) (outSingles, outMultis []Pattern) {
+	lists := [2][]core.Pattern{singles, multis}
+	size := 0
+	for _, pats := range lists {
+		for _, pt := range pats {
+			size += pt.TextLen(alpha)
+		}
 	}
-	return out
+	var b strings.Builder
+	b.Grow(size)
+	for _, pats := range lists {
+		for _, pt := range pats {
+			pt.AppendText(&b, alpha)
+		}
+	}
+	text := b.String()
+	var out [2][]Pattern
+	at := 0
+	for i, pats := range lists {
+		if len(pats) == 0 {
+			continue
+		}
+		out[i] = make([]Pattern, len(pats))
+		for j, pt := range pats {
+			end := at + pt.TextLen(alpha)
+			out[i][j] = Pattern{Period: pt.Period, Text: text[at:end], Support: pt.Support}
+			at = end
+		}
+	}
+	return out[0], out[1]
 }

@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strings"
 
 	"periodica/internal/core"
 	"periodica/internal/query"
@@ -289,8 +290,28 @@ func (q *Query) Shape(s *Series, res *Result) (*Result, error) {
 			out.Patterns = multis
 		}
 	}
+	if len(out.SingleSymbolPatterns) < len(res.SingleSymbolPatterns) || len(out.Patterns) < len(res.Patterns) {
+		// Every Text of res is a slice of one buffer; copy the kept ones so
+		// a small shaped result does not keep the whole buffer alive.
+		out.SingleSymbolPatterns = cloneTexts(out.SingleSymbolPatterns)
+		out.Patterns = cloneTexts(out.Patterns)
+	}
 	out.Periods = derivePeriods(out)
 	return out, nil
+}
+
+// cloneTexts returns a copy of pats whose texts share no memory with the
+// originals.
+func cloneTexts(pats []Pattern) []Pattern {
+	if pats == nil {
+		return nil
+	}
+	out := make([]Pattern, len(pats))
+	for i, pt := range pats {
+		pt.Text = strings.Clone(pt.Text)
+		out[i] = pt
+	}
+	return out
 }
 
 // errQuery builds a plain query-layer error message.

@@ -13,6 +13,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"periodica"
 )
@@ -199,6 +200,47 @@ func TestQueryShaping(t *testing.T) {
 	}
 	if dropped > len(limited.Periodicities) {
 		t.Errorf("limit by conf dropped a periodicity more confident than one it kept")
+	}
+}
+
+// TestShapedTextsDoNotPinBuffer: the pattern texts of a mined result are
+// slices of one buffer, so a shaped result that drops entries must hold
+// copies; otherwise "limit 1" would keep every dropped text alive.
+func TestShapedTextsDoNotPinBuffer(t *testing.T) {
+	s, err := periodica.NewSeries(paritySymbols(605))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const mining = "conf >= 0.6 and pairs >= 3 and pattern period <= 21"
+	base, err := periodica.MineQueryContext(context.Background(), s, mustCompile(t, mining))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(base.SingleSymbolPatterns) < 2 || len(base.Patterns) < 2 {
+		t.Fatal("fixture mined too few patterns; the test is vacuous")
+	}
+	lo, hi := ^uintptr(0), uintptr(0)
+	for _, pats := range [][]periodica.Pattern{base.SingleSymbolPatterns, base.Patterns} {
+		for _, pt := range pats {
+			p := uintptr(unsafe.Pointer(unsafe.StringData(pt.Text)))
+			lo, hi = min(lo, p), max(hi, p+uintptr(len(pt.Text)))
+		}
+	}
+	for _, shaping := range []string{"limit 1 by conf", "limit 1 by support", "limit 1 by period", "symbol in {a}"} {
+		shaped, err := mustCompile(t, mining+" and "+shaping).Shape(s, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(shaped.SingleSymbolPatterns)+len(shaped.Patterns) == 0 {
+			t.Fatalf("%s kept no patterns; the check is vacuous", shaping)
+		}
+		for _, pats := range [][]periodica.Pattern{shaped.SingleSymbolPatterns, shaped.Patterns} {
+			for _, pt := range pats {
+				if p := uintptr(unsafe.Pointer(unsafe.StringData(pt.Text))); p >= lo && p < hi {
+					t.Errorf("%s: text %q aliases the unshaped result's buffer", shaping, pt.Text)
+				}
+			}
+		}
 	}
 }
 
