@@ -31,6 +31,7 @@ import (
 	"periodica"
 	"periodica/internal/exec"
 	"periodica/internal/obs"
+	"periodica/internal/result"
 )
 
 // MaxBodyBytes is the default request-body cap (64 MiB).
@@ -379,7 +380,15 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		s.writeMineError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	w.Header().Set("Content-Type", "application/json")
+	if err := result.WriteJSON(w, res); err != nil {
+		if errors.Is(err, result.ErrNonFinite) {
+			// Nothing was written, so the 200 has not gone out.
+			s.writeMineError(w, r, err)
+			return
+		}
+		s.log.Warn("writing response", "path", r.URL.Path, "err", err)
+	}
 }
 
 func (s *Server) handleCandidates(w http.ResponseWriter, r *http.Request) {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -404,6 +405,83 @@ func TestAccessLogFields(t *testing.T) {
 			t.Errorf("access log missing %q: %s", field, line)
 		}
 	}
+}
+
+// fixedDistributor answers every mine with res.
+type fixedDistributor struct{ res *periodica.Result }
+
+func (d fixedDistributor) Mine(context.Context, *periodica.Series, periodica.Options) (*periodica.Result, error) {
+	return d.res, nil
+}
+
+// TestMineBodyIsEncodingJSON: a served /v1/mine body, local or distributed,
+// is byte for byte what encoding/json writes for the library's result.
+func TestMineBodyIsEncodingJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	sym := []byte(strings.Repeat("abacbbc", 90))
+	for i := range sym {
+		if rng.Intn(5) == 0 {
+			sym[i] = "abc"[rng.Intn(3)]
+		}
+	}
+	const query = "conf >= 0.6 and pairs >= 3 and pattern period <= 21"
+	body := fmt.Sprintf(`{"symbols":%q,"query":%q}`, sym, query)
+	s, err := periodica.NewSeriesFromString(string(sym))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := periodica.MineQueryContext(context.Background(), s, mustCompileQuery(t, query))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Patterns) == 0 {
+		t.Fatal("fixture mined no multi-symbol patterns; the test is vacuous")
+	}
+	var wantBody strings.Builder
+	if err := json.NewEncoder(&wantBody).Encode(want); err != nil {
+		t.Fatal(err)
+	}
+	for name, cfg := range map[string]Config{"local": {}, "distributed": {Distributor: fixedDistributor{want}}} {
+		rec := post(t, quiet(cfg), "/v1/mine", body)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", name, rec.Code, rec.Body)
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s: Content-Type %q", name, ct)
+		}
+		if rec.Body.String() != wantBody.String() {
+			t.Errorf("%s: body of %d bytes differs from encoding/json's %d", name, rec.Body.Len(), wantBody.Len())
+		}
+	}
+}
+
+// TestMineUnencodableResultIs500: a result JSON cannot encode is a 500 with
+// the cause logged, not a 200 with an empty body.
+func TestMineUnencodableResultIs500(t *testing.T) {
+	var logs strings.Builder
+	bad := &periodica.Result{Periods: []int{3}, Periodicities: []periodica.Periodicity{
+		{Symbol: "a", Period: 3, Matches: 1, Pairs: 1, Confidence: math.NaN()}}}
+	s := New(Config{Logger: slog.New(slog.NewTextHandler(&logs, nil)), Distributor: fixedDistributor{bad}})
+	rec := post(t, s, "/v1/mine", `{"symbols":"abcabbabcb","query":"conf >= 0.66"}`)
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500: %q", rec.Code, rec.Body)
+	}
+	var e ErrorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error != "internal error" {
+		t.Fatalf("body %q (%v), want the internal-error envelope", rec.Body, err)
+	}
+	if !strings.Contains(logs.String(), "Confidence is NaN") {
+		t.Errorf("log does not name the cause: %s", logs.String())
+	}
+}
+
+func mustCompileQuery(t *testing.T, src string) *periodica.Query {
+	t.Helper()
+	q, err := periodica.CompileQuery(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
 }
 
 func TestPprofGatedByFlag(t *testing.T) {

@@ -6,6 +6,7 @@ package series
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"periodica/internal/alphabet"
 )
@@ -39,6 +40,16 @@ func New(alpha *alphabet.Alphabet, indices []int) (*Series, error) {
 // from the distinct runes in sorted order. "abcabbabcb" yields the paper's
 // running example with a=0, b=1, c=2.
 func FromString(text string) *Series {
+	if alpha, ok := asciiAlphabet(text); ok {
+		if data, ok := asciiIndices(alpha, text); ok {
+			return &Series{alpha: alpha, data: data}
+		}
+	}
+	return fromStringRunes(text)
+}
+
+// fromStringRunes is FromString rune by rune, for text with a byte ≥ 0x80.
+func fromStringRunes(text string) *Series {
 	alpha := alphabet.FromString(text)
 	s := &Series{alpha: alpha}
 	for _, r := range text {
@@ -58,18 +69,77 @@ func FromAlphabetText(alpha *alphabet.Alphabet, text string) (*Series, error) {
 	if alpha.Size() > MaxAlphabet {
 		return nil, fmt.Errorf("series: alphabet size %d exceeds %d", alpha.Size(), MaxAlphabet)
 	}
-	s := &Series{alpha: alpha, data: make([]uint16, 0, len(text))}
+	data, ok := asciiIndices(alpha, text)
+	if !ok {
+		var err error
+		if data, err = alphabetTextRunes(alpha, text); err != nil {
+			return nil, err
+		}
+	}
+	if len(data) == 0 {
+		return nil, fmt.Errorf("series: empty series")
+	}
+	return &Series{alpha: alpha, data: data}, nil
+}
+
+// alphabetTextRunes is FromAlphabetText's index decode rune by rune, for text
+// the ASCII table cannot decode.
+func alphabetTextRunes(alpha *alphabet.Alphabet, text string) ([]uint16, error) {
+	data := make([]uint16, 0, len(text))
 	for i, r := range text {
 		k, ok := alpha.Index(string(r))
 		if !ok {
 			return nil, fmt.Errorf("series: symbol %q at byte %d not in alphabet %v", string(r), i, alpha)
 		}
-		s.data = append(s.data, uint16(k))
+		data = append(data, uint16(k))
 	}
-	if len(s.data) == 0 {
-		return nil, fmt.Errorf("series: empty series")
+	return data, nil
+}
+
+// asciiAlphabet is alphabet.FromString for all-ASCII text, found with a
+// byte table instead of a map lookup per rune. Ascending byte order is
+// ascending rune order, so the symbols and their indices are
+// alphabet.FromString's. ok is false on any byte ≥ 0x80.
+func asciiAlphabet(text string) (alpha *alphabet.Alphabet, ok bool) {
+	var seen [utf8.RuneSelf]bool
+	for i := 0; i < len(text); i++ {
+		if text[i] >= utf8.RuneSelf {
+			return nil, false
+		}
+		seen[text[i]] = true
 	}
-	return s, nil
+	var symbols []string
+	for c, in := range seen {
+		if in {
+			symbols = append(symbols, string(rune(c)))
+		}
+	}
+	return alphabet.MustNew(symbols...), true // distinct by construction
+}
+
+// asciiIndices decodes non-empty text against alpha's single-byte ASCII
+// symbols with a byte table into a pre-sized slice. ok is false for empty
+// text, any byte ≥ 0x80, or any byte alpha lacks as a symbol; the rune-by-rune
+// decode then gives the same indices or the same error.
+func asciiIndices(alpha *alphabet.Alphabet, text string) (data []uint16, ok bool) {
+	if len(text) == 0 {
+		return nil, false
+	}
+	var index [utf8.RuneSelf]int32 // symbol index + 1; 0 marks a byte not in alpha
+	for k, sym := range alpha.Symbols() {
+		if len(sym) == 1 && sym[0] < utf8.RuneSelf {
+			index[sym[0]] = int32(k) + 1
+		}
+	}
+	data = make([]uint16, len(text))
+	for i := 0; i < len(text); i++ {
+		c := text[i]
+		if c >= utf8.RuneSelf || index[c] == 0 {
+			return nil, false
+		}
+		data[i] = uint16(index[c] - 1)
+	}
+	return data, true
 }
 
 // FromIndices builds a series without validation; it panics on an out-of-range

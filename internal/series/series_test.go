@@ -1,7 +1,10 @@
 package series
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -228,5 +231,49 @@ func TestF2SumOverPhasesEqualsMatchCountProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestASCIIPathMatchesRunePath: FromString and FromAlphabetText give what
+// their rune-by-rune decode gives — the same alphabet, indices and error —
+// on ASCII text, where the byte table decodes it, and on multi-byte, invalid
+// UTF-8 and out-of-alphabet text, where it falls back.
+func TestASCIIPathMatchesRunePath(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	pools := map[string][]string{
+		"ascii":      {"a", "b", "c", "z", "0", "~", " ", "\x00", "\x7f", "*"},
+		"multi-byte": {"a", "b", "é", "日"},
+		"invalid":    {"a", "b", "\xff", "\xc3"},
+	}
+	alphabets := []*alphabet.Alphabet{
+		alphabet.MustNew("b", "a", "c", "z", "0", "~", " ", "\x00", "\x7f", "*"), // not sorted
+		alphabet.MustNew("a", "b"),                     // misses most bytes
+		alphabet.MustNew("a", "b", "é", "日", "\ufffd"), // multi-byte symbols too
+		alphabet.MustNew("ab", "a", "b"),               // a multi-byte ASCII symbol
+	}
+	for name, pool := range pools {
+		for trial := 0; trial < 50; trial++ {
+			var b strings.Builder
+			for i := rng.Intn(300); i >= 0; i-- {
+				b.WriteString(pool[rng.Intn(len(pool))])
+			}
+			text := b.String()
+			if got, want := FromString(text), fromStringRunes(text); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: FromString(%q) = %v %v, rune path %v %v", name, text, got.Alphabet(), got.Indices(), want.Alphabet(), want.Indices())
+			}
+			for _, alpha := range alphabets {
+				got, gotErr := FromAlphabetText(alpha, text)
+				want, wantErr := alphabetTextRunes(alpha, text)
+				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+					t.Fatalf("%s: FromAlphabetText(%v, %q) err %v, rune path %v", name, alpha, text, gotErr, wantErr)
+				}
+				if gotErr == nil && !reflect.DeepEqual(got.Indices(), want) {
+					t.Fatalf("%s: FromAlphabetText(%v, %q) = %v, rune path %v", name, alpha, text, got.Indices(), want)
+				}
+			}
+		}
+	}
+	if _, err := FromAlphabetText(alphabet.Letters(2), ""); err == nil {
+		t.Fatal("empty text: no error")
 	}
 }
