@@ -1,12 +1,15 @@
 // Command opstore manages an on-disk symbol store and answers periodicity
-// queries over its history from the persisted per-segment summaries.
+// queries over its history from the persisted per-segment summaries. What
+// query and mine report is one -query in the pattern-query language; -from,
+// -to and -top pick the segments and the rows printed.
 //
 // Usage:
 //
 //	opstore -dir ./events init -sigma 5 -max-period 128 -segment 4096
 //	opgen -kind walmart | opstore -dir ./events append
 //	opstore -dir ./events info
-//	opstore -dir ./events query -threshold 0.8 -from 0 -to 3 -top 20
+//	opstore -dir ./events query -query 'conf >= 0.9 and period <= 64' -from 0 -to 3 -top 20
+//	opstore -dir ./events mine -query 'conf >= 0.8 and period <= 64' -top 20
 //	opstore -dir ./events verify
 //	opstore -dir ./events repair
 package main
@@ -133,12 +136,15 @@ func runInfo(dir string) error {
 
 func runQuery(dir string, args []string) error {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)
-	threshold := fs.Float64("threshold", 0.8, "periodicity threshold ψ")
+	src := fs.String("query", "conf >= 0.8 and pairs >= 2", "periodicities to report, in the pattern-query language")
 	from := fs.Int("from", 0, "first segment (inclusive)")
 	to := fs.Int("to", -1, "last segment (exclusive; -1 = all)")
 	top := fs.Int("top", 25, "rows printed (0 = all)")
-	minPairs := fs.Int("min-pairs", 2, "minimum projection pairs behind a reported periodicity")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	opt, err := queryOptions(*src)
+	if err != nil {
 		return err
 	}
 	db, err := store.OpenExisting(dir)
@@ -148,7 +154,7 @@ func runQuery(dir string, args []string) error {
 	if *to < 0 {
 		*to = db.Segments()
 	}
-	pers, err := db.PeriodicitiesRange(*from, *to, *threshold)
+	pers, err := db.PeriodicitiesRange(*from, *to, opt)
 	if err != nil {
 		return err
 	}
@@ -158,20 +164,15 @@ func runQuery(dir string, args []string) error {
 		}
 		return pers[i].Period < pers[j].Period
 	})
-	printed := 0
-	for _, sp := range pers {
-		if sp.Pairs < *minPairs {
-			continue
-		}
-		if *top > 0 && printed >= *top {
+	for i, sp := range pers {
+		if *top > 0 && i >= *top {
 			fmt.Println("  …")
 			break
 		}
 		fmt.Printf("  symbol %c  period %-6d position %-6d confidence %.3f (%d/%d)\n",
 			'a'+sp.Symbol, sp.Period, sp.Position, sp.Confidence, sp.F2, sp.Pairs)
-		printed++
 	}
-	if printed == 0 {
+	if len(pers) == 0 {
 		fmt.Println("  no periodicities at this threshold")
 	}
 	return nil
@@ -179,12 +180,15 @@ func runQuery(dir string, args []string) error {
 
 func runMine(dir string, args []string) error {
 	fs := flag.NewFlagSet("mine", flag.ExitOnError)
-	threshold := fs.Float64("threshold", 0.8, "periodicity threshold ψ")
+	src := fs.String("query", "conf >= 0.8", "what to mine, in the pattern-query language")
 	from := fs.Int("from", 0, "first segment (inclusive)")
 	to := fs.Int("to", -1, "last segment (exclusive; -1 = all, including active)")
-	maxPatP := fs.Int("max-pattern-period", 128, "largest period mined for patterns")
 	top := fs.Int("top", 20, "patterns printed (0 = all)")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	opt, err := queryOptions(*src)
+	if err != nil {
 		return err
 	}
 	db, err := store.OpenExisting(dir)
@@ -193,10 +197,6 @@ func runMine(dir string, args []string) error {
 	}
 	if *to < 0 {
 		*to = db.Segments()
-	}
-	opt, err := core.OptionsFromSpec(query.Spec{Threshold: *threshold, MaxPatternPeriod: *maxPatP})
-	if err != nil {
-		return err
 	}
 	res, err := db.Mine(*from, *to, opt)
 	if err != nil {
@@ -213,6 +213,21 @@ func runMine(dir string, args []string) error {
 		fmt.Printf("  p=%-5d %-40s support %.1f%%\n", pt.Period, pt.Render(alpha), pt.Support*100)
 	}
 	return nil
+}
+
+// queryOptions compiles a -query and lowers its mining clauses. The store
+// answers with raw periodicities and patterns, so a query that asks for
+// output shaping (a symbol constraint, a limit, maximal only) is refused
+// rather than silently ignored; -top caps the rows printed.
+func queryOptions(src string) (core.Options, error) {
+	sp, err := query.Compile(src)
+	if err != nil {
+		return core.Options{}, fmt.Errorf("-query: %w", err)
+	}
+	if len(sp.Symbols) > 0 || sp.Limit > 0 || sp.MaximalOnly {
+		return core.Options{}, fmt.Errorf("-query %q: symbol constraints, limits and maximal only are not supported by opstore", src)
+	}
+	return core.OptionsFromSpec(sp)
 }
 
 // parseSymbol maps one input rune onto the store's alphabet a..a+σ-1,

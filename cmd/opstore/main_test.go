@@ -105,3 +105,18 @@ func TestVerifyRepairCommands(t *testing.T) {
 		t.Fatalf("verify after repair: %v\n%s", err, out.String())
 	}
 }
+
+func TestQueryOptions(t *testing.T) {
+	opt, err := queryOptions("conf >= 0.8 and pairs >= 2 and period <= 64")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opt.Threshold != 0.8 || opt.MinPairs != 2 || opt.MaxPeriod != 64 {
+		t.Fatalf("queryOptions lowered to %+v", opt)
+	}
+	for _, src := range []string{"conf >= 2", "conf >= 0.8 and symbol in {a}", "conf >= 0.8 and limit 3 by conf", "conf >= 0.8 and maximal only"} {
+		if _, err := queryOptions(src); err == nil {
+			t.Errorf("queryOptions(%q): want error", src)
+		}
+	}
+}

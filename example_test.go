@@ -52,25 +52,24 @@ func ExampleDiscretizeEqualWidth() {
 
 // A stream is ingested one element at a time — the paper's single pass — and
 // mined when it ends.
-func ExampleStream() {
-	st, err := periodica.NewStream("ok", "warn", "beat")
-	if err != nil {
-		log.Fatal(err)
-	}
+func Example_stream() {
+	var events []string
 	for t := 0; t < 40; t++ {
 		ev := "ok"
 		if t%5 == 0 {
 			ev = "beat"
 		}
-		if err := st.Append(ev); err != nil {
-			log.Fatal(err)
-		}
+		events = append(events, ev)
+	}
+	s, err := periodica.NewSeries(events)
+	if err != nil {
+		log.Fatal(err)
 	}
 	q, err := periodica.CompileQuery("conf >= 1 and period <= 10")
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := st.FinishQueryContext(context.Background(), q)
+	res, err := periodica.MineQueryContext(context.Background(), s, q)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -99,7 +98,11 @@ func ExampleMonitor() {
 			log.Fatal(err)
 		}
 	}
-	pers, err := m.Periodicities(1)
+	q, err := periodica.CompileQuery("conf >= 1")
+	if err != nil {
+		log.Fatal(err)
+	}
+	pers, err := m.Periodicities(q)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -148,7 +151,11 @@ func ExampleIncremental() {
 			log.Fatal(err)
 		}
 	}
-	pers, err := inc.Periodicities(1)
+	q, err := periodica.CompileQuery("conf >= 1")
+	if err != nil {
+		log.Fatal(err)
+	}
+	pers, err := inc.Periodicities(q)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"log"
 	"os"
 
+	"periodica/internal/core"
 	"periodica/internal/store"
 )
 
@@ -50,15 +51,13 @@ func main() {
 	}
 
 	report := func(label string, from, to int) {
-		pers, err := db.PeriodicitiesRange(from, to, 0.95)
+		pers, err := db.PeriodicitiesRange(from, to, core.Options{Threshold: 0.95, MinPairs: 5})
 		if err != nil {
 			log.Fatal(err)
 		}
 		periods := map[int]bool{}
 		for _, sp := range pers {
-			if sp.Pairs >= 5 {
-				periods[sp.Period] = true
-			}
+			periods[sp.Period] = true
 		}
 		fmt.Printf("%-28s segments [%d,%d): periods", label, from, to)
 		for p := 1; p <= 14; p++ {

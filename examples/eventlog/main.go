@@ -1,7 +1,8 @@
 // Eventlog mines a network monitoring event stream — the second data model
 // of the paper's §2.1, where each element is an event type rather than a
-// discretized measurement. Events arrive one at a time and are ingested in a
-// single pass (the paper's data-stream motivation); a heartbeat fires every
+// discretized measurement. Events arrive one at a time and are appended in a
+// single pass (the paper's data-stream motivation), then mined once the
+// stream ends; a heartbeat fires every
 // 60 ticks and a backup job every 97 ticks, buried under random alerts, and
 // the miner recovers both periods from the stream without being told either.
 package main
@@ -22,33 +23,31 @@ const (
 )
 
 func main() {
-	events := []string{"ok", "warn", "err", "auth", "scan", "heartbeat", "backup"}
-	st, err := periodica.NewStream(events...)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	// One pass over the live stream: each tick carries exactly one event.
 	rng := rand.New(rand.NewSource(13))
 	background := []string{"ok", "ok", "ok", "warn", "err", "auth", "scan"}
+	events := make([]string, 0, ticks)
 	for t := 0; t < ticks; t++ {
 		switch {
 		case t%heartbeatPeriod == 0 && rng.Float64() < 0.95: // drops 5%
-			err = st.Append("heartbeat")
+			events = append(events, "heartbeat")
 		case t%backupPeriod == 3:
-			err = st.Append("backup")
+			events = append(events, "backup")
 		default:
-			err = st.Append(background[rng.Intn(len(background))])
-		}
-		if err != nil {
-			log.Fatal(err)
+			events = append(events, background[rng.Intn(len(background))])
 		}
 	}
-	fmt.Printf("ingested %d events in one pass\n\n", st.Len())
+	fmt.Printf("ingested %d events in one pass\n\n", len(events))
 
-	res, err := st.FinishQueryContext(context.Background(), periodica.QueryFromOptions(periodica.Options{
-		Threshold: 0.85, MaxPeriod: 200, MaxPatternPeriod: -1,
-	}))
+	s, err := periodica.NewSeries(events)
+	if err != nil {
+		log.Fatal(err)
+	}
+	q, err := periodica.CompileQuery("conf >= 0.85 and period <= 200 and pattern period off")
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := periodica.MineQueryContext(context.Background(), s, q)
 	if err != nil {
 		log.Fatal(err)
 	}

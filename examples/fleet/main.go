@@ -32,9 +32,11 @@ func main() {
 
 	// Patterns must reach 35% weekly support within a customer and recur in
 	// at least 2/3 of the customer base.
-	pats, err := periodica.MineDatabase(db, periodica.Options{
-		Threshold: 0.35, MinPeriod: 7, MaxPeriod: 7, MaxPatternPeriod: 7,
-	}, 2.0/3.0)
+	weekly, err := periodica.CompileQuery("conf >= 0.35 and period = 7 and pattern period <= 7")
+	if err != nil {
+		log.Fatal(err)
+	}
+	pats, err := periodica.MineDatabase(db, weekly, 2.0/3.0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -34,15 +34,20 @@ func main() {
 		}
 	}
 
+	// A beat counts once it has recurred across at least four cycles.
+	q, err := periodica.CompileQuery("conf >= 0.9 and pairs >= 4")
+	if err != nil {
+		log.Fatal(err)
+	}
 	report := func(label string) {
-		pers, err := m.Periodicities(0.9)
+		pers, err := m.Periodicities(q)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%s — window of %d events:\n", label, m.Len())
 		seen := map[int]bool{}
 		for _, sp := range pers {
-			if sp.Symbol != "beat" || seen[sp.Period] || sp.Pairs < 4 {
+			if sp.Symbol != "beat" || seen[sp.Period] {
 				continue
 			}
 			seen[sp.Period] = true

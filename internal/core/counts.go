@@ -77,7 +77,7 @@ func (c *Counts) Append(k int) error {
 // left untouched.
 func (c *Counts) Merge(next *Counts) error {
 	if c.Sigma != next.Sigma || c.MaxPeriod != next.MaxPeriod {
-		return fmt.Errorf("core: merging count tables of shape σ=%d maxPeriod=%d and σ=%d maxPeriod=%d",
+		return invalidf("core: merging count tables of shape σ=%d maxPeriod=%d and σ=%d maxPeriod=%d",
 			c.Sigma, c.MaxPeriod, next.Sigma, next.MaxPeriod)
 	}
 	offset := c.Length
@@ -136,37 +136,62 @@ func (c *Counts) MemoryBytes() int {
 	return total
 }
 
-// Periodicities returns the symbol periodicities of the stretch at
-// threshold psi — what a full mine reports for periods up to MaxPeriod —
-// from the counts alone, in O(σ·MaxPeriod²) with no pass over the data.
-func (c *Counts) Periodicities(psi float64) ([]SymbolPeriodicity, error) {
-	if err := CheckThreshold(psi); err != nil {
-		return nil, err
-	}
+// Periodicities returns the symbol periodicities of the stretch that a full
+// mine with opt reports, from the counts alone, in O(σ·MaxPeriod²) with no
+// pass over the data. The period range is clipped to the tracked bound.
+func (c *Counts) Periodicities(opt Options) ([]SymbolPeriodicity, error) {
 	n := c.Length
-	return scanTable(c.Table, c.MaxPeriod, n, func(p, l int) int { return pairsAt(n, p, l) }, psi), nil
+	return scanTable(c.Table, c.MaxPeriod, n, func(p, l int) int { return pairsAt(n, p, l) }, opt)
+}
+
+// clampPeriods fits a mine's period range to a table tracking periods
+// 1..tracked over n symbols: an unset maximum, or one above the bound,
+// becomes min(tracked, n/2). Incremental mines and every table scan share
+// it, so they answer over the same periods.
+func clampPeriods(opt Options, tracked, n int) Options {
+	if opt.MaxPeriod == 0 || opt.MaxPeriod > tracked {
+		opt.MaxPeriod = min(tracked, n/2)
+	}
+	if opt.MaxPeriod < 1 {
+		opt.MaxPeriod = 1
+	}
+	return opt
 }
 
 // scanTable emits, in (period, position, symbol) order, every nonzero count
-// of table over a stretch of n symbols that qualifies at psi, with pairs
-// giving the Definition-1 denominator of each (period, position).
-func scanTable(table [][][]int32, maxPeriod, n int, pairs func(p, l int) int, psi float64) []SymbolPeriodicity {
+// of table over a stretch of n symbols that a mine with opt would report:
+// the same defaults, period band, MinPairs and ψ, with the period range
+// clipped to the tracked bound. pairs gives the Definition-1 denominator
+// of each (period, position). A stretch of fewer than two symbols holds no
+// pair, so it answers nil once opt passes the length-independent checks.
+func scanTable(table [][][]int32, tracked, n int, pairs func(p, l int) int, opt Options) ([]SymbolPeriodicity, error) {
+	if n < 2 {
+		sp := SpecFromOptions(opt)
+		if err := sp.Validate(); err != nil {
+			return nil, invalidf("core: %v", err)
+		}
+		return nil, nil
+	}
+	opt, err := clampPeriods(opt, tracked, n).withDefaults(n)
+	if err != nil {
+		return nil, err
+	}
 	var out []SymbolPeriodicity
-	for p := 1; p <= maxPeriod && p < n; p++ {
+	for p := opt.MinPeriod; p <= opt.MaxPeriod && p < n; p++ {
 		for l := 0; l < p; l++ {
 			np := pairs(p, l)
-			if np < 1 {
+			if np < opt.MinPairs {
 				continue
 			}
 			for k, rows := range table {
 				if rows[p] == nil {
 					continue
 				}
-				if f2 := int(rows[p][l]); f2 != 0 && qualifies(f2, np, psi) {
+				if f2 := int(rows[p][l]); f2 != 0 && qualifies(f2, np, opt.Threshold) {
 					out = append(out, periodicity(k, p, l, f2, np))
 				}
 			}
 		}
 	}
-	return out
+	return out, nil
 }

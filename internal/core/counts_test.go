@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"periodica/internal/alphabet"
+	"periodica/internal/series"
 )
 
 func TestCountsMatchesIncremental(t *testing.T) {
@@ -28,17 +29,54 @@ func TestCountsMatchesIncremental(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%100 == 50 {
-			a, err := inc.Periodicities(0.3)
+			a, err := inc.Periodicities(Options{Threshold: 0.3})
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := sc.Periodicities(0.3)
+			b, err := sc.Periodicities(Options{Threshold: 0.3})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(sortPers(a), sortPers(b)) {
 				t.Fatalf("at n=%d: bare count table differs from incremental miner", i+1)
 			}
+		}
+	}
+}
+
+// TestCountsAnswerAMinesRange: a table tracking more periods than a mine of
+// its stretch sweeps answers exactly what the mine reports — with the
+// default range, periods up to n/2, not up to the tracked bound.
+func TestCountsAnswerAMinesRange(t *testing.T) {
+	s := series.FromString("abcabbabcbabcaabcabbacbcab")
+	c, err := NewCounts(s.Alphabet().Size(), 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < s.Len(); i++ {
+		if err := c.Append(s.At(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, opt := range []Options{
+		{Threshold: 0.5},
+		{Threshold: 0.5, MinPeriod: 3, MinPairs: 2},
+		{Threshold: 0.4, MaxPeriod: 10},
+	} {
+		got, err := c.Periodicities(opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt.Engine, opt.MaxPatternPeriod = EngineNaive, -1
+		want, err := mine(s, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Periodicities) == 0 {
+			t.Fatalf("%+v: the mine reports nothing; the case is vacuous", opt)
+		}
+		if !reflect.DeepEqual(sortPers(got), sortPers(want.Periodicities)) {
+			t.Fatalf("%+v: table answers %v, mine %v", opt, got, want.Periodicities)
 		}
 	}
 }
@@ -89,7 +127,7 @@ func TestCountsValidates(t *testing.T) {
 	if err := sc.Append(9); err == nil {
 		t.Fatal("bad symbol: want error")
 	}
-	if _, err := sc.Periodicities(0); err == nil {
+	if _, err := sc.Periodicities(Options{Threshold: 0}); err == nil {
 		t.Fatal("ψ=0: want error")
 	}
 	defer func() {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -66,18 +67,33 @@ func FuzzMine(f *testing.F) {
 	})
 }
 
-// FuzzIncremental checks the online miner against the batch miner on
-// arbitrary streams.
+// FuzzIncremental checks the online count tables against the batch miner on
+// arbitrary streams and queries: the incremental miner whole and merged from
+// two cuts, and a window miner whose window has not yet slid, each answering
+// the threshold, period band and MinPairs drawn from the input with the
+// periodicities a mine of the same options reports.
 func FuzzIncremental(f *testing.F) {
-	f.Add([]byte("abcabcabc"))
-	f.Add([]byte{1, 1, 2, 2, 1, 1, 2, 2})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add([]byte("abcabcabc"), uint8(49), uint8(0), uint8(0), uint8(0))
+	f.Add([]byte{1, 1, 2, 2, 1, 1, 2, 2}, uint8(65), uint8(2), uint8(6), uint8(2))
+	f.Add([]byte("abcabbabcbabcab"), uint8(99), uint8(3), uint8(0), uint8(3))
+	f.Add([]byte("aaaaaaaaaaaaaaaaaaaa"), uint8(99), uint8(2), uint8(0), uint8(2))
+	f.Fuzz(func(t *testing.T, data []byte, thr, minPeriod, maxPeriod, minPairs uint8) {
 		if len(data) < 3 || len(data) > 150 {
 			t.Skip()
 		}
-		const sigma = 3
+		const sigma, tracked = 3, 10
 		alpha := alphabet.Letters(sigma)
-		m, err := NewIncrementalMiner(alpha, 10)
+		opt := Options{
+			Threshold: float64(thr%100+1) / 100,
+			MinPeriod: int(minPeriod % 13),
+			MaxPeriod: int(maxPeriod % 13),
+			MinPairs:  int(minPairs % 5),
+		}
+		m, err := NewIncrementalMiner(alpha, tracked)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := NewWindowMiner(sigma, tracked, max(len(data), tracked)+1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,27 +104,18 @@ func FuzzIncremental(f *testing.F) {
 			if err := m.Append(k); err != nil {
 				t.Fatal(err)
 			}
+			if err := w.Append(k); err != nil {
+				t.Fatal(err)
+			}
 		}
-		got, err := m.Periodicities(0.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := series.FromIndices(alpha, idx)
-		mp := 10
-		if mp >= s.Len() {
-			mp = s.Len() - 1
-		}
-		res, err := mine(s, Options{Threshold: 0.5, MaxPeriod: mp, Engine: EngineNaive, MaxPatternPeriod: -1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(sortPers(got), sortPers(res.Periodicities)) {
-			t.Fatal("incremental disagrees with batch")
-		}
+		mineOpt := m.MineOptions(opt)
+		mineOpt.Engine, mineOpt.MaxPatternPeriod = EngineNaive, -1
+		want, wantErr := mine(series.FromIndices(alpha, idx), mineOpt)
+
 		// The same stream cut in two and merged must agree as well.
 		cut := int(data[0]) % len(idx)
-		head, _ := NewIncrementalMiner(alpha, 10)
-		tail, _ := NewIncrementalMiner(alpha, 10)
+		head, _ := NewIncrementalMiner(alpha, tracked)
+		tail, _ := NewIncrementalMiner(alpha, tracked)
 		for i, k := range idx {
 			part := head
 			if i >= cut {
@@ -123,6 +130,26 @@ func FuzzIncremental(f *testing.F) {
 		}
 		if !reflect.DeepEqual(head.Counts, m.Counts) {
 			t.Fatalf("merge at %d disagrees with contiguous ingest", cut)
+		}
+
+		for name, table := range map[string]func(Options) ([]SymbolPeriodicity, error){
+			"incremental": m.Periodicities,
+			"merged":      head.Periodicities,
+			"window":      w.Periodicities,
+		} {
+			got, err := table(opt)
+			if wantErr != nil {
+				if !errors.Is(err, ErrInvalidInput) {
+					t.Fatalf("%s %+v: error %v, want invalid input like the mine's %v", name, opt, err, wantErr)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s %+v: %v", name, opt, err)
+			}
+			if !reflect.DeepEqual(sortPers(got), sortPers(want.Periodicities)) {
+				t.Fatalf("%s %+v disagrees with batch", name, opt)
+			}
 		}
 	})
 }

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"slices"
 
 	"periodica/internal/alphabet"
 	"periodica/internal/series"
@@ -41,11 +41,21 @@ func (m *IncrementalMiner) Append(k int) error {
 
 // AppendSymbol ingests the next symbol by name.
 func (m *IncrementalMiner) AppendSymbol(symbol string) error {
-	k, ok := m.alpha.Index(symbol)
-	if !ok {
-		return fmt.Errorf("core: symbol %q not in alphabet %v", symbol, m.alpha)
+	k, err := SymbolIndex(m.alpha, symbol)
+	if err != nil {
+		return err
 	}
 	return m.Append(k)
+}
+
+// SymbolIndex returns the index of symbol in alpha, or an error matching
+// ErrInvalidInput when alpha does not hold it.
+func SymbolIndex(alpha *alphabet.Alphabet, symbol string) (int, error) {
+	k, ok := alpha.Index(symbol)
+	if !ok {
+		return 0, invalidf("core: symbol %q not in alphabet %v", symbol, alpha)
+	}
+	return k, nil
 }
 
 // Len returns the number of symbols ingested.
@@ -57,25 +67,20 @@ func (m *IncrementalMiner) Series() *series.Series {
 }
 
 // MineOptions clamps a full mine's period range to the tracked bound, so
-// MineWorkers over Series() with the result mines exactly the periods the
-// miner maintains.
+// MineWorkers over Series() with the result mines exactly the periods
+// Periodicities answers over.
 func (m *IncrementalMiner) MineOptions(opt Options) Options {
-	if opt.MaxPeriod == 0 || opt.MaxPeriod > m.MaxPeriod {
-		opt.MaxPeriod = min(m.MaxPeriod, len(m.data)/2)
-	}
-	if opt.MaxPeriod < 1 {
-		opt.MaxPeriod = 1
-	}
-	return opt
+	return clampPeriods(opt, m.MaxPeriod, m.Length)
 }
 
 // Merge combines two miners over adjacent segments of one series (m holding
 // the earlier segment, next the later) into a miner equivalent to having
-// ingested the concatenation. Both miners must share the alphabet and period
-// bound. m is updated in place; next is left untouched.
+// ingested the concatenation. Both miners must share the symbols, in the
+// same order, and the period bound. m is updated in place; next is left
+// untouched.
 func (m *IncrementalMiner) Merge(next *IncrementalMiner) error {
-	if m.alpha != next.alpha {
-		return fmt.Errorf("core: merging miners with different alphabets")
+	if !slices.Equal(m.alpha.Symbols(), next.alpha.Symbols()) {
+		return invalidf("core: merging miners with different alphabets %v and %v", m.alpha, next.alpha)
 	}
 	if err := m.Counts.Merge(&next.Counts); err != nil {
 		return err

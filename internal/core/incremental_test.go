@@ -57,7 +57,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 		if i > 10 && i%50 == 0 {
 			// At several stream lengths, the online answer must equal the
 			// batch answer.
-			got, err := m.Periodicities(0.4)
+			got, err := m.Periodicities(Options{Threshold: 0.4})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,7 +183,7 @@ func TestIncrementalValidates(t *testing.T) {
 	if err := m.AppendSymbol("z"); err == nil {
 		t.Fatal("unknown symbol: want error")
 	}
-	if _, err := m.Periodicities(0); err == nil {
+	if _, err := m.Periodicities(Options{Threshold: 0}); err == nil {
 		t.Fatal("ψ=0: want error")
 	}
 	if _, err := mine(m.Series(), m.MineOptions(Options{Threshold: 0.5})); err == nil {

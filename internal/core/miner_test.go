@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -370,48 +369,6 @@ func TestApriorPatternSupportBoundedBySinglesProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestStreamMinerMatchesBatch(t *testing.T) {
-	text := "abcabbabcbabcabbabcb"
-	s := series.FromString(text)
-	m := NewStreamMiner(s.Alphabet())
-	for _, r := range text {
-		if err := m.Append(string(r)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if m.Len() != len(text) {
-		t.Fatalf("Len = %d, want %d", m.Len(), len(text))
-	}
-	got, err := mine(m.Series(), Options{Threshold: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := mine(s, Options{Threshold: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Periodicities, want.Periodicities) {
-		t.Fatal("stream miner result differs from batch")
-	}
-}
-
-func TestStreamMinerRejectsUnknownSymbol(t *testing.T) {
-	m := NewStreamMiner(alphabet.Letters(2))
-	if err := m.Append("z"); err == nil {
-		t.Fatal("Append(z): want error")
-	}
-	if err := m.AppendIndex(5); err == nil {
-		t.Fatal("AppendIndex(5): want error")
-	}
-}
-
-func TestStreamMinerEmptyFinish(t *testing.T) {
-	m := NewStreamMiner(alphabet.Letters(2))
-	if _, err := mine(m.Series(), Options{Threshold: 0.5}); !errors.Is(err, ErrInvalidInput) {
-		t.Fatalf("mining an empty stream: err = %v, want ErrInvalidInput", err)
 	}
 }
 

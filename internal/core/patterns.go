@@ -111,10 +111,9 @@ type slot struct {
 // the support of an extension never exceeds that of its prefix, so a prefix
 // below threshold prunes its whole subtree.
 //
-// sched, when non-nil, supplies cancellation and step accounting: it is
-// polled between occurrence-set builds and ticked every DFS chunk, so a
-// cancelled context (or an exhausted step budget) aborts the stage with that
-// error and no patterns.
+// sched, when non-nil, supplies cancellation: it is polled between
+// occurrence-set builds and ticked every DFS chunk, so a cancelled context
+// aborts the stage with that error and no patterns.
 func minePatterns(det *detector, pers []SymbolPeriodicity, opt Options, sched *exec.Scheduler) (out []Pattern, truncated bool, err error) {
 	byPeriod := map[int][]SymbolPeriodicity{}
 	for _, sp := range pers {

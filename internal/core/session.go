@@ -82,7 +82,6 @@ type sessionConfig struct {
 	fftWorkers int  // cores for the FFT precompute (≤ 0 = all)
 	parallel   bool // resolve the engine for a sharded run
 	cancel     func() error
-	maxSteps   int64
 }
 
 // newSession validates opt against s and assembles the session. An empty
@@ -151,10 +150,9 @@ func newFileSession(psi float64, maxPeriod int, cfg sessionConfig) *session {
 func (ses *session) finishSession(cfg sessionConfig) {
 	ses.fftWorkers = min(cfg.fftWorkers, runtime.GOMAXPROCS(0))
 	ses.sched = exec.New(exec.Config{
-		Workers:  min(cfg.workers, runtime.GOMAXPROCS(0)),
-		Cancel:   cfg.cancel,
-		MaxSteps: cfg.maxSteps,
-		Metrics:  ses.met,
+		Workers: min(cfg.workers, runtime.GOMAXPROCS(0)),
+		Cancel:  cfg.cancel,
+		Metrics: ses.met,
 	})
 }
 

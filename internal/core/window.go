@@ -1,7 +1,5 @@
 package core
 
-import "fmt"
-
 // WindowMiner maintains symbol periodicities over a sliding window of the
 // most recent symbols — the monitoring flavor of the paper's data-stream
 // motivation: old behaviour ages out instead of accumulating. Arriving
@@ -24,13 +22,13 @@ type WindowMiner struct {
 // periods 1..maxPeriod. The window must be larger than maxPeriod.
 func NewWindowMiner(sigma, maxPeriod, window int) (*WindowMiner, error) {
 	if sigma < 1 {
-		return nil, fmt.Errorf("core: sigma %d < 1", sigma)
+		return nil, invalidf("core: sigma %d < 1", sigma)
 	}
 	if maxPeriod < 1 {
-		return nil, fmt.Errorf("core: maxPeriod %d < 1", maxPeriod)
+		return nil, invalidf("core: maxPeriod %d < 1", maxPeriod)
 	}
 	if window <= maxPeriod {
-		return nil, fmt.Errorf("core: window %d must exceed maxPeriod %d", window, maxPeriod)
+		return nil, invalidf("core: window %d must exceed maxPeriod %d", window, maxPeriod)
 	}
 	m := &WindowMiner{
 		sigma:     sigma,
@@ -51,7 +49,7 @@ func (m *WindowMiner) at(abs int) int { return int(m.buf[abs%m.window]) }
 // full; O(maxPeriod).
 func (m *WindowMiner) Append(k int) error {
 	if k < 0 || k >= m.sigma {
-		return fmt.Errorf("core: symbol index %d out of range [0,%d)", k, m.sigma)
+		return invalidf("core: symbol index %d out of range [0,%d)", k, m.sigma)
 	}
 	if m.count == m.window {
 		// Retract the matches whose start position is the evicted symbol.
@@ -107,11 +105,9 @@ func (m *WindowMiner) windowPairs(p, l int) int {
 	return (hi-first)/p + 1
 }
 
-// Periodicities returns the symbol periodicities of the current window at
-// threshold psi. Position is the absolute stream phase.
-func (m *WindowMiner) Periodicities(psi float64) ([]SymbolPeriodicity, error) {
-	if err := CheckThreshold(psi); err != nil {
-		return nil, err
-	}
-	return scanTable(m.f2, m.maxPeriod, m.count, m.windowPairs, psi), nil
+// Periodicities returns the symbol periodicities of the current window that
+// a full mine with opt reports, the period range clipped to the tracked
+// bound. Position is the absolute stream phase.
+func (m *WindowMiner) Periodicities(opt Options) ([]SymbolPeriodicity, error) {
+	return scanTable(m.f2, m.maxPeriod, m.count, m.windowPairs, opt)
 }

@@ -69,7 +69,7 @@ func TestWindowMinerAgesOutOldRegime(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		_ = m.Append(i % 3)
 	}
-	pers, err := m.Periodicities(0.9)
+	pers, err := m.Periodicities(Options{Threshold: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestWindowMinerAgesOutOldRegime(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		_ = m.Append(i % 4)
 	}
-	pers, err = m.Periodicities(0.9)
+	pers, err = m.Periodicities(Options{Threshold: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestWindowMinerValidates(t *testing.T) {
 	if err := m.Append(5); err == nil {
 		t.Fatal("bad symbol: want error")
 	}
-	if _, err := m.Periodicities(2); err == nil {
+	if _, err := m.Periodicities(Options{Threshold: 2}); err == nil {
 		t.Fatal("ψ>1: want error")
 	}
 }

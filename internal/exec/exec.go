@@ -1,15 +1,13 @@
 // Package exec is the execution seam of the mining pipeline: a bounded
-// worker pool that shards per-symbol and per-period-band work, meters
-// progress against an optional per-run step budget, and is the single place
-// cooperative cancellation is polled. The mining stages in internal/core and
-// the batched FFT driver in internal/conv submit their work here instead of
-// spinning up ad-hoc goroutine pools or sprinkling every-N-iterations
-// cancellation checks of their own, so batch, streaming, incremental, and
-// out-of-core mines all cancel, shard, and meter the same way.
+// worker pool that shards per-symbol and per-period-band work and is the
+// single place cooperative cancellation is polled. The mining stages in
+// internal/core and the batched FFT driver in internal/conv submit their
+// work here instead of spinning up ad-hoc goroutine pools or sprinkling
+// every-N-iterations cancellation checks of their own, so batch,
+// incremental, and out-of-core mines all cancel and shard the same way.
 package exec
 
 import (
-	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -17,14 +15,10 @@ import (
 	"periodica/internal/obs"
 )
 
-// ErrStepBudget is returned (and latched) once a scheduler's step budget is
-// exhausted; the run aborts the way a cancelled context would.
-var ErrStepBudget = errors.New("exec: step budget exhausted")
-
-// DefaultPollEvery is the default number of steps between cancellation
-// polls. Cancellation sources (ctx.Err) take a mutex, so polling them on
-// every step of a hot loop would dominate; every few hundred steps keeps the
-// latency of a cancelled mine far below human-visible while costing nothing
+// DefaultPollEvery is the number of steps between cancellation polls.
+// Cancellation sources (ctx.Err) take a mutex, so polling them on every step
+// of a hot loop would dominate; every few hundred steps keeps the latency of
+// a cancelled mine far below human-visible while costing nothing
 // measurable.
 const DefaultPollEvery = 256
 
@@ -37,28 +31,20 @@ type Config struct {
 	// entry points it is ctx.Err). Its first non-nil return is latched and
 	// aborts every subsequent Poll, Tick, and Run.
 	Cancel func() error
-	// PollEvery is the step interval between Cancel polls inside Tick;
-	// 0 means DefaultPollEvery.
-	PollEvery int
-	// MaxSteps, when positive, is the step budget of the run: once Tick has
-	// accumulated more than MaxSteps, ErrStepBudget is latched.
-	MaxSteps int64
 	// Metrics, when non-nil, receives the queue-depth gauge updates.
 	Metrics *obs.ExecMetrics
 }
 
 // Scheduler coordinates the stages of one run: it owns the worker budget,
-// the cancellation source, and the step accounting. A Scheduler is safe for
-// concurrent use; the first error (cancellation or budget) is latched and
-// every later Poll/Tick/Run observes it.
+// the cancellation source, and the step count that paces polling. A
+// Scheduler is safe for concurrent use; the first error (cancellation or a
+// failed item) is latched and every later Poll/Tick/Run observes it.
 type Scheduler struct {
-	workers   int
-	cancel    func() error
-	pollEvery int64
-	maxSteps  int64
-	met       *obs.ExecMetrics
-	steps     atomic.Int64
-	err       atomic.Pointer[error]
+	workers int
+	cancel  func() error
+	met     *obs.ExecMetrics
+	steps   atomic.Int64
+	err     atomic.Pointer[error]
 }
 
 // New returns a scheduler for one run.
@@ -67,24 +53,11 @@ func New(cfg Config) *Scheduler {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	pollEvery := int64(cfg.PollEvery)
-	if pollEvery <= 0 {
-		pollEvery = DefaultPollEvery
-	}
-	return &Scheduler{
-		workers:   workers,
-		cancel:    cfg.Cancel,
-		pollEvery: pollEvery,
-		maxSteps:  cfg.MaxSteps,
-		met:       cfg.Metrics,
-	}
+	return &Scheduler{workers: workers, cancel: cfg.Cancel, met: cfg.Metrics}
 }
 
 // Workers returns the scheduler's default worker budget.
 func (s *Scheduler) Workers() int { return s.workers }
-
-// Steps returns the number of steps ticked so far.
-func (s *Scheduler) Steps() int64 { return s.steps.Load() }
 
 // Err returns the latched error, if any.
 func (s *Scheduler) Err() error {
@@ -116,8 +89,8 @@ func (s *Scheduler) Poll() error {
 	return nil
 }
 
-// Tick advances the step count by n, enforcing the step budget and polling
-// the cancellation source whenever the count crosses a PollEvery boundary.
+// Tick advances the step count by n, polling the cancellation source
+// whenever the count crosses a DefaultPollEvery boundary.
 // Hot loops call it with their natural batch size (symbols per period, DFS
 // steps per chunk) instead of hand-rolling every-N checks.
 func (s *Scheduler) Tick(n int64) error {
@@ -125,12 +98,7 @@ func (s *Scheduler) Tick(n int64) error {
 		return s.Err()
 	}
 	t := s.steps.Add(n)
-	if s.maxSteps > 0 && t > s.maxSteps {
-		err := ErrStepBudget
-		s.fail(err)
-		return err
-	}
-	if (t-n)/s.pollEvery != t/s.pollEvery {
+	if (t-n)/DefaultPollEvery != t/DefaultPollEvery {
 		return s.Poll()
 	}
 	return s.Err()

@@ -94,41 +94,19 @@ func TestPollLatchesCancellation(t *testing.T) {
 
 func TestTickPollsOnBoundary(t *testing.T) {
 	polls := 0
-	s := New(Config{PollEvery: 100, Cancel: func() error {
+	s := New(Config{Cancel: func() error {
 		polls++
 		return nil
 	}})
-	for i := 0; i < 10; i++ {
-		if err := s.Tick(35); err != nil {
+	const steps, tick = 900, 100
+	for i := 0; i < steps/tick; i++ {
+		if err := s.Tick(tick); err != nil {
 			t.Fatalf("Tick: %v", err)
 		}
 	}
-	// 350 steps at PollEvery=100 crosses three boundaries.
-	if polls != 3 {
-		t.Fatalf("cancel polled %d times over 350 steps, want 3", polls)
-	}
-	if s.Steps() != 350 {
-		t.Fatalf("Steps = %d, want 350", s.Steps())
-	}
-}
-
-func TestTickEnforcesStepBudget(t *testing.T) {
-	s := New(Config{MaxSteps: 100})
-	if err := s.Tick(100); err != nil {
-		t.Fatalf("Tick within budget: %v", err)
-	}
-	if err := s.Tick(1); !errors.Is(err, ErrStepBudget) {
-		t.Fatalf("Tick over budget = %v, want ErrStepBudget", err)
-	}
-	// The budget error is latched: Run refuses to start new work.
-	err := s.Run(5, 1, func(w int) func(i int) error {
-		return func(i int) error {
-			t.Fatal("item ran after budget exhaustion")
-			return nil
-		}
-	})
-	if !errors.Is(err, ErrStepBudget) {
-		t.Fatalf("Run after budget = %v", err)
+	// Every DefaultPollEvery boundary the count crosses polls once.
+	if want := steps / DefaultPollEvery; polls != want {
+		t.Fatalf("cancel polled %d times over %d steps, want %d", polls, steps, want)
 	}
 }
 

@@ -3,6 +3,8 @@ package store
 import (
 	"math/rand"
 	"testing"
+
+	"periodica/internal/core"
 )
 
 // BenchmarkRangeQueryVsRemine compares answering from merged summaries with
@@ -28,7 +30,7 @@ func BenchmarkRangeQueryVsRemine(b *testing.B) {
 	}
 	b.Run("summary-merge", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := db.Periodicities(0.6); err != nil {
+			if _, err := periodicities(db, 0.6); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -39,7 +41,7 @@ func BenchmarkRangeQueryVsRemine(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := s.Periodicities(0.6); err != nil {
+			if _, err := s.Periodicities(core.Options{Threshold: 0.6}); err != nil {
 				b.Fatal(err)
 			}
 		}

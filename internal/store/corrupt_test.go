@@ -273,7 +273,7 @@ func TestRepairReconstructsManifest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.Periodicities(0.9)
+	want, err := periodicities(db, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestRepairReconstructsManifest(t *testing.T) {
 	if db2.Sigma() != 3 || db2.MaxPeriod() != 4 {
 		t.Fatalf("reconstructed shape σ=%d maxPeriod=%d", db2.Sigma(), db2.MaxPeriod())
 	}
-	got, err := db2.Periodicities(0.9)
+	got, err := periodicities(db2, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}

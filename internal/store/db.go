@@ -611,19 +611,12 @@ func (db *DB) Mine(fromSeg, toSeg int, opt core.Options) (*core.Result, error) {
 	return core.MineContext(context.Background(), s, opt)
 }
 
-// Periodicities answers over the whole history (sealed + active) at
-// threshold psi, from summaries alone.
-func (db *DB) Periodicities(psi float64) ([]core.SymbolPeriodicity, error) {
-	return db.PeriodicitiesRange(0, len(db.sealed), psi)
-}
-
 // PeriodicitiesRange answers over segments [fromSeg, toSeg) — with toSeg ==
 // Segments() including the active segment — by merging the stored summaries
-// left to right. Positions are phases relative to the range start.
-func (db *DB) PeriodicitiesRange(fromSeg, toSeg int, psi float64) ([]core.SymbolPeriodicity, error) {
-	if err := core.CheckThreshold(psi); err != nil {
-		return nil, err
-	}
+// left to right, then reporting what a mine of the range with opt reports,
+// the period range clipped to the store's bound (Counts.Periodicities).
+// Positions are phases relative to the range start.
+func (db *DB) PeriodicitiesRange(fromSeg, toSeg int, opt core.Options) ([]core.SymbolPeriodicity, error) {
 	if fromSeg < 0 || toSeg < fromSeg || toSeg > len(db.sealed) {
 		return nil, fmt.Errorf("store: segment range [%d,%d) outside [0,%d]", fromSeg, toSeg, len(db.sealed))
 	}
@@ -643,5 +636,5 @@ func (db *DB) PeriodicitiesRange(fromSeg, toSeg int, psi float64) ([]core.Symbol
 			}
 		}
 	}
-	return acc.Periodicities(psi)
+	return acc.Periodicities(opt)
 }

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"periodica/internal/core"
 )
 
 // The store under testdata/v1store was written from goldenLog with
@@ -97,11 +99,11 @@ func TestOpenCommittedV1Store(t *testing.T) {
 	for _, psi := range []float64{0.2, 0.25, 1.0 / 3, 0.5, 2.0 / 3, 1} {
 		for from := 0; from <= old.Segments(); from++ {
 			for to := from; to <= old.Segments(); to++ {
-				got, err := old.PeriodicitiesRange(from, to, psi)
+				got, err := old.PeriodicitiesRange(from, to, core.Options{Threshold: psi})
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := fresh.PeriodicitiesRange(from, to, psi)
+				want, err := fresh.PeriodicitiesRange(from, to, core.Options{Threshold: psi})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -110,7 +112,7 @@ func TestOpenCommittedV1Store(t *testing.T) {
 				}
 			}
 		}
-		got, err := old.Periodicities(psi)
+		got, err := periodicities(old, psi)
 		if err != nil {
 			t.Fatal(err)
 		}

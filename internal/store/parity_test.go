@@ -18,7 +18,8 @@ import (
 // the Definition-1 boundary — and requires every source of periodicities to
 // give the same list: the batch engines, a bare count table, the incremental
 // miner whole and merged from random splits, a window wider than the stream,
-// and the store over several segment sizes. ψ is also set to every observed
+// and the store over several segment sizes — at the default MinPairs and at
+// pairs >= 3. ψ is also set to every observed
 // multi-symbol pattern support, where the batch engines must additionally
 // agree on the patterns and keep the one sitting exactly on ψ.
 func TestPeriodicityParityAtBoundaryThresholds(t *testing.T) {
@@ -37,9 +38,9 @@ func TestPeriodicityParityAtBoundaryThresholds(t *testing.T) {
 			}
 		}
 		s := series.FromIndices(alpha, data)
-		mine := func(psi float64, eng core.Engine) []core.SymbolPeriodicity {
-			res, err := core.MineWorkers(context.Background(), s,
-				core.Options{Threshold: psi, MaxPeriod: maxP, Engine: eng, MaxPatternPeriod: -1}, 1)
+		mine := func(opt core.Options, eng core.Engine) []core.SymbolPeriodicity {
+			opt.MaxPeriod, opt.Engine, opt.MaxPatternPeriod = maxP, eng, -1
+			res, err := core.MineWorkers(context.Background(), s, opt, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,29 +107,32 @@ func TestPeriodicityParityAtBoundaryThresholds(t *testing.T) {
 		}
 		boundaryPatterns += len(supports)
 
-		for _, psi := range append(observedConfidences(mine(1e-9, core.EngineNaive)), supports...) {
-			want := sortPers(mine(psi, core.EngineNaive))
-			sources := map[string]func() ([]core.SymbolPeriodicity, error){
-				"bitset":      func() ([]core.SymbolPeriodicity, error) { return mine(psi, core.EngineBitset), nil },
-				"fft":         func() ([]core.SymbolPeriodicity, error) { return mine(psi, core.EngineFFT), nil },
-				"counts":      func() ([]core.SymbolPeriodicity, error) { return counts.Periodicities(psi) },
-				"incremental": func() ([]core.SymbolPeriodicity, error) { return whole.Periodicities(psi) },
-				"merged":      func() ([]core.SymbolPeriodicity, error) { return merged.Periodicities(psi) },
-				"window":      func() ([]core.SymbolPeriodicity, error) { return window.Periodicities(psi) },
-			}
-			for _, db := range dbs {
-				sources[fmt.Sprintf("store (segment size %d)", db.opt.SegmentSize)] = func() ([]core.SymbolPeriodicity, error) {
-					return db.Periodicities(psi)
+		for _, psi := range append(observedConfidences(mine(core.Options{Threshold: 1e-9}, core.EngineNaive)), supports...) {
+			for _, minPairs := range []int{0, 3} {
+				opt := core.Options{Threshold: psi, MinPairs: minPairs}
+				want := sortPers(mine(opt, core.EngineNaive))
+				sources := map[string]func() ([]core.SymbolPeriodicity, error){
+					"bitset":      func() ([]core.SymbolPeriodicity, error) { return mine(opt, core.EngineBitset), nil },
+					"fft":         func() ([]core.SymbolPeriodicity, error) { return mine(opt, core.EngineFFT), nil },
+					"counts":      func() ([]core.SymbolPeriodicity, error) { return counts.Periodicities(opt) },
+					"incremental": func() ([]core.SymbolPeriodicity, error) { return whole.Periodicities(opt) },
+					"merged":      func() ([]core.SymbolPeriodicity, error) { return merged.Periodicities(opt) },
+					"window":      func() ([]core.SymbolPeriodicity, error) { return window.Periodicities(opt) },
 				}
-			}
-			for name, src := range sources {
-				got, err := src()
-				if err != nil {
-					t.Fatal(err)
+				for _, db := range dbs {
+					sources[fmt.Sprintf("store (segment size %d)", db.opt.SegmentSize)] = func() ([]core.SymbolPeriodicity, error) {
+						return db.PeriodicitiesRange(0, db.Segments(), opt)
+					}
 				}
-				if !reflect.DeepEqual(sortPers(got), want) {
-					t.Fatalf("trial %d (σ=%d maxP=%d n=%d) ψ=%v: %s gives %v, naive mine %v",
-						trial, sigma, maxP, n, psi, name, sortPers(got), want)
+				for name, src := range sources {
+					got, err := src()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(sortPers(got), want) {
+						t.Fatalf("trial %d (σ=%d maxP=%d n=%d) ψ=%v MinPairs=%d: %s gives %v, naive mine %v",
+							trial, sigma, maxP, n, psi, minPairs, name, sortPers(got), want)
+					}
 				}
 			}
 		}

@@ -30,6 +30,11 @@ func sortPers(pers []core.SymbolPeriodicity) []core.SymbolPeriodicity {
 	return out
 }
 
+// periodicities answers over db's whole history at ψ.
+func periodicities(db *DB, psi float64) ([]core.SymbolPeriodicity, error) {
+	return db.PeriodicitiesRange(0, db.Segments(), core.Options{Threshold: psi})
+}
+
 // referencePeriodicities mines the same stream with the batch miner.
 func referencePeriodicities(t *testing.T, stream []int, sigma, maxPeriod int, psi float64) []core.SymbolPeriodicity {
 	t.Helper()
@@ -38,11 +43,7 @@ func referencePeriodicities(t *testing.T, stream []int, sigma, maxPeriod int, ps
 		idx[i] = uint16(k)
 	}
 	s := series.FromIndices(alphabet.Letters(sigma), idx)
-	mp := maxPeriod
-	if mp >= s.Len() {
-		mp = s.Len() - 1
-	}
-	res, err := core.MineContext(context.Background(), s, core.Options{Threshold: psi, MaxPeriod: mp,
+	res, err := core.MineContext(context.Background(), s, core.Options{Threshold: psi, MaxPeriod: min(maxPeriod, s.Len()/2),
 		Engine: core.EngineNaive, MaxPatternPeriod: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +124,7 @@ func TestDBPeriodicitiesMatchBatchMiner(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := db.Periodicities(0.4)
+	got, err := periodicities(db, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestDBSurvivesReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before, err := db.Periodicities(0.9)
+	before, err := periodicities(db, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestDBSurvivesReopen(t *testing.T) {
 	if db2.Len() != 240 {
 		t.Fatalf("reopened Len = %d, want 240", db2.Len())
 	}
-	after, err := db2.Periodicities(0.9)
+	after, err := periodicities(db2, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func TestDBRebuildsMissingSummary(t *testing.T) {
 	for i := 0; i < 120; i++ {
 		_ = db.Append(i % 2)
 	}
-	want, _ := db.Periodicities(0.9)
+	want, _ := periodicities(db, 0.9)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestDBRebuildsMissingSummary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := db2.Periodicities(0.9)
+	got, err := periodicities(db2, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestDBRangeQuery(t *testing.T) {
 	if db.Segments() != 4 {
 		t.Fatalf("segments = %d, want 4", db.Segments())
 	}
-	got, err := db.PeriodicitiesRange(0, 2, 0.9)
+	got, err := db.PeriodicitiesRange(0, 2, core.Options{Threshold: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func TestDBRangeQuery(t *testing.T) {
 	if !reflect.DeepEqual(sortPers(got), sortPers(want)) {
 		t.Fatal("range [0,2) differs from mining the first half")
 	}
-	got, err = db.PeriodicitiesRange(2, 4, 0.9)
+	got, err = db.PeriodicitiesRange(2, 4, core.Options{Threshold: 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,11 +267,11 @@ func TestDBValidates(t *testing.T) {
 		t.Fatal("bad symbol: want error")
 	}
 	for _, psi := range []float64{0, 1.5} {
-		if _, err := db.Periodicities(psi); !errors.Is(err, core.ErrInvalidInput) {
+		if _, err := periodicities(db, psi); !errors.Is(err, core.ErrInvalidInput) {
 			t.Fatalf("ψ=%v: error %v does not match ErrInvalidInput", psi, err)
 		}
 	}
-	if _, err := db.PeriodicitiesRange(0, 5, 0.5); err == nil {
+	if _, err := db.PeriodicitiesRange(0, 5, core.Options{Threshold: 0.5}); err == nil {
 		t.Fatal("range beyond segments: want error")
 	}
 	if err := db.Close(); err != nil {
@@ -340,7 +341,7 @@ func TestDBEmptyQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pers, err := db.Periodicities(0.5)
+	pers, err := periodicities(db, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}

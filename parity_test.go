@@ -84,32 +84,25 @@ func withWorkers(t *testing.T, q *periodica.Query, n int) *periodica.Query {
 	return wq
 }
 
-// filledSources returns a Stream and an Incremental that have ingested
-// symbols over alpha.
-func filledSources(t *testing.T, symbols, alpha []string) (*periodica.Stream, *periodica.Incremental) {
+// filledIncremental returns an Incremental over alpha, tracking periods up
+// to half the stream, that has ingested symbols.
+func filledIncremental(t *testing.T, symbols, alpha []string) *periodica.Incremental {
 	t.Helper()
-	st, err := periodica.NewStream(alpha...)
-	if err != nil {
-		t.Fatal(err)
-	}
 	inc, err := periodica.NewIncremental(len(symbols)/2, alpha...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, sym := range symbols {
-		if err := st.Append(sym); err != nil {
-			t.Fatal(err)
-		}
 		if err := inc.Append(sym); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return st, inc
+	return inc
 }
 
 // mineAllPaths runs the same symbols and query through every source —
-// batch at one and four workers as well as on the default scheduler,
-// stream, incremental — and returns the per-path results, keyed by path
+// batch at one and four workers as well as on the default scheduler, and
+// incremental — and returns the per-path results, keyed by path
 // name.
 func mineAllPaths(t *testing.T, symbols []string, q *periodica.Query) map[string]*periodica.Result {
 	t.Helper()
@@ -118,13 +111,12 @@ func mineAllPaths(t *testing.T, symbols []string, q *periodica.Query) map[string
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, inc := filledSources(t, symbols, s.Alphabet())
+	inc := filledIncremental(t, symbols, s.Alphabet())
 	out := map[string]*periodica.Result{}
 	for path, run := range map[string]func() (*periodica.Result, error){
 		"MineQueryContext":             func() (*periodica.Result, error) { return periodica.MineQueryContext(ctx, s, q) },
 		"workers 1":                    func() (*periodica.Result, error) { return periodica.MineQueryContext(ctx, s, withWorkers(t, q, 1)) },
 		"workers 4":                    func() (*periodica.Result, error) { return periodica.MineQueryContext(ctx, s, withWorkers(t, q, 4)) },
-		"Stream.FinishQueryContext":    func() (*periodica.Result, error) { return st.FinishQueryContext(ctx, q) },
 		"Incremental.MineQueryContext": func() (*periodica.Result, error) { return inc.MineQueryContext(ctx, q) },
 	} {
 		if out[path], err = run(); err != nil {
@@ -250,7 +242,7 @@ func TestParityCancellation(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				st, inc := filledSources(t, symbols, []string{"a", "b", "c"})
+				inc := filledIncremental(t, symbols, []string{"a", "b", "c"})
 				ctxFor := func() context.Context {
 					if polls == 0 {
 						return cancelled
@@ -267,8 +259,6 @@ func TestParityCancellation(t *testing.T) {
 				attempts = append(attempts, attempt{"MineQueryContext", res, err})
 				res, err = periodica.MineQueryContext(ctxFor(), s, withWorkers(t, q, 4))
 				attempts = append(attempts, attempt{"workers 4", res, err})
-				res, err = st.FinishQueryContext(ctxFor(), q)
-				attempts = append(attempts, attempt{"Stream.FinishQueryContext", res, err})
 				res, err = inc.MineQueryContext(ctxFor(), q)
 				attempts = append(attempts, attempt{"Incremental.MineQueryContext", res, err})
 				for _, a := range attempts {

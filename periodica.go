@@ -22,10 +22,12 @@
 // There is one mining entry point per input source, and each takes a
 // context for cancellation and deadlines:
 //
-//   - MineQueryContext mines an in-memory Series;
-//   - Stream.FinishQueryContext mines a stream ingested in one pass;
+//   - MineQueryContext mines an in-memory Series; a stream ingested in one
+//     pass is a slice of symbols handed to NewSeries when it ends;
 //   - Incremental.MineQueryContext mines an online miner, which also merges
 //     adjacent segments;
+//   - MineDatabase mines a database of series and aggregates the patterns
+//     they share;
 //   - CandidatePeriodsQueryContext runs only the O(σ n log n) detection
 //     phase;
 //   - CandidatePeriodsFile runs detection over an on-disk series through an
@@ -36,7 +38,8 @@
 // DiscretizeBreakpoints, DiscretizeSAX, Query.DiscretizeValues) and
 // irregular timestamped events are binned with GridEvents. Monitor and
 // Counter track periodicities over a sliding window and over an unbounded
-// stream. Significant separates genuine structure from the
+// stream; they, like Incremental, answer Periodicities(q) from their count
+// tables with what a mine under the same query reports. Significant separates genuine structure from the
 // confident-looking flukes the paper's Definition 1 admits at large
 // periods.
 package periodica
@@ -218,25 +221,3 @@ type Result = result.Result
 func PeriodConfidence(s *Series, p int) float64 {
 	return core.PeriodConfidence(s.inner, p)
 }
-
-// Stream ingests a symbol stream one element at a time — the single pass the
-// paper requires — and mines the stream seen so far on FinishQueryContext.
-type Stream struct {
-	inner *core.StreamMiner
-}
-
-// NewStream returns a stream miner over the given alphabet (symbol order
-// fixes level order).
-func NewStream(symbols ...string) (*Stream, error) {
-	alpha, err := alphabet.New(symbols...)
-	if err != nil {
-		return nil, err
-	}
-	return &Stream{inner: core.NewStreamMiner(alpha)}, nil
-}
-
-// Append ingests the next symbol.
-func (st *Stream) Append(symbol string) error { return st.inner.Append(symbol) }
-
-// Len returns the number of symbols ingested.
-func (st *Stream) Len() int { return st.inner.Len() }

@@ -8,7 +8,6 @@ import (
 	"periodica/internal/alphabet"
 	"periodica/internal/core"
 	"periodica/internal/prep"
-	"periodica/internal/result"
 	"periodica/internal/series"
 	"periodica/internal/timegrid"
 )
@@ -43,19 +42,16 @@ func (inc *Incremental) Append(symbol string) error { return inc.inner.AppendSym
 // Len returns the number of symbols ingested.
 func (inc *Incremental) Len() int { return inc.inner.Len() }
 
-// Periodicities returns the symbol periodicities of the stream so far at the
-// given threshold, computed from the maintained counts alone.
-func (inc *Incremental) Periodicities(threshold float64) ([]Periodicity, error) {
-	pers, err := inc.inner.Periodicities(threshold)
-	if err != nil {
-		return nil, err
-	}
-	return result.Periodicities(inc.alpha, pers), nil
+// Periodicities returns the symbol periodicities of the stream so far that
+// MineQueryContext with q reports, computed from the maintained counts
+// alone.
+func (inc *Incremental) Periodicities(q *Query) ([]Periodicity, error) {
+	return q.periodicities(inc.alpha, inc.inner.Periodicities)
 }
 
 // Merge appends the stream held by next to this miner, stitching the
-// boundary matches; both miners must share the alphabet and period bound.
-// next is left untouched.
+// boundary matches; both miners must share the symbols, in the same order,
+// and the period bound. next is left untouched.
 func (inc *Incremental) Merge(next *Incremental) error {
 	return inc.inner.Merge(next.inner)
 }
@@ -217,9 +213,9 @@ func NewCounter(maxPeriod int, symbols ...string) (*Counter, error) {
 
 // Append ingests the next symbol; O(maxPeriod).
 func (c *Counter) Append(symbol string) error {
-	k, ok := c.alpha.Index(symbol)
-	if !ok {
-		return fmt.Errorf("periodica: symbol %q not in alphabet %v", symbol, c.alpha)
+	k, err := core.SymbolIndex(c.alpha, symbol)
+	if err != nil {
+		return err
 	}
 	return c.inner.Append(k)
 }
@@ -230,13 +226,10 @@ func (c *Counter) Len() int { return c.inner.Length }
 // MemoryBytes estimates the counter's resident size, independent of Len.
 func (c *Counter) MemoryBytes() int { return c.inner.MemoryBytes() }
 
-// Periodicities returns the whole-stream periodicities at the threshold.
-func (c *Counter) Periodicities(threshold float64) ([]Periodicity, error) {
-	pers, err := c.inner.Periodicities(threshold)
-	if err != nil {
-		return nil, err
-	}
-	return result.Periodicities(c.alpha, pers), nil
+// Periodicities returns the whole-stream periodicities that a mine of the
+// stream with q reports, the period range clipped to the tracked bound.
+func (c *Counter) Periodicities(q *Query) ([]Periodicity, error) {
+	return q.periodicities(c.alpha, c.inner.Periodicities)
 }
 
 // Describe renders a periodicity the way the paper narrates its Table 2,
@@ -283,9 +276,9 @@ func NewMonitor(maxPeriod, window int, symbols ...string) (*Monitor, error) {
 // Append ingests the next symbol, evicting the oldest once the window is
 // full; O(maxPeriod).
 func (m *Monitor) Append(symbol string) error {
-	k, ok := m.alpha.Index(symbol)
-	if !ok {
-		return fmt.Errorf("periodica: symbol %q not in alphabet %v", symbol, m.alpha)
+	k, err := core.SymbolIndex(m.alpha, symbol)
+	if err != nil {
+		return err
 	}
 	return m.inner.Append(k)
 }
@@ -293,13 +286,11 @@ func (m *Monitor) Append(symbol string) error {
 // Len returns the number of symbols currently in the window.
 func (m *Monitor) Len() int { return m.inner.Len() }
 
-// Periodicities returns the periodicities of the current window.
-func (m *Monitor) Periodicities(threshold float64) ([]Periodicity, error) {
-	pers, err := m.inner.Periodicities(threshold)
-	if err != nil {
-		return nil, err
-	}
-	return result.Periodicities(m.alpha, pers), nil
+// Periodicities returns the periodicities of the current window that a mine
+// of the window with q reports, the period range clipped to the tracked
+// bound; positions stay in absolute stream phase.
+func (m *Monitor) Periodicities(q *Query) ([]Periodicity, error) {
+	return q.periodicities(m.alpha, m.inner.Periodicities)
 }
 
 // DatabasePattern is a periodic pattern aggregated over a database of
@@ -313,11 +304,13 @@ type DatabasePattern struct {
 }
 
 // MineDatabase mines every series of a time-series database — e.g. one
-// consumption series per customer — and aggregates the multi-symbol patterns
-// across series: a pattern is reported when it reaches opt.Threshold in at
-// least minFraction of the series. All series must use the same symbols; the
-// first series' alphabet ordering governs.
-func MineDatabase(db []*Series, opt Options, minFraction float64) ([]DatabasePattern, error) {
+// consumption series per customer — under the mining clauses of q and
+// aggregates the multi-symbol patterns across series: a pattern is reported
+// when it reaches q's threshold in at least minFraction of the series. The
+// shaping clauses (symbol constraint, limit, maximal only) and workers do not
+// apply to the aggregate. All series must use the same symbols; the first
+// series' alphabet ordering governs.
+func MineDatabase(db []*Series, q *Query, minFraction float64) ([]DatabasePattern, error) {
 	if len(db) == 0 {
 		return nil, fmt.Errorf("periodica: empty database")
 	}
@@ -330,7 +323,7 @@ func MineDatabase(db []*Series, opt Options, minFraction float64) ([]DatabasePat
 		}
 		inner[i] = re
 	}
-	res, err := core.MineDatabase(inner, coreOptions(opt.spec()), minFraction)
+	res, err := core.MineDatabase(inner, coreOptions(q.spec), minFraction)
 	if err != nil {
 		return nil, err
 	}

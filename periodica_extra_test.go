@@ -26,7 +26,7 @@ func TestIncrementalPublicAPI(t *testing.T) {
 	if inc.Len() != 60 {
 		t.Fatalf("Len = %d", inc.Len())
 	}
-	pers, err := inc.Periodicities(1)
+	pers, err := inc.Periodicities(mustCompile(t, "conf >= 1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,34 +66,57 @@ func TestIncrementalMergePublicAPI(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Different alphabet instances: merging across differently-built miners
-	// must fail…
-	if err := a.Merge(b); err == nil {
-		t.Fatal("merge across distinct alphabet instances: want error")
+	// Miners built separately over the same symbols merge into the miner of
+	// the whole stream.
+	if err := a.Merge(b); err != nil {
+		t.Fatal(err)
 	}
-	// …but the combined stream mined directly matches the whole.
-	resWhole, err := whole.Periodicities(0.9)
+	if a.Len() != whole.Len() {
+		t.Fatalf("merged Len = %d, want %d", a.Len(), whole.Len())
+	}
+	q := mustCompile(t, "conf >= 0.9")
+	wantPers, err := whole.Periodicities(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resWhole) == 0 {
+	if len(wantPers) == 0 {
 		t.Fatal("no periodicities in periodic stream")
+	}
+	if gotPers, err := a.Periodicities(q); err != nil || !reflect.DeepEqual(gotPers, wantPers) {
+		t.Fatalf("merged Periodicities = %v, %v; want the whole stream's %v", gotPers, err, wantPers)
+	}
+	ctx := context.Background()
+	wantRes, err := whole.MineQueryContext(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotRes, err := a.MineQueryContext(ctx, q); err != nil || !reflect.DeepEqual(gotRes, wantRes) {
+		t.Fatalf("merged MineQueryContext differs from the whole stream's (err %v)", err)
+	}
+	// Another symbol order or period bound is refused as invalid input.
+	yx, _ := periodica.NewIncremental(8, "y", "x")
+	short, _ := periodica.NewIncremental(4, "x", "y")
+	for name, next := range map[string]*periodica.Incremental{"symbol order": yx, "period bound": short} {
+		if err := a.Merge(next); !errors.Is(err, periodica.ErrInvalidInput) {
+			t.Errorf("merge across a different %s: error %v does not match ErrInvalidInput", name, err)
+		}
 	}
 }
 
 func TestIncrementalValidatesPublic(t *testing.T) {
-	if _, err := periodica.NewIncremental(0, "a"); err == nil {
-		t.Fatal("maxPeriod 0: want error")
+	if _, err := periodica.NewIncremental(0, "a"); !errors.Is(err, periodica.ErrInvalidInput) {
+		t.Fatalf("maxPeriod 0: error %v does not match ErrInvalidInput", err)
 	}
 	if _, err := periodica.NewIncremental(5, "a", "a"); err == nil {
 		t.Fatal("duplicate symbols: want error")
 	}
 	inc, _ := periodica.NewIncremental(5, "a")
-	if err := inc.Append("z"); err == nil {
-		t.Fatal("unknown symbol: want error")
+	if err := inc.Append("z"); !errors.Is(err, periodica.ErrInvalidInput) {
+		t.Fatalf("unknown symbol: error %v does not match ErrInvalidInput", err)
 	}
 	for _, psi := range []float64{0, -0.5, 1.5} {
-		if _, err := inc.Periodicities(psi); !errors.Is(err, periodica.ErrInvalidInput) {
+		q := periodica.QueryFromOptions(periodica.Options{Threshold: psi})
+		if _, err := inc.Periodicities(q); !errors.Is(err, periodica.ErrInvalidInput) {
 			t.Fatalf("ψ=%v: error %v does not match ErrInvalidInput", psi, err)
 		}
 	}
@@ -156,7 +179,7 @@ func TestCounterPublic(t *testing.T) {
 	if c.Len() != 44000 {
 		t.Fatalf("Len = %d", c.Len())
 	}
-	pers, err := c.Periodicities(0.05)
+	pers, err := c.Periodicities(mustCompile(t, "conf >= 0.05"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,14 +192,15 @@ func TestCounterPublic(t *testing.T) {
 	if !found {
 		t.Fatal("period-4 on-beat missing from counter answers")
 	}
-	if err := c.Append("boom"); err == nil {
-		t.Fatal("unknown symbol: want error")
+	if err := c.Append("boom"); !errors.Is(err, periodica.ErrInvalidInput) {
+		t.Fatalf("unknown symbol: error %v does not match ErrInvalidInput", err)
 	}
-	if _, err := periodica.NewCounter(0, "a"); err == nil {
-		t.Fatal("maxPeriod 0: want error")
+	if _, err := periodica.NewCounter(0, "a"); !errors.Is(err, periodica.ErrInvalidInput) {
+		t.Fatalf("maxPeriod 0: error %v does not match ErrInvalidInput", err)
 	}
 	for _, psi := range []float64{0, 1.5} {
-		if _, err := c.Periodicities(psi); !errors.Is(err, periodica.ErrInvalidInput) {
+		q := periodica.QueryFromOptions(periodica.Options{Threshold: psi})
+		if _, err := c.Periodicities(q); !errors.Is(err, periodica.ErrInvalidInput) {
 			t.Fatalf("ψ=%v: error %v does not match ErrInvalidInput", psi, err)
 		}
 	}
@@ -423,7 +447,8 @@ func TestMonitorSlidingWindow(t *testing.T) {
 		}
 	}
 	feed("abc", 30)
-	pers, err := m.Periodicities(0.9)
+	q := mustCompile(t, "conf >= 0.9")
+	pers, err := m.Periodicities(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +463,7 @@ func TestMonitorSlidingWindow(t *testing.T) {
 	}
 	// Regime change: after the window slides fully, the old rhythm is gone.
 	feed("ab", 60)
-	pers, err = m.Periodicities(0.9)
+	pers, err = m.Periodicities(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,15 +478,22 @@ func TestMonitorSlidingWindow(t *testing.T) {
 }
 
 func TestMonitorValidates(t *testing.T) {
-	if _, err := periodica.NewMonitor(5, 5, "a"); err == nil {
-		t.Fatal("window ≤ maxPeriod: want error")
+	for _, bounds := range [][2]int{{5, 5}, {10, 5}, {0, 10}} {
+		if _, err := periodica.NewMonitor(bounds[0], bounds[1], "a"); !errors.Is(err, periodica.ErrInvalidInput) {
+			t.Fatalf("NewMonitor(%d, %d): error %v does not match ErrInvalidInput", bounds[0], bounds[1], err)
+		}
 	}
 	m, _ := periodica.NewMonitor(5, 20, "a")
-	if err := m.Append("z"); err == nil {
-		t.Fatal("unknown symbol: want error")
+	if err := m.Append("z"); !errors.Is(err, periodica.ErrInvalidInput) {
+		t.Fatalf("unknown symbol: error %v does not match ErrInvalidInput", err)
+	}
+	// Polled before its first symbols, a monitor answers nothing, not an error.
+	if pers, err := m.Periodicities(mustCompile(t, "conf >= 0.5 and period in 2..4")); pers != nil || err != nil {
+		t.Fatalf("empty monitor: Periodicities = %v, %v; want nil, nil", pers, err)
 	}
 	for _, psi := range []float64{0, 1.5} {
-		if _, err := m.Periodicities(psi); !errors.Is(err, periodica.ErrInvalidInput) {
+		q := periodica.QueryFromOptions(periodica.Options{Threshold: psi})
+		if _, err := m.Periodicities(q); !errors.Is(err, periodica.ErrInvalidInput) {
 			t.Fatalf("ψ=%v: error %v does not match ErrInvalidInput", psi, err)
 		}
 	}
@@ -494,7 +526,7 @@ func TestMineDatabasePublic(t *testing.T) {
 		}
 		db = append(db, s)
 	}
-	pats, err := periodica.MineDatabase(db, periodica.Options{Threshold: 0.8, MaxPeriod: 10, MaxPatternPeriod: 10}, 0.8)
+	pats, err := periodica.MineDatabase(db, mustCompile(t, "conf >= 0.8 and period <= 10 and pattern period <= 10"), 0.8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -515,10 +547,10 @@ func TestMineDatabasePublic(t *testing.T) {
 func TestMineDatabaseMixedAlphabets(t *testing.T) {
 	a, _ := periodica.NewSeriesFromString("ababab")
 	z, _ := periodica.NewSeriesFromString("zxzxzx")
-	if _, err := periodica.MineDatabase([]*periodica.Series{a, z}, periodica.Options{Threshold: 0.5}, 0.5); err == nil {
+	if _, err := periodica.MineDatabase([]*periodica.Series{a, z}, mustCompile(t, "conf >= 0.5"), 0.5); err == nil {
 		t.Fatal("incompatible alphabets: want error")
 	}
-	if _, err := periodica.MineDatabase(nil, periodica.Options{Threshold: 0.5}, 0.5); err == nil {
+	if _, err := periodica.MineDatabase(nil, mustCompile(t, "conf >= 0.5"), 0.5); err == nil {
 		t.Fatal("empty database: want error")
 	}
 }
@@ -545,18 +577,12 @@ func TestFilterMaximalPublic(t *testing.T) {
 		t.Fatal("filter removed nothing")
 	}
 	// Every source applies the filter, not only the batch mine.
-	st, inc := filledSources(t, strings.Split(s.String(), ""), s.Alphabet())
-	q := periodica.QueryFromOptions(opt)
-	for path, run := range map[string]func() (*periodica.Result, error){
-		"Stream.FinishQueryContext":    func() (*periodica.Result, error) { return st.FinishQueryContext(context.Background(), q) },
-		"Incremental.MineQueryContext": func() (*periodica.Result, error) { return inc.MineQueryContext(context.Background(), q) },
-	} {
-		res, err := run()
-		if err != nil {
-			t.Fatalf("%s: %v", path, err)
-		}
-		if !reflect.DeepEqual(res, maximal) {
-			t.Errorf("%s patterns = %+v, want the batch mine's %+v", path, res.Patterns, maximal.Patterns)
-		}
+	inc := filledIncremental(t, strings.Split(s.String(), ""), s.Alphabet())
+	res, err := inc.MineQueryContext(context.Background(), periodica.QueryFromOptions(opt))
+	if err != nil {
+		t.Fatalf("Incremental.MineQueryContext: %v", err)
+	}
+	if !reflect.DeepEqual(res, maximal) {
+		t.Errorf("Incremental.MineQueryContext patterns = %+v, want the batch mine's %+v", res.Patterns, maximal.Patterns)
 	}
 }

@@ -102,17 +102,6 @@ func TestSingleSymbolSeriesMinesNothing(t *testing.T) {
 			periods, err := candidatePeriods(s, opt.Threshold, 0)
 			return periods != nil && len(periods) == 0, err
 		}},
-		{"Stream.Finish", func() (bool, error) {
-			st, err := periodica.NewStream("a")
-			if err != nil {
-				return false, err
-			}
-			if err := st.Append("a"); err != nil {
-				return false, err
-			}
-			res, err := st.FinishQueryContext(context.Background(), periodica.QueryFromOptions(opt))
-			return empty(res), err
-		}},
 		{"dist.Mine", func() (bool, error) {
 			res, err := coord.Mine(context.Background(), s, opt)
 			return empty(res), err
@@ -220,37 +209,6 @@ func TestPeriodConfidence(t *testing.T) {
 	}
 	if got := periodica.PeriodConfidence(s, 2); got == 1 {
 		t.Fatal("confidence(2) = 1 on period-3 data with distinct symbols")
-	}
-}
-
-func TestStream(t *testing.T) {
-	st, err := periodica.NewStream("a", "b", "c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 30; i++ {
-		if err := st.Append(string(rune('a' + i%3))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st.Len() != 30 {
-		t.Fatalf("Len = %d", st.Len())
-	}
-	res, err := st.FinishQueryContext(context.Background(), periodica.QueryFromOptions(periodica.Options{Threshold: 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Periods) == 0 || res.Periods[0] != 3 {
-		t.Fatalf("Periods = %v, want leading 3", res.Periods)
-	}
-	if err := st.Append("z"); err == nil {
-		t.Fatal("unknown symbol: want error")
-	}
-}
-
-func TestNewStreamInvalidAlphabet(t *testing.T) {
-	if _, err := periodica.NewStream("a", "a"); err == nil {
-		t.Fatal("duplicate alphabet symbols: want error")
 	}
 }
 

@@ -7,8 +7,9 @@ package periodica
 //
 // into a canonical, validated spec, and it is the one way to direct a mine:
 // every mining entry point takes one (MineQueryContext,
-// CandidatePeriodsQueryContext, Stream.FinishQueryContext,
-// Incremental.MineQueryContext), as do httpapi and the distributed tier.
+// CandidatePeriodsQueryContext, Incremental.MineQueryContext, MineDatabase),
+// as does every count-table source's Periodicities (Incremental, Counter,
+// Monitor), httpapi and the distributed tier.
 // Options is a builder for the mining clauses (QueryFromOptions). The
 // mining clauses configure the core session, "workers N" its scheduler
 // width; the shaping clauses (symbol constraints, limit) are applied to the
@@ -22,6 +23,7 @@ import (
 	"sort"
 	"strings"
 
+	"periodica/internal/alphabet"
 	"periodica/internal/core"
 	"periodica/internal/query"
 	"periodica/internal/result"
@@ -171,13 +173,6 @@ func CandidatePeriodsQueryContext(ctx context.Context, s *Series, q *Query) ([]i
 	return q.candidatePeriods(core.DetectCandidatesContext(ctx, s.inner, q.spec.Threshold, q.spec.MaxPeriod))
 }
 
-// FinishQueryContext mines the stream ingested so far as the query directs,
-// exactly as MineQueryContext would mine the same symbols. The stream can
-// keep ingesting and be mined again later.
-func (st *Stream) FinishQueryContext(ctx context.Context, q *Query) (*Result, error) {
-	return q.mine(ctx, st.inner.Series(), coreOptions(q.spec))
-}
-
 // MineQueryContext mines the online stream seen so far as the query
 // directs, with the period range capped at the miner's tracked bound.
 func (inc *Incremental) MineQueryContext(ctx context.Context, q *Query) (*Result, error) {
@@ -193,6 +188,23 @@ func (q *Query) mine(ctx context.Context, inner *series.Series, opt core.Options
 		return nil, err
 	}
 	return q.Shape(&Series{inner: inner}, result.FromCore(inner.Alphabet(), res, q.spec.MaximalOnly))
+}
+
+// periodicities is the one path behind every count-table source's
+// Periodicities: the query's mining clauses lowered to core options, the
+// table's scan (with a mine's defaults, the period range clipped to the
+// tracked bound), the conversion to the public form, then the shaping a
+// mine applies. scan is the table's Periodicities method.
+func (q *Query) periodicities(alpha *alphabet.Alphabet, scan func(core.Options) ([]core.SymbolPeriodicity, error)) ([]Periodicity, error) {
+	pers, err := scan(coreOptions(q.spec))
+	if err != nil {
+		return nil, err
+	}
+	res, err := q.shape(alpha.Symbols(), &Result{Periodicities: result.Periodicities(alpha, pers)})
+	if err != nil {
+		return nil, err
+	}
+	return res.Periodicities, nil
 }
 
 // coreOptions lowers a spec's mining clauses to core options. Every spec
@@ -228,6 +240,14 @@ func (q *Query) candidatePeriods(cands []core.CandidatePeriod, err error) ([]int
 // rejected, matching the wire format's single-rune constraint. Without
 // shaping clauses the result is returned unchanged.
 func (q *Query) Shape(s *Series, res *Result) (*Result, error) {
+	return q.shape(s.Alphabet(), res)
+}
+
+// shape is Shape over an alphabet's symbols. SingleSymbolPatterns
+// narrow in lock-step with Periodicities when the result carries them; a
+// result of periodicities alone, as the count-table sources build, shapes
+// the same way.
+func (q *Query) shape(symbols []string, res *Result) (*Result, error) {
 	if len(q.spec.Symbols) == 0 && q.spec.Limit == 0 {
 		return res, nil
 	}
@@ -237,57 +257,47 @@ func (q *Query) Shape(s *Series, res *Result) (*Result, error) {
 		Patterns:             res.Patterns,
 		Truncated:            res.Truncated,
 	}
+	// keepPeriodicities keeps the periodicities at the indices keep accepts,
+	// with their single-symbol patterns.
+	keepPeriodicities := func(keep func(i int) bool) {
+		out.SingleSymbolPatterns = keepIf(out.SingleSymbolPatterns, keep)
+		out.Periodicities = keepIf(out.Periodicities, keep)
+	}
 	if len(q.spec.Symbols) > 0 {
 		allowed := make(map[string]bool, len(q.spec.Symbols))
 		for _, sym := range q.spec.Symbols {
 			allowed[sym] = true
 		}
-		for _, sym := range s.Alphabet() {
+		for _, sym := range symbols {
 			if len([]rune(sym)) > 1 {
 				return nil, &invalidQueryError{err: errQuery(
 					"symbol constraint requires single-rune symbols; alphabet has %q", sym)}
 			}
 		}
-		var pers []Periodicity
-		var singles []Pattern
-		for i, sp := range out.Periodicities {
-			if allowed[sp.Symbol] {
-				pers = append(pers, sp)
-				singles = append(singles, out.SingleSymbolPatterns[i])
-			}
-		}
-		out.Periodicities, out.SingleSymbolPatterns = pers, singles
-		var multis []Pattern
-		for _, pt := range out.Patterns {
-			if patternWithin(pt.Text, allowed) {
-				multis = append(multis, pt)
-			}
-		}
-		out.Patterns = multis
+		pers, pats := out.Periodicities, out.Patterns
+		keepPeriodicities(func(i int) bool { return allowed[pers[i].Symbol] })
+		out.Patterns = keepIf(pats, func(i int) bool { return patternWithin(pats[i].Text, allowed) })
 	}
 	switch q.spec.LimitBy {
 	case query.LimitByConf:
-		keep := topIndices(len(out.Periodicities), q.spec.Limit, func(i, j int) bool {
-			return out.Periodicities[i].Confidence > out.Periodicities[j].Confidence
-		})
-		out.Periodicities = selectPeriodicities(out.Periodicities, keep)
-		out.SingleSymbolPatterns = selectPatterns(out.SingleSymbolPatterns, keep)
+		pers := out.Periodicities
+		if keep := topIndices(len(pers), q.spec.Limit, func(i, j int) bool {
+			return pers[i].Confidence > pers[j].Confidence
+		}); keep != nil {
+			keepPeriodicities(func(i int) bool { return keep[i] })
+		}
 	case query.LimitBySupport:
-		keep := topIndices(len(out.Patterns), q.spec.Limit, func(i, j int) bool {
-			return out.Patterns[i].Support > out.Patterns[j].Support
-		})
-		out.Patterns = selectPatterns(out.Patterns, keep)
+		pats := out.Patterns
+		if keep := topIndices(len(pats), q.spec.Limit, func(i, j int) bool {
+			return pats[i].Support > pats[j].Support
+		}); keep != nil {
+			out.Patterns = keepIf(pats, func(i int) bool { return keep[i] })
+		}
 	case query.LimitByPeriod:
 		if smallest := smallestPeriods(out, q.spec.Limit); smallest != nil {
-			out.Periodicities, out.SingleSymbolPatterns = filterByPeriod(
-				out.Periodicities, out.SingleSymbolPatterns, smallest)
-			var multis []Pattern
-			for _, pt := range out.Patterns {
-				if smallest[pt.Period] {
-					multis = append(multis, pt)
-				}
-			}
-			out.Patterns = multis
+			pers, pats := out.Periodicities, out.Patterns
+			keepPeriodicities(func(i int) bool { return smallest[pers[i].Period] })
+			out.Patterns = keepIf(pats, func(i int) bool { return smallest[pats[i].Period] })
 		}
 	}
 	if len(out.SingleSymbolPatterns) < len(res.SingleSymbolPatterns) || len(out.Patterns) < len(res.Patterns) {
@@ -298,6 +308,18 @@ func (q *Query) Shape(s *Series, res *Result) (*Result, error) {
 	}
 	out.Periods = derivePeriods(out)
 	return out, nil
+}
+
+// keepIf returns, in order, the entries of in at the indices keep accepts;
+// nil when it accepts none.
+func keepIf[T any](in []T, keep func(i int) bool) []T {
+	var out []T
+	for i, v := range in {
+		if keep(i) {
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // cloneTexts returns a copy of pats whose texts share no memory with the
@@ -353,67 +375,18 @@ func topIndices(n, limit int, less func(i, j int) bool) map[int]bool {
 	return keep
 }
 
-func selectPeriodicities(in []Periodicity, keep map[int]bool) []Periodicity {
-	if keep == nil {
-		return in
-	}
-	var out []Periodicity
-	for i, sp := range in {
-		if keep[i] {
-			out = append(out, sp)
-		}
-	}
-	return out
-}
-
-func selectPatterns(in []Pattern, keep map[int]bool) []Pattern {
-	if keep == nil {
-		return in
-	}
-	var out []Pattern
-	for i, pt := range in {
-		if keep[i] {
-			out = append(out, pt)
-		}
-	}
-	return out
-}
-
 // smallestPeriods returns the limit smallest distinct periods present in
 // the result as a membership set, or nil when nothing would be dropped.
 func smallestPeriods(res *Result, limit int) map[int]bool {
-	distinct := map[int]bool{}
-	for _, sp := range res.Periodicities {
-		distinct[sp.Period] = true
-	}
-	for _, pt := range res.Patterns {
-		distinct[pt.Period] = true
-	}
-	if len(distinct) <= limit {
+	periods := derivePeriods(res)
+	if len(periods) <= limit {
 		return nil
 	}
-	periods := make([]int, 0, len(distinct))
-	for p := range distinct {
-		periods = append(periods, p)
-	}
-	sort.Ints(periods)
 	keep := make(map[int]bool, limit)
 	for _, p := range periods[:limit] {
 		keep[p] = true
 	}
 	return keep
-}
-
-func filterByPeriod(pers []Periodicity, singles []Pattern, keep map[int]bool) ([]Periodicity, []Pattern) {
-	var outP []Periodicity
-	var outS []Pattern
-	for i, sp := range pers {
-		if keep[sp.Period] {
-			outP = append(outP, sp)
-			outS = append(outS, singles[i])
-		}
-	}
-	return outP, outS
 }
 
 // derivePeriods recomputes the distinct ascending period list from the

@@ -7,7 +7,9 @@ package periodica_test
 // the parity matrix with a PERIODICA_QUERY-driven leg on top of these.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -123,9 +125,7 @@ func TestParityQueryDriven(t *testing.T) {
 			res, err = periodica.MineQueryContext(ctx, s, withWorkers(t, q, 4))
 			check("workers 4", res, err)
 
-			st, inc := filledSources(t, symbols, []string{"a", "b", "c"})
-			res, err = st.FinishQueryContext(ctx, q)
-			check("Stream.FinishQueryContext", res, err)
+			inc := filledIncremental(t, symbols, []string{"a", "b", "c"})
 			res, err = inc.MineQueryContext(ctx, q)
 			check("Incremental.MineQueryContext", res, err)
 
@@ -274,6 +274,118 @@ func TestParityEnvQuery(t *testing.T) {
 		}
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("MineQueryContext(%q) at %d workers differs from the mine of its Options + Shape", src, workers)
+		}
+	}
+}
+
+// TestParityOnlineSourcesQuery: every count-table source answers
+// Periodicities(q) with exactly the periodicities MineQueryContext reports
+// for the same symbols and query, JSON byte for byte — the Counter, the
+// Incremental whole and merged from two separately built miners, and a
+// Monitor whose window exceeds the stream. With n=600 and a tracked bound
+// of 300 the default period ranges coincide. The PERIODICA_QUERY CI leg
+// adds its query to the table.
+func TestParityOnlineSourcesQuery(t *testing.T) {
+	const n, tracked = 600, 300
+	symbols := paritySymbols(n)
+	s, err := periodica.NewSeries(symbols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	base, err := periodica.MineQueryContext(ctx, s, mustCompile(t, "conf >= 0.6 and pairs >= 3"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(base.Periodicities) == 0 {
+		t.Fatal("parity fixture detected nothing; the test is vacuous")
+	}
+	observed := base.Periodicities[len(base.Periodicities)/2].Confidence
+	queries := []*periodica.Query{
+		periodica.QueryFromOptions(periodica.Options{Threshold: observed}),
+		periodica.QueryFromOptions(periodica.Options{Threshold: observed, MinPairs: 3}),
+		mustCompile(t, "conf >= 0.6 and period in 10..40"),
+		mustCompile(t, "conf >= 0.6 and pairs >= 8"),
+		mustCompile(t, "conf >= 0.6 and symbol in {a, c}"),
+		mustCompile(t, "conf >= 0.6 and limit 7 by conf"),
+		mustCompile(t, "conf >= 0.6 and limit 3 by period"),
+		mustCompile(t, "conf >= 0.6 and limit 4 by support"),
+		mustCompile(t, "conf >= 0.6 and maximal only"),
+		mustCompile(t, "conf >= 0.5 and period in 2..64 and pairs >= 3 and symbol in {a} and limit 5 by conf"),
+	}
+	env := os.Getenv("PERIODICA_QUERY")
+	if env != "" {
+		queries = append(queries, mustCompile(t, env))
+	}
+
+	alpha := s.Alphabet()
+	counter, err := periodica.NewCounter(tracked, alpha...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	monitor, err := periodica.NewMonitor(tracked, n+1, alpha...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newIncremental := func() *periodica.Incremental {
+		inc, err := periodica.NewIncremental(tracked, alpha...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inc
+	}
+	whole, head, tail := newIncremental(), newIncremental(), newIncremental()
+	for i, sym := range symbols {
+		part := head
+		if i >= n/3 {
+			part = tail
+		}
+		for _, src := range []interface{ Append(string) error }{counter, monitor, whole, part} {
+			if err := src.Append(sym); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := head.Merge(tail); err != nil {
+		t.Fatal(err)
+	}
+	sources := map[string]func(*periodica.Query) ([]periodica.Periodicity, error){
+		"Counter":            counter.Periodicities,
+		"Incremental":        whole.Periodicities,
+		"Incremental merged": head.Periodicities,
+		"Monitor":            monitor.Periodicities,
+		"Incremental.MineQueryContext": func(q *periodica.Query) ([]periodica.Periodicity, error) {
+			res, err := whole.MineQueryContext(ctx, q)
+			if err != nil {
+				return nil, err
+			}
+			return res.Periodicities, nil
+		},
+	}
+	for i, q := range queries {
+		res, err := periodica.MineQueryContext(ctx, s, q)
+		if err != nil {
+			t.Fatalf("MineQueryContext(%q): %v", q, err)
+		}
+		if len(res.Periodicities) == 0 && (env == "" || i < len(queries)-1) {
+			t.Fatalf("%q: the mine reports no periodicity; the row is vacuous", q)
+		}
+		want, err := json.Marshal(res.Periodicities)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, src := range sources {
+			pers, err := src(q)
+			if err != nil {
+				t.Fatalf("%s %q: %v", name, q, err)
+			}
+			got, err := json.Marshal(pers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s %q: %d periodicities differ from the mine's %d", name, q, len(pers), len(res.Periodicities))
+			}
 		}
 	}
 }
