@@ -32,6 +32,18 @@ func BenchmarkCountMod(b *testing.B) {
 	}
 }
 
+func BenchmarkAddLagPhases(b *testing.B) {
+	v := benchVector(1 << 16)
+	for _, p := range []int{7, 24, 400} {
+		counts := make([]int, p)
+		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				v.AddLagPhases(p, counts)
+			}
+		})
+	}
+}
+
 func BenchmarkCount(b *testing.B) {
 	v := benchVector(1 << 20)
 	b.ResetTimer()

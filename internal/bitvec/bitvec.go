@@ -1,7 +1,8 @@
 // Package bitvec provides dense bit vectors with the shift, AND and counting
 // operations that back the exact form of the paper's modified convolution:
 // the set of lag-p matches of a 0/1 indicator vector is exactly
-// B AND (B >> p), and per-phase match counts are strided popcounts.
+// B AND (B >> p), and its per-phase match counts are the set bits of that
+// AND tallied by index mod p.
 package bitvec
 
 import (
@@ -96,29 +97,84 @@ func (v *Vector) AndShiftRight(p int, dst *Vector) *Vector {
 	if dst == nil || dst.n != v.n {
 		dst = New(v.n)
 	}
-	wordShift, bitShift := p/wordBits, uint(p%wordBits)
-	nw := len(v.words)
-	if bitShift == 0 {
-		for i := 0; i < nw; i++ {
-			var s uint64
-			if i+wordShift < nw {
-				s = v.words[i+wordShift]
-			}
-			dst.words[i] = v.words[i] & s
+	ws, bs := p/wordBits, uint(p%wordBits)
+	for i := range dst.words {
+		var m uint64
+		if i+ws < len(v.words) {
+			m = v.words[i] & shifted(v.words, i+ws, bs)
 		}
-	} else {
-		for i := 0; i < nw; i++ {
-			var lo, hi uint64
-			if i+wordShift < nw {
-				lo = v.words[i+wordShift] >> bitShift
-			}
-			if i+wordShift+1 < nw {
-				hi = v.words[i+wordShift+1] << (wordBits - bitShift)
-			}
-			dst.words[i] = v.words[i] & (lo | hi)
-		}
+		dst.words[i] = m
 	}
 	return dst
+}
+
+// shifted returns the 64 bits of words starting at bit 64·j + bs, reading
+// bits past the end as zero: word j − ws of the vector shifted right by
+// 64·ws + bs.
+func shifted(words []uint64, j int, bs uint) uint64 {
+	s := words[j] >> bs
+	if bs != 0 && j+1 < len(words) {
+		s |= words[j+1] << (wordBits - bs)
+	}
+	return s
+}
+
+// CountLagMatches returns the number of set bits of v AND (v >> p): the
+// lag-p match count of a symbol-indicator vector. Each match word is formed
+// and counted on the fly, so nothing is stored.
+//
+//opvet:noalloc
+func (v *Vector) CountLagMatches(p int) int {
+	if p < 0 {
+		panic(fmt.Sprintf("bitvec: negative shift %d", p))
+	}
+	ws, bs := p/wordBits, uint(p%wordBits)
+	c := 0
+	for i := 0; i+ws < len(v.words); i++ {
+		c += bits.OnesCount64(v.words[i] & shifted(v.words, i+ws, bs))
+	}
+	return c
+}
+
+// AddLagPhases adds one to counts[i mod p] for every set bit i of
+// v AND (v >> p), that is for every i with bits i and i+p both set. For a
+// symbol-indicator vector this adds the per-phase lag-p match counts
+// F2(s, π_{p,l}) to counts[l]. Each match word is formed on the fly and its
+// bits are walked one period block at a time: the phase of a word's bit 0
+// advances by 64 mod p per word, and within a block a bit's phase is its
+// offset plus a constant. The phases are therefore exact for every length,
+// and the cost is O((n−p)/64 + n/p + matches), with no division, no stored
+// match vector and no call per bit. counts must hold at least p entries.
+//
+//opvet:noalloc
+func (v *Vector) AddLagPhases(p int, counts []int) {
+	if p <= 0 || len(counts) < p {
+		panic(fmt.Sprintf("bitvec: modulus %d with %d counts", p, len(counts)))
+	}
+	counts = counts[:p]
+	ws, bs := p/wordBits, uint(p%wordBits)
+	step := wordBits % p // phase advance from one word to the next
+	off := 0             // phase of the current word's bit 0
+	for wi := 0; wi+ws < len(v.words); wi++ {
+		m := v.words[wi] & shifted(v.words, wi+ws, bs)
+		// Bits below cut lie in the period block holding bit 0; bit b of
+		// that block has phase b+lo. Each block after it moves both by p.
+		lo, cut := off, p-off
+		for m != 0 {
+			seg := m
+			if cut < wordBits {
+				seg &= 1<<uint(cut) - 1
+			}
+			m ^= seg
+			for ; seg != 0; seg &= seg - 1 {
+				counts[lo+bits.TrailingZeros64(seg)]++
+			}
+			lo, cut = lo-p, cut+p
+		}
+		if off += step; off >= p {
+			off -= p
+		}
+	}
 }
 
 // ForEach calls fn for every set bit, in increasing order of index.
@@ -132,26 +188,6 @@ func (v *Vector) ForEach(fn func(i int)) {
 	}
 }
 
-// ForEachPhase calls fn(i mod p) for every set bit i, in increasing order of
-// i. It walks the bits one period block at a time, advancing the block base
-// by p, so it divides nothing per bit: a walk costs O(n/64 + n/p + set bits).
-func (v *Vector) ForEachPhase(p int, fn func(l int)) {
-	if p <= 0 {
-		panic(fmt.Sprintf("bitvec: non-positive modulus %d", p))
-	}
-	base := 0
-	for wi, w := range v.words {
-		for w != 0 {
-			i := wi*wordBits + bits.TrailingZeros64(w)
-			w &= w - 1
-			for i-base >= p {
-				base += p
-			}
-			fn(i - base)
-		}
-	}
-}
-
 // CountMod returns counts[l] = number of set bits at indices i with
 // i mod p == l, for l in [0,p). This yields the per-phase match counts
 // F2(s, π_{p,l}(T)) from a lag-p match vector.
@@ -160,7 +196,7 @@ func (v *Vector) CountMod(p int) []int {
 		panic(fmt.Sprintf("bitvec: non-positive modulus %d", p))
 	}
 	counts := make([]int, p)
-	v.ForEachPhase(p, func(l int) { counts[l]++ })
+	v.ForEach(func(i int) { counts[i%p]++ })
 	return counts
 }
 

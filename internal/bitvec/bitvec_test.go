@@ -3,7 +3,6 @@ package bitvec
 import (
 	"math/big"
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -192,17 +191,95 @@ func TestCountModSumsToCount(t *testing.T) {
 	}
 }
 
-func TestForEachPhaseMatchesMod(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	v := randomVector(rng, 500, 0.3)
-	for _, p := range []int{1, 2, 7, 63, 64, 65, 128, 499, 500, 600} {
-		var want, got []int
-		v.ForEach(func(i int) { want = append(want, i%p) })
-		v.ForEachPhase(p, func(l int) { got = append(got, l) })
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("p=%d: ForEachPhase phases %v, want %v", p, got, want)
+// lagPhasesNaive is the definition the lag kernels are checked against:
+// counts[l] tallies the i ≡ l (mod p) whose bits i and i+p are both set.
+func lagPhasesNaive(v *Vector, p int) []int {
+	counts := make([]int, p)
+	for i := 0; i+p < v.Len(); i++ {
+		if v.Get(i) && v.Get(i+p) {
+			counts[i%p]++
 		}
 	}
+	return counts
+}
+
+// checkLagKernels compares AddLagPhases, which adds onto whatever counts
+// holds, and CountLagMatches with the definition at one (v, p).
+func checkLagKernels(t *testing.T, v *Vector, p int) {
+	t.Helper()
+	want := lagPhasesNaive(v, p)
+	got := make([]int, p+1)
+	for l := range got {
+		got[l] = l // the kernel adds; it must not overwrite
+	}
+	v.AddLagPhases(p, got)
+	total := 0
+	for l, w := range want {
+		if got[l]-l != w {
+			t.Fatalf("n=%d p=%d: AddLagPhases phase %d = %d, want %d", v.Len(), p, l, got[l]-l, w)
+		}
+		total += w
+	}
+	if got[p] != p {
+		t.Fatalf("n=%d p=%d: AddLagPhases wrote past counts[:p]", v.Len(), p)
+	}
+	if c := v.CountLagMatches(p); c != total {
+		t.Fatalf("n=%d p=%d: CountLagMatches = %d, want %d", v.Len(), p, c, total)
+	}
+}
+
+func TestLagKernelsMatchDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{2, 3, 63, 64, 65, 100, 127, 128, 129, 191, 500, 1000} {
+		for _, density := range []float64{0.05, 0.3, 1} {
+			v := randomVector(rng, n, density)
+			for _, p := range []int{1, 2, 63, 64, 65, 127, 128, n - 1, n, n + 1} {
+				if p >= 1 {
+					checkLagKernels(t, v, p)
+				}
+			}
+		}
+	}
+}
+
+func TestAddLagPhasesInvalidPanics(t *testing.T) {
+	for _, c := range []struct{ p, counts int }{{0, 4}, {-1, 4}, {5, 4}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("AddLagPhases(%d) with %d counts: want panic", c.p, c.counts)
+				}
+			}()
+			New(8).AddLagPhases(c.p, make([]int, c.counts))
+		}()
+	}
+}
+
+// FuzzLagPhases checks both lag kernels against the definition on arbitrary
+// bit patterns, lengths and periods, and that the phase kernel allocates
+// nothing.
+func FuzzLagPhases(f *testing.F) {
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x0f}, uint8(3), uint16(1))
+	f.Add([]byte("periodic periodic periodic periodic"), uint8(0), uint16(8))
+	f.Add(make([]byte, 40), uint8(7), uint16(64))
+	f.Fuzz(func(t *testing.T, data []byte, trim uint8, shift uint16) {
+		n := len(data)*8 - int(trim%8)
+		if n < 1 || n > 1<<14 {
+			return
+		}
+		v := New(n)
+		for i := 0; i < n; i++ {
+			if data[i/8]&(1<<uint(i%8)) != 0 {
+				v.Set(i)
+			}
+		}
+		p := 1 + int(shift)%(n+1)
+		checkLagKernels(t, v, p)
+		counts := make([]int, p)
+		if a := testing.AllocsPerRun(2, func() { v.AddLagPhases(p, counts) }); a != 0 {
+			t.Fatalf("n=%d p=%d: AddLagPhases allocates %.1f times per run", n, p, a)
+		}
+	})
 }
 
 func TestCountModInvalidPanics(t *testing.T) {

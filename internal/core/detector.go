@@ -1,7 +1,7 @@
 package core
 
 import (
-	"math/bits"
+	"math"
 
 	"periodica/internal/bitvec"
 	"periodica/internal/conv"
@@ -23,10 +23,8 @@ type detector struct {
 	symLo, symHi int
 	ind          *conv.Indicators
 	lag          [][]int64 // FFT lag-match counts, lag[k][p]
-	match        *bitvec.Vector
-	counts       []int    // phase-count scratch; only marked entries are non-zero
-	mark         []uint64 // p-bit mark of the phases with non-zero counts
-	surv         []int32  // surviving-symbol scratch for the fused detect path
+	table        []int     // rows×p phase-count scratch; all zero between periods
+	surv         []int32   // surviving-symbol scratch for the fused detect path
 }
 
 // newDetector builds a bitset detector over s for callers that query one
@@ -66,32 +64,19 @@ func (d *detector) detect(p int, psi float64, emit func(SymbolPeriodicity)) {
 		return
 	}
 	d.surv = d.survivors(p, psi, d.surv[:0])
-	for _, k := range d.surv {
-		d.resolveSymbol(int(k), p, psi, emit)
-	}
+	d.resolve(p, d.surv, psi, emit)
 }
 
 // detectNaive scans the series once, tallying matches per (symbol, phase).
 func (d *detector) detectNaive(p int, psi float64, emit func(SymbolPeriodicity)) {
-	n, sigma := d.n(), d.sigma()
-	need := sigma * p
-	if cap(d.counts) < need {
-		d.counts = make([]int, need)
-	}
-	counts := d.counts[:need]
-	for i := range counts {
-		counts[i] = 0
-	}
+	n := d.n()
+	table := d.scratch(d.sigma() * p)
 	for i := 0; i+p < n; i++ {
 		if d.s.At(i) == d.s.At(i+p) {
-			counts[d.s.At(i)*p+i%p]++
+			table[d.s.At(i)*p+i%p]++
 		}
 	}
-	for k := 0; k < sigma; k++ {
-		for l := 0; l < p; l++ {
-			d.emitIf(k, p, l, counts[k*p+l], psi, emit)
-		}
-	}
+	d.emitTable(p, table, nil, psi, emit)
 }
 
 // survivors appends to dst the symbols whose aggregate lag-p match count
@@ -116,8 +101,7 @@ func (d *detector) survivors(p int, psi float64, dst []int32) []int32 {
 		case EngineFFT:
 			r = d.lag[k][p]
 		default:
-			d.match = d.ind.MatchSet(k, p, d.match)
-			r = int64(d.match.Count())
+			r = int64(d.ind.Vector(k).CountLagMatches(p))
 		}
 		if Survives(r, minPairs, psi) {
 			dst = append(dst, int32(k))
@@ -126,61 +110,110 @@ func (d *detector) survivors(p int, psi float64, dst []int32) []int32 {
 	return dst
 }
 
-// resolveSymbol computes the exact per-phase counts F2(s_k, π_{p,l}) for one
-// surviving symbol and emits the qualifying periodicities in phase order.
-// The match bits are walked by period block, and the touched phases are read
-// back in order from a p-bit mark, so the cost is O(n/64 + n/p + matches)
-// with no division per match and no sort.
-func (d *detector) resolveSymbol(k, p int, psi float64, emit func(SymbolPeriodicity)) {
-	d.match = d.ind.MatchSet(k, p, d.match)
-	if cap(d.counts) < p {
-		d.counts = make([]int, p)
+// resolve computes the exact per-phase counts F2(s_k, π_{p,l}) of the
+// surviving symbols surv (ascending), one table row each, with the lag-match
+// phase kernel, and emits the qualifying periodicities in canonical order.
+// Its cost is the survivors' words and matches plus one pass over the table.
+func (d *detector) resolve(p int, surv []int32, psi float64, emit func(SymbolPeriodicity)) {
+	if len(surv) == 0 {
+		return
 	}
-	counts := d.counts[:p]
-	words := (p + 63) / 64
-	if cap(d.mark) < words {
-		d.mark = make([]uint64, words)
+	table := d.scratch(len(surv) * p)
+	for r, k := range surv {
+		d.ind.Vector(int(k)).AddLagPhases(p, table[r*p:(r+1)*p])
 	}
-	mark := d.mark[:words]
-	d.match.ForEachPhase(p, func(l int) {
-		counts[l]++
-		mark[l>>6] |= 1 << uint(l&63)
-	})
-	// Only marked phases can qualify (F2 > 0).
-	for wi, w := range mark {
-		for w != 0 {
-			l := wi<<6 + bits.TrailingZeros64(w)
-			w &= w - 1
-			d.emitIf(k, p, l, counts[l], psi, emit)
-			counts[l] = 0
+	d.emitTable(p, table, surv, psi, emit)
+}
+
+// scratch returns the first cells of the phase-count table, which are zero:
+// emitTable zeroes every cell it reads, and the table grows geometrically,
+// so a worker allocates it O(log) times per mine rather than per period.
+func (d *detector) scratch(cells int) []int {
+	if cap(d.table) < cells {
+		d.table = make([]int, max(cells, 2*cap(d.table)))
+	}
+	return d.table[:cells]
+}
+
+// emitTable emits the qualifying cells of a rows×p phase-count table (row r,
+// phase l at r·p+l) in canonical order — by position, then by ascending
+// symbol — and zeroes every cell. syms[r] is row r's symbol, ascending; nil
+// means row r holds symbol r. Acceptance is one integer compare per cell
+// against the period's bar.
+func (d *detector) emitTable(p int, table []int, syms []int32, psi float64, emit func(SymbolPeriodicity)) {
+	bar := newPeriodBar(d.n(), p, d.minPairs, psi)
+	rows := len(table) / p
+	minF2, pairs := bar.minF2[0], bar.pairs[0]
+	for l := 0; l < p; l++ {
+		if l == bar.split {
+			minF2, pairs = bar.minF2[1], bar.pairs[1]
 		}
-		mark[wi] = 0
+		for r, c := 0, l; r < rows; r, c = r+1, c+p {
+			if f2 := table[c]; f2 >= minF2 {
+				k := r
+				if syms != nil {
+					k = int(syms[r])
+				}
+				emit(periodicity(k, p, l, f2, pairs))
+			}
+			table[c] = 0
+		}
 	}
 }
 
-func (d *detector) emitIf(k, p, l, f2 int, psi float64, emit func(SymbolPeriodicity)) {
-	pairs := pairsAt(d.n(), p, l)
-	if pairs < d.minPairs || f2 == 0 {
-		return
+// periodBar is one period's Definition-1 test in integer form. Writing
+// n = q·p + r, phases l < r (= split) have pairsAt = q consecutive slot pairs
+// and the rest q − 1, so two thresholds cover every phase: a count F2 at a
+// phase qualifies iff F2 ≥ minF2 of its pair count.
+type periodBar struct {
+	split int
+	pairs [2]int
+	minF2 [2]int
+}
+
+// newPeriodBar builds the bar of period p. A pair count below minPairs
+// (≥ 1) gets a minimum no count reaches.
+func newPeriodBar(n, p, minPairs int, psi float64) periodBar {
+	q := n / p
+	b := periodBar{split: n % p, pairs: [2]int{q, q - 1}}
+	for j, pairs := range b.pairs {
+		b.minF2[j] = math.MaxInt
+		if pairs >= minPairs {
+			b.minF2[j] = minQualifyingF2(pairs, psi)
+		}
 	}
-	if qualifies(f2, pairs, psi) {
-		emit(periodicity(k, p, l, f2, pairs))
+	return b
+}
+
+// minQualifyingF2 returns the smallest F2 ≥ 1 that qualifies(F2, pairs, psi)
+// accepts, or pairs+1 when none does. It searches qualifies itself — which
+// is monotone in F2, as IEEE division rounds monotonically — starting from
+// ⌈ψ·pairs⌉, so a ψ that lands exactly on an observed confidence gets the
+// answer qualifies gives.
+func minQualifyingF2(pairs int, psi float64) int {
+	f := min(max(int(math.Ceil(psi*float64(pairs))), 1), pairs+1)
+	for f > 1 && qualifies(f-1, pairs, psi) {
+		f--
 	}
+	for f <= pairs && !qualifies(f, pairs, psi) {
+		f++
+	}
+	return f
 }
 
 // occurrenceSet returns the bit set over occurrence indices m ∈ [0, ⌊n/p⌋)
 // with bit m set iff t_{mp+l} = t_{(m+1)p+l} = s_k, i.e. the occurrences at
 // which the single-symbol pattern (s_k at position l, period p) holds. It
-// probes match bit m·p+l for each m, so it costs O(n/p) after the match set.
+// tests the indicator bits m·p+l and (m+1)·p+l directly, so it costs O(n/p).
 func (d *detector) occurrenceSet(k, p, l int) *bitvec.Vector {
 	if d.ind == nil {
 		d.ind = conv.NewIndicators(d.s)
 	}
-	total := d.n() / p
+	n, v := d.n(), d.ind.Vector(k)
+	total := n / p
 	occ := bitvec.New(total)
-	d.match = d.ind.MatchSet(k, p, d.match)
-	for m, i := 0, l; m < total; m, i = m+1, i+p {
-		if d.match.Get(i) {
+	for m, i := 0, l; m < total && i+p < n; m, i = m+1, i+p {
+		if v.Get(i) && v.Get(i+p) {
 			occ.Set(m)
 		}
 	}

@@ -6,11 +6,8 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"slices"
-	"sort"
 
 	"periodica/internal/series"
 )
@@ -188,29 +185,20 @@ func MineContext(ctx context.Context, s *series.Series, opt Options) (*Result, e
 	return MineWorkers(ctx, s, opt, 1)
 }
 
-// finishResult sorts the collected periodicities, derives the period list,
-// and forms the Definition-2 single-symbol patterns, whose one-entry Fixed
-// slices share a single backing array.
-func finishResult(res *Result, periodSet map[int]bool) {
-	for p := range periodSet {
-		res.Periods = append(res.Periods, p)
-	}
-	sort.Ints(res.Periods)
-	slices.SortFunc(res.Periodicities, func(a, b SymbolPeriodicity) int {
-		if c := cmp.Compare(a.Period, b.Period); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.Position, b.Position); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Symbol, b.Symbol)
-	})
+// finishResult derives the period list from the periodicities, which are
+// in canonical order (period, position, symbol), and forms the Definition-2
+// single-symbol patterns, whose one-entry Fixed slices share a single
+// backing array.
+func finishResult(res *Result) {
 	if len(res.Periodicities) == 0 {
 		return
 	}
 	fixed := make([]FixedSymbol, len(res.Periodicities))
 	res.SingleSymbol = make([]Pattern, len(res.Periodicities))
 	for i, sp := range res.Periodicities {
+		if i == 0 || sp.Period != res.Periodicities[i-1].Period {
+			res.Periods = append(res.Periods, sp.Period)
+		}
 		res.SingleSymbol[i] = singlePattern(sp, fixed[i:i+1:i+1])
 	}
 }

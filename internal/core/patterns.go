@@ -3,7 +3,6 @@ package core
 import (
 	"cmp"
 	"slices"
-	"sort"
 	"strings"
 
 	"periodica/internal/alphabet"
@@ -111,30 +110,28 @@ type slot struct {
 // the support of an extension never exceeds that of its prefix, so a prefix
 // below threshold prunes its whole subtree.
 //
+// pers must be in canonical order (period, position, symbol). The patterns
+// come out in the result order — by period, then descending support, then
+// as if written out position by position with a don't-care before every
+// symbol and symbols in index order — without a comparator sort: periods
+// are walked in order, the DFS finds one period's patterns in the last of
+// those orders, and a stable counting sort by count orders them by support,
+// whose denominator ⌊n/p⌋ the whole period shares.
+//
 // sched, when non-nil, supplies cancellation: it is polled between
 // occurrence-set builds and ticked every DFS chunk, so a cancelled context
 // aborts the stage with that error and no patterns.
 func minePatterns(det *detector, pers []SymbolPeriodicity, opt Options, sched *exec.Scheduler) (out []Pattern, truncated bool, err error) {
-	byPeriod := map[int][]SymbolPeriodicity{}
-	for _, sp := range pers {
-		if sp.Period <= opt.MaxPatternPeriod {
-			byPeriod[sp.Period] = append(byPeriod[sp.Period], sp)
+	var rank []int // counting-sort scratch
+	for len(pers) > 0 && pers[0].Period <= opt.MaxPatternPeriod {
+		p, end := pers[0].Period, 1
+		for end < len(pers) && pers[end].Period == p {
+			end++
 		}
-	}
-	var periods []int
-	for p := range byPeriod {
-		periods = append(periods, p)
-	}
-	sort.Ints(periods)
-
-	for _, p := range periods {
-		group := byPeriod[p]
-		distinct := map[int]bool{}
-		for _, sp := range group {
-			distinct[sp.Position] = true
-		}
-		if len(distinct) < 2 {
-			continue // no way to place two fixed symbols
+		group := pers[:end]
+		pers = pers[end:]
+		if group[0].Position == group[len(group)-1].Position {
+			continue // one position: no way to place two fixed symbols
 		}
 		slots := make([][]slot, p)
 		for _, sp := range group {
@@ -158,25 +155,47 @@ func minePatterns(det *detector, pers []SymbolPeriodicity, opt Options, sched *e
 		if e.err != nil {
 			return nil, false, e.err
 		}
-		out = append(out, e.found...)
+		out, rank = appendByCount(out, e.found, rank)
 		if e.truncated {
 			truncated = true
 			break
 		}
 	}
-	slices.SortFunc(out, func(a, b Pattern) int {
-		if a.Period != b.Period {
-			return cmp.Compare(a.Period, b.Period)
-		}
-		if a.Support != b.Support { //opvet:ignore floatcmp exact tie-break in sort comparator
-			if a.Support > b.Support {
-				return -1
-			}
-			return 1
-		}
-		return compareFixed(a.Fixed, b.Fixed)
-	})
 	return out, truncated, nil
+}
+
+// appendByCount appends found to out in descending Count order, stably, and
+// returns out with the grown rank scratch. It is a counting sort over the
+// range of counts found spans, so it costs O(len(found) + that range).
+func appendByCount(out, found []Pattern, rank []int) ([]Pattern, []int) {
+	if len(found) < 2 {
+		return append(out, found...), rank
+	}
+	lo, hi := found[0].Count, found[0].Count
+	for _, pt := range found[1:] {
+		lo, hi = min(lo, pt.Count), max(hi, pt.Count)
+	}
+	// rank[hi−c] first counts the patterns of count c, then holds the next
+	// free index for them in out.
+	width := hi - lo + 1
+	if cap(rank) < width {
+		rank = make([]int, width)
+	}
+	rank = rank[:width]
+	clear(rank)
+	for _, pt := range found {
+		rank[hi-pt.Count]++
+	}
+	next := len(out)
+	for i, c := range rank {
+		rank[i], next = next, next+c
+	}
+	out = slices.Grow(out, len(found))[:next]
+	for _, pt := range found {
+		out[rank[hi-pt.Count]] = pt
+		rank[hi-pt.Count]++
+	}
+	return out, rank
 }
 
 // compareFixed orders two patterns of one period as if each were written out

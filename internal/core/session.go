@@ -280,8 +280,9 @@ func (sweepPeriods) run(ses *session) error {
 // resolvePhases is the resolve stage: for each period's surviving symbols it
 // computes the exact per-phase counts F2(s_k, π_{p,l}) and emits the
 // Definition-1 periodicities, sharded per period with per-worker scratch.
-// Results land in per-period slots, so the assembled Result is identical at
-// any worker count.
+// Results land in per-period slots, each already in canonical order
+// (position, then symbol), so concatenating them in period order yields the
+// canonical Result with no sort, identical at any worker count.
 type resolvePhases struct{}
 
 func (resolvePhases) name() string { return "resolve" }
@@ -289,9 +290,10 @@ func (resolvePhases) name() string { return "resolve" }
 // collectPerPeriod is the shared heart of the resolve stage: for each
 // candidate period's surviving symbols it computes the exact per-phase counts
 // F2(s_k, π_{p,l}), sharded per period over the scheduler with per-worker
-// scratch. Slot i holds period MinPeriod+i's periodicities — the per-period
-// slot seam that makes results byte-identical at any worker count, and that
-// the distributed tier ships across processes.
+// scratch. Slot i holds period MinPeriod+i's periodicities, by position and
+// then by ascending symbol — the per-period slot seam that makes results
+// byte-identical at any worker count, and that the distributed tier ships
+// across processes.
 func collectPerPeriod(ses *session) ([][]SymbolPeriodicity, error) {
 	lo := ses.opt.MinPeriod
 	span := ses.opt.MaxPeriod - lo + 1
@@ -311,12 +313,10 @@ func collectPerPeriod(ses *session) ([][]SymbolPeriodicity, error) {
 				det.detectNaive(p, ses.opt.Threshold, emit)
 				return nil
 			}
-			for _, k := range ses.surv[i] {
-				if err := ses.sched.Tick(1); err != nil {
-					return err
-				}
-				det.resolveSymbol(int(k), p, ses.opt.Threshold, emit)
+			if err := ses.sched.Tick(int64(len(ses.surv[i]))); err != nil {
+				return err
 			}
+			det.resolve(p, ses.surv[i], ses.opt.Threshold, emit)
 			return nil
 		}
 	})
@@ -331,17 +331,18 @@ func (resolvePhases) run(ses *session) error {
 	if err != nil {
 		return err
 	}
-	lo := ses.opt.MinPeriod
-	res := &Result{N: ses.n, Sigma: ses.sigma, Threshold: ses.opt.Threshold}
-	periodSet := map[int]bool{}
-	for i, list := range perPeriod {
-		if len(list) == 0 {
-			continue
-		}
-		res.Periodicities = append(res.Periodicities, list...)
-		periodSet[lo+i] = true
+	total := 0
+	for _, list := range perPeriod {
+		total += len(list)
 	}
-	finishResult(res, periodSet)
+	res := &Result{N: ses.n, Sigma: ses.sigma, Threshold: ses.opt.Threshold}
+	if total > 0 {
+		res.Periodicities = make([]SymbolPeriodicity, 0, total)
+	}
+	for _, list := range perPeriod {
+		res.Periodicities = append(res.Periodicities, list...)
+	}
+	finishResult(res)
 	ses.res = res
 	ses.surv = nil // consumed
 	return nil

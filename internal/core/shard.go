@@ -14,7 +14,9 @@ package core
 // has a total order — merge order can never show through.
 
 import (
+	"cmp"
 	"context"
+	"slices"
 
 	"periodica/internal/conv"
 	"periodica/internal/series"
@@ -136,7 +138,6 @@ func AssembleFromSlots(ctx context.Context, s *series.Series, opt Options, slots
 		return nil, err
 	}
 	res := &Result{N: ses.n, Sigma: ses.sigma, Threshold: ses.opt.Threshold}
-	periodSet := map[int]bool{}
 	seen := map[[3]int]bool{}
 	for _, sp := range slots {
 		if sp.Symbol < 0 || sp.Symbol >= ses.sigma ||
@@ -154,12 +155,25 @@ func AssembleFromSlots(ctx context.Context, s *series.Series, opt Options, slots
 		}
 		seen[key] = true
 		res.Periodicities = append(res.Periodicities, sp)
-		periodSet[sp.Period] = true
 	}
-	finishResult(res, periodSet)
+	slices.SortFunc(res.Periodicities, compareCanonical)
+	finishResult(res)
 	ses.res = res
 	if err := ses.runPipeline(enumeratePatterns{}); err != nil {
 		return nil, err
 	}
 	return ses.res, nil
+}
+
+// compareCanonical is the canonical periodicity order: by period, then
+// position, then symbol. A local resolve emits it directly; shard slots
+// arrive in any order, so assembly sorts into it.
+func compareCanonical(a, b SymbolPeriodicity) int {
+	if c := cmp.Compare(a.Period, b.Period); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Position, b.Position); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Symbol, b.Symbol)
 }
