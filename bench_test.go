@@ -56,7 +56,7 @@ func BenchmarkFig3bCorrectnessNoisy(b *testing.B) {
 // baseline's normalized-rank confidence on inerrant data.
 func BenchmarkFig4aTrendsInerrant(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		points, err := experiments.Correctness(benchCorrectness, experiments.TrendsConfidence(false, 0, 1))
+		points, err := experiments.Correctness(benchCorrectness, experiments.TrendsConfidence(0, 1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func BenchmarkFig4bTrendsNoisy(b *testing.B) {
 	cfg.Noise = gen.Replacement
 	cfg.Ratio = 0.3
 	for i := 0; i < b.N; i++ {
-		points, err := experiments.Correctness(cfg, experiments.TrendsConfidence(false, 0, 1))
+		points, err := experiments.Correctness(cfg, experiments.TrendsConfidence(0, 1))
 		if err != nil {
 			b.Fatal(err)
 		}

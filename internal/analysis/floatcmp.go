@@ -8,9 +8,10 @@ import (
 )
 
 // FloatCmp flags == and != between floating-point or complex operands.
-// The FFT accuracy contract (see ValidateCountPrecision) rests on
-// tolerance comparisons; an exact equality on a spectrum or a count
-// before rounding is almost always a latent bug. Comparisons where both
+// The FFT accuracy contract (counts are exact only after rounding, see
+// fft.AutocorrelateCounts) rests on tolerance comparisons; an exact
+// equality on a spectrum or a count before rounding is almost always a
+// latent bug. Comparisons where both
 // operands are compile-time constants are exact and exempt, as are test
 // files (the loader already excludes them, and the rule re-checks the
 // file name so it stays correct if loading policy changes).

@@ -6,29 +6,7 @@ import (
 	"periodica/internal/gen"
 )
 
-// BenchmarkKnownPeriodMiners compares the occurrence-bitset DFS miner with
-// the hit-set (max-subpattern) formulation on repetitive data, where the
-// hit compression pays.
-func BenchmarkKnownPeriodMiners(b *testing.B) {
-	s, _, err := gen.Generate(gen.Config{Length: 50000, Period: 10, Sigma: 8, Dist: gen.Uniform,
-		Noise: gen.Replacement, NoiseRatio: 0.05, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("dfs-bitset", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			HanMine(s, 10, 0.5, 100000)
-		}
-	})
-	b.Run("hit-set", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			NewMaxSubpatternMiner(s, 10, 0.5).Mine(100000)
-		}
-	})
-}
-
-// BenchmarkPeriodFinders compares the three candidate-period approaches the
-// paper's related work covers.
+// BenchmarkPeriodFinders times the Ma–Hellerstein candidate-period finder.
 func BenchmarkPeriodFinders(b *testing.B) {
 	s, _, err := gen.Generate(gen.Config{Length: 1 << 14, Period: 25, Sigma: 10, Dist: gen.Uniform,
 		Noise: gen.Replacement, NoiseRatio: 0.1, Seed: 2})
@@ -38,11 +16,6 @@ func BenchmarkPeriodFinders(b *testing.B) {
 	b.Run("ma-hellerstein", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			MaHellerstein(s, MHConfig{})
-		}
-	})
-	b.Run("berberidis", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			Berberidis(s, BerberidisConfig{MinConfidence: 0.6})
 		}
 	})
 }

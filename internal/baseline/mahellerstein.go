@@ -1,8 +1,6 @@
-// Package baseline implements the related-work algorithms the paper compares
-// against in §1.1: the Ma–Hellerstein linear distance-based period finder,
-// the Berberidis et al. per-symbol multi-pass candidate-period finder, and a
-// Han-style partial-periodic-pattern miner for a known period (the second
-// pass those multi-pass approaches must run to obtain actual patterns).
+// Package baseline implements the Ma–Hellerstein linear distance-based
+// period finder, the related-work algorithm the paper compares against in
+// §1.1 and the quality experiment ranks beside the miner.
 package baseline
 
 import (
@@ -109,17 +107,6 @@ func occurrences(s *series.Series, k int) []int {
 		}
 	}
 	return out
-}
-
-// HasPeriod reports whether period p appears among the candidates for symbol
-// k in a MaHellerstein result.
-func HasPeriod(cands map[int][]PeriodScore, k, p int) bool {
-	for _, c := range cands[k] {
-		if c.Period == p {
-			return true
-		}
-	}
-	return false
 }
 
 // String renders a PeriodScore.

@@ -23,15 +23,6 @@ func BenchmarkAndShiftRight(b *testing.B) {
 	}
 }
 
-func BenchmarkCountMod(b *testing.B) {
-	v := benchVector(1 << 16)
-	match := v.AndShiftRight(24, nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		match.CountMod(24)
-	}
-}
-
 func BenchmarkAddLagPhases(b *testing.B) {
 	v := benchVector(1 << 16)
 	for _, p := range []int{7, 24, 400} {

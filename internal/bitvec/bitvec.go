@@ -37,12 +37,6 @@ func (v *Vector) Set(i int) {
 	v.words[i/wordBits] |= 1 << uint(i%wordBits)
 }
 
-// Clear sets bit i to 0.
-func (v *Vector) Clear(i int) {
-	v.check(i)
-	v.words[i/wordBits] &^= 1 << uint(i%wordBits)
-}
-
 // Get reports whether bit i is set.
 func (v *Vector) Get(i int) bool {
 	v.check(i)
@@ -188,18 +182,6 @@ func (v *Vector) ForEach(fn func(i int)) {
 	}
 }
 
-// CountMod returns counts[l] = number of set bits at indices i with
-// i mod p == l, for l in [0,p). This yields the per-phase match counts
-// F2(s, π_{p,l}(T)) from a lag-p match vector.
-func (v *Vector) CountMod(p int) []int {
-	if p <= 0 {
-		panic(fmt.Sprintf("bitvec: non-positive modulus %d", p))
-	}
-	counts := make([]int, p)
-	v.ForEach(func(i int) { counts[i%p]++ })
-	return counts
-}
-
 // And computes dst = v AND w; the vectors must have equal length. dst may be
 // nil or either operand.
 func (v *Vector) And(w, dst *Vector) *Vector {
@@ -255,17 +237,6 @@ func (v *Vector) Int() *big.Int {
 		z.Or(z, t)
 	}
 	return z
-}
-
-// FromInt sets the bits of a new length-n vector from the low n bits of z.
-func FromInt(z *big.Int, n int) *Vector {
-	v := New(n)
-	for i := 0; i < n; i++ {
-		if z.Bit(i) == 1 {
-			v.Set(i)
-		}
-	}
-	return v
 }
 
 // String renders the vector most-significant-bit first, matching how the

@@ -1,6 +1,7 @@
 package bitvec
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -17,7 +18,7 @@ func randomVector(rng *rand.Rand, n int, density float64) *Vector {
 	return v
 }
 
-func TestSetGetClear(t *testing.T) {
+func TestSetGet(t *testing.T) {
 	v := New(130)
 	for _, i := range []int{0, 1, 63, 64, 65, 127, 128, 129} {
 		if v.Get(i) {
@@ -26,10 +27,6 @@ func TestSetGetClear(t *testing.T) {
 		v.Set(i)
 		if !v.Get(i) {
 			t.Errorf("bit %d not set after Set", i)
-		}
-		v.Clear(i)
-		if v.Get(i) {
-			t.Errorf("bit %d still set after Clear", i)
 		}
 	}
 }
@@ -49,7 +46,7 @@ func TestOutOfRangePanics(t *testing.T) {
 	for _, fn := range []func(){
 		func() { v.Get(10) },
 		func() { v.Set(-1) },
-		func() { v.Clear(10) },
+		func() { v.Set(10) },
 	} {
 		func() {
 			defer func() {
@@ -333,9 +330,15 @@ func TestIntRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, n := range []int{1, 64, 65, 130} {
 		v := randomVector(rng, n, 0.5)
-		back := FromInt(v.Int(), n)
+		z := v.Int()
+		back := New(n)
+		for i := 0; i < n; i++ {
+			if z.Bit(i) == 1 {
+				back.Set(i)
+			}
+		}
 		if !v.Equal(back) {
-			t.Fatalf("n=%d: Int/FromInt round trip failed", n)
+			t.Fatalf("n=%d: Int round trip failed", n)
 		}
 	}
 }
@@ -386,4 +389,16 @@ func TestAndShiftRightProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// CountMod returns counts[l] = number of set bits at indices i with
+// i mod p == l, for l in [0,p). This yields the per-phase match counts
+// F2(s, π_{p,l}(T)) from a lag-p match vector.
+func (v *Vector) CountMod(p int) []int {
+	if p <= 0 {
+		panic(fmt.Sprintf("bitvec: non-positive modulus %d", p))
+	}
+	counts := make([]int, p)
+	v.ForEach(func(i int) { counts[i%p]++ })
+	return counts
 }

@@ -4,21 +4,22 @@
 // component for period p is the integer whose powers of two identify every
 // lag-p symbol match together with its symbol and starting position.
 //
-// The component values are kept in binary (bit vectors / big.Int) rather than
-// as decimal magnitudes: a value c′_p has up to σn bits, and the paper's own
-// extraction step consumes exactly its set of powers of two. Three equivalent
+// The component values are kept in binary (bit vectors) rather than as
+// decimal magnitudes: a value c′_p has up to σn bits, and the paper's own
+// extraction step consumes exactly its set of powers of two. Two equivalent
 // realizations are provided:
 //
-//   - the literal textbook pipeline (reverse, Σ 2^j x_j y_{i−j}, reverse) over
-//     big.Int, used as the O(n²)-per-series fidelity reference;
-//   - word-parallel bit operations, the production form: c′_p = T′ AND (T′ >> σp);
+//   - word-parallel bit operations: c′_p = T′ AND (T′ >> σp);
 //   - per-symbol FFT autocorrelation, giving the aggregate lag-match counts
 //     Σ_l F2(s_k, π_{p,l}) for all p in O(σ n log n).
+//
+// The literal textbook pipeline (reverse, Σ 2^j x_j y_{i−j}, reverse) over
+// big.Int is the O(n²)-per-series fidelity reference; it lives with the
+// package's tests.
 package conv
 
 import (
 	"fmt"
-	"math/big"
 	"runtime"
 
 	"periodica/internal/bitvec"
@@ -61,13 +62,6 @@ func (m *Mapped) Component(p int, dst *bitvec.Vector) *bitvec.Vector {
 	return m.TPrime.AndShiftRight(m.Sigma*p, dst)
 }
 
-// Wp returns the set W_p of powers of two contained in c′_p, ascending.
-func (m *Mapped) Wp(p int) []int {
-	var out []int
-	m.Component(p, nil).ForEach(func(w int) { out = append(out, w) })
-	return out
-}
-
 // DecodePower inverts the weight encoding for a power w found in c′_p:
 // it returns the symbol index k = w mod σ, the match start position
 // i = n−p−1−⌊w/σ⌋, and the phase l = i mod p (the paper's position formula).
@@ -76,96 +70,6 @@ func DecodePower(w, sigma, n, p int) (k, i, l int) {
 	i = n - p - 1 - w/sigma
 	l = i % p
 	return k, i, l
-}
-
-// EncodePower is the inverse of DecodePower: the weight contributed by a
-// lag-p match of symbol k starting at position i.
-func EncodePower(k, i, sigma, n, p int) int {
-	return sigma*(n-p-1-i) + k
-}
-
-// Wpk returns W_{p,k}: the powers of c′_p whose symbol is k.
-func (m *Mapped) Wpk(p, k int) []int {
-	var out []int
-	for _, w := range m.Wp(p) {
-		if w%m.Sigma == k {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
-// Wpkl returns W_{p,k,l}: the powers of c′_p with symbol k and phase l.
-// Its cardinality equals F2(s_k, π_{p,l}(T)).
-func (m *Mapped) Wpkl(p, k, l int) []int {
-	var out []int
-	for _, w := range m.Wp(p) {
-		dk, _, dl := DecodePower(w, m.Sigma, m.N, p)
-		if dk == k && dl == l {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
-// ComponentInt returns c′_p as the integer the paper reasons about
-// (Σ 2^w over matches).
-func (m *Mapped) ComponentInt(p int) *big.Int {
-	return m.Component(p, nil).Int()
-}
-
-// ModifiedConvolution computes the paper's modified convolution of two 0/1
-// sequences: z_i = Σ_{j=0}^{i} 2^j a_j b_{i−j}, for i = 0..len(a)−1.
-// Quadratic; reference implementation for fidelity tests.
-func ModifiedConvolution(a, b []uint8) []*big.Int {
-	n := len(a)
-	if len(b) != n {
-		panic(fmt.Sprintf("conv: length mismatch %d vs %d", n, len(b)))
-	}
-	out := make([]*big.Int, n)
-	for i := range out {
-		z := new(big.Int)
-		for j := 0; j <= i; j++ {
-			if a[j] != 0 && b[i-j] != 0 {
-				z.SetBit(z, j, 1)
-			}
-		}
-		out[i] = z
-	}
-	return out
-}
-
-// BinaryChars returns Φ(T) as the left-to-right character sequence of the
-// written binary vector (the form the paper feeds to the convolution), where
-// character c of symbol block i is 1 iff k = σ−1−(c mod σ) equals t_i.
-func BinaryChars(s *series.Series) []uint8 {
-	n, sigma := s.Len(), s.Alphabet().Size()
-	out := make([]uint8, sigma*n)
-	for i := 0; i < n; i++ {
-		k := s.At(i)
-		out[sigma*i+(sigma-1-k)] = 1
-	}
-	return out
-}
-
-// PaperComponents runs the literal pipeline of the paper's algorithm sketch:
-// form Φ(T), reverse one copy, take the modified convolution, reverse the
-// output, and project to the symbol start positions. The returned slice holds
-// c^T_p for p = 0..n−1. Quadratic; used to validate the bit-operation form.
-func PaperComponents(s *series.Series) []*big.Int {
-	u := BinaryChars(s)
-	rev := make([]uint8, len(u))
-	for i := range u {
-		rev[i] = u[len(u)-1-i]
-	}
-	z := ModifiedConvolution(rev, u)
-	// Reverse the output, then take every σ-th component starting at 0.
-	sigma, n := s.Alphabet().Size(), s.Len()
-	out := make([]*big.Int, n)
-	for p := 0; p < n; p++ {
-		out[p] = z[len(z)-1-sigma*p]
-	}
-	return out
 }
 
 // Indicators holds per-symbol 0/1 indicator bit vectors of a series, the
@@ -189,39 +93,8 @@ func NewIndicators(s *series.Series) *Indicators {
 	return ind
 }
 
-// EmptyIndicators builds all-zero indicators for incremental (streaming)
-// construction; call Observe for each symbol in order.
-func EmptyIndicators(n, sigma int) *Indicators {
-	ind := &Indicators{N: n, Sigma: sigma, vecs: make([]*bitvec.Vector, sigma)}
-	for k := range ind.vecs {
-		ind.vecs[k] = bitvec.New(n)
-	}
-	return ind
-}
-
-// Observe records that position i holds symbol k.
-//
-//opvet:noalloc
-func (ind *Indicators) Observe(i, k int) { ind.vecs[k].Set(i) }
-
 // Vector returns the indicator vector of symbol k.
 func (ind *Indicators) Vector(k int) *bitvec.Vector { return ind.vecs[k] }
-
-// MatchSet returns the lag-p match set of symbol k: bit i is set iff
-// t_i = t_{i+p} = s_k. Equivalent to the symbol-k bits of c′_p. dst may be
-// nil or reused storage.
-//
-//opvet:noalloc
-func (ind *Indicators) MatchSet(k, p int, dst *bitvec.Vector) *bitvec.Vector {
-	return ind.vecs[k].AndShiftRight(p, dst)
-}
-
-// F2Counts returns counts[l] = F2(s_k, π_{p,l}(T)) for l = 0..p−1, computed
-// from the lag-p match set. scratch may be nil or reused storage for the
-// match set.
-func (ind *Indicators) F2Counts(k, p int, scratch *bitvec.Vector) []int {
-	return ind.MatchSet(k, p, scratch).CountMod(p)
-}
 
 // LagMatchCounts returns, for every symbol k and every lag p in [0, n),
 // r[k][p] = |{i : t_i = t_{i+p} = s_k}| = Σ_l F2(s_k, π_{p,l}(T)), computed
@@ -296,22 +169,4 @@ func LagMatchCountsExec(s *series.Series, sched *exec.Scheduler, workers int, pl
 		return nil, err
 	}
 	return out, nil
-}
-
-// LagMatchCountsNaive is the direct O(σ n²) form of LagMatchCounts, used to
-// validate the FFT form.
-func LagMatchCountsNaive(s *series.Series) [][]int64 {
-	n, sigma := s.Len(), s.Alphabet().Size()
-	out := make([][]int64, sigma)
-	for k := range out {
-		out[k] = make([]int64, n)
-	}
-	for p := 0; p < n; p++ {
-		for i := 0; i+p < n; i++ {
-			if s.At(i) == s.At(i+p) {
-				out[s.At(i)][p]++
-			}
-		}
-	}
-	return out
 }

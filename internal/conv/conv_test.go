@@ -281,20 +281,6 @@ func TestLagMatchCountsParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestObserveBuildsSameIndicators(t *testing.T) {
-	s := series.FromString("abcabbabcb")
-	want := NewIndicators(s)
-	got := EmptyIndicators(s.Len(), s.Alphabet().Size())
-	for i := 0; i < s.Len(); i++ {
-		got.Observe(i, s.At(i))
-	}
-	for k := 0; k < s.Alphabet().Size(); k++ {
-		if !got.Vector(k).Equal(want.Vector(k)) {
-			t.Fatalf("indicator %d differs", k)
-		}
-	}
-}
-
 func TestModifiedConvolutionSmall(t *testing.T) {
 	// a = [1,1], b = [1,0]: z_0 = 2^0·a0·b0 = 1; z_1 = 2^0·a0·b1 + 2^1·a1·b0 = 2.
 	z := ModifiedConvolution([]uint8{1, 1}, []uint8{1, 0})
@@ -329,8 +315,12 @@ func TestUnmodifiedMatchCountViaWp(t *testing.T) {
 	if got := len(m.Wp(1)); got != 3 {
 		t.Fatalf("|W_1| = %d, want 3", got)
 	}
-	if got := s.MatchCount(1); got != 3 {
-		t.Fatalf("MatchCount(1) = %d, want 3", got)
+	var lag1 int64
+	for _, r := range LagMatchCounts(s) {
+		lag1 += r[1]
+	}
+	if lag1 != 3 {
+		t.Fatalf("lag-1 matches from LagMatchCounts = %d, want 3", lag1)
 	}
 }
 

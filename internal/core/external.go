@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 
 	"periodica/internal/fft"
-	"periodica/internal/series"
 )
 
 // ExternalConfig tunes the on-disk detection path.
@@ -153,18 +152,4 @@ func (st fileDetect) run(ses *session) error {
 		}
 	}
 	return nil
-}
-
-// WriteSeriesFile stores s in the on-disk format DetectCandidatesFile
-// accepts.
-func WriteSeriesFile(path string, s *series.Series) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := series.WriteBinary(f, s); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -24,7 +24,7 @@ func TestDetectCandidatesFileMatchesInMemory(t *testing.T) {
 	}
 	s := series.FromIndices(alphabet.Letters(4), idx)
 	path := filepath.Join(t.TempDir(), "series.bin")
-	if err := WriteSeriesFile(path, s); err != nil {
+	if err := writeSeriesFile(path, s); err != nil {
 		t.Fatal(err)
 	}
 
@@ -68,7 +68,7 @@ func TestDetectCandidatesFileValidates(t *testing.T) {
 
 	s := series.FromString("abcabc")
 	ok := filepath.Join(dir, "ok.bin")
-	if err := WriteSeriesFile(ok, s); err != nil {
+	if err := writeSeriesFile(ok, s); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := DetectCandidatesFile(ok, 0, 0, ExternalConfig{}); !errors.Is(err, ErrInvalidInput) {
@@ -85,4 +85,18 @@ func TestDetectCandidatesFileValidates(t *testing.T) {
 	if _, err := DetectCandidatesFile(truncated, 0.5, 0, ExternalConfig{}); err == nil {
 		t.Fatal("truncated body: want error")
 	}
+}
+
+// writeSeriesFile stores s in the on-disk format DetectCandidatesFile
+// accepts.
+func writeSeriesFile(path string, s *series.Series) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := series.WriteBinary(f, s); err != nil {
+		_ = f.Close()
+		return err
+	}
+	return f.Close()
 }

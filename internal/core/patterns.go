@@ -35,16 +35,6 @@ type Pattern struct {
 // FixedSymbols returns the number of non-don't-care positions.
 func (pt Pattern) FixedSymbols() int { return len(pt.Fixed) }
 
-// SymbolAt returns the symbol pinned at position l, or DontCare.
-func (pt Pattern) SymbolAt(l int) int {
-	for _, f := range pt.Fixed {
-		if f.Position == l {
-			return f.Symbol
-		}
-	}
-	return DontCare
-}
-
 // Render returns the pattern with '*' for don't-care positions, e.g. "a*b".
 func (pt Pattern) Render(alpha *alphabet.Alphabet) string {
 	var b strings.Builder

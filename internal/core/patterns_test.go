@@ -63,16 +63,6 @@ func TestFilterMaximalOnMinedOutput(t *testing.T) {
 	}
 }
 
-func TestSymbolAt(t *testing.T) {
-	pt := Pattern{Period: 4, Fixed: fixed(1, 2, 3, 0)}
-	if pt.SymbolAt(0) != DontCare || pt.SymbolAt(2) != DontCare {
-		t.Fatal("don't-care positions wrong")
-	}
-	if pt.SymbolAt(1) != 2 || pt.SymbolAt(3) != 0 {
-		t.Fatal("fixed positions wrong")
-	}
-}
-
 func TestSubsumesOrdering(t *testing.T) {
 	big := Pattern{Period: 5, Fixed: fixed(0, 1, 2, 2, 4, 0)}
 	small := Pattern{Period: 5, Fixed: fixed(2, 2, 4, 0)}

@@ -39,26 +39,6 @@ func (sig *Significance) PValue(sp SymbolPeriodicity) float64 {
 	return binomialUpperTail(sp.Pairs, sp.F2, sig.rates[sp.Symbol])
 }
 
-// FilterSignificant keeps the periodicities whose p-value is at most alpha.
-// When bonferroniTests > 0, alpha is divided by that count — pass the number
-// of (symbol, period, position) combinations examined (TestsForRange) to
-// correct for multiple testing.
-func (sig *Significance) FilterSignificant(pers []SymbolPeriodicity, alpha float64, bonferroniTests int) ([]SymbolPeriodicity, error) {
-	if alpha <= 0 || alpha > 1 {
-		return nil, fmt.Errorf("core: alpha %v outside (0,1]", alpha)
-	}
-	if bonferroniTests > 0 {
-		alpha /= float64(bonferroniTests)
-	}
-	var out []SymbolPeriodicity
-	for _, sp := range pers {
-		if sig.PValue(sp) <= alpha {
-			out = append(out, sp)
-		}
-	}
-	return out, nil
-}
-
 // TestsForRange returns the number of (symbol, period, position) hypotheses
 // examined when mining σ symbols over periods [minPeriod, maxPeriod]:
 // σ · Σ p.

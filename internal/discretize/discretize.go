@@ -1,13 +1,12 @@
 // Package discretize turns numeric feature values into the nominal symbol
 // levels the miner operates on (§2.1 of the paper; both real-data experiments
 // use five levels from "very low" to "very high"). Schemes: explicit
-// breakpoints (how the paper's domain experts set levels), equal-width bins,
-// and quantile bins.
+// breakpoints (how the paper's domain experts set levels) and equal-width
+// bins.
 package discretize
 
 import (
 	"fmt"
-	"sort"
 
 	"periodica/internal/alphabet"
 	"periodica/internal/series"
@@ -49,31 +48,6 @@ func NewEqualWidth(min, max float64, levels int) (Scheme, error) {
 	width := (max - min) / float64(levels)
 	for i := range breaks {
 		breaks[i] = min + width*float64(i+1)
-	}
-	return Scheme{breakpoints: breaks}, nil
-}
-
-// NewQuantile places breakpoints at the empirical quantiles of values so each
-// level receives roughly the same mass.
-func NewQuantile(values []float64, levels int) (Scheme, error) {
-	if levels < 2 {
-		return Scheme{}, fmt.Errorf("discretize: levels %d < 2", levels)
-	}
-	if len(values) < levels {
-		return Scheme{}, fmt.Errorf("discretize: %d values for %d levels", len(values), levels)
-	}
-	sorted := make([]float64, len(values))
-	copy(sorted, values)
-	sort.Float64s(sorted)
-	var breaks []float64
-	for i := 1; i < levels; i++ {
-		q := sorted[i*len(sorted)/levels]
-		if len(breaks) == 0 || q > breaks[len(breaks)-1] {
-			breaks = append(breaks, q)
-		}
-	}
-	if len(breaks) != levels-1 {
-		return Scheme{}, fmt.Errorf("discretize: values too uniform for %d levels", levels)
 	}
 	return Scheme{breakpoints: breaks}, nil
 }

@@ -60,38 +60,6 @@ func TestNewEqualWidthValidates(t *testing.T) {
 	}
 }
 
-func TestNewQuantileBalances(t *testing.T) {
-	values := make([]float64, 1000)
-	for i := range values {
-		values[i] = float64(i)
-	}
-	s, err := NewQuantile(values, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := make([]int, s.Levels())
-	for _, v := range values {
-		counts[s.Level(v)]++
-	}
-	for lvl, c := range counts {
-		if c < 200 || c > 300 {
-			t.Fatalf("quantile level %d holds %d of 1000 values", lvl, c)
-		}
-	}
-}
-
-func TestNewQuantileValidates(t *testing.T) {
-	if _, err := NewQuantile([]float64{1, 2}, 5); err == nil {
-		t.Fatal("too few values: want error")
-	}
-	if _, err := NewQuantile([]float64{1, 1, 1, 1, 1}, 3); err == nil {
-		t.Fatal("constant values: want error")
-	}
-	if _, err := NewQuantile([]float64{1, 2, 3}, 1); err == nil {
-		t.Fatal("levels=1: want error")
-	}
-}
-
 func TestApply(t *testing.T) {
 	s, err := NewBreakpoints([]float64{10, 20})
 	if err != nil {

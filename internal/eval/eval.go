@@ -1,62 +1,9 @@
-// Package eval scores detected period sets against a known ground-truth
-// period, with harmonic awareness: every multiple of the embedded period is
-// a correct answer (the series repeats at 2P as surely as at P), while
-// anything else is a false alarm. Used by the quality experiments comparing
-// the miner to the other detectors.
+// Package eval scores a ranked candidate-period list against a known
+// ground-truth period, with harmonic awareness: every multiple of the
+// embedded period is a correct answer (the series repeats at 2P as surely
+// as at P). Used by the quality experiment comparing the miner to the other
+// detectors.
 package eval
-
-import "fmt"
-
-// Metrics scores one detected period set.
-type Metrics struct {
-	TruePeriod int
-	// Hit reports that the exact true period was detected.
-	Hit bool
-	// HitHarmonic reports that some multiple of the true period was
-	// detected.
-	HitHarmonic bool
-	// Precision is the fraction of detected periods that are multiples of
-	// the true period (1 when nothing was detected is not granted: an empty
-	// detection has precision 0 by convention here, to penalize silence).
-	Precision float64
-	// Recall is the fraction of the true period's in-range multiples that
-	// were detected.
-	Recall float64
-	// Detected is the size of the evaluated set.
-	Detected int
-}
-
-// Evaluate scores detected (any order) against truePeriod, considering
-// multiples up to maxPeriod.
-func Evaluate(detected []int, truePeriod, maxPeriod int) (Metrics, error) {
-	if truePeriod < 1 {
-		return Metrics{}, fmt.Errorf("eval: true period %d < 1", truePeriod)
-	}
-	if maxPeriod < truePeriod {
-		return Metrics{}, fmt.Errorf("eval: maxPeriod %d below true period %d", maxPeriod, truePeriod)
-	}
-	m := Metrics{TruePeriod: truePeriod, Detected: len(detected)}
-	correct := 0
-	hitMultiples := map[int]bool{}
-	for _, p := range detected {
-		if p == truePeriod {
-			m.Hit = true
-		}
-		if p > 0 && p%truePeriod == 0 {
-			m.HitHarmonic = true
-			correct++
-			hitMultiples[p/truePeriod] = true
-		}
-	}
-	if len(detected) > 0 {
-		m.Precision = float64(correct) / float64(len(detected))
-	}
-	totalMultiples := maxPeriod / truePeriod
-	if totalMultiples > 0 {
-		m.Recall = float64(len(hitMultiples)) / float64(totalMultiples)
-	}
-	return m, nil
-}
 
 // RankOfTrue returns the 1-based position of the first multiple of
 // truePeriod in a ranked candidate list, or 0 when absent.
@@ -67,14 +14,4 @@ func RankOfTrue(ranked []int, truePeriod int) int {
 		}
 	}
 	return 0
-}
-
-// HitAtK reports whether a multiple of truePeriod appears within the first k
-// entries of a ranked candidate list.
-func HitAtK(ranked []int, truePeriod, k int) bool {
-	if k > len(ranked) {
-		k = len(ranked)
-	}
-	r := RankOfTrue(ranked[:k], truePeriod)
-	return r > 0
 }

@@ -1,72 +1,6 @@
 package eval
 
-import (
-	"testing"
-	"testing/quick"
-)
-
-func TestEvaluateExactHit(t *testing.T) {
-	m, err := Evaluate([]int{25, 50, 7}, 25, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !m.Hit || !m.HitHarmonic {
-		t.Fatalf("hit flags wrong: %+v", m)
-	}
-	// 2 of 3 detected are multiples; 2 of 4 in-range multiples found.
-	if m.Precision != 2.0/3.0 {
-		t.Fatalf("precision %v", m.Precision)
-	}
-	if m.Recall != 0.5 {
-		t.Fatalf("recall %v", m.Recall)
-	}
-}
-
-func TestEvaluateHarmonicOnly(t *testing.T) {
-	m, err := Evaluate([]int{50}, 25, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Hit {
-		t.Fatal("exact hit reported for harmonic")
-	}
-	if !m.HitHarmonic || m.Precision != 1 {
-		t.Fatalf("harmonic scoring wrong: %+v", m)
-	}
-}
-
-func TestEvaluateEmptyDetection(t *testing.T) {
-	m, err := Evaluate(nil, 10, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Hit || m.HitHarmonic || m.Precision != 0 || m.Recall != 0 {
-		t.Fatalf("empty detection scored %+v", m)
-	}
-}
-
-func TestEvaluateDuplicateMultiplesCountOnce(t *testing.T) {
-	m, err := Evaluate([]int{20, 20, 20}, 10, 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Recall counts distinct multiples: only 20 of {10,20,30,40}.
-	if m.Recall != 0.25 {
-		t.Fatalf("recall %v, want 0.25", m.Recall)
-	}
-	if m.Precision != 1 {
-		t.Fatalf("precision %v, want 1", m.Precision)
-	}
-}
-
-func TestEvaluateValidates(t *testing.T) {
-	if _, err := Evaluate(nil, 0, 10); err == nil {
-		t.Fatal("true period 0: want error")
-	}
-	if _, err := Evaluate(nil, 10, 5); err == nil {
-		t.Fatal("maxPeriod < true: want error")
-	}
-}
+import "testing"
 
 func TestRankOfTrue(t *testing.T) {
 	ranked := []int{13, 7, 50, 25}
@@ -75,36 +9,5 @@ func TestRankOfTrue(t *testing.T) {
 	}
 	if got := RankOfTrue(ranked, 11); got != 0 {
 		t.Fatalf("rank %d for absent period, want 0", got)
-	}
-}
-
-func TestHitAtK(t *testing.T) {
-	ranked := []int{13, 7, 50, 25}
-	if HitAtK(ranked, 25, 2) {
-		t.Fatal("hit@2 should be false")
-	}
-	if !HitAtK(ranked, 25, 3) {
-		t.Fatal("hit@3 should be true")
-	}
-	if !HitAtK(ranked, 25, 100) {
-		t.Fatal("k beyond list should clamp")
-	}
-}
-
-func TestPrecisionRecallBoundsProperty(t *testing.T) {
-	f := func(periods []uint16, trueRaw uint8) bool {
-		truePeriod := int(trueRaw)%50 + 1
-		detected := make([]int, 0, len(periods))
-		for _, p := range periods {
-			detected = append(detected, int(p)%200+1)
-		}
-		m, err := Evaluate(detected, truePeriod, 200)
-		if err != nil {
-			return false
-		}
-		return m.Precision >= 0 && m.Precision <= 1 && m.Recall >= 0 && m.Recall <= 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

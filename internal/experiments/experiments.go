@@ -33,17 +33,11 @@ func MinerConfidence() ConfidenceFunc {
 	}
 }
 
-// TrendsConfidence scores a period by the trends baseline's normalized rank;
-// sketched selects the O(n log² n) sketch estimator over the exact distances.
-func TrendsConfidence(sketched bool, repetitions int, seed int64) ConfidenceFunc {
+// TrendsConfidence scores a period by the trends baseline's normalized rank,
+// estimated with its published O(n log² n) sketch.
+func TrendsConfidence(repetitions int, seed int64) ConfidenceFunc {
 	return func(s *series.Series) (func(p int) float64, error) {
-		var r *trends.Ranking
-		var err error
-		if sketched {
-			r, err = trends.Sketched(s, 0, repetitions, seed)
-		} else {
-			r, err = trends.Exact(s, 0)
-		}
+		r, err := trends.Sketched(s, 0, repetitions, seed)
 		if err != nil {
 			return nil, err
 		}

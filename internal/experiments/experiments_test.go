@@ -62,7 +62,7 @@ func TestCorrectnessTrendsBiasTowardLargePeriods(t *testing.T) {
 	cfg.Noise = gen.Replacement
 	cfg.Ratio = 0.3
 	cfg.Runs = 3
-	points, err := Correctness(cfg, TrendsConfidence(false, 0, 1))
+	points, err := Correctness(cfg, TrendsConfidence(0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestCorrectnessTrendsBiasTowardLargePeriods(t *testing.T) {
 func TestCorrectnessTrendsInerrantHighAtTruePeriod(t *testing.T) {
 	// Fig. 4(a): on inerrant data the trends baseline also ranks P and its
 	// multiples near the top.
-	points, err := Correctness(quickCorrectness, TrendsConfidence(false, 0, 1))
+	points, err := Correctness(quickCorrectness, TrendsConfidence(0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,22 +81,6 @@ func BenchmarkPlanPairCounts(b *testing.B) {
 	}
 }
 
-func BenchmarkConvolve(b *testing.B) {
-	for _, n := range []int{1 << 10, 1 << 14} {
-		rng := rand.New(rand.NewSource(2))
-		x := make([]float64, n)
-		y := make([]float64, n)
-		for i := range x {
-			x[i], y[i] = rng.NormFloat64(), rng.NormFloat64()
-		}
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				Convolve(x, y)
-			}
-		})
-	}
-}
-
 func BenchmarkAutocorrelateCounts(b *testing.B) {
 	for _, n := range []int{1 << 12, 1 << 16} {
 		rng := rand.New(rand.NewSource(3))
@@ -131,7 +115,7 @@ func BenchmarkExternalVsInMemory(b *testing.B) {
 		path := filepath.Join(dir, "data.cpx")
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			if err := WriteComplexFile(path, data); err != nil {
+			if err := writeComplexFile(path, data); err != nil {
 				b.Fatal(err)
 			}
 			b.StartTimer()

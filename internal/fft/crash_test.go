@@ -32,7 +32,7 @@ func crashInput() []complex128 {
 func writeCrashInput(t *testing.T, dir string) (string, []byte) {
 	t.Helper()
 	path := filepath.Join(dir, "data.cpx")
-	if err := WriteComplexFile(path, crashInput()); err != nil {
+	if err := writeComplexFile(path, crashInput()); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)

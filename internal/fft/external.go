@@ -420,34 +420,6 @@ func copyFile(src, dst iofault.File, n int) error {
 	return err
 }
 
-// WriteComplexFile writes values as a complex file TransformFile accepts.
-func WriteComplexFile(path string, values []complex128) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := writeComplex(f, 0, values); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// ReadComplexFile reads n complex values from a file written by
-// WriteComplexFile or produced by TransformFile.
-func ReadComplexFile(path string, n int) ([]complex128, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = f.Close() }() // read-only; nothing to lose on close
-	out := make([]complex128, n)
-	if err := readComplex(f, 0, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // AutocorrelateFile computes the lag-match counts r[p] = Σ_i x_i·x_{i+p} of
 // a 0/1 indicator stored on disk (one byte per position, values 0 or 1),
 // running the convolution entirely through the external FFT: the padded

@@ -11,7 +11,7 @@ import (
 func writeTempComplex(t *testing.T, values []complex128) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "data.cpx")
-	if err := WriteComplexFile(path, values); err != nil {
+	if err := writeComplexFile(path, values); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -27,7 +27,7 @@ func TestTransformFileMatchesInMemory(t *testing.T) {
 		if err := TransformFile(path, n, false, opts); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		got, err := ReadComplexFile(path, n)
+		got, err := readComplexFile(path, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func TestTransformFileInverseRoundTrip(t *testing.T) {
 	if err := TransformFile(path, n, true, opts); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadComplexFile(path, n)
+	got, err := readComplexFile(path, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,4 +111,32 @@ func TestAutocorrelateFileMissing(t *testing.T) {
 	if _, err := AutocorrelateFile(filepath.Join(t.TempDir(), "nope"), 10, ExternalOptions{}); err == nil {
 		t.Fatal("missing file: want error")
 	}
+}
+
+// writeComplexFile writes values as a complex file TransformFile accepts.
+func writeComplexFile(path string, values []complex128) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := writeComplex(f, 0, values); err != nil {
+		_ = f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// readComplexFile reads n complex values from a file written by
+// writeComplexFile or produced by TransformFile.
+func readComplexFile(path string, n int) ([]complex128, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer func() { _ = f.Close() }() // read-only; nothing to lose on close
+	out := make([]complex128, n)
+	if err := readComplex(f, 0, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }

@@ -5,7 +5,6 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 const eps = 1e-7
@@ -136,59 +135,6 @@ func TestParseval(t *testing.T) {
 	}
 }
 
-func convolveNaive(a, b []float64) []float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	out := make([]float64, len(a)+len(b)-1)
-	for i := range a {
-		for j := range b {
-			out[i+j] += a[i] * b[j]
-		}
-	}
-	return out
-}
-
-func TestConvolveMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, pair := range [][2]int{{1, 1}, {3, 5}, {17, 17}, {100, 31}, {64, 64}} {
-		a := make([]float64, pair[0])
-		b := make([]float64, pair[1])
-		for i := range a {
-			a[i] = rng.NormFloat64()
-		}
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		got := Convolve(a, b)
-		want := convolveNaive(a, b)
-		if len(got) != len(want) {
-			t.Fatalf("len = %d, want %d", len(got), len(want))
-		}
-		for i := range got {
-			if math.Abs(got[i]-want[i]) > 1e-7 {
-				t.Fatalf("Convolve[%d] = %g, want %g", i, got[i], want[i])
-			}
-		}
-	}
-}
-
-func TestConvolveEmpty(t *testing.T) {
-	if Convolve(nil, []float64{1}) != nil || Convolve([]float64{1}, nil) != nil {
-		t.Fatal("Convolve with empty input: want nil")
-	}
-}
-
-func TestConvolveIdentity(t *testing.T) {
-	a := []float64{3, 1, 4, 1, 5}
-	got := Convolve(a, []float64{1})
-	for i := range a {
-		if math.Abs(got[i]-a[i]) > 1e-9 {
-			t.Fatalf("Convolve with delta: got %v", got)
-		}
-	}
-}
-
 func crossCorrelateNaive(a, b []float64) []float64 {
 	out := make([]float64, len(b))
 	for p := range out {
@@ -197,27 +143,6 @@ func crossCorrelateNaive(a, b []float64) []float64 {
 		}
 	}
 	return out
-}
-
-func TestCrossCorrelateMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for _, pair := range [][2]int{{5, 5}, {8, 20}, {33, 7}, {100, 100}} {
-		a := make([]float64, pair[0])
-		b := make([]float64, pair[1])
-		for i := range a {
-			a[i] = rng.NormFloat64()
-		}
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		got := CrossCorrelate(a, b)
-		want := crossCorrelateNaive(a, b)
-		for p := range want {
-			if math.Abs(got[p]-want[p]) > 1e-6 {
-				t.Fatalf("CrossCorrelate[%d] = %g, want %g", p, got[p], want[p])
-			}
-		}
-	}
 }
 
 func TestAutocorrelateCountsOnIndicators(t *testing.T) {
@@ -286,6 +211,8 @@ func TestAutocorrelateCountsPairLengthMismatchPanics(t *testing.T) {
 		make([]int64, 3), make([]int64, 4), 1)
 }
 
+// TestValidateCountPrecision checks that the unrounded autocorrelation of a
+// 0/1 vector sits far inside the 0.5 margin AutocorrelateCounts rounds in.
 func TestValidateCountPrecision(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	x := make([]float64, 1<<15)
@@ -294,41 +221,11 @@ func TestValidateCountPrecision(t *testing.T) {
 			x[i] = 1
 		}
 	}
-	if worst := ValidateCountPrecision(x); worst > 1e-3 {
+	worst := 0.0
+	for _, v := range rawAutocorr(PlanFor(NextPow2(2*len(x))), x) {
+		worst = math.Max(worst, math.Abs(v-math.Round(v)))
+	}
+	if worst > 1e-3 {
 		t.Fatalf("autocorrelation count error %g too close to 0.5 at n=%d", worst, len(x))
-	}
-}
-
-func TestConvolveLinearityProperty(t *testing.T) {
-	// (a1+a2) * b == a1*b + a2*b
-	f := func(seed int64, n1, n2 uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := int(n1)%40 + 1
-		m := int(n2)%40 + 1
-		a1 := make([]float64, n)
-		a2 := make([]float64, n)
-		b := make([]float64, m)
-		for i := range a1 {
-			a1[i], a2[i] = rng.NormFloat64(), rng.NormFloat64()
-		}
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		sum := make([]float64, n)
-		for i := range sum {
-			sum[i] = a1[i] + a2[i]
-		}
-		left := Convolve(sum, b)
-		r1 := Convolve(a1, b)
-		r2 := Convolve(a2, b)
-		for i := range left {
-			if math.Abs(left[i]-(r1[i]+r2[i])) > 1e-6 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
 	}
 }

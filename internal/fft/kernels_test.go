@@ -193,9 +193,9 @@ func TestTransformBatchBitIdentical(t *testing.T) {
 }
 
 // TestRealKernelZeroAllocAfterWarmup extends the zero-alloc guarantee of the
-// count paths (TestPlanZeroAllocAfterWarmup) to the correlation path: both
-// its self and two-input forms allocate nothing once the half-size scratch
-// pool and half plan are warm.
+// count paths (TestPlanZeroAllocAfterWarmup) to a fresh plan on the automatic
+// worker policy: once the first call has built the half plan and warmed the
+// half-size scratch pool, the real kernel allocates nothing.
 func TestRealKernelZeroAllocAfterWarmup(t *testing.T) {
 	n := 1 << 10
 	a := make([]float64, n)
@@ -204,20 +204,20 @@ func TestRealKernelZeroAllocAfterWarmup(t *testing.T) {
 		a[i] = 1
 		b[(i+1)%n] = 1
 	}
-	p := PlanFor(NextPow2(2 * n))
-	out := make([]float64, n)
-	p.crossCorrelateInto(a, b, out) // warm pool + half plan
+	p := NewPlan(NextPow2(2 * n))
+	out := make([]int64, n)
+	p.AutocorrelateCountsInto(a, out, 0) // warm pool + half plan
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		p.crossCorrelateInto(a, a, out)
-		p.crossCorrelateInto(a, b, out)
+		p.AutocorrelateCountsInto(a, out, 0)
+		p.AutocorrelateCountsInto(b, out, 0)
 	})
 	// A concurrent GC sweep can occasionally empty the sync.Pool mid-run, so
 	// tolerate a stray refill rather than flake.
 	if allocs > 1 {
-		t.Fatalf("real kernel correlation path allocates %.1f times per run after warm-up", allocs)
+		t.Fatalf("real kernel allocates %.1f times per run after warm-up", allocs)
 	}
 }
 
@@ -262,9 +262,6 @@ func TestRealKernelRejectsBadShapes(t *testing.T) {
 		p.AutocorrelateCountsPairInto(make([]float64, 4), make([]float64, 5),
 			make([]int64, 4), make([]int64, 5), 1)
 	})
-	mustPanic("correlation inputs too long", func() {
-		p.CrossCorrelate(make([]float64, 9), make([]float64, 8))
-	})
 	mustPanic("tiny plan input too long", func() {
 		PlanFor(2).AutocorrelateCountsInto(make([]float64, 2), make([]int64, 2), 1)
 	})
@@ -301,4 +298,97 @@ func FuzzKernelCountsEquivalence(f *testing.F) {
 			}
 		}
 	})
+}
+
+// loadPadded copies a real sequence into the zero-padded scratch buffer.
+func loadPadded(dst []complex128, src []float64) {
+	for i, v := range src {
+		dst[i] = complex(v, 0)
+	}
+	clear(dst[len(src):])
+}
+
+// unpackReal writes the real sequence back out of the packed complex vector:
+// x[2j] = Re z[j], x[2j+1] = Im z[j], for the prefix len(x) ≤ 2·len(z).
+func unpackReal(x []float64, z []complex128) {
+	n := len(x)
+	for j := 0; 2*j < n; j++ {
+		x[2*j] = real(z[j])
+		if 2*j+1 < n {
+			x[2*j+1] = imag(z[j])
+		}
+	}
+}
+
+// forwardRealPost converts the half-size transform Z of the packed sequence
+// into the packed half spectrum, in place. With E(k), O(k) the DFTs of the
+// even and odd samples, Z(k) = E(k) + i·O(k) and the Hermitian symmetry of
+// both gives, over (k, h−k) pairs,
+//
+//	E = (Z(k) + conj(Z(h−k)))/2,  O = (Z(k) − conj(Z(h−k)))/(2i),
+//	X(k) = E + w^k·O,  X(h−k) = conj(E − w^k·O),  w = exp(−2πi/m),
+//
+// with the self-paired slots k = 0 (→ packed (X(0), X(h))) and k = h/2
+// (→ conj) handled directly. tw is the plan's forward table: tw[h+k] = w^k.
+func forwardRealPost(z []complex128, tw []complex128) {
+	h := len(z)
+	z0 := z[0]
+	z[0] = complex(real(z0)+imag(z0), real(z0)-imag(z0))
+	zm := z[h/2]
+	z[h/2] = complex(real(zm), -imag(zm))
+	for k := 1; 2*k < h; k++ {
+		zk, zhk := z[k], z[h-k]
+		c := complex(real(zhk), -imag(zhk))
+		e := (zk + c) * 0.5
+		d := zk - c
+		o := complex(imag(d)*0.5, -real(d)*0.5) // d/(2i)
+		wo := tw[h+k] * o
+		a := e + wo
+		b := e - wo
+		z[k] = a
+		z[h-k] = complex(real(b), -imag(b))
+	}
+}
+
+// inverseRealPre converts a packed half spectrum into the half-size complex
+// vector whose inverse transform is the packed real sequence — the exact
+// algebraic inverse of forwardRealPost, using the inverse table ti
+// (ti[h+k] = w^{−k}) for the untwiddle. The half-size inverse transform's
+// built-in 1/h scaling is precisely the factor the length-m real inverse
+// needs; no extra scaling applies.
+func inverseRealPre(z []complex128, ti []complex128) {
+	h := len(z)
+	z0 := z[0] // packed (X(0), X(h)), both real
+	z[0] = complex((real(z0)+imag(z0))*0.5, (real(z0)-imag(z0))*0.5)
+	zm := z[h/2]
+	z[h/2] = complex(real(zm), -imag(zm))
+	for k := 1; 2*k < h; k++ {
+		xk, xhk := z[k], z[h-k]
+		c := complex(real(xhk), -imag(xhk))
+		e := (xk + c) * 0.5
+		d := (xk - c) * 0.5
+		o := ti[h+k] * d
+		// Z(k) = E + i·O, Z(h−k) = conj(E) + i·conj(O).
+		z[k] = complex(real(e)-imag(o), imag(e)+real(o))
+		z[h-k] = complex(real(e)+imag(o), -imag(e)+real(o))
+	}
+}
+
+// rawAutocorr runs the self-correlation pipeline of AutocorrelateCountsInto
+// — pack, half-size forward, fused spectral pass, half-size inverse — and
+// returns the lags before rounding.
+func rawAutocorr(p *Plan, x []float64) []float64 {
+	out := make([]float64, len(x))
+	if p.n < 4 {
+		out[0] = x[0] * x[0]
+		return out
+	}
+	q := p.halfPlan()
+	z := make([]complex128, p.n/2)
+	packReal(z, x)
+	q.Transform(z, false, 1)
+	autocorrSpectrumReal(z, p.twf)
+	q.Transform(z, true, 1)
+	unpackReal(out, z)
+	return out
 }

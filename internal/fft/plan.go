@@ -3,7 +3,7 @@
 // bit-reversal permutation and per-stage twiddle-factor tables (each root
 // evaluated directly with math.Cos/Sin rather than the error-accumulating
 // w *= wStep recurrence) — and owns a pool of reusable scratch buffers, so
-// the convolution entry points are allocation-free after warm-up. Large
+// the autocorrelation entry points are allocation-free after warm-up. Large
 // transforms optionally split each stage's independent butterflies across
 // worker goroutines; every partitioning performs the identical floating-point
 // operations per element, so parallel and serial outputs are bit-identical.
@@ -397,16 +397,6 @@ func parallelRange(workers int, f func(w int)) {
 		}(w)
 	}
 	wg.Wait()
-}
-
-// loadPadded copies a real sequence into the zero-padded scratch buffer.
-//
-//opvet:noalloc
-func loadPadded(dst []complex128, src []float64) {
-	for i, v := range src {
-		dst[i] = complex(v, 0)
-	}
-	clear(dst[len(src):])
 }
 
 // transformPair transforms two buffers with a shared setup. The serial path

@@ -34,80 +34,9 @@ func packReal(z []complex128, x []float64) {
 	clear(z[j:])
 }
 
-// unpackReal writes the real sequence back out of the packed complex vector:
-// x[2j] = Re z[j], x[2j+1] = Im z[j], for the prefix len(x) ≤ 2·len(z).
-//
-//opvet:noalloc
-func unpackReal(x []float64, z []complex128) {
-	n := len(x)
-	for j := 0; 2*j < n; j++ {
-		x[2*j] = real(z[j])
-		if 2*j+1 < n {
-			x[2*j+1] = imag(z[j])
-		}
-	}
-}
-
-// forwardRealPost converts the half-size transform Z of the packed sequence
-// into the packed half spectrum, in place. With E(k), O(k) the DFTs of the
-// even and odd samples, Z(k) = E(k) + i·O(k) and the Hermitian symmetry of
-// both gives, over (k, h−k) pairs,
-//
-//	E = (Z(k) + conj(Z(h−k)))/2,  O = (Z(k) − conj(Z(h−k)))/(2i),
-//	X(k) = E + w^k·O,  X(h−k) = conj(E − w^k·O),  w = exp(−2πi/m),
-//
-// with the self-paired slots k = 0 (→ packed (X(0), X(h))) and k = h/2
-// (→ conj) handled directly. tw is the plan's forward table: tw[h+k] = w^k.
-//
-//opvet:noalloc
-func forwardRealPost(z []complex128, tw []complex128) {
-	h := len(z)
-	z0 := z[0]
-	z[0] = complex(real(z0)+imag(z0), real(z0)-imag(z0))
-	zm := z[h/2]
-	z[h/2] = complex(real(zm), -imag(zm))
-	for k := 1; 2*k < h; k++ {
-		zk, zhk := z[k], z[h-k]
-		c := complex(real(zhk), -imag(zhk))
-		e := (zk + c) * 0.5
-		d := zk - c
-		o := complex(imag(d)*0.5, -real(d)*0.5) // d/(2i)
-		wo := tw[h+k] * o
-		a := e + wo
-		b := e - wo
-		z[k] = a
-		z[h-k] = complex(real(b), -imag(b))
-	}
-}
-
-// inverseRealPre converts a packed half spectrum into the half-size complex
-// vector whose inverse transform is the packed real sequence — the exact
-// algebraic inverse of forwardRealPost, using the inverse table ti
-// (ti[h+k] = w^{−k}) for the untwiddle. The half-size inverse transform's
-// built-in 1/h scaling is precisely the factor the length-m real inverse
-// needs; no extra scaling applies.
-//
-//opvet:noalloc
-func inverseRealPre(z []complex128, ti []complex128) {
-	h := len(z)
-	z0 := z[0] // packed (X(0), X(h)), both real
-	z[0] = complex((real(z0)+imag(z0))*0.5, (real(z0)-imag(z0))*0.5)
-	zm := z[h/2]
-	z[h/2] = complex(real(zm), -imag(zm))
-	for k := 1; 2*k < h; k++ {
-		xk, xhk := z[k], z[h-k]
-		c := complex(real(xhk), -imag(xhk))
-		e := (xk + c) * 0.5
-		d := (xk - c) * 0.5
-		o := ti[h+k] * d
-		// Z(k) = E + i·O, Z(h−k) = conj(E) + i·conj(O).
-		z[k] = complex(real(e)-imag(o), imag(e)+real(o))
-		z[h-k] = complex(real(e)+imag(o), -imag(e)+real(o))
-	}
-}
-
-// autocorrSpectrumReal fuses forwardRealPost, the power spectrum |X|², and
-// inverseRealPre into one O(h) pass: z arrives as the half-size forward
+// autocorrSpectrumReal fuses the forward split post-pass, the power spectrum
+// |X|², and the inverse pre-pass (forwardRealPost and inverseRealPre, the
+// tests' references) into one O(h) pass: z arrives as the half-size forward
 // transform of the packed sequence and leaves ready for the half-size
 // inverse transform, whose output unpacks to the raw autocorrelation. The
 // power spectrum is real and symmetric (P(m−k) = P(k)), so with
@@ -155,70 +84,6 @@ func roundUnpacked(out []int64, z []complex128) {
 			out[2*j+1] = int64(math.Round(imag(z[j])))
 		}
 	}
-}
-
-// CrossCorrelate returns r[p] = Σ_i a[i]·b[i+p] for p = 0..len(b)-1. The plan
-// size must be ≥ len(a)+len(b). When a and b alias the same slice it takes
-// the autocorrelation path, saving one forward transform.
-func (p *Plan) CrossCorrelate(a, b []float64) []float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	out := make([]float64, len(b))
-	p.crossCorrelateInto(a, b, out)
-	return out
-}
-
-func sameSlice(a, b []float64) bool {
-	return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0]
-}
-
-// crossCorrelateInto writes the first len(out) correlation lags into out
-// using pooled scratch only: both sequences go forward through the packed
-// half spectrum, conj(A)·B is multiplied Hermitian-wise (slot 0 multiplies
-// the packed DC and Nyquist terms pointwise — both spectra are real there),
-// and the product is inverted. A plan of size 2 has no packed layout; it
-// only admits two length-1 inputs, whose one lag is their product.
-//
-//opvet:noalloc
-func (p *Plan) crossCorrelateInto(a, b []float64, out []float64) {
-	if len(a)+len(b) > p.n {
-		panic(fmt.Sprintf("fft: plan size %d too small for correlation of %d+%d", p.n, len(a), len(b)))
-	}
-	if p.n < 4 {
-		out[0] = a[0] * b[0]
-		return
-	}
-	obs.FFT().KernelReal.Inc()
-	workers := p.autoWorkers()
-	q := p.halfPlan()
-	h := p.n / 2
-	zap := q.scratch()
-	za := *zap
-	if sameSlice(a, b) {
-		packReal(za, a)
-		q.Transform(za, false, workers)
-		autocorrSpectrumReal(za, p.twf)
-		q.Transform(za, true, workers)
-	} else {
-		zbp := q.scratch()
-		zb := *zbp
-		packReal(za, a)
-		packReal(zb, b)
-		q.transformPair(za, zb, false, workers)
-		forwardRealPost(za, p.twf)
-		forwardRealPost(zb, p.twf)
-		a0, b0 := za[0], zb[0]
-		za[0] = complex(real(a0)*real(b0), imag(a0)*imag(b0))
-		for k := 1; k < h; k++ {
-			za[k] = complex(real(za[k]), -imag(za[k])) * zb[k]
-		}
-		q.release(zbp)
-		inverseRealPre(za, p.twi)
-		q.Transform(za, true, workers)
-	}
-	unpackReal(out, za)
-	q.release(zap)
 }
 
 // AutocorrelateCounts returns r[p] = Σ_i x[i]·x[i+p] rounded to integers,

@@ -178,16 +178,6 @@ func Generate(cfg Config) (*series.Series, []uint16, error) {
 	return s, pattern, nil
 }
 
-// MustGenerate is Generate, panicking on configuration errors. Intended for
-// benchmarks and experiments with fixed configurations.
-func MustGenerate(cfg Config) (*series.Series, []uint16) {
-	s, pat, err := Generate(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s, pat
-}
-
 func applyNoise(rng *rand.Rand, data []uint16, cfg Config) []uint16 {
 	kinds := cfg.Noise.Kinds()
 	if len(kinds) == 0 || cfg.NoiseRatio == 0 { //opvet:ignore floatcmp zero means unset

@@ -35,20 +35,6 @@ func ReadText(r io.Reader) (*Series, error) {
 	return FromString(b.String()), nil
 }
 
-// WriteText writes the series as one line of concatenated symbols.
-func WriteText(w io.Writer, s *Series) error {
-	bw := bufio.NewWriter(w)
-	for _, k := range s.data {
-		if _, err := bw.WriteString(s.alpha.Symbol(int(k))); err != nil {
-			return err
-		}
-	}
-	if err := bw.WriteByte('\n'); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
 // ReadValues parses numeric values, one per line (blank lines skipped),
 // for discretization.
 func ReadValues(r io.Reader) ([]float64, error) {

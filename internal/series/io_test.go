@@ -22,21 +22,6 @@ func TestReadTextEmpty(t *testing.T) {
 	}
 }
 
-func TestWriteTextRoundTrip(t *testing.T) {
-	s := FromString("abcabbabcb")
-	var buf bytes.Buffer
-	if err := WriteText(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadText(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.String() != s.String() {
-		t.Fatalf("round trip: %q != %q", back.String(), s.String())
-	}
-}
-
 func TestReadValues(t *testing.T) {
 	vals, err := ReadValues(strings.NewReader("1.5\n\n-2\n3e2\n"))
 	if err != nil {

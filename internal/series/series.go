@@ -186,28 +186,6 @@ func (s *Series) Slice(lo, hi int) *Series {
 	return &Series{alpha: s.alpha, data: s.data[lo:hi]}
 }
 
-// ProjectionLen returns m = ⌈(n−l)/p⌉, the length of π_{p,l}(T).
-func (s *Series) ProjectionLen(p, l int) int {
-	n := len(s.data)
-	if l >= n {
-		return 0
-	}
-	return (n - l + p - 1) / p
-}
-
-// Projection returns π_{p,l}(T) = t_l, t_{l+p}, t_{l+2p}, … as symbol indices.
-// Requires 0 ≤ l < p.
-func (s *Series) Projection(p, l int) []int {
-	if p <= 0 || l < 0 || l >= p {
-		panic(fmt.Sprintf("series: invalid projection p=%d l=%d", p, l))
-	}
-	var out []int
-	for i := l; i < len(s.data); i += p {
-		out = append(out, int(s.data[i]))
-	}
-	return out
-}
-
 // F2 returns the number of times symbol index k occurs in two consecutive
 // positions of the projection π_{p,l}(T); equivalently the number of i ≡ l
 // (mod p) with t_i = t_{i+p} = s_k. This is the paper's F2(s_k, π_{p,l}(T)).
@@ -218,31 +196,6 @@ func (s *Series) F2(k, p, l int) int {
 	count := 0
 	for i := l; i+p < len(s.data); i += p {
 		if int(s.data[i]) == k && int(s.data[i+p]) == k {
-			count++
-		}
-	}
-	return count
-}
-
-// F2String counts consecutive equal-symbol pairs of symbol k in an arbitrary
-// index sequence, matching the paper's F2(s, T) on a plain string (e.g.
-// F2(a, "abbaaabaa") = 3).
-func F2String(seq []int, k int) int {
-	count := 0
-	for i := 0; i+1 < len(seq); i++ {
-		if seq[i] == k && seq[i+1] == k {
-			count++
-		}
-	}
-	return count
-}
-
-// MatchCount returns the number of positions i with t_i = t_{i+p}, i.e. the
-// total symbol matches when T is compared to its p-shift T(p).
-func (s *Series) MatchCount(p int) int {
-	count := 0
-	for i := 0; i+p < len(s.data); i++ {
-		if s.data[i] == s.data[i+p] {
 			count++
 		}
 	}

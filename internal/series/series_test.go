@@ -277,3 +277,53 @@ func TestASCIIPathMatchesRunePath(t *testing.T) {
 		t.Fatal("empty text: no error")
 	}
 }
+
+// Definitional forms of the paper's projections and match counts, the
+// references F2 is tested against.
+
+// ProjectionLen returns m = ⌈(n−l)/p⌉, the length of π_{p,l}(T).
+func (s *Series) ProjectionLen(p, l int) int {
+	n := len(s.data)
+	if l >= n {
+		return 0
+	}
+	return (n - l + p - 1) / p
+}
+
+// Projection returns π_{p,l}(T) = t_l, t_{l+p}, t_{l+2p}, … as symbol indices.
+// Requires 0 ≤ l < p.
+func (s *Series) Projection(p, l int) []int {
+	if p <= 0 || l < 0 || l >= p {
+		panic(fmt.Sprintf("series: invalid projection p=%d l=%d", p, l))
+	}
+	var out []int
+	for i := l; i < len(s.data); i += p {
+		out = append(out, int(s.data[i]))
+	}
+	return out
+}
+
+// F2String counts consecutive equal-symbol pairs of symbol k in an arbitrary
+// index sequence, matching the paper's F2(s, T) on a plain string (e.g.
+// F2(a, "abbaaabaa") = 3).
+func F2String(seq []int, k int) int {
+	count := 0
+	for i := 0; i+1 < len(seq); i++ {
+		if seq[i] == k && seq[i+1] == k {
+			count++
+		}
+	}
+	return count
+}
+
+// MatchCount returns the number of positions i with t_i = t_{i+p}, i.e. the
+// total symbol matches when T is compared to its p-shift T(p).
+func (s *Series) MatchCount(p int) int {
+	count := 0
+	for i := 0; i+p < len(s.data); i++ {
+		if s.data[i] == s.data[i+p] {
+			count++
+		}
+	}
+	return count
+}

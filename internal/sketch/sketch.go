@@ -33,9 +33,6 @@ func NewSign(sigma int, seed int64) *Sign {
 	return &Sign{vals: vals}
 }
 
-// Of returns the sign of symbol k.
-func (h *Sign) Of(k int) float64 { return h.vals[k] }
-
 // Project maps the series to its ±1 projection h(t_0), …, h(t_{n−1}).
 func (h *Sign) Project(s *series.Series) []float64 {
 	out := make([]float64, s.Len())

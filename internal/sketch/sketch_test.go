@@ -10,13 +10,13 @@ func TestSignValuesArePlusMinusOne(t *testing.T) {
 	h := NewSign(20, 1)
 	plus, minus := 0, 0
 	for k := 0; k < 20; k++ {
-		switch h.Of(k) {
+		switch h.vals[k] {
 		case 1:
 			plus++
 		case -1:
 			minus++
 		default:
-			t.Fatalf("Of(%d) = %v, want ±1", k, h.Of(k))
+			t.Fatalf("sign of %d = %v, want ±1", k, h.vals[k])
 		}
 	}
 	if plus == 0 || minus == 0 {
@@ -27,7 +27,7 @@ func TestSignValuesArePlusMinusOne(t *testing.T) {
 func TestSignDeterministicPerSeed(t *testing.T) {
 	a, b := NewSign(10, 7), NewSign(10, 7)
 	for k := 0; k < 10; k++ {
-		if a.Of(k) != b.Of(k) {
+		if a.vals[k] != b.vals[k] {
 			t.Fatal("same seed produced different hashes")
 		}
 	}
@@ -40,7 +40,7 @@ func TestProject(t *testing.T) {
 	if len(v) != 4 {
 		t.Fatalf("len = %d", len(v))
 	}
-	if v[0] != v[2] || v[1] != v[3] || v[0] != h.Of(0) {
+	if v[0] != v[2] || v[1] != v[3] || v[0] != h.vals[0] {
 		t.Fatalf("projection inconsistent: %v", v)
 	}
 }

@@ -1,8 +1,7 @@
 // Package timegrid turns irregular, timestamped observations — the event
-// logs and sensor feeds of the paper's §2.1 — into the regular symbol or
-// value grids the miner consumes: events are binned at a fixed resolution
-// (empty bins get an explicit idle symbol, collisions resolve by policy),
-// and numeric samples are resampled by aggregation.
+// logs of the paper's §2.1 — into the regular symbol series the miner
+// consumes: events are binned at a fixed resolution, empty bins get an
+// explicit idle symbol, and collisions resolve by policy.
 package timegrid
 
 import (
@@ -134,71 +133,4 @@ func Grid(events []Event, cfg Config) (*series.Series, error) {
 		return nil, fmt.Errorf("timegrid: unknown conflict policy %d", cfg.Conflict)
 	}
 	return series.FromIndices(alpha, grid), nil
-}
-
-// Sample is one timestamped numeric observation.
-type Sample struct {
-	Time  time.Time
-	Value float64
-}
-
-// Aggregate selects how a bin's samples combine.
-type Aggregate int
-
-const (
-	Mean Aggregate = iota
-	Sum
-	Max
-	Count
-)
-
-// GridValues resamples irregular numeric samples onto a regular grid;
-// bins with no sample hold the previous bin's value (or 0 before the first
-// sample under Sum/Count, which are additive).
-func GridValues(samples []Sample, bin time.Duration, agg Aggregate) ([]float64, error) {
-	if len(samples) == 0 {
-		return nil, fmt.Errorf("timegrid: no samples")
-	}
-	if bin <= 0 {
-		return nil, fmt.Errorf("timegrid: bin duration %v must be positive", bin)
-	}
-	sorted := append([]Sample(nil), samples...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Time.Before(sorted[j].Time) })
-	start := sorted[0].Time
-	bins := int(sorted[len(sorted)-1].Time.Sub(start)/bin) + 1
-
-	sums := make([]float64, bins)
-	maxs := make([]float64, bins)
-	counts := make([]int, bins)
-	for _, s := range sorted {
-		b := int(s.Time.Sub(start) / bin)
-		sums[b] += s.Value
-		if counts[b] == 0 || s.Value > maxs[b] {
-			maxs[b] = s.Value
-		}
-		counts[b]++
-	}
-	out := make([]float64, bins)
-	var last float64
-	for b := range out {
-		switch agg {
-		case Mean:
-			if counts[b] > 0 {
-				last = sums[b] / float64(counts[b])
-			}
-			out[b] = last
-		case Max:
-			if counts[b] > 0 {
-				last = maxs[b]
-			}
-			out[b] = last
-		case Sum:
-			out[b] = sums[b]
-		case Count:
-			out[b] = float64(counts[b])
-		default:
-			return nil, fmt.Errorf("timegrid: unknown aggregate %d", agg)
-		}
-	}
-	return out, nil
 }

@@ -99,67 +99,3 @@ func TestGridFeedsMiner(t *testing.T) {
 		t.Fatalf("period 15 confidence %v from gridded events", conf)
 	}
 }
-
-func TestGridValuesMean(t *testing.T) {
-	samples := []Sample{
-		{at(0), 10}, {at(0), 20}, {at(2), 30},
-	}
-	out, err := GridValues(samples, time.Minute, Mean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{15, 15, 30} // empty bin 1 carries the last mean
-	if len(out) != len(want) {
-		t.Fatalf("out = %v", out)
-	}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Fatalf("out = %v, want %v", out, want)
-		}
-	}
-}
-
-func TestGridValuesSumAndCount(t *testing.T) {
-	samples := []Sample{
-		{at(0), 10}, {at(0), 20}, {at(2), 30},
-	}
-	sum, err := GridValues(samples, time.Minute, Sum)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum[0] != 30 || sum[1] != 0 || sum[2] != 30 {
-		t.Fatalf("sum = %v", sum)
-	}
-	count, err := GridValues(samples, time.Minute, Count)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count[0] != 2 || count[1] != 0 || count[2] != 1 {
-		t.Fatalf("count = %v", count)
-	}
-}
-
-func TestGridValuesMax(t *testing.T) {
-	samples := []Sample{
-		{at(0), -5}, {at(0), -2}, {at(1), 7},
-	}
-	out, err := GridValues(samples, time.Minute, Max)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != -2 || out[1] != 7 {
-		t.Fatalf("max = %v", out)
-	}
-}
-
-func TestGridValuesValidates(t *testing.T) {
-	if _, err := GridValues(nil, time.Minute, Mean); err == nil {
-		t.Fatal("no samples: want error")
-	}
-	if _, err := GridValues([]Sample{{at(0), 1}}, 0, Mean); err == nil {
-		t.Fatal("bin 0: want error")
-	}
-	if _, err := GridValues([]Sample{{at(0), 1}}, time.Minute, Aggregate(99)); err == nil {
-		t.Fatal("unknown aggregate: want error")
-	}
-}

@@ -134,31 +134,21 @@ func Sketched(s *series.Series, maxPeriod, repetitions int, seed int64) (*Rankin
 		return nil, fmt.Errorf("trends: repetitions %d < 1", repetitions)
 	}
 	n := s.Len()
-	sums := make([]float64, maxP+1)
+	sums := make([]int64, maxP+1)
 	for rep := 0; rep < repetitions; rep++ {
 		h := sketch.NewSign(s.Alphabet().Size(), seed+int64(rep))
-		v := h.Project(s)
-		corr := fft.CrossCorrelate(v, v)
+		// A correlation of a ±1 vector is an integer; the rounded counts
+		// keep exact ties (every multiple of P on inerrant data) exact.
+		corr := fft.AutocorrelateCounts(h.Project(s))
 		for p := minP; p <= maxP; p++ {
 			sums[p] += corr[p]
 		}
 	}
 	distances := nanSlice(maxP + 1)
 	for p := minP; p <= maxP; p++ {
-		distances[p] = float64(n-p) - sums[p]/float64(repetitions)
+		distances[p] = float64(n-p) - float64(sums[p])/float64(repetitions)
 	}
 	return newRanking(n, minP, maxP, distances), nil
-}
-
-// HammingDistanceNaive is the definitional D(p), used to validate Exact.
-func HammingDistanceNaive(s *series.Series, p int) int {
-	d := 0
-	for i := 0; i+p < s.Len(); i++ {
-		if s.At(i) != s.At(i+p) {
-			d++
-		}
-	}
-	return d
 }
 
 func nanSlice(n int) []float64 {

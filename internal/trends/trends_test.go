@@ -266,3 +266,37 @@ func TestInvalidInputs(t *testing.T) {
 		t.Fatal("maxPeriod ≥ n: want error")
 	}
 }
+
+func TestSketchedExactTiesOnInerrantData(t *testing.T) {
+	// A correlation of a ±1 projection is an integer, so on an inerrant
+	// series every multiple of P has D̂(kP) = 0 exactly and the tie breaks
+	// by smaller period. Unrounded FFT correlations leave round-off of
+	// ~1e-12 on some multiples, which pushed P below them in the ranking.
+	s, _, err := gen.Generate(gen.Config{Length: 50000, Period: 25, Sigma: 10, Dist: gen.Uniform, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Sketched(s, 0, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := 25; p <= r.MaxPeriod; p += 25 {
+		if r.Distances[p] != 0 {
+			t.Fatalf("D̂(%d) = %g on inerrant data, want exactly 0", p, r.Distances[p])
+		}
+	}
+	if got := r.Rank(25); got != 1 {
+		t.Fatalf("Rank(25) = %d, want 1", got)
+	}
+}
+
+// HammingDistanceNaive is the definitional D(p), used to validate Exact.
+func HammingDistanceNaive(s *series.Series, p int) int {
+	d := 0
+	for i := 0; i+p < s.Len(); i++ {
+		if s.At(i) != s.At(i+p) {
+			d++
+		}
+	}
+	return d
+}

@@ -149,16 +149,3 @@ func Discretize(values []float64) *series.Series {
 func Series(cfg Config) *series.Series {
 	return Discretize(Generate(cfg))
 }
-
-// Fleet generates one discretized series per store: all stores share the
-// daily/weekly rhythm but differ in noise realization and special days, the
-// input shape for database-level mining.
-func Fleet(stores int, cfg Config) []*series.Series {
-	out := make([]*series.Series, stores)
-	for i := range out {
-		storeCfg := cfg
-		storeCfg.Seed = cfg.Seed + int64(i)*6151
-		out[i] = Series(storeCfg)
-	}
-	return out
-}

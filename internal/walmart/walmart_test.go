@@ -163,21 +163,6 @@ func TestDSTDisplacedPeriodsDetected(t *testing.T) {
 	}
 }
 
-func TestFleet(t *testing.T) {
-	fleet := Fleet(3, Config{Months: 1, Seed: 10})
-	if len(fleet) != 3 {
-		t.Fatalf("fleet size %d", len(fleet))
-	}
-	if fleet[0].String() == fleet[1].String() {
-		t.Fatal("stores share a noise realization")
-	}
-	for _, s := range fleet {
-		if s.Len() != 30*24 {
-			t.Fatalf("store length %d", s.Len())
-		}
-	}
-}
-
 func TestGenerateDeterministic(t *testing.T) {
 	a := Generate(Config{Months: 1, Seed: 9})
 	b := Generate(Config{Months: 1, Seed: 9})
