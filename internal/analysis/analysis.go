@@ -4,8 +4,7 @@
 // (go/parser, go/ast, go/types, go/importer). It exists because the
 // paper's one-pass guarantee rests on the convolution counts being
 // *exact*, and the invariants that keep them exact — tolerance
-// comparisons instead of float ==, balanced sync.Pool Get/Put pairs,
-// no unsynchronized reads of mutable globals from goroutines, and the
+// comparisons instead of float ==, no unsynchronized reads of mutable globals from goroutines, and the
 // zero-alloc contract on the FFT hot path — are invisible to go vet.
 //
 // A Rule inspects a fully type-checked Module (every package of the
@@ -27,11 +26,6 @@
 //	//opvet:noalloc                (FuncDecl doc) function must stay allocation-free
 //	//opvet:racesafe               (var decl doc or line comment) global is safe to
 //	                               read concurrently; mutglobal skips it
-//	//opvet:acquire                (FuncDecl doc) function returns a borrowed pooled
-//	                               buffer; poolpair treats calls to it like Pool.Get
-//	                               and exempts its own body
-//	//opvet:release                (FuncDecl doc) function returns a buffer to a
-//	                               pool; poolpair treats calls to it like Pool.Put
 //
 // Trailing free text after the annotation word (a reason) is allowed
 // and ignored by the parser.
@@ -111,7 +105,6 @@ func Rules() []Rule {
 		MutGlobal{},
 		NoAlloc{},
 		OptDrift{},
-		PoolPair{},
 		StageState{},
 	}
 }

@@ -31,8 +31,6 @@ var goldenCases = []struct {
 }{
 	{"floatcmp", "floatcmp", "", false, false},
 	{"floatcmp", "floatcmp_clean", "", true, false},
-	{"poolpair", "poolpair", "", false, false},
-	{"poolpair", "poolpair_clean", "", true, false},
 	{"mutglobal", "mutglobal", "", false, false},
 	{"mutglobal", "mutglobal_clean", "", true, false},
 	{"noalloc", "noalloc", "", false, false},
@@ -143,8 +141,8 @@ func TestSuppressionSyntax(t *testing.T) {
 // every rule documents itself.
 func TestRegistry(t *testing.T) {
 	rules := analysis.Rules()
-	if len(rules) != 11 {
-		t.Fatalf("expected 11 rules, got %d", len(rules))
+	if len(rules) != 10 {
+		t.Fatalf("expected 10 rules, got %d", len(rules))
 	}
 	for i, r := range rules {
 		if r.Name() == "" || r.Doc() == "" {

@@ -8,11 +8,11 @@ import (
 	"strings"
 )
 
-// CommitPath enforces the durability discipline PR 4 established for
-// every file internal/store and internal/fft persist: data reaches its
-// final name only through the write-temp → fsync → rename commit seam,
-// and a failed write is rolled back, never left half-committed under a
-// durable name. Two checks, both on the CFG:
+// CommitPath enforces the durability discipline of every file
+// internal/store persists: data reaches its final name only through the
+// write-temp → fsync → rename commit seam, and a failed write is rolled
+// back, never left half-committed under a durable name. Two checks, both
+// on the CFG:
 //
 //  1. Rename-needs-sync. A Rename call whose source resolves (through
 //     reaching definitions of the f.Name() binding) to a file created
@@ -34,8 +34,11 @@ import (
 // OpenFile — matched by name so both package os and the iofault.FS
 // seam qualify) to stay intraprocedural; a file received as a parameter
 // belongs to its creator's analysis. The rule runs only over packages
-// whose import path contains internal/store or internal/fft — the two
-// layers that own durable files.
+// whose import path contains internal/store or internal/fft. The store is
+// the only layer that owns durable files; the fft layer's out-of-core
+// transform writes only private scratch, so check 2 is what applies there.
+// Any deferred Close or Remove in the function satisfies check 2, so the
+// removal of each scratch file is left to the fft fault-injection test.
 type CommitPath struct{}
 
 func (CommitPath) Name() string { return "commitpath" }

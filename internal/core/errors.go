@@ -23,13 +23,3 @@ func (e *invalidInputError) Is(target error) bool { return target == ErrInvalidI
 func invalidf(format string, args ...any) error {
 	return &invalidInputError{msg: fmt.Sprintf(format, args...)}
 }
-
-// CheckThreshold rejects a threshold ψ outside (0,1] with an error matching
-// ErrInvalidInput; every ψ-taking entry point outside the query parser
-// validates through it.
-func CheckThreshold(psi float64) error {
-	if psi <= 0 || psi > 1 {
-		return invalidf("core: threshold ψ=%v outside (0,1]", psi)
-	}
-	return nil
-}

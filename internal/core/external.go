@@ -8,17 +8,8 @@ import (
 	"path/filepath"
 
 	"periodica/internal/fft"
+	"periodica/internal/obs"
 )
-
-// ExternalConfig tunes the on-disk detection path.
-type ExternalConfig struct {
-	// TmpDir holds the per-symbol indicator and FFT scratch files; defaults
-	// to the input file's directory.
-	TmpDir string
-	// MemElements caps the complex values held in memory by the external
-	// FFT (default from fft.ExternalOptions).
-	MemElements int
-}
 
 // DetectCandidatesFile runs the one-pass detection phase over a series
 // stored on disk in the binary format of series.WriteBinary, without ever
@@ -26,23 +17,24 @@ type ExternalConfig struct {
 // pass splits the file into per-symbol indicator files, and each indicator
 // is autocorrelated with the external (four-step, out-of-core) FFT. This is
 // the paper's §3.1 remark — "an external FFT algorithm can be used for large
-// sizes of databases mined while on disk" — realized end to end.
-func DetectCandidatesFile(path string, psi float64, maxPeriod int, cfg ExternalConfig) ([]CandidatePeriod, error) {
-	if err := CheckThreshold(psi); err != nil {
-		return nil, err
-	}
-	ses := newFileSession(psi, maxPeriod, sessionConfig{workers: 1})
-	return ses.candidates(fileDetect{path: path, cfg: cfg})
+// sizes of databases mined while on disk" — realized end to end. Once the
+// header gives n, psi and maxPeriod are validated exactly as
+// DetectCandidatesContext validates them.
+func DetectCandidatesFile(path string, psi float64, maxPeriod int) ([]CandidatePeriod, error) {
+	ses := &session{eng: EngineFFT, met: obs.Exec()}
+	ses.finishSession(sessionConfig{workers: 1})
+	return ses.candidates(fileDetect{path: path, psi: psi, maxPeriod: maxPeriod})
 }
 
 // fileDetect is the detect stage over an on-disk series: it parses the
-// header (learning the session's series bounds), splits the stream into
-// per-symbol indicator files in one pass, and fills the session's lag counts
-// with the external FFT — after which the shared candidate sweep runs
-// unchanged.
+// header (learning the session's series bounds and validating the
+// parameters against them), splits the stream into per-symbol indicator
+// files in one pass, and fills the session's lag counts with the external
+// FFT — after which the shared candidate sweep runs unchanged.
 type fileDetect struct {
-	path string
-	cfg  ExternalConfig
+	path      string
+	psi       float64
+	maxPeriod int
 }
 
 func (fileDetect) name() string { return "detect" }
@@ -62,22 +54,15 @@ func (st fileDetect) run(ses *session) error {
 	if _, err := fmt.Sscanf(header, "PSER1 %d %d", &sigma, &n); err != nil {
 		return fmt.Errorf("core: bad series header %q", header)
 	}
-	if sigma < 1 || n < 2 {
+	if sigma < 1 || n < 1 {
 		return fmt.Errorf("core: bad series header σ=%d n=%d", sigma, n)
 	}
-	if ses.opt.MaxPeriod == 0 {
-		ses.opt.MaxPeriod = n / 2
-	}
-	if ses.opt.MaxPeriod < 1 || ses.opt.MaxPeriod >= n {
-		return fmt.Errorf("core: maxPeriod %d outside [1,%d)", ses.opt.MaxPeriod, n)
+	if ses.opt, err = candidateOptions(st.psi, st.maxPeriod, n); err != nil {
+		return err
 	}
 	ses.n, ses.sigma = n, sigma
 
-	dir := st.cfg.TmpDir
-	if dir == "" {
-		dir = filepath.Dir(st.path)
-	}
-	work, err := os.MkdirTemp(dir, "periodica-ext-*")
+	work, err := os.MkdirTemp(filepath.Dir(st.path), "periodica-ext-*")
 	if err != nil {
 		return err
 	}
@@ -140,13 +125,12 @@ func (st fileDetect) run(ses *session) error {
 
 	// Autocorrelate each indicator out of core, polling cancellation
 	// between symbols (one external FFT is the uninterruptible unit here).
-	opts := fft.ExternalOptions{TmpDir: work, MemElements: st.cfg.MemElements}
 	ses.lag = make([][]int64, sigma)
 	for k := 0; k < sigma; k++ {
 		if err := ses.sched.Poll(); err != nil {
 			return err
 		}
-		ses.lag[k], err = fft.AutocorrelateFile(filepath.Join(work, fmt.Sprintf("ind-%d.bin", k)), n, opts)
+		ses.lag[k], err = fft.AutocorrelateFile(filepath.Join(work, fmt.Sprintf("ind-%d.bin", k)), n)
 		if err != nil {
 			return err
 		}

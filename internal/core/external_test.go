@@ -28,7 +28,7 @@ func TestDetectCandidatesFileMatchesInMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := DetectCandidatesFile(path, 0.7, 0, ExternalConfig{MemElements: 1 << 14})
+	got, err := DetectCandidatesFile(path, 0.7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,16 +54,24 @@ func TestDetectCandidatesFileMatchesInMemory(t *testing.T) {
 func TestDetectCandidatesFileValidates(t *testing.T) {
 	dir := t.TempDir()
 	missing := filepath.Join(dir, "missing.bin")
-	if _, err := DetectCandidatesFile(missing, 0.5, 0, ExternalConfig{}); err == nil {
+	if _, err := DetectCandidatesFile(missing, 0.5, 0); err == nil {
 		t.Fatal("missing file: want error")
 	}
 
-	bad := filepath.Join(dir, "bad.bin")
-	if err := os.WriteFile(bad, []byte("NOPE 1 2\nxx"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DetectCandidatesFile(bad, 0.5, 0, ExternalConfig{}); err == nil {
-		t.Fatal("bad header: want error")
+	for _, tc := range []struct{ name, body string }{
+		{"bad magic", "NOPE 1 2\nxx"},
+		{"σ < 1", "PSER1 0 2\n\x00\x00"},
+		{"n < 1", "PSER1 2 0\n"},
+		{"symbol byte ≥ σ", "PSER1 2 3\n\x00\x02\x01"},
+		{"truncated body", "PSER1 2 100\n\x00\x01"},
+	} {
+		bad := filepath.Join(dir, "bad.bin")
+		if err := os.WriteFile(bad, []byte(tc.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DetectCandidatesFile(bad, 0.5, 0); err == nil {
+			t.Fatalf("%s: want error", tc.name)
+		}
 	}
 
 	s := series.FromString("abcabc")
@@ -71,19 +79,11 @@ func TestDetectCandidatesFileValidates(t *testing.T) {
 	if err := writeSeriesFile(ok, s); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DetectCandidatesFile(ok, 0, 0, ExternalConfig{}); !errors.Is(err, ErrInvalidInput) {
+	if _, err := DetectCandidatesFile(ok, 0, 0); !errors.Is(err, ErrInvalidInput) {
 		t.Fatalf("ψ=0: error %v does not match ErrInvalidInput", err)
 	}
-	if _, err := DetectCandidatesFile(ok, 0.5, 99, ExternalConfig{}); err == nil {
-		t.Fatal("maxPeriod ≥ n: want error")
-	}
-
-	truncated := filepath.Join(dir, "trunc.bin")
-	if err := os.WriteFile(truncated, []byte("PSER1 2 100\n\x00\x01"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DetectCandidatesFile(truncated, 0.5, 0, ExternalConfig{}); err == nil {
-		t.Fatal("truncated body: want error")
+	if _, err := DetectCandidatesFile(ok, 0.5, 99); !errors.Is(err, ErrInvalidInput) {
+		t.Fatalf("maxPeriod ≥ n: error %v does not match ErrInvalidInput", err)
 	}
 }
 

@@ -106,7 +106,7 @@ func TestMineLiteralValidates(t *testing.T) {
 // the paper's Cartesian product is exponential in the qualifying positions,
 // so an uncapped run can explode on degenerate inputs.
 func MineLiteral(s *series.Series, psi float64, maxPatterns int) (*Result, error) {
-	if err := CheckThreshold(psi); err != nil {
+	if _, err := (Options{Threshold: psi}).withDefaults(s.Len()); err != nil {
 		return nil, err
 	}
 	if maxPatterns == 0 {

@@ -107,17 +107,12 @@ func newSession(s *series.Series, opt Options, cfg sessionConfig) (*session, err
 }
 
 // newCandidateSession assembles a session for the detection-only path over
-// an in-memory series. The threshold and period bound resolve against n
-// through the same Spec as a full mine; detection additionally needs every
-// lag strictly inside the series.
+// an in-memory series.
 func newCandidateSession(s *series.Series, psi float64, maxPeriod int, cfg sessionConfig) (*session, error) {
 	n := s.Len()
-	opt, err := Options{Threshold: psi, MaxPeriod: maxPeriod}.withDefaults(n)
+	opt, err := candidateOptions(psi, maxPeriod, n)
 	if err != nil {
 		return nil, err
-	}
-	if opt.MaxPeriod >= n {
-		return nil, invalidf("core: maxPeriod %d outside [1,%d)", opt.MaxPeriod, n)
 	}
 	ses := &session{
 		s:     s,
@@ -131,18 +126,19 @@ func newCandidateSession(s *series.Series, psi float64, maxPeriod int, cfg sessi
 	return ses, nil
 }
 
-// newFileSession assembles a session whose series lives on disk: the series
-// bounds are unknown until the source stage parses the file header, so only
-// the threshold is validated here and the stage validates maxPeriod (0 is
-// resolved to n/2 once n is known).
-func newFileSession(psi float64, maxPeriod int, cfg sessionConfig) *session {
-	ses := &session{
-		opt: Options{Threshold: psi, MinPeriod: 1, MaxPeriod: maxPeriod},
-		eng: EngineFFT,
-		met: obs.Exec(),
+// candidateOptions validates the detection-only path's parameters against
+// a series of length n, for the in-memory and on-disk sources alike: the
+// threshold and period bound resolve through the same Spec as a full mine,
+// and detection additionally needs every lag strictly inside the series.
+func candidateOptions(psi float64, maxPeriod, n int) (Options, error) {
+	opt, err := Options{Threshold: psi, MaxPeriod: maxPeriod}.withDefaults(n)
+	if err != nil {
+		return opt, err
 	}
-	ses.finishSession(cfg)
-	return ses
+	if opt.MaxPeriod >= n {
+		return opt, invalidf("core: maxPeriod %d outside [1,%d)", opt.MaxPeriod, n)
+	}
+	return opt, nil
 }
 
 // finishSession builds the session's scheduler. Worker counts are capped at

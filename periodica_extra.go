@@ -90,7 +90,7 @@ func ReadSeriesFile(path string) (*Series, error) {
 // returns the periods CandidatePeriodsQueryContext would return for the
 // same series and query.
 func CandidatePeriodsFile(path string, q *Query) ([]int, error) {
-	return q.candidatePeriods(core.DetectCandidatesFile(path, q.spec.Threshold, q.spec.MaxPeriod, core.ExternalConfig{}))
+	return q.candidatePeriods(core.DetectCandidatesFile(path, q.spec.Threshold, q.spec.MaxPeriod))
 }
 
 // Event is one timestamped nominal observation of an irregular stream.

@@ -3,6 +3,7 @@ package periodica_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -152,6 +153,44 @@ func TestSeriesFileRoundTripAndExternalDetection(t *testing.T) {
 	}
 	if _, err := periodica.CandidatePeriodsFile(path, periodica.QueryFromOptions(periodica.Options{})); !errors.Is(err, periodica.ErrInvalidInput) {
 		t.Fatalf("ψ=0: error %v does not match ErrInvalidInput", err)
+	}
+}
+
+// TestCandidatePeriodsFileMatchesInMemory: the out-of-core detector answers
+// every (series, query) pair exactly as the in-memory one does — the same
+// periods, or an error on both paths that matches ErrInvalidInput on both or
+// on neither.
+func TestCandidatePeriodsFileMatchesInMemory(t *testing.T) {
+	const series22 = "abcabcabcabcabcabcabca"
+	cases := []struct{ text, query string }{
+		{"a", "conf >= 0.5"},
+		{"ab", "conf >= 0.5"},
+		{series22, "conf >= 0.5 and period <= 99"},
+		{series22, "conf >= 0.5 and period >= 15"},
+		{series22, "conf >= 0.5 and period = 21"},
+		{series22, "conf >= 0.5 and period in 12..20"},
+	}
+	for _, tc := range cases {
+		t.Run(fmt.Sprintf("n=%d/%s", len(tc.text), tc.query), func(t *testing.T) {
+			s, err := periodica.NewSeriesFromString(tc.text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "series.bin")
+			if err := s.WriteFile(path); err != nil {
+				t.Fatal(err)
+			}
+			q := mustCompile(t, tc.query)
+			inMem, memErr := periodica.CandidatePeriodsQueryContext(context.Background(), s, q)
+			onDisk, fileErr := periodica.CandidatePeriodsFile(path, q)
+			if (memErr == nil) != (fileErr == nil) ||
+				errors.Is(memErr, periodica.ErrInvalidInput) != errors.Is(fileErr, periodica.ErrInvalidInput) {
+				t.Fatalf("errors differ: in-memory %v, on-disk %v", memErr, fileErr)
+			}
+			if !slices.Equal(onDisk, inMem) {
+				t.Fatalf("on-disk %v != in-memory %v", onDisk, inMem)
+			}
+		})
 	}
 }
 
