@@ -27,8 +27,9 @@ import (
 //     Truncate on a file created in this function must be post-dominated
 //     by the commit seam or an explicit rollback: on every path from the
 //     write to the exit the file is either Synced or Removed, or the
-//     function carries a deferred cleanup (a defer whose body removes
-//     files or closes the handle) that runs on all exits.
+//     function carries a deferred cleanup of that file (a defer whose body
+//     closes its handle, or removes its Name() or the path it was created
+//     from) that runs on all exits.
 //
 // Files are tracked from their creation call (Create, CreateTemp,
 // OpenFile — matched by name so both package os and the iofault.FS
@@ -37,8 +38,8 @@ import (
 // whose import path contains internal/store or internal/fft. The store is
 // the only layer that owns durable files; the fft layer's out-of-core
 // transform writes only private scratch, so check 2 is what applies there.
-// Any deferred Close or Remove in the function satisfies check 2, so the
-// removal of each scratch file is left to the fft fault-injection test.
+// A deferred cleanup covers only the file it names, so a read-only input's
+// deferred Close does not excuse an unguarded write to another file.
 type CommitPath struct{}
 
 func (CommitPath) Name() string { return "commitpath" }
@@ -92,7 +93,8 @@ func (CommitPath) RunFunc(fi *FuncInfo, report func(pos token.Pos, format string
 	// name bindings (tmpName := f.Name()), and whether a deferred
 	// cleanup covers the exits.
 	files := map[*types.Var]bool{}
-	nameOf := map[*types.Var]*types.Var{} // string local -> file it names
+	nameOf := map[*types.Var]*types.Var{}    // string local -> file it names
+	createdFrom := map[*types.Var]ast.Expr{} // file -> path (or dir) it was created from
 	for _, b := range g.Blocks {
 		inspectShallow(b.Nodes, func(n ast.Node) bool {
 			// Creation is almost always the tuple form f, err := Create(...),
@@ -114,6 +116,9 @@ func (CommitPath) RunFunc(fi *FuncInfo, report func(pos token.Pos, format string
 			case "Create", "CreateTemp", "OpenFile":
 				if v := localDefVar(info, as.Lhs[0]); v != nil {
 					files[v] = true
+					if len(call.Args) > 0 {
+						createdFrom[v] = call.Args[0]
+					}
 				}
 			case "Name":
 				if recv := localVar(info, sel.X); recv != nil {
@@ -125,13 +130,36 @@ func (CommitPath) RunFunc(fi *FuncInfo, report func(pos token.Pos, format string
 			return true
 		})
 	}
-	deferredCleanup := false
+	// cleaned holds the files a deferred cleanup names: a Close of the
+	// file's variable, or a Remove/RemoveAll of its Name() (directly or
+	// through a bound local) or of the path it was created from.
+	cleaned := map[*types.Var]bool{}
 	for _, d := range g.Defers {
 		ast.Inspect(d, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok {
-				switch sel.Sel.Name {
-				case "Remove", "RemoveAll", "Close":
-					deferredCleanup = true
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			switch sel.Sel.Name {
+			case "Close":
+				if v := localVar(info, sel.X); v != nil && files[v] {
+					cleaned[v] = true
+				}
+			case "Remove", "RemoveAll":
+				if len(call.Args) == 0 {
+					return true
+				}
+				if v := resolveRenameSource(info, call.Args[0], nameOf); v != nil {
+					cleaned[v] = true
+				}
+				for f, from := range createdFrom {
+					if sameLocalExpr(info, call.Args[0], from) {
+						cleaned[f] = true
+					}
 				}
 			}
 			return true
@@ -188,27 +216,25 @@ func (CommitPath) RunFunc(fi *FuncInfo, report func(pos token.Pos, format string
 		})
 	}
 
-	// Pass 4: write-reaches-commit, unless a deferred cleanup guards
-	// every exit.
-	if !deferredCleanup {
-		for _, b := range g.Blocks {
-			inspectShallow(b.Nodes, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				f, op := fileWriteCall(info, call, files)
-				if f == nil {
-					return true
-				}
-				commits := func(blk *Block) bool { return blockCommits(blk, info, f) }
-				if !PostDominates(g, b, commits) && !blockCommitsAfter(b, n, info, f) {
-					finds = append(finds, finding{call.Pos(),
-						op + " on durable file " + f.Name() + " can reach the exit without fsync or rollback; sync it, remove it, or defer a cleanup"})
-				}
+	// Pass 4: write-reaches-commit, unless a deferred cleanup of the
+	// written file guards every exit.
+	for _, b := range g.Blocks {
+		inspectShallow(b.Nodes, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
 				return true
-			})
-		}
+			}
+			f, op := fileWriteCall(info, call, files)
+			if f == nil || cleaned[f] {
+				return true
+			}
+			commits := func(blk *Block) bool { return blockCommits(blk, info, f) }
+			if !PostDominates(g, b, commits) && !blockCommitsAfter(b, n, info, f) {
+				finds = append(finds, finding{call.Pos(),
+					op + " on durable file " + f.Name() + " can reach the exit without fsync or rollback; sync it, remove it, or defer a cleanup"})
+			}
+			return true
+		})
 	}
 
 	sort.Slice(finds, func(i, j int) bool { return finds[i].pos < finds[j].pos })
@@ -365,6 +391,17 @@ func resolveRenameSource(info *types.Info, arg ast.Expr, nameOf map[*types.Var]*
 		}
 	}
 	return nil
+}
+
+// sameLocalExpr reports whether two expressions denote the same value: the
+// same local or package variable, or else the same source text.
+func sameLocalExpr(info *types.Info, a, b ast.Expr) bool {
+	ia, okA := ast.Unparen(a).(*ast.Ident)
+	ib, okB := ast.Unparen(b).(*ast.Ident)
+	if okA && okB {
+		return info.Uses[ia] != nil && info.Uses[ia] == info.Uses[ib]
+	}
+	return types.ExprString(a) == types.ExprString(b)
 }
 
 // fileWriteCall reports whether the call writes a tracked file,

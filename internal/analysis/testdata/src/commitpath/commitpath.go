@@ -3,8 +3,9 @@
 // write-temp → fsync → rename commit seam or a rollback. A rename of a
 // never-synced temp (the "fsync deleted from writeFileAtomic"
 // regression), a sync on only one branch, a write that can reach the
-// exit uncommitted, and a raw rename with no preceding sync all fire;
-// the suppressed move stays silent.
+// exit uncommitted, a write excused only by another file's deferred
+// Close, and a raw rename with no preceding sync all fire; the suppressed
+// move stays silent.
 package store
 
 import (
@@ -79,4 +80,26 @@ func promote(oldPath, newPath string) error {
 func archive(oldPath, newPath string) error {
 	//opvet:ignore commitpath moves an already-committed file; content was fsynced when written
 	return os.Rename(oldPath, newPath)
+}
+
+// copyOut carries one deferred cleanup, for the read-only input; the output
+// it writes has none, so the input's Close excuses nothing.
+func copyOut(src, dst string) error {
+	in, err := os.Open(src)
+	if err != nil {
+		return err
+	}
+	defer func() { _ = in.Close() }()
+	out, err := os.Create(dst)
+	if err != nil {
+		return err
+	}
+	buf := make([]byte, 16)
+	if _, err := in.Read(buf); err != nil {
+		return err
+	}
+	if _, err := out.Write(buf); err != nil { // want: write can reach exit uncommitted
+		return err
+	}
+	return out.Close()
 }

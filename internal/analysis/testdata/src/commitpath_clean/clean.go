@@ -64,3 +64,27 @@ func readOnly(path string) (int, error) {
 	buf := make([]byte, 16)
 	return f.Read(buf)
 }
+
+// copyScratch reads an input and writes a scratch file; each carries its
+// own deferred cleanup, the scratch file's removing the path it was created
+// from.
+func copyScratch(src, scratch string) error {
+	in, err := os.Open(src)
+	if err != nil {
+		return err
+	}
+	defer func() { _ = in.Close() }()
+	out, err := os.Create(scratch)
+	if err != nil {
+		return err
+	}
+	defer func() { _ = os.Remove(scratch) }()
+	buf := make([]byte, 16)
+	if _, err := in.Read(buf); err != nil {
+		return err
+	}
+	if _, err := out.Write(buf); err != nil {
+		return err
+	}
+	return out.Close()
+}

@@ -41,8 +41,9 @@ func BenchmarkLagMatchCounts(b *testing.B) {
 }
 
 // BenchmarkAutocorrelateBatched is the detection sweep's inner loop at
-// benchmark scale: σ indicators through pair-packed planned FFTs, at several
-// worker counts, against the unbatched per-symbol form.
+// benchmark scale: σ indicators through one shared plan, at several worker
+// counts, against the per-symbol package form, and over the band of lags up
+// to n/2 that a default mine reads.
 func BenchmarkAutocorrelateBatched(b *testing.B) {
 	for _, n := range []int{1 << 15, 1 << 17} {
 		s := benchSeries(n, 10)
@@ -54,6 +55,11 @@ func BenchmarkAutocorrelateBatched(b *testing.B) {
 		b.Run(fmt.Sprintf("batched-parallel/n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				lagCountsExec(b, s, 0)
+			}
+		})
+		b.Run(fmt.Sprintf("band-n/2-serial/n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				lagCountsBand(b, s, n/2, 1)
 			}
 		})
 		b.Run(fmt.Sprintf("per-symbol/n=%d", n), func(b *testing.B) {

@@ -11,7 +11,7 @@
 //
 //   - word-parallel bit operations: c′_p = T′ AND (T′ >> σp);
 //   - per-symbol FFT autocorrelation, giving the aggregate lag-match counts
-//     Σ_l F2(s_k, π_{p,l}) for all p in O(σ n log n).
+//     Σ_l F2(s_k, π_{p,l}) for every p ≤ L in O(σ n log L).
 //
 // The literal textbook pipeline (reverse, Σ 2^j x_j y_{i−j}, reverse) over
 // big.Int is the O(n²)-per-series fidelity reference; it lives with the
@@ -98,70 +98,62 @@ func (ind *Indicators) Vector(k int) *bitvec.Vector { return ind.vecs[k] }
 
 // LagMatchCounts returns, for every symbol k and every lag p in [0, n),
 // r[k][p] = |{i : t_i = t_{i+p} = s_k}| = Σ_l F2(s_k, π_{p,l}(T)), computed
-// in O(σ n log n) total with pair-packed FFTs: two symbols' indicators share
-// one forward and one inverse transform. It is the serial form of
-// LagMatchCountsExec, for experiments and baselines; the counts are
-// identical at any worker count.
+// in O(σ n log n) total with one planned FFT autocorrelation per symbol. It
+// is the serial form of LagMatchCountsExec, for experiments and baselines;
+// the counts are identical at any worker count.
 func LagMatchCounts(s *series.Series) [][]int64 {
 	out, _ := LagMatchCountsExec(s, exec.New(exec.Config{Workers: 1}), 1, nil)
 	return out
 }
 
-// LagMatchCountsExec is the batched autocorrelation driver behind the
-// detection sweep: the σ indicator vectors are packed into ⌈σ/2⌉ pair
-// transforms that share one cached fft.Plan, and each pair runs through the
-// plan's half-size real-input kernel with the two buffers interleaved stage
-// by stage (one walk of the swap and twiddle tables per pair). The pair
-// transforms are sharded over sched's worker pool, which is also where
-// cancellation is polled (before each pair is claimed, so the cancellation
-// latency is bounded by one in-flight pair FFT, not the whole batch — the
-// difference matters for wide alphabets). Each worker reuses a pair of
-// indicator buffers. workers caps the total cores used (0 means all cores —
-// the FFT precompute fans out fully even when the surrounding stage
-// pipeline is serial); workers left over after the pairs are assigned go to
-// parallel butterflies inside each transform. plans supplies the FFT plan
-// cache (nil means the process-shared cache). The counts are exact integers
-// and bit-identical for every worker count.
+// LagMatchCountsExec is LagMatchCountsBand over every lag 0..n−1.
 func LagMatchCountsExec(s *series.Series, sched *exec.Scheduler, workers int, plans *fft.PlanCache) ([][]int64, error) {
+	return LagMatchCountsBand(s, s.Len()-1, sched, workers, plans)
+}
+
+// LagMatchCountsBand is the autocorrelation driver behind the detection
+// sweep: r[k][p] for every symbol k and every lag p in [0, maxLag] (capped
+// at n−1), in O(σ n log maxLag). Each symbol's indicator runs through the
+// fft block kernel on one cached plan of size fft.BandSize(n, maxLag): blocks
+// of B ≥ maxLag samples, one forward transform each plus one inverse. The
+// symbols are sharded over sched's worker pool, which polls cancellation
+// before each symbol is claimed, so a cancelled detection stops within one
+// symbol's transforms. Each worker reuses one indicator buffer. workers caps
+// the total cores used (0 means all cores — the FFT precompute fans out
+// fully even when the surrounding stage pipeline is serial); workers left
+// over after the symbols are assigned go to parallel butterflies inside each
+// transform. plans supplies the FFT plan cache (nil means the process-shared
+// cache). The counts are exact integers and bit-identical for every worker
+// count.
+func LagMatchCountsBand(s *series.Series, maxLag int, sched *exec.Scheduler, workers int, plans *fft.PlanCache) ([][]int64, error) {
 	n, sigma := s.Len(), s.Alphabet().Size()
 	out := make([][]int64, sigma)
 	if sigma == 0 {
 		return out, nil
 	}
-	flat := make([]int64, sigma*n)
+	lags := max(min(maxLag+1, n), 0)
+	flat := make([]int64, sigma*lags)
 	for k := range out {
-		out[k] = flat[k*n : (k+1)*n : (k+1)*n]
+		out[k] = flat[k*lags : (k+1)*lags : (k+1)*lags]
 	}
-	if n == 0 {
+	if lags == 0 {
 		return out, nil
 	}
 	if plans == nil {
 		plans = fft.SharedPlans()
 	}
-	plan := plans.For(fft.NextPow2(2 * n))
-	pairs := (sigma + 1) / 2
+	plan := plans.For(fft.BandSize(n, lags-1))
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	outer := workers
-	if outer > pairs {
-		outer = pairs
-	}
-	// Cores not consumed by pair-level parallelism parallelize the
+	outer := min(workers, sigma)
+	// Cores not consumed by symbol-level parallelism parallelize the
 	// butterflies of each transform instead.
 	inner := workers / outer
-	err := sched.Run(pairs, outer, func(w int) func(i int) error {
-		x1 := make([]float64, n)
-		x2 := make([]float64, n)
-		return func(i int) error {
-			k := 2 * i
-			s.IndicatorInto(k, x1)
-			if k+1 < sigma {
-				s.IndicatorInto(k+1, x2)
-				plan.AutocorrelateCountsPairInto(x1, x2, out[k], out[k+1], inner)
-			} else {
-				plan.AutocorrelateCountsInto(x1, out[k], inner)
-			}
+	err := sched.Run(sigma, outer, func(w int) func(k int) error {
+		x := make([]float64, n)
+		return func(k int) error {
+			plan.AutocorrelateCountsInto(s.IndicatorInto(k, x), out[k], inner)
 			return nil
 		}
 	})

@@ -3,6 +3,7 @@ package conv
 import (
 	"math/big"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -324,11 +325,11 @@ func TestUnmodifiedMatchCountViaWp(t *testing.T) {
 	}
 }
 
-// TestLagMatchCountsBatchedMatchesPerSymbol pins the batched pair-packed
-// driver against independent per-symbol FFT autocorrelations and the naive
-// quadratic count: all three must agree bit-for-bit on randomized series, at
-// every worker count and for odd and even alphabet sizes (the odd tail takes
-// the single-symbol path).
+// TestLagMatchCountsBatchedMatchesPerSymbol pins the driver that runs every
+// symbol through one shared plan against independent per-symbol FFT
+// autocorrelations and the naive quadratic count: all three must agree
+// bit-for-bit on randomized series, at every worker count and for odd and
+// even alphabet sizes.
 func TestLagMatchCountsBatchedMatchesPerSymbol(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, sigma := range []int{1, 2, 3, 5, 8} {
@@ -407,14 +408,15 @@ func FuzzLagMatchCountsBatched(f *testing.F) {
 	})
 }
 
-// TestLagMatchCountsInnerParallelBitIdentical gives the batched driver more
-// workers than symbol pairs, so the leftover workers split each transform's
-// butterflies across goroutines, and requires counts bit-identical to the
-// serial run and exactly equal to the quadratic reference.
+// TestLagMatchCountsInnerParallelBitIdentical gives the driver more workers
+// than symbols, so the leftover workers split each transform's butterflies
+// across goroutines, and requires counts bit-identical to the serial run and
+// exactly equal to the quadratic reference.
 func TestLagMatchCountsInnerParallelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	// Two symbols make one pair; n = 8200 gives a half-size plan of 2^14,
-	// large enough that up to four workers take the parallel butterfly path.
+	// Two symbols; n = 8200 gives two blocks of 2^13 samples, whose
+	// half-size transforms are large enough that two workers take the
+	// parallel butterfly path.
 	idx := make([]uint16, 8200)
 	for i := range idx {
 		idx[i] = uint16(rng.Intn(2))
@@ -435,6 +437,86 @@ func TestLagMatchCountsInnerParallelBitIdentical(t *testing.T) {
 			for p := range want[k] {
 				if got[k][p] != want[k][p] {
 					t.Fatalf("workers=%d: r_%d(%d) = %d, want %d", workers, k, p, got[k][p], want[k][p])
+				}
+			}
+		}
+	}
+}
+
+// lagCountsBand runs LagMatchCountsBand on its own scheduler with the given
+// worker count (0 means GOMAXPROCS) and the shared plan cache.
+func lagCountsBand(t testing.TB, s *series.Series, maxLag, workers int) [][]int64 {
+	t.Helper()
+	out, err := LagMatchCountsBand(s, maxLag, exec.New(exec.Config{Workers: workers}), workers, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// randomSeries draws n symbols uniformly from an alphabet of sigma.
+func randomSeries(rng *rand.Rand, n, sigma int) *series.Series {
+	idx := make([]uint16, n)
+	for i := range idx {
+		idx[i] = uint16(rng.Intn(sigma))
+	}
+	return series.FromIndices(alphabet.Letters(sigma), idx)
+}
+
+// TestLagMatchCountsBandMatchesNaive pins the band driver exactly to the
+// quadratic reference: every row holds lags 0..L and equals the naive counts
+// there, across lengths around the block boundaries, lag bands from one lag
+// to the whole series, and alphabets of 1 to 10 symbols.
+func TestLagMatchCountsBandMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for _, n := range []int{1, 2, 3, 5, 63, 64, 65, 1000, 1024, 1025, 4097} {
+		for _, sigma := range []int{1, 2, 5, 10} {
+			s := randomSeries(rng, n, sigma)
+			naive := LagMatchCountsNaive(s)
+			for _, maxLag := range []int{1, 2, 63, 64, 65, n / 2, n - 1} {
+				if maxLag >= n {
+					continue
+				}
+				got := lagCountsBand(t, s, maxLag, 1)
+				for k := range naive {
+					if len(got[k]) != maxLag+1 {
+						t.Fatalf("n=%d σ=%d L=%d: row %d holds %d lags", n, sigma, maxLag, k, len(got[k]))
+					}
+					for p, r := range got[k] {
+						if r != naive[k][p] {
+							t.Fatalf("n=%d σ=%d L=%d: r_%d(%d) = %d, naive %d", n, sigma, maxLag, k, p, r, naive[k][p])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLagMatchCountsBandBitIdenticalAcrossWorkers requires the band counts
+// to be bit-identical at one worker, two and GOMAXPROCS, and equal to the
+// one-block counts of the full-lag driver. With one symbol at n = 2^17 the
+// spare workers go to the butterflies of 2^16-point transforms, which run
+// in parallel; with five symbols and a 300-lag band they go to symbols.
+func TestLagMatchCountsBandBitIdenticalAcrossWorkers(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	cases := []struct {
+		s      *series.Series
+		maxLag int
+	}{
+		{randomSeries(rng, 1<<17, 1), 1 << 16},
+		{randomSeries(rng, 1<<15, 5), 300},
+	}
+	for _, tc := range cases {
+		full := LagMatchCounts(tc.s)
+		for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+			got := lagCountsBand(t, tc.s, tc.maxLag, workers)
+			for k := range full {
+				for p, r := range got[k] {
+					if r != full[k][p] {
+						t.Fatalf("n=%d workers=%d: r_%d(%d) = %d, one block %d",
+							tc.s.Len(), workers, k, p, r, full[k][p])
+					}
 				}
 			}
 		}

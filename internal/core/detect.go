@@ -16,25 +16,34 @@ type CandidatePeriod struct {
 }
 
 // DetectCandidatesContext runs only the periodicity-detection phase of the
-// algorithm: one pass over the series builds the per-symbol indicators, one
-// FFT autocorrelation per symbol yields every lag's match counts, and each
-// period is kept iff some symbol passes the sound aggregate test
-// r_k(p)/minPairs(p) ≥ ψ (a necessary condition for Definition 1, since
-// F2(s_k, π_{p,l}) ≤ r_k(p) for every position l). Total cost O(σ n log n) —
-// the phase the paper's Fig. 5 times against the periodic-trends baseline,
-// whose output is likewise a set of candidate periods. The FFT stage runs
-// through the batched planned engine on all cores. Exact positions and
-// confidences for a candidate are resolved on demand with MineWorkers over
-// a restricted period range, or Confidencer.
-//
-// The scheduler polls ctx before the FFT pass, between its pair transforms,
-// and at every period of the aggregate sweep, so a cancelled or timed-out
-// detection returns promptly with the context's error.
+// algorithm over the periods 1..maxPeriod (maxPeriod 0 means n/2); it is
+// DetectCandidatesRange with the default period floor.
 func DetectCandidatesContext(ctx context.Context, s *series.Series, psi float64, maxPeriod int) ([]CandidatePeriod, error) {
+	return DetectCandidatesRange(ctx, s, psi, 0, maxPeriod)
+}
+
+// DetectCandidatesRange runs only the periodicity-detection phase of the
+// algorithm over the periods [minPeriod, maxPeriod], validated against n as
+// a mine validates them (0 means the defaults 1 and n/2): one pass over the
+// series builds the per-symbol indicators, one FFT block autocorrelation per
+// symbol yields the match counts of every lag up to maxPeriod, and each
+// period of the range is kept iff some symbol passes the sound aggregate
+// test r_k(p)/minPairs(p) ≥ ψ (a necessary condition for Definition 1, since
+// F2(s_k, π_{p,l}) ≤ r_k(p) for every position l). Total cost
+// O(σ n log maxPeriod) — the phase the paper's Fig. 5 times against the
+// periodic-trends baseline, whose output is likewise a set of candidate
+// periods. The FFT stage runs through the planned engine on all cores.
+// Exact positions and confidences for a candidate are resolved on demand
+// with MineWorkers over a restricted period range, or Confidencer.
+//
+// The scheduler polls ctx before the FFT pass, between its per-symbol
+// transforms, and throughout the aggregate sweep, so a cancelled or
+// timed-out detection returns promptly with the context's error.
+func DetectCandidatesRange(ctx context.Context, s *series.Series, psi float64, minPeriod, maxPeriod int) ([]CandidatePeriod, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	ses, err := newCandidateSession(s, psi, maxPeriod, sessionConfig{workers: 1, cancel: ctx.Err})
+	ses, err := newCandidateSession(s, psi, minPeriod, maxPeriod, sessionConfig{workers: 1, cancel: ctx.Err})
 	if err != nil {
 		return nil, err
 	}

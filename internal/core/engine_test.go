@@ -73,7 +73,7 @@ func TestSessionScopedPlanCache(t *testing.T) {
 	if len(res.Periodicities) == 0 {
 		t.Fatal("fixture detected nothing; the test is vacuous")
 	}
-	isolated, err := conv.LagMatchCountsExec(s, exec.New(exec.Config{Workers: 1}), 1, fft.NewPlanCache())
+	isolated, err := conv.LagMatchCountsBand(s, ses.opt.MaxPeriod, exec.New(exec.Config{Workers: 1}), 1, fft.NewPlanCache())
 	if err != nil {
 		t.Fatal(err)
 	}

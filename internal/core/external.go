@@ -18,12 +18,12 @@ import (
 // is autocorrelated with the external (four-step, out-of-core) FFT. This is
 // the paper's §3.1 remark — "an external FFT algorithm can be used for large
 // sizes of databases mined while on disk" — realized end to end. Once the
-// header gives n, psi and maxPeriod are validated exactly as
-// DetectCandidatesContext validates them.
-func DetectCandidatesFile(path string, psi float64, maxPeriod int) ([]CandidatePeriod, error) {
+// header gives n, psi and the period range [minPeriod, maxPeriod] are
+// validated exactly as DetectCandidatesRange validates them.
+func DetectCandidatesFile(path string, psi float64, minPeriod, maxPeriod int) ([]CandidatePeriod, error) {
 	ses := &session{eng: EngineFFT, met: obs.Exec()}
 	ses.finishSession(sessionConfig{workers: 1})
-	return ses.candidates(fileDetect{path: path, psi: psi, maxPeriod: maxPeriod})
+	return ses.candidates(fileDetect{path: path, psi: psi, minPeriod: minPeriod, maxPeriod: maxPeriod})
 }
 
 // fileDetect is the detect stage over an on-disk series: it parses the
@@ -32,9 +32,9 @@ func DetectCandidatesFile(path string, psi float64, maxPeriod int) ([]CandidateP
 // files in one pass, and fills the session's lag counts with the external
 // FFT — after which the shared candidate sweep runs unchanged.
 type fileDetect struct {
-	path      string
-	psi       float64
-	maxPeriod int
+	path                 string
+	psi                  float64
+	minPeriod, maxPeriod int
 }
 
 func (fileDetect) name() string { return "detect" }
@@ -57,7 +57,7 @@ func (st fileDetect) run(ses *session) error {
 	if sigma < 1 || n < 1 {
 		return fmt.Errorf("core: bad series header σ=%d n=%d", sigma, n)
 	}
-	if ses.opt, err = candidateOptions(st.psi, st.maxPeriod, n); err != nil {
+	if ses.opt, err = candidateOptions(st.psi, st.minPeriod, st.maxPeriod, n); err != nil {
 		return err
 	}
 	ses.n, ses.sigma = n, sigma

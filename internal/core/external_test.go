@@ -28,7 +28,7 @@ func TestDetectCandidatesFileMatchesInMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := DetectCandidatesFile(path, 0.7, 0)
+	got, err := DetectCandidatesFile(path, 0.7, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestDetectCandidatesFileMatchesInMemory(t *testing.T) {
 func TestDetectCandidatesFileValidates(t *testing.T) {
 	dir := t.TempDir()
 	missing := filepath.Join(dir, "missing.bin")
-	if _, err := DetectCandidatesFile(missing, 0.5, 0); err == nil {
+	if _, err := DetectCandidatesFile(missing, 0.5, 0, 0); err == nil {
 		t.Fatal("missing file: want error")
 	}
 
@@ -69,7 +69,7 @@ func TestDetectCandidatesFileValidates(t *testing.T) {
 		if err := os.WriteFile(bad, []byte(tc.body), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := DetectCandidatesFile(bad, 0.5, 0); err == nil {
+		if _, err := DetectCandidatesFile(bad, 0.5, 0, 0); err == nil {
 			t.Fatalf("%s: want error", tc.name)
 		}
 	}
@@ -79,10 +79,10 @@ func TestDetectCandidatesFileValidates(t *testing.T) {
 	if err := writeSeriesFile(ok, s); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DetectCandidatesFile(ok, 0, 0); !errors.Is(err, ErrInvalidInput) {
+	if _, err := DetectCandidatesFile(ok, 0, 0, 0); !errors.Is(err, ErrInvalidInput) {
 		t.Fatalf("ψ=0: error %v does not match ErrInvalidInput", err)
 	}
-	if _, err := DetectCandidatesFile(ok, 0.5, 99); !errors.Is(err, ErrInvalidInput) {
+	if _, err := DetectCandidatesFile(ok, 0.5, 0, 99); !errors.Is(err, ErrInvalidInput) {
 		t.Fatalf("maxPeriod ≥ n: error %v does not match ErrInvalidInput", err)
 	}
 }

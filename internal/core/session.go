@@ -108,9 +108,9 @@ func newSession(s *series.Series, opt Options, cfg sessionConfig) (*session, err
 
 // newCandidateSession assembles a session for the detection-only path over
 // an in-memory series.
-func newCandidateSession(s *series.Series, psi float64, maxPeriod int, cfg sessionConfig) (*session, error) {
+func newCandidateSession(s *series.Series, psi float64, minPeriod, maxPeriod int, cfg sessionConfig) (*session, error) {
 	n := s.Len()
-	opt, err := candidateOptions(psi, maxPeriod, n)
+	opt, err := candidateOptions(psi, minPeriod, maxPeriod, n)
 	if err != nil {
 		return nil, err
 	}
@@ -128,10 +128,11 @@ func newCandidateSession(s *series.Series, psi float64, maxPeriod int, cfg sessi
 
 // candidateOptions validates the detection-only path's parameters against
 // a series of length n, for the in-memory and on-disk sources alike: the
-// threshold and period bound resolve through the same Spec as a full mine,
-// and detection additionally needs every lag strictly inside the series.
-func candidateOptions(psi float64, maxPeriod, n int) (Options, error) {
-	opt, err := Options{Threshold: psi, MaxPeriod: maxPeriod}.withDefaults(n)
+// threshold and the period range [minPeriod, maxPeriod] resolve through the
+// same Spec as a full mine, and detection additionally needs every lag
+// strictly inside the series.
+func candidateOptions(psi float64, minPeriod, maxPeriod, n int) (Options, error) {
+	opt, err := Options{Threshold: psi, MinPeriod: minPeriod, MaxPeriod: maxPeriod}.withDefaults(n)
 	if err != nil {
 		return opt, err
 	}
@@ -218,8 +219,9 @@ func (ses *session) newWorkerDetector() *detector {
 
 // memoryDetect is the detect stage over an in-memory series: one pass builds
 // the mapped indicator vectors (the pruned engines' input), and for the FFT
-// engine the batched per-symbol autocorrelation — pair-packed planned FFTs
-// sharded over the scheduler — yields every lag's match counts.
+// engine the per-symbol block autocorrelation — planned FFTs sharded over
+// the scheduler — yields the match counts of every lag up to MaxPeriod, the
+// only lags the sweep reads.
 type memoryDetect struct {
 	lagOnly bool // detection-only path: just the aggregate counts
 }
@@ -231,7 +233,7 @@ func (st memoryDetect) run(ses *session) error {
 		ses.ind = conv.NewIndicators(ses.s)
 	}
 	if ses.eng == EngineFFT {
-		lag, err := conv.LagMatchCountsExec(ses.s, ses.sched, ses.fftWorkers, fft.SharedPlans())
+		lag, err := conv.LagMatchCountsBand(ses.s, ses.opt.MaxPeriod, ses.sched, ses.fftWorkers, fft.SharedPlans())
 		if err != nil {
 			return err
 		}
@@ -364,51 +366,32 @@ func (enumeratePatterns) run(ses *session) error {
 	return nil
 }
 
-// sweepCandidates is the sweep stage of the detection-only path: each period
-// keeps its best symbol under the aggregate prune Survives, written into
-// per-period slots and compacted in period order.
+// sweepCandidates is the sweep stage of the detection-only path: one pass
+// over the period band [MinPeriod, MaxPeriod] keeps each period whose best
+// symbol passes the aggregate prune Survives, written in period order into
+// a slice allocated once at the band's size.
 type sweepCandidates struct{}
 
 func (sweepCandidates) name() string { return "sweep" }
 
 func (sweepCandidates) run(ses *session) error {
-	maxPeriod := ses.opt.MaxPeriod
+	lo, hi := ses.opt.MinPeriod, ses.opt.MaxPeriod
 	psi := ses.opt.Threshold
-	slots := make([]CandidatePeriod, maxPeriod+1)
-	err := ses.sched.Run(maxPeriod, 0, func(w int) func(i int) error {
-		return func(i int) error {
-			p := i + 1
-			if err := ses.sched.Tick(int64(ses.sigma)); err != nil {
-				return err
-			}
-			if pairsAt(ses.n, p, 0) < 1 {
-				return nil
-			}
-			minPairs := pairsAt(ses.n, p, p-1)
-			if minPairs < 1 {
-				minPairs = 1
-			}
-			// Survives is monotone in r, so the period survives iff its
-			// first most-matched symbol does.
-			best, bestCount := -1, int64(0)
-			for k := range ses.lag {
-				if r := ses.lag[k][p]; r > bestCount {
-					best, bestCount = k, r
-				}
-			}
-			if best >= 0 && Survives(bestCount, minPairs, psi) {
-				slots[p] = CandidatePeriod{Period: p, BestSymbol: best, MatchCount: bestCount}
-			}
-			return nil
+	out := make([]CandidatePeriod, 0, max(hi-lo+1, 0))
+	for p := lo; p <= hi; p++ {
+		if err := ses.sched.Tick(int64(ses.sigma)); err != nil {
+			return err
 		}
-	})
-	if err != nil {
-		return err
-	}
-	var out []CandidatePeriod
-	for p := 1; p <= maxPeriod; p++ {
-		if slots[p].Period != 0 {
-			out = append(out, slots[p])
+		// Survives is monotone in r, so the period survives iff its first
+		// most-matched symbol does.
+		best, bestCount := -1, int64(0)
+		for k, row := range ses.lag {
+			if r := row[p]; r > bestCount {
+				best, bestCount = k, r
+			}
+		}
+		if best >= 0 && Survives(bestCount, max(pairsAt(ses.n, p, p-1), 1), psi) {
+			out = append(out, CandidatePeriod{Period: p, BestSymbol: best, MatchCount: bestCount})
 		}
 	}
 	ses.cands = out

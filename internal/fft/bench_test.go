@@ -54,27 +54,24 @@ func BenchmarkPlanForward(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanPairCounts measures the zero-alloc packed pair path, the unit
-// of work the detection sweep schedules per symbol pair.
-func BenchmarkPlanPairCounts(b *testing.B) {
-	for _, n := range []int{1 << 14, 1 << 18} {
-		rng := rand.New(rand.NewSource(9))
-		x1 := make([]float64, n)
-		x2 := make([]float64, n)
-		for i := 0; i < n; i++ {
-			if rng.Intn(4) == 0 {
-				x1[i] = 1
-			}
-			if rng.Intn(4) == 0 {
-				x2[i] = 1
-			}
+// BenchmarkBlockKernel times the lag counts of one 2^16-sample indicator
+// for a small lag band at each block size, against the one block that holds
+// the series: the table minBlock is read from.
+func BenchmarkBlockKernel(b *testing.B) {
+	n := 1 << 16
+	rng := rand.New(rand.NewSource(9))
+	x := make([]float64, n)
+	for i := range x {
+		if rng.Intn(4) == 0 {
+			x[i] = 1
 		}
-		p := PlanFor(NextPow2(2 * n))
-		out1 := make([]int64, n)
-		out2 := make([]int64, n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+	}
+	out := make([]int64, 3)
+	for blk := 2; blk <= n; blk *= 2 {
+		p := PlanFor(2 * blk)
+		b.Run(fmt.Sprintf("B=%d", blk), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p.AutocorrelateCountsPairInto(x1, x2, out1, out2, 1)
+				p.AutocorrelateCountsInto(x, out, 1)
 			}
 		})
 	}

@@ -28,15 +28,29 @@ func Forward(x []complex128) { PlanFor(len(x)).Forward(x) }
 // len(x) must be a power of two.
 func Inverse(x []complex128) { PlanFor(len(x)).Inverse(x) }
 
+// minBlock is the floor on the block kernel's block length B; the kernel
+// needs B ≥ 2 for its packed layout. Timed over a 2^16-sample indicator with
+// a two-lag band (BenchmarkBlockKernel), the cost is flat from B = 8 to 64
+// and rises by log B above it, while each halving of B doubles the blocks
+// whose spectra the kernel sums; 64 is the largest block at the minimum.
+const minBlock = 1 << 6
+
+// BandSize returns the plan size 2B the block kernel (Plan.AutocorrelateCountsInto)
+// uses for the lags 0..maxLag of n samples: B = NextPow2(maxLag), raised to
+// minBlock, and never above the one block that holds the whole series.
+func BandSize(n, maxLag int) int {
+	return 2 * NextPow2(min(max(maxLag, minBlock), n))
+}
+
 // AutocorrelateCounts returns r[p] = Σ_i x[i]·x[i+p] for p = 0..len(x)-1,
 // rounded to the nearest integer. It is intended for integer-valued vectors
 // such as 0/1 indicators, where r[p] is the exact number of lag-p matches;
 // rounding removes FFT round-off, whose error stays far below 0.5 for any
-// series that fits in memory. It costs one half-size forward and one
-// half-size inverse transform through the real-input kernel.
+// series that fits in memory. It runs the block kernel on the plan BandSize
+// picks for every lag.
 func AutocorrelateCounts(x []float64) []int64 {
 	if len(x) == 0 {
 		return nil
 	}
-	return PlanFor(NextPow2(2 * len(x))).AutocorrelateCounts(x)
+	return PlanFor(BandSize(len(x), len(x)-1)).AutocorrelateCounts(x)
 }

@@ -160,55 +160,46 @@ func TestAutocorrelateCountsOnIndicators(t *testing.T) {
 	}
 }
 
+// TestAutocorrelateCountsPairMatchesSingles checks the block-pair path
+// against the single-block path: cutting a series into blocks of B samples,
+// each correlated with the window of itself and its successor, gives at
+// every lag up to B exactly the counts of the one block holding the series.
 func TestAutocorrelateCountsPairMatchesSingles(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, n := range []int{1, 2, 7, 64, 1000} {
-		x1 := make([]float64, n)
-		x2 := make([]float64, n)
+		x := make([]float64, n)
 		for i := 0; i < n; i++ {
 			if rng.Intn(3) == 0 {
-				x1[i] = 1
-			}
-			if rng.Intn(4) == 0 {
-				x2[i] = 1
+				x[i] = 1
 			}
 		}
-		got1, got2 := pairCounts(x1, x2, 0)
-		want1 := AutocorrelateCounts(x1)
-		want2 := AutocorrelateCounts(x2)
-		for p := 0; p < n; p++ {
-			if got1[p] != want1[p] || got2[p] != want2[p] {
-				t.Fatalf("n=%d p=%d: pair (%d,%d) vs singles (%d,%d)",
-					n, p, got1[p], got2[p], want1[p], want2[p])
+		want := AutocorrelateCounts(x)
+		for blk := 2; blk < n; blk *= 2 {
+			got := make([]int64, blk+1)
+			PlanFor(2*blk).AutocorrelateCountsInto(x, got, 0)
+			for p := range got {
+				if got[p] != want[p] {
+					t.Fatalf("n=%d B=%d p=%d: blocks %d vs one block %d", n, blk, p, got[p], want[p])
+				}
 			}
 		}
 	}
 }
 
-// pairCounts runs the pair entry point on fresh output slices.
-func pairCounts(x1, x2 []float64, workers int) ([]int64, []int64) {
-	out1, out2 := make([]int64, len(x1)), make([]int64, len(x2))
-	PlanFor(NextPow2(2*len(x1))).AutocorrelateCountsPairInto(x1, x2, out1, out2, workers)
-	return out1, out2
-}
-
+// TestAutocorrelateCountsPairEmpty pins the empty cases: an empty input is
+// a no-op on any plan, even one too small for input, and so is an empty lag
+// band over a series of several blocks.
 func TestAutocorrelateCountsPairEmpty(t *testing.T) {
-	// An empty pair is a no-op on any plan, even one too small for input.
-	PlanFor(1).AutocorrelateCountsPairInto(nil, nil, nil, nil, 0)
-	a, b := pairCounts(nil, nil, 1)
-	if len(a) != 0 || len(b) != 0 {
-		t.Fatal("empty pair: want empty results")
+	PlanFor(1).AutocorrelateCountsInto(nil, nil, 0)
+	if out := PlanFor(8).AutocorrelateCountsInto(nil, nil, 1); len(out) != 0 {
+		t.Fatal("empty input: want empty result")
 	}
-}
-
-func TestAutocorrelateCountsPairLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("length mismatch: want panic")
-		}
-	}()
-	PlanFor(8).AutocorrelateCountsPairInto(make([]float64, 3), make([]float64, 4),
-		make([]int64, 3), make([]int64, 4), 1)
+	if out := PlanFor(4).AutocorrelateCountsInto(make([]float64, 9), []int64{}, 1); len(out) != 0 {
+		t.Fatal("empty lag band: want empty result")
+	}
+	if AutocorrelateCounts(nil) != nil {
+		t.Fatal("AutocorrelateCounts(nil): want nil")
+	}
 }
 
 // TestValidateCountPrecision checks that the unrounded autocorrelation of a
@@ -227,5 +218,42 @@ func TestValidateCountPrecision(t *testing.T) {
 	}
 	if worst > 1e-3 {
 		t.Fatalf("autocorrelation count error %g too close to 0.5 at n=%d", worst, len(x))
+	}
+}
+
+// TestBlockCountPrecision holds the block kernel to the same margin at the
+// most blocks it runs: a 2^16-sample series with a small lag band, on the
+// plan BandSize picks (blocks of minBlock) and on the smallest plan the
+// kernel admits (blocks of 2), keeps every unrounded lag within 1e-3 of an
+// integer, and the rounded lags equal the direct counts.
+func TestBlockCountPrecision(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	n := 1 << 16
+	x := make([]float64, n)
+	for i := range x {
+		if rng.Intn(2) == 0 {
+			x[i] = 1
+		}
+	}
+	exact := make([]int64, 3)
+	for p := range exact {
+		for i := 0; i+p < n; i++ {
+			exact[p] += int64(x[i] * x[i+p])
+		}
+	}
+	for _, size := range []int{BandSize(n, 2), 4} {
+		raw := rawAutocorr(PlanFor(size), x)
+		worst := 0.0
+		for _, v := range raw {
+			worst = math.Max(worst, math.Abs(v-math.Round(v)))
+		}
+		if worst > 1e-3 {
+			t.Fatalf("plan %d (%d blocks): count error %g too close to 0.5", size, 2*n/size, worst)
+		}
+		for p, want := range exact {
+			if got := int64(math.Round(raw[p])); got != want {
+				t.Fatalf("plan %d lag %d: %d, direct %d", size, p, got, want)
+			}
+		}
 	}
 }

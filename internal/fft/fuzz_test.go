@@ -8,7 +8,8 @@ import (
 // FuzzPlanTransformEquivalence drives the planned engine with fuzz-shaped
 // indicator vectors and checks its three contracts at once: autocorrelation
 // counts from the plan equal the counts from the seed recurrence transform,
-// the pair-packed path equals the per-vector path, and parallel butterflies
+// blocks of two samples give the second vector's one-block counts, and
+// parallel butterflies
 // equal serial ones bit-for-bit.
 func FuzzPlanTransformEquivalence(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 1, 0, 0, 1, 0}, []byte{0, 1, 1, 0})
@@ -49,16 +50,15 @@ func FuzzPlanTransformEquivalence(f *testing.F) {
 			}
 		}
 
-		// Pair-packed path against per-vector counts, at several worker counts.
+		// Blocks of 2 samples against the one-block counts, at several
+		// worker counts.
 		want2 := p.AutocorrelateCounts(x2)
-		out1 := make([]int64, n)
-		out2 := make([]int64, n)
+		band := make([]int64, min(n, 3))
 		for _, workers := range []int{1, 4} {
-			p.AutocorrelateCountsPairInto(x1, x2, out1, out2, workers)
-			for i := 0; i < n; i++ {
-				if out1[i] != got[i] || out2[i] != want2[i] {
-					t.Fatalf("workers=%d lag %d: pair (%d,%d) vs singles (%d,%d)",
-						workers, i, out1[i], out2[i], got[i], want2[i])
+			PlanFor(4).AutocorrelateCountsInto(x2, band, workers)
+			for i := range band {
+				if band[i] != want2[i] {
+					t.Fatalf("workers=%d lag %d: blocks %d vs one block %d", workers, i, band[i], want2[i])
 				}
 			}
 		}

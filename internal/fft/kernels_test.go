@@ -118,22 +118,26 @@ func TestKernelCountsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPairKernelCountsBitIdentical covers the pair path the detect stage
-// runs, serial and parallel, against the complex reference per input.
+// TestPairKernelCountsBitIdentical covers the block-pair path the detect
+// stage runs — each block correlated with the window of itself and its
+// successor — serial and parallel, against the complex reference per input:
+// at every block size from the smallest plan up to one block, the counts of
+// the lags the block admits equal the full-size complex transform's.
 func TestPairKernelCountsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, n := range []int{5, 100, 1 << 10, 1 << 13} {
-		p := PlanFor(NextPow2(2 * n))
-		x1 := randIndicator(rng, n)
-		x2 := randIndicator(rng, n)
-		want1, want2 := complexCounts(p, x1), complexCounts(p, x2)
-		got1, got2 := make([]int64, n), make([]int64, n)
-		for _, workers := range []int{1, 2, 4, 7} {
-			p.AutocorrelateCountsPairInto(x1, x2, got1, got2, workers)
-			for i := 0; i < n; i++ {
-				if got1[i] != want1[i] || got2[i] != want2[i] {
-					t.Fatalf("n=%d workers=%d lag %d: (%d,%d) vs (%d,%d)",
-						n, workers, i, got1[i], got2[i], want1[i], want2[i])
+		x := randIndicator(rng, n)
+		want := complexCounts(PlanFor(NextPow2(2*n)), x)
+		for blk := 2; blk < 2*n; blk *= 4 {
+			p := PlanFor(2 * blk)
+			got := make([]int64, min(n, blk+1))
+			for _, workers := range []int{1, 2, 4, 7} {
+				p.AutocorrelateCountsInto(x, got, workers)
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("n=%d B=%d workers=%d lag %d: %d vs complex %d",
+							n, blk, workers, i, got[i], want[i])
+					}
 				}
 			}
 		}
@@ -142,49 +146,28 @@ func TestPairKernelCountsBitIdentical(t *testing.T) {
 
 // TestKernelCountsMatchDirectSmallN pins the smallest plans, including the
 // size-2 plan that has no packed layout: for every n in 1..64 (plans
-// 2..128), single and pair counts equal the direct O(n²) lag counts at one
-// and at four workers.
+// 2..128), the one-block counts and the counts at every smaller block size
+// equal the direct O(n²) lag counts at one and at four workers.
 func TestKernelCountsMatchDirectSmallN(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	for n := 1; n <= 64; n++ {
-		p := PlanFor(NextPow2(2 * n))
-		x1 := randIndicator(rng, n)
-		x2 := randIndicator(rng, n)
-		x1[0] = 1 // n = 1 must see a non-zero count
-		want1, want2 := autocorrExactInt(x1), autocorrExactInt(x2)
+		x := randIndicator(rng, n)
+		x[0] = 1 // n = 1 must see a non-zero count
+		want := autocorrExactInt(x)
 		for _, workers := range []int{1, 4} {
 			single := make([]int64, n)
-			p.AutocorrelateCountsInto(x1, single, workers)
-			got1, got2 := make([]int64, n), make([]int64, n)
-			p.AutocorrelateCountsPairInto(x1, x2, got1, got2, workers)
-			for i := 0; i < n; i++ {
-				if single[i] != want1[i] || got1[i] != want1[i] || got2[i] != want2[i] {
-					t.Fatalf("n=%d plan=%d workers=%d lag %d: single %d, pair (%d,%d), direct (%d,%d)",
-						n, p.Size(), workers, i, single[i], got1[i], got2[i], want1[i], want2[i])
+			PlanFor(NextPow2(2*n)).AutocorrelateCountsInto(x, single, workers)
+			for i := range want {
+				if single[i] != want[i] {
+					t.Fatalf("n=%d workers=%d lag %d: one block %d, direct %d", n, workers, i, single[i], want[i])
 				}
 			}
-		}
-	}
-}
-
-// TestTransformBatchBitIdentical checks the stage-interleaved pair transform
-// against per-buffer Transform calls — bit-for-bit, at every worker count,
-// forward and inverse.
-func TestTransformBatchBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	for _, n := range []int{2, 4, 64, 1 << 10, 1 << 14} {
-		p := PlanFor(n)
-		for _, inverse := range []bool{false, true} {
-			for _, workers := range []int{1, 3, 8} {
-				a, b := randComplex(rng, n), randComplex(rng, n)
-				wantA := append([]complex128(nil), a...)
-				wantB := append([]complex128(nil), b...)
-				p.Transform(wantA, inverse, 1)
-				p.Transform(wantB, inverse, 1)
-				p.transformPair(a, b, inverse, workers)
-				for i := range a {
-					if a[i] != wantA[i] || b[i] != wantB[i] {
-						t.Fatalf("n=%d inverse=%v workers=%d elem %d differs", n, inverse, workers, i)
+			for blk := 2; blk < n; blk *= 2 {
+				got := make([]int64, blk+1)
+				PlanFor(2*blk).AutocorrelateCountsInto(x, got, workers)
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("n=%d B=%d workers=%d lag %d: blocks %d, direct %d", n, blk, workers, i, got[i], want[i])
 					}
 				}
 			}
@@ -221,20 +204,32 @@ func TestRealKernelZeroAllocAfterWarmup(t *testing.T) {
 	}
 }
 
-func TestTransformBatchZeroAllocAfterWarmup(t *testing.T) {
-	n := 1 << 10
-	p := PlanFor(n)
-	a, b := make([]complex128, n), make([]complex128, n)
-	for i := range a {
-		a[i] = complex(1, float64(i&7))
-		b[i] = complex(2, float64(i&3))
+// TestBandZeroAllocAfterWarmup extends the zero-alloc guarantee to the
+// block path: a series of many blocks takes its block, spectrum and
+// accumulator buffers from the half plan's pool, so once the pool is warm
+// the kernel allocates nothing.
+func TestBandZeroAllocAfterWarmup(t *testing.T) {
+	n := 1 << 13
+	x := make([]float64, n)
+	for i := 0; i < n; i += 3 {
+		x[i] = 1
+	}
+	p := NewPlan(BandSize(n, 100))
+	if blocks := n / (p.Size() / 2); blocks < 4 {
+		t.Fatalf("plan %d gives %d blocks; want several", p.Size(), blocks)
+	}
+	out := make([]int64, 101)
+	p.AutocorrelateCountsInto(x, out, 1) // warm pool + half plan
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		p.transformPair(a, b, false, 1)
-		p.transformPair(a, b, true, 1)
+		p.AutocorrelateCountsInto(x, out, 1)
 	})
-	if allocs > 0 {
-		t.Fatalf("serial transformPair allocates %.1f times per run", allocs)
+	// A concurrent GC sweep can occasionally empty the sync.Pool mid-run, so
+	// tolerate a stray refill rather than flake.
+	if allocs > 1 {
+		t.Fatalf("block kernel allocates %.1f times per run after warm-up", allocs)
 	}
 }
 
@@ -251,16 +246,11 @@ func TestRealKernelRejectsBadShapes(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("autocorrelation input too long", func() {
-		p.AutocorrelateCountsInto(make([]float64, 9), make([]int64, 9), 1)
+	mustPanic("lag beyond the block", func() {
+		p.AutocorrelateCountsInto(make([]float64, 20), make([]int64, 10), 1)
 	})
-	mustPanic("pair input too long", func() {
-		p.AutocorrelateCountsPairInto(make([]float64, 9), make([]float64, 9),
-			make([]int64, 9), make([]int64, 9), 1)
-	})
-	mustPanic("pair length mismatch", func() {
-		p.AutocorrelateCountsPairInto(make([]float64, 4), make([]float64, 5),
-			make([]int64, 4), make([]int64, 5), 1)
+	mustPanic("more lags than samples", func() {
+		p.AutocorrelateCountsInto(make([]float64, 4), make([]int64, 5), 1)
 	})
 	mustPanic("tiny plan input too long", func() {
 		PlanFor(2).AutocorrelateCountsInto(make([]float64, 2), make([]int64, 2), 1)
@@ -268,8 +258,8 @@ func TestRealKernelRejectsBadShapes(t *testing.T) {
 }
 
 // FuzzKernelCountsEquivalence fuzzes the kernel against ground truth: any
-// 0/1 input must produce exactly the direct lag counts through the single
-// and the pair entry points.
+// 0/1 input must produce exactly the direct lag counts through one block
+// and through the smallest blocks the kernel admits.
 func FuzzKernelCountsEquivalence(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 1})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1})
@@ -279,22 +269,25 @@ func FuzzKernelCountsEquivalence(f *testing.F) {
 			t.Skip()
 		}
 		n := len(data)
-		x1 := make([]float64, n)
-		x2 := make([]float64, n)
+		x := make([]float64, n)
 		for i, b := range data {
-			x1[i] = float64(b & 1)
-			x2[n-1-i] = float64(b >> 1 & 1)
+			x[i] = float64(b & 1)
 		}
-		p := PlanFor(NextPow2(2 * n))
+		want := autocorrExactInt(x)
 		single := make([]int64, n)
-		p.AutocorrelateCountsInto(x1, single, 1)
-		got1, got2 := make([]int64, n), make([]int64, n)
-		p.AutocorrelateCountsPairInto(x1, x2, got1, got2, 1)
-		want1, want2 := autocorrExactInt(x1), autocorrExactInt(x2)
-		for i := range want1 {
-			if single[i] != want1[i] || got1[i] != want1[i] || got2[i] != want2[i] {
-				t.Fatalf("lag %d: single %d, pair (%d,%d), direct (%d,%d)",
-					i, single[i], got1[i], got2[i], want1[i], want2[i])
+		PlanFor(NextPow2(2*n)).AutocorrelateCountsInto(x, single, 1)
+		for i := range want {
+			if single[i] != want[i] {
+				t.Fatalf("lag %d: one block %d, direct %d", i, single[i], want[i])
+			}
+		}
+		for _, blk := range []int{2, 8} {
+			got := make([]int64, min(n, blk+1))
+			PlanFor(2*blk).AutocorrelateCountsInto(x, got, 1)
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("B=%d lag %d: blocks %d, direct %d", blk, i, got[i], want[i])
+				}
 			}
 		}
 	})
@@ -317,36 +310,6 @@ func unpackReal(x []float64, z []complex128) {
 		if 2*j+1 < n {
 			x[2*j+1] = imag(z[j])
 		}
-	}
-}
-
-// forwardRealPost converts the half-size transform Z of the packed sequence
-// into the packed half spectrum, in place. With E(k), O(k) the DFTs of the
-// even and odd samples, Z(k) = E(k) + i·O(k) and the Hermitian symmetry of
-// both gives, over (k, h−k) pairs,
-//
-//	E = (Z(k) + conj(Z(h−k)))/2,  O = (Z(k) − conj(Z(h−k)))/(2i),
-//	X(k) = E + w^k·O,  X(h−k) = conj(E − w^k·O),  w = exp(−2πi/m),
-//
-// with the self-paired slots k = 0 (→ packed (X(0), X(h))) and k = h/2
-// (→ conj) handled directly. tw is the plan's forward table: tw[h+k] = w^k.
-func forwardRealPost(z []complex128, tw []complex128) {
-	h := len(z)
-	z0 := z[0]
-	z[0] = complex(real(z0)+imag(z0), real(z0)-imag(z0))
-	zm := z[h/2]
-	z[h/2] = complex(real(zm), -imag(zm))
-	for k := 1; 2*k < h; k++ {
-		zk, zhk := z[k], z[h-k]
-		c := complex(real(zhk), -imag(zhk))
-		e := (zk + c) * 0.5
-		d := zk - c
-		o := complex(imag(d)*0.5, -real(d)*0.5) // d/(2i)
-		wo := tw[h+k] * o
-		a := e + wo
-		b := e - wo
-		z[k] = a
-		z[h-k] = complex(real(b), -imag(b))
 	}
 }
 
@@ -374,21 +337,18 @@ func inverseRealPre(z []complex128, ti []complex128) {
 	}
 }
 
-// rawAutocorr runs the self-correlation pipeline of AutocorrelateCountsInto
-// — pack, half-size forward, fused spectral pass, half-size inverse — and
-// returns the lags before rounding.
+// rawAutocorr runs the kernel of AutocorrelateCountsInto up to the inverse
+// transform and returns the lags the plan's block admits (at most len(x))
+// before rounding.
 func rawAutocorr(p *Plan, x []float64) []float64 {
-	out := make([]float64, len(x))
+	out := make([]float64, min(len(x), p.n/2+1))
 	if p.n < 4 {
 		out[0] = x[0] * x[0]
 		return out
 	}
 	q := p.halfPlan()
-	z := make([]complex128, p.n/2)
-	packReal(z, x)
-	q.Transform(z, false, 1)
-	autocorrSpectrumReal(z, p.twf)
-	q.Transform(z, true, 1)
-	unpackReal(out, z)
+	zp := p.rawLags(x, 1)
+	unpackReal(out, *zp)
+	q.release(zp)
 	return out
 }

@@ -226,29 +226,13 @@ func applySwaps(x []complex128, swaps []int32) {
 //
 //opvet:noalloc
 func runStages(x []complex128, tw []complex128, lo, hi, maxSize int) {
-	if !stageHead(x, tw, lo, hi, maxSize) {
-		return
-	}
-	for size := 8; size <= maxSize; size <<= 2 {
-		stageGroup(x, tw, lo, hi, maxSize, size)
-	}
-}
-
-// stageHead runs the first butterfly stages — the fused radix-4 pass when
-// maxSize ≥ 4 (its twiddles are ±1, ±i — no multiplications), or the single
-// no-twiddle size-2 stage when maxSize == 2. It reports whether later stages
-// remain (false exactly when maxSize == 2). Split from runStages so
-// transformPair can interleave two buffers at stage granularity.
-//
-//opvet:noalloc
-func stageHead(x []complex128, tw []complex128, lo, hi, maxSize int) bool {
 	if maxSize < 4 {
 		// maxSize == 2: a single no-twiddle stage.
 		for i := lo; i < hi; i += 2 {
 			a, b := x[i], x[i+1]
 			x[i], x[i+1] = a+b, a-b
 		}
-		return false
+		return
 	}
 	// tw[3] = exp(∓2πi/4) = ∓i distinguishes forward from inverse.
 	inverse := imag(tw[3]) > 0
@@ -267,17 +251,11 @@ func stageHead(x []complex128, tw []complex128, lo, hi, maxSize int) bool {
 		x[i], x[i+2] = t0+t2, t0-t2
 		x[i+1], x[i+3] = t1+r3, t1-r3
 	}
-	return true
-}
-
-// stageGroup runs the stage of the given size — fused with the next stage
-// when both fit under maxSize — matching one iteration of runStages' loop.
-//
-//opvet:noalloc
-func stageGroup(x []complex128, tw []complex128, lo, hi, maxSize, size int) {
-	if 2*size <= maxSize {
-		fusedStagePair(x, tw, lo, hi, size)
-	} else {
+	for size := 8; size <= maxSize; size <<= 2 {
+		if 2*size <= maxSize {
+			fusedStagePair(x, tw, lo, hi, size)
+			continue
+		}
 		half := size >> 1
 		t := tw[half:size]
 		for start := lo; start < hi; start += size {
@@ -396,44 +374,4 @@ func parallelRange(workers int, f func(w int)) {
 		}(w)
 	}
 	wg.Wait()
-}
-
-// transformPair transforms two buffers with a shared setup. The serial path
-// interleaves the buffers stage by stage, so each twiddle block is walked
-// once while its entries are hot; the parallel path splits each transform's
-// butterflies across the workers. Either way each buffer sees exactly the
-// operations of Transform, so the output is bit-identical to it.
-//
-//opvet:noalloc
-func (p *Plan) transformPair(z1, z2 []complex128, inverse bool, workers int) {
-	if workers > 1 && p.n/workers >= minParallelChunk {
-		p.Transform(z1, inverse, workers)
-		p.Transform(z2, inverse, workers)
-		return
-	}
-	obs.FFT().KernelBatch.Inc()
-	n := p.n
-	tw := p.twf
-	if inverse {
-		tw = p.twi
-	}
-	// Each buffer's swap pass runs right before its head stages, while the
-	// buffer is still in cache.
-	applySwaps(z1, p.swaps)
-	stageHead(z1, tw, 0, n, n)
-	applySwaps(z2, p.swaps)
-	stageHead(z2, tw, 0, n, n)
-	for size := 8; size <= n; size <<= 2 {
-		stageGroup(z1, tw, 0, n, n, size)
-		stageGroup(z2, tw, 0, n, n, size)
-	}
-	if inverse {
-		inv := 1 / float64(n)
-		for i := range z1 {
-			z1[i] = complex(real(z1[i])*inv, imag(z1[i])*inv)
-		}
-		for i := range z2 {
-			z2[i] = complex(real(z2[i])*inv, imag(z2[i])*inv)
-		}
-	}
 }

@@ -240,58 +240,54 @@ func TestPlanAutocorrelateCountsMatchesPackage(t *testing.T) {
 	}
 }
 
-// TestPlanPairCountsBitIdenticalAcrossWorkers checks the packed pair path at
-// every parallelism level against the serial per-symbol counts.
+// TestPlanPairCountsBitIdenticalAcrossWorkers checks the block-pair path at
+// every parallelism level against the one-block counts: blocks of 2^13
+// samples have half-size transforms large enough that two or more workers
+// split their butterflies.
 func TestPlanPairCountsBitIdenticalAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	n := 1 << 13
-	x1 := make([]float64, n)
-	x2 := make([]float64, n)
+	n := 1 << 15
+	x := make([]float64, n)
 	for i := 0; i < n; i++ {
 		if rng.Intn(3) == 0 {
-			x1[i] = 1
-		}
-		if rng.Intn(5) == 0 {
-			x2[i] = 1
+			x[i] = 1
 		}
 	}
-	want1 := AutocorrelateCounts(x1)
-	want2 := AutocorrelateCounts(x2)
-	p := PlanFor(NextPow2(2 * n))
-	out1 := make([]int64, n)
-	out2 := make([]int64, n)
+	blk := 1 << 13
+	want := AutocorrelateCounts(x)
+	p := PlanFor(2 * blk)
+	out := make([]int64, blk+1)
 	for _, workers := range []int{1, 2, 4, 8} {
-		p.AutocorrelateCountsPairInto(x1, x2, out1, out2, workers)
-		for i := 0; i < n; i++ {
-			if out1[i] != want1[i] || out2[i] != want2[i] {
-				t.Fatalf("workers=%d lag %d: pair (%d,%d) vs singles (%d,%d)",
-					workers, i, out1[i], out2[i], want1[i], want2[i])
+		p.AutocorrelateCountsInto(x, out, workers)
+		for i := range out {
+			if out[i] != want[i] {
+				t.Fatalf("workers=%d lag %d: blocks %d vs one block %d", workers, i, out[i], want[i])
 			}
 		}
 	}
 }
 
 // TestPlanZeroAllocAfterWarmup verifies the headline property: once the
-// scratch pool is warm, the batched count paths allocate nothing.
+// scratch pool is warm, the count paths — one block and several — allocate
+// nothing.
 func TestPlanZeroAllocAfterWarmup(t *testing.T) {
 	n := 1 << 10
-	x1 := make([]float64, n)
-	x2 := make([]float64, n)
+	x := make([]float64, n)
 	for i := 0; i < n; i += 3 {
-		x1[i] = 1
-		x2[(i+1)%n] = 1
+		x[i] = 1
 	}
-	p := PlanFor(NextPow2(2 * n))
-	out1 := make([]int64, n)
-	out2 := make([]int64, n)
-	p.AutocorrelateCountsPairInto(x1, x2, out1, out2, 1) // warm the pool
-	p.AutocorrelateCountsInto(x1, out1, 1)
+	single := PlanFor(NextPow2(2 * n))
+	blocks := PlanFor(64)
+	out := make([]int64, n)
+	band := make([]int64, 33)
+	single.AutocorrelateCountsInto(x, out, 1) // warm the pools
+	blocks.AutocorrelateCountsInto(x, band, 1)
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		p.AutocorrelateCountsPairInto(x1, x2, out1, out2, 1)
-		p.AutocorrelateCountsInto(x1, out1, 1)
+		single.AutocorrelateCountsInto(x, out, 1)
+		blocks.AutocorrelateCountsInto(x, band, 1)
 	})
 	// A concurrent GC sweep can occasionally empty the sync.Pool mid-run, so
 	// tolerate a stray refill rather than flake.

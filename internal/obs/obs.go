@@ -242,7 +242,7 @@ func (m *ExecMetrics) renderExec(b *strings.Builder) {
 }
 
 // FFTMetrics counts kernel executions on the convolution hot path — radix-2/4
-// transforms, real-input kernel entries, stage-interleaved pair passes. The
+// transforms and real-input kernel entries. The
 // counters are process-wide (the FFT layer sits far below any registry) and
 // are rendered by every Registry, so the /metrics schema is stable whether or
 // not a kernel has run.
@@ -252,7 +252,10 @@ type FFTMetrics struct {
 	// benchmark's kernel-call sum still reads it.
 	KernelFourStep Counter
 	KernelReal     Counter
-	KernelBatch    Counter
+	// KernelBatch is never incremented since the pair transforms were
+	// deleted; it stays, rendered as the "batch" row, because the serving
+	// benchmark's kernel-call sum still reads it.
+	KernelBatch Counter
 }
 
 var fftMetrics FFTMetrics

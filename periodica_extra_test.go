@@ -159,7 +159,8 @@ func TestSeriesFileRoundTripAndExternalDetection(t *testing.T) {
 // TestCandidatePeriodsFileMatchesInMemory: the out-of-core detector answers
 // every (series, query) pair exactly as the in-memory one does — the same
 // periods, or an error on both paths that matches ErrInvalidInput on both or
-// on neither.
+// on neither — and both validate the query's period range as a mine of the
+// same series does: an ErrInvalidInput from one is one from all three.
 func TestCandidatePeriodsFileMatchesInMemory(t *testing.T) {
 	const series22 = "abcabcabcabcabcabcabca"
 	cases := []struct{ text, query string }{
@@ -183,9 +184,11 @@ func TestCandidatePeriodsFileMatchesInMemory(t *testing.T) {
 			q := mustCompile(t, tc.query)
 			inMem, memErr := periodica.CandidatePeriodsQueryContext(context.Background(), s, q)
 			onDisk, fileErr := periodica.CandidatePeriodsFile(path, q)
+			_, mineErr := periodica.MineQueryContext(context.Background(), s, q)
 			if (memErr == nil) != (fileErr == nil) ||
-				errors.Is(memErr, periodica.ErrInvalidInput) != errors.Is(fileErr, periodica.ErrInvalidInput) {
-				t.Fatalf("errors differ: in-memory %v, on-disk %v", memErr, fileErr)
+				errors.Is(memErr, periodica.ErrInvalidInput) != errors.Is(fileErr, periodica.ErrInvalidInput) ||
+				errors.Is(memErr, periodica.ErrInvalidInput) != errors.Is(mineErr, periodica.ErrInvalidInput) {
+				t.Fatalf("errors differ: in-memory %v, on-disk %v, mine %v", memErr, fileErr, mineErr)
 			}
 			if !slices.Equal(onDisk, inMem) {
 				t.Fatalf("on-disk %v != in-memory %v", onDisk, inMem)

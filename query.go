@@ -164,13 +164,14 @@ func MineQueryContext(ctx context.Context, s *Series, q *Query) (*Result, error)
 	return q.mine(ctx, s.inner, coreOptions(q.spec))
 }
 
-// CandidatePeriodsQueryContext runs only the O(σ n log n) one-pass
+// CandidatePeriodsQueryContext runs only the O(σ n log maxPeriod) one-pass
 // detection phase under the query's threshold, returning the period values
 // in the query's period range at which some symbol could be periodic with
-// confidence ≥ the threshold. A cancelled or timed-out context aborts the detection
+// confidence ≥ the threshold. The range is validated against the series as
+// a mine validates it. A cancelled or timed-out context aborts the detection
 // sweep promptly with the context's error.
 func CandidatePeriodsQueryContext(ctx context.Context, s *Series, q *Query) ([]int, error) {
-	return q.candidatePeriods(core.DetectCandidatesContext(ctx, s.inner, q.spec.Threshold, q.spec.MaxPeriod))
+	return candidatePeriods(core.DetectCandidatesRange(ctx, s.inner, q.spec.Threshold, q.spec.MinPeriod, q.spec.MaxPeriod))
 }
 
 // MineQueryContext mines the online stream seen so far as the query
@@ -214,19 +215,15 @@ func coreOptions(sp query.Spec) core.Options {
 	return opt
 }
 
-// candidatePeriods projects the candidates a detection under the query's
-// threshold and maximum period returned onto their period values, dropping
-// those below the query's minimum period, so a candidate list never names a
-// period the same query's mine would not sweep.
-func (q *Query) candidatePeriods(cands []core.CandidatePeriod, err error) ([]int, error) {
+// candidatePeriods projects the candidates a detection returned onto their
+// period values.
+func candidatePeriods(cands []core.CandidatePeriod, err error) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int, 0, len(cands))
-	for _, c := range cands {
-		if c.Period >= q.spec.MinPeriod {
-			out = append(out, c.Period)
-		}
+	out := make([]int, len(cands))
+	for i, c := range cands {
+		out[i] = c.Period
 	}
 	return out, nil
 }
