@@ -2,9 +2,10 @@
 // counts the miner builds on. The transform is an iterative in-place radix-2
 // decimation-in-time FFT over []complex128, executed through cached per-size
 // plans (see plan.go) that precompute twiddle tables and the bit-reversal
-// permutation; the real-input kernel (see realfft.go) turns it into integer
-// lag-match counts of real sequences, which is how the paper evaluates its
-// modified convolution in O(n log n).
+// permutation; the block kernel over the real-input transform (see
+// realfft.go) turns it into integer lag-match counts of real sequences, which
+// is how the paper evaluates its modified convolution: in O(n log n) for
+// every lag, or O(n log L) for the lags up to L.
 package fft
 
 import "math/bits"
