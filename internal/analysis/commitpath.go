@@ -28,8 +28,9 @@ import (
 //     by the commit seam or an explicit rollback: on every path from the
 //     write to the exit the file is either Synced or Removed, or the
 //     function carries a deferred cleanup of that file (a defer whose body
-//     closes its handle, or removes its Name() or the path it was created
-//     from) that runs on all exits.
+//     closes its handle, removes its Name() or the path variable it was
+//     created from, or — for a CreateTemp file — calls RemoveAll on the
+//     directory variable it was created in) that runs on all exits.
 //
 // Files are tracked from their creation call (Create, CreateTemp,
 // OpenFile — matched by name so both package os and the iofault.FS
@@ -39,7 +40,9 @@ import (
 // the only layer that owns durable files; the fft layer's out-of-core
 // transform writes only private scratch, so check 2 is what applies there.
 // A deferred cleanup covers only the file it names, so a read-only input's
-// deferred Close does not excuse an unguarded write to another file.
+// deferred Close does not excuse an unguarded write to another file. Paths
+// are matched by variable, not by source text: two calls that read alike
+// (tmpPath(), filepath.Join(dir, name)) need not name the same file.
 type CommitPath struct{}
 
 func (CommitPath) Name() string { return "commitpath" }
@@ -93,8 +96,12 @@ func (CommitPath) RunFunc(fi *FuncInfo, report func(pos token.Pos, format string
 	// name bindings (tmpName := f.Name()), and whether a deferred
 	// cleanup covers the exits.
 	files := map[*types.Var]bool{}
-	nameOf := map[*types.Var]*types.Var{}    // string local -> file it names
-	createdFrom := map[*types.Var]ast.Expr{} // file -> path (or dir) it was created from
+	nameOf := map[*types.Var]*types.Var{} // string local -> file it names
+	// createdFrom maps a file to the local variable holding the path it
+	// was created from (the directory, for CreateTemp), when that argument
+	// is a bare variable; inTempDir marks the CreateTemp files.
+	createdFrom := map[*types.Var]*types.Var{}
+	inTempDir := map[*types.Var]bool{}
 	for _, b := range g.Blocks {
 		inspectShallow(b.Nodes, func(n ast.Node) bool {
 			// Creation is almost always the tuple form f, err := Create(...),
@@ -116,8 +123,11 @@ func (CommitPath) RunFunc(fi *FuncInfo, report func(pos token.Pos, format string
 			case "Create", "CreateTemp", "OpenFile":
 				if v := localDefVar(info, as.Lhs[0]); v != nil {
 					files[v] = true
+					inTempDir[v] = sel.Sel.Name == "CreateTemp"
 					if len(call.Args) > 0 {
-						createdFrom[v] = call.Args[0]
+						if from := localVar(info, call.Args[0]); from != nil {
+							createdFrom[v] = from
+						}
 					}
 				}
 			case "Name":
@@ -131,8 +141,10 @@ func (CommitPath) RunFunc(fi *FuncInfo, report func(pos token.Pos, format string
 		})
 	}
 	// cleaned holds the files a deferred cleanup names: a Close of the
-	// file's variable, or a Remove/RemoveAll of its Name() (directly or
-	// through a bound local) or of the path it was created from.
+	// file's variable, a Remove/RemoveAll of its Name() (directly or
+	// through a bound local) or of the path variable it was created from,
+	// or a RemoveAll of a CreateTemp file's directory variable (Remove of
+	// a directory fails while the file is in it).
 	cleaned := map[*types.Var]bool{}
 	for _, d := range g.Defers {
 		ast.Inspect(d, func(n ast.Node) bool {
@@ -156,8 +168,12 @@ func (CommitPath) RunFunc(fi *FuncInfo, report func(pos token.Pos, format string
 				if v := resolveRenameSource(info, call.Args[0], nameOf); v != nil {
 					cleaned[v] = true
 				}
+				arg := localVar(info, call.Args[0])
+				if arg == nil {
+					return true
+				}
 				for f, from := range createdFrom {
-					if sameLocalExpr(info, call.Args[0], from) {
+					if from == arg && (!inTempDir[f] || sel.Sel.Name == "RemoveAll") {
 						cleaned[f] = true
 					}
 				}
@@ -391,17 +407,6 @@ func resolveRenameSource(info *types.Info, arg ast.Expr, nameOf map[*types.Var]*
 		}
 	}
 	return nil
-}
-
-// sameLocalExpr reports whether two expressions denote the same value: the
-// same local or package variable, or else the same source text.
-func sameLocalExpr(info *types.Info, a, b ast.Expr) bool {
-	ia, okA := ast.Unparen(a).(*ast.Ident)
-	ib, okB := ast.Unparen(b).(*ast.Ident)
-	if okA && okB {
-		return info.Uses[ia] != nil && info.Uses[ia] == info.Uses[ib]
-	}
-	return types.ExprString(a) == types.ExprString(b)
 }
 
 // fileWriteCall reports whether the call writes a tracked file,

@@ -4,8 +4,8 @@
 // never-synced temp (the "fsync deleted from writeFileAtomic"
 // regression), a sync on only one branch, a write that can reach the
 // exit uncommitted, a write excused only by another file's deferred
-// Close, and a raw rename with no preceding sync all fire; the suppressed
-// move stays silent.
+// Close or by a removal that does not name the file, and a raw rename with
+// no preceding sync all fire; the suppressed move stays silent.
 package store
 
 import (
@@ -102,4 +102,32 @@ func copyOut(src, dst string) error {
 		return err
 	}
 	return out.Close()
+}
+
+// scratchByText removes a path that reads like the one it created but is
+// computed by a second call: only a removal of the same variable counts.
+func scratchByText(dir, name string, payload []byte) error {
+	f, err := os.Create(filepath.Join(dir, name))
+	if err != nil {
+		return err
+	}
+	defer func() { _ = os.Remove(filepath.Join(dir, name)) }()
+	if _, err := f.Write(payload); err != nil { // want: write can reach exit uncommitted
+		return err
+	}
+	return f.Close()
+}
+
+// scratchRemoveDir removes the directory a temp file was created in with
+// Remove, which fails while the file is still in it.
+func scratchRemoveDir(dir string, payload []byte) error {
+	f, err := os.CreateTemp(dir, "scratch-*")
+	if err != nil {
+		return err
+	}
+	defer func() { _ = os.Remove(dir) }()
+	if _, err := f.Write(payload); err != nil { // want: write can reach exit uncommitted
+		return err
+	}
+	return f.Close()
 }

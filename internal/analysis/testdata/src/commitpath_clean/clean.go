@@ -1,6 +1,7 @@
 // True-negative fixture for commitpath: the full write-temp → fsync →
 // rename seam, a rollback-guarded writer, an explicit-removal error
-// path, and read-only file use. Loaded under an import path containing
+// path, read-only file use, and scratch files removed by their own path or
+// directory. Loaded under an import path containing
 // internal/store.
 package storeclean
 
@@ -87,4 +88,18 @@ func copyScratch(src, scratch string) error {
 		return err
 	}
 	return out.Close()
+}
+
+// scratchInDir writes a temp file into a directory it owns; the deferred
+// RemoveAll of that directory removes the file with it.
+func scratchInDir(dir string, payload []byte) error {
+	f, err := os.CreateTemp(dir, "scratch-*")
+	if err != nil {
+		return err
+	}
+	defer func() { _ = os.RemoveAll(dir) }()
+	if _, err := f.Write(payload); err != nil {
+		return err
+	}
+	return f.Close()
 }

@@ -414,9 +414,12 @@ func FuzzLagMatchCountsBatched(f *testing.F) {
 // exactly equal to the quadratic reference.
 func TestLagMatchCountsInnerParallelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	// Two symbols; n = 8200 gives two blocks of 2^13 samples, whose
-	// half-size transforms are large enough that two workers take the
-	// parallel butterfly path.
+	// Two symbols; the full-lag driver runs n = 8200 as one block of 2^14
+	// samples (BandSize(8200, 8199) = 2^15), whose half-size transforms of
+	// 2^14 points take the parallel butterfly path at workers = 4 (two
+	// workers per symbol); workers 2 and 3 leave one worker per symbol.
+	// The multi-block path with parallel butterflies is covered by
+	// TestLagMatchCountsBandBitIdenticalAcrossWorkers.
 	idx := make([]uint16, 8200)
 	for i := range idx {
 		idx[i] = uint16(rng.Intn(2))

@@ -198,8 +198,9 @@ func TestPlanParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPlanSelfCorrelationPath covers the self-correlation path (one forward
-// transform, the fused spectral pass, one inverse) against the naive
+// TestPlanSelfCorrelationPath covers the self-correlation path on one block
+// (one forward transform, the split post-pass, the last block's spectral
+// pass fused with the inverse pre-pass, one inverse) against the naive
 // correlation, before rounding.
 func TestPlanSelfCorrelationPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))

@@ -39,37 +39,6 @@ func packReal(z []complex128, x []float64) {
 	clear(z[j:])
 }
 
-// autocorrSpectrumReal fuses the forward split post-pass (forwardRealPost),
-// the power spectrum |X|², and the inverse pre-pass (inverseRealPre, the
-// tests' reference) into one O(h) pass: z arrives as the half-size forward
-// transform of the packed sequence and leaves ready for the half-size
-// inverse transform, whose output unpacks to the raw autocorrelation. The
-// power spectrum is real and symmetric (P(m−k) = P(k)), so with
-// ep = (P(k)+P(h−k))/2 and dd = (P(k)−P(h−k))/2 the pre-passed value is
-// Z(k) = ep + i·w^{−k}·dd and Z(h−k) = ep + i·w^k·dd.
-//
-//opvet:noalloc
-func autocorrSpectrumReal(z []complex128, tw []complex128) {
-	h := len(z)
-	z0 := z[0]
-	x0 := real(z0) + imag(z0)
-	xh := real(z0) - imag(z0)
-	p0, ph := x0*x0, xh*xh
-	z[0] = complex((p0+ph)*0.5, (p0-ph)*0.5)
-	zm := z[h/2]
-	z[h/2] = complex(real(zm)*real(zm)+imag(zm)*imag(zm), 0)
-	for k := 1; 2*k < h; k++ {
-		w := tw[h+k]
-		a, b := realSplit(z[k], z[h-k], w)
-		pk := real(a)*real(a) + imag(a)*imag(a)
-		phk := real(b)*real(b) + imag(b)*imag(b)
-		ep := (pk + phk) * 0.5
-		dd := (pk - phk) * 0.5
-		z[k] = complex(ep+imag(w)*dd, real(w)*dd)
-		z[h-k] = complex(ep-imag(w)*dd, real(w)*dd)
-	}
-}
-
 // roundUnpacked writes the rounded real sequence out of the packed complex
 // vector: out[2j] = round(Re z[j]), out[2j+1] = round(Im z[j]).
 //
@@ -212,9 +181,8 @@ func (p *Plan) AutocorrelateCounts(x []float64) []int64 {
 // — block j correlated with the window of blocks j and j+1 — goes through one
 // inverse transform. A lag p ≤ B never wraps, so the counts are exact for
 // len(out) ≤ B+1 (which the kernel requires, along with len(out) ≤ len(x)).
-// A series of at most B samples is one block, whose spectrum pass is the
-// fused |X|² of autocorrSpectrumReal. The cost is ⌈len(x)/B⌉ forward
-// transforms of size B plus one inverse; BandSize picks B for a lag band.
+// The cost is ⌈len(x)/B⌉ forward transforms of size B plus one inverse;
+// BandSize picks B for a lag band.
 //
 // The block, spectrum and accumulator buffers come from the half plan's
 // pool, so the kernel is allocation-free after warm-up. workers ≤ 0 selects
@@ -258,19 +226,12 @@ func (p *Plan) rawLags(x []float64, workers int) *[]complex128 {
 	obs.FFT().KernelReal.Inc()
 	nx, blk := len(x), p.n/2
 	q := p.halfPlan()
-	zp := q.scratch()
-	z := *zp
-	packReal(z, x[:min(blk, nx)])
-	q.Transform(z, false, workers)
-	if nx <= blk {
-		autocorrSpectrumReal(z, p.twf)
-		q.Transform(z, true, workers)
-		return zp
-	}
-	forwardRealPost(z, p.twf)
-	np, ap := q.scratch(), q.scratch()
-	cur, next, acc := z, *np, *ap
+	zp, np, ap := q.scratch(), q.scratch(), q.scratch()
+	cur, next, acc := *zp, *np, *ap
 	clear(acc)
+	packReal(cur, x[:min(blk, nx)])
+	q.Transform(cur, false, workers)
+	forwardRealPost(cur, p.twf)
 	for lo := blk; lo < nx; lo += blk {
 		packReal(next, x[lo:min(lo+blk, nx)])
 		q.Transform(next, false, workers)
