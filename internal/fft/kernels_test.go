@@ -2,9 +2,12 @@ package fft
 
 import (
 	"math"
+	"math/bits"
 	"math/cmplx"
 	"math/rand"
 	"testing"
+
+	"periodica/internal/obs"
 )
 
 func randIndicator(rng *rand.Rand, n int) []float64 {
@@ -36,44 +39,147 @@ func complexCounts(p *Plan, x []float64) []int64 {
 	return out
 }
 
-// TestRealSpectrumMatchesComplex checks the packed half spectrum against
-// the full complex transform, slot by slot including the packed DC/Nyquist
-// pair, and the inverse pre-pass round trip back to the input.
+// TestRealSpectrumMatchesComplex checks the packed half spectrum of one
+// zero-padded block against the full complex transform, slot by slot in
+// the kernel's bit-reversed order including the packed DC/Nyquist pair, and
+// the inverse pre-pass round trip back to the input.
 func TestRealSpectrumMatchesComplex(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, m := range []int{4, 8, 16, 64, 512, 4096, 1 << 15} {
 		p := PlanFor(m)
 		q := p.halfPlan()
-		x := make([]float64, m)
+		h := m / 2
+		x := make([]float64, h)
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		spec := make([]complex128, m/2)
-		packReal(spec, x)
-		q.Transform(spec, false, 1)
-		forwardRealPost(spec, p.twf)
+		spec := make([]complex128, h)
+		packBlock(spec, x, q.twf)
+		q.dif(spec, h/2, 1)
+		forwardRealPost(spec, p.split)
 
 		z := make([]complex128, m)
 		loadPadded(z, x)
 		p.Transform(z, false, 1)
 		tol := eps * float64(m)
-		if d := cmplx.Abs(spec[0] - complex(real(z[0]), real(z[m/2]))); d > tol {
+		if d := cmplx.Abs(spec[0] - complex(real(z[0]), real(z[h]))); d > tol {
 			t.Fatalf("m=%d: packed (DC, Nyquist) off by %g", m, d)
 		}
-		for k := 1; k < m/2; k++ {
-			if d := cmplx.Abs(spec[k] - z[k]); d > tol {
-				t.Fatalf("m=%d k=%d: real spectrum off by %g (%v vs %v)", m, k, d, spec[k], z[k])
+		for r := 1; r < h; r++ {
+			k := revSlot(r, h)
+			if d := cmplx.Abs(spec[r] - z[k]); d > tol {
+				t.Fatalf("m=%d slot %d (k=%d): real spectrum off by %g (%v vs %v)", m, r, k, d, spec[r], z[k])
 			}
 		}
 
 		back := make([]float64, m)
-		inverseRealPre(spec, p.twi)
-		q.Transform(spec, true, 1)
+		inverseRealPre(spec, p.split)
+		q.dit(spec, 1)
 		unpackReal(back, spec)
-		for i := range x {
-			if d := back[i] - x[i]; d > eps || d < -eps {
+		for i := range back {
+			want := 0.0
+			if i < h {
+				want = x[i]
+			}
+			if d := back[i]/float64(h) - want; d > eps || d < -eps {
 				t.Fatalf("m=%d i=%d: real round trip off by %g", m, i, d)
 			}
+		}
+	}
+}
+
+// TestReversedSlotRules checks the slot rules the kernel's passes iterate
+// by, for every half size h from 2 to 2^20: slot 1 holds k = h/2; the
+// octave walk pairs each slot r ≥ 2 with the slot of h − rev(r), once; and
+// the odd frequencies are exactly the slots r ≥ h/2.
+func TestReversedSlotRules(t *testing.T) {
+	for h := 2; h <= 1<<20; h <<= 1 {
+		if k := revSlot(1, h); k != h/2 {
+			t.Fatalf("h=%d: slot 1 holds k=%d", h, k)
+		}
+		seen := 2
+		for lo := 2; lo < h; lo <<= 1 {
+			for r, s := lo, 2*lo-1; r < s; r, s = r+1, s-1 {
+				if want := revSlot(h-revSlot(r, h), h); s != want || s != 3*lo-1-r {
+					t.Fatalf("h=%d: slot %d paired with %d, want %d", h, r, s, want)
+				}
+				seen += 2
+			}
+		}
+		if seen != h {
+			t.Fatalf("h=%d: octave walk covers %d slots", h, seen)
+		}
+		for r := 0; r < h; r++ {
+			if odd := revSlot(r, h)&1 == 1; odd != (r >= h/2) {
+				t.Fatalf("h=%d slot %d: odd=%v", h, r, odd)
+			}
+		}
+	}
+}
+
+// TestDIFMatchesReversedTransform checks the forward network against the
+// recurrence transform in bit-reversed order, within the bound of
+// TestPlanMatchesRecurrenceWithinBound: the whole network on any input,
+// and the kernel's form — packBlock's folded first stage, then the rest —
+// on an input whose upper half is zero.
+func TestDIFMatchesReversedTransform(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	for _, n := range []int{2, 4, 8, 16, 128, 4096, 32768} {
+		p := PlanFor(n)
+		x := randComplex(rng, n)
+		want := append([]complex128(nil), x...)
+		transformRecurrence(want, false)
+		var scale float64
+		for _, v := range x {
+			scale += cmplx.Abs(v)
+		}
+		got := append([]complex128(nil), x...)
+		p.dif(got, n, 1)
+		for r := range got {
+			if d := cmplx.Abs(got[r] - want[revSlot(r, n)]); d > 1e-9*scale {
+				t.Fatalf("n=%d slot %d: forward network off by %g", n, r, d)
+			}
+		}
+
+		re := make([]float64, n)
+		for i := range re {
+			re[i] = rng.NormFloat64()
+		}
+		packed := make([]complex128, n)
+		for j := 0; j < n/2; j++ {
+			packed[j] = complex(re[2*j], re[2*j+1])
+		}
+		want = append(want[:0], packed...)
+		transformRecurrence(want, false)
+		packBlock(got, re, p.twf)
+		p.dif(got, n/2, 1)
+		scale = 0
+		for _, v := range packed {
+			scale += cmplx.Abs(v)
+		}
+		for r := range got {
+			if d := cmplx.Abs(got[r] - want[revSlot(r, n)]); d > 1e-9*scale {
+				t.Fatalf("n=%d slot %d: packed forward off by %g", n, r, d)
+			}
+		}
+	}
+}
+
+// TestKernelCountersPerCall pins what one kernel call adds to the FFT
+// counters: one real-kernel call, and one half-size transform per block
+// plus the one inverse.
+func TestKernelCountersPerCall(t *testing.T) {
+	m := obs.FFT()
+	for _, tc := range []struct{ n, size int }{{1000, 64}, {1000, 2048}, {1 << 12, 256}, {65, 4}} {
+		x := make([]float64, tc.n)
+		real0, radix0 := m.KernelReal.Value(), m.KernelRadix2.Value()
+		PlanFor(tc.size).AutocorrelateCountsInto(x, make([]int64, 3), 1)
+		blocks := (tc.n + tc.size/2 - 1) / (tc.size / 2)
+		if d := m.KernelReal.Value() - real0; d != 1 {
+			t.Fatalf("n=%d plan %d: %d real-kernel calls, want 1", tc.n, tc.size, d)
+		}
+		if d := m.KernelRadix2.Value() - radix0; d != int64(blocks+1) {
+			t.Fatalf("n=%d plan %d: %d half-size transforms, want %d", tc.n, tc.size, d, blocks+1)
 		}
 	}
 }
@@ -259,7 +365,7 @@ func TestRealKernelRejectsBadShapes(t *testing.T) {
 
 // FuzzKernelCountsEquivalence fuzzes the kernel against ground truth: any
 // 0/1 input must produce exactly the direct lag counts through one block
-// and through the smallest blocks the kernel admits.
+// and through blocks of every power of two from 2 up to that one block.
 func FuzzKernelCountsEquivalence(f *testing.F) {
 	f.Add([]byte{1, 0, 1, 1})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 1})
@@ -281,8 +387,8 @@ func FuzzKernelCountsEquivalence(f *testing.F) {
 				t.Fatalf("lag %d: one block %d, direct %d", i, single[i], want[i])
 			}
 		}
-		for _, blk := range []int{2, 8} {
-			got := make([]int64, min(n, blk+1))
+		for blk := 2; blk < n; blk *= 2 {
+			got := make([]int64, blk+1)
 			PlanFor(2*blk).AutocorrelateCountsInto(x, got, 1)
 			for i := range got {
 				if got[i] != want[i] {
@@ -313,28 +419,34 @@ func unpackReal(x []float64, z []complex128) {
 	}
 }
 
-// inverseRealPre converts a packed half spectrum into the half-size complex
-// vector whose inverse transform is the packed real sequence — the exact
-// algebraic inverse of forwardRealPost, using the inverse table ti
-// (ti[h+k] = w^{−k}) for the untwiddle. The half-size inverse transform's
-// built-in 1/h scaling is precisely the factor the length-m real inverse
-// needs; no extra scaling applies.
-func inverseRealPre(z []complex128, ti []complex128) {
+// inverseRealPre converts a packed half spectrum in bit-reversed order into
+// the half-size vector whose unscaled inverse network output is h times the
+// packed real sequence — the exact algebraic inverse of forwardRealPost,
+// using the conjugates of the split table tw (tw[r] = w^rev(r)) for the
+// untwiddle.
+func inverseRealPre(z []complex128, tw []complex128) {
 	h := len(z)
 	z0 := z[0] // packed (X(0), X(h)), both real
 	z[0] = complex((real(z0)+imag(z0))*0.5, (real(z0)-imag(z0))*0.5)
-	zm := z[h/2]
-	z[h/2] = complex(real(zm), -imag(zm))
-	for k := 1; 2*k < h; k++ {
-		xk, xhk := z[k], z[h-k]
-		c := complex(real(xhk), -imag(xhk))
-		e := (xk + c) * 0.5
-		d := (xk - c) * 0.5
-		o := ti[h+k] * d
-		// Z(k) = E + i·O, Z(h−k) = conj(E) + i·conj(O).
-		z[k] = complex(real(e)-imag(o), imag(e)+real(o))
-		z[h-k] = complex(real(e)+imag(o), -imag(e)+real(o))
+	z[1] = complex(real(z[1]), -imag(z[1]))
+	for lo := 2; lo < h; lo <<= 1 {
+		for r, s := lo, 2*lo-1; r < s; r, s = r+1, s-1 {
+			xk, xhk := z[r], z[s]
+			c := complex(real(xhk), -imag(xhk))
+			e := (xk + c) * 0.5
+			d := (xk - c) * 0.5
+			o := cmplx.Conj(tw[r]) * d
+			// Z(k) = E + i·O, Z(h−k) = conj(E) + i·conj(O).
+			z[r] = complex(real(e)-imag(o), imag(e)+real(o))
+			z[s] = complex(real(e)+imag(o), -imag(e)+real(o))
+		}
 	}
+}
+
+// revSlot returns the reversal of r's log₂h bits: the frequency bit-reversed
+// slot r holds, or the slot of frequency r.
+func revSlot(r, h int) int {
+	return int(bits.Reverse64(uint64(r)) >> (64 - bits.Len(uint(h-1))))
 }
 
 // rawAutocorr runs the kernel of AutocorrelateCountsInto up to the inverse
@@ -350,5 +462,8 @@ func rawAutocorr(p *Plan, x []float64) []float64 {
 	zp := p.rawLags(x, 1)
 	unpackReal(out, *zp)
 	q.release(zp)
+	for i := range out {
+		out[i] /= float64(q.n)
+	}
 	return out
 }

@@ -3,9 +3,10 @@
 // bit-reversal permutation and per-stage twiddle-factor tables (each root
 // evaluated directly with math.Cos/Sin rather than the error-accumulating
 // w *= wStep recurrence) — and owns a pool of reusable scratch buffers, so
-// the autocorrelation entry points are allocation-free after warm-up. Large
-// transforms optionally split each stage's independent butterflies across
-// worker goroutines; every partitioning performs the identical floating-point
+// the autocorrelation entry points are allocation-free after warm-up. There
+// is one network per direction (dif forward, dit inverse). Large transforms
+// optionally split each stage's independent butterflies across worker
+// goroutines; every partitioning performs the identical floating-point
 // operations per element, so parallel and serial outputs are bit-identical.
 package fft
 
@@ -40,13 +41,22 @@ type Plan struct {
 	pool  sync.Pool    // scratch []complex128 of length n
 
 	halfOnce sync.Once
-	half     *Plan // plan for the half-size transforms of the real-input kernel
+	half     *Plan        // plan for the half-size transforms of the real-input kernel
+	split    []complex128 // split[r] = twf[n/2+rev(r)]: the real split's twiddles in slot order
 }
 
 // halfPlan returns (building on first use) the plan for the half-size complex
-// transforms behind the real-input kernel.
+// transforms behind the real-input kernel, and the kernel's split twiddles.
 func (p *Plan) halfPlan() *Plan {
-	p.halfOnce.Do(func() { p.half = NewPlan(p.n / 2) })
+	p.halfOnce.Do(func() {
+		h := p.n / 2
+		p.half = NewPlan(h)
+		p.split = make([]complex128, h)
+		shift := uint(64 - log2(h))
+		for r := range p.split {
+			p.split[r] = p.twf[h+int(reverse64(uint64(r))>>shift)]
+		}
+	})
 	return p.half
 }
 
@@ -171,9 +181,10 @@ func (p *Plan) Forward(x []complex128) { p.Transform(x, false, p.autoWorkers()) 
 // Inverse computes the in-place inverse DFT of x, including the 1/n scaling.
 func (p *Plan) Inverse(x []complex128) { p.Transform(x, true, p.autoWorkers()) }
 
-// Transform runs the planned butterfly network over x, forward or inverse,
-// with the given worker count. The output is bit-identical for every worker
-// count: partitioning never reorders the operations applied to an element.
+// Transform computes the natural-order DFT of x, forward (dif, then the
+// bit-reversal permutation) or inverse (the permutation, then dit), with the
+// given worker count. The output is bit-identical for every worker count:
+// partitioning never reorders the operations applied to an element.
 //
 //opvet:noalloc
 func (p *Plan) Transform(x []complex128, inverse bool, workers int) {
@@ -184,28 +195,46 @@ func (p *Plan) Transform(x []complex128, inverse bool, workers int) {
 	if n == 1 {
 		return
 	}
-	tw := p.twf
-	if inverse {
-		tw = p.twi
+	workers = p.fit(workers)
+	if !inverse {
+		p.dif(x, n, workers)
+		p.permute(x, workers)
+		return
 	}
-	obs.FFT().KernelRadix2.Inc()
-	if workers > 1 && n/workers >= minParallelChunk {
-		p.transformParallel(x, tw, workers)
-	} else {
-		applySwaps(x, p.swaps)
-		runStages(x, tw, 0, n, n)
-	}
-	if inverse {
-		inv := 1 / float64(n)
-		for i := range x {
-			x[i] = complex(real(x[i])*inv, imag(x[i])*inv)
-		}
+	p.permute(x, workers)
+	p.dit(x, workers)
+	inv := 1 / float64(n)
+	for i := range x {
+		x[i] = complex(real(x[i])*inv, imag(x[i])*inv)
 	}
 }
 
-// applySwaps performs the bit-reversal permutation from a flattened pair
-// list. The pairs are disjoint transpositions, so any partition of the list
-// can run concurrently without conflicting writes.
+// fit rounds workers down to a power of two, so chunks stay aligned, or to 1
+// when chunks would fall below minParallelChunk.
+func (p *Plan) fit(workers int) int {
+	if workers <= 1 || p.n/workers < minParallelChunk {
+		return 1
+	}
+	for !IsPow2(workers) {
+		workers--
+	}
+	return workers
+}
+
+// permute applies the bit-reversal permutation, its disjoint pairs split
+// evenly across workers.
+func (p *Plan) permute(x []complex128, workers int) {
+	if workers == 1 {
+		applySwaps(x, p.swaps)
+		return
+	}
+	pairs := len(p.swaps) / 2
+	parallelRange(workers, func(w int) {
+		applySwaps(x, p.swaps[2*(pairs*w/workers):2*(pairs*(w+1)/workers)])
+	})
+}
+
+// applySwaps performs the bit-reversal permutation from a flattened pair list.
 //
 //opvet:noalloc
 func applySwaps(x []complex128, swaps []int32) {
@@ -215,14 +244,137 @@ func applySwaps(x []complex128, swaps []int32) {
 	}
 }
 
-// runStages runs the butterfly stages of sizes 2..maxSize over x[lo:hi),
-// which must be an aligned multiple of maxSize. Stages 2 and 4 are fused
-// into one radix-4 pass (their twiddles are ±1, ±i — no multiplications),
-// and later stages are fused in pairs that keep the intermediate stage in
-// registers, halving the passes over memory. Every twiddle a fused pass
-// multiplies by is the same table entry the unfused stage would read, so
-// fusing changes no floating-point operation: any stage partitioning
-// produces bit-identical output.
+// dif runs the forward decimation-in-frequency stages of sizes top..2 over
+// each size-top block of x: natural-order input, bit-reversed output. The
+// block kernel, whose packing runs the first stage, passes top = Size/2.
+// With several workers it runs dit's phases in reverse: stages above a
+// chunk (top ≥ Size/2 ≥ chunk) by flat index, then each worker's chunk.
+func (p *Plan) dif(x []complex128, top, workers int) {
+	obs.FFT().KernelRadix2.Inc()
+	if workers == 1 {
+		difStages(x, p.twf, 0, p.n, top)
+		return
+	}
+	chunk := p.n / workers
+	for size := top; size > chunk; size >>= 1 {
+		flatStage(x, p.twf[size/2:size], workers, difButterflies)
+	}
+	parallelRange(workers, func(w int) {
+		difStages(x, p.twf, w*chunk, (w+1)*chunk, chunk)
+	})
+}
+
+// dit runs the inverse decimation-in-time network over x: bit-reversed
+// input, natural-order output, unscaled. With several workers, the stages
+// inside a chunk run on each worker's own chunk, then the rest by flat index.
+func (p *Plan) dit(x []complex128, workers int) {
+	obs.FFT().KernelRadix2.Inc()
+	if workers == 1 {
+		runStages(x, p.twi, 0, p.n, p.n)
+		return
+	}
+	chunk := p.n / workers
+	parallelRange(workers, func(w int) {
+		runStages(x, p.twi, w*chunk, (w+1)*chunk, chunk)
+	})
+	for size := 2 * chunk; size <= p.n; size <<= 1 {
+		flatStage(x, p.twi[size/2:size], workers, butterflies)
+	}
+}
+
+// flatStage runs one stage with twiddles t, its butterflies split across
+// workers by flat index. per divides half = len(t) (both are powers of two
+// with per ≤ half/2), so each worker's range lies in one block.
+func flatStage(x, t []complex128, workers int, stage func(blk, t []complex128, k0, k1 int)) {
+	half := len(t)
+	per := len(x) / 2 / workers
+	parallelRange(workers, func(w int) {
+		b := w * per
+		blk := b / half
+		k0 := b - blk*half
+		stage(x[2*blk*half:2*(blk+1)*half], t, k0, k0+per)
+	})
+}
+
+// difStages runs the decimation-in-frequency stages of sizes maxSize..2 over
+// x[lo:hi), an aligned multiple of maxSize: fused in pairs from the top, an
+// odd one out alone at size 8, and sizes 4 and 2 as one radix-4 pass whose
+// twiddle, −i, needs no multiplication. As in runStages, fusing changes no
+// floating-point operation.
+//
+//opvet:noalloc
+func difStages(x []complex128, tw []complex128, lo, hi, maxSize int) {
+	if maxSize < 4 {
+		for i := lo; maxSize == 2 && i < hi; i += 2 {
+			a, b := x[i], x[i+1]
+			x[i], x[i+1] = a+b, a-b
+		}
+		return
+	}
+	size := maxSize
+	for ; size >= 16; size >>= 2 {
+		difStagePair(x, tw, lo, hi, size>>1)
+	}
+	if size == 8 {
+		for start := lo; start < hi; start += 8 {
+			difButterflies(x[start:start+8], tw[4:8], 0, 4)
+		}
+	}
+	for i := lo; i < hi; i += 4 {
+		a, b, c, d := x[i], x[i+1], x[i+2], x[i+3]
+		t0, t2 := a+c, a-c
+		t1, bd := b+d, b-d
+		t3 := complex(imag(bd), -real(bd)) // −i·(b−d)
+		x[i], x[i+1] = t0+t1, t0-t1
+		x[i+2], x[i+3] = t2+t3, t2-t3
+	}
+}
+
+// difStagePair applies the decimation-in-frequency stages of size 2s and s
+// in one pass, the mirror of fusedStagePair.
+//
+//opvet:noalloc
+func difStagePair(x []complex128, tw []complex128, lo, hi, s int) {
+	q := s >> 1         // half of the second stage
+	tA := tw[q : 2*q]   // twiddles of the size-s stage
+	tB := tw[2*q : 4*q] // twiddles of the size-2s stage
+	for start := lo; start < hi; start += 4 * q {
+		x0 := x[start : start+q]
+		x1 := x[start+q : start+2*q]
+		x2 := x[start+2*q : start+3*q]
+		x3 := x[start+3*q : start+4*q]
+		for k := 0; k < q; k++ {
+			a0, a1, a2, a3 := x0[k], x1[k], x2[k], x3[k]
+			u0, u2 := a0+a2, (a0-a2)*tB[k]
+			u1, u3 := a1+a3, (a1-a3)*tB[k+q]
+			wa := tA[k]
+			x0[k], x1[k] = u0+u1, (u0-u1)*wa
+			x2[k], x3[k] = u2+u3, (u2-u3)*wa
+		}
+	}
+}
+
+// difButterflies applies decimation-in-frequency butterflies k0..k1 of one
+// block: blk[k], blk[k+half] ← blk[k] + blk[k+half], (blk[k] − blk[k+half])·t[k].
+//
+//opvet:noalloc
+func difButterflies(blk []complex128, t []complex128, k0, k1 int) {
+	half := len(t)
+	hi := blk[half:]
+	for k := k0; k < k1; k++ {
+		a, b := blk[k], hi[k]
+		blk[k] = a + b
+		hi[k] = (a - b) * t[k]
+	}
+}
+
+// runStages runs the inverse decimation-in-time stages of sizes 2..maxSize
+// over x[lo:hi), an aligned multiple of maxSize. Stages 2 and 4 are fused
+// into one radix-4 pass (twiddles ±1, ±i — no multiplications), and later
+// stages in pairs that keep the intermediate stage in registers, halving
+// the passes over memory. Every twiddle a fused pass multiplies by is the
+// table entry the unfused stage reads, so fusing changes no floating-point
+// operation: any stage partitioning produces bit-identical output.
 //
 //opvet:noalloc
 func runStages(x []complex128, tw []complex128, lo, hi, maxSize int) {
@@ -234,20 +386,11 @@ func runStages(x []complex128, tw []complex128, lo, hi, maxSize int) {
 		}
 		return
 	}
-	// tw[3] = exp(∓2πi/4) = ∓i distinguishes forward from inverse.
-	inverse := imag(tw[3]) > 0
 	for i := lo; i < hi; i += 4 {
 		a, b, c, d := x[i], x[i+1], x[i+2], x[i+3]
 		t0, t1 := a+b, a-b
 		t2, t3 := c+d, c-d
-		// Stage-4 twiddle for the odd lane is ∓i; multiply without a
-		// complex multiplication.
-		var r3 complex128
-		if inverse {
-			r3 = complex(-imag(t3), real(t3)) // i·t3
-		} else {
-			r3 = complex(imag(t3), -real(t3)) // −i·t3
-		}
+		r3 := complex(-imag(t3), real(t3)) // i·t3, the stage-4 twiddle
 		x[i], x[i+2] = t0+t2, t0-t2
 		x[i+1], x[i+3] = t1+r3, t1-r3
 	}
@@ -307,59 +450,6 @@ func butterflies(blk []complex128, t []complex128, k0, k1 int) {
 		b := hi[k] * t[k]
 		blk[k] = a + b
 		hi[k] = a - b
-	}
-}
-
-// transformParallel splits the network across workers: the swap list and the
-// early stages (which stay inside aligned chunks) are partitioned by chunk,
-// then each remaining stage's butterflies are split by flat index, with a
-// barrier between stages. Every element sees the same operations in the same
-// order as the serial path.
-func (p *Plan) transformParallel(x []complex128, tw []complex128, workers int) {
-	n := p.n
-	// Round workers down to a power of two so chunks stay aligned, and keep
-	// chunks at or above the minimum.
-	for !IsPow2(workers) {
-		workers--
-	}
-	for workers > 1 && n/workers < minParallelChunk {
-		workers >>= 1
-	}
-	if workers <= 1 {
-		applySwaps(x, p.swaps)
-		runStages(x, tw, 0, n, n)
-		return
-	}
-	chunk := n / workers
-
-	// Phase 1: bit-reversal. The pair list is split evenly; pairs are
-	// disjoint, so no two workers touch the same element.
-	pairs := len(p.swaps) / 2
-	parallelRange(workers, func(w int) {
-		lo := 2 * (pairs * w / workers)
-		hi := 2 * (pairs * (w + 1) / workers)
-		applySwaps(x, p.swaps[lo:hi])
-	})
-
-	// Phase 2: stages with size ≤ chunk act entirely within one aligned
-	// chunk; each worker runs them on its own chunk with no communication.
-	parallelRange(workers, func(w int) {
-		runStages(x, tw, w*chunk, (w+1)*chunk, chunk)
-	})
-
-	// Phase 3: the remaining log₂(workers) stages, split by flat butterfly
-	// index. per divides half (both are powers of two with per ≤ half/2),
-	// so each worker's range is a contiguous k-interval of one block.
-	per := n / 2 / workers
-	for size := chunk << 1; size <= n; size <<= 1 {
-		half := size >> 1
-		t := tw[half:size]
-		parallelRange(workers, func(w int) {
-			b := w * per
-			blk := b / half
-			k0 := b - blk*half
-			butterflies(x[blk*size:blk*size+size], t, k0, k0+per)
-		})
 	}
 }
 

@@ -173,9 +173,12 @@ func TestPlanMatchesRecurrenceWithinBound(t *testing.T) {
 	}
 }
 
-// TestPlanParallelBitIdentical asserts the parallel butterfly network is not
-// merely close to the serial one but produces the exact same bits for every
-// worker count, forward and inverse.
+// TestPlanParallelBitIdentical asserts the parallel butterfly networks are
+// not merely close to the serial ones but produce the exact same bits for
+// every worker count: the natural-order transforms forward and inverse, and
+// both directions as the block kernel runs them — the forward network from
+// the second stage down (packBlock runs the first) and the inverse network
+// on bit-reversed input, neither permuted.
 func TestPlanParallelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	for _, n := range []int{1 << 13, 1 << 14, 1 << 16} {
@@ -191,6 +194,27 @@ func TestPlanParallelBitIdentical(t *testing.T) {
 					if par[i] != serial[i] {
 						t.Fatalf("n=%d workers=%d inverse=%v: element %d differs: %v vs %v",
 							n, workers, inverse, i, par[i], serial[i])
+					}
+				}
+			}
+		}
+		kernel := []struct {
+			name string
+			run  func(z []complex128, workers int)
+		}{
+			{"forward from n/2", func(z []complex128, w int) { p.dif(z, n/2, w) }},
+			{"inverse unpermuted", p.dit},
+		}
+		for _, k := range kernel {
+			serial := append([]complex128(nil), x...)
+			k.run(serial, 1)
+			for _, workers := range []int{2, 4, 8} {
+				par := append([]complex128(nil), x...)
+				k.run(par, p.fit(workers))
+				for i := range par {
+					if par[i] != serial[i] {
+						t.Fatalf("n=%d workers=%d %s: element %d differs: %v vs %v",
+							n, workers, k.name, i, par[i], serial[i])
 					}
 				}
 			}

@@ -4,10 +4,14 @@
 // even/odd samples of a length-m real sequence into a length-h = m/2 complex
 // vector, runs one half-size complex transform, and recovers the true
 // spectrum with an O(h) split post-pass — halving both the transform size
-// and the pooled scratch. The half spectrum is stored packed in h slots:
-// spec[k] = X(k) for 1 ≤ k < h, and spec[0] = (X(0), X(h)) — both real for
-// real input — so every buffer the kernel touches is a pool-sized length-h
-// slice. The upper half of the spectrum is implied by X(m−k) = conj(X(k)).
+// and the pooled scratch; X(m−k) = conj(X(k)) implies the upper half of the
+// spectrum, so every buffer is a pool-sized length-h slice. The kernel never
+// permutes: its forward (dif) leaves the spectrum in bit-reversed order,
+// slot r holding frequency k = rev(r), and the split, the accumulation, the
+// inverse pre-pass and the inverse (dit) work in that order. Slot 0 holds
+// the packed real pair (X(0), X(h)) and slot 1 k = h/2; the partner h−k of
+// slot r in an octave [2^j, 2^(j+1)) is slot 3·2^j−1−r; and k is odd
+// exactly when r ≥ h/2.
 //
 // The autocorrelation kernel built on it is a block kernel: it needs lags
 // only up to the block length B = m/2, so a series longer than B costs one
@@ -22,58 +26,64 @@ import (
 	"periodica/internal/obs"
 )
 
-// packReal packs x into even/odd pairs, z[j] = (x[2j], x[2j+1]), zero-padding
-// the tail of z.
+// packBlock packs a block of at most h real samples into even/odd pairs,
+// z[j] = (x[2j], x[2j+1]), and runs the forward network's first stage over
+// them: the upper half of z is zero padding, so the stage reduces to
+// z[j+h/2] = z[j]·w_h^j, with w_h^j from the half plan's forward table tw.
 //
 //opvet:noalloc
-func packReal(z []complex128, x []float64) {
-	nx := len(x)
-	j := 0
+func packBlock(z []complex128, x []float64, tw []complex128) {
+	h := len(z)
+	lo, hi, t := z[:h/2], z[h/2:], tw[h/2:h]
+	nx, j := len(x), 0
 	for ; 2*j+1 < nx; j++ {
-		z[j] = complex(x[2*j], x[2*j+1])
+		v := complex(x[2*j], x[2*j+1])
+		lo[j], hi[j] = v, v*t[j]
 	}
 	if 2*j < nx {
-		z[j] = complex(x[2*j], 0)
+		v := complex(x[2*j], 0)
+		lo[j], hi[j] = v, v*t[j]
 		j++
 	}
-	clear(z[j:])
+	clear(lo[j:])
+	clear(hi[j:])
 }
 
-// roundUnpacked writes the rounded real sequence out of the packed complex
-// vector: out[2j] = round(Re z[j]), out[2j+1] = round(Im z[j]).
+// roundUnpacked writes the rounded, scaled real sequence out of the packed
+// complex vector: out[2j] = round(scale·Re z[j]), out[2j+1] = round(scale·Im z[j]).
 //
 //opvet:noalloc
-func roundUnpacked(out []int64, z []complex128) {
+func roundUnpacked(out []int64, z []complex128, scale float64) {
 	n := len(out)
 	for j := 0; 2*j < n; j++ {
-		out[2*j] = int64(math.Round(real(z[j])))
+		out[2*j] = int64(math.Round(real(z[j]) * scale))
 		if 2*j+1 < n {
-			out[2*j+1] = int64(math.Round(imag(z[j])))
+			out[2*j+1] = int64(math.Round(imag(z[j]) * scale))
 		}
 	}
 }
 
 // forwardRealPost converts the half-size transform Z of the packed sequence
-// into the packed half spectrum, in place. With E(k), O(k) the DFTs of the
-// even and odd samples, Z(k) = E(k) + i·O(k) and the Hermitian symmetry of
-// both gives, over (k, h−k) pairs,
+// into the packed half spectrum, in place and in bit-reversed order. With
+// E(k), O(k) the DFTs of the even and odd samples, Z(k) = E(k) + i·O(k) and
+// the Hermitian symmetry of both gives, over (k, h−k) pairs,
 //
 //	E = (Z(k) + conj(Z(h−k)))/2,  O = (Z(k) − conj(Z(h−k)))/(2i),
 //	X(k) = E + w^k·O,  X(h−k) = conj(E − w^k·O),  w = exp(−2πi/m),
 //
-// with the self-paired slots k = 0 (→ packed (X(0), X(h))) and k = h/2
-// (→ conj) handled directly. tw is the plan's forward table: tw[h+k] = w^k.
+// with the self-paired slots 0 (→ packed (X(0), X(h))) and 1 (k = h/2 →
+// conj) handled directly. tw is the plan's split table: tw[r] = w^rev(r).
 //
 //opvet:noalloc
 func forwardRealPost(z []complex128, tw []complex128) {
 	h := len(z)
 	z0 := z[0]
 	z[0] = complex(real(z0)+imag(z0), real(z0)-imag(z0))
-	zm := z[h/2]
-	z[h/2] = complex(real(zm), -imag(zm))
-	for k := 1; 2*k < h; k++ {
-		a, b := realSplit(z[k], z[h-k], tw[h+k])
-		z[k], z[h-k] = a, b
+	z[1] = complex(real(z[1]), -imag(z[1]))
+	for lo := 2; lo < h; lo <<= 1 {
+		for r, s := lo, 2*lo-1; r < s; r, s = r+1, s-1 {
+			z[r], z[s] = realSplit(z[r], z[s], tw[r])
+		}
 	}
 }
 
@@ -96,14 +106,13 @@ func conjMulAdd(acc, c, t complex128) complex128 {
 }
 
 // accumulateBlock folds one block boundary into the lag spectrum of the
-// block kernel. cur holds block j's packed spectrum X_j; next arrives as the
-// half-size forward transform of block j+1 and leaves as its packed spectrum
-// X_{j+1} (forwardRealPost, fused); and every slot of acc gains
-// conj(X_j(k))·(X_j(k) + (−1)^k·X_{j+1}(k)), the spectrum of block j
-// correlated with its 2B-sample window. Block j+1 starts B = h samples after
-// block j, which at frequency k of the 2B-point transform is a factor
-// (−1)^k. In the packed layout slot 0 holds the real pair (k = 0, k = h),
-// both with sign +1 (h is even).
+// block kernel, in bit-reversed order. cur holds block j's packed spectrum
+// X_j; next arrives as the half-size forward transform of block j+1 and
+// leaves as its packed spectrum X_{j+1} (forwardRealPost, fused); and every
+// slot of acc gains conj(X_j(k))·(X_j(k) + (−1)^k·X_{j+1}(k)), the spectrum
+// of block j correlated with its 2B-sample window. Block j+1 starts B = h
+// samples after block j, a factor (−1)^k at frequency k of the 2B-point
+// transform: −1 exactly in the slots r ≥ h/2.
 //
 //opvet:noalloc
 func accumulateBlock(acc, cur, next, tw []complex128) {
@@ -113,23 +122,23 @@ func accumulateBlock(acc, cur, next, tw []complex128) {
 	next[0] = complex(x0, xh)
 	c0 := cur[0]
 	acc[0] += complex(real(c0)*(real(c0)+x0), imag(c0)*(imag(c0)+xh))
-	zm := next[h/2]
-	xm := complex(real(zm), -imag(zm))
-	next[h/2] = xm
-	if (h/2)&1 != 0 {
+	xm := complex(real(next[1]), -imag(next[1]))
+	if next[1] = xm; h == 2 {
 		xm = -xm
 	}
-	cm := cur[h/2]
-	acc[h/2] = conjMulAdd(acc[h/2], cm, cm+xm)
-	for k := 1; 2*k < h; k++ {
-		a, b := realSplit(next[k], next[h-k], tw[h+k])
-		next[k], next[h-k] = a, b
-		if k&1 != 0 {
-			a, b = -a, -b
+	acc[1] = conjMulAdd(acc[1], cur[1], cur[1]+xm)
+	for lo := 2; lo < h; lo <<= 1 {
+		odd := 2*lo == h
+		for r, s := lo, 2*lo-1; r < s; r, s = r+1, s-1 {
+			a, b := realSplit(next[r], next[s], tw[r])
+			next[r], next[s] = a, b
+			if odd {
+				a, b = -a, -b
+			}
+			cr, cs := cur[r], cur[s]
+			acc[r] = conjMulAdd(acc[r], cr, cr+a)
+			acc[s] = conjMulAdd(acc[s], cs, cs+b)
 		}
-		ck, chk := cur[k], cur[h-k]
-		acc[k] = conjMulAdd(acc[k], ck, ck+a)
-		acc[h-k] = conjMulAdd(acc[h-k], chk, chk+b)
 	}
 }
 
@@ -138,28 +147,30 @@ func accumulateBlock(acc, cur, next, tw []complex128) {
 // acc leaves ready for the half-size inverse transform, whose output unpacks
 // to the raw lags. With S the accumulated spectrum, E = (S(k) + conj(S(h−k)))/2
 // and O = w^{−k}·(S(k) − conj(S(h−k)))/2, the pre-passed values are
-// Z(k) = E + i·O and Z(h−k) = conj(E) + i·conj(O). ti is the plan's inverse
-// table: ti[h+k] = w^{−k}.
+// Z(k) = E + i·O and Z(h−k) = conj(E) + i·conj(O), w^{−k} = conj(tw[r]).
 //
 //opvet:noalloc
-func finishLagSpectrum(acc, cur, ti []complex128) {
+func finishLagSpectrum(acc, cur, tw []complex128) {
 	h := len(acc)
 	c0 := cur[0]
 	s0 := real(acc[0]) + real(c0)*real(c0)
 	sh := imag(acc[0]) + imag(c0)*imag(c0)
 	acc[0] = complex((s0+sh)*0.5, (s0-sh)*0.5)
-	cm := cur[h/2]
-	sm := acc[h/2] + complex(real(cm)*real(cm)+imag(cm)*imag(cm), 0)
-	acc[h/2] = complex(real(sm), -imag(sm))
-	for k := 1; 2*k < h; k++ {
-		ck, chk := cur[k], cur[h-k]
-		sk := acc[k] + complex(real(ck)*real(ck)+imag(ck)*imag(ck), 0)
-		shk := acc[h-k] + complex(real(chk)*real(chk)+imag(chk)*imag(chk), 0)
-		c := complex(real(shk), -imag(shk))
-		e := (sk + c) * 0.5
-		o := ti[h+k] * ((sk - c) * 0.5)
-		acc[k] = complex(real(e)-imag(o), imag(e)+real(o))
-		acc[h-k] = complex(real(e)+imag(o), -imag(e)+real(o))
+	cm := cur[1]
+	sm := acc[1] + complex(real(cm)*real(cm)+imag(cm)*imag(cm), 0)
+	acc[1] = complex(real(sm), -imag(sm))
+	for lo := 2; lo < h; lo <<= 1 {
+		for r, s := lo, 2*lo-1; r < s; r, s = r+1, s-1 {
+			cr, cs := cur[r], cur[s]
+			sk := acc[r] + complex(real(cr)*real(cr)+imag(cr)*imag(cr), 0)
+			shk := acc[s] + complex(real(cs)*real(cs)+imag(cs)*imag(cs), 0)
+			c := complex(real(shk), -imag(shk))
+			e := (sk + c) * 0.5
+			w := tw[r]
+			o := complex(real(w), -imag(w)) * ((sk - c) * 0.5)
+			acc[r] = complex(real(e)-imag(o), imag(e)+real(o))
+			acc[s] = complex(real(e)+imag(o), -imag(e)+real(o))
+		}
 	}
 }
 
@@ -175,14 +186,13 @@ func (p *Plan) AutocorrelateCounts(x []float64) []int64 {
 
 // AutocorrelateCountsInto writes r[p] = Σ_i x[i]·x[i+p], rounded to integers,
 // for the lags p = 0..len(out)−1 into out and returns out. It is the block
-// kernel: with B = Size/2, x is cut into blocks x[jB, (j+1)B), each is
-// zero-padded to 2B and transformed through the half-size real-input kernel,
-// and the lag spectrum S(k) = Σ_j conj(F_j(k))·(F_j(k) + (−1)^k·F_{j+1}(k))
-// — block j correlated with the window of blocks j and j+1 — goes through one
-// inverse transform. A lag p ≤ B never wraps, so the counts are exact for
-// len(out) ≤ B+1 (which the kernel requires, along with len(out) ≤ len(x)).
-// The cost is ⌈len(x)/B⌉ forward transforms of size B plus one inverse;
-// BandSize picks B for a lag band.
+// kernel: with B = Size/2, x is cut into blocks x[jB, (j+1)B), each
+// zero-padded to 2B and transformed, and the lag spectrum S(k) =
+// Σ_j conj(F_j(k))·(F_j(k) + (−1)^k·F_{j+1}(k)) — block j correlated with
+// blocks j and j+1 — goes through one inverse transform. A lag p ≤ B never
+// wraps, so the counts are exact for len(out) ≤ B+1 (which the kernel
+// requires, along with len(out) ≤ len(x)). The cost is ⌈len(x)/B⌉ forward
+// transforms of size B plus one inverse; BandSize picks B for a lag band.
 //
 // The block, spectrum and accumulator buffers come from the half plan's
 // pool, so the kernel is allocation-free after warm-up. workers ≤ 0 selects
@@ -210,16 +220,16 @@ func (p *Plan) AutocorrelateCountsInto(x []float64, out []int64, workers int) []
 		workers = p.autoWorkers()
 	}
 	q := p.halfPlan()
-	zp := p.rawLags(x, workers)
-	roundUnpacked(out, *zp)
+	zp := p.rawLags(x, q.fit(workers))
+	roundUnpacked(out, *zp, 1/float64(q.n))
 	q.release(zp)
 	return out
 }
 
 // rawLags runs the block kernel over x up to the inverse transform and
-// returns the half plan's pooled buffer that holds the unrounded lags,
-// packed as pairs (lag 2j, lag 2j+1) in slot j. The caller releases it to
-// the half plan. p.n must be at least 4.
+// returns the half plan's pooled buffer that holds h = Size/2 times the
+// unrounded lags, packed as pairs (lag 2j, lag 2j+1) in slot j. workers is
+// fitted to the half plan, which the buffer is released to. p.n ≥ 4.
 //
 //opvet:noalloc
 func (p *Plan) rawLags(x []float64, workers int) *[]complex128 {
@@ -229,17 +239,17 @@ func (p *Plan) rawLags(x []float64, workers int) *[]complex128 {
 	zp, np, ap := q.scratch(), q.scratch(), q.scratch()
 	cur, next, acc := *zp, *np, *ap
 	clear(acc)
-	packReal(cur, x[:min(blk, nx)])
-	q.Transform(cur, false, workers)
-	forwardRealPost(cur, p.twf)
+	packBlock(cur, x[:min(blk, nx)], q.twf)
+	q.dif(cur, blk/2, workers)
+	forwardRealPost(cur, p.split)
 	for lo := blk; lo < nx; lo += blk {
-		packReal(next, x[lo:min(lo+blk, nx)])
-		q.Transform(next, false, workers)
-		accumulateBlock(acc, cur, next, p.twf)
+		packBlock(next, x[lo:min(lo+blk, nx)], q.twf)
+		q.dif(next, blk/2, workers)
+		accumulateBlock(acc, cur, next, p.split)
 		cur, next = next, cur
 	}
-	finishLagSpectrum(acc, cur, p.twi)
-	q.Transform(acc, true, workers)
+	finishLagSpectrum(acc, cur, p.split)
+	q.dit(acc, workers)
 	q.release(zp)
 	q.release(np)
 	return ap
