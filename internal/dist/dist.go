@@ -14,9 +14,9 @@
 // once, keyed by its shard ID, and the merge re-derives every confidence
 // from integer counts.
 //
-// Trust: every /v1/shard response carries a checksum and request echoes the
-// client verifies before the coordinator sees it; a response that fails is a
-// retryable integrity error, counted in obs.Dist(). An optional sampled
+// Trust: every /v1/shard response is a frame whose CRC and request-CRC echo
+// the client verifies before the coordinator sees it; a response that fails
+// is a retryable integrity error, counted in obs.Dist(). An optional sampled
 // fraction of shards is double-dispatched to an independent worker and
 // cross-checked byte-for-byte. An optional journal checkpoints completed
 // shards through the store's crash-safe framing, so an interrupted mine
@@ -24,6 +24,7 @@
 package dist
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -34,7 +35,6 @@ import (
 	"log/slog"
 	"math"
 	"math/rand"
-	"reflect"
 	"sync"
 	"time"
 
@@ -216,7 +216,8 @@ func (c *Coordinator) Mine(ctx context.Context, s *periodica.Series, opt periodi
 
 	// Every shard carries the mine's canonical query string: the worker
 	// compiles exactly what the coordinator normalized (modulo the per-shard
-	// period band), and the response's QueryCRC echo proves it answered it.
+	// period band), and the response's echo of the request frame's CRC
+	// proves it answered that query, block and series.
 	normSpec := core.SpecFromOptions(norm)
 	canonical := normSpec.Render()
 	results := make([][]core.SymbolPeriodicity, len(plan))
@@ -241,7 +242,7 @@ func (c *Coordinator) Mine(ctx context.Context, s *periodica.Series, opt periodi
 		wg.Add(1)
 		go func(i, shardID int, req httpapi.ShardRequest) {
 			defer wg.Done()
-			wire, err := c.runShard(ctx, ser, norm, req)
+			wire, err := c.runShard(ctx, ser, norm, &req, httpapi.EncodeShardRequest(&req))
 			if err != nil {
 				errs[i] = err
 				return
@@ -306,11 +307,12 @@ type attemptResult struct {
 }
 
 // runShard drives one shard to completion: dispatch, bounded retries with
-// jittered backoff, an optional single hedge, and the local fallback. The
+// jittered backoff, an optional single hedge, and the local fallback. Every
+// attempt sends the same request frame, encoded once by the caller. The
 // result channel is buffered for every launch the budget allows, so a
 // discarded (hedged-loser or post-fallback) attempt never blocks and its
 // goroutine always exits.
-func (c *Coordinator) runShard(ctx context.Context, ser *series.Series, norm core.Options, req httpapi.ShardRequest) ([]httpapi.ShardSlot, error) {
+func (c *Coordinator) runShard(ctx context.Context, ser *series.Series, norm core.Options, req *httpapi.ShardRequest, frame []byte) ([]httpapi.ShardSlot, error) {
 	shardCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -326,7 +328,7 @@ func (c *Coordinator) runShard(ctx context.Context, ser *series.Series, norm cor
 		//opvet:ignore goroleak joined by the select receive on resCh in runShard; the buffer holds every possible launch so a losing attempt's send never blocks
 		go func() {
 			start := time.Now()
-			resp, err := c.client.MineShard(shardCtx, worker, &req)
+			resp, err := c.client.MineShard(shardCtx, worker, frame)
 			resCh <- attemptResult{worker: worker, resp: resp, err: err, elapsed: time.Since(start)}
 		}()
 	}
@@ -352,7 +354,7 @@ func (c *Coordinator) runShard(ctx context.Context, ser *series.Series, norm cor
 			c.noteResult(r.worker, r.err == nil)
 			if r.err == nil {
 				obs.Dist().ObserveShard(r.worker, r.elapsed)
-				if c.shouldVerify() && !c.crossVerify(shardCtx, req, r) {
+				if c.shouldVerify() && !c.crossVerify(shardCtx, req.ShardID, frame, r) {
 					obs.Dist().VerifyMismatches.Inc()
 					c.log.Error("shard verification mismatch: independent workers disagree",
 						"shard", req.ShardID, "worker", r.worker)
@@ -421,30 +423,32 @@ func (c *Coordinator) shouldVerify() bool {
 	return c.rng.Float64() < c.cfg.VerifyShards
 }
 
-// crossVerify re-dispatches the shard to a worker other than the one that
-// answered and compares the two responses byte-for-byte. It reports false
-// only on a definite mismatch: an unavailable or failing verifier means the
-// check is inconclusive, which must not fail a shard that already succeeded.
-func (c *Coordinator) crossVerify(ctx context.Context, req httpapi.ShardRequest, first attemptResult) bool {
+// crossVerify re-dispatches the shard's request frame to a worker other than
+// the one that answered and compares the two response frames byte-for-byte:
+// both echo the same request, so they are equal exactly when their slot
+// bytes are. It reports false only on a definite mismatch: an unavailable or
+// failing verifier means the check is inconclusive, which must not fail a
+// shard that already succeeded.
+func (c *Coordinator) crossVerify(ctx context.Context, shardID int, frame []byte, first attemptResult) bool {
 	verifier := c.pickWorker(map[string]bool{first.worker: true})
 	if verifier == first.worker {
 		return true // no independent worker available; inconclusive
 	}
-	resp, err := c.client.MineShard(ctx, verifier, &req)
+	resp, err := c.client.MineShard(ctx, verifier, frame)
 	c.noteResult(verifier, err == nil)
 	if err != nil {
 		c.log.Warn("shard verification dispatch failed; check inconclusive",
-			"shard", req.ShardID, "verifier", verifier, "err", err)
+			"shard", shardID, "verifier", verifier, "err", err)
 		return true
 	}
-	return reflect.DeepEqual(resp.Slots, first.resp.Slots)
+	return bytes.Equal(resp.Frame, first.resp.Frame)
 }
 
 // localFallback computes the shard in-process after the attempt budget is
 // exhausted — degraded (the coordinator spends its own CPU) but correct,
 // since resolving the request's own clipped survivors with
 // MineShardSlotsFromSurvivors is the exact computation a worker runs.
-func (c *Coordinator) localFallback(ctx context.Context, ser *series.Series, norm core.Options, req httpapi.ShardRequest, cause error) ([]httpapi.ShardSlot, error) {
+func (c *Coordinator) localFallback(ctx context.Context, ser *series.Series, norm core.Options, req *httpapi.ShardRequest, cause error) ([]httpapi.ShardSlot, error) {
 	if c.cfg.DisableLocalFallback {
 		return nil, fmt.Errorf("dist: shard %d failed remotely: %w", req.ShardID, cause)
 	}
@@ -456,7 +460,7 @@ func (c *Coordinator) localFallback(ctx context.Context, ser *series.Series, nor
 	if err != nil {
 		return nil, err
 	}
-	return slotsToWire(slots), nil
+	return httpapi.WireSlots(slots), nil
 }
 
 // jitteredBackoff is the delay before retry number attempt (1-based over
@@ -530,19 +534,6 @@ func slotsFromWire(in []httpapi.ShardSlot) []core.SymbolPeriodicity {
 		out = append(out, core.SymbolPeriodicity{
 			Symbol: sl.Symbol, Period: sl.Period, Position: sl.Position,
 			F2: sl.F2, Pairs: sl.Pairs,
-		})
-	}
-	return out
-}
-
-// slotsToWire is the inverse, for journaling locally computed shards in the
-// same form remote ones arrive in.
-func slotsToWire(in []core.SymbolPeriodicity) []httpapi.ShardSlot {
-	out := make([]httpapi.ShardSlot, 0, len(in))
-	for _, sp := range in {
-		out = append(out, httpapi.ShardSlot{
-			Symbol: sp.Symbol, Period: sp.Period, Position: sp.Position,
-			F2: sp.F2, Pairs: sp.Pairs,
 		})
 	}
 	return out

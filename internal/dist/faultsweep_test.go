@@ -12,8 +12,8 @@ package dist
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -27,17 +27,22 @@ import (
 	"periodica/internal/obs"
 )
 
-// lyingWorker serves real /v1/shard responses with one slot perturbed and
-// the checksum recomputed — internally consistent, externally wrong, the
-// case only cross-worker verification can catch.
+// lyingWorker serves real /v1/shard responses with one slot perturbed in a
+// frame with a valid CRC and echo — internally consistent, externally wrong,
+// the case only cross-worker verification can catch.
 func lyingWorker(t *testing.T) string {
 	t.Helper()
 	real := httpapi.New(httpapi.Config{Logger: discard()})
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		frame, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Error(err)
+			return
+		}
 		rec := httptest.NewRecorder()
-		real.ServeHTTP(rec, r)
-		var resp httpapi.ShardResponse
-		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &resp) != nil || len(resp.Slots) == 0 {
+		real.ServeHTTP(rec, httptest.NewRequest(r.Method, r.URL.Path, bytes.NewReader(frame)))
+		resp, err := httpapi.VerifyShardResponse(frame, rec.Body.Bytes())
+		if rec.Code != http.StatusOK || err != nil || len(resp.Slots) == 0 {
 			for k, vs := range rec.Header() {
 				w.Header()[k] = vs
 			}
@@ -50,9 +55,7 @@ func lyingWorker(t *testing.T) string {
 		} else {
 			resp.Slots[0].Pairs++
 		}
-		resp.Checksum = httpapi.ShardChecksum(&resp)
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(&resp)
+		_, _ = w.Write(httpapi.EncodeShardResponse(frame, resp.Slots))
 	}))
 	t.Cleanup(srv.Close)
 	return srv.URL
@@ -73,15 +76,15 @@ func sweepSeed(t *testing.T) int64 {
 }
 
 // shardKey buckets requests by the shard they carry, so "fault attempt N of
-// every shard" is deterministic under concurrent dispatch. A marshaled
-// ShardRequest begins {"shardId":N,... — the prefix up to the first comma
-// identifies the shard.
+// every shard" is deterministic under concurrent dispatch. The shard ID is
+// read from the request frame; TestSeededNetfaultSweep checks that the
+// buckets come out one per planned shard.
 func shardKey(r *http.Request) string {
-	b := netfault.PeekBody(r)
-	if i := bytes.IndexByte(b, ','); i > 0 {
-		return string(b[:i])
+	req, err := httpapi.DecodeShardRequest(netfault.PeekBody(r))
+	if err != nil {
+		return "undecodable"
 	}
-	return string(b)
+	return strconv.Itoa(req.ShardID)
 }
 
 func TestSeededNetfaultSweep(t *testing.T) {
@@ -89,6 +92,7 @@ func TestSeededNetfaultSweep(t *testing.T) {
 	s := fixture(t)
 	want := mustMine(t, s, fixtureOpt)
 	workers := []string{worker(t), worker(t)}
+	shards := planSize(t, len(workers))
 
 	faults := []netfault.Plan{
 		{Fault: netfault.FaultDrop},
@@ -163,6 +167,10 @@ func TestSeededNetfaultSweep(t *testing.T) {
 				if inj.Fired() == 0 {
 					t.Fatalf("seed %d, fault %v, stage %s: fault never fired; the cell is vacuous",
 						seed, plan.Fault, stage)
+				}
+				if got := inj.Buckets(); got != shards {
+					t.Fatalf("seed %d, fault %v, stage %s: injector saw %d buckets for %d planned shards",
+						seed, plan.Fault, stage, got, shards)
 				}
 			})
 		}

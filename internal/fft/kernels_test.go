@@ -5,6 +5,8 @@ import (
 	"math/bits"
 	"math/cmplx"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"periodica/internal/obs"
@@ -54,7 +56,8 @@ func TestRealSpectrumMatchesComplex(t *testing.T) {
 			x[i] = rng.NormFloat64()
 		}
 		spec := make([]complex128, h)
-		packBlock(spec, x, q.twf)
+		twf, _ := q.twiddles()
+		packBlock(spec, x, twf)
 		q.dif(spec, h/2, 1)
 		forwardRealPost(spec, p.split)
 
@@ -151,7 +154,8 @@ func TestDIFMatchesReversedTransform(t *testing.T) {
 		}
 		want = append(want[:0], packed...)
 		transformRecurrence(want, false)
-		packBlock(got, re, p.twf)
+		twf, _ := p.twiddles()
+		packBlock(got, re, twf)
 		p.dif(got, n/2, 1)
 		scale = 0
 		for _, v := range packed {
@@ -279,6 +283,78 @@ func TestKernelCountsMatchDirectSmallN(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestBlockKernelBuildsOnlyTheTablesItReads: the block kernel never permutes
+// and runs its networks on the half plan, so after a mine the outer plan
+// holds no swaps and no twiddle tables, the half plan no swaps, and the split
+// twiddles, computed directly, equal the forward-table entries they replace
+// bit for bit.
+func TestBlockKernelBuildsOnlyTheTablesItReads(t *testing.T) {
+	for _, size := range []int{8, 64, 1 << 12, ParallelThreshold * 2} {
+		x := make([]float64, 3*size)
+		for i := 0; i < len(x); i += 5 {
+			x[i] = 1
+		}
+		p := NewPlan(size)
+		p.AutocorrelateCountsInto(x, make([]int64, size/2), 0)
+		if p.swaps != nil || p.twf != nil || p.twi != nil {
+			t.Fatalf("size %d: outer plan holds swaps %d, twf %d, twi %d entries",
+				size, len(p.swaps), len(p.twf), len(p.twi))
+		}
+		if p.half.swaps != nil {
+			t.Fatalf("size %d: half plan holds %d swap entries", size, len(p.half.swaps))
+		}
+		twf, _ := NewPlan(size).twiddles()
+		h := size / 2
+		for r, w := range p.split {
+			if k := revSlot(r, h); w != twf[h+k] {
+				t.Fatalf("size %d slot %d: split %v, forward table %v", size, r, w, twf[h+k])
+			}
+		}
+	}
+}
+
+// TestPlanTablesConcurrentFirstUse: goroutines that first use a fresh plan
+// at once, some through natural-order transforms and some through the block
+// kernel, build each table once and agree with a serial reference (run it
+// under -race).
+func TestPlanTablesConcurrentFirstUse(t *testing.T) {
+	const size = 256
+	x := make([]float64, 3*size)
+	z := make([]complex128, size)
+	for i := range x {
+		x[i] = float64(i % 3 / 2)
+	}
+	for i := range z {
+		z[i] = complex(float64(i%5), float64(i%7))
+	}
+	ref := NewPlan(size)
+	wantCounts := ref.AutocorrelateCountsInto(x, make([]int64, size/2), 1)
+	wantZ := append([]complex128(nil), z...)
+	ref.Transform(wantZ, false, 1)
+
+	p := NewPlan(size)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if g%2 == 0 {
+				got := p.AutocorrelateCountsInto(x, make([]int64, size/2), 1)
+				if !slices.Equal(got, wantCounts) {
+					t.Errorf("goroutine %d: counts differ from the serial reference", g)
+				}
+				return
+			}
+			got := append([]complex128(nil), z...)
+			p.Transform(got, false, 1)
+			if !slices.Equal(got, wantZ) {
+				t.Errorf("goroutine %d: transform differs from the serial reference", g)
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // TestRealKernelZeroAllocAfterWarmup extends the zero-alloc guarantee of the

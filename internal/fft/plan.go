@@ -28,25 +28,31 @@ const ParallelThreshold = 1 << 16
 // stages; smaller chunks spend more time at barriers than in butterflies.
 const minParallelChunk = 1 << 12
 
-// Plan holds the precomputed tables for transforms of one fixed power-of-two
-// size. A plan's tables are immutable after construction and the plan is safe
-// for concurrent use: the transform methods touch only the caller's slice and
-// pooled scratch, and the half-size plan behind the real-input kernel is
-// built once, on first use, and immutable afterwards.
+// Plan holds the tables for transforms of one fixed power-of-two size. Each
+// table is built once, on first use, and immutable afterwards, so the plan is
+// safe for concurrent use: the transform methods touch only the caller's
+// slice and pooled scratch. Building lazily keeps a plan to the tables its
+// callers read: the block kernel never permutes, and of its outer plan it
+// reads only the split twiddles and the half-size plan.
 type Plan struct {
-	n     int
-	swaps []int32      // flattened (i, j) pairs of the bit-reversal permutation, i < j
-	twf   []complex128 // twf[half+k] = exp(-2πi·k/size), size = 2·half (forward)
-	twi   []complex128 // conjugate table for inverse transforms
-	pool  sync.Pool    // scratch []complex128 of length n
+	n    int
+	pool sync.Pool // scratch []complex128 of length n
+
+	swapsOnce sync.Once
+	swaps     []int32 // flattened (i, j) pairs of the bit-reversal permutation, i < j
+
+	twOnce sync.Once
+	twf    []complex128 // twf[half+k] = exp(-2πi·k/size), size = 2·half (forward)
+	twi    []complex128 // conjugate table for inverse transforms
 
 	halfOnce sync.Once
 	half     *Plan        // plan for the half-size transforms of the real-input kernel
-	split    []complex128 // split[r] = twf[n/2+rev(r)]: the real split's twiddles in slot order
+	split    []complex128 // split[r] = exp(-2πi·rev(r)/n): the real split's twiddles in slot order
 }
 
 // halfPlan returns (building on first use) the plan for the half-size complex
-// transforms behind the real-input kernel, and the kernel's split twiddles.
+// transforms behind the real-input kernel, and the kernel's split twiddles,
+// each evaluated as the forward table would hold it.
 func (p *Plan) halfPlan() *Plan {
 	p.halfOnce.Do(func() {
 		h := p.n / 2
@@ -54,14 +60,51 @@ func (p *Plan) halfPlan() *Plan {
 		p.split = make([]complex128, h)
 		shift := uint(64 - log2(h))
 		for r := range p.split {
-			p.split[r] = p.twf[h+int(reverse64(uint64(r))>>shift)]
+			k := reverse64(uint64(r)) >> shift
+			s, c := math.Sincos(2 * math.Pi * float64(k) / float64(p.n))
+			p.split[r] = complex(c, -s)
 		}
 	})
 	return p.half
 }
 
-// NewPlan builds a plan for transforms of length n (a power of two).
-// Most callers should use PlanFor, which caches plans by size.
+// twiddles returns (building on first use) the forward and inverse twiddle
+// tables the networks read.
+func (p *Plan) twiddles() (twf, twi []complex128) {
+	p.twOnce.Do(func() {
+		p.twf = make([]complex128, p.n)
+		p.twi = make([]complex128, p.n)
+		for half := 1; half < p.n; half <<= 1 {
+			size := 2 * half
+			for k := 0; k < half; k++ {
+				ang := 2 * math.Pi * float64(k) / float64(size)
+				s, c := math.Sincos(ang)
+				p.twf[half+k] = complex(c, -s)
+				p.twi[half+k] = complex(c, s)
+			}
+		}
+	})
+	return p.twf, p.twi
+}
+
+// bitReversal returns (building on first use) the bit-reversal permutation
+// as flattened swap pairs; only natural-order transforms read it.
+func (p *Plan) bitReversal() []int32 {
+	p.swapsOnce.Do(func() {
+		shift := uint(64 - log2(p.n))
+		for i := 0; i < p.n; i++ {
+			j := int(reverse64(uint64(i)) >> shift)
+			if j > i {
+				p.swaps = append(p.swaps, int32(i), int32(j))
+			}
+		}
+	})
+	return p.swaps
+}
+
+// NewPlan returns a plan for transforms of length n (a power of two); its
+// tables are built on first use. Most callers should use PlanFor, which
+// caches plans by size.
 func NewPlan(n int) *Plan {
 	if !IsPow2(n) {
 		panic(fmt.Sprintf("fft: plan length %d is not a power of two", n))
@@ -70,27 +113,6 @@ func NewPlan(n int) *Plan {
 	// The pool stores *[]complex128: putting a bare slice would box its
 	// header into an interface and allocate on every release.
 	p.pool.New = func() any { b := make([]complex128, n); return &b }
-	if n == 1 {
-		return p
-	}
-	shift := uint(64 - log2(n))
-	for i := 0; i < n; i++ {
-		j := int(reverse64(uint64(i)) >> shift)
-		if j > i {
-			p.swaps = append(p.swaps, int32(i), int32(j))
-		}
-	}
-	p.twf = make([]complex128, n)
-	p.twi = make([]complex128, n)
-	for half := 1; half < n; half <<= 1 {
-		size := 2 * half
-		for k := 0; k < half; k++ {
-			ang := 2 * math.Pi * float64(k) / float64(size)
-			s, c := math.Sincos(ang)
-			p.twf[half+k] = complex(c, -s)
-			p.twi[half+k] = complex(c, s)
-		}
-	}
 	return p
 }
 
@@ -224,13 +246,14 @@ func (p *Plan) fit(workers int) int {
 // permute applies the bit-reversal permutation, its disjoint pairs split
 // evenly across workers.
 func (p *Plan) permute(x []complex128, workers int) {
+	swaps := p.bitReversal()
 	if workers == 1 {
-		applySwaps(x, p.swaps)
+		applySwaps(x, swaps)
 		return
 	}
-	pairs := len(p.swaps) / 2
+	pairs := len(swaps) / 2
 	parallelRange(workers, func(w int) {
-		applySwaps(x, p.swaps[2*(pairs*w/workers):2*(pairs*(w+1)/workers)])
+		applySwaps(x, swaps[2*(pairs*w/workers):2*(pairs*(w+1)/workers)])
 	})
 }
 
@@ -251,16 +274,17 @@ func applySwaps(x []complex128, swaps []int32) {
 // chunk (top ≥ Size/2 ≥ chunk) by flat index, then each worker's chunk.
 func (p *Plan) dif(x []complex128, top, workers int) {
 	obs.FFT().KernelRadix2.Inc()
+	twf, _ := p.twiddles()
 	if workers == 1 {
-		difStages(x, p.twf, 0, p.n, top)
+		difStages(x, twf, 0, p.n, top)
 		return
 	}
 	chunk := p.n / workers
 	for size := top; size > chunk; size >>= 1 {
-		flatStage(x, p.twf[size/2:size], workers, difButterflies)
+		flatStage(x, twf[size/2:size], workers, difButterflies)
 	}
 	parallelRange(workers, func(w int) {
-		difStages(x, p.twf, w*chunk, (w+1)*chunk, chunk)
+		difStages(x, twf, w*chunk, (w+1)*chunk, chunk)
 	})
 }
 
@@ -269,16 +293,17 @@ func (p *Plan) dif(x []complex128, top, workers int) {
 // inside a chunk run on each worker's own chunk, then the rest by flat index.
 func (p *Plan) dit(x []complex128, workers int) {
 	obs.FFT().KernelRadix2.Inc()
+	_, twi := p.twiddles()
 	if workers == 1 {
-		runStages(x, p.twi, 0, p.n, p.n)
+		runStages(x, twi, 0, p.n, p.n)
 		return
 	}
 	chunk := p.n / workers
 	parallelRange(workers, func(w int) {
-		runStages(x, p.twi, w*chunk, (w+1)*chunk, chunk)
+		runStages(x, twi, w*chunk, (w+1)*chunk, chunk)
 	})
 	for size := 2 * chunk; size <= p.n; size <<= 1 {
-		flatStage(x, p.twi[size/2:size], workers, butterflies)
+		flatStage(x, twi[size/2:size], workers, butterflies)
 	}
 }
 

@@ -236,14 +236,15 @@ func (p *Plan) rawLags(x []float64, workers int) *[]complex128 {
 	obs.FFT().KernelReal.Inc()
 	nx, blk := len(x), p.n/2
 	q := p.halfPlan()
+	twf, _ := q.twiddles()
 	zp, np, ap := q.scratch(), q.scratch(), q.scratch()
 	cur, next, acc := *zp, *np, *ap
 	clear(acc)
-	packBlock(cur, x[:min(blk, nx)], q.twf)
+	packBlock(cur, x[:min(blk, nx)], twf)
 	q.dif(cur, blk/2, workers)
 	forwardRealPost(cur, p.split)
 	for lo := blk; lo < nx; lo += blk {
-		packBlock(next, x[lo:min(lo+blk, nx)], q.twf)
+		packBlock(next, x[lo:min(lo+blk, nx)], twf)
 		q.dif(next, blk/2, workers)
 		accumulateBlock(acc, cur, next, p.split)
 		cur, next = next, cur

@@ -1,12 +1,16 @@
 package httpapi
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -16,14 +20,23 @@ import (
 	"periodica/internal/series"
 )
 
-// shardBody marshals a ShardRequest for the test server.
+// shardBody encodes a ShardRequest frame for the test server.
 func shardBody(t *testing.T, req ShardRequest) string {
 	t.Helper()
-	b, err := json.Marshal(req)
+	return string(EncodeShardRequest(&req))
+}
+
+// shardReply verifies a handler's 200 body as the answer to req.
+func shardReply(t *testing.T, req ShardRequest, rec *httptest.ResponseRecorder) *ShardResponse {
+	t.Helper()
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body)
+	}
+	resp, err := VerifyShardResponse(EncodeShardRequest(&req), rec.Body.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(b)
+	return resp
 }
 
 // withSurvivors returns req carrying the survivor set a coordinator ships
@@ -73,17 +86,7 @@ func TestShardEndpoint(t *testing.T) {
 		Query:    "conf >= 0.6", MinPeriod: 1, MaxPeriod: 20,
 		SymbolLo: 0, SymbolHi: 4,
 	})
-	rec := post(t, quiet(Config{}), "/v1/shard", shardBody(t, req))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", rec.Code, rec.Body)
-	}
-	var resp ShardResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.ShardID != 42 {
-		t.Fatalf("shard id %d, want 42", resp.ShardID)
-	}
+	resp := shardReply(t, req, post(t, quiet(Config{}), "/v1/shard", shardBody(t, req)))
 
 	alpha := alphabet.MustNew("a", "b", "c", "d")
 	ser, err := series.FromAlphabetText(alpha, text)
@@ -138,16 +141,33 @@ func TestShardBadRequests(t *testing.T) {
 		"symbol range too wide": mutate(func(r *ShardRequest) { r.SymbolHi = 5 }),
 		"bad period band":       mutate(func(r *ShardRequest) { r.MinPeriod, r.MaxPeriod = 4, 100 }),
 		"missing survivors":     mutate(func(r *ShardRequest) { r.Survivors = nil }),
-		"unknown field":         `{"alphabet":["a","b"],"symbols":"abab","query":"conf >= 0.5","bogus":1}`,
 		"invalid json":          `{`,
+		"truncated frame":       mutate(func(*ShardRequest) {})[:40],
+		"empty body":            ``,
 	}
+	flipped := []byte(mutate(func(*ShardRequest) {}))
+	flipped[len(flipped)/2] ^= 0x10
+	cases["bit-flipped frame"] = string(flipped)
 	for name, body := range cases {
 		rec := post(t, h, "/v1/shard", body)
 		if rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400: %s", name, rec.Code, rec.Body)
 		}
 	}
-	rec := httptest.NewRecorder()
+	// The old JSON wire is refused by name: the worker speaks frame v1 only.
+	old, err := json.Marshal(map[string]any{
+		"shardId": 0, "alphabet": base.Alphabet, "symbols": base.Symbols, "query": base.Query,
+		"minPeriod": base.MinPeriod, "maxPeriod": base.MaxPeriod, "symbolLo": 0, "symbolHi": 2,
+		"survivors": base.Survivors,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := post(t, h, "/v1/shard", string(old))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "shard request frame v1") {
+		t.Errorf("JSON body: status %d, want 400 naming the frame version: %s", rec.Code, rec.Body)
+	}
+	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/shard", nil))
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET: status %d, want 405", rec.Code)
@@ -163,11 +183,11 @@ func TestShardClientRoundTrip(t *testing.T) {
 		ShardID: 7, Alphabet: []string{"a", "b", "c"}, Symbols: strings.Repeat("abcabbabcb", 5),
 		Query: "conf >= 0.6", MinPeriod: 1, MaxPeriod: 10, SymbolLo: 0, SymbolHi: 3,
 	})
-	resp, err := c.MineShard(context.Background(), worker.URL, &req)
+	resp, err := c.MineShard(context.Background(), worker.URL, EncodeShardRequest(&req))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.ShardID != 7 || len(resp.Slots) == 0 {
+	if len(resp.Slots) == 0 {
 		t.Fatalf("response %+v", resp)
 	}
 }
@@ -183,7 +203,7 @@ func TestShardClientStatusErrors(t *testing.T) {
 		ShardID: 1, Alphabet: []string{"a", "b"}, Symbols: "abababab",
 		Query: "conf >= 0.5", MinPeriod: 1, MaxPeriod: 4, SymbolLo: 0, SymbolHi: 2,
 	})
-	good := &goodReq
+	good := EncodeShardRequest(&goodReq)
 
 	if !s.gate.TryAcquire() {
 		t.Fatal("fresh gate refused its first slot")
@@ -195,94 +215,117 @@ func TestShardClientStatusErrors(t *testing.T) {
 		t.Fatalf("shed: err = %v, want retryable 429 WorkerStatusError", err)
 	}
 
-	bad := *good
+	bad := goodReq
 	bad.Query = "conf >= 0"
-	_, err = c.MineShard(context.Background(), worker.URL, &bad)
+	_, err = c.MineShard(context.Background(), worker.URL, EncodeShardRequest(&bad))
 	if !errors.As(err, &wse) || wse.Status != http.StatusBadRequest || wse.Retryable() {
 		t.Fatalf("rejected: err = %v, want non-retryable 400 WorkerStatusError", err)
 	}
 }
 
 // TestShardResponseStampedAndVerifiable: the worker stamps its response with
-// the request echoes and a checksum the client's acceptance rule verifies.
+// the request frame's CRC and a CRC of its own that the client's acceptance
+// rule verifies.
 func TestShardResponseStampedAndVerifiable(t *testing.T) {
 	req := withSurvivors(t, ShardRequest{
 		ShardID: 9, Alphabet: []string{"a", "b", "c"}, Symbols: strings.Repeat("abcabbabcb", 5),
 		Query: "conf >= 0.6", MinPeriod: 2, MaxPeriod: 8, SymbolLo: 1, SymbolHi: 3,
 	})
-	rec := post(t, quiet(Config{}), "/v1/shard", shardBody(t, req))
+	frame := EncodeShardRequest(&req)
+	rec := post(t, quiet(Config{}), "/v1/shard", string(frame))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
-	var resp ShardResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyShardResponse(&req, &resp); err != nil {
+	resp, err := VerifyShardResponse(frame, rec.Body.Bytes())
+	if err != nil {
 		t.Fatalf("worker's own response fails verification: %v", err)
 	}
-	if resp.MinPeriod != 2 || resp.MaxPeriod != 8 || resp.SymbolLo != 1 || resp.SymbolHi != 3 {
-		t.Fatalf("echoes %+v do not match the request block", resp)
-	}
-	if resp.AlphaCRC != AlphabetCRC(req.Alphabet) {
-		t.Fatal("alphabet hash echo differs from the request alphabet")
+	if !bytes.Equal(resp.Frame[4:8], frame[len(frame)-4:]) {
+		t.Fatalf("echo %x differs from the request frame's CRC %x", resp.Frame[4:8], frame[len(frame)-4:])
 	}
 }
 
+// reframe recomputes a frame's trailing CRC, so a test can build frames that
+// are internally consistent but wrong in some other way.
+func reframe(frame []byte) []byte {
+	out := append([]byte(nil), frame[:len(frame)-4]...)
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, shardCRCTable))
+}
+
 // TestShardClientRejectsCorruptResponses: every corruption of a valid 200
-// body must surface as ShardIntegrityError, never as a decoded response.
+// body, and every well-formed answer to a different request, must surface as
+// ShardIntegrityError, never as a decoded response.
 func TestShardClientRejectsCorruptResponses(t *testing.T) {
 	shipped := withSurvivors(t, ShardRequest{
 		ShardID: 3, Alphabet: []string{"a", "b"}, Symbols: strings.Repeat("abab", 10),
 		Query: "conf >= 0.5", MinPeriod: 1, MaxPeriod: 6, SymbolLo: 0, SymbolHi: 2,
 	})
-	req := &shipped
+	frame := EncodeShardRequest(&shipped)
 	worker := httptest.NewServer(quiet(Config{}))
 	defer worker.Close()
 	var c ShardClient
-	good, err := c.MineShard(context.Background(), worker.URL, req)
+	good, err := c.MineShard(context.Background(), worker.URL, frame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pristine, err := json.Marshal(good)
+	if len(good.Slots) < 2 {
+		t.Fatalf("fixture answered %d slots; the slot cases are vacuous", len(good.Slots))
+	}
+	pristine := good.Frame
+	edit := func(f func([]byte) []byte) []byte { return f(append([]byte(nil), pristine...)) }
+	// answerTo is the frame that correctly answers a different request.
+	answerTo := func(f func(*ShardRequest)) []byte {
+		other := shipped
+		f(&other)
+		return EncodeShardResponse(EncodeShardRequest(&other), good.Slots)
+	}
+	oldJSON, err := json.Marshal(map[string]any{"shardId": 3, "slots": good.Slots, "checksum": 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A different series under the same shard ID, band, alphabet and query:
+	// no field-by-field echo covered the series text, the frame's echo does.
+	otherSeries := withSurvivors(t, ShardRequest{
+		ShardID: 3, Alphabet: []string{"a", "b"}, Symbols: strings.Repeat("aabb", 10),
+		Query: "conf >= 0.5", MinPeriod: 1, MaxPeriod: 6, SymbolLo: 0, SymbolHi: 2,
+	})
+	mined, err := c.MineShard(context.Background(), worker.URL, EncodeShardRequest(&otherSeries))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	reencode := func(f func(*ShardResponse)) []byte {
-		r := *good
-		r.Slots = append([]ShardSlot(nil), good.Slots...)
-		f(&r)
-		b, err := json.Marshal(&r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
 	cases := map[string][]byte{
 		"truncated":          pristine[:len(pristine)/2],
-		"not json":           []byte("<html>504 gateway</html>"),
-		"slot value changed": reencode(func(r *ShardResponse) { r.Slots[0].F2++ }),
-		"slot dropped":       reencode(func(r *ShardResponse) { r.Slots = r.Slots[1:] }),
-		"wrong shard id": reencode(func(r *ShardResponse) {
-			r.ShardID = 99
-			r.Checksum = ShardChecksum(r) // internally consistent, wrong block
+		"empty":              {},
+		"not a frame":        []byte("<html>504 gateway</html>"),
+		"json (old wire)":    oldJSON,
+		"bad magic":          reframe(edit(func(b []byte) []byte { b[0] = 'X'; return b })),
+		"bad version":        reframe(edit(func(b []byte) []byte { b[3] = 2; return b })),
+		"request frame":      frame,
+		"slot value changed": edit(func(b []byte) []byte { b[24]++; return b }),
+		"slot dropped": edit(func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[8:], uint32(len(good.Slots)-1))
+			return append(b[:12], b[12+shardSlotBytes:]...)
 		}),
-		"wrong band": reencode(func(r *ShardResponse) {
-			r.MaxPeriod = 7
-			r.Checksum = ShardChecksum(r)
-		}),
-		"wrong alphabet": reencode(func(r *ShardResponse) {
-			r.AlphaCRC++
-			r.Checksum = ShardChecksum(r)
-		}),
-		"checksum zeroed": reencode(func(r *ShardResponse) { r.Checksum = 0 }),
+		"trailing bytes": reframe(edit(func(b []byte) []byte {
+			return append(b[:len(b)-4], 0, 0, 0, 0, 0)
+		})),
+		"2^31 slots": reframe(edit(func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[8:], 1<<31)
+			return b
+		})),
+		"checksum zeroed":         edit(func(b []byte) []byte { clear(b[len(b)-4:]); return b }),
+		"echo mismatch: shard id": answerTo(func(r *ShardRequest) { r.ShardID = 99 }),
+		"echo mismatch: band":     answerTo(func(r *ShardRequest) { r.MaxPeriod = 7 }),
+		"echo mismatch: alphabet": answerTo(func(r *ShardRequest) { r.Alphabet = []string{"b", "a"} }),
+		"echo mismatch: query":    answerTo(func(r *ShardRequest) { r.Query = "conf >= 0.6" }),
+		"different series":        mined.Frame,
 	}
 	for name, body := range cases {
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			_, _ = w.Write(body)
 		}))
-		_, err := c.MineShard(context.Background(), srv.URL, req)
+		_, err := c.MineShard(context.Background(), srv.URL, frame)
 		srv.Close()
 		var ie *ShardIntegrityError
 		if !errors.As(err, &ie) {
@@ -310,7 +353,7 @@ func TestShardClientParsesRetryAfter(t *testing.T) {
 		ShardID: 1, Alphabet: []string{"a"}, Symbols: "aaaa",
 		Query: "conf >= 0.5", MinPeriod: 1, MaxPeriod: 2, SymbolLo: 0, SymbolHi: 1,
 	})
-	req := &shipped
+	req := EncodeShardRequest(&shipped)
 	var c ShardClient
 	for _, tc := range cases {
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -341,14 +384,7 @@ func TestShardSurvivorsRequest(t *testing.T) {
 		Query: "conf >= 0.6", MinPeriod: 2, MaxPeriod: 8, SymbolLo: 0, SymbolHi: 3,
 	})
 	h := quiet(Config{})
-	rec := post(t, h, "/v1/shard", shardBody(t, base))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("shipped status %d: %s", rec.Code, rec.Body)
-	}
-	var got ShardResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
-		t.Fatal(err)
-	}
+	got := shardReply(t, base, post(t, h, "/v1/shard", shardBody(t, base)))
 
 	alpha := alphabet.MustNew("a", "b", "c")
 	ser, err := series.FromAlphabetText(alpha, text)
@@ -432,5 +468,71 @@ func TestDrainRetryAfterWindow(t *testing.T) {
 	}
 	if got := rec.Header().Get("Retry-After"); got != "7" {
 		t.Fatalf("Retry-After = %q, want 7", got)
+	}
+}
+
+// TestShardFrameRoundTrip: decoding an encoded frame gives back what was
+// encoded, in both directions — including zero slots, empty survivor lists
+// and multi-byte symbols.
+func TestShardFrameRoundTrip(t *testing.T) {
+	reqs := []ShardRequest{
+		{ShardID: 0, Alphabet: []string{"a"}, Symbols: "a", Query: "conf >= 0.5"},
+		{
+			ShardID: 12, Alphabet: []string{"α", "βγ", "🙂", "d"}, Symbols: "αβγ🙂dα",
+			Query: "conf >= 0.6 and pairs >= 2", MinPeriod: 3, MaxPeriod: 6, SymbolLo: 1, SymbolHi: 4,
+			Survivors: [][]int32{nil, {1, 3}, nil, {2}},
+		},
+		{ShardID: 1<<32 - 1, Alphabet: []string{""}, MinPeriod: 1, MaxPeriod: 1, Survivors: [][]int32{nil}},
+	}
+	for _, req := range reqs {
+		frame := EncodeShardRequest(&req)
+		got, err := DecodeShardRequest(frame)
+		if err != nil {
+			t.Fatalf("%+v: %v", req, err)
+		}
+		if !reflect.DeepEqual(*got, req) {
+			t.Fatalf("request round trip:\nsent %+v\ngot  %+v", req, *got)
+		}
+		for _, slots := range [][]ShardSlot{{}, {{Symbol: 3, Period: 4, Position: 2, F2: 9, Pairs: 1<<32 - 1}, {}}} {
+			resp, err := VerifyShardResponse(frame, EncodeShardResponse(frame, slots))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(resp.Slots, slots) {
+				t.Fatalf("response round trip: sent %v, got %v", slots, resp.Slots)
+			}
+		}
+	}
+}
+
+// TestShardFrameHugeCountsAllocateNothing: a well-formed frame whose count
+// claims 2^31 elements is rejected before anything is sized from the count.
+func TestShardFrameHugeCountsAllocateNothing(t *testing.T) {
+	req := ShardRequest{ShardID: 1, Alphabet: []string{"a", "b"}, Symbols: "abab",
+		Query: "conf >= 0.5", MinPeriod: 1, MaxPeriod: 2, SymbolHi: 2, Survivors: [][]int32{{0}, {1}}}
+	frame := EncodeShardRequest(&req)
+	decoders := map[string]func() error{
+		"alphabet count": func() error { _, err := DecodeShardRequest(hugeCount(frame, 24)); return err },
+		"symbol length":  func() error { _, err := DecodeShardRequest(hugeCount(frame, 28)); return err },
+		"survivor count": func() error {
+			_, err := DecodeShardRequest(hugeCount(frame, survivorCountOffset(&req)))
+			return err
+		},
+		"slot count": func() error {
+			_, err := VerifyShardResponse(frame, hugeCount(EncodeShardResponse(frame, nil), 8))
+			return err
+		},
+	}
+	for name, decode := range decoders {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := decode()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: a 2^31 count decoded", name)
+		}
+		if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<16 {
+			t.Errorf("%s: decoding allocated %d bytes", name, grown)
+		}
 	}
 }

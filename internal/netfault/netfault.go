@@ -182,6 +182,13 @@ func (in *Injector) Requests() int64 {
 	return n
 }
 
+// Buckets returns how many distinct bucket keys the injector has seen.
+func (in *Injector) Buckets() int {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return len(in.counts)
+}
+
 // PeekBody returns a copy of the request body without consuming it, using
 // the replayable GetBody the http client sets for buffered bodies; it
 // returns nil when the body is not replayable.
