@@ -1,10 +1,9 @@
 // Ondisk mines a series that lives on disk without loading it — the paper's
 // §3.1 remark that "an external FFT algorithm can be used for large sizes of
 // databases mined while on disk". A store trace is written to a file; the
-// candidate-period detection then streams the file once to split per-symbol
-// indicators and runs the convolution through the out-of-core four-step FFT,
-// so neither the series nor the 32×-larger complex working arrays are ever
-// resident. The candidates are verified against the in-memory path.
+// candidate-period detection then reads it once, in one streaming pass
+// through the block kernel with O(σ·B) state (B = NextPow2(maxPeriod)) and no
+// scratch files. The candidates are verified against the in-memory path.
 package main
 
 import (
@@ -13,6 +12,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"periodica"
 	"periodica/internal/walmart"
@@ -62,13 +62,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if len(onDisk) != len(inMem) {
-		log.Fatalf("on-disk and in-memory candidate sets differ: %d vs %d", len(onDisk), len(inMem))
-	}
-	for i := range onDisk {
-		if onDisk[i] != inMem[i] {
-			log.Fatalf("candidate mismatch at %d: %d vs %d", i, onDisk[i], inMem[i])
-		}
+	if !slices.Equal(onDisk, inMem) {
+		log.Fatalf("on-disk and in-memory candidates differ:\n%v\n%v", onDisk, inMem)
 	}
 	fmt.Println("\n✓ on-disk detection matches the in-memory result period for period")
 

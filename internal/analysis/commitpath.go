@@ -36,10 +36,8 @@ import (
 // OpenFile — matched by name so both package os and the iofault.FS
 // seam qualify) to stay intraprocedural; a file received as a parameter
 // belongs to its creator's analysis. The rule runs only over packages
-// whose import path contains internal/store or internal/fft. The store is
-// the only layer that owns durable files; the fft layer's out-of-core
-// transform writes only private scratch, so check 2 is what applies there.
-// A deferred cleanup covers only the file it names, so a read-only input's
+// whose import path contains internal/store, the only layer that writes
+// files. A deferred cleanup covers only the file it names, so a read-only input's
 // deferred Close does not excuse an unguarded write to another file. Paths
 // are matched by variable, not by source text: two calls that read alike
 // (tmpPath(), filepath.Join(dir, name)) need not name the same file.
@@ -83,7 +81,7 @@ func (a fileState) merge(b fileState) fileState {
 
 func (CommitPath) RunFunc(fi *FuncInfo, report func(pos token.Pos, format string, args ...any)) {
 	p := fi.Pkg.Path
-	if !strings.Contains(p, "internal/store") && !strings.Contains(p, "internal/fft") {
+	if !strings.Contains(p, "internal/store") {
 		return
 	}
 	info := fi.Pkg.Info

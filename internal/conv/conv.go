@@ -20,6 +20,7 @@ package conv
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 
 	"periodica/internal/bitvec"
@@ -127,16 +128,8 @@ func LagMatchCountsExec(s *series.Series, sched *exec.Scheduler, workers int, pl
 // count.
 func LagMatchCountsBand(s *series.Series, maxLag int, sched *exec.Scheduler, workers int, plans *fft.PlanCache) ([][]int64, error) {
 	n, sigma := s.Len(), s.Alphabet().Size()
-	out := make([][]int64, sigma)
-	if sigma == 0 {
-		return out, nil
-	}
-	lags := max(min(maxLag+1, n), 0)
-	flat := make([]int64, sigma*lags)
-	for k := range out {
-		out[k] = flat[k*lags : (k+1)*lags : (k+1)*lags]
-	}
-	if lags == 0 {
+	out, lags := lagRows(n, sigma, maxLag)
+	if lags == 0 || sigma == 0 {
 		return out, nil
 	}
 	if plans == nil {
@@ -161,4 +154,60 @@ func LagMatchCountsBand(s *series.Series, maxLag int, sched *exec.Scheduler, wor
 		return nil, err
 	}
 	return out, nil
+}
+
+// LagMatchCountsStream is LagMatchCountsBand over a series read once from r:
+// one block of B symbols at a time (B as LagMatchCountsBand picks it),
+// polling sched before each, added to every symbol's block-kernel
+// accumulator. The state is σ accumulators of two length-B spectra, one
+// block and the lag rows; nothing is written. workers parallelizes each
+// transform's butterflies (≤ 0: the automatic policy). The counts equal
+// LagMatchCountsBand's bit for bit.
+func LagMatchCountsStream(r *series.BinaryReader, maxLag int, sched *exec.Scheduler, workers int) ([][]int64, error) {
+	out, lags := lagRows(r.N, r.Sigma, maxLag)
+	// A one-symbol series gets the smallest plan with a block kernel.
+	plan := fft.PlanFor(max(fft.BandSize(r.N, lags-1), 4))
+	acc := make([]fft.LagAccumulator, len(out))
+	for k := range acc {
+		acc[k] = plan.NewLagAccumulator(workers)
+	}
+	block, x := make([]byte, plan.Size()/2), make([]float64, plan.Size()/2)
+	var scratch fft.Block
+	defer scratch.Release()
+	for {
+		if err := sched.Poll(); err != nil {
+			return nil, err
+		}
+		got, err := r.Next(block)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		for k := range acc {
+			for i, c := range block[:got] {
+				x[i] = 0
+				if int(c) == k {
+					x[i] = 1
+				}
+			}
+			acc[k].Add(x[:got], &scratch)
+		}
+	}
+	for k := range acc {
+		acc[k].Finish(out[k])
+	}
+	return out, nil
+}
+
+// lagRows allocates σ rows of lags = min(maxLag+1, n) counts in one array.
+func lagRows(n, sigma, maxLag int) (out [][]int64, lags int) {
+	lags = max(min(maxLag+1, n), 0)
+	flat := make([]int64, sigma*lags)
+	out = make([][]int64, sigma)
+	for k := range out {
+		out[k] = flat[k*lags : (k+1)*lags : (k+1)*lags]
+	}
+	return out, lags
 }

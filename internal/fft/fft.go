@@ -18,6 +18,9 @@ func NextPow2(n int) int {
 	return 1 << uint(bits.Len(uint(n-1)))
 }
 
+// log2 returns ⌈log₂ n⌉ for n ≥ 1: the exponent of NextPow2(n).
+func log2(n int) int { return bits.Len(uint(n - 1)) }
+
 // IsPow2 reports whether n is a positive power of two.
 func IsPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
@@ -53,5 +56,5 @@ func AutocorrelateCounts(x []float64) []int64 {
 	if len(x) == 0 {
 		return nil
 	}
-	return PlanFor(BandSize(len(x), len(x)-1)).AutocorrelateCounts(x)
+	return PlanFor(BandSize(len(x), len(x)-1)).AutocorrelateCountsInto(x, make([]int64, len(x)), 0)
 }

@@ -42,7 +42,7 @@ func FuzzPlanTransformEquivalence(f *testing.F) {
 		}
 		transformRecurrence(fa, true)
 
-		got := p.AutocorrelateCounts(x1)
+		got := p.AutocorrelateCountsInto(x1, make([]int64, n), 0)
 		for i := 0; i < n; i++ {
 			want := int64(math.Round(real(fa[i])))
 			if got[i] != want {
@@ -52,7 +52,7 @@ func FuzzPlanTransformEquivalence(f *testing.F) {
 
 		// Blocks of 2 samples against the one-block counts, at several
 		// worker counts.
-		want2 := p.AutocorrelateCounts(x2)
+		want2 := p.AutocorrelateCountsInto(x2, make([]int64, n), 0)
 		band := make([]int64, min(n, 3))
 		for _, workers := range []int{1, 4} {
 			PlanFor(4).AutocorrelateCountsInto(x2, band, workers)

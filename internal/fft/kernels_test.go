@@ -535,7 +535,10 @@ func rawAutocorr(p *Plan, x []float64) []float64 {
 		return out
 	}
 	q := p.halfPlan()
-	zp := p.rawLags(x, 1)
+	a, blk := p.NewLagAccumulator(1), Block{}
+	a.Add(x, &blk)
+	blk.Release()
+	zp := a.raw()
 	unpackReal(out, *zp)
 	q.release(zp)
 	for i := range out {

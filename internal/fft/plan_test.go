@@ -255,7 +255,7 @@ func TestPlanAutocorrelateCountsMatchesPackage(t *testing.T) {
 			}
 		}
 		p := PlanFor(NextPow2(2 * n))
-		got := p.AutocorrelateCounts(x)
+		got := p.AutocorrelateCountsInto(x, make([]int64, n), 0)
 		want := AutocorrelateCounts(x)
 		for i := range want {
 			if got[i] != want[i] {

@@ -174,16 +174,6 @@ func finishLagSpectrum(acc, cur, tw []complex128) {
 	}
 }
 
-// AutocorrelateCounts returns r[p] = Σ_i x[i]·x[i+p] rounded to integers for
-// every lag p < len(x). The plan must hold blocks of at least len(x)−1
-// samples (Size ≥ 2·(len(x)−1)).
-func (p *Plan) AutocorrelateCounts(x []float64) []int64 {
-	if len(x) == 0 {
-		return nil
-	}
-	return p.AutocorrelateCountsInto(x, make([]int64, len(x)), 0)
-}
-
 // AutocorrelateCountsInto writes r[p] = Σ_i x[i]·x[i+p], rounded to integers,
 // for the lags p = 0..len(out)−1 into out and returns out. It is the block
 // kernel: with B = Size/2, x is cut into blocks x[jB, (j+1)B), each
@@ -216,42 +206,105 @@ func (p *Plan) AutocorrelateCountsInto(x []float64, out []int64, workers int) []
 		out[0] = int64(math.Round(x[0] * x[0]))
 		return out
 	}
+	a, b := p.NewLagAccumulator(workers), Block{}
+	a.Add(x, &b)
+	b.Release()
+	return a.Finish(out)
+}
+
+// LagAccumulator is the block kernel's state over one sequence fed in
+// blocks: the packed spectrum of the last block and the lag spectrum so far,
+// two half-plan buffers in bit-reversed slot order. Add folds in the next
+// samples and Finish turns the sum into counts, so a sequence streamed from
+// disk costs those two buffers however long it is; AutocorrelateCountsInto
+// passes a sequence held in memory to one Add.
+type LagAccumulator struct {
+	p         *Plan
+	workers   int           // fitted to the half plan
+	spec, acc *[]complex128 // nil until the first block
+}
+
+// Block is the buffer Add transforms a block in. One Block serves any number
+// of accumulators of one plan in turn: Add leaves the spent spectrum buffer
+// in it. Release returns it to the plan's pool.
+type Block struct {
+	q   *Plan
+	buf *[]complex128
+}
+
+// Release returns the block's buffer to its pool.
+func (b *Block) Release() {
+	if b.buf != nil {
+		b.q.release(b.buf)
+		b.buf = nil
+	}
+}
+
+// NewLagAccumulator starts the block kernel over one sequence (one
+// real-kernel call in the FFT counters) on a plan of size ≥ 4. workers ≤ 0
+// selects the automatic policy for the butterflies of each transform.
+func (p *Plan) NewLagAccumulator(workers int) LagAccumulator {
+	if p.n < 4 {
+		panic(fmt.Sprintf("fft: plan size %d has no block kernel", p.n))
+	}
+	obs.FFT().KernelReal.Inc()
 	if workers <= 0 {
 		workers = p.autoWorkers()
 	}
-	q := p.halfPlan()
-	zp := p.rawLags(x, q.fit(workers))
-	roundUnpacked(out, *zp, 1/float64(q.n))
-	q.release(zp)
+	return LagAccumulator{p: p, workers: p.halfPlan().fit(workers)}
+}
+
+// Add folds the next samples of the sequence, x, into the lag spectrum one
+// block of B = Size/2 at a time, transforming each in blk. Every call but
+// the last must pass a whole number of blocks.
+//
+//opvet:noalloc
+func (a *LagAccumulator) Add(x []float64, blk *Block) {
+	q := a.p.half
+	twf, _ := q.twiddles()
+	for lo := 0; lo < len(x); lo += q.n {
+		if blk.buf == nil {
+			blk.q, blk.buf = q, q.scratch()
+		}
+		next := *blk.buf
+		packBlock(next, x[lo:min(lo+q.n, len(x))], twf)
+		q.dif(next, q.n/2, a.workers)
+		if a.spec == nil {
+			forwardRealPost(next, a.p.split)
+			a.acc = q.scratch()
+			clear(*a.acc)
+		} else {
+			accumulateBlock(*a.acc, *a.spec, next, a.p.split)
+		}
+		a.spec, blk.buf = blk.buf, a.spec
+	}
+}
+
+// Finish writes the lags 0..len(out)−1, rounded, into out and releases the
+// buffers. It needs a block added; out may hold at most Size/2+1 lags and
+// no more than the sequence's length.
+//
+//opvet:noalloc
+func (a *LagAccumulator) Finish(out []int64) []int64 {
+	if len(out) > a.p.n/2+1 {
+		panic(fmt.Sprintf("fft: plan size %d cannot give %d lags", a.p.n, len(out)))
+	}
+	zp := a.raw()
+	roundUnpacked(out, *zp, 1/float64(a.p.half.n))
+	a.p.half.release(zp)
 	return out
 }
 
-// rawLags runs the block kernel over x up to the inverse transform and
-// returns the half plan's pooled buffer that holds h = Size/2 times the
-// unrounded lags, packed as pairs (lag 2j, lag 2j+1) in slot j. workers is
-// fitted to the half plan, which the buffer is released to. p.n ≥ 4.
+// raw folds in the last block, whose window holds only itself, runs the
+// inverse and returns the pooled buffer holding Size/2 times the unrounded
+// lags, packed as pairs (lag 2j, lag 2j+1) in slot j.
 //
 //opvet:noalloc
-func (p *Plan) rawLags(x []float64, workers int) *[]complex128 {
-	obs.FFT().KernelReal.Inc()
-	nx, blk := len(x), p.n/2
-	q := p.halfPlan()
-	twf, _ := q.twiddles()
-	zp, np, ap := q.scratch(), q.scratch(), q.scratch()
-	cur, next, acc := *zp, *np, *ap
-	clear(acc)
-	packBlock(cur, x[:min(blk, nx)], twf)
-	q.dif(cur, blk/2, workers)
-	forwardRealPost(cur, p.split)
-	for lo := blk; lo < nx; lo += blk {
-		packBlock(next, x[lo:min(lo+blk, nx)], twf)
-		q.dif(next, blk/2, workers)
-		accumulateBlock(acc, cur, next, p.split)
-		cur, next = next, cur
-	}
-	finishLagSpectrum(acc, cur, p.split)
-	q.dit(acc, workers)
-	q.release(zp)
-	q.release(np)
-	return ap
+func (a *LagAccumulator) raw() *[]complex128 {
+	q, acc := a.p.half, a.acc
+	finishLagSpectrum(*acc, *a.spec, a.p.split)
+	q.dit(*acc, a.workers)
+	q.release(a.spec)
+	a.spec, a.acc = nil, nil
+	return acc
 }

@@ -1,10 +1,10 @@
-// Package iofault is the narrow seam between the persistence layers and the
+// Package iofault is the narrow seam between the persistence layer and the
 // operating system: a small VFS interface covering exactly the file
-// operations the store and the external FFT perform, one passthrough
-// implementation backed by the real filesystem, and a deterministic fault
-// injector that can fail, tear, or halt the Nth write operation. Production
-// code always runs on the passthrough; tests sweep the injector across every
-// enumerated write point to prove crash consistency.
+// operations the store performs, one passthrough implementation backed by
+// the real filesystem, and a deterministic fault injector that can fail,
+// tear, or halt the Nth write operation. Production code always runs on the
+// passthrough; tests sweep the injector across every enumerated write point
+// to prove crash consistency.
 package iofault
 
 import (
@@ -13,19 +13,16 @@ import (
 	"os"
 )
 
-// File is the subset of *os.File the persistence layers use. *os.File
+// File is the subset of *os.File the persistence layer uses. *os.File
 // satisfies it directly.
 type File interface {
 	io.Reader
 	io.Writer
-	io.ReaderAt
 	io.WriterAt
-	io.Seeker
 	io.Closer
 	Name() string
 	Sync() error
 	Truncate(size int64) error
-	Stat() (fs.FileInfo, error)
 }
 
 // FS is the file-system access layer. Implementations must be safe for
@@ -50,19 +47,9 @@ type FS interface {
 	SyncDir(name string) error
 }
 
-// Open opens name read-only on fsys.
-func Open(fsys FS, name string) (File, error) {
-	return fsys.OpenFile(name, os.O_RDONLY, 0)
-}
-
-// Create creates (truncating) name on fsys, open for reading and writing.
-func Create(fsys FS, name string) (File, error) {
-	return fsys.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-}
-
 // ReadFile reads the whole of name from fsys.
 func ReadFile(fsys FS, name string) ([]byte, error) {
-	f, err := Open(fsys, name)
+	f, err := fsys.OpenFile(name, os.O_RDONLY, 0)
 	if err != nil {
 		return nil, err
 	}

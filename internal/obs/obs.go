@@ -135,7 +135,7 @@ func formatSeconds(d time.Duration) string {
 }
 
 // RecoveryMetrics counts the durability and recovery events of the embedded
-// store and the external FFT — summaries rebuilt from raw segments, files
+// store — summaries rebuilt from raw segments, files
 // quarantined by the torn-tail recovery pass, checksum failures observed,
 // stray commit temp files swept, and repair actions applied. The counters
 // are process-wide (recovery happens at Open time, often before any registry

@@ -15,6 +15,7 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add(seed.Bytes())
 	f.Add([]byte("PSER1 3 2\nab"))
 	f.Add([]byte("garbage"))
+	f.Add([]byte("PSER1 3 268435456\n\x00\x01")) // claims n = 2^28 in 20 bytes
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ReadBinary(bytes.NewReader(data))
 		if err != nil {

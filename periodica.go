@@ -30,8 +30,9 @@
 //     they share;
 //   - CandidatePeriodsQueryContext runs only the O(σ n log n) detection
 //     phase;
-//   - CandidatePeriodsFile runs detection over an on-disk series through an
-//     out-of-core FFT.
+//   - CandidatePeriodsFile runs detection over an on-disk series in one
+//     streaming pass through the block kernel, with O(σ·B) state and no
+//     scratch files.
 //
 // A query's "workers N" clause spreads a mine over N cores; the result is
 // identical. Numeric series are discretized first (DiscretizeEqualWidth,

@@ -57,7 +57,8 @@ func (inc *Incremental) Merge(next *Incremental) error {
 }
 
 // WriteFile stores the series in the binary on-disk format accepted by
-// CandidatePeriodsFile.
+// CandidatePeriodsFile, which holds at most 26 symbols; a refused or failed
+// write leaves no file.
 func (s *Series) WriteFile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -65,6 +66,7 @@ func (s *Series) WriteFile(path string) error {
 	}
 	if err := series.WriteBinary(f, s.inner); err != nil {
 		_ = f.Close()
+		_ = os.Remove(path) // best-effort: the write already failed
 		return err
 	}
 	return f.Close()
@@ -84,11 +86,12 @@ func ReadSeriesFile(path string) (*Series, error) {
 	return &Series{inner: inner}, nil
 }
 
-// CandidatePeriodsFile runs the one-pass detection phase over a series
-// stored on disk by WriteFile, using the external (out-of-core) FFT: neither
-// the series nor the transform working arrays are loaded into memory. It
-// returns the periods CandidatePeriodsQueryContext would return for the
-// same series and query.
+// CandidatePeriodsFile runs the detection phase over a series stored on
+// disk by WriteFile in one streaming pass through the block kernel: the
+// series is never loaded, the state is O(σ·B) for blocks of B =
+// NextPow2(maxPeriod) symbols, and no scratch file is written. It returns
+// the periods CandidatePeriodsQueryContext would return for the same series
+// and query.
 func CandidatePeriodsFile(path string, q *Query) ([]int, error) {
 	return candidatePeriods(core.DetectCandidatesFile(path, q.spec.Threshold, q.spec.MinPeriod, q.spec.MaxPeriod))
 }

@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -194,6 +197,90 @@ func TestCandidatePeriodsFileMatchesInMemory(t *testing.T) {
 				t.Fatalf("on-disk %v != in-memory %v", onDisk, inMem)
 			}
 		})
+	}
+}
+
+// TestSeriesFileRefusesWideAlphabet: the binary format holds σ ≤ 26, the
+// bound both readers keep, so WriteFile refuses a 30-symbol series rather
+// than store a file no reader accepts, and leaves no file behind.
+func TestSeriesFileRefusesWideAlphabet(t *testing.T) {
+	symbols := make([]string, 60)
+	for i := range symbols {
+		symbols[i] = fmt.Sprintf("s%02d", i%30)
+	}
+	s, err := periodica.NewSeries(symbols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := filepath.Join(t.TempDir(), "wide.bin")
+	if err := s.WriteFile(wide); err == nil {
+		t.Fatal("σ=30: WriteFile succeeded; want a refusal")
+	}
+	if _, err := os.Stat(wide); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("σ=30: the refused write left a file (%v)", err)
+	}
+}
+
+// TestSeriesFileRefusesSigmaHeader: a header claiming σ = 3000 is refused
+// by both readers at once, and nothing is created beside the file or in
+// the temp directory.
+func TestSeriesFileRefusesSigmaHeader(t *testing.T) {
+	dir, tmp := t.TempDir(), t.TempDir()
+	t.Setenv("TMPDIR", tmp) // os.TempDir() is now private to this test
+	bad := filepath.Join(dir, "sigma3000.bin")
+	if err := os.WriteFile(bad, []byte("PSER1 3000 8\n\x00\x01\x02\x03\x04\x05\x06\x07"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	q := mustCompile(t, "conf >= 0.5")
+	start := time.Now()
+	if _, err := periodica.CandidatePeriodsFile(bad, q); err == nil {
+		t.Fatal("σ=3000 header: CandidatePeriodsFile succeeded; want a refusal")
+	}
+	if _, err := periodica.ReadSeriesFile(bad); err == nil {
+		t.Fatal("σ=3000 header: ReadSeriesFile succeeded; want a refusal")
+	}
+	if el := time.Since(start); el > time.Second {
+		t.Fatalf("σ=3000 header: refusing took %v", el)
+	}
+	for _, d := range []string{dir, tmp} {
+		entries, err := os.ReadDir(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if e.Name() != "sigma3000.bin" {
+				t.Errorf("σ=3000 header: %s gained %s", d, e.Name())
+			}
+		}
+	}
+}
+
+// TestSeriesFileHeaderClaimAllocatesLittle: a 20-byte file whose header
+// claims n = 2^28 is refused by both readers, and neither sizes a buffer
+// from the claim: each allocates under 1 MiB before returning its error.
+func TestSeriesFileHeaderClaimAllocatesLittle(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "claim.bin")
+	if err := os.WriteFile(path, []byte("PSER1 3 268435456\n\x00\x01"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	q := mustCompile(t, "conf >= 0.5")
+	for _, tc := range []struct {
+		name string
+		read func() error
+	}{
+		{"ReadSeriesFile", func() error { _, err := periodica.ReadSeriesFile(path); return err }},
+		{"CandidatePeriodsFile", func() error { _, err := periodica.CandidatePeriodsFile(path, q); return err }},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := tc.read()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: read a file holding 2 of 2^28 claimed symbols", tc.name)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Errorf("%s: allocated %d bytes before refusing the file", tc.name, d)
+		}
 	}
 }
 
