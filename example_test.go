@@ -136,30 +136,41 @@ func ExampleGridEvents() {
 	// grid of 11 bins, backup confidence at period 2: 100%
 }
 
-// The incremental miner answers at any moment, updating online per symbol.
-func ExampleIncremental() {
-	inc, err := periodica.NewIncremental(8, "a", "b")
+// Counters over adjacent stretches of one stream, built apart, merge into
+// the counter of the whole stream.
+func ExampleCounter_Merge() {
+	head, err := periodica.NewCounter(8, "a", "b")
+	if err != nil {
+		log.Fatal(err)
+	}
+	tail, err := periodica.NewCounter(8, "a", "b")
 	if err != nil {
 		log.Fatal(err)
 	}
 	for i := 0; i < 24; i++ {
-		sym := "a"
+		c, sym := head, "a"
+		if i >= 9 {
+			c = tail
+		}
 		if i%2 == 1 {
 			sym = "b"
 		}
-		if err := inc.Append(sym); err != nil {
+		if err := c.Append(sym); err != nil {
 			log.Fatal(err)
 		}
+	}
+	if err := head.Merge(tail); err != nil {
+		log.Fatal(err)
 	}
 	q, err := periodica.CompileQuery("conf >= 1")
 	if err != nil {
 		log.Fatal(err)
 	}
-	pers, err := inc.Periodicities(q)
+	pers, err := head.Periodicities(q)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("%s has period %d\n", pers[0].Symbol, pers[0].Period)
+	fmt.Printf("%d symbols; %s has period %d\n", head.Len(), pers[0].Symbol, pers[0].Period)
 	// Output:
-	// a has period 2
+	// 24 symbols; a has period 2
 }

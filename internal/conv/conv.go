@@ -165,8 +165,7 @@ func LagMatchCountsBand(s *series.Series, maxLag int, sched *exec.Scheduler, wor
 // LagMatchCountsBand's bit for bit.
 func LagMatchCountsStream(r *series.BinaryReader, maxLag int, sched *exec.Scheduler, workers int) ([][]int64, error) {
 	out, lags := lagRows(r.N, r.Sigma, maxLag)
-	// A one-symbol series gets the smallest plan with a block kernel.
-	plan := fft.PlanFor(max(fft.BandSize(r.N, lags-1), 4))
+	plan := fft.PlanFor(fft.BandSize(r.N, lags-1))
 	acc := make([]fft.LagAccumulator, len(out))
 	for k := range acc {
 		acc[k] = plan.NewLagAccumulator(workers)

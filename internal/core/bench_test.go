@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"periodica/internal/alphabet"
 	"periodica/internal/gen"
 	"periodica/internal/series"
 )
@@ -58,12 +57,12 @@ func BenchmarkBestConfidences(b *testing.B) {
 	}
 }
 
-// BenchmarkIncrementalAppend measures the per-symbol online update cost at
+// BenchmarkCountsAppend measures the per-symbol online update cost at
 // several period bounds.
-func BenchmarkIncrementalAppend(b *testing.B) {
+func BenchmarkCountsAppend(b *testing.B) {
 	for _, maxP := range []int{32, 128, 512} {
 		b.Run(fmt.Sprintf("maxPeriod=%d", maxP), func(b *testing.B) {
-			m, err := NewIncrementalMiner(alphabet.Letters(10), maxP)
+			m, err := NewCounts(10, maxP)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -86,11 +85,10 @@ func BenchmarkPatternEnumeration(b *testing.B) {
 	}
 }
 
-// BenchmarkMergeMiners measures the segment-merge cost.
-func BenchmarkMergeMiners(b *testing.B) {
-	alpha := alphabet.Letters(10)
-	build := func() *IncrementalMiner {
-		m, _ := NewIncrementalMiner(alpha, 128)
+// BenchmarkMergeCounts measures the segment-merge cost.
+func BenchmarkMergeCounts(b *testing.B) {
+	build := func() *Counts {
+		m, _ := NewCounts(10, 128)
 		for i := 0; i < 5000; i++ {
 			_ = m.Append(i % 10)
 		}

@@ -1,6 +1,11 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"periodica/internal/alphabet"
+	"periodica/internal/series"
+)
 
 // Counts is the count table every online answer rests on: Table[k][p][l] is
 // F2(s_k, π_{p,l}) over the Length symbols seen so far, for periods
@@ -11,7 +16,7 @@ import "fmt"
 // length: the data-stream setting the paper's introduction motivates. Each
 // appended symbol costs O(MaxPeriod); two tables over adjacent stretches
 // merge in O(σ·MaxPeriod²). The store persists one per segment as its
-// summary; IncrementalMiner and the public Counter maintain one online.
+// summary; the public Counter maintains one online.
 type Counts struct {
 	Sigma     int
 	MaxPeriod int
@@ -22,10 +27,11 @@ type Counts struct {
 }
 
 // NewCounts returns an empty table for a σ-symbol stream tracking periods
-// 1..maxPeriod.
+// 1..maxPeriod. Symbols are held as uint16, so σ is at most
+// series.MaxAlphabet.
 func NewCounts(sigma, maxPeriod int) (*Counts, error) {
-	if sigma < 1 {
-		return nil, invalidf("core: sigma %d < 1", sigma)
+	if sigma < 1 || sigma > series.MaxAlphabet {
+		return nil, invalidf("core: sigma %d outside [1,%d]", sigma, series.MaxAlphabet)
 	}
 	if maxPeriod < 1 {
 		return nil, invalidf("core: maxPeriod %d < 1", maxPeriod)
@@ -113,6 +119,16 @@ func (c *Counts) Merge(next *Counts) error {
 	return nil
 }
 
+// SymbolIndex returns the index of symbol in alpha, or an error matching
+// ErrInvalidInput when alpha does not hold it.
+func SymbolIndex(alpha *alphabet.Alphabet, symbol string) (int, error) {
+	k, ok := alpha.Index(symbol)
+	if !ok {
+		return 0, invalidf("core: symbol %q not in alphabet %v", symbol, alpha)
+	}
+	return k, nil
+}
+
 // F2 returns the maintained count F2(s_k, π_{p,l}).
 func (c *Counts) F2(k, p, l int) int {
 	if p < 1 || p > c.MaxPeriod || l < 0 || l >= p {
@@ -146,8 +162,8 @@ func (c *Counts) Periodicities(opt Options) ([]SymbolPeriodicity, error) {
 
 // clampPeriods fits a mine's period range to a table tracking periods
 // 1..tracked over n symbols: an unset maximum, or one above the bound,
-// becomes min(tracked, n/2). Incremental mines and every table scan share
-// it, so they answer over the same periods.
+// becomes min(tracked, n/2), so every table scan answers over the periods
+// a mine of the same stretch sweeps.
 func clampPeriods(opt Options, tracked, n int) Options {
 	if opt.MaxPeriod == 0 || opt.MaxPeriod > tracked {
 		opt.MaxPeriod = min(tracked, n/2)

@@ -1,46 +1,169 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
+	"testing/quick"
 
 	"periodica/internal/alphabet"
 	"periodica/internal/series"
 )
 
-func TestCountsMatchesIncremental(t *testing.T) {
-	rng := rand.New(rand.NewSource(81))
+// batchPeriodicities mines s with the naive engine restricted to maxPeriod.
+func batchPeriodicities(t *testing.T, s *series.Series, psi float64, maxPeriod int) []SymbolPeriodicity {
+	t.Helper()
+	mp := maxPeriod
+	if mp >= s.Len() {
+		mp = s.Len() - 1
+	}
+	res, err := mine(s, Options{Threshold: psi, MaxPeriod: mp, Engine: EngineNaive, MaxPatternPeriod: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Periodicities
+}
+
+func sortPers(pers []SymbolPeriodicity) []SymbolPeriodicity {
+	out := append([]SymbolPeriodicity(nil), pers...)
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0; j-- {
+			a, b := out[j-1], out[j]
+			if b.Period < a.Period || (b.Period == a.Period && (b.Position < a.Position ||
+				(b.Position == a.Position && b.Symbol < a.Symbol))) {
+				out[j-1], out[j] = b, a
+			} else {
+				break
+			}
+		}
+	}
+	return out
+}
+
+// fillCounts returns a table tracking periods 1..maxP that has ingested idx.
+func fillCounts(t testing.TB, sigma, maxP int, idx []uint16) *Counts {
+	t.Helper()
+	c, err := NewCounts(sigma, maxP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range idx {
+		if err := c.Append(int(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c
+}
+
+func TestIncrementalMatchesBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
 	alpha := alphabet.Letters(4)
-	inc, err := NewIncrementalMiner(alpha, 15)
+	c, err := NewCounts(4, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := NewCounts(4, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 500; i++ {
+	var idx []uint16
+	for i := 0; i < 300; i++ {
 		k := rng.Intn(4)
-		if err := inc.Append(k); err != nil {
+		if err := c.Append(k); err != nil {
 			t.Fatal(err)
 		}
-		if err := sc.Append(k); err != nil {
-			t.Fatal(err)
-		}
-		if i%100 == 50 {
-			a, err := inc.Periodicities(Options{Threshold: 0.3})
+		idx = append(idx, uint16(k))
+		if i > 10 && i%50 == 0 {
+			// At several stream lengths, the online answer must equal the
+			// batch answer.
+			got, err := c.Periodicities(Options{Threshold: 0.4})
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := sc.Periodicities(Options{Threshold: 0.3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(sortPers(a), sortPers(b)) {
-				t.Fatalf("at n=%d: bare count table differs from incremental miner", i+1)
+			want := batchPeriodicities(t, series.FromIndices(alpha, idx), 0.4, 20)
+			if !reflect.DeepEqual(sortPers(got), sortPers(want)) {
+				t.Fatalf("at n=%d: online %v != batch %v", i+1, got, want)
 			}
 		}
+	}
+}
+
+func TestMergeEqualsContiguousIngest(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	for trial := 0; trial < 10; trial++ {
+		lenA := rng.Intn(80) + 1
+		lenB := rng.Intn(80) + 1
+		maxP := rng.Intn(25) + 1
+
+		a, b, whole := fillCounts(t, 4, maxP, nil), fillCounts(t, 4, maxP, nil), fillCounts(t, 4, maxP, nil)
+		for i := 0; i < lenA; i++ {
+			k := rng.Intn(4)
+			_ = a.Append(k)
+			_ = whole.Append(k)
+		}
+		for i := 0; i < lenB; i++ {
+			k := rng.Intn(4)
+			_ = b.Append(k)
+			_ = whole.Append(k)
+		}
+		if err := a.Merge(b); err != nil {
+			t.Fatal(err)
+		}
+		if a.Length != whole.Length {
+			t.Fatalf("merged length %d, want %d", a.Length, whole.Length)
+		}
+		for k := 0; k < 4; k++ {
+			for p := 1; p <= maxP; p++ {
+				for l := 0; l < p; l++ {
+					if got, want := a.F2(k, p, l), whole.F2(k, p, l); got != want {
+						t.Fatalf("trial %d (lenA=%d lenB=%d maxP=%d): merged F2(%d,%d,%d)=%d, want %d",
+							trial, lenA, lenB, maxP, k, p, l, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestMergeValidates(t *testing.T) {
+	a := fillCounts(t, 2, 5, nil)
+	if err := a.Merge(fillCounts(t, 2, 6, nil)); !errors.Is(err, ErrInvalidInput) {
+		t.Fatalf("mismatched period bounds: error %v does not match ErrInvalidInput", err)
+	}
+	if err := a.Merge(fillCounts(t, 3, 5, nil)); !errors.Is(err, ErrInvalidInput) {
+		t.Fatalf("mismatched alphabet sizes: error %v does not match ErrInvalidInput", err)
+	}
+}
+
+func TestMergeProperty(t *testing.T) {
+	f := func(seed int64, la, lb, mp uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		lenA, lenB := int(la)%40+1, int(lb)%40+1
+		maxP := int(mp)%15 + 1
+		a, whole, b := fillCounts(t, 3, maxP, nil), fillCounts(t, 3, maxP, nil), fillCounts(t, 3, maxP, nil)
+		for i := 0; i < lenA; i++ {
+			k := rng.Intn(3)
+			_ = a.Append(k)
+			_ = whole.Append(k)
+		}
+		for i := 0; i < lenB; i++ {
+			k := rng.Intn(3)
+			_ = b.Append(k)
+			_ = whole.Append(k)
+		}
+		if err := a.Merge(b); err != nil {
+			return false
+		}
+		for k := 0; k < 3; k++ {
+			for p := 1; p <= maxP; p++ {
+				for l := 0; l < p; l++ {
+					if a.F2(k, p, l) != whole.F2(k, p, l) {
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -116,12 +239,90 @@ func TestCountsF2Exact(t *testing.T) {
 	}
 }
 
+// TestIncrementalF2Counts feeds the paper's example by symbol name, one
+// symbol at a time, and checks the counts the paper gives.
+func TestIncrementalF2Counts(t *testing.T) {
+	alpha := alphabet.Letters(3)
+	sc, err := NewCounts(alpha.Size(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range "abcabbabcb" {
+		k, err := SymbolIndex(alpha, string(r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sc.Append(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Paper values: F2(a, π_{3,0}) = 2, F2(b, π_{3,1}) = 2, F2(b, π_{4,1}) = 2.
+	if got := sc.F2(0, 3, 0); got != 2 {
+		t.Fatalf("F2(a,3,0) = %d, want 2", got)
+	}
+	if got := sc.F2(1, 3, 1); got != 2 {
+		t.Fatalf("F2(b,3,1) = %d, want 2", got)
+	}
+	if got := sc.F2(1, 4, 1); got != 2 {
+		t.Fatalf("F2(b,4,1) = %d, want 2", got)
+	}
+}
+
+// TestCountsMatchesIncremental: at every checkpoint, the table fed the whole
+// prefix symbol by symbol answers what two tables fed its two halves and
+// merged answer.
+func TestCountsMatchesIncremental(t *testing.T) {
+	rng := rand.New(rand.NewSource(81))
+	sc, err := NewCounts(4, 15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var idx []uint16
+	reported := 0
+	for i := 0; i < 500; i++ {
+		k := rng.Intn(4)
+		if err := sc.Append(k); err != nil {
+			t.Fatal(err)
+		}
+		idx = append(idx, uint16(k))
+		if i%100 == 50 {
+			cut := len(idx) / 2
+			merged := fillCounts(t, 4, 15, idx[:cut])
+			if err := merged.Merge(fillCounts(t, 4, 15, idx[cut:])); err != nil {
+				t.Fatal(err)
+			}
+			a, err := merged.Periodicities(Options{Threshold: 0.3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := sc.Periodicities(Options{Threshold: 0.3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reported += len(b)
+			if !reflect.DeepEqual(sortPers(a), sortPers(b)) {
+				t.Fatalf("at n=%d: merged table %v differs from whole table %v", i+1, a, b)
+			}
+		}
+	}
+	if reported == 0 {
+		t.Fatal("no checkpoint reports a periodicity; the case is vacuous")
+	}
+}
+
 func TestCountsValidates(t *testing.T) {
 	if _, err := NewCounts(0, 5); err == nil {
 		t.Fatal("sigma 0: want error")
 	}
 	if _, err := NewCounts(2, 0); err == nil {
 		t.Fatal("maxPeriod 0: want error")
+	}
+	// Symbols are held as uint16: a wider alphabet would alias.
+	if _, err := NewCounts(series.MaxAlphabet+1, 1); !errors.Is(err, ErrInvalidInput) {
+		t.Fatalf("sigma %d: error %v does not match ErrInvalidInput", series.MaxAlphabet+1, err)
+	}
+	if _, err := NewCounts(series.MaxAlphabet, 1); err != nil {
+		t.Fatalf("sigma %d: %v", series.MaxAlphabet, err)
 	}
 	sc, _ := NewCounts(2, 5)
 	if err := sc.Append(9); err == nil {
@@ -136,4 +337,30 @@ func TestCountsValidates(t *testing.T) {
 		}
 	}()
 	sc.F2(0, 9, 0)
+}
+
+func TestIncrementalValidates(t *testing.T) {
+	if _, err := NewCounts(2, 0); !errors.Is(err, ErrInvalidInput) {
+		t.Fatalf("maxPeriod 0: error %v does not match ErrInvalidInput", err)
+	}
+	sc, _ := NewCounts(2, 5)
+	if err := sc.Append(7); !errors.Is(err, ErrInvalidInput) {
+		t.Fatalf("bad symbol index: error %v does not match ErrInvalidInput", err)
+	}
+	if _, err := SymbolIndex(alphabet.Letters(2), "z"); !errors.Is(err, ErrInvalidInput) {
+		t.Fatalf("unknown symbol: error %v does not match ErrInvalidInput", err)
+	}
+	if _, err := sc.Periodicities(Options{Threshold: 0}); err == nil {
+		t.Fatal("ψ=0: want error")
+	}
+}
+
+func TestIncrementalF2PanicsOutsideRange(t *testing.T) {
+	sc, _ := NewCounts(2, 5)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("F2 beyond maxPeriod: want panic")
+		}
+	}()
+	sc.F2(0, 6, 0)
 }

@@ -67,12 +67,12 @@ func FuzzMine(f *testing.F) {
 	})
 }
 
-// FuzzIncremental checks the online count tables against the batch miner on
-// arbitrary streams and queries: the incremental miner whole and merged from
-// two cuts, and a window miner whose window has not yet slid, each answering
+// FuzzCounts checks the online count tables against the batch miner on
+// arbitrary streams and queries: the count table whole and merged from two
+// cuts, and a window miner whose window has not yet slid, each answering
 // the threshold, period band and MinPairs drawn from the input with the
 // periodicities a mine of the same options reports.
-func FuzzIncremental(f *testing.F) {
+func FuzzCounts(f *testing.F) {
 	f.Add([]byte("abcabcabc"), uint8(49), uint8(0), uint8(0), uint8(0))
 	f.Add([]byte{1, 1, 2, 2, 1, 1, 2, 2}, uint8(65), uint8(2), uint8(6), uint8(2))
 	f.Add([]byte("abcabbabcbabcab"), uint8(99), uint8(3), uint8(0), uint8(3))
@@ -89,10 +89,6 @@ func FuzzIncremental(f *testing.F) {
 			MaxPeriod: int(maxPeriod % 13),
 			MinPairs:  int(minPairs % 5),
 		}
-		m, err := NewIncrementalMiner(alpha, tracked)
-		if err != nil {
-			t.Fatal(err)
-		}
 		w, err := NewWindowMiner(sigma, tracked, max(len(data), tracked)+1)
 		if err != nil {
 			t.Fatal(err)
@@ -101,41 +97,29 @@ func FuzzIncremental(f *testing.F) {
 		for i, b := range data {
 			k := int(b % sigma)
 			idx[i] = uint16(k)
-			if err := m.Append(k); err != nil {
-				t.Fatal(err)
-			}
 			if err := w.Append(k); err != nil {
 				t.Fatal(err)
 			}
 		}
-		mineOpt := m.MineOptions(opt)
+		c := fillCounts(t, sigma, tracked, idx)
+		mineOpt := clampPeriods(opt, tracked, len(idx))
 		mineOpt.Engine, mineOpt.MaxPatternPeriod = EngineNaive, -1
 		want, wantErr := mine(series.FromIndices(alpha, idx), mineOpt)
 
 		// The same stream cut in two and merged must agree as well.
 		cut := int(data[0]) % len(idx)
-		head, _ := NewIncrementalMiner(alpha, tracked)
-		tail, _ := NewIncrementalMiner(alpha, tracked)
-		for i, k := range idx {
-			part := head
-			if i >= cut {
-				part = tail
-			}
-			if err := part.Append(int(k)); err != nil {
-				t.Fatal(err)
-			}
-		}
+		head, tail := fillCounts(t, sigma, tracked, idx[:cut]), fillCounts(t, sigma, tracked, idx[cut:])
 		if err := head.Merge(tail); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(head.Counts, m.Counts) {
+		if !reflect.DeepEqual(head, c) {
 			t.Fatalf("merge at %d disagrees with contiguous ingest", cut)
 		}
 
 		for name, table := range map[string]func(Options) ([]SymbolPeriodicity, error){
-			"incremental": m.Periodicities,
-			"merged":      head.Periodicities,
-			"window":      w.Periodicities,
+			"whole":  c.Periodicities,
+			"merged": head.Periodicities,
+			"window": w.Periodicities,
 		} {
 			got, err := table(opt)
 			if wantErr != nil {

@@ -123,11 +123,11 @@ func TestConfidenceEqualsRatioProperty(t *testing.T) {
 }
 
 // TestAppendInvarianceProperty: appending symbols never removes a match —
-// F2 counts via the incremental miner are monotone in the stream.
+// F2 counts via the online count table are monotone in the stream.
 func TestAppendInvarianceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		m, err := NewIncrementalMiner(alphabet.Letters(3), 8)
+		m, err := NewCounts(3, 8)
 		if err != nil {
 			return false
 		}

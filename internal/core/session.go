@@ -45,11 +45,11 @@ func resolveEngine(e Engine, n int, parallel bool) Engine {
 // the resolved engine and validated options, the scheduler that shards stage
 // work and polls cancellation, and the products each stage hands to the
 // next (indicators and lag counts from detect, per-period survivor lists
-// from sweep, the Result from resolve and enumerate). Every public entry
-// point — batch, context-aware, parallel, streaming, incremental,
-// out-of-core — builds a session and runs the same pipeline, differing only
-// in the source stage and the scheduler's configuration. FFT plans come
-// from the process-shared cache.
+// from sweep, the Result from resolve and enumerate). Every mine and every
+// detection — in memory at any worker count, or over an on-disk series —
+// builds a session and runs the same pipeline, differing only in the source
+// stage and the scheduler's configuration. FFT plans come from the
+// process-shared cache.
 type session struct {
 	s     *series.Series // nil for the out-of-core source stage
 	n     int

@@ -1,5 +1,7 @@
 package core
 
+import "periodica/internal/series"
+
 // WindowMiner maintains symbol periodicities over a sliding window of the
 // most recent symbols — the monitoring flavor of the paper's data-stream
 // motivation: old behaviour ages out instead of accumulating. Arriving
@@ -19,10 +21,11 @@ type WindowMiner struct {
 }
 
 // NewWindowMiner returns a miner over a window of the given size, tracking
-// periods 1..maxPeriod. The window must be larger than maxPeriod.
+// periods 1..maxPeriod. The window must be larger than maxPeriod, and σ at
+// most series.MaxAlphabet, since symbols are held as uint16.
 func NewWindowMiner(sigma, maxPeriod, window int) (*WindowMiner, error) {
-	if sigma < 1 {
-		return nil, invalidf("core: sigma %d < 1", sigma)
+	if sigma < 1 || sigma > series.MaxAlphabet {
+		return nil, invalidf("core: sigma %d outside [1,%d]", sigma, series.MaxAlphabet)
 	}
 	if maxPeriod < 1 {
 		return nil, invalidf("core: maxPeriod %d < 1", maxPeriod)

@@ -3,8 +3,8 @@
 // single place cooperative cancellation is polled. The mining stages in
 // internal/core and the batched FFT driver in internal/conv submit their
 // work here instead of spinning up ad-hoc goroutine pools or sprinkling
-// every-N-iterations cancellation checks of their own, so batch,
-// incremental, and out-of-core mines all cancel and shard the same way.
+// every-N-iterations cancellation checks of their own, so in-memory and
+// out-of-core mines all cancel and shard the same way.
 package exec
 
 import (

@@ -41,9 +41,10 @@ const minBlock = 1 << 3
 
 // BandSize returns the plan size 2B the block kernel (Plan.AutocorrelateCountsInto)
 // uses for the lags 0..maxLag of n samples: B = NextPow2(maxLag), raised to
-// minBlock, and never above the one block that holds the whole series.
+// minBlock, and never above the one block that holds the whole series, nor
+// below B = 2, the smallest block with a kernel.
 func BandSize(n, maxLag int) int {
-	return 2 * NextPow2(min(max(maxLag, minBlock), n))
+	return 2 * NextPow2(max(min(max(maxLag, minBlock), n), 2))
 }
 
 // AutocorrelateCounts returns r[p] = Σ_i x[i]·x[i+p] for p = 0..len(x)-1,

@@ -29,7 +29,7 @@ func FuzzPlanTransformEquivalence(f *testing.F) {
 				x2[i] = 1
 			}
 		}
-		m := NextPow2(2 * n)
+		m := BandSize(n, n) // one block that holds the series
 		p := PlanFor(m)
 
 		// Counts via the recurrence network (seed semantics).

@@ -6,6 +6,7 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -265,8 +266,9 @@ func TestKernelCountsMatchDirectSmallN(t *testing.T) {
 		x[0] = 1 // n = 1 must see a non-zero count
 		want := autocorrExactInt(x)
 		for _, workers := range []int{1, 4} {
+			// BandSize(n, n) is the one block that holds the whole series.
 			single := make([]int64, n)
-			PlanFor(NextPow2(2*n)).AutocorrelateCountsInto(x, single, workers)
+			PlanFor(BandSize(n, n)).AutocorrelateCountsInto(x, single, workers)
 			for i := range want {
 				if single[i] != want[i] {
 					t.Fatalf("n=%d workers=%d lag %d: one block %d, direct %d", n, workers, i, single[i], want[i])
@@ -416,26 +418,31 @@ func TestBandZeroAllocAfterWarmup(t *testing.T) {
 }
 
 // TestRealKernelRejectsBadShapes pins the panic contract of the real-kernel
-// entry points.
+// entry points. A plan below size 4 has no packed layout, so even one
+// sample is refused by the kernel's own check; BandSize never picks one.
 func TestRealKernelRejectsBadShapes(t *testing.T) {
 	p := PlanFor(16)
-	mustPanic := func(name string, f func()) {
+	mustPanic := func(name, want string, f func()) {
 		t.Helper()
 		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s: want panic", name)
+			t.Helper()
+			if msg, _ := recover().(string); !strings.Contains(msg, want) {
+				t.Errorf("%s: panic %q, want one containing %q", name, msg, want)
 			}
 		}()
 		f()
 	}
-	mustPanic("lag beyond the block", func() {
+	mustPanic("lag beyond the block", "cannot give", func() {
 		p.AutocorrelateCountsInto(make([]float64, 20), make([]int64, 10), 1)
 	})
-	mustPanic("more lags than samples", func() {
+	mustPanic("more lags than samples", "cannot give", func() {
 		p.AutocorrelateCountsInto(make([]float64, 4), make([]int64, 5), 1)
 	})
-	mustPanic("tiny plan input too long", func() {
+	mustPanic("tiny plan input too long", "has no block kernel", func() {
 		PlanFor(2).AutocorrelateCountsInto(make([]float64, 2), make([]int64, 2), 1)
+	})
+	mustPanic("tiny plan, one sample", "has no block kernel", func() {
+		PlanFor(2).AutocorrelateCountsInto([]float64{1}, make([]int64, 1), 1)
 	})
 }
 
@@ -457,7 +464,7 @@ func FuzzKernelCountsEquivalence(f *testing.F) {
 		}
 		want := autocorrExactInt(x)
 		single := make([]int64, n)
-		PlanFor(NextPow2(2*n)).AutocorrelateCountsInto(x, single, 1)
+		PlanFor(BandSize(n, n)).AutocorrelateCountsInto(x, single, 1)
 		for i := range want {
 			if single[i] != want[i] {
 				t.Fatalf("lag %d: one block %d, direct %d", i, single[i], want[i])
@@ -530,10 +537,6 @@ func revSlot(r, h int) int {
 // before rounding.
 func rawAutocorr(p *Plan, x []float64) []float64 {
 	out := make([]float64, min(len(x), p.n/2+1))
-	if p.n < 4 {
-		out[0] = x[0] * x[0]
-		return out
-	}
 	q := p.halfPlan()
 	a, blk := p.NewLagAccumulator(1), Block{}
 	a.Add(x, &blk)

@@ -235,7 +235,7 @@ func TestPlanSelfCorrelationPath(t *testing.T) {
 				x[i] = 1
 			}
 		}
-		self := rawAutocorr(PlanFor(NextPow2(2*n)), x)
+		self := rawAutocorr(PlanFor(BandSize(n, n)), x)
 		naive := crossCorrelateNaive(x, x)
 		for i := range self {
 			if math.Abs(self[i]-naive[i]) > 1e-6 {
@@ -254,7 +254,7 @@ func TestPlanAutocorrelateCountsMatchesPackage(t *testing.T) {
 				x[i] = 1
 			}
 		}
-		p := PlanFor(NextPow2(2 * n))
+		p := PlanFor(BandSize(n, n))
 		got := p.AutocorrelateCountsInto(x, make([]int64, n), 0)
 		want := AutocorrelateCounts(x)
 		for i := range want {

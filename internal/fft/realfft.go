@@ -188,7 +188,7 @@ func finishLagSpectrum(acc, cur, tw []complex128) {
 // pool, so the kernel is allocation-free after warm-up. workers ≤ 0 selects
 // the automatic policy for the butterflies of each transform; the counts are
 // bit-identical at every worker count. A plan below size 4 has no packed
-// layout; it admits at most one sample, whose one lag is x[0]².
+// layout and panics; BandSize never picks one.
 //
 //opvet:noalloc
 func (p *Plan) AutocorrelateCountsInto(x []float64, out []int64, workers int) []int64 {
@@ -197,13 +197,6 @@ func (p *Plan) AutocorrelateCountsInto(x []float64, out []int64, workers int) []
 		panic(fmt.Sprintf("fft: plan size %d cannot give %d lags of %d samples", p.n, len(out), nx))
 	}
 	if len(out) == 0 {
-		return out
-	}
-	if p.n < 4 {
-		if nx > 1 {
-			panic(fmt.Sprintf("fft: plan size %d too small for autocorrelation of %d", p.n, nx))
-		}
-		out[0] = int64(math.Round(x[0] * x[0]))
 		return out
 	}
 	a, b := p.NewLagAccumulator(workers), Block{}

@@ -16,8 +16,8 @@ import (
 // TestPeriodicityParityAtBoundaryThresholds sets ψ to every confidence the
 // batch mine observes — the thresholds where a periodicity sits exactly on
 // the Definition-1 boundary — and requires every source of periodicities to
-// give the same list: the batch engines, a bare count table, the incremental
-// miner whole and merged from random splits, a window wider than the stream,
+// give the same list: the batch engines, a count table whole and merged from
+// random splits, a window wider than the stream,
 // and the store over several segment sizes — at the default MinPairs and at
 // pairs >= 3. ψ is also set to every observed
 // multi-symbol pattern support, where the batch engines must additionally
@@ -51,22 +51,18 @@ func TestPeriodicityParityAtBoundaryThresholds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		whole, err := core.NewIncrementalMiner(alpha, maxP)
-		if err != nil {
-			t.Fatal(err)
-		}
 		window, err := core.NewWindowMiner(sigma, maxP, n+1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, k := range data {
-			for _, src := range []interface{ Append(int) error }{counts, whole, window} {
+			for _, src := range []interface{ Append(int) error }{counts, window} {
 				if err := src.Append(int(k)); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		merged := mergedFromSplits(t, rng, alpha, maxP, data)
+		merged := mergedFromSplits(t, rng, sigma, maxP, data)
 		var dbs []*DB
 		for _, seg := range []int{maxP, maxP + 3, 2*maxP + 1} {
 			db, err := Open(t.TempDir(), Options{Sigma: sigma, MaxPeriod: maxP, SegmentSize: seg})
@@ -112,12 +108,11 @@ func TestPeriodicityParityAtBoundaryThresholds(t *testing.T) {
 				opt := core.Options{Threshold: psi, MinPairs: minPairs}
 				want := sortPers(mine(opt, core.EngineNaive))
 				sources := map[string]func() ([]core.SymbolPeriodicity, error){
-					"bitset":      func() ([]core.SymbolPeriodicity, error) { return mine(opt, core.EngineBitset), nil },
-					"fft":         func() ([]core.SymbolPeriodicity, error) { return mine(opt, core.EngineFFT), nil },
-					"counts":      func() ([]core.SymbolPeriodicity, error) { return counts.Periodicities(opt) },
-					"incremental": func() ([]core.SymbolPeriodicity, error) { return whole.Periodicities(opt) },
-					"merged":      func() ([]core.SymbolPeriodicity, error) { return merged.Periodicities(opt) },
-					"window":      func() ([]core.SymbolPeriodicity, error) { return window.Periodicities(opt) },
+					"bitset": func() ([]core.SymbolPeriodicity, error) { return mine(opt, core.EngineBitset), nil },
+					"fft":    func() ([]core.SymbolPeriodicity, error) { return mine(opt, core.EngineFFT), nil },
+					"counts": func() ([]core.SymbolPeriodicity, error) { return counts.Periodicities(opt) },
+					"merged": func() ([]core.SymbolPeriodicity, error) { return merged.Periodicities(opt) },
+					"window": func() ([]core.SymbolPeriodicity, error) { return window.Periodicities(opt) },
 				}
 				for _, db := range dbs {
 					sources[fmt.Sprintf("store (segment size %d)", db.opt.SegmentSize)] = func() ([]core.SymbolPeriodicity, error) {
@@ -171,13 +166,13 @@ func observedConfidences(pers []core.SymbolPeriodicity) []float64 {
 }
 
 // mergedFromSplits cuts data at random points, ingests each piece into its
-// own miner and merges them left to right.
-func mergedFromSplits(t *testing.T, rng *rand.Rand, alpha *alphabet.Alphabet, maxP int, data []uint16) *core.IncrementalMiner {
+// own count table and merges them left to right.
+func mergedFromSplits(t *testing.T, rng *rand.Rand, sigma, maxP int, data []uint16) *core.Counts {
 	t.Helper()
-	var acc *core.IncrementalMiner
+	var acc *core.Counts
 	for start := 0; start < len(data); {
 		end := min(len(data), start+1+rng.Intn(2*maxP))
-		part, err := core.NewIncrementalMiner(alpha, maxP)
+		part, err := core.NewCounts(sigma, maxP)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,10 @@
 package periodica_test
 
-// Cross-path parity: every mining entry point — batch, streaming,
-// incremental, at any worker count — runs the same session pipeline, so the
-// same symbol sequence must yield byte-identical Results through every
-// path, for every engine — and under cancellation every path must return
-// context.Canceled with no partial result. CI runs these under
+// Cross-path parity: every full-mine path — the default scheduler and any
+// worker count — runs the same session pipeline, so the same symbol
+// sequence must yield byte-identical Results through every path, for every
+// engine — and under cancellation every path must return context.Canceled
+// with no partial result. CI runs these under
 // `go test -run Parity -race` across PERIODICA_ENGINE={naive,bitset,fft}.
 
 import (
@@ -84,26 +84,9 @@ func withWorkers(t *testing.T, q *periodica.Query, n int) *periodica.Query {
 	return wq
 }
 
-// filledIncremental returns an Incremental over alpha, tracking periods up
-// to half the stream, that has ingested symbols.
-func filledIncremental(t *testing.T, symbols, alpha []string) *periodica.Incremental {
-	t.Helper()
-	inc, err := periodica.NewIncremental(len(symbols)/2, alpha...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sym := range symbols {
-		if err := inc.Append(sym); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return inc
-}
-
-// mineAllPaths runs the same symbols and query through every source —
-// batch at one and four workers as well as on the default scheduler, and
-// incremental — and returns the per-path results, keyed by path
-// name.
+// mineAllPaths runs the same symbols and query through every path — the
+// default scheduler and one and four workers — and returns the per-path
+// results, keyed by path name.
 func mineAllPaths(t *testing.T, symbols []string, q *periodica.Query) map[string]*periodica.Result {
 	t.Helper()
 	ctx := context.Background()
@@ -111,13 +94,11 @@ func mineAllPaths(t *testing.T, symbols []string, q *periodica.Query) map[string
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc := filledIncremental(t, symbols, s.Alphabet())
 	out := map[string]*periodica.Result{}
 	for path, run := range map[string]func() (*periodica.Result, error){
-		"MineQueryContext":             func() (*periodica.Result, error) { return periodica.MineQueryContext(ctx, s, q) },
-		"workers 1":                    func() (*periodica.Result, error) { return periodica.MineQueryContext(ctx, s, withWorkers(t, q, 1)) },
-		"workers 4":                    func() (*periodica.Result, error) { return periodica.MineQueryContext(ctx, s, withWorkers(t, q, 4)) },
-		"Incremental.MineQueryContext": func() (*periodica.Result, error) { return inc.MineQueryContext(ctx, q) },
+		"MineQueryContext": func() (*periodica.Result, error) { return periodica.MineQueryContext(ctx, s, q) },
+		"workers 1":        func() (*periodica.Result, error) { return periodica.MineQueryContext(ctx, s, withWorkers(t, q, 1)) },
+		"workers 4":        func() (*periodica.Result, error) { return periodica.MineQueryContext(ctx, s, withWorkers(t, q, 4)) },
 	} {
 		if out[path], err = run(); err != nil {
 			t.Fatalf("%s: %v", path, err)
@@ -242,7 +223,6 @@ func TestParityCancellation(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				inc := filledIncremental(t, symbols, []string{"a", "b", "c"})
 				ctxFor := func() context.Context {
 					if polls == 0 {
 						return cancelled
@@ -259,8 +239,6 @@ func TestParityCancellation(t *testing.T) {
 				attempts = append(attempts, attempt{"MineQueryContext", res, err})
 				res, err = periodica.MineQueryContext(ctxFor(), s, withWorkers(t, q, 4))
 				attempts = append(attempts, attempt{"workers 4", res, err})
-				res, err = inc.MineQueryContext(ctxFor(), q)
-				attempts = append(attempts, attempt{"Incremental.MineQueryContext", res, err})
 				for _, a := range attempts {
 					if !errors.Is(a.err, context.Canceled) {
 						t.Errorf("polls=%d %s error = %v, want context.Canceled", polls, a.path, a.err)

@@ -24,8 +24,6 @@
 //
 //   - MineQueryContext mines an in-memory Series; a stream ingested in one
 //     pass is a slice of symbols handed to NewSeries when it ends;
-//   - Incremental.MineQueryContext mines an online miner, which also merges
-//     adjacent segments;
 //   - MineDatabase mines a database of series and aggregates the patterns
 //     they share;
 //   - CandidatePeriodsQueryContext runs only the O(σ n log n) detection
@@ -38,9 +36,10 @@
 // identical. Numeric series are discretized first (DiscretizeEqualWidth,
 // DiscretizeBreakpoints, DiscretizeSAX, Query.DiscretizeValues) and
 // irregular timestamped events are binned with GridEvents. Monitor and
-// Counter track periodicities over a sliding window and over an unbounded
-// stream; they, like Incremental, answer Periodicities(q) from their count
-// tables with what a mine under the same query reports. Significant separates genuine structure from the
+// Counter track periodicities online, over a sliding window and over an
+// unbounded stream; they answer Periodicities(q) from their count tables
+// with what a mine under the same query reports, and Counters over adjacent
+// stretches merge. Significant separates genuine structure from the
 // confident-looking flukes the paper's Definition 1 admits at large
 // periods.
 package periodica

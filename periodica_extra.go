@@ -3,6 +3,7 @@ package periodica
 import (
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"periodica/internal/alphabet"
@@ -11,50 +12,6 @@ import (
 	"periodica/internal/series"
 	"periodica/internal/timegrid"
 )
-
-// Incremental maintains the mining result of a growing symbol stream online:
-// each arriving symbol updates the consecutive-match counts for every period
-// up to the configured bound in O(maxPeriod), so periodicities for the
-// stream so far are available at any moment without rescanning. Two
-// Incrementals over adjacent segments combine with Merge.
-type Incremental struct {
-	inner *core.IncrementalMiner
-	alpha *alphabet.Alphabet
-}
-
-// NewIncremental returns an online miner over the given alphabet, tracking
-// periods 1..maxPeriod.
-func NewIncremental(maxPeriod int, symbols ...string) (*Incremental, error) {
-	alpha, err := alphabet.New(symbols...)
-	if err != nil {
-		return nil, err
-	}
-	inner, err := core.NewIncrementalMiner(alpha, maxPeriod)
-	if err != nil {
-		return nil, err
-	}
-	return &Incremental{inner: inner, alpha: alpha}, nil
-}
-
-// Append ingests the next symbol; O(maxPeriod).
-func (inc *Incremental) Append(symbol string) error { return inc.inner.AppendSymbol(symbol) }
-
-// Len returns the number of symbols ingested.
-func (inc *Incremental) Len() int { return inc.inner.Len() }
-
-// Periodicities returns the symbol periodicities of the stream so far that
-// MineQueryContext with q reports, computed from the maintained counts
-// alone.
-func (inc *Incremental) Periodicities(q *Query) ([]Periodicity, error) {
-	return q.periodicities(inc.alpha, inc.inner.Periodicities)
-}
-
-// Merge appends the stream held by next to this miner, stitching the
-// boundary matches; both miners must share the symbols, in the same order,
-// and the period bound. next is left untouched.
-func (inc *Incremental) Merge(next *Incremental) error {
-	return inc.inner.Merge(next.inner)
-}
 
 // WriteFile stores the series in the binary on-disk format accepted by
 // CandidatePeriodsFile, which holds at most 26 symbols; a refused or failed
@@ -192,9 +149,10 @@ var ErrInvalidInput = core.ErrInvalidInput
 // Counter maintains the periodicities of an unbounded stream with memory
 // independent of the stream length: only the first and last maxPeriod
 // symbols and the per-(symbol, period, position) counts are retained, so it
-// runs forever at O(σ·maxPeriod²) bytes. Unlike Incremental it cannot mine
-// patterns (that needs the data) and unlike Monitor nothing ever ages out —
-// counts cover the whole stream.
+// runs forever at O(σ·maxPeriod²) bytes. It cannot mine patterns (that
+// needs the data), and unlike Monitor nothing ever ages out — counts cover
+// the whole stream. Two Counters over adjacent stretches of one stream
+// combine with Merge.
 type Counter struct {
 	inner *core.Counts
 	alpha *alphabet.Alphabet
@@ -233,6 +191,18 @@ func (c *Counter) MemoryBytes() int { return c.inner.MemoryBytes() }
 // stream with q reports, the period range clipped to the tracked bound.
 func (c *Counter) Periodicities(q *Query) ([]Periodicity, error) {
 	return q.periodicities(c.alpha, c.inner.Periodicities)
+}
+
+// Merge appends the stretch next has counted to the one c has, making c the
+// counter of the concatenation: the counts add and the matches spanning the
+// boundary are stitched from the retained symbols. Both counters must share
+// the symbols, in the same order, and the period bound; otherwise the error
+// matches ErrInvalidInput. next is left untouched.
+func (c *Counter) Merge(next *Counter) error {
+	if !slices.Equal(c.alpha.Symbols(), next.alpha.Symbols()) {
+		return fmt.Errorf("periodica: merging counters over symbols %v and %v: %w", c.alpha, next.alpha, ErrInvalidInput)
+	}
+	return c.inner.Merge(next.inner)
 }
 
 // Describe renders a periodicity the way the paper narrates its Table 2,

@@ -17,45 +17,15 @@ import (
 	"periodica"
 )
 
-func TestIncrementalPublicAPI(t *testing.T) {
-	inc, err := periodica.NewIncremental(10, "a", "b", "c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 60; i++ {
-		if err := inc.Append(string(rune('a' + i%3))); err != nil {
+func TestCounterMergePublicAPI(t *testing.T) {
+	newCounter := func(maxPeriod int, symbols ...string) *periodica.Counter {
+		c, err := periodica.NewCounter(maxPeriod, symbols...)
+		if err != nil {
 			t.Fatal(err)
 		}
+		return c
 	}
-	if inc.Len() != 60 {
-		t.Fatalf("Len = %d", inc.Len())
-	}
-	pers, err := inc.Periodicities(mustCompile(t, "conf >= 1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, sp := range pers {
-		if sp.Symbol == "a" && sp.Period == 3 && sp.Position == 0 && sp.Confidence == 1 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("(a,3,0) missing: %+v", pers)
-	}
-	res, err := inc.MineQueryContext(context.Background(), periodica.QueryFromOptions(periodica.Options{Threshold: 0.9}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Periods) == 0 || res.Periods[0] != 3 {
-		t.Fatalf("Periods = %v", res.Periods)
-	}
-}
-
-func TestIncrementalMergePublicAPI(t *testing.T) {
-	a, _ := periodica.NewIncremental(8, "x", "y")
-	b, _ := periodica.NewIncremental(8, "x", "y")
-	whole, _ := periodica.NewIncremental(8, "x", "y")
+	a, b, whole := newCounter(8, "x", "y"), newCounter(8, "x", "y"), newCounter(8, "x", "y")
 	stream := strings.Repeat("xyxyxxyy", 8)
 	half := len(stream) / 2
 	for i, r := range stream {
@@ -70,13 +40,16 @@ func TestIncrementalMergePublicAPI(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Miners built separately over the same symbols merge into the miner of
-	// the whole stream.
+	// Counters built separately over the same symbols merge into the
+	// counter of the whole stream.
 	if err := a.Merge(b); err != nil {
 		t.Fatal(err)
 	}
 	if a.Len() != whole.Len() {
 		t.Fatalf("merged Len = %d, want %d", a.Len(), whole.Len())
+	}
+	if b.Len() != len(stream)-half {
+		t.Fatalf("Merge changed its argument: Len = %d, want %d", b.Len(), len(stream)-half)
 	}
 	q := mustCompile(t, "conf >= 0.9")
 	wantPers, err := whole.Periodicities(q)
@@ -89,39 +62,92 @@ func TestIncrementalMergePublicAPI(t *testing.T) {
 	if gotPers, err := a.Periodicities(q); err != nil || !reflect.DeepEqual(gotPers, wantPers) {
 		t.Fatalf("merged Periodicities = %v, %v; want the whole stream's %v", gotPers, err, wantPers)
 	}
-	ctx := context.Background()
-	wantRes, err := whole.MineQueryContext(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotRes, err := a.MineQueryContext(ctx, q); err != nil || !reflect.DeepEqual(gotRes, wantRes) {
-		t.Fatalf("merged MineQueryContext differs from the whole stream's (err %v)", err)
-	}
-	// Another symbol order or period bound is refused as invalid input.
-	yx, _ := periodica.NewIncremental(8, "y", "x")
-	short, _ := periodica.NewIncremental(4, "x", "y")
-	for name, next := range map[string]*periodica.Incremental{"symbol order": yx, "period bound": short} {
+	// Another symbol order or period bound is refused as invalid input,
+	// and leaves the counter as it was.
+	for name, next := range map[string]*periodica.Counter{"symbol order": newCounter(8, "y", "x"), "period bound": newCounter(4, "x", "y")} {
 		if err := a.Merge(next); !errors.Is(err, periodica.ErrInvalidInput) {
 			t.Errorf("merge across a different %s: error %v does not match ErrInvalidInput", name, err)
 		}
 	}
+	if gotPers, err := a.Periodicities(q); err != nil || !reflect.DeepEqual(gotPers, wantPers) {
+		t.Fatalf("after refused merges Periodicities = %v, %v; want %v", gotPers, err, wantPers)
+	}
 }
 
-func TestIncrementalValidatesPublic(t *testing.T) {
-	if _, err := periodica.NewIncremental(0, "a"); !errors.Is(err, periodica.ErrInvalidInput) {
+func TestCounterValidatesPublic(t *testing.T) {
+	if _, err := periodica.NewCounter(0, "a"); !errors.Is(err, periodica.ErrInvalidInput) {
 		t.Fatalf("maxPeriod 0: error %v does not match ErrInvalidInput", err)
 	}
-	if _, err := periodica.NewIncremental(5, "a", "a"); err == nil {
+	if _, err := periodica.NewCounter(5, "a", "a"); err == nil {
 		t.Fatal("duplicate symbols: want error")
 	}
-	inc, _ := periodica.NewIncremental(5, "a")
-	if err := inc.Append("z"); !errors.Is(err, periodica.ErrInvalidInput) {
+	c, err := periodica.NewCounter(5, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Append("z"); !errors.Is(err, periodica.ErrInvalidInput) {
 		t.Fatalf("unknown symbol: error %v does not match ErrInvalidInput", err)
 	}
 	for _, psi := range []float64{0, -0.5, 1.5} {
 		q := periodica.QueryFromOptions(periodica.Options{Threshold: psi})
-		if _, err := inc.Periodicities(q); !errors.Is(err, periodica.ErrInvalidInput) {
+		if _, err := c.Periodicities(q); !errors.Is(err, periodica.ErrInvalidInput) {
 			t.Fatalf("ψ=%v: error %v does not match ErrInvalidInput", psi, err)
+		}
+	}
+}
+
+// TestOnlineSourcesRefuseWideAlphabets: the count tables hold symbols as
+// uint16, so an alphabet past 2^16 symbols would alias one symbol onto
+// another and answer wrongly. Counter and Monitor refuse it, as NewSeries
+// does, and accept the widest alphabet that fits, answering for its last
+// symbol.
+func TestOnlineSourcesRefuseWideAlphabets(t *testing.T) {
+	symbols := func(n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = fmt.Sprintf("s%d", i)
+		}
+		return out
+	}
+	const widest = 1 << 16
+	type source interface {
+		Append(string) error
+		Periodicities(*periodica.Query) ([]periodica.Periodicity, error)
+	}
+	build := map[string]func(alpha []string) (source, error){
+		"Counter": func(alpha []string) (source, error) { return periodica.NewCounter(4, alpha...) },
+		"Monitor": func(alpha []string) (source, error) { return periodica.NewMonitor(4, 40, alpha...) },
+	}
+	for name, newSource := range build {
+		if _, err := newSource(symbols(widest + 1)); !errors.Is(err, periodica.ErrInvalidInput) {
+			t.Errorf("%s over %d symbols: error %v does not match ErrInvalidInput", name, widest+1, err)
+		}
+		alpha := symbols(widest)
+		src, err := newSource(alpha)
+		if err != nil {
+			t.Fatalf("%s over %d symbols: %v", name, widest, err)
+		}
+		last := alpha[widest-1]
+		for i := 0; i < 20; i++ {
+			sym := last
+			if i%2 == 1 {
+				sym = alpha[0]
+			}
+			if err := src.Append(sym); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pers, err := src.Periodicities(mustCompile(t, "conf >= 1 and period in 1..2"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []string{last + " 2/0", alpha[0] + " 2/1"}
+		var got []string
+		for _, sp := range pers {
+			got = append(got, fmt.Sprintf("%s %d/%d", sp.Symbol, sp.Period, sp.Position))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s over %d symbols answers %v, want %v", name, widest, got, want)
 		}
 	}
 }
@@ -704,14 +730,5 @@ func TestFilterMaximalPublic(t *testing.T) {
 	}
 	if len(full.Patterns) <= len(maximal.Patterns) {
 		t.Fatal("filter removed nothing")
-	}
-	// Every source applies the filter, not only the batch mine.
-	inc := filledIncremental(t, strings.Split(s.String(), ""), s.Alphabet())
-	res, err := inc.MineQueryContext(context.Background(), periodica.QueryFromOptions(opt))
-	if err != nil {
-		t.Fatalf("Incremental.MineQueryContext: %v", err)
-	}
-	if !reflect.DeepEqual(res, maximal) {
-		t.Errorf("Incremental.MineQueryContext patterns = %+v, want the batch mine's %+v", res.Patterns, maximal.Patterns)
 	}
 }

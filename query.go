@@ -7,9 +7,9 @@ package periodica
 //
 // into a canonical, validated spec, and it is the one way to direct a mine:
 // every mining entry point takes one (MineQueryContext,
-// CandidatePeriodsQueryContext, Incremental.MineQueryContext, MineDatabase),
-// as does every count-table source's Periodicities (Incremental, Counter,
-// Monitor), httpapi and the distributed tier.
+// CandidatePeriodsQueryContext, MineDatabase), as does every count-table
+// source's Periodicities (Counter, Monitor), httpapi and the distributed
+// tier.
 // Options is a builder for the mining clauses (QueryFromOptions). The
 // mining clauses configure the core session, "workers N" its scheduler
 // width; the shaping clauses (symbol constraints, limit) are applied to the
@@ -172,12 +172,6 @@ func MineQueryContext(ctx context.Context, s *Series, q *Query) (*Result, error)
 // sweep promptly with the context's error.
 func CandidatePeriodsQueryContext(ctx context.Context, s *Series, q *Query) ([]int, error) {
 	return candidatePeriods(core.DetectCandidatesRange(ctx, s.inner, q.spec.Threshold, q.spec.MinPeriod, q.spec.MaxPeriod))
-}
-
-// MineQueryContext mines the online stream seen so far as the query
-// directs, with the period range capped at the miner's tracked bound.
-func (inc *Incremental) MineQueryContext(ctx context.Context, q *Query) (*Result, error) {
-	return q.mine(ctx, inc.inner.Series(), inc.inner.MineOptions(coreOptions(q.spec)))
 }
 
 // mine is the one path behind every full-mine entry point: the core session

@@ -125,10 +125,6 @@ func TestParityQueryDriven(t *testing.T) {
 			res, err = periodica.MineQueryContext(ctx, s, withWorkers(t, q, 4))
 			check("workers 4", res, err)
 
-			inc := filledIncremental(t, symbols, []string{"a", "b", "c"})
-			res, err = inc.MineQueryContext(ctx, q)
-			check("Incremental.MineQueryContext", res, err)
-
 			path := filepath.Join(t.TempDir(), "parity.ser")
 			if err := s.WriteFile(path); err != nil {
 				t.Fatal(err)
@@ -280,9 +276,9 @@ func TestParityEnvQuery(t *testing.T) {
 
 // TestParityOnlineSourcesQuery: every count-table source answers
 // Periodicities(q) with exactly the periodicities MineQueryContext reports
-// for the same symbols and query, JSON byte for byte — the Counter, the
-// Incremental whole and merged from two separately built miners, and a
-// Monitor whose window exceeds the stream. With n=600 and a tracked bound
+// for the same symbols and query, JSON byte for byte — the Counter whole
+// and merged from two separately built counters, and a Monitor whose window
+// exceeds the stream. With n=600 and a tracked bound
 // of 300 the default period ranges coincide. The PERIODICA_QUERY CI leg
 // adds its query to the table.
 func TestParityOnlineSourcesQuery(t *testing.T) {
@@ -319,28 +315,24 @@ func TestParityOnlineSourcesQuery(t *testing.T) {
 	}
 
 	alpha := s.Alphabet()
-	counter, err := periodica.NewCounter(tracked, alpha...)
-	if err != nil {
-		t.Fatal(err)
+	newCounter := func() *periodica.Counter {
+		c, err := periodica.NewCounter(tracked, alpha...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
 	monitor, err := periodica.NewMonitor(tracked, n+1, alpha...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	newIncremental := func() *periodica.Incremental {
-		inc, err := periodica.NewIncremental(tracked, alpha...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return inc
-	}
-	whole, head, tail := newIncremental(), newIncremental(), newIncremental()
+	whole, head, tail := newCounter(), newCounter(), newCounter()
 	for i, sym := range symbols {
 		part := head
 		if i >= n/3 {
 			part = tail
 		}
-		for _, src := range []interface{ Append(string) error }{counter, monitor, whole, part} {
+		for _, src := range []interface{ Append(string) error }{whole, monitor, part} {
 			if err := src.Append(sym); err != nil {
 				t.Fatal(err)
 			}
@@ -350,17 +342,9 @@ func TestParityOnlineSourcesQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	sources := map[string]func(*periodica.Query) ([]periodica.Periodicity, error){
-		"Counter":            counter.Periodicities,
-		"Incremental":        whole.Periodicities,
-		"Incremental merged": head.Periodicities,
-		"Monitor":            monitor.Periodicities,
-		"Incremental.MineQueryContext": func(q *periodica.Query) ([]periodica.Periodicity, error) {
-			res, err := whole.MineQueryContext(ctx, q)
-			if err != nil {
-				return nil, err
-			}
-			return res.Periodicities, nil
-		},
+		"Counter":        whole.Periodicities,
+		"Counter merged": head.Periodicities,
+		"Monitor":        monitor.Periodicities,
 	}
 	for i, q := range queries {
 		res, err := periodica.MineQueryContext(ctx, s, q)
