@@ -7,6 +7,7 @@ package bitvec
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 	"math/bits"
 )
@@ -140,15 +141,34 @@ func (v *Vector) CountLagMatches(p int) int {
 // and the cost is O((n−p)/64 + n/p + matches), with no division, no stored
 // match vector and no call per bit. counts must hold at least p entries.
 //
+// need lets the kernel abandon a row no phase can complete. Writing
+// n = q·p + split, the phases l < split have q lag-p pairs and complete when
+// their count reaches need[0]; the rest have q − 1 pairs and need need[1].
+// When p divides n, group 0 holds no phase and need[0] is ignored. After
+// each word the matches below bit B = 64·(words done) are counted, which
+// covers the first R = ⌊B/p⌋ pairs of every phase, so a phase of group g has
+// at most max(pairs_g − R, 0) pairs left. Once the largest count c this call
+// has written satisfies c < need[g] − max(pairs_g − R, 0) for both groups,
+// no phase can complete and the kernel returns false with the row part
+// counted; otherwise it returns true with the row complete. A group that
+// cannot complete may be given any need above its pair count, math.MaxInt
+// included, and need {0, 0} never fires. The need speaks of the matches
+// this call counts, so a caller that may be cut off passes a zeroed row.
+//
 //opvet:noalloc
-func (v *Vector) AddLagPhases(p int, counts []int) {
+func (v *Vector) AddLagPhases(p int, counts []int, need [2]int) bool {
 	if p <= 0 || len(counts) < p {
 		panic(fmt.Sprintf("bitvec: modulus %d with %d counts", p, len(counts)))
 	}
 	counts = counts[:p]
+	q := v.n / p
+	if v.n%p == 0 {
+		need[0] = math.MaxInt // group 0 holds no phase
+	}
 	ws, bs := p/wordBits, uint(p%wordBits)
-	step := wordBits % p // phase advance from one word to the next
-	off := 0             // phase of the current word's bit 0
+	step, rstep := wordBits%p, wordBits/p // phase and pair advance per word
+	off, r := 0, 0                        // phase of the current word's bit 0; pairs of every phase counted
+	mx := 0                               // largest count this call has reached
 	for wi := 0; wi+ws < len(v.words); wi++ {
 		m := v.words[wi] & shifted(v.words, wi+ws, bs)
 		// Bits below cut lie in the period block holding bit 0; bit b of
@@ -161,14 +181,23 @@ func (v *Vector) AddLagPhases(p int, counts []int) {
 			}
 			m ^= seg
 			for ; seg != 0; seg &= seg - 1 {
-				counts[lo+bits.TrailingZeros64(seg)]++
+				x := lo + bits.TrailingZeros64(seg)
+				c := counts[x] + 1
+				counts[x] = c
+				mx = max(mx, c)
 			}
 			lo, cut = lo-p, cut+p
 		}
+		r += rstep
 		if off += step; off >= p {
 			off -= p
+			r++
+		}
+		if mx < min(need[0]-max(q-r, 0), need[1]-max(q-1-r, 0)) {
+			return false
 		}
 	}
+	return true
 }
 
 // ForEach calls fn for every set bit, in increasing order of index.

@@ -2,8 +2,10 @@ package bitvec
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -209,7 +211,9 @@ func checkLagKernels(t *testing.T, v *Vector, p int) {
 	for l := range got {
 		got[l] = l // the kernel adds; it must not overwrite
 	}
-	v.AddLagPhases(p, got)
+	if !v.AddLagPhases(p, got, [2]int{}) {
+		t.Fatalf("n=%d p=%d: AddLagPhases stopped under need {0, 0}", v.Len(), p)
+	}
 	total := 0
 	for l, w := range want {
 		if got[l]-l != w {
@@ -231,8 +235,13 @@ func TestLagKernelsMatchDefinition(t *testing.T) {
 		for _, density := range []float64{0.05, 0.3, 1} {
 			v := randomVector(rng, n, density)
 			for _, p := range []int{1, 2, 63, 64, 65, 127, 128, n - 1, n, n + 1} {
-				if p >= 1 {
-					checkLagKernels(t, v, p)
+				if p < 1 {
+					continue
+				}
+				checkLagKernels(t, v, p)
+				q := n / p
+				for _, need := range [][2]int{{1, 1}, {(q + 1) / 2, q / 2}, {q, q - 1}, {math.MaxInt, q / 2}, {q/2 + 1, math.MaxInt}} {
+					checkBoundedLagPhases(t, v, p, need)
 				}
 			}
 		}
@@ -247,19 +256,60 @@ func TestAddLagPhasesInvalidPanics(t *testing.T) {
 					t.Fatalf("AddLagPhases(%d) with %d counts: want panic", c.p, c.counts)
 				}
 			}()
-			New(8).AddLagPhases(c.p, make([]int, c.counts))
+			New(8).AddLagPhases(c.p, make([]int, c.counts), [2]int{})
 		}()
 	}
 }
 
+// checkBoundedLagPhases runs AddLagPhases on a zeroed row under need,
+// whose group 0 is the phases l < n mod p and group 1 the rest. A completed
+// row must equal the definition; an abandoned one must have no phase whose
+// definitional count reaches its group's need. When p divides n, group 0
+// holds no phase, so its need must change nothing: need[0] = 0, which never
+// fires, must give the same row and answer as need[0] = math.MaxInt.
+func checkBoundedLagPhases(t *testing.T, v *Vector, p int, need [2]int) {
+	t.Helper()
+	n := v.Len()
+	want := lagPhasesNaive(v, p)
+	got := make([]int, p)
+	done := v.AddLagPhases(p, got, need)
+	if n%p == 0 {
+		for _, need0 := range []int{0, math.MaxInt} {
+			alt := make([]int, p)
+			if v.AddLagPhases(p, alt, [2]int{need0, need[1]}) != done || !slices.Equal(alt, got) {
+				t.Fatalf("n=%d p=%d need %v: need[0] = %d changed the row, yet p divides n", n, p, need, need0)
+			}
+		}
+	}
+	if done {
+		for l, w := range want {
+			if got[l] != w {
+				t.Fatalf("n=%d p=%d need %v: completed row phase %d = %d, want %d", n, p, need, l, got[l], w)
+			}
+		}
+		return
+	}
+	for l, w := range want {
+		g := 0
+		if l >= n%p {
+			g = 1
+		}
+		if w >= need[g] {
+			t.Fatalf("n=%d p=%d need %v: row abandoned, yet phase %d reaches %d ≥ %d", n, p, need, l, w, need[g])
+		}
+	}
+}
+
 // FuzzLagPhases checks both lag kernels against the definition on arbitrary
-// bit patterns, lengths and periods, and that the phase kernel allocates
-// nothing.
+// bit patterns, lengths and periods, the phase kernel under needs drawn
+// from the input (a completed row is exact, an abandoned row has no phase
+// that meets its need), and that the phase kernel allocates nothing.
 func FuzzLagPhases(f *testing.F) {
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x0f}, uint8(3), uint16(1))
-	f.Add([]byte("periodic periodic periodic periodic"), uint8(0), uint16(8))
-	f.Add(make([]byte, 40), uint8(7), uint16(64))
-	f.Fuzz(func(t *testing.T, data []byte, trim uint8, shift uint16) {
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x0f}, uint8(3), uint16(1), uint8(0), uint8(0))
+	f.Add([]byte("periodic periodic periodic periodic"), uint8(0), uint16(8), uint8(3), uint8(2))
+	f.Add(make([]byte, 40), uint8(7), uint16(64), uint8(1), uint8(1))
+	f.Add([]byte{0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0x55, 0x55}, uint8(1), uint16(2), uint8(250), uint8(20))
+	f.Fuzz(func(t *testing.T, data []byte, trim uint8, shift uint16, need0, need1 uint8) {
 		n := len(data)*8 - int(trim%8)
 		if n < 1 || n > 1<<14 {
 			return
@@ -272,8 +322,18 @@ func FuzzLagPhases(f *testing.F) {
 		}
 		p := 1 + int(shift)%(n+1)
 		checkLagKernels(t, v, p)
+		// Needs run from 0 (never stops) past the pair counts (no phase
+		// can complete), and math.MaxInt marks a group that cannot qualify.
+		needOf := func(b uint8, pairs int) int {
+			if b == 255 {
+				return math.MaxInt
+			}
+			return int(b) % (pairs + 3)
+		}
+		need := [2]int{needOf(need0, n/p), needOf(need1, n/p-1)}
+		checkBoundedLagPhases(t, v, p, need)
 		counts := make([]int, p)
-		if a := testing.AllocsPerRun(2, func() { v.AddLagPhases(p, counts) }); a != 0 {
+		if a := testing.AllocsPerRun(2, func() { v.AddLagPhases(p, counts, need) }); a != 0 {
 			t.Fatalf("n=%d p=%d: AddLagPhases allocates %.1f times per run", n, p, a)
 		}
 	})

@@ -105,3 +105,51 @@ func BenchmarkMergeCounts(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkResolve times the resolve stage alone over the survivors of one
+// detect and sweep, for two served shapes with 20% replacement noise and the
+// FFT engine: dist-2w's (σ=10, P=32, n=16384, periods up to 512, at least
+// 3 pairs, ψ=0.6) and paper-dense's (σ=5, P=25, n=1024, MinPairs 1,
+// ψ=0.7). It reports the survivors resolved per mine and the rows the
+// cutoff abandoned.
+func BenchmarkResolve(b *testing.B) {
+	for _, c := range []struct {
+		name                string
+		n, period, sigma    int
+		psi                 float64
+		maxPeriod, minPairs int
+	}{
+		{"dist-2w", 16384, 32, 10, 0.6, 512, 3},
+		{"paper-dense", 1024, 25, 5, 0.7, 0, 1},
+	} {
+		s, _, err := gen.Generate(gen.Config{Length: c.n, Period: c.period, Sigma: c.sigma, Dist: gen.Uniform,
+			Noise: gen.Replacement, NoiseRatio: 0.2, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		opt := Options{Threshold: c.psi, MaxPeriod: c.maxPeriod, MinPairs: c.minPairs, Engine: EngineFFT}
+		ses, err := newSession(s, opt, sessionConfig{workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := ses.runPipeline(memoryDetect{}, sweepPeriods{}); err != nil {
+			b.Fatal(err)
+		}
+		survivors, abandoned := 0, 0
+		det := ses.newWorkerDetector()
+		for i, surv := range ses.surv {
+			det.resolve(ses.opt.MinPeriod+i, surv, ses.opt.Threshold, func(SymbolPeriodicity) {})
+			survivors += len(surv)
+			abandoned += len(surv) - len(det.live)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := collectPerPeriod(ses); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(survivors), "survivors")
+			b.ReportMetric(float64(abandoned), "abandoned")
+		})
+	}
+}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"unsafe"
 
 	"periodica/internal/alphabet"
 	"periodica/internal/series"
@@ -141,10 +142,13 @@ func (c *Counts) F2(k, p, l int) int {
 }
 
 // MemoryBytes estimates the table's resident size, to document its
-// independence from the stream length.
+// independence from the stream length: the σ × (MaxPeriod+1) row headers
+// NewCounts allocates up front, the phase rows materialised so far, and
+// Head and Tail.
 func (c *Counts) MemoryBytes() int {
 	total := 2 * (len(c.Head) + len(c.Tail))
 	for _, rows := range c.Table {
+		total += len(rows) * int(unsafe.Sizeof([]int32(nil)))
 		for _, row := range rows {
 			total += 4 * len(row)
 		}

@@ -25,6 +25,7 @@ type detector struct {
 	lag          [][]int64 // FFT lag-match counts, lag[k][p]
 	table        []int     // rows×p phase-count scratch; all zero between periods
 	surv         []int32   // surviving-symbol scratch for the fused detect path
+	live         []int32   // resolve scratch: symbols of the completed table rows
 }
 
 // newDetector builds a bitset detector over s for callers that query one
@@ -76,7 +77,7 @@ func (d *detector) detectNaive(p int, psi float64, emit func(SymbolPeriodicity))
 			table[d.s.At(i)*p+i%p]++
 		}
 	}
-	d.emitTable(p, table, nil, psi, emit)
+	d.emitTable(p, newPeriodBar(n, p, d.minPairs, psi), table, nil, emit)
 }
 
 // survivors appends to dst the symbols whose aggregate lag-p match count
@@ -113,21 +114,36 @@ func (d *detector) survivors(p int, psi float64, dst []int32) []int32 {
 // resolve computes the exact per-phase counts F2(s_k, π_{p,l}) of the
 // surviving symbols surv (ascending), one table row each, with the lag-match
 // phase kernel, and emits the qualifying periodicities in canonical order.
-// Its cost is the survivors' words and matches plus one pass over the table.
+// The kernel is given the period's two minimum F2 values, so it abandons a
+// symbol's row once no phase can reach its minimum F2: a phase of pair count
+// P allows P − minF2 mismatches, and the row is refuted once its largest
+// count falls short of what the pairs left could lift to the bar. An
+// abandoned row is cleared and its slot reused, so the table holds only
+// completed rows and emitTable reads only those. The cost is the survivors'
+// words and matches up to each row's cutoff plus one pass over the completed
+// rows.
 func (d *detector) resolve(p int, surv []int32, psi float64, emit func(SymbolPeriodicity)) {
+	d.live = d.live[:0]
 	if len(surv) == 0 {
 		return
 	}
+	bar := newPeriodBar(d.n(), p, d.minPairs, psi)
 	table := d.scratch(len(surv) * p)
-	for r, k := range surv {
-		d.ind.Vector(int(k)).AddLagPhases(p, table[r*p:(r+1)*p])
+	for _, k := range surv {
+		row := table[len(d.live)*p : (len(d.live)+1)*p]
+		if d.ind.Vector(int(k)).AddLagPhases(p, row, bar.minF2) {
+			d.live = append(d.live, k)
+		} else {
+			clear(row)
+		}
 	}
-	d.emitTable(p, table, surv, psi, emit)
+	d.emitTable(p, bar, table[:len(d.live)*p], d.live, emit)
 }
 
 // scratch returns the first cells of the phase-count table, which are zero:
-// emitTable zeroes every cell it reads, and the table grows geometrically,
-// so a worker allocates it O(log) times per mine rather than per period.
+// emitTable zeroes every cell it reads, resolve clears every row it
+// abandons, and the table grows geometrically, so a worker allocates it
+// O(log) times per mine rather than per period.
 func (d *detector) scratch(cells int) []int {
 	if cap(d.table) < cells {
 		d.table = make([]int, max(cells, 2*cap(d.table)))
@@ -140,8 +156,7 @@ func (d *detector) scratch(cells int) []int {
 // symbol — and zeroes every cell. syms[r] is row r's symbol, ascending; nil
 // means row r holds symbol r. Acceptance is one integer compare per cell
 // against the period's bar.
-func (d *detector) emitTable(p int, table []int, syms []int32, psi float64, emit func(SymbolPeriodicity)) {
-	bar := newPeriodBar(d.n(), p, d.minPairs, psi)
+func (d *detector) emitTable(p int, bar periodBar, table []int, syms []int32, emit func(SymbolPeriodicity)) {
 	rows := len(table) / p
 	minF2, pairs := bar.minF2[0], bar.pairs[0]
 	for l := 0; l < p; l++ {

@@ -9,15 +9,24 @@ import (
 	"periodica/internal/series"
 )
 
-// FuzzMine drives the miner with arbitrary symbol streams and thresholds,
-// checking the structural invariants and that the bitset and FFT engines
-// agree with the naive one.
+// FuzzMine drives the miner with arbitrary symbol streams, thresholds,
+// MinPairs (1–4) and period bands, checking the structural invariants and
+// that the bitset and FFT engines agree with the naive one, which prunes
+// nothing. The draws reach periods where one pair-count group of a period
+// cannot qualify and top periods with one or two pairs, the edges of
+// resolve's cutoff.
 func FuzzMine(f *testing.F) {
-	f.Add([]byte("abcabbabcb"), uint8(66))
-	f.Add([]byte("aaaaaaa"), uint8(100))
-	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 3, 0, 1}, uint8(50))
-	f.Add([]byte("xy"), uint8(1))
-	f.Fuzz(func(t *testing.T, data []byte, thr uint8) {
+	f.Add([]byte("abcabbabcb"), uint8(66), uint8(0), uint8(0), uint8(0))
+	f.Add([]byte("aaaaaaa"), uint8(100), uint8(0), uint8(0), uint8(0))
+	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 3, 0, 1}, uint8(50), uint8(0), uint8(0), uint8(0))
+	f.Add([]byte("xy"), uint8(1), uint8(0), uint8(0), uint8(0))
+	// MinPairs 2 over the band [2, 5]: at period 4 the phases l ≥ 2 have
+	// one pair and cannot qualify, while symbol 0 holds phase 0.
+	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 3, 0, 1}, uint8(50), uint8(1), uint8(2), uint8(3))
+	// MinPairs 3 over the band [1, 6], whose top periods have one pair.
+	f.Add([]byte("aaaaaaa"), uint8(100), uint8(2), uint8(1), uint8(5))
+	f.Add([]byte("abcabcabcaabcabcabcabcabbbcabcab"), uint8(59), uint8(3), uint8(8), uint8(40))
+	f.Fuzz(func(t *testing.T, data []byte, thr, minPairs, lo, hi uint8) {
 		if len(data) < 2 || len(data) > 200 {
 			t.Skip()
 		}
@@ -28,21 +37,32 @@ func FuzzMine(f *testing.F) {
 		}
 		s := series.FromIndices(alphabet.Letters(sigma), idx)
 		psi := float64(thr%100+1) / 100
+		// A band inside [1, n]; hi 0 keeps the default top of n/2.
+		n := len(data)
+		minPeriod, maxPeriod := int(lo)%(n/2+1), 0
+		if hi != 0 {
+			minPeriod = int(lo) % n
+			from := max(minPeriod, 1)
+			maxPeriod = from + int(hi)%(n-from+1)
+		}
+		opt := Options{Threshold: psi, MinPairs: 1 + int(minPairs%4), MinPeriod: minPeriod, MaxPeriod: maxPeriod}
 
-		naive, err := mine(s, Options{Threshold: psi, Engine: EngineNaive})
+		opt.Engine = EngineNaive
+		naive, err := mine(s, opt)
 		if err != nil {
-			t.Fatalf("naive: %v", err)
+			t.Fatalf("naive %+v: %v", opt, err)
 		}
 		for _, eng := range []Engine{EngineBitset, EngineFFT} {
-			got, err := mine(s, Options{Threshold: psi, Engine: eng})
+			opt.Engine = eng
+			got, err := mine(s, opt)
 			if err != nil {
 				t.Fatalf("%v: %v", eng, err)
 			}
 			if !reflect.DeepEqual(naive.Periodicities, got.Periodicities) {
-				t.Fatalf("naive and %v disagree on periodicities", eng)
+				t.Fatalf("%+v: naive and %v disagree on periodicities", opt, eng)
 			}
 			if !reflect.DeepEqual(naive.Patterns, got.Patterns) {
-				t.Fatalf("naive and %v disagree on patterns", eng)
+				t.Fatalf("%+v: naive and %v disagree on patterns", opt, eng)
 			}
 		}
 		for _, sp := range naive.Periodicities {
@@ -51,6 +71,9 @@ func FuzzMine(f *testing.F) {
 			}
 			if sp.F2 < 1 || sp.F2 > sp.Pairs {
 				t.Fatalf("F2 %d outside [1,%d]", sp.F2, sp.Pairs)
+			}
+			if sp.Pairs < opt.MinPairs || sp.Period < minPeriod || (maxPeriod > 0 && sp.Period > maxPeriod) {
+				t.Fatalf("%+v: periodicity %+v outside the query", opt, sp)
 			}
 			if want := s.F2(sp.Symbol, sp.Period, sp.Position); sp.F2 != want {
 				t.Fatalf("reported F2 %d != definitional %d", sp.F2, want)

@@ -71,6 +71,59 @@ func TestPeriodBarMatchesDefinition(t *testing.T) {
 	}
 }
 
+// TestResolveBoundKeepsLateQualifier pins resolve's cutoff at its edges. At
+// n = 80, p = 7, ψ = 0.5 the bar is split 3, pairs {11, 10}, minimum F2
+// {6, 5}. Symbol a matches exactly 5 of phase 5's 10 pairs, all in the last
+// rows, and nothing else matches at lag 7. After the first word a has 4
+// matches and 9 pairs of every phase are counted: 4 is exactly the floor
+// min(6−2, 5−1), so the row must go on. After the second, 18 pairs are
+// counted, past both pair counts: only the clamp at zero keeps the floor at
+// 5 rather than 13. The row must complete and emit (a, 7, 5).
+func TestResolveBoundKeepsLateQualifier(t *testing.T) {
+	const n, p, l = 80, 7, 5
+	const psi = 0.5
+	text := make([]byte, n)
+	for i := range text {
+		text[i] = "bc"[i%2] // neighbours at an odd lag never match
+		if i%p == l && i >= l+5*p {
+			text[i] = 'a'
+		}
+	}
+	s := series.FromString(string(text))
+	a, _ := s.Alphabet().Index("a")
+	bar := newPeriodBar(n, p, 1, psi)
+	if bar.split != 3 || bar.pairs != [2]int{11, 10} || bar.minF2 != [2]int{6, 5} {
+		t.Fatalf("bar = %+v, want split 3, pairs {11 10}, minF2 {6 5}", bar)
+	}
+	want := periodicity(a, p, l, bar.minF2[1], bar.pairs[1])
+
+	det := newDetector(s)
+	var got []SymbolPeriodicity
+	det.detect(p, psi, func(sp SymbolPeriodicity) { got = append(got, sp) })
+	if !reflect.DeepEqual(got, []SymbolPeriodicity{want}) {
+		t.Fatalf("detect(%d, %v) = %+v, want only %+v", p, psi, got, want)
+	}
+	if !reflect.DeepEqual(det.live, []int32{int32(a)}) {
+		t.Fatalf("completed rows %v, want a's alone", det.live)
+	}
+	naive, err := mine(s, Options{Threshold: psi, Engine: EngineNaive})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(naive.Periodicities, want) {
+		t.Fatalf("naive mine lacks %+v", want)
+	}
+	for _, eng := range []Engine{EngineBitset, EngineFFT} {
+		res, err := mine(s, Options{Threshold: psi, Engine: eng})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Periodicities, naive.Periodicities) {
+			t.Fatalf("%v: periodicities differ from the naive engine's", eng)
+		}
+	}
+}
+
 // comparePatterns is the result order of multi-symbol patterns: by period,
 // then descending support, then compareFixed. The miner produces it without
 // a comparator sort; this is the oracle it is checked against.

@@ -223,7 +223,7 @@ func (ses *session) newWorkerDetector() *detector {
 // the scheduler — yields the match counts of every lag up to MaxPeriod, the
 // only lags the sweep reads.
 type memoryDetect struct {
-	lagOnly bool // detection-only path: just the aggregate counts
+	lagOnly bool // just the aggregate counts: detection only, or the FFT shard sweep
 }
 
 func (memoryDetect) name() string { return "detect" }

@@ -42,7 +42,9 @@ func ShardSurvivors(ctx context.Context, s *series.Series, opt Options) ([][]int
 	if err != nil {
 		return nil, err
 	}
-	if err := ses.runPipeline(memoryDetect{}, sweepPeriods{}); err != nil {
+	// The FFT sweep reads only the lag counts; the bitset sweep popcounts
+	// the indicator vectors, so only it needs them built.
+	if err := ses.runPipeline(memoryDetect{lagOnly: ses.eng == EngineFFT}, sweepPeriods{}); err != nil {
 		return nil, err
 	}
 	return ses.surv, nil

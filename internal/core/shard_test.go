@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -241,6 +242,44 @@ func TestShardSurvivorsShippedPathMatches(t *testing.T) {
 	}
 	if covered != len(single.Periodicities) {
 		t.Errorf("shards resolved %d periodicities, single-process mine has %d", covered, len(single.Periodicities))
+	}
+}
+
+// TestShardSurvivorsEngines: the coordinator's survivor lists must be the
+// sweep a full mine runs, whichever engine prunes. The FFT sweep reads only
+// the lag counts, so ShardSurvivors builds no indicator vectors for it; the
+// lists must not move for that, and must equal the bitset sweep's.
+func TestShardSurvivorsEngines(t *testing.T) {
+	for _, n := range []int{605, 5000} {
+		s := shardFixture(n)
+		var lists [][][]int32
+		for _, eng := range []Engine{EngineBitset, EngineFFT} {
+			norm, err := NormalizeOptions(Options{Threshold: 0.6, MinPairs: 3, Engine: eng}, s.Len())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ShardSurvivors(context.Background(), s, norm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ses, err := newSession(s, norm, sessionConfig{parallel: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ses.runPipeline(memoryDetect{}, sweepPeriods{}); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, ses.surv) {
+				t.Fatalf("n=%d %v: ShardSurvivors differs from the full detect and sweep", n, eng)
+			}
+			lists = append(lists, got)
+		}
+		if !reflect.DeepEqual(lists[0], lists[1]) {
+			t.Fatalf("n=%d: bitset and FFT survivor lists differ", n)
+		}
+		if slices.IndexFunc(lists[0], func(l []int32) bool { return len(l) > 0 }) < 0 {
+			t.Fatalf("n=%d: no survivors anywhere; the test is vacuous", n)
+		}
 	}
 }
 
