@@ -52,9 +52,6 @@ func TestMineLiteralMatchesMine(t *testing.T) {
 			if !reflect.DeepEqual(lit.Patterns, ref.Patterns) {
 				t.Fatalf("T=%s ψ=%v: patterns differ\nlit: %v\nref: %v", s, psi, lit.Patterns, ref.Patterns)
 			}
-			if !reflect.DeepEqual(lit.SingleSymbol, ref.SingleSymbol) {
-				t.Fatalf("T=%s ψ=%v: single patterns differ", s, psi)
-			}
 		}
 	}
 }
@@ -90,14 +87,27 @@ func TestMineLiteralValidates(t *testing.T) {
 	}
 }
 
+// singlePattern forms the Definition-2 pattern of a symbol periodicity: its
+// symbol alone at its position, with support F2/(⌈(n−l)/p⌉−1), its
+// confidence.
+func singlePattern(sp SymbolPeriodicity) Pattern {
+	return Pattern{
+		Period:  sp.Period,
+		Fixed:   []FixedSymbol{{Position: sp.Position, Symbol: sp.Symbol}},
+		Count:   sp.F2,
+		Support: sp.Confidence,
+	}
+}
+
 // MineLiteral executes the paper's Fig. 2 algorithm step by step, exactly as
 // written: (1–2) map the symbols and form the binary vector T′; (3) compute
 // the convolution components C^T; (4) for each period p = 1..n/2, (a) take
 // the set W_p of powers of two in c^T_p, (b) decode each power into its
 // symbol and position to obtain the W_{p,k,l} sets and thus every
 // F2(s_k, π_{p,l}(T)), (c) apply the threshold, (d) form the single-symbol
-// patterns, and (e) form the candidate patterns and estimate their supports
-// from the same-occurrence tuples W′_p. It shares no evaluation shortcuts
+// patterns (singlePattern of each periodicity, so the result holds only the
+// periodicities), and (e) form the candidate patterns and estimate their
+// supports from the same-occurrence tuples W′_p. It shares no evaluation shortcuts
 // with MineWorkers — the component bit-vectors are materialized and decoded
 // power by power — so agreement between the two is a machine-checked reading of
 // the paper. Intended for verification; use MineWorkers for real workloads.
@@ -170,11 +180,9 @@ func MineLiteral(s *series.Series, psi float64, maxPatterns int) (*Result, error
 			}
 			return a.Symbol < b.Symbol
 		})
+		// (d): the periodic single-symbol patterns are singlePattern of
+		// these periodicities.
 		res.Periodicities = append(res.Periodicities, group...)
-		// (d): periodic single-symbol patterns.
-		for _, sp := range group {
-			res.SingleSymbol = append(res.SingleSymbol, singlePattern(sp, make([]FixedSymbol, 1)))
-		}
 		// (e): candidate patterns from the Cartesian product, with support
 		// counted over shared occurrence indices (the W′_p tuples).
 		distinct := map[int]bool{}

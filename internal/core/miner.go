@@ -111,9 +111,6 @@ type Result struct {
 	// Periods lists the distinct candidate period values, ascending
 	// (Table 1's "period values").
 	Periods []int
-	// SingleSymbol holds the periodic single-symbol patterns of
-	// Definition 2, one per periodicity.
-	SingleSymbol []Pattern
 	// Patterns holds multi-symbol candidate patterns (≥ 2 fixed symbols)
 	// whose estimated support reaches the threshold.
 	Patterns []Pattern
@@ -186,20 +183,15 @@ func MineContext(ctx context.Context, s *series.Series, opt Options) (*Result, e
 }
 
 // finishResult derives the period list from the periodicities, which are
-// in canonical order (period, position, symbol), and forms the Definition-2
-// single-symbol patterns, whose one-entry Fixed slices share a single
-// backing array.
+// in canonical order (period, position, symbol). The Definition-2
+// single-symbol patterns are not stored: each is a function of its
+// periodicity (symbol at offset Position of a length-Period pattern, support
+// its confidence), which result.FromCore renders.
 func finishResult(res *Result) {
-	if len(res.Periodicities) == 0 {
-		return
-	}
-	fixed := make([]FixedSymbol, len(res.Periodicities))
-	res.SingleSymbol = make([]Pattern, len(res.Periodicities))
 	for i, sp := range res.Periodicities {
 		if i == 0 || sp.Period != res.Periodicities[i-1].Period {
 			res.Periods = append(res.Periods, sp.Period)
 		}
-		res.SingleSymbol[i] = singlePattern(sp, fixed[i:i+1:i+1])
 	}
 }
 

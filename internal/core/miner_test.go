@@ -101,12 +101,9 @@ func TestSingleSymbolPatterns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.SingleSymbol) != len(res.Periodicities) {
-		t.Fatalf("single patterns %d, periodicities %d", len(res.SingleSymbol), len(res.Periodicities))
-	}
 	found := map[string]float64{}
-	for _, pt := range res.SingleSymbol {
-		if pt.Period == 3 {
+	for _, sp := range res.Periodicities {
+		if pt := singlePattern(sp); pt.Period == 3 {
 			found[pt.Render(s.Alphabet())] = pt.Support
 		}
 	}
@@ -265,8 +262,8 @@ func TestDisableMultiSymbolMining(t *testing.T) {
 	if len(res.Patterns) != 0 {
 		t.Fatalf("patterns mined despite MaxPatternPeriod<0: %d", len(res.Patterns))
 	}
-	if len(res.SingleSymbol) == 0 {
-		t.Fatal("single-symbol patterns missing")
+	if len(res.Periodicities) == 0 {
+		t.Fatal("single-symbol periodicities missing")
 	}
 }
 

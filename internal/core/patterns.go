@@ -73,18 +73,6 @@ func writeDontCares(b *strings.Builder, k int) {
 	b.WriteString(dontCareRun[:k])
 }
 
-// singlePattern forms the Definition-2 pattern of a symbol periodicity,
-// storing its one fixed symbol in fixed, a slice of length 1.
-func singlePattern(sp SymbolPeriodicity, fixed []FixedSymbol) Pattern {
-	fixed[0] = FixedSymbol{Position: sp.Position, Symbol: sp.Symbol}
-	return Pattern{
-		Period:  sp.Period,
-		Fixed:   fixed,
-		Count:   sp.F2,
-		Support: sp.Confidence,
-	}
-}
-
 // slot is a qualifying symbol at one pattern position, with the occurrence
 // set at which its single-symbol pattern holds.
 type slot struct {

@@ -101,6 +101,12 @@ type jsonWriter struct {
 	w   io.Writer
 	buf []byte
 	err error
+	// last holds the bytes of the last float formatted, lastLen of them
+	// (0 before the first), and lastBits its bits: a mined result repeats
+	// few distinct confidences, so most floats copy these bytes.
+	last     [maxNumberLen]byte
+	lastLen  int
+	lastBits uint64
 }
 
 // maxNumberLen bounds the bytes of one formatted int or finite float64.
@@ -141,8 +147,15 @@ func (e *jsonWriter) integer(v int) {
 
 // float formats a finite f as encoding/json does: 'f', or 'e' below 1e-6 and
 // from 1e21 on, with a two-digit negative exponent trimmed ("e-07" → "e-7").
+// A float with the same bits as the last one copies its bytes instead.
 func (e *jsonWriter) float(f float64) {
 	e.room(maxNumberLen)
+	bits := math.Float64bits(f)
+	if e.lastLen > 0 && bits == e.lastBits {
+		e.buf = append(e.buf, e.last[:e.lastLen]...)
+		return
+	}
+	start := len(e.buf)
 	format := byte('f')
 	if abs := math.Abs(f); abs > 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
@@ -155,6 +168,7 @@ func (e *jsonWriter) float(f float64) {
 		}
 	}
 	e.buf = b
+	e.lastBits, e.lastLen = bits, copy(e.last[:], b[start:])
 }
 
 // quote writes s as a JSON string. A string encoding/json would copy
@@ -215,6 +229,9 @@ const (
 	stars = '*' * ones
 )
 
+// dontCareRun is 64 don't-cares, which verbatim skips in one comparison.
+const dontCareRun = "****************************************************************"
+
 // hasByte reports whether some byte of w equals c.
 func hasByte(w uint64, c byte) bool {
 	x := w ^ uint64(c)*ones
@@ -229,11 +246,14 @@ func plainWord(w uint64) bool {
 		!hasByte(w, '"') && !hasByte(w, '\\') && !hasByte(w, '<') && !hasByte(w, '>') && !hasByte(w, '&')
 }
 
-// verbatim reports whether encoding/json writes s as '"' + s + '"': it scans
-// eight bytes at a time while the words are plain ASCII (all-'*' words in one
-// comparison), then byte by byte, accepting valid UTF-8 other than U+2028
-// and U+2029.
+// verbatim reports whether encoding/json writes s as '"' + s + '"': it skips
+// whole runs of 64 don't-cares, scans eight bytes at a time while the words
+// are plain ASCII (all-'*' words in one comparison), then byte by byte,
+// accepting valid UTF-8 other than U+2028 and U+2029.
 func verbatim(s string) bool {
+	for len(s) >= len(dontCareRun) && s[:len(dontCareRun)] == dontCareRun {
+		s = s[len(dontCareRun):]
+	}
 	for len(s) >= 8 {
 		w := uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
 			uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56

@@ -184,7 +184,17 @@ func FuzzWriteJSON(f *testing.F) {
 	f.Add("a", "ab*", 0.75, 1.0, 3, uint8(0xff), uint16(1), false)
 	f.Add("<", "****\u2028***", 5e-7, 1e21, -1, uint8(0x55), uint16(300), true)
 	f.Add("\xff", "\"\\", math.Copysign(0, -1), 1e-7, 1<<40, uint8(0xaa), uint16(5000), false)
+	f.Add("b", "*b", 0.0, math.Copysign(0, -1), 7, uint8(0xff), uint16(2), false)
+	f.Add("c", "c**", 1e-7, 5e-7, 2, uint8(0xfc), uint16(0), true)
 	f.Fuzz(func(t *testing.T, sym, text string, conf, support float64, period int, shape uint8, reps uint16, truncated bool) {
+		// Elements alternate the two floats by parity, so every list runs
+		// both a float repeated from the one before and a new one.
+		float := func(i int, a, b float64) float64 {
+			if i%2 == 1 {
+				return b
+			}
+			return a
+		}
 		if len(text) > 0 {
 			text = strings.Repeat(text, min(int(reps), (1<<16)/len(text))+1)
 		}
@@ -201,7 +211,7 @@ func FuzzWriteJSON(f *testing.F) {
 		if n := count(1); n >= 0 {
 			r.Periodicities = make([]Periodicity, n)
 			for i := range r.Periodicities {
-				r.Periodicities[i] = Periodicity{Symbol: sym, Period: period, Position: -i, Matches: i, Pairs: period, Confidence: conf}
+				r.Periodicities[i] = Periodicity{Symbol: sym, Period: period, Position: -i, Matches: i, Pairs: period, Confidence: float(i, conf, support)}
 			}
 		}
 		pats := func(n int) []Pattern {
@@ -210,7 +220,7 @@ func FuzzWriteJSON(f *testing.F) {
 			}
 			out := make([]Pattern, n)
 			for i := range out {
-				out[i] = Pattern{Period: period, Text: text[:len(text)-i*len(text)/4], Support: support}
+				out[i] = Pattern{Period: period, Text: text[:len(text)-i*len(text)/4], Support: float(i, support, conf)}
 			}
 			return out
 		}

@@ -58,7 +58,7 @@ func FromCore(alpha *alphabet.Alphabet, res *core.Result, maximalOnly bool) *Res
 	if maximalOnly {
 		multis = core.FilterMaximal(multis)
 	}
-	singles, pats := patterns(alpha, res.SingleSymbol, multis)
+	singles, pats := patterns(alpha, res.Periodicities, multis)
 	return &Result{
 		Periods:              res.Periods,
 		Periodicities:        Periodicities(alpha, res.Periodicities),
@@ -88,38 +88,69 @@ func Periodicities(alpha *alphabet.Alphabet, pers []core.SymbolPeriodicity) []Pe
 	return out
 }
 
-// patterns converts the single-symbol and the multi-symbol patterns to the
-// public form; an empty list converts to nil. Every text of both lists is
-// rendered into one pre-sized buffer and each Text is a slice of it, so the
-// conversion allocates a fixed number of times whatever the pattern count.
-func patterns(alpha *alphabet.Alphabet, singles, multis []core.Pattern) (outSingles, outMultis []Pattern) {
-	lists := [2][]core.Pattern{singles, multis}
+// patterns converts to the public form the Definition-2 pattern of every
+// periodicity, and the multi-symbol patterns; an empty list converts to nil.
+//
+// A single-symbol text is one symbol at offset l of a length-p pattern, so
+// it is a window of its symbol's ruler: P−1 don't-cares, the symbol, P−1
+// don't-cares, where P is the symbol's largest period. The window of (p, l)
+// starts l bytes before the symbol and is p−1+len(symbol) bytes long. One
+// pre-sized buffer holds every ruler and then every multi-symbol text, and
+// each Text is a slice of it. So the conversion allocates a fixed number of
+// times whatever the pattern count, and a symbol's single-symbol text costs
+// at most twice its longest text, not p bytes per periodicity.
+func patterns(alpha *alphabet.Alphabet, pers []core.SymbolPeriodicity, multis []core.Pattern) (singles, out []Pattern) {
+	syms := alpha.Symbols()
+	// center[k] is first symbol k's largest period (0 if it has none), then
+	// the offset in the buffer of its ruler's symbol.
+	var center []int
 	size := 0
-	for _, pats := range lists {
-		for _, pt := range pats {
-			size += pt.TextLen(alpha)
+	if len(pers) > 0 {
+		center = make([]int, len(syms))
+		for _, sp := range pers {
+			center[sp.Symbol] = max(center[sp.Symbol], sp.Period)
 		}
+		for k, p := range center {
+			if p > 0 {
+				size += 2*(p-1) + len(syms[k])
+			}
+		}
+	}
+	for _, pt := range multis {
+		size += pt.TextLen(alpha)
 	}
 	var b strings.Builder
 	b.Grow(size)
-	for _, pats := range lists {
-		for _, pt := range pats {
-			pt.AppendText(&b, alpha)
+	var fixed [1]core.FixedSymbol
+	for k, p := range center {
+		if p > 0 {
+			// A ruler renders as the length-(2p−1) pattern that pins k at
+			// offset p−1.
+			fixed[0] = core.FixedSymbol{Position: p - 1, Symbol: k}
+			center[k] = b.Len() + p - 1
+			core.Pattern{Period: 2*p - 1, Fixed: fixed[:]}.AppendText(&b, alpha)
 		}
 	}
+	at := b.Len()
+	for _, pt := range multis {
+		pt.AppendText(&b, alpha)
+	}
 	text := b.String()
-	var out [2][]Pattern
-	at := 0
-	for i, pats := range lists {
-		if len(pats) == 0 {
-			continue
+	if len(pers) > 0 {
+		singles = make([]Pattern, len(pers))
+		for i, sp := range pers {
+			from := center[sp.Symbol] - sp.Position
+			to := from + sp.Period - 1 + len(syms[sp.Symbol])
+			singles[i] = Pattern{Period: sp.Period, Text: text[from:to], Support: sp.Confidence}
 		}
-		out[i] = make([]Pattern, len(pats))
-		for j, pt := range pats {
+	}
+	if len(multis) > 0 {
+		out = make([]Pattern, len(multis))
+		for i, pt := range multis {
 			end := at + pt.TextLen(alpha)
-			out[i][j] = Pattern{Period: pt.Period, Text: text[at:end], Support: pt.Support}
+			out[i] = Pattern{Period: pt.Period, Text: text[at:end], Support: pt.Support}
 			at = end
 		}
 	}
-	return out[0], out[1]
+	return singles, out
 }

@@ -292,8 +292,9 @@ func (q *Query) shape(symbols []string, res *Result) (*Result, error) {
 		}
 	}
 	if len(out.SingleSymbolPatterns) < len(res.SingleSymbolPatterns) || len(out.Patterns) < len(res.Patterns) {
-		// Every Text of res is a slice of one buffer; copy the kept ones so
-		// a small shaped result does not keep the whole buffer alive.
+		// The Texts of res are slices of one buffer (the single-symbol ones
+		// overlapping windows of one ruler per symbol); copy the kept ones
+		// so a small shaped result does not keep the whole buffer alive.
 		out.SingleSymbolPatterns = cloneTexts(out.SingleSymbolPatterns)
 		out.Patterns = cloneTexts(out.Patterns)
 	}
