@@ -75,13 +75,38 @@ func BenchmarkCountsAppend(b *testing.B) {
 	}
 }
 
-// BenchmarkPatternEnumeration isolates the Definition-3 combination stage.
+// BenchmarkPatternEnumeration isolates the Definition-3 combination stage:
+// it times minePatterns alone over one mine's periodicities. period-25 is
+// σ=10 with 10% noise at ψ=0.35, enumerating period 25 only; paper-dense is
+// the served workload's shape (σ=5, P=25, n=1024, 20% noise, ψ=0.7, MinPairs
+// 1, the default pattern bounds), which reaches the 10,000-pattern cap.
 func BenchmarkPatternEnumeration(b *testing.B) {
-	s := benchPeriodic(b, 10000)
-	for i := 0; i < b.N; i++ {
-		if _, err := mine(s, Options{Threshold: 0.35, MinPeriod: 25, MaxPeriod: 25, MaxPatternPeriod: 25}); err != nil {
+	for _, c := range []struct {
+		name string
+		s    *series.Series
+		opt  Options
+	}{
+		{"period-25", benchPeriodic(b, 10000), Options{Threshold: 0.35, MinPeriod: 25, MaxPeriod: 25, MaxPatternPeriod: 25}},
+		{"paper-dense", paperSeries(b, 1024), Options{Threshold: 0.7, MinPairs: 1}},
+	} {
+		opt, err := c.opt.withDefaults(c.s.Len())
+		if err != nil {
 			b.Fatal(err)
 		}
+		res, err := mine(c.s, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		det := newDetector(c.s)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := minePatterns(det, res.Periodicities, opt, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(res.Patterns)), "patterns")
+		})
 	}
 }
 
@@ -144,7 +169,7 @@ func BenchmarkResolve(b *testing.B) {
 		}
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := collectPerPeriod(ses); err != nil {
+				if _, err := resolvePeriodicities(ses); err != nil {
 					b.Fatal(err)
 				}
 			}

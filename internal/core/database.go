@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"periodica/internal/series"
@@ -42,27 +43,13 @@ func MineDatabase(db []*series.Series, opt Options, minFraction float64) (*Datab
 			return nil, fmt.Errorf("core: series %d has a different alphabet", i)
 		}
 	}
-	type agg struct {
-		pattern    Pattern
-		sequences  int
-		supportSum float64
-	}
-	byKey := map[string]*agg{}
+	tally := patternTally{}
 	for _, s := range db {
 		res, err := MineContext(context.Background(), s, opt)
 		if err != nil {
 			return nil, err
 		}
-		for _, pt := range res.Patterns {
-			key := patternKey(pt)
-			a := byKey[key]
-			if a == nil {
-				a = &agg{pattern: Pattern{Period: pt.Period, Fixed: pt.Fixed}}
-				byKey[key] = a
-			}
-			a.sequences++
-			a.supportSum += pt.Support
-		}
+		tally.add(res.Patterns)
 	}
 	need := int(minFraction * float64(len(db)))
 	if float64(need) < minFraction*float64(len(db)) {
@@ -72,7 +59,7 @@ func MineDatabase(db []*series.Series, opt Options, minFraction float64) (*Datab
 		need = 1
 	}
 	out := &DatabaseResult{Total: len(db)}
-	for _, a := range byKey {
+	for _, a := range tally {
 		if a.sequences >= need {
 			out.Patterns = append(out.Patterns, DatabasePattern{
 				Pattern:     a.pattern,
@@ -95,6 +82,31 @@ func MineDatabase(db []*series.Series, opt Options, minFraction float64) (*Datab
 		return compareFixed(a.Pattern.Fixed, b.Pattern.Fixed) < 0
 	})
 	return out, nil
+}
+
+// patternTally aggregates the patterns of several mines by period and pins.
+type patternTally map[string]*talliedPattern
+
+type talliedPattern struct {
+	pattern    Pattern
+	sequences  int
+	supportSum float64
+}
+
+// add counts one mine's patterns. A mine cuts its Fixed lists from shared
+// arena blocks, so a pattern seen first is stored with a copy of its pins:
+// the tally then pins no mine's arena.
+func (t patternTally) add(pats []Pattern) {
+	for _, pt := range pats {
+		key := patternKey(pt)
+		a := t[key]
+		if a == nil {
+			a = &talliedPattern{pattern: Pattern{Period: pt.Period, Fixed: slices.Clone(pt.Fixed)}}
+			t[key] = a
+		}
+		a.sequences++
+		a.supportSum += pt.Support
+	}
 }
 
 func patternKey(pt Pattern) string {

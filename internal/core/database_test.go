@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"periodica/internal/alphabet"
@@ -108,5 +109,31 @@ func TestPatternKeyDistinguishes(t *testing.T) {
 	}
 	if patternKey(a) != patternKey(Pattern{Period: 4, Fixed: fixed(0, 1)}) {
 		t.Fatal("equal patterns have different keys")
+	}
+}
+
+// TestTalliedPatternsDoNotPinArena checks that the database tally copies
+// each pattern's pins: a mine cuts its Fixed lists from shared arena blocks,
+// and an aggregate that kept one would hold the mine's whole block alive.
+func TestTalliedPatternsDoNotPinArena(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	s := noisyPeriodic(rng, alphabet.Letters(4), []uint16{0, 1, 2, 3}, 400, 0.03)
+	res, err := mine(s, Options{Threshold: 0.6, MaxPeriod: 20, MaxPatternPeriod: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Patterns) < 2 {
+		t.Fatal("fixture mined too few patterns; the test is vacuous")
+	}
+	tally := patternTally{}
+	tally.add(res.Patterns)
+	for _, pt := range res.Patterns {
+		got := tally[patternKey(pt)].pattern.Fixed
+		if !slices.Equal(got, pt.Fixed) {
+			t.Fatalf("tallied pins %v, mined %v", got, pt.Fixed)
+		}
+		if &got[0] == &pt.Fixed[0] {
+			t.Fatalf("tallied pattern %v shares the mined pattern's pins", pt.Fixed)
+		}
 	}
 }

@@ -195,10 +195,17 @@ func MineLiteral(s *series.Series, psi float64, maxPatterns int) (*Result, error
 		for l := range slots {
 			sort.Slice(slots[l], func(i, j int) bool { return slots[l][i].symbol < slots[l][j].symbol })
 		}
-		e := &enumerator{slots: slots, period: p, total: total, psi: psi,
-			max: maxPatterns - len(res.Patterns)}
-		e.walk(0, nil)
-		res.Patterns = append(res.Patterns, e.found...)
+		var levels []level
+		for l, sl := range slots {
+			if len(sl) > 0 {
+				levels = append(levels, level{pos: l, slots: sl})
+			}
+		}
+		e := &enumerator{psi: psi, max: maxPatterns - len(res.Patterns)}
+		e.enumerate(p, total, levels)
+		for _, block := range e.found {
+			res.Patterns = append(res.Patterns, block...)
+		}
 		if e.truncated {
 			res.PatternsTruncated = true
 			break

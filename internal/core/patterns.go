@@ -80,6 +80,13 @@ type slot struct {
 	occ    *bitvec.Vector
 }
 
+// level is a pattern position that has at least one slot, with its slots in
+// ascending symbol order.
+type level struct {
+	pos   int
+	slots []slot
+}
+
 // minePatterns enumerates Definition 3's candidate patterns for every
 // detected period within the configured bounds, estimating support by
 // counting the occurrences shared by all fixed positions (the paper's W′_p
@@ -94,13 +101,18 @@ type slot struct {
 // symbol and symbols in index order — without a comparator sort: periods
 // are walked in order, the DFS finds one period's patterns in the last of
 // those orders, and a stable counting sort by count orders them by support,
-// whose denominator ⌊n/p⌋ the whole period shares.
+// whose denominator ⌊n/p⌋ the whole period shares. One enumerator serves
+// the whole mine, and the output is allocated once, at its final length,
+// after the last period.
 //
 // sched, when non-nil, supplies cancellation: it is polled between
 // occurrence-set builds and ticked every DFS chunk, so a cancelled context
 // aborts the stage with that error and no patterns.
 func minePatterns(det *detector, pers []SymbolPeriodicity, opt Options, sched *exec.Scheduler) (out []Pattern, truncated bool, err error) {
-	var rank []int // counting-sort scratch
+	e := &enumerator{psi: opt.Threshold, max: opt.MaxPatterns, sched: sched}
+	var slots []slot
+	var levels []level
+	var ends []int // e.n after each enumerated period
 	for len(pers) > 0 && pers[0].Period <= opt.MaxPatternPeriod {
 		p, end := pers[0].Period, 1
 		for end < len(pers) && pers[end].Period == p {
@@ -111,47 +123,59 @@ func minePatterns(det *detector, pers []SymbolPeriodicity, opt Options, sched *e
 		if group[0].Position == group[len(group)-1].Position {
 			continue // one position: no way to place two fixed symbols
 		}
-		slots := make([][]slot, p)
+		slots, levels = slots[:0], levels[:0]
 		for _, sp := range group {
 			if sched != nil {
 				if err := sched.Poll(); err != nil {
 					return nil, false, err
 				}
 			}
-			slots[sp.Position] = append(slots[sp.Position],
-				slot{symbol: sp.Symbol, occ: det.occurrenceSet(sp.Symbol, p, sp.Position)})
+			slots = append(slots, slot{symbol: sp.Symbol, occ: det.occurrenceSet(sp.Symbol, p, sp.Position)})
 		}
-		e := &enumerator{
-			slots:  slots,
-			period: p,
-			total:  det.n() / p,
-			psi:    opt.Threshold,
-			max:    opt.MaxPatterns - len(out),
-			sched:  sched,
+		for i := 0; i < len(group); {
+			j := i + 1
+			for j < len(group) && group[j].Position == group[i].Position {
+				j++
+			}
+			levels = append(levels, level{pos: group[i].Position, slots: slots[i:j]})
+			i = j
 		}
-		e.walk(0, nil)
+		e.enumerate(p, det.n()/p, levels)
 		if e.err != nil {
 			return nil, false, e.err
 		}
-		out, rank = appendByCount(out, e.found, rank)
+		ends = append(ends, e.n)
 		if e.truncated {
-			truncated = true
 			break
 		}
 	}
-	return out, truncated, nil
+	if e.n > 0 {
+		out = make([]Pattern, e.n)
+	}
+	var rank []int // counting-sort scratch
+	from := 0
+	for _, to := range ends {
+		rank = e.sortByCount(out, from, to, rank)
+		from = to
+	}
+	return out, e.truncated, nil
 }
 
-// appendByCount appends found to out in descending Count order, stably, and
-// returns out with the grown rank scratch. It is a counting sort over the
-// range of counts found spans, so it costs O(len(found) + that range).
-func appendByCount(out, found []Pattern, rank []int) ([]Pattern, []int) {
-	if len(found) < 2 {
-		return append(out, found...), rank
+// sortByCount writes found[from:to], one period's patterns in DFS order, to
+// out[from:to] in descending Count order, stably, and returns the grown rank
+// scratch. It is a counting sort over the range of counts the span covers,
+// so it costs O(to − from + that range).
+func (e *enumerator) sortByCount(out []Pattern, from, to int, rank []int) []int {
+	if to-from < 2 {
+		for i := from; i < to; i++ {
+			out[i] = *e.at(i)
+		}
+		return rank
 	}
-	lo, hi := found[0].Count, found[0].Count
-	for _, pt := range found[1:] {
-		lo, hi = min(lo, pt.Count), max(hi, pt.Count)
+	lo, hi := e.at(from).Count, e.at(from).Count
+	for i := from + 1; i < to; i++ {
+		c := e.at(i).Count
+		lo, hi = min(lo, c), max(hi, c)
 	}
 	// rank[hi−c] first counts the patterns of count c, then holds the next
 	// free index for them in out.
@@ -161,19 +185,19 @@ func appendByCount(out, found []Pattern, rank []int) ([]Pattern, []int) {
 	}
 	rank = rank[:width]
 	clear(rank)
-	for _, pt := range found {
-		rank[hi-pt.Count]++
+	for i := from; i < to; i++ {
+		rank[hi-e.at(i).Count]++
 	}
-	next := len(out)
+	next := from
 	for i, c := range rank {
 		rank[i], next = next, next+c
 	}
-	out = slices.Grow(out, len(found))[:next]
-	for _, pt := range found {
-		out[rank[hi-pt.Count]] = pt
+	for i := from; i < to; i++ {
+		pt := e.at(i)
+		out[rank[hi-pt.Count]] = *pt
 		rank[hi-pt.Count]++
 	}
-	return out, rank
+	return rank
 }
 
 // compareFixed orders two patterns of one period as if each were written out
@@ -242,29 +266,93 @@ func subsumes(big, small Pattern) bool {
 	return true
 }
 
+// enumerator runs the Definition-3 DFS of one mine, one period at a time.
+// The patterns it finds, across periods, are kept in blocks of foundBlock,
+// and their Fixed lists are cut from the blocks of an arena, so neither list
+// is copied as it grows. Only the first block of each starts small and
+// doubles, so that a mine of a few patterns allocates for a few.
 type enumerator struct {
-	slots     [][]slot
+	levels    []level // the current period's positions with slots
 	period    int
 	total     int // ⌊n/p⌋, the support denominator
 	psi       float64
 	max       int
 	chosen    []FixedSymbol
 	scratch   []*bitvec.Vector // scratch[i] holds the AND of i+2 chosen occurrence sets
-	found     []Pattern
+	found     [][]Pattern      // full blocks of foundBlock patterns, then the last
+	n         int              // patterns found
+	arena     []FixedSymbol    // the arena block Fixed lists are cut from
 	truncated bool
 	sched     *exec.Scheduler // optional cancellation/step accounting
 	steps     int
 	err       error
 }
 
+const (
+	// foundBlock is the number of patterns in one block of found; the first
+	// block starts at firstFoundBlock and doubles up to it.
+	foundBlock      = 1024
+	firstFoundBlock = 64
+	// arenaBlock is the size, in pins, that arena blocks double up to from
+	// firstArenaBlock.
+	arenaBlock      = 4096
+	firstArenaBlock = 64
+)
+
 // enumTickEvery is the DFS chunk size between scheduler ticks: large enough
 // to keep the atomic step counter off the recursion hot path, small enough
 // that cancellation lands within microseconds.
 const enumTickEvery = 1024
 
-// walk extends the pattern at position l with cur = AND of the chosen
-// occurrence sets (nil while no symbol chosen yet).
-func (e *enumerator) walk(l int, cur *bitvec.Vector) {
+// enumerate appends to found the patterns of period p, whose support
+// denominator is total, over levels: the positions that have slots,
+// ascending.
+func (e *enumerator) enumerate(p, total int, levels []level) {
+	e.period, e.total, e.levels = p, total, levels
+	e.walk(0, nil, 0)
+}
+
+// at returns the i-th pattern found.
+func (e *enumerator) at(i int) *Pattern {
+	return &e.found[i/foundBlock][i%foundBlock]
+}
+
+// push appends pt to found, starting a block when the last one is full. No
+// block holds more than the patterns the cap still allows.
+func (e *enumerator) push(pt Pattern) {
+	b := len(e.found) - 1
+	if e.n%foundBlock == 0 {
+		size := foundBlock
+		if e.n == 0 {
+			size = firstFoundBlock
+		}
+		e.found = append(e.found, make([]Pattern, 0, min(size, e.max-e.n)))
+		b++
+	} else if k := len(e.found[b]); k == cap(e.found[b]) {
+		e.found[b] = slices.Grow(e.found[b], min(k, foundBlock-k, e.max-e.n))
+	}
+	e.found[b] = append(e.found[b], pt)
+	e.n++
+}
+
+// fixed returns a copy of chosen cut from the arena, with its capacity
+// capped at its length so that no append to one pattern's Fixed can write
+// into the next one's.
+func (e *enumerator) fixed() []FixedSymbol {
+	k := len(e.chosen)
+	if cap(e.arena)-len(e.arena) < k {
+		e.arena = make([]FixedSymbol, 0, max(k, firstArenaBlock, min(arenaBlock, 2*cap(e.arena))))
+	}
+	i := len(e.arena)
+	e.arena = append(e.arena, e.chosen...)
+	return e.arena[i : i+k : i+k]
+}
+
+// walk extends the pattern at level j with cur = AND of the chosen
+// occurrence sets (nil while no symbol chosen yet) and count = its size.
+// Positions between levels have no slot, so a don't-care is the only choice
+// there and the walk steps over them.
+func (e *enumerator) walk(j int, cur *bitvec.Vector, count int) {
 	if e.truncated || e.err != nil {
 		return
 	}
@@ -278,34 +366,24 @@ func (e *enumerator) walk(l int, cur *bitvec.Vector) {
 			return
 		}
 	}
-	// The prune is the emit test applied to the partial pattern's
-	// occurrences (support is anti-monotone), so it never drops a pattern
-	// whose support equals ψ; at a leaf it is the emit test itself.
-	count := 0
-	if cur != nil {
-		if count = cur.Count(); !qualifies(count, e.total, e.psi) {
-			return
-		}
-	}
-	if l == e.period {
+	if j == len(e.levels) {
 		if len(e.chosen) >= 2 {
-			if len(e.found) >= e.max {
+			if e.n >= e.max {
 				e.truncated = true
 				return
 			}
-			fixed := make([]FixedSymbol, len(e.chosen))
-			copy(fixed, e.chosen)
 			support := float64(count) / float64(e.total)
-			e.found = append(e.found, Pattern{Period: e.period, Fixed: fixed, Count: count, Support: support})
+			e.push(Pattern{Period: e.period, Fixed: e.fixed(), Count: count, Support: support})
 		}
 		return
 	}
-	// Don't-care at position l.
-	e.walk(l+1, cur)
+	lv := e.levels[j]
+	// Don't-care at lv.pos: the prefix, and with it its count, is unchanged.
+	e.walk(j+1, cur, count)
 	// With cur non-nil, i ≥ 0 and cur is scratch[i-1] or an occurrence set;
 	// the subtree below writes only scratch[i+1:], so scratch[i] is free.
 	i := len(e.chosen) - 1
-	for _, sl := range e.slots[l] {
+	for _, sl := range lv.slots {
 		next := sl.occ
 		if cur != nil {
 			if i == len(e.scratch) {
@@ -314,8 +392,15 @@ func (e *enumerator) walk(l int, cur *bitvec.Vector) {
 			e.scratch[i] = cur.And(sl.occ, e.scratch[i])
 			next = e.scratch[i]
 		}
-		e.chosen = append(e.chosen, FixedSymbol{Position: l, Symbol: sl.symbol})
-		e.walk(l+1, next)
+		// The prune is the emit test applied to the extended pattern's
+		// occurrences (support is anti-monotone), so it never drops a
+		// pattern whose support equals ψ.
+		c := next.Count()
+		if !qualifies(c, e.total, e.psi) {
+			continue
+		}
+		e.chosen = append(e.chosen, FixedSymbol{Position: lv.pos, Symbol: sl.symbol})
+		e.walk(j+1, next, c)
 		e.chosen = e.chosen[:len(e.chosen)-1]
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"time"
 
 	"periodica/internal/conv"
@@ -285,22 +286,42 @@ type resolvePhases struct{}
 
 func (resolvePhases) name() string { return "resolve" }
 
-// collectPerPeriod is the shared heart of the resolve stage: for each
+// phaseHit is one qualifying cell of a period's phase-count table: a
+// periodicity without the fields its period implies (Period, and Pairs and
+// Confidence, which follow from n, the period and the position), at a third
+// of a SymbolPeriodicity's size. Symbols are int32, as in the sweep's
+// survivor lists. A position is below its period, and resolve's table of p
+// cells per symbol keeps p far below 2^31.
+type phaseHit struct {
+	symbol, position int32
+	f2               int
+}
+
+// resolvePeriodicities is the shared heart of the resolve stage: for each
 // candidate period's surviving symbols it computes the exact per-phase counts
 // F2(s_k, π_{p,l}), sharded per period over the scheduler with per-worker
-// scratch. Slot i holds period MinPeriod+i's periodicities, by position and
-// then by ascending symbol — the per-period slot seam that makes results
-// byte-identical at any worker count, and that the distributed tier ships
-// across processes.
-func collectPerPeriod(ses *session) ([][]SymbolPeriodicity, error) {
+// scratch, and returns the periodicities in period order, each period's by
+// position and then by ascending symbol — the per-period slot seam that
+// makes results byte-identical at any worker count, and that the
+// distributed tier ships across processes.
+//
+// Each worker emits into one scratch list it reuses across periods; a
+// period's hits are then stored once, at their exact length, and the final
+// pass expands them into one slice allocated at the summed length. So
+// allocation grows with the periods that emit, and no list grows by append.
+func resolvePeriodicities(ses *session) ([]SymbolPeriodicity, error) {
 	lo := ses.opt.MinPeriod
 	span := ses.opt.MaxPeriod - lo + 1
-	perPeriod := make([][]SymbolPeriodicity, span)
+	perPeriod := make([][]phaseHit, span)
 	err := ses.sched.Run(span, 0, func(w int) func(i int) error {
 		det := ses.newWorkerDetector()
+		var buf []phaseHit
+		emit := func(sp SymbolPeriodicity) {
+			buf = append(buf, phaseHit{symbol: int32(sp.Symbol), position: int32(sp.Position), f2: sp.F2})
+		}
 		return func(i int) error {
 			p := lo + i
-			emit := func(sp SymbolPeriodicity) { perPeriod[i] = append(perPeriod[i], sp) }
+			buf = buf[:0]
 			if ses.eng == EngineNaive {
 				if p < 1 || p >= ses.n || pairsAt(ses.n, p, 0) < ses.opt.MinPairs {
 					return nil
@@ -309,37 +330,45 @@ func collectPerPeriod(ses *session) ([][]SymbolPeriodicity, error) {
 					return err
 				}
 				det.detectNaive(p, ses.opt.Threshold, emit)
-				return nil
+			} else {
+				if err := ses.sched.Tick(int64(len(ses.surv[i]))); err != nil {
+					return err
+				}
+				det.resolve(p, ses.surv[i], ses.opt.Threshold, emit)
 			}
-			if err := ses.sched.Tick(int64(len(ses.surv[i]))); err != nil {
-				return err
+			if len(buf) > 0 {
+				perPeriod[i] = slices.Clone(buf)
 			}
-			det.resolve(p, ses.surv[i], ses.opt.Threshold, emit)
 			return nil
 		}
 	})
 	if err != nil {
 		return nil, err
 	}
-	return perPeriod, nil
+	total := 0
+	for _, hits := range perPeriod {
+		total += len(hits)
+	}
+	if total == 0 {
+		return nil, nil
+	}
+	out := make([]SymbolPeriodicity, 0, total)
+	for i, hits := range perPeriod {
+		p := lo + i
+		for _, h := range hits {
+			l := int(h.position)
+			out = append(out, periodicity(int(h.symbol), p, l, h.f2, pairsAt(ses.n, p, l)))
+		}
+	}
+	return out, nil
 }
 
 func (resolvePhases) run(ses *session) error {
-	perPeriod, err := collectPerPeriod(ses)
+	pers, err := resolvePeriodicities(ses)
 	if err != nil {
 		return err
 	}
-	total := 0
-	for _, list := range perPeriod {
-		total += len(list)
-	}
-	res := &Result{N: ses.n, Sigma: ses.sigma, Threshold: ses.opt.Threshold}
-	if total > 0 {
-		res.Periodicities = make([]SymbolPeriodicity, 0, total)
-	}
-	for _, list := range perPeriod {
-		res.Periodicities = append(res.Periodicities, list...)
-	}
+	res := &Result{N: ses.n, Sigma: ses.sigma, Threshold: ses.opt.Threshold, Periodicities: pers}
 	finishResult(res)
 	ses.res = res
 	ses.surv = nil // consumed

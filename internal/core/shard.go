@@ -115,20 +115,18 @@ type resolveSlots struct{}
 func (resolveSlots) name() string { return "resolve" }
 
 func (resolveSlots) run(ses *session) error {
-	perPeriod, err := collectPerPeriod(ses)
+	slots, err := resolvePeriodicities(ses)
 	if err != nil {
 		return err
 	}
-	for _, list := range perPeriod {
-		ses.slots = append(ses.slots, list...)
-	}
+	ses.slots = slots
 	ses.surv = nil // consumed
 	return nil
 }
 
 // AssembleFromSlots merges shard slots back into a full Result over s: it
-// validates and deduplicates the slots (a malformed or duplicated slot is an
-// invalid-input error — the coordinator's per-shard-ID merge should have
+// validates the slots and refuses duplicates (a malformed or duplicated slot
+// is an invalid-input error — the coordinator's per-shard-ID merge should have
 // made duplicates impossible), re-derives each confidence from its integer
 // F2/Pairs pair, applies the canonical result sort, and runs the
 // pattern-enumeration stage over the merged periodicities. opt is the
@@ -140,8 +138,10 @@ func AssembleFromSlots(ctx context.Context, s *series.Series, opt Options, slots
 		return nil, err
 	}
 	res := &Result{N: ses.n, Sigma: ses.sigma, Threshold: ses.opt.Threshold}
-	seen := map[[3]int]bool{}
-	for _, sp := range slots {
+	if len(slots) > 0 {
+		res.Periodicities = make([]SymbolPeriodicity, len(slots))
+	}
+	for i, sp := range slots {
 		if sp.Symbol < 0 || sp.Symbol >= ses.sigma ||
 			sp.Period < ses.opt.MinPeriod || sp.Period > ses.opt.MaxPeriod ||
 			sp.Position < 0 || sp.Position >= sp.Period ||
@@ -150,15 +150,17 @@ func AssembleFromSlots(ctx context.Context, s *series.Series, opt Options, slots
 				sp.Symbol, sp.Period, sp.Position, sp.F2, sp.Pairs)
 		}
 		sp.Confidence = float64(sp.F2) / float64(sp.Pairs)
-		key := [3]int{sp.Symbol, sp.Period, sp.Position}
-		if seen[key] {
+		res.Periodicities[i] = sp
+	}
+	// compareCanonical orders by exactly the cell (period, position,
+	// symbol), so after the sort two slots of one cell are adjacent.
+	slices.SortFunc(res.Periodicities, compareCanonical)
+	for i := 1; i < len(res.Periodicities); i++ {
+		if sp := res.Periodicities[i]; compareCanonical(res.Periodicities[i-1], sp) == 0 {
 			return nil, invalidf("core: duplicate shard slot: symbol=%d period=%d position=%d",
 				sp.Symbol, sp.Period, sp.Position)
 		}
-		seen[key] = true
-		res.Periodicities = append(res.Periodicities, sp)
 	}
-	slices.SortFunc(res.Periodicities, compareCanonical)
 	finishResult(res)
 	ses.res = res
 	if err := ses.runPipeline(enumeratePatterns{}); err != nil {

@@ -163,6 +163,11 @@ func TestAssembleFromSlotsRejectsBadSlots(t *testing.T) {
 	s := shardFixture(100)
 	opt := Options{Threshold: 0.6}
 	good := SymbolPeriodicity{Symbol: 0, Period: 7, Position: 2, F2: 9, Pairs: 13}
+	// Other valid cells, one on each side of good in canonical order.
+	before := SymbolPeriodicity{Symbol: 1, Period: 5, Position: 0, F2: 1, Pairs: 2}
+	after := SymbolPeriodicity{Symbol: 2, Period: 9, Position: 3, F2: 4, Pairs: 9}
+	recount := good
+	recount.F2, recount.Pairs = 8, 12
 	cases := map[string][]SymbolPeriodicity{
 		"symbol out of range":   {{Symbol: 9, Period: 7, Position: 0, F2: 1, Pairs: 2}},
 		"period out of range":   {{Symbol: 0, Period: 99, Position: 0, F2: 1, Pairs: 2}},
@@ -170,6 +175,10 @@ func TestAssembleFromSlotsRejectsBadSlots(t *testing.T) {
 		"zero F2":               {{Symbol: 0, Period: 7, Position: 0, F2: 0, Pairs: 2}},
 		"F2 above pairs":        {{Symbol: 0, Period: 7, Position: 0, F2: 3, Pairs: 2}},
 		"duplicate":             {good, good},
+		// Adjacent only once sorted.
+		"separated duplicate": {good, after, before, good},
+		// The cell repeats; its counts do not.
+		"duplicate cell, other counts": {before, good, after, recount},
 	}
 	for name, slots := range cases {
 		if _, err := AssembleFromSlots(context.Background(), s, opt, slots); !errors.Is(err, ErrInvalidInput) {

@@ -10,6 +10,7 @@ import (
 
 	"periodica/internal/alphabet"
 	"periodica/internal/core"
+	"periodica/internal/exec"
 	"periodica/internal/series"
 )
 
@@ -17,9 +18,9 @@ import (
 // batch mine observes — the thresholds where a periodicity sits exactly on
 // the Definition-1 boundary — and requires every source of periodicities to
 // give the same list: the batch engines, a count table whole and merged from
-// random splits, a window wider than the stream,
-// and the store over several segment sizes — at the default MinPairs and at
-// pairs >= 3. ψ is also set to every observed
+// random splits, a window wider than the stream, the store over several
+// segment sizes, and the distributed pipeline (sweep once, resolve shard
+// slots, reassemble) — at the default MinPairs and at pairs >= 3. ψ is also set to every observed
 // multi-symbol pattern support, where the batch engines must additionally
 // agree on the patterns and keep the one sitting exactly on ψ.
 func TestPeriodicityParityAtBoundaryThresholds(t *testing.T) {
@@ -113,6 +114,11 @@ func TestPeriodicityParityAtBoundaryThresholds(t *testing.T) {
 					"counts": func() ([]core.SymbolPeriodicity, error) { return counts.Periodicities(opt) },
 					"merged": func() ([]core.SymbolPeriodicity, error) { return merged.Periodicities(opt) },
 					"window": func() ([]core.SymbolPeriodicity, error) { return window.Periodicities(opt) },
+					"dist": func() ([]core.SymbolPeriodicity, error) {
+						o := opt
+						o.MaxPeriod, o.MaxPatternPeriod = maxP, -1
+						return distPeriodicities(s, o)
+					},
 				}
 				for _, db := range dbs {
 					sources[fmt.Sprintf("store (segment size %d)", db.opt.SegmentSize)] = func() ([]core.SymbolPeriodicity, error) {
@@ -135,6 +141,46 @@ func TestPeriodicityParityAtBoundaryThresholds(t *testing.T) {
 	if boundaryPatterns == 0 {
 		t.Fatal("no multi-symbol pattern support observed; the pattern boundary is untested")
 	}
+}
+
+// distPeriodicities mines s as the distributed tier does, without the
+// network: it sweeps once over the whole series, resolves the slots of every
+// shard of a plan from that shard's clipped survivors, and reassembles them.
+func distPeriodicities(s *series.Series, opt core.Options) ([]core.SymbolPeriodicity, error) {
+	ctx := context.Background()
+	norm, err := core.NormalizeOptions(opt, s.Len())
+	if err != nil {
+		return nil, err
+	}
+	surv, err := core.ShardSurvivors(ctx, s, norm)
+	if err != nil {
+		return nil, err
+	}
+	var slots []core.SymbolPeriodicity
+	for _, sh := range exec.PlanShards(s.Alphabet().Size(), norm.MinPeriod, norm.MaxPeriod, 4) {
+		band := make([][]int32, 0, sh.MaxPeriod-sh.MinPeriod+1)
+		for p := sh.MinPeriod; p <= sh.MaxPeriod; p++ {
+			var clipped []int32
+			for _, k := range surv[p-norm.MinPeriod] {
+				if int(k) >= sh.SymbolLo && int(k) < sh.SymbolHi {
+					clipped = append(clipped, k)
+				}
+			}
+			band = append(band, clipped)
+		}
+		shardOpt := norm
+		shardOpt.MinPeriod, shardOpt.MaxPeriod = sh.MinPeriod, sh.MaxPeriod
+		got, err := core.MineShardSlotsFromSurvivors(ctx, s, shardOpt, sh.SymbolLo, sh.SymbolHi, band)
+		if err != nil {
+			return nil, err
+		}
+		slots = append(slots, got...)
+	}
+	res, err := core.AssembleFromSlots(ctx, s, norm, slots)
+	if err != nil {
+		return nil, err
+	}
+	return res.Periodicities, nil
 }
 
 // observedSupports returns the distinct supports of pats, ascending.
