@@ -10,14 +10,17 @@ import (
 
 // Counts is the count table every online answer rests on: Table[k][p][l] is
 // F2(s_k, π_{p,l}) over the Length symbols seen so far, for periods
-// 1..MaxPeriod, with phase l local to the start of the stretch. Phase rows
-// are allocated lazily per (k, p) on the first match. Head and Tail keep the
+// 1..MaxPeriod, with phase l local to the start of the stretch. The table
+// grows with the stream: a symbol's plane of MaxPeriod+1 row headers is
+// made on its first match, and a phase row on the first match of its
+// (k, p), so an unseen symbol costs one nil header. Head and Tail keep the
 // first and last min(MaxPeriod, Length) symbols — all that Append and Merge
-// need — so memory is O(σ·MaxPeriod² + MaxPeriod) whatever the stream
-// length: the data-stream setting the paper's introduction motivates. Each
-// appended symbol costs O(MaxPeriod); two tables over adjacent stretches
-// merge in O(σ·MaxPeriod²). The store persists one per segment as its
-// summary; the public Counter maintains one online.
+// need — so memory is at most O(σ·MaxPeriod² + MaxPeriod) whatever the
+// stream length: the data-stream setting the paper's introduction
+// motivates. Each appended symbol costs O(MaxPeriod); two tables over
+// adjacent stretches merge in O(σ·MaxPeriod²). The store persists one per
+// segment as its summary; the public Counter maintains one online, and
+// WindowMiner one over a sliding window.
 type Counts struct {
 	Sigma     int
 	MaxPeriod int
@@ -28,7 +31,8 @@ type Counts struct {
 }
 
 // NewCounts returns an empty table for a σ-symbol stream tracking periods
-// 1..maxPeriod. Symbols are held as uint16, so σ is at most
+// 1..maxPeriod: σ nil planes, so nothing of size σ·maxPeriod is allocated
+// before a symbol arrives. Symbols are held as uint16, so σ is at most
 // series.MaxAlphabet.
 func NewCounts(sigma, maxPeriod int) (*Counts, error) {
 	if sigma < 1 || sigma > series.MaxAlphabet {
@@ -37,14 +41,15 @@ func NewCounts(sigma, maxPeriod int) (*Counts, error) {
 	if maxPeriod < 1 {
 		return nil, invalidf("core: maxPeriod %d < 1", maxPeriod)
 	}
-	c := &Counts{Sigma: sigma, MaxPeriod: maxPeriod, Table: make([][][]int32, sigma)}
-	for k := range c.Table {
-		c.Table[k] = make([][]int32, maxPeriod+1)
-	}
-	return c, nil
+	return &Counts{Sigma: sigma, MaxPeriod: maxPeriod, Table: make([][][]int32, sigma)}, nil
 }
 
+// add adds delta to F2(s_k, π_{p,l}), making the plane and the row it
+// needs on first use.
 func (c *Counts) add(k, p, l int, delta int32) {
+	if c.Table[k] == nil {
+		c.Table[k] = make([][]int32, c.MaxPeriod+1)
+	}
 	if c.Table[k][p] == nil {
 		c.Table[k][p] = make([]int32, p)
 	}
@@ -135,18 +140,18 @@ func (c *Counts) F2(k, p, l int) int {
 	if p < 1 || p > c.MaxPeriod || l < 0 || l >= p {
 		panic(fmt.Sprintf("core: F2(%d,%d,%d) outside tracked range", k, p, l))
 	}
-	if c.Table[k][p] == nil {
+	if c.Table[k] == nil || c.Table[k][p] == nil {
 		return 0
 	}
 	return int(c.Table[k][p][l])
 }
 
 // MemoryBytes estimates the table's resident size, to document its
-// independence from the stream length: the σ × (MaxPeriod+1) row headers
-// NewCounts allocates up front, the phase rows materialised so far, and
-// Head and Tail.
+// independence from the stream length: the σ plane headers, the
+// MaxPeriod+1 row headers of each plane and the phase rows made so far,
+// and Head and Tail.
 func (c *Counts) MemoryBytes() int {
-	total := 2 * (len(c.Head) + len(c.Tail))
+	total := 2*(len(c.Head)+len(c.Tail)) + len(c.Table)*int(unsafe.Sizeof([][]int32(nil)))
 	for _, rows := range c.Table {
 		total += len(rows) * int(unsafe.Sizeof([]int32(nil)))
 		for _, row := range rows {
@@ -204,7 +209,7 @@ func scanTable(table [][][]int32, tracked, n int, pairs func(p, l int) int, opt 
 				continue
 			}
 			for k, rows := range table {
-				if rows[p] == nil {
+				if rows == nil || rows[p] == nil {
 					continue
 				}
 				if f2 := int(rows[p][l]); f2 != 0 && qualifies(f2, np, opt.Threshold) {

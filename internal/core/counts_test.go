@@ -225,39 +225,44 @@ func TestCountsBoundedMemory(t *testing.T) {
 	}
 }
 
-// TestCountsMemoryBytesCountsHeaders: a fresh table already holds its
-// σ × (MaxPeriod+1) row headers, and each phase row Append materialises adds
-// 4p bytes (plus the two bytes each Head and Tail symbol takes).
+// TestCountsMemoryBytesCountsHeaders: a fresh table holds only its σ nil
+// plane headers; a symbol's first match makes its plane of MaxPeriod+1 row
+// headers, each phase row Append materialises adds 4p bytes, and each Head
+// and Tail symbol takes two.
 func TestCountsMemoryBytesCountsHeaders(t *testing.T) {
-	const header = int(unsafe.Sizeof([]int32(nil)))
+	const plane, header = int(unsafe.Sizeof([][]int32(nil))), int(unsafe.Sizeof([]int32(nil)))
 	c, err := NewCounts(3, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := c.MemoryBytes(), 3*11*header; got != want {
-		t.Fatalf("fresh NewCounts(3, 10): MemoryBytes = %d, want %d (3·11 headers)", got, want)
+	if got, want := c.MemoryBytes(), 3*plane; got != want {
+		t.Fatalf("fresh NewCounts(3, 10): MemoryBytes = %d, want %d (3 plane headers)", got, want)
 	}
-	// "aab": the second a closes the lag-1 match of a (row (a, 1), 4 bytes);
-	// b closes nothing.
+	// "aab": the second a closes the lag-1 match of a, making a's plane
+	// (11 row headers) and row (a, 1) (4 bytes); b closes nothing, so b and
+	// c keep nil planes.
 	for i, k := range []int{0, 0, 1} {
 		if err := c.Append(k); err != nil {
 			t.Fatal(err)
 		}
 		rows := 0
 		if i >= 1 {
-			rows = 4 * 1
+			rows = 11*header + 4*1
 		}
-		if got, want := c.MemoryBytes(), 3*11*header+rows+2*2*(i+1); got != want {
+		if got, want := c.MemoryBytes(), 3*plane+rows+2*2*(i+1); got != want {
 			t.Fatalf("after %d symbols: MemoryBytes = %d, want %d", i+1, got, want)
 		}
 	}
 	// The a of "aaba" closes the lag-2 and lag-3 matches of a: rows (a, 2)
-	// and (a, 3) add 4·2 and 4·3 bytes.
+	// and (a, 3) add 4·2 and 4·3 bytes to the plane a already has.
 	if err := c.Append(0); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := c.MemoryBytes(), 3*11*header+4*1+4*2+4*3+2*2*4; got != want {
+	if got, want := c.MemoryBytes(), 3*plane+11*header+4*1+4*2+4*3+2*2*4; got != want {
 		t.Fatalf("after aaba: MemoryBytes = %d, want %d", got, want)
+	}
+	if c.Table[1] != nil || c.Table[2] != nil {
+		t.Fatal("b and c matched nothing but hold planes")
 	}
 }
 

@@ -64,19 +64,10 @@ func BestConfidences(s *series.Series, maxPeriod int) ([]float64, error) {
 	if maxPeriod < 1 || maxPeriod >= n {
 		return nil, invalidf("core: maxPeriod %d outside [1,%d)", maxPeriod, n)
 	}
-	det := newDetector(s)
+	c := NewConfidencer(s)
 	out := make([]float64, maxPeriod+1)
 	for p := 1; p <= maxPeriod; p++ {
-		best := 0.0
-		det.detect(p, 1e-9, func(sp SymbolPeriodicity) {
-			if sp.Confidence > best {
-				best = sp.Confidence
-			}
-		})
-		if best > 1 {
-			best = 1
-		}
-		out[p] = best
+		out[p] = c.At(p)
 	}
 	return out, nil
 }

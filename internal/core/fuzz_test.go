@@ -94,7 +94,11 @@ func FuzzMine(f *testing.F) {
 // arbitrary streams and queries: the count table whole and merged from two
 // cuts, and a window miner whose window has not yet slid, each answering
 // the threshold, period band and MinPairs drawn from the input with the
-// periodicities a mine of the same options reports.
+// periodicities a mine of the same options reports. A second window miner,
+// shorter than a stream of more than tracked+1 symbols, has slid: its
+// counts must be the brute-force counts of the window in absolute phase,
+// and its answers those of a mine of the window with phases shifted to
+// the window's start.
 func FuzzCounts(f *testing.F) {
 	f.Add([]byte("abcabcabc"), uint8(49), uint8(0), uint8(0), uint8(0))
 	f.Add([]byte{1, 1, 2, 2, 1, 1, 2, 2}, uint8(65), uint8(2), uint8(6), uint8(2))
@@ -157,6 +161,60 @@ func FuzzCounts(f *testing.F) {
 			if !reflect.DeepEqual(sortPers(got), sortPers(want.Periodicities)) {
 				t.Fatalf("%s %+v disagrees with batch", name, opt)
 			}
+		}
+
+		if len(idx) <= tracked+1 {
+			return
+		}
+		size := tracked + 1 + int(data[len(data)-1])%(len(idx)-tracked-1)
+		slid, err := NewWindowMiner(sigma, tracked, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range idx {
+			if err := slid.Append(int(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		start := len(idx) - size
+		for k := 0; k < sigma; k++ {
+			for p := 1; p <= tracked; p++ {
+				for l := 0; l < p; l++ {
+					var f2, pairs int
+					for i := start + (l-start%p+p)%p; i+p < len(idx); i += p {
+						pairs++
+						if int(idx[i]) == k && idx[i+p] == idx[i] {
+							f2++
+						}
+					}
+					if got := slid.counts.F2(k, p, l); got != f2 {
+						t.Fatalf("window %d of %d: F2(%d,%d,%d) = %d, brute force %d", size, len(idx), k, p, l, got, f2)
+					}
+					if got := slid.windowPairs(p, l); got != pairs {
+						t.Fatalf("window %d of %d: windowPairs(%d,%d) = %d, brute force %d", size, len(idx), p, l, got, pairs)
+					}
+				}
+			}
+		}
+		mineOpt = clampPeriods(opt, tracked, size)
+		mineOpt.Engine, mineOpt.MaxPatternPeriod = EngineNaive, -1
+		want, wantErr = mine(series.FromIndices(alpha, idx[start:]), mineOpt)
+		got, err := slid.Periodicities(opt)
+		if wantErr != nil {
+			if !errors.Is(err, ErrInvalidInput) {
+				t.Fatalf("slid window %+v: error %v, want invalid input like the mine's %v", opt, err, wantErr)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("slid window %+v: %v", opt, err)
+		}
+		shifted := append([]SymbolPeriodicity(nil), want.Periodicities...)
+		for i := range shifted {
+			shifted[i].Position = (shifted[i].Position + start) % shifted[i].Period
+		}
+		if !reflect.DeepEqual(sortPers(got), sortPers(shifted)) {
+			t.Fatalf("slid window %d of %d %+v disagrees with a mine of the window", size, len(idx), opt)
 		}
 	})
 }

@@ -1,102 +1,72 @@
 package core
 
-import "periodica/internal/series"
-
 // WindowMiner maintains symbol periodicities over a sliding window of the
 // most recent symbols — the monitoring flavor of the paper's data-stream
-// motivation: old behaviour ages out instead of accumulating. Arriving
-// symbols add their lag-p matches and symbols leaving the window retract
-// theirs, so the maintained counts always equal the batch counts over the
-// current window. Positions are reported in absolute stream phase (stream
-// index mod p), which keeps a stable pattern at a stable label while the
-// window slides.
+// motivation: old behaviour ages out instead of accumulating. It is a
+// Counts table over the whole stream plus a ring of the last window
+// symbols: arriving symbols add their lag-p matches through Counts.Append,
+// and a symbol leaving the window retracts the matches it starts, read from
+// the ring, so the table always holds the batch counts of the current
+// window. The table's Length is the absolute stream index, so its phases
+// are absolute stream phases (stream index mod p), which keeps a stable
+// pattern at a stable label while the window slides.
 type WindowMiner struct {
-	sigma     int
-	maxPeriod int
-	window    int
-	start     int // absolute index of the oldest retained symbol
-	count     int // symbols currently in the window
-	buf       []uint16
-	f2        [][][]int32
+	counts *Counts
+	window int
+	ring   []uint16 // symbol i at ring[i%window]; grows to window, then wraps
 }
 
 // NewWindowMiner returns a miner over a window of the given size, tracking
-// periods 1..maxPeriod. The window must be larger than maxPeriod, and σ at
-// most series.MaxAlphabet, since symbols are held as uint16.
+// periods 1..maxPeriod. The window must be larger than maxPeriod, so every
+// partner of a lag match is still in the ring when either end leaves it;
+// σ and maxPeriod are checked as NewCounts checks them.
 func NewWindowMiner(sigma, maxPeriod, window int) (*WindowMiner, error) {
-	if sigma < 1 || sigma > series.MaxAlphabet {
-		return nil, invalidf("core: sigma %d outside [1,%d]", sigma, series.MaxAlphabet)
-	}
-	if maxPeriod < 1 {
-		return nil, invalidf("core: maxPeriod %d < 1", maxPeriod)
+	c, err := NewCounts(sigma, maxPeriod)
+	if err != nil {
+		return nil, err
 	}
 	if window <= maxPeriod {
 		return nil, invalidf("core: window %d must exceed maxPeriod %d", window, maxPeriod)
 	}
-	m := &WindowMiner{
-		sigma:     sigma,
-		maxPeriod: maxPeriod,
-		window:    window,
-		buf:       make([]uint16, window),
-		f2:        make([][][]int32, sigma),
-	}
-	for k := range m.f2 {
-		m.f2[k] = make([][]int32, maxPeriod+1)
-	}
-	return m, nil
+	return &WindowMiner{counts: c, window: window}, nil
 }
-
-func (m *WindowMiner) at(abs int) int { return int(m.buf[abs%m.window]) }
 
 // Append ingests the next symbol, evicting the oldest when the window is
 // full; O(maxPeriod).
 func (m *WindowMiner) Append(k int) error {
-	if k < 0 || k >= m.sigma {
-		return invalidf("core: symbol index %d out of range [0,%d)", k, m.sigma)
+	if err := m.counts.Append(k); err != nil {
+		return err
 	}
-	if m.count == m.window {
-		// Retract the matches whose start position is the evicted symbol.
-		old := m.start
-		ok := m.at(old)
-		for p := 1; p <= m.maxPeriod && old+p < m.start+m.count; p++ {
-			if m.at(old+p) == ok {
-				m.adjust(ok, p, old%p, -1)
-			}
-		}
-		m.start++
-		m.count--
+	abs := m.counts.Length - 1
+	if abs < m.window {
+		m.ring = append(m.ring, uint16(k))
+		return nil
 	}
-	abs := m.start + m.count
-	m.buf[abs%m.window] = uint16(k)
-	m.count++
-	// Add the matches the new symbol completes.
-	for p := 1; p <= m.maxPeriod && abs-p >= m.start; p++ {
-		if m.at(abs-p) == k {
-			m.adjust(k, p, (abs-p)%p, +1)
+	// Retract the matches the evicted symbol starts; its partners
+	// old+1..old+maxPeriod all precede abs, so the ring still holds them.
+	old := abs - m.window
+	gone := m.ring[old%m.window]
+	for p := 1; p <= m.counts.MaxPeriod; p++ {
+		if m.ring[(old+p)%m.window] == gone {
+			m.counts.add(int(gone), p, old%p, -1)
 		}
 	}
+	m.ring[abs%m.window] = uint16(k)
 	return nil
 }
 
-func (m *WindowMiner) adjust(k, p, l int, delta int32) {
-	if m.f2[k][p] == nil {
-		m.f2[k][p] = make([]int32, p)
-	}
-	m.f2[k][p][l] += delta
-}
-
 // Len returns the number of symbols currently in the window.
-func (m *WindowMiner) Len() int { return m.count }
+func (m *WindowMiner) Len() int { return len(m.ring) }
 
-// Start returns the absolute stream index of the oldest retained symbol.
-func (m *WindowMiner) Start() int { return m.start }
+// start returns the absolute stream index of the oldest retained symbol.
+func (m *WindowMiner) start() int { return m.counts.Length - len(m.ring) }
 
 // windowPairs counts the consecutive-pair slots at absolute phase l within
 // the current window: positions i ≡ l (mod p) with start ≤ i and
-// i+p ≤ start+count−1.
+// i+p ≤ start+Len−1.
 func (m *WindowMiner) windowPairs(p, l int) int {
-	lo := m.start
-	hi := m.start + m.count - 1 - p // last valid start position
+	lo := m.start()
+	hi := m.counts.Length - 1 - p // last valid start position
 	if hi < lo {
 		return 0
 	}
@@ -112,5 +82,5 @@ func (m *WindowMiner) windowPairs(p, l int) int {
 // a full mine with opt reports, the period range clipped to the tracked
 // bound. Position is the absolute stream phase.
 func (m *WindowMiner) Periodicities(opt Options) ([]SymbolPeriodicity, error) {
-	return scanTable(m.f2, m.maxPeriod, m.count, m.windowPairs, opt)
+	return scanTable(m.counts.Table, m.counts.MaxPeriod, m.Len(), m.windowPairs, opt)
 }

@@ -8,7 +8,7 @@ import (
 // windowBrute recomputes the window counts definitionally from the retained
 // symbols.
 func windowBrute(m *WindowMiner, stream []int, k, p, l int) (f2, pairs int) {
-	start := m.Start()
+	start := m.start()
 	end := start + m.Len() - 1
 	for i := start; i+p <= end; i++ {
 		if i%p != l {
@@ -46,10 +46,7 @@ func TestWindowMinerMatchesBruteForce(t *testing.T) {
 					if got := m.windowPairs(p, l); got != wantPairs {
 						t.Fatalf("i=%d: windowPairs(%d,%d) = %d, want %d", i, p, l, got, wantPairs)
 					}
-					var gotF2 int
-					if m.f2[k][p] != nil {
-						gotF2 = int(m.f2[k][p][l])
-					}
+					gotF2 := m.counts.F2(k, p, l)
 					if gotF2 != wantF2 {
 						t.Fatalf("i=%d: window F2(%d,%d,%d) = %d, want %d", i, k, p, l, gotF2, wantF2)
 					}
@@ -126,12 +123,9 @@ func TestWindowMinerCountsNeverNegative(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		_ = m.Append(rng.Intn(5))
 	}
-	for k := 0; k < 5; k++ {
-		for p := 1; p <= 8; p++ {
-			if m.f2[k][p] == nil {
-				continue
-			}
-			for l, c := range m.f2[k][p] {
+	for k, rows := range m.counts.Table {
+		for p, row := range rows {
+			for l, c := range row {
 				if c < 0 {
 					t.Fatalf("negative count at (%d,%d,%d): %d", k, p, l, c)
 				}

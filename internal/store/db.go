@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -418,8 +419,17 @@ func (rec *summaryRecord) validate() error {
 }
 
 func (db *DB) writeSummary(i int, c *core.Counts) error {
+	// On disk every symbol has a plane of MaxPeriod+1 rows: a symbol that
+	// never matched, whose plane the table leaves nil, is written as one
+	// of empty rows.
+	planes, empty := slices.Clone(c.Table), make([][]int32, c.MaxPeriod+1)
+	for k := range planes {
+		if planes[k] == nil {
+			planes[k] = empty
+		}
+	}
 	rec := summaryRecord{Version: 1, Sigma: c.Sigma, MaxPeriod: c.MaxPeriod,
-		Length: c.Length, Head: c.Head, Tail: c.Tail, F2: c.Table}
+		Length: c.Length, Head: c.Head, Tail: c.Tail, F2: planes}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
 		return err
@@ -435,6 +445,13 @@ func decodeSummaryPayload(payload []byte) (*summaryRecord, error) {
 	}
 	if err := rec.validate(); err != nil {
 		return nil, err
+	}
+	// A plane without rows is a symbol that never matched: load it as the
+	// nil plane core.NewCounts starts from.
+	for k, rows := range rec.F2 {
+		if !slices.ContainsFunc(rows, func(r []int32) bool { return r != nil }) {
+			rec.F2[k] = nil
+		}
 	}
 	return &rec, nil
 }

@@ -149,10 +149,12 @@ var ErrInvalidInput = core.ErrInvalidInput
 // Counter maintains the periodicities of an unbounded stream with memory
 // independent of the stream length: only the first and last maxPeriod
 // symbols and the per-(symbol, period, position) counts are retained, so it
-// runs forever at O(σ·maxPeriod²) bytes. It cannot mine patterns (that
-// needs the data), and unlike Monitor nothing ever ages out — counts cover
-// the whole stream. Two Counters over adjacent stretches of one stream
-// combine with Merge.
+// runs forever in at most O(σ·maxPeriod²) bytes. The counts follow the
+// stream: a symbol's are made on its first match, so symbols that never
+// repeat within maxPeriod cost one slice header each. It cannot mine
+// patterns (that needs the data), and unlike Monitor nothing ever ages out
+// — counts cover the whole stream. Two Counters over adjacent stretches of
+// one stream combine with Merge.
 type Counter struct {
 	inner *core.Counts
 	alpha *alphabet.Alphabet
@@ -184,7 +186,8 @@ func (c *Counter) Append(symbol string) error {
 // Len returns the number of symbols seen.
 func (c *Counter) Len() int { return c.inner.Length }
 
-// MemoryBytes estimates the counter's resident size, independent of Len.
+// MemoryBytes estimates the counter's resident size: the counts made so
+// far and the retained symbols. Its bound does not depend on Len.
 func (c *Counter) MemoryBytes() int { return c.inner.MemoryBytes() }
 
 // Periodicities returns the whole-stream periodicities that a mine of the
@@ -223,9 +226,11 @@ func (s *Series) Describe(sp Periodicity, levelNames []string, unit, cycle strin
 
 // Monitor maintains the periodicities of the most recent Window symbols of
 // an unbounded stream: arriving symbols add their matches, symbols sliding
-// out retract theirs, so stale behaviour ages out of the answers. Positions
-// are reported in absolute stream phase (stream index mod period), keeping a
-// stable pattern at a stable label while the window slides.
+// out retract theirs, so stale behaviour ages out of the answers. It keeps
+// the count table a Counter keeps, made as symbols match, plus the last
+// window symbols, kept as they arrive. Positions are reported in absolute
+// stream phase (stream index mod period), keeping a stable pattern at a
+// stable label while the window slides.
 type Monitor struct {
 	inner *core.WindowMiner
 	alpha *alphabet.Alphabet

@@ -310,6 +310,38 @@ func TestSeriesFileHeaderClaimAllocatesLittle(t *testing.T) {
 	}
 }
 
+// TestOnlineSourcesAllocateWithTheStream: a Counter or Monitor allocates
+// little before its first Append, whatever the number of symbols it is
+// given or the length of its window. A symbol's counts are made on its
+// first match, and a Monitor's window fills as the stream arrives.
+func TestOnlineSourcesAllocateWithTheStream(t *testing.T) {
+	symbols := make([]string, 1<<16)
+	for i := range symbols {
+		symbols[i] = fmt.Sprintf("s%d", i)
+	}
+	for _, tc := range []struct {
+		name  string
+		limit uint64
+		build func() (any, error)
+	}{
+		{"NewCounter(64, 65536 symbols)", 16 << 20, func() (any, error) { return periodica.NewCounter(64, symbols...) }},
+		{"NewMonitor(64, 4096, 65536 symbols)", 16 << 20, func() (any, error) { return periodica.NewMonitor(64, 4096, symbols...) }},
+		{"NewMonitor(64, 1<<26, 5 symbols)", 1 << 20, func() (any, error) { return periodica.NewMonitor(64, 1<<26, "a", "b", "c", "d", "e") }},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		src, err := tc.build()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d > tc.limit {
+			t.Errorf("%s: allocated %d bytes before the first Append, want at most %d", tc.name, d, tc.limit)
+		}
+		runtime.KeepAlive(src)
+	}
+}
+
 func TestCounterPublic(t *testing.T) {
 	c, err := periodica.NewCounter(8, "on", "off")
 	if err != nil {
