@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"testing"
 
+	"periodica"
 	"periodica/internal/cimeg"
 	"periodica/internal/core"
 	"periodica/internal/experiments"
@@ -218,4 +219,47 @@ func walmartSized(b *testing.B, n int) *series.Series {
 	months := n/(30*24) + 1
 	s := walmart.Series(walmart.Config{Months: months, Seed: 6})
 	return s.Slice(0, n)
+}
+
+// BenchmarkAutoEngine times the full public-API mine under each engine at
+// the shapes that place EngineAuto's band rule: the full band at n = 1024
+// and 2048, and two narrow bands at n = 16384 (σ=5, P=25, 20% replacement
+// noise, ψ=0.7, MinPairs 1). Run it on one core and compare medians:
+//
+//	GOMAXPROCS=1 go test -run '^$' -bench AutoEngine -count 9 -benchtime 300ms .
+func BenchmarkAutoEngine(b *testing.B) {
+	ctx := context.Background()
+	for _, c := range []struct {
+		name     string
+		sigma, n int
+		query    string
+	}{
+		{"n=1024/full", 5, 1024, "conf >= 0.7"},
+		{"n=2048/full", 5, 2048, "conf >= 0.7"},
+		{"n=16384/period<=32", 5, 16384, "conf >= 0.7 and period <= 32"},
+		{"sigma=26/n=16384/period=200..240", 26, 16384, "conf >= 0.7 and period in 200..240"},
+	} {
+		inner, _, err := gen.Generate(gen.Config{Length: c.n, Period: 25, Sigma: c.sigma, Dist: gen.Uniform,
+			Noise: gen.Replacement, NoiseRatio: 0.2, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		s, err := periodica.NewSeriesFromString(inner.String())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, eng := range []string{"naive", "bitset", "fft", "auto"} {
+			q, err := periodica.CompileQuery(c.query + " and engine " + eng)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(c.name+"/"+eng, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := periodica.MineQueryContext(ctx, s, q); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
 }

@@ -37,6 +37,7 @@ import (
 
 	"periodica"
 	"periodica/internal/cimeg"
+	"periodica/internal/core"
 	"periodica/internal/experiments"
 	"periodica/internal/fft"
 	"periodica/internal/gen"
@@ -347,12 +348,12 @@ func blank(w io.Writer) error {
 }
 
 // printProvenance opens every report with the facts needed to compare two
-// bench_results files: scale, parallelism, toolchain, and the FFT dispatch
+// bench_results files: scale, parallelism, toolchain, and the dispatch
 // constants. Numbers without this header are not comparable across hosts.
 func printProvenance(scaleName string) {
 	fmt.Printf("opbench: scale=%s GOMAXPROCS=%d go=%s\n",
 		scaleName, runtime.GOMAXPROCS(0), runtime.Version())
-	fmt.Printf("opbench: fft dispatch engineCrossover=4096 parallelThreshold=%d\n", fft.ParallelThreshold)
+	fmt.Printf("opbench: dispatch autoBitsetSpan=%d parallelThreshold=%d\n", core.AutoBitsetSpan, fft.ParallelThreshold)
 	fmt.Println()
 }
 

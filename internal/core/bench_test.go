@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -30,6 +31,36 @@ func BenchmarkMineEngines(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkEngineBand is the probe behind EngineAuto's band rule. It times
+// detect + sweep (ShardSurvivors) under the bitset and FFT engines and under
+// auto, over period bands from 16 to n/2, on the paper's setting (P=25, 20%
+// replacement noise, ψ=0.7, MinPairs 1) at σ=5 and σ=26. Run it on one core
+// and compare medians:
+//
+//	GOMAXPROCS=1 go test -run '^$' -bench EngineBand -count 9 -benchtime 200ms ./internal/core
+func BenchmarkEngineBand(b *testing.B) {
+	ctx := context.Background()
+	for _, shape := range []struct{ sigma, n int }{{5, 4096}, {5, 16384}, {5, 65536}, {26, 16384}, {26, 65536}} {
+		s, _, err := gen.Generate(gen.Config{Length: shape.n, Period: 25, Sigma: shape.sigma, Dist: gen.Uniform,
+			Noise: gen.Replacement, NoiseRatio: 0.2, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, band := range []int{16, 64, 128, 192, 256, 1024, shape.n / 2} {
+			for _, eng := range []Engine{EngineBitset, EngineFFT, EngineAuto} {
+				b.Run(fmt.Sprintf("sigma=%d/n=%d/band=%d/%v", shape.sigma, shape.n, band, eng), func(b *testing.B) {
+					opt := Options{Threshold: 0.7, MaxPeriod: band, Engine: eng}
+					for i := 0; i < b.N; i++ {
+						if _, err := ShardSurvivors(ctx, s, opt); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
 	}
 }
 

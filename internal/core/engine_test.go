@@ -12,36 +12,37 @@ import (
 	"periodica/internal/series"
 )
 
-// TestResolveEngineCrossover pins the EngineAuto length heuristic to its one
-// home: resolveEngine. The 4096 crossover is load-bearing — callers and docs
-// reference it — so a change here must be deliberate.
+// TestResolveEngineCrossover pins EngineAuto's band rule to its one home,
+// resolveEngine: popcount up to AutoBitsetSpan periods, the FFT beyond, and
+// never naive. A named engine passes through at any span. The served
+// benchmark's mine shapes (paper-dense, walmart-values, dist-2w) sweep 512,
+// 400 and 512 periods and must stay on the FFT.
 func TestResolveEngineCrossover(t *testing.T) {
-	if autoEngineThreshold != 4096 {
-		t.Fatalf("autoEngineThreshold = %d, want 4096 (update docs and this pin together)", autoEngineThreshold)
+	if AutoBitsetSpan >= 400 {
+		t.Fatalf("AutoBitsetSpan = %d would move walmart-values (a 400-period band) off the FFT", AutoBitsetSpan)
 	}
 	cases := []struct {
-		name     string
-		in       Engine
-		n        int
-		parallel bool
-		want     Engine
+		name string
+		in   Engine
+		span int
+		want Engine
 	}{
-		{"auto short serial", EngineAuto, autoEngineThreshold - 1, false, EngineNaive},
-		{"auto at threshold serial", EngineAuto, autoEngineThreshold, false, EngineFFT},
-		{"auto long serial", EngineAuto, 1 << 20, false, EngineFFT},
-		{"auto short parallel", EngineAuto, autoEngineThreshold - 1, true, EngineBitset},
-		{"auto at threshold parallel", EngineAuto, autoEngineThreshold, true, EngineFFT},
-		{"naive serial passes through", EngineNaive, 10_000, false, EngineNaive},
-		{"naive parallel substitutes bitset", EngineNaive, 100, true, EngineBitset},
-		{"bitset serial passes through", EngineBitset, 100, false, EngineBitset},
-		{"bitset parallel passes through", EngineBitset, 100, true, EngineBitset},
-		{"fft serial passes through", EngineFFT, 100, false, EngineFFT},
-		{"fft parallel passes through", EngineFFT, 100, true, EngineFFT},
+		{"auto one period", EngineAuto, 1, EngineBitset},
+		{"auto at the limit", EngineAuto, AutoBitsetSpan, EngineBitset},
+		{"auto past the limit", EngineAuto, AutoBitsetSpan + 1, EngineFFT},
+		{"auto walmart-values", EngineAuto, 400, EngineFFT},
+		{"auto paper-dense and dist-2w", EngineAuto, 512, EngineFFT},
+		{"auto full band at n=2^20", EngineAuto, 1 << 19, EngineFFT},
+		{"naive narrow", EngineNaive, 1, EngineNaive},
+		{"naive wide", EngineNaive, 512, EngineNaive},
+		{"bitset narrow", EngineBitset, 1, EngineBitset},
+		{"bitset wide", EngineBitset, 1 << 19, EngineBitset},
+		{"fft narrow", EngineFFT, 1, EngineFFT},
+		{"fft wide", EngineFFT, 512, EngineFFT},
 	}
 	for _, tc := range cases {
-		if got := resolveEngine(tc.in, tc.n, tc.parallel); got != tc.want {
-			t.Errorf("%s: resolveEngine(%v, %d, %v) = %v, want %v",
-				tc.name, tc.in, tc.n, tc.parallel, got, tc.want)
+		if got := resolveEngine(tc.in, tc.span); got != tc.want {
+			t.Errorf("%s: resolveEngine(%v, %d) = %v, want %v", tc.name, tc.in, tc.span, got, tc.want)
 		}
 	}
 }

@@ -11,9 +11,9 @@ import (
 
 // FuzzMine drives the miner with arbitrary symbol streams, thresholds,
 // MinPairs (1–4) and period bands, checking the structural invariants and
-// that the bitset and FFT engines agree with the naive one, which prunes
-// nothing. The draws reach periods where one pair-count group of a period
-// cannot qualify and top periods with one or two pairs, the edges of
+// that the bitset and FFT engines, and auto, agree with the naive one, which
+// prunes nothing. The draws reach periods where one pair-count group of a
+// period cannot qualify and top periods with one or two pairs, the edges of
 // resolve's cutoff.
 func FuzzMine(f *testing.F) {
 	f.Add([]byte("abcabbabcb"), uint8(66), uint8(0), uint8(0), uint8(0))
@@ -52,7 +52,7 @@ func FuzzMine(f *testing.F) {
 		if err != nil {
 			t.Fatalf("naive %+v: %v", opt, err)
 		}
-		for _, eng := range []Engine{EngineBitset, EngineFFT} {
+		for _, eng := range []Engine{EngineBitset, EngineFFT, EngineAuto} {
 			opt.Engine = eng
 			got, err := mine(s, opt)
 			if err != nil {

@@ -16,8 +16,8 @@ import (
 type Engine int
 
 const (
-	// EngineAuto picks EngineFFT for long series and EngineNaive for short
-	// ones.
+	// EngineAuto picks EngineBitset for a band of at most AutoBitsetSpan
+	// periods and EngineFFT for a wider one.
 	EngineAuto Engine = iota
 	// EngineNaive scans the series once per candidate period. O(n²) overall;
 	// the ground-truth reference.
@@ -152,9 +152,8 @@ func periodicity(k, p, l, f2, pairs int) SymbolPeriodicity {
 // the shared detect → sweep → resolve → enumerate pipeline. workers ≤ 1 runs
 // the serial scheduler (the FFT precompute still batches across all
 // cores); a larger count spreads the per-period stage work and the FFT
-// precompute over that many workers, capped at GOMAXPROCS, and substitutes
-// the bitset engine for the naive one, which shares its semantics and
-// shards cleanly. The result is identical at every worker count.
+// precompute over that many workers, capped at GOMAXPROCS, each with its own
+// detector. The result is identical at every worker count.
 //
 // The session's scheduler polls ctx between the FFT precompute's pair
 // transforms, at every candidate period of the sweep and resolve stages,
@@ -165,7 +164,7 @@ func periodicity(k, p, l, f2, pairs int) SymbolPeriodicity {
 func MineWorkers(ctx context.Context, s *series.Series, opt Options, workers int) (*Result, error) {
 	cfg := sessionConfig{workers: 1, cancel: ctx.Err}
 	if workers > 1 {
-		cfg.workers, cfg.fftWorkers, cfg.parallel = workers, workers, true
+		cfg.workers, cfg.fftWorkers = workers, workers
 	}
 	ses, err := newSession(s, opt, cfg)
 	if err != nil {

@@ -12,34 +12,23 @@ import (
 	"periodica/internal/series"
 )
 
-// autoEngineThreshold is the series length at which EngineAuto switches from
-// the quadratic reference scan to the FFT engine: below it the naive scan's
-// constant factors win, above it the O(σ n log n) batched autocorrelation
-// does.
-const autoEngineThreshold = 4096
+// AutoBitsetSpan is the widest period band EngineAuto sweeps by popcount,
+// at about n/64 words per symbol and period; a wider band takes the FFT
+// precompute, O(σ n log B) at any span. It is the widest probed span at
+// which popcount was no slower at every n and σ (DESIGN.md, "Engine choice").
+const AutoBitsetSpan = 192
 
 // resolveEngine is the single place an engine request becomes a concrete
-// engine. parallel marks runs whose per-period work is sharded over multiple
-// workers; there the naive engine (whose semantics the bitset engine shares
-// exactly) is substituted by the bitset engine, which shards cleanly.
-func resolveEngine(e Engine, n int, parallel bool) Engine {
-	switch e {
-	case EngineAuto:
-		if n >= autoEngineThreshold {
-			return EngineFFT
-		}
-		if parallel {
-			return EngineBitset
-		}
-		return EngineNaive
-	case EngineNaive:
-		if parallel {
-			return EngineBitset
-		}
-		return EngineNaive
-	default:
+// engine: EngineAuto resolves by the number of periods swept, span, and a
+// named engine passes through.
+func resolveEngine(e Engine, span int) Engine {
+	if e != EngineAuto {
 		return e
 	}
+	if span <= AutoBitsetSpan {
+		return EngineBitset
+	}
+	return EngineFFT
 }
 
 // session owns the state of one mining run: the series and alphabet bounds,
@@ -79,9 +68,8 @@ type session struct {
 
 // sessionConfig carries the per-entry-point knobs of a session.
 type sessionConfig struct {
-	workers    int  // stage shard width (1 = serial; ≤ 0 = all cores)
-	fftWorkers int  // cores for the FFT precompute (≤ 0 = all)
-	parallel   bool // resolve the engine for a sharded run
+	workers    int // stage shard width (1 = serial; ≤ 0 = all cores)
+	fftWorkers int // cores for the FFT precompute (≤ 0 = all)
 	cancel     func() error
 }
 
@@ -100,7 +88,7 @@ func newSession(s *series.Series, opt Options, cfg sessionConfig) (*session, err
 		n:     s.Len(),
 		sigma: s.Alphabet().Size(),
 		opt:   opt,
-		eng:   resolveEngine(opt.Engine, s.Len(), cfg.parallel),
+		eng:   resolveEngine(opt.Engine, opt.MaxPeriod-opt.MinPeriod+1),
 		met:   obs.Exec(),
 	}
 	ses.finishSession(cfg)

@@ -36,9 +36,9 @@ func NormalizeOptions(opt Options, n int) (Options, error) {
 // A coordinator computes this once and ships each shard its slice, so no
 // worker repeats the whole-series detection. The lists are exactly the
 // sweep a single-process mine runs — same integers, same float comparison —
-// so resolve output is unchanged.
+// so resolve output is unchanged. A naive request sweeps as auto.
 func ShardSurvivors(ctx context.Context, s *series.Series, opt Options) ([][]int32, error) {
-	ses, err := newSession(s, opt, sessionConfig{parallel: true, cancel: ctx.Err})
+	ses, err := newSession(s, pruningEngine(opt), sessionConfig{cancel: ctx.Err})
 	if err != nil {
 		return nil, err
 	}
@@ -58,15 +58,13 @@ func ShardSurvivors(ctx context.Context, s *series.Series, opt Options) ([][]int
 // vectors — the O(σ n log n) whole-series autocorrelation and the sweep are
 // skipped because the coordinator already ran them. The slots are raw —
 // unsorted across periods, no derived patterns — because assembly is the
-// coordinator's job. Engine selection treats the run as parallel (the naive
-// engine is substituted by the bitset engine, which shards cleanly and
-// shares its semantics exactly), so any engine request yields identical
-// slot values. surv must span the shard's period band (entry i is period
-// opt.MinPeriod+i) with each list strictly ascending inside [symLo, symHi);
-// a missing or malformed set is an invalid-input error, because a worker
-// must never resolve cells outside its shard.
+// coordinator's job. A naive request resolves as auto, so any engine
+// request yields identical slot values. surv must span the shard's period
+// band (entry i is period opt.MinPeriod+i) with each list strictly ascending
+// inside [symLo, symHi); a missing or malformed set is an invalid-input
+// error, because a worker must never resolve cells outside its shard.
 func MineShardSlotsFromSurvivors(ctx context.Context, s *series.Series, opt Options, symLo, symHi int, surv [][]int32) ([]SymbolPeriodicity, error) {
-	ses, err := newSession(s, opt, sessionConfig{parallel: true, cancel: ctx.Err})
+	ses, err := newSession(s, pruningEngine(opt), sessionConfig{cancel: ctx.Err})
 	if err != nil {
 		return nil, err
 	}
@@ -93,6 +91,16 @@ func MineShardSlotsFromSurvivors(ctx context.Context, s *series.Series, opt Opti
 		return nil, err
 	}
 	return ses.slots, nil
+}
+
+// pruningEngine maps EngineNaive to EngineAuto: the shard seam needs a
+// pruning sweep and a resolve limited to the shipped survivors, which the
+// naive engine lacks, and every engine yields naive's periodicities.
+func pruningEngine(opt Options) Options {
+	if opt.Engine == EngineNaive {
+		opt.Engine = EngineAuto
+	}
+	return opt
 }
 
 // detectIndicators is the detect stage of the survivor-shipped shard path:
@@ -133,7 +141,7 @@ func (resolveSlots) run(ses *session) error {
 // original full-range option set; with slots from a shard plan covering that
 // range, the Result is byte-identical to the single-process MineWorkers.
 func AssembleFromSlots(ctx context.Context, s *series.Series, opt Options, slots []SymbolPeriodicity) (*Result, error) {
-	ses, err := newSession(s, opt, sessionConfig{parallel: true, cancel: ctx.Err})
+	ses, err := newSession(s, opt, sessionConfig{cancel: ctx.Err})
 	if err != nil {
 		return nil, err
 	}

@@ -271,7 +271,7 @@ func TestShardSurvivorsEngines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ses, err := newSession(s, norm, sessionConfig{parallel: true})
+			ses, err := newSession(s, norm, sessionConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}

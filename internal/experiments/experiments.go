@@ -335,8 +335,7 @@ type SinglePatternRow struct {
 // SinglePatternTable reproduces Table 2 for one series and period.
 func SinglePatternTable(s *series.Series, period int, thresholdsPct []int) ([]SinglePatternRow, error) {
 	opt, err := core.OptionsFromSpec(query.Spec{
-		Threshold: 0.01, MinPeriod: period, MaxPeriod: period,
-		Engine: query.EngineBitset, MaxPatternPeriod: -1,
+		Threshold: 0.01, MinPeriod: period, MaxPeriod: period, MaxPatternPeriod: -1,
 	})
 	if err != nil {
 		return nil, err
@@ -372,7 +371,7 @@ type PatternRow struct {
 func PatternTable(s *series.Series, period int, psi float64, maxPatterns int) ([]PatternRow, error) {
 	opt, err := core.OptionsFromSpec(query.Spec{
 		Threshold: psi, MinPeriod: period, MaxPeriod: period,
-		Engine: query.EngineBitset, MaxPatternPeriod: period, MaxPatterns: maxPatterns,
+		MaxPatternPeriod: period, MaxPatterns: maxPatterns,
 	})
 	if err != nil {
 		return nil, err

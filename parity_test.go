@@ -5,7 +5,9 @@ package periodica_test
 // sequence must yield byte-identical Results through every path, for every
 // engine — and under cancellation every path must return context.Canceled
 // with no partial result. CI runs these under
-// `go test -run Parity -race` across PERIODICA_ENGINE={naive,bitset,fft}.
+// `go test -run Parity -race` across PERIODICA_ENGINE={naive,bitset,fft,auto};
+// auto meets both sides of its band rule there, popcount on the one-period
+// threshold-boundary case and the FFT on the full bands.
 
 import (
 	"context"
@@ -29,6 +31,7 @@ func parityEngines(t *testing.T) map[string]periodica.Engine {
 		"naive":  periodica.EngineNaive,
 		"bitset": periodica.EngineBitset,
 		"fft":    periodica.EngineFFT,
+		"auto":   periodica.EngineAuto,
 	}
 	name := os.Getenv("PERIODICA_ENGINE")
 	if name == "" {
@@ -36,7 +39,7 @@ func parityEngines(t *testing.T) map[string]periodica.Engine {
 	}
 	eng, ok := all[name]
 	if !ok {
-		t.Fatalf("PERIODICA_ENGINE=%q is not naive, bitset, or fft", name)
+		t.Fatalf("PERIODICA_ENGINE=%q is not naive, bitset, fft, or auto", name)
 	}
 	return map[string]periodica.Engine{name: eng}
 }
@@ -127,7 +130,7 @@ func TestParityAcrossPaths(t *testing.T) {
 		symbols []string
 		opt     periodica.Options
 	}{
-		// Below and above the auto FFT crossover.
+		// A short and a long series over the full band.
 		{"n=605", paritySymbols(605), periodica.Options{Threshold: 0.6, MinPairs: 3, MaxPatternPeriod: 21}},
 		{"n=5000", paritySymbols(5000), periodica.Options{Threshold: 0.6, MinPairs: 3, MaxPatternPeriod: 21}},
 		// The pruned engines must keep a pair whose confidence equals ψ.

@@ -156,7 +156,7 @@ func (s *Series) String() string { return s.inner.String() }
 type Engine = core.Engine
 
 const (
-	// EngineAuto picks FFT for long series and Naive for short ones.
+	// EngineAuto picks Bitset for narrow period bands and FFT for wide ones.
 	EngineAuto = core.EngineAuto
 	// EngineNaive rescans the series per candidate period (reference).
 	EngineNaive = core.EngineNaive
